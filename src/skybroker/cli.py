@@ -120,11 +120,12 @@ def _synth_command(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _run_command(args)
-    if args.command == "synth-network":
-        return _synth_command(args)
-    raise AssertionError(f"unhandled command {args.command}")
+    commands = {"run": _run_command, "synth-network": _synth_command}
+    try:
+        return commands[args.command](args)
+    except ValueError as exc:  # includes ConfigurationError and ParseError
+        print(f"skybroker: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,14 +12,32 @@ dynamic swarm splits once, at the first congested decision node, into two
 sub-swarms that continue independently and must arrive within a bounded time
 window.
 
+Reachability: a neighbour is a candidate only if the destination can still be
+reached from it through unvisited nodes. Each neighbour is checked by a
+best-first search toward the destination (keyed on the shortest-path distance)
+that stops at the destination or at a node already proven alive in the same
+step; every node a successful search explores is alive for the rest of that
+step. A failed search has explored the neighbour's whole unvisited component,
+which goes into the sub-swarm's dead set. A dead node stays dead for good,
+because ``visited`` only grows; a split sibling inherits the set.
+
+Evaluations: the execution-time QoS and the pruning proxy count evaluation
+units, one per drone for every leg looked at, node service priced or
+candidate scored. Leg physics are memoised per sub-swarm (keyed on the leg and
+the wind time slice, and reset whenever the sub-swarm's drone list changes),
+but a memo hit still charges its units, so the counts do not depend on the
+memo.
+
 All mutable state is confined to per-provider copies; network, configs and
 seeds are shared read-only, so providers can compose in parallel.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .config import CompositionConfig, EnergyModelConfig, Seeds, mix64
@@ -76,6 +94,12 @@ class SubSwarmState:
     cost: float = 0.0
     plan: deque[int] | None = None
     success: bool | None = None
+    # unvisited nodes from which the destination is unreachable through
+    # unvisited nodes (see the module docstring)
+    dead: set[int] = field(default_factory=set)
+    # leg physics for the current drone list, keyed on (a, b, wind time slice);
+    # reassigning drones must reset it
+    legs: dict[tuple[int, int, int], _Leg] = field(default_factory=dict)
 
     @property
     def delivery_time(self) -> float:
@@ -189,18 +213,25 @@ def prepare_composition(
 
 
 def _leg_info(state: SubSwarmState, a: int, b: int, ctx: CompositionContext) -> _Leg:
-    length = ctx.network.length(a, b)
-    wind = ctx.wind.at(a, b, state.delivery_time)
-    sector = relative_sector(wind.direction, ctx.network.heading(a, b))
-    formation = (
-        best_formation(sector, FORMATIONS, ctx.energy) if ctx.flexible else ctx.base_formation
-    )
-    energies = tuple(
-        segment_energy(d, length, formation, sector, slot, ctx.energy)
-        for slot, d in enumerate(state.drones)
-    )
+    """Physics of flying a -> b at the sub-swarm's current time; charges one
+    evaluation per drone whether or not the leg comes from the memo."""
     ctx.evaluations += len(state.drones)
-    return _Leg(node=b, length=length, formation=formation, sector=sector, energies=energies)
+    key = (a, b, ctx.wind.time_slice(state.delivery_time))
+    leg = state.legs.get(key)
+    if leg is None:
+        length = ctx.network.length(a, b)
+        wind = ctx.wind.at(a, b, state.delivery_time)
+        sector = relative_sector(wind.direction, ctx.network.heading(a, b))
+        formation = (
+            best_formation(sector, FORMATIONS, ctx.energy) if ctx.flexible else ctx.base_formation
+        )
+        energies = tuple(
+            segment_energy(d, length, formation, sector, slot, ctx.energy)
+            for slot, d in enumerate(state.drones)
+        )
+        leg = _Leg(node=b, length=length, formation=formation, sector=sector, energies=energies)
+        state.legs[key] = leg
+    return leg
 
 
 def _leg_within_capacity(state: SubSwarmState, leg: _Leg) -> bool:
@@ -343,27 +374,40 @@ def _direct_ok(state: SubSwarmState, ctx: CompositionContext) -> bool:
     return _remaining_path_energiable(state, path, ctx)
 
 
-def _alive_toward_destination(state: SubSwarmState, ctx: CompositionContext) -> set[int]:
-    """Unvisited nodes from which the destination is still reachable through
-    unvisited nodes. Moving anywhere else can never complete the delivery."""
-    seen = {ctx.request.destination}
-    stack = [ctx.request.destination]
-    while stack:
-        node = stack.pop()
-        for nbr, _ in ctx.network.neighbors(node):
-            if nbr not in seen and nbr not in state.visited:
-                seen.add(nbr)
-                stack.append(nbr)
-    return seen
+def _reaches_destination(start: int, state: SubSwarmState, ctx: CompositionContext, alive: set[int]) -> bool:
+    """Whether the destination is reachable from the unvisited node start
+    through unvisited nodes.
+
+    Best-first search keyed on the distance to the destination; it stops as
+    soon as it meets the destination or a node in alive. On success every
+    explored node joins alive; on failure the explored set is start's whole
+    unvisited component and joins the sub-swarm's dead set.
+    """
+    destination, dist = ctx.request.destination, ctx.dist_to_dest
+    if start == destination or start in alive:
+        return True
+    explored = {start}
+    frontier = [(dist.get(start, math.inf), start)]
+    while frontier:
+        _, node = heapq.heappop(frontier)
+        for nbr, _length in ctx.network.neighbors(node):
+            if nbr == destination or nbr in alive:
+                alive |= explored
+                return True
+            if nbr not in explored and nbr not in state.visited:
+                explored.add(nbr)
+                heapq.heappush(frontier, (dist.get(nbr, math.inf), nbr))
+    state.dead |= explored
+    return False
 
 
 def viable_candidates(state: SubSwarmState, ctx: CompositionContext) -> list[_Leg]:
     """Unvisited neighbours whose leg every drone can fly on a full battery and
-    from which the destination remains reachable."""
-    alive = _alive_toward_destination(state, ctx)
+    from which the destination remains reachable through unvisited nodes."""
+    alive: set[int] = set()
     out = []
     for nbr, _length in ctx.network.neighbors(state.current_node):
-        if nbr in state.visited or nbr not in alive:
+        if nbr in state.visited or nbr in state.dead or not _reaches_destination(nbr, state, ctx, alive):
             continue
         leg = _leg_info(state, state.current_node, nbr, ctx)
         if _leg_within_capacity(state, leg):
@@ -544,8 +588,10 @@ def _split_subswarm(state: SubSwarmState) -> SubSwarmState:
         charge_s=state.charge_s,
         wait_s=state.wait_s,
         cost=0.0,  # shared history cost stays with the first sub-swarm
+        dead=set(state.dead),
     )
     state.drones = state.drones[:half]
+    state.legs = {}
     return sibling
 
 
@@ -586,6 +632,7 @@ def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, pending: list[S
                     continue
                 # fold the split back when a half cannot fly its leg at its new slots
                 state.drones = state.drones + sibling.drones
+                state.legs = {}
 
         if _direct_ok(state, ctx):
             remaining = tree_path(ctx.parent_to_dest, node)

@@ -35,7 +35,11 @@ class Wind:
 
 
 class WindField:
-    """Seeded per-segment wind, piecewise constant over time slices."""
+    """Seeded per-segment wind, piecewise constant over time slices.
+
+    Draws are memoised per instance. The composer makes one field per
+    composition, so the memo holds only the segments that composition looks at.
+    """
 
     def __init__(self, seed: int, max_speed: float = 10.0, slice_s: float = 600.0):
         if max_speed < 0 or slice_s <= 0:
@@ -43,13 +47,20 @@ class WindField:
         self.seed = seed
         self.max_speed = max_speed
         self.slice_s = slice_s
+        self._memo: dict[tuple[int, int, int], Wind] = {}
+
+    def time_slice(self, elapsed_s: float) -> int:
+        """Index of the time slice the wind is constant over at elapsed_s."""
+        return int(max(elapsed_s, 0.0) // self.slice_s)
 
     def at(self, a: int, b: int, elapsed_s: float = 0.0) -> Wind:
-        lo, hi = min(a, b), max(a, b)
-        time_slice = int(max(elapsed_s, 0.0) // self.slice_s)
-        speed = unit_draw(self.seed, lo, hi, time_slice, 1) * self.max_speed
-        direction = unit_draw(self.seed, lo, hi, time_slice, 2) * TWO_PI
-        return Wind(speed=speed, direction=direction)
+        key = (min(a, b), max(a, b), self.time_slice(elapsed_s))
+        wind = self._memo.get(key)
+        if wind is None:
+            speed = unit_draw(self.seed, *key, 1) * self.max_speed
+            direction = unit_draw(self.seed, *key, 2) * TWO_PI
+            wind = self._memo[key] = Wind(speed=speed, direction=direction)
+        return wind
 
     @classmethod
     def from_config(cls, seed: int, config: EnergyModelConfig) -> "WindField":

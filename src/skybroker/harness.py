@@ -19,7 +19,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import math
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .composition import CompositionOutcome, compose
-from .config import CompositionConfig, EnergyModelConfig, Seeds, mix64
+from .config import CompositionConfig, ConfigurationError, EnergyModelConfig, Seeds, mix64
 from .domain import (
     QOS_METRICS,
     CapabilityRanges,
@@ -93,6 +92,15 @@ class ExperimentConfig:
         for method in self.voting_methods:
             if method not in VOTING_METHODS:
                 raise ValueError(f"unknown voting method {method!r}")
+        for k in self.k_values:
+            if not 0 <= k < 100:
+                raise ConfigurationError(f"k_values must be in [0, 100), got {k}")
+        if self.t_paths < 1:
+            raise ConfigurationError(f"t_paths must be at least 1, got {self.t_paths}")
+        if self.grid_resolution < 2:
+            raise ConfigurationError(f"grid_resolution must be at least 2, got {self.grid_resolution}")
+        if self.n_providers < 1 or self.n_requests < 1:
+            raise ConfigurationError("n_providers and n_requests must be at least 1")
 
 
 PER_REQUEST_FIELDS = [
@@ -294,18 +302,29 @@ class AggregateResult:
     trends: dict[str, float | None]
 
 
+def _average_ranks(values: Sequence[float]) -> list[float]:
+    """1-based ranks of values, ties sharing the mean of the ranks they span."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    while start < len(order):
+        end = start + 1
+        while end < len(order) and values[order[end]] == values[order[start]]:
+            end += 1
+        for i in order[start:end]:
+            ranks[i] = (start + end + 1) / 2.0
+        start = end
+    return ranks
+
+
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     """Spearman rank correlation; None when undefined (constant input)."""
     if len(xs) != len(ys) or len(xs) < 2:
         return None
-    import warnings
-
-    from scipy import stats
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rho = stats.spearmanr(xs, ys).correlation
-    return None if math.isnan(rho) else float(rho)
+    try:
+        return statistics.correlation(_average_ranks(xs), _average_ranks(ys))
+    except statistics.StatisticsError:
+        return None
 
 
 def aggregate(rows: Sequence[Mapping]) -> AggregateResult:

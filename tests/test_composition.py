@@ -1,10 +1,15 @@
 import math
 import random
+from dataclasses import replace
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skybroker import composition
 from skybroker.composition import (
+    _Leg,
     can_reach_directly,
     compose,
     node_value,
@@ -17,12 +22,14 @@ from skybroker.domain import (
     DYNAMIC,
     FIXED_FORMATION,
     FLEXIBLE_FORMATION,
+    FORMATIONS,
     STATIC,
     DeliveryRequest,
     ScenarioLimits,
     generate_scenario,
 )
-from skybroker.energy import WindField, relative_sector, segment_energy
+from skybroker.energy import WindField, best_formation, relative_sector, segment_energy
+from skybroker.harness import ExperimentConfig, build_network
 from skybroker.network import (
     SkywayNetwork,
     SkywayNode,
@@ -369,3 +376,146 @@ class TestCompositionInvariants:
         out_flex = compose(flexible, req, net, seeds=seeds)
         assert out_fixed.paths == out_flex.paths
         assert out_flex.pqos.energy <= out_fixed.pqos.energy + 1e-12
+
+
+def alive_by_full_dfs(network, visited, destination):
+    """Reachability oracle: unvisited nodes from which the destination can be
+    reached through unvisited nodes, by one DFS over the whole graph from the
+    destination."""
+    seen = {destination}
+    stack = [destination]
+    while stack:
+        node = stack.pop()
+        for nbr, _ in network.neighbors(node):
+            if nbr not in seen and nbr not in visited:
+                seen.add(nbr)
+                stack.append(nbr)
+    return seen
+
+
+@st.composite
+def reachability_walks(draw):
+    """A random graph (often disconnected), destination, start and a sequence
+    of ever-growing visited sets, each with the node the swarm stands on."""
+    n = draw(st.integers(min_value=3, max_value=24))
+    graph = nx.gnp_random_graph(
+        n, draw(st.floats(min_value=0.03, max_value=0.4)), seed=draw(st.integers(0, 2**32 - 1))
+    )
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    xy = {v: (rng.uniform(0, 5000), rng.uniform(0, 5000)) for v in graph.nodes}
+    network = SkywayNetwork(
+        [SkywayNode(v, *xy[v], 1, 4) for v in graph.nodes],
+        [SkywaySegment(a, b, math.hypot(xy[a][0] - xy[b][0], xy[a][1] - xy[b][1])) for a, b in graph.edges],
+    )
+    nodes = st.sampled_from(sorted(graph.nodes))
+    destination = draw(nodes)
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        current = draw(nodes.filter(lambda v: v != destination))
+        steps.append((current, draw(st.sets(nodes, max_size=n // 2))))
+    return network, destination, steps
+
+
+class TestReachability:
+    @given(reachability_walks())
+    @settings(max_examples=200, deadline=None)
+    def test_candidates_match_full_dfs_and_dead_stays_dead(self, walk):
+        network, destination, steps = walk
+        provider = simple_provider(battery=1e9)  # every leg fits, so only reachability filters
+        state, ctx = prepare_composition(provider, request(steps[0][0], destination), network)
+        for current, extra_visited in steps:
+            state.path.append(current)
+            state.visited |= extra_visited | {current}
+            alive = alive_by_full_dfs(network, state.visited, destination)
+            expected = sorted(
+                nbr for nbr, _ in network.neighbors(current) if nbr not in state.visited and nbr in alive
+            )
+            assert [leg.node for leg in viable_candidates(state, ctx)] == expected
+            assert not state.dead & alive
+
+
+def recomputed_leg_info(state, a, b, ctx):
+    """Leg physics computed from scratch on every call, with a wind field that
+    has never drawn before: the composer without its memos."""
+    wind = WindField(ctx.wind.seed, ctx.wind.max_speed, ctx.wind.slice_s).at(a, b, state.delivery_time)
+    length = ctx.network.length(a, b)
+    sector = relative_sector(wind.direction, ctx.network.heading(a, b))
+    formation = best_formation(sector, FORMATIONS, ctx.energy) if ctx.flexible else ctx.base_formation
+    energies = tuple(
+        segment_energy(d, length, formation, sector, slot, ctx.energy) for slot, d in enumerate(state.drones)
+    )
+    ctx.evaluations += len(state.drones)
+    return _Leg(node=b, length=length, formation=formation, sector=sector, energies=energies)
+
+
+def acceptance_compositions():
+    """compose arguments for every feasible provider of every request of
+    seeds 1-3 at the acceptance config."""
+    calls = []
+    for seed in (1, 2, 3):
+        cfg = ExperimentConfig(seed=seed)
+        net = build_network(cfg)
+        providers, requests = generate_scenario(seed, net, cfg.n_providers, cfg.n_requests, cfg.limits, cfg.ranges)
+        seeds = Seeds.from_master(seed)
+        for req in requests:
+            try:
+                feasible = filter_providers(providers, req)
+            except NoFeasibleProviders:
+                continue
+            tree = shortest_path_tree(net, req.destination)
+            calls += [(p, req, net, cfg.energy, seeds, cfg.composition, tree) for p in feasible]
+    return calls
+
+
+def light_drone_leads(swarm, packages):
+    """Packing with the lightest package in slot 0, so that a sub-swarm's
+    drones move to slots they cannot afford and the split folds back."""
+    loads = sorted(packages) + [0.0] * (swarm.size - len(packages))
+    return replace(swarm, drones=tuple(replace(d, assigned_payload=w) for d, w in zip(swarm.drones, loads)))
+
+
+class TestMemoisedPhysics:
+    def test_memos_change_no_outcome(self, monkeypatch):
+        split_attempts = []
+        split = composition._split_subswarm
+
+        def counted_split(state):
+            split_attempts[-1] += 1
+            return split(state)
+
+        def compose_all(calls, **patches):
+            with monkeypatch.context() as patch:
+                for name, value in patches.items():
+                    patch.setattr(composition, name, value)
+                outcomes = []
+                for args in calls:
+                    split_attempts.append(0)
+                    outcomes.append(compose(*args))
+                return outcomes
+
+        # position factors make slot 0 dearest; with the light drone leading,
+        # the heavy drone cannot afford slot 0 once the swarm splits, so the
+        # split folds back
+        fold_back = [(
+            simple_provider(n_drones=2, battery=5.0, techniques=frozenset({DYNAMIC, FIXED_FORMATION}), charging_provider=9),
+            request(0, 3, packages=(0.5, 1.5)),
+            diamond_network(),
+            unit_energy_config(position_factors=(1.1, 1.0)),
+        )]
+        sample = acceptance_compositions()
+        shipped = compose_all(sample, _split_subswarm=counted_split) + compose_all(
+            fold_back, _split_subswarm=counted_split, assign_packages=light_drone_leads
+        )
+        recomputed = compose_all(sample, _leg_info=recomputed_leg_info) + compose_all(
+            fold_back, _leg_info=recomputed_leg_info, assign_packages=light_drone_leads
+        )
+
+        splits = [len(out.paths) > 1 for out in shipped]
+        folded = [tries > did_split for tries, did_split in zip(split_attempts, splits)]
+        assert any(splits) and any(folded)
+        for got, want in zip(shipped, recomputed, strict=True):
+            assert got.paths == want.paths
+            assert got.pqos == want.pqos
+            assert got.evaluations == want.evaluations
+            assert got.arrival_spread_s == want.arrival_spread_s
+            assert got.energy_ledger == want.energy_ledger

@@ -1,9 +1,13 @@
 import json
+import math
+import random
 import statistics
+import warnings
 
 import pytest
 
 from skybroker.cli import main as cli_main
+from skybroker.config import ConfigurationError
 from skybroker.domain import QOS_METRICS, ScenarioLimits
 from skybroker.harness import (
     ExperimentConfig,
@@ -53,6 +57,22 @@ class TestAggregate:
     def test_constant_column_correlation_reported_null(self):
         assert spearman([1, 1, 1], [2, 3, 4]) is None
         assert spearman([50.0], [1.0]) is None
+
+    def test_spearman_matches_scipy_on_tied_inputs(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(11)
+        for _ in range(500):
+            n = rng.randint(2, 10)
+            xs = [rng.randint(0, 3) for _ in range(n)]
+            ys = [rng.choice((rng.random(), float(rng.randint(0, 2)))) for _ in range(n)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                expected = stats.spearmanr(xs, ys).correlation
+            got = spearman(xs, ys)
+            if math.isnan(expected):  # scipy's undefined correlation
+                assert got is None
+            else:
+                assert got == pytest.approx(expected, abs=1e-12)
 
     def test_means_match_independent_recomputation(self, small_result):
         summary = {(e["strategy"], e["method"], e["k_percent"]): e for e in small_result.summary}
@@ -123,6 +143,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="method"):
             small_config(voting_methods=("acclamation",))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"k_values": (50.0, 100.0)},
+            {"k_values": (-1.0,)},
+            {"t_paths": 0},
+            {"grid_resolution": 1},
+            {"n_providers": 0},
+            {"n_requests": 0},
+        ],
+    )
+    def test_out_of_range_values_rejected_at_config_time(self, overrides):
+        with pytest.raises(ConfigurationError):
+            small_config(**overrides)
+
     def test_wallclock_mode_fills_column(self):
         result = run_experiment(small_config(n_requests=2, measure_wallclock=True))
         assert any(row["wall_s"] > 0 for row in result.rows)
@@ -176,6 +211,13 @@ class TestCli:
         for column in ("request_id", "strategy", "method", "winner", "satisfaction", "proxy_time"):
             assert column in header
         assert "mean sat" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k, message", [("100", "k_values must be in [0, 100)"), ("abc", "'abc'")])
+    def test_bad_k_is_a_one_line_error(self, k, message, capsys):
+        assert cli_main(["run", "--synthetic", "20", "--k", k]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("skybroker: error: ") and message in err
+        assert err.count("\n") == 1
 
     def test_synth_network_round_trips(self, tmp_path, capsys):
         out = tmp_path / "net.json"
