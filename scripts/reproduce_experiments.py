@@ -19,10 +19,10 @@ import sys
 from pathlib import Path
 
 from skybroker.harness import ExperimentConfig, run_experiment, spearman
+from skybroker.pruning import STRATEGIES
+from skybroker.recommend import VOTING_METHODS
 
 K_VALUES = (30.0, 40.0, 50.0, 60.0, 70.0)
-METHODS = ("plurality", "irv", "borda", "condorcet", "topweight")
-STRATEGIES = ("brute", "capabilities", "density")
 
 
 def main(argv=None) -> int:
@@ -35,7 +35,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     by_strategy = {s: [] for s in STRATEGIES}
-    by_method = {m: [] for m in METHODS}
+    by_method = {m: [] for m in VOTING_METHODS}
     by_k = {k: {"satisfaction": [], "proxy": []} for k in K_VALUES}
 
     for seed in range(1, args.seeds + 1):
@@ -46,13 +46,13 @@ def main(argv=None) -> int:
             n_requests=args.requests,
             strategies=STRATEGIES,
             k_values=K_VALUES,
-            voting_methods=METHODS,
+            voting_methods=VOTING_METHODS,
         )
         result = run_experiment(cfg, out_dir=args.out / f"seed_{seed:02d}")
         table = {(e["strategy"], e["method"], e["k_percent"]): e for e in result.summary}
         for s in STRATEGIES:
             by_strategy[s].append(table[(s, "irv", 50.0)]["mean_satisfaction"])
-        for m in METHODS:
+        for m in VOTING_METHODS:
             by_method[m].append(table[("density", m, 50.0)]["mean_satisfaction"])
         for k in K_VALUES:
             by_k[k]["satisfaction"].append(table[("density", "irv", k)]["mean_satisfaction"])
@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     print(f"  spearman(k, proxy)        = {'null' if rho_proxy is None else f'{rho_proxy:.3f}'}")
 
     print("\nvote count systems (density, k=50), mean satisfaction over seeds:")
-    for m in METHODS:
+    for m in VOTING_METHODS:
         print(f"  {m:<12} {statistics.fmean(by_method[m]):.4f}")
     return 0
 

@@ -9,9 +9,7 @@ from .composition import (
     CompositionContext,
     CompositionOutcome,
     SubSwarmState,
-    can_reach_directly,
     compose,
-    node_value,
     prepare_composition,
 )
 from .config import (
@@ -36,8 +34,6 @@ from .domain import (
     assign_packages,
     generate_scenario,
     normalize_weights,
-    scenario_from_jsonl,
-    scenario_to_jsonl,
 )
 from .energy import (
     InfeasibleLegError,

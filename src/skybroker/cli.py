@@ -121,9 +121,11 @@ def _synth_command(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     commands = {"run": _run_command, "synth-network": _synth_command}
+    # ValueError includes ConfigurationError and ParseError; OSError covers
+    # input files that cannot be read and outputs that cannot be written
     try:
         return commands[args.command](args)
-    except ValueError as exc:  # includes ConfigurationError and ParseError
+    except (ValueError, OSError) as exc:
         print(f"skybroker: error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .config import CompositionConfig, EnergyModelConfig, Seeds, mix64
@@ -47,7 +47,6 @@ from .domain import (
     Formation,
     Provider,
     QosVector,
-    Swarm,
     assign_packages,
 )
 from .energy import (
@@ -323,55 +322,20 @@ def _traverse(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> bool:
     return True
 
 
-def _remaining_path_energiable(state: SubSwarmState, path_nodes: Sequence[int], ctx: CompositionContext) -> bool:
-    """Whether every drone can fly all of path_nodes on its current charge."""
+def _direct_ok(state: SubSwarmState, ctx: CompositionContext) -> bool:
+    """Whether every drone can fly the whole shortest path to the destination
+    on its current charge, with no charging stop."""
+    if state.current_node not in ctx.dist_to_dest:
+        return False
+    path = tree_path(ctx.parent_to_dest, state.current_node)
     totals = [0.0] * len(state.drones)
-    for a, b in zip(path_nodes, path_nodes[1:]):
+    for a, b in zip(path, path[1:]):
         leg = _leg_info(state, a, b, ctx)
         for i, (drone, e) in enumerate(zip(state.drones, leg.energies)):
             totals[i] += e
             if totals[i] > drone.current_energy + _EPS:
                 return False
     return True
-
-
-def can_reach_directly(
-    swarm: Swarm,
-    current_node: int,
-    destination: int,
-    network: SkywayNetwork,
-    energy_config: EnergyModelConfig | None = None,
-    wind_field: WindField | None = None,
-    elapsed_s: float = 0.0,
-) -> bool:
-    """True when all drones can fly the distance-shortest path to the destination
-    on their current charge, with no recharging stop."""
-    energy_config = energy_config or EnergyModelConfig()
-    wind_field = wind_field or WindField.from_config(0, energy_config)
-    dist, parent = shortest_path_tree(network, destination)
-    if current_node not in dist:
-        return False
-    path = tree_path(parent, current_node)
-    totals = [0.0] * swarm.size
-    for a, b in zip(path, path[1:]):
-        length = network.length(a, b)
-        wind = wind_field.at(a, b, elapsed_s)
-        sector = relative_sector(wind.direction, network.heading(a, b))
-        formation = (
-            best_formation(sector, FORMATIONS, energy_config) if swarm.is_flexible else swarm.formation
-        )
-        for i, drone in enumerate(swarm.drones):
-            totals[i] += segment_energy(drone, length, formation, sector, i, energy_config)
-            if totals[i] > drone.current_energy + _EPS:
-                return False
-    return True
-
-
-def _direct_ok(state: SubSwarmState, ctx: CompositionContext) -> bool:
-    if state.current_node not in ctx.dist_to_dest:
-        return False
-    path = tree_path(ctx.parent_to_dest, state.current_node)
-    return _remaining_path_energiable(state, path, ctx)
 
 
 def _reaches_destination(start: int, state: SubSwarmState, ctx: CompositionContext, alive: set[int]) -> bool:
@@ -419,21 +383,10 @@ def _estimate_departure_service(state: SubSwarmState, leg: _Leg, ctx: Compositio
     """Exact prediction of the charge incurred at the current node to fly the leg."""
     if all(d.current_energy >= e - _EPS for d, e in zip(state.drones, leg.energies)):
         return NodeService(0.0, 0.0, 0.0, 0.0)
-    probes = [
-        DroneState(
-            drone_id=d.drone_id,
-            battery_capacity=d.battery_capacity,
-            payload_capacity=d.payload_capacity,
-            speed=d.speed,
-            current_energy=d.current_energy,
-            assigned_payload=d.assigned_payload,
-            initial_energy=d.initial_energy,
-        )
-        for d in state.drones
-    ]
     ctx.evaluations += len(state.drones)
+    # node_service_time only reads the drones, so the live ones serve as probes
     return node_service_time(
-        probes,
+        state.drones,
         ctx.network.node(state.current_node),
         _charge_targets(state, leg, ctx),
         ctx.provider.partnership,
@@ -471,18 +424,7 @@ def _estimate_arrival_service(state: SubSwarmState, leg: _Leg, ctx: CompositionC
     )
     if not (must_charge or would_top_up):
         return NodeService(0.0, 0.0, 0.0, 0.0)
-    probes = [
-        DroneState(
-            drone_id=d.drone_id,
-            battery_capacity=d.battery_capacity,
-            payload_capacity=d.payload_capacity,
-            speed=d.speed,
-            current_energy=p,
-            assigned_payload=d.assigned_payload,
-            initial_energy=d.initial_energy,
-        )
-        for d, p in zip(state.drones, post)
-    ]
+    probes = [replace(d, current_energy=p) for d, p in zip(state.drones, post)]
     if ctx.cooperative:
         targets = [
             max(p, min(d.battery_capacity, e * (1.0 + ctx.energy.cooperative_margin)))
@@ -561,22 +503,6 @@ def score_candidates(
     return scored
 
 
-def node_value(
-    candidate_node: int,
-    state: SubSwarmState,
-    request: DeliveryRequest,
-    ctx: CompositionContext,
-) -> float:
-    """Weighted incremental QoS value of moving to one candidate neighbour."""
-    if request != ctx.request:
-        raise ValueError("request does not match the composition context")
-    candidates = viable_candidates(state, ctx)
-    for value, leg in score_candidates(state, candidates, ctx):
-        if leg.node == candidate_node:
-            return value
-    raise ValueError(f"node {candidate_node} is not a viable candidate")
-
-
 def _split_subswarm(state: SubSwarmState) -> SubSwarmState:
     """Split drones (with their packages) as evenly as possible; returns the sibling."""
     half = (len(state.drones) + 1) // 2
@@ -630,7 +556,11 @@ def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, pending: list[S
                     if not moved:
                         return
                     continue
-                # fold the split back when a half cannot fly its leg at its new slots
+                # fold the split back when a half cannot fly its leg at its new
+                # slots. This needs a drone carrying two packages (more packages
+                # than drones), so that a heavier load sits in a later, cheaper
+                # slot; filter_providers rules such requests out in the harness,
+                # but compose itself accepts them.
                 state.drones = state.drones + sibling.drones
                 state.legs = {}
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -153,28 +154,41 @@ class Seeds:
         return cls(wind=mix64(seed, 1), congestion=mix64(seed, 2), voting=mix64(seed, 3))
 
 
-def energy_config_from_dict(data: Mapping[str, object]) -> EnergyModelConfig:
-    kwargs = dict(data)
-    table = kwargs.pop("formation_factors", None)
-    if table is not None:
-        kwargs["formation_factors"] = {
-            Formation(name): tuple(float(v) for v in row) for name, row in table.items()
-        }
-    if "position_factors" in kwargs:
-        kwargs["position_factors"] = tuple(float(v) for v in kwargs["position_factors"])
-    known = {f.name for f in dataclasses.fields(EnergyModelConfig)}
-    unknown = set(kwargs) - known
+def _section_kwargs(cls: type, data: object, section: str) -> dict:
+    """Keyword arguments for cls from one config section, with its keys and the
+    types of its numeric values checked."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(f"{section} config must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
-        raise ConfigurationError(f"unknown energy config keys: {sorted(unknown)}")
+        raise ConfigurationError(f"unknown {section} config keys: {sorted(unknown)}")
+    for name, value in data.items():
+        default = fields[name].default
+        if isinstance(default, (int, float)):
+            wanted = float if isinstance(default, float) else int
+            if isinstance(value, bool) or not isinstance(value, (int, wanted)) or not -math.inf < value < math.inf:
+                raise ConfigurationError(f"{section} config {name} must be a finite {wanted.__name__}, got {value!r}")
+    return dict(data)
+
+
+def energy_config_from_dict(data: object) -> EnergyModelConfig:
+    kwargs = _section_kwargs(EnergyModelConfig, data, "energy")
+    try:
+        if "formation_factors" in kwargs:
+            kwargs["formation_factors"] = {
+                Formation(name): tuple(float(v) for v in row)
+                for name, row in kwargs["formation_factors"].items()
+            }
+        if "position_factors" in kwargs:
+            kwargs["position_factors"] = tuple(float(v) for v in kwargs["position_factors"])
+    except (AttributeError, TypeError) as exc:
+        raise ConfigurationError(f"energy config factor tables are malformed: {exc}") from None
     return EnergyModelConfig(**kwargs)
 
 
-def composition_config_from_dict(data: Mapping[str, object]) -> CompositionConfig:
-    known = {f.name for f in dataclasses.fields(CompositionConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigurationError(f"unknown composition config keys: {sorted(unknown)}")
-    return CompositionConfig(**data)
+def composition_config_from_dict(data: object) -> CompositionConfig:
+    return CompositionConfig(**_section_kwargs(CompositionConfig, data, "composition"))
 
 
 def load_config_file(path: str | Path) -> tuple[EnergyModelConfig, CompositionConfig]:

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:
     from .network import SkywayNetwork
@@ -319,85 +318,3 @@ def generate_scenario(
         )
     return tuple(providers), tuple(requests)
 
-
-def scenario_to_jsonl(providers: Iterable[Provider], requests: Iterable[DeliveryRequest]) -> str:
-    """Serialize a scenario as JSON lines, one record per provider or request."""
-    lines = []
-    for p in providers:
-        d0 = p.swarm.drones[0]
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "provider",
-                    "provider_id": p.provider_id,
-                    "swarm_size": p.swarm.size,
-                    "battery_wh": d0.battery_capacity,
-                    "payload_kg": d0.payload_capacity,
-                    "speed_mps": d0.speed,
-                    "techniques": sorted(p.swarm.techniques),
-                    "formation": p.swarm.formation.value,
-                    "charging_provider": p.partnership.charging_provider_id,
-                    "tier": p.partnership.tier,
-                },
-                sort_keys=True,
-            )
-        )
-    for r in requests:
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "request",
-                    "request_id": r.request_id,
-                    "source": r.source,
-                    "destination": r.destination,
-                    "packages": list(r.packages),
-                    "qos_weights": {m: r.qos_weights[m] for m in QOS_METRICS},
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def scenario_from_jsonl(text: str) -> tuple[tuple[Provider, ...], tuple[DeliveryRequest, ...]]:
-    providers = []
-    requests = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        if rec["kind"] == "provider":
-            drones = tuple(
-                Drone(
-                    drone_id=i,
-                    battery_capacity=rec["battery_wh"],
-                    payload_capacity=rec["payload_kg"],
-                    speed=rec["speed_mps"],
-                )
-                for i in range(1, rec["swarm_size"] + 1)
-            )
-            providers.append(
-                Provider(
-                    provider_id=rec["provider_id"],
-                    swarm=Swarm(
-                        drones=drones,
-                        techniques=frozenset(rec["techniques"]),
-                        formation=Formation(rec["formation"]),
-                    ),
-                    partnership=Partnership.for_tier(rec["charging_provider"], rec["tier"]),
-                )
-            )
-        elif rec["kind"] == "request":
-            requests.append(
-                DeliveryRequest(
-                    request_id=rec["request_id"],
-                    source=rec["source"],
-                    destination=rec["destination"],
-                    packages=tuple(rec["packages"]),
-                    qos_weights=rec["qos_weights"],
-                )
-            )
-        else:
-            raise ValueError(f"unknown scenario record kind {rec['kind']!r}")
-    return tuple(providers), tuple(requests)

@@ -32,6 +32,8 @@ class SkywayNode:
     pad_count: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"node {self.node_id}: coordinates must be finite")
         if self.pad_count < 1:
             raise ValueError(f"node {self.node_id}: pad_count must be at least 1")
 
@@ -45,8 +47,8 @@ class SkywaySegment:
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValueError(f"segment endpoints must differ (node {self.a})")
-        if self.length <= 0:
-            raise ValueError(f"segment ({self.a}, {self.b}): length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"segment ({self.a}, {self.b}): length must be positive and finite")
 
 
 class SkywayNetwork:
@@ -116,25 +118,32 @@ class SkywayNetwork:
         return math.atan2(nb.y - na.y, nb.x - na.x)
 
     def components(self) -> list[set[int]]:
-        seen: set[int] = set()
-        comps = []
-        for start in sorted(self.nodes):
-            if start in seen:
-                continue
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                for nbr, _ in self._adjacency[v]:
-                    if nbr not in comp:
-                        comp.add(nbr)
-                        frontier.append(nbr)
-            seen |= comp
-            comps.append(comp)
-        return comps
+        """Connected components, ordered by their smallest node id."""
+        adjacency = {v: [nbr for nbr, _ in nbrs] for v, nbrs in self._adjacency.items()}
+        return _components(sorted(self.nodes), adjacency)
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1
+
+
+def _components(ids: Iterable[int], neighbours: Mapping[int, Iterable[int]]) -> list[set[int]]:
+    """Connected components by depth-first search, in the order of their first
+    node in ids."""
+    seen: set[int] = set()
+    comps = []
+    for start in ids:
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for nbr in neighbours[stack.pop()]:
+                if nbr not in comp:
+                    comp.add(nbr)
+                    stack.append(nbr)
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 def _parse_fields(line: str, line_no: int, n_fields: int, what: str) -> list[str]:
@@ -209,19 +218,17 @@ def load_network(
             raise ParseError(f"edge list line {line_no}: self-loop on node {a}")
         edges.append((a, b))
 
-    nodes = [
-        SkywayNode(nid, positions[nid][0], positions[nid][1], *station_info[nid])
-        for nid in sorted(positions)
-    ]
-    segments = []
-    for a, b in edges:
-        (xa, ya), (xb, yb) = positions[a], positions[b]
-        length = math.hypot(xa - xb, ya - yb)
-        if length <= 0:
-            raise ParseError(f"edge ({a}, {b}) connects coincident coordinates")
-        segments.append(SkywaySegment(a, b, length))
-
-    network = SkywayNetwork(nodes, segments)
+    # the model rejects non-finite coordinates, pad counts below 1 and
+    # segments of zero or overflowing length
+    try:
+        nodes = [SkywayNode(nid, *positions[nid], *station_info[nid]) for nid in sorted(positions)]
+        segments = [
+            SkywaySegment(a, b, math.hypot(positions[a][0] - positions[b][0], positions[a][1] - positions[b][1]))
+            for a, b in edges
+        ]
+        network = SkywayNetwork(nodes, segments)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     comps = network.components()
     if len(comps) > 1:
         keep = max(comps, key=lambda c: (len(c), -min(c)))
@@ -258,9 +265,9 @@ def load_network_dump(text: str) -> SkywayNetwork:
             SkywaySegment(a, b, math.hypot(positions[a][0] - positions[b][0], positions[a][1] - positions[b][1]))
             for a, b in payload["edges"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+        return SkywayNetwork(nodes, segments)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed network dump: {exc}") from None
-    return SkywayNetwork(nodes, segments)
 
 
 def network_to_streams(network: SkywayNetwork) -> tuple[str, str, str]:
@@ -298,11 +305,6 @@ class RegionGrid:
     @property
     def cell_count(self) -> int:
         return self.resolution * self.resolution
-
-    def locate(self, x: float, y: float) -> int:
-        ix = _axis_cell(x, self.xmin, self.xmax, self.resolution)
-        iy = _axis_cell(y, self.ymin, self.ymax, self.resolution)
-        return iy * self.resolution + ix
 
     def cell_xy(self, cell: int) -> tuple[int, int]:
         return cell % self.resolution, cell // self.resolution
@@ -504,29 +506,11 @@ def synthetic_network(
             edges.add((min(nid, other), max(nid, other)))
 
     # stitch components together via their closest cross pairs
-    def comps_of(edge_set: set[tuple[int, int]]) -> list[set[int]]:
-        adj: dict[int, list[int]] = {nid: [] for nid in ids}
-        for a, b in edge_set:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen: set[int] = set()
-        comps = []
-        for start in ids:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for nbr in adj[v]:
-                    if nbr not in comp:
-                        comp.add(nbr)
-                        stack.append(nbr)
-            seen |= comp
-            comps.append(comp)
-        return comps
-
-    comps = comps_of(edges)
+    adjacency: dict[int, list[int]] = {nid: [] for nid in ids}
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    comps = _components(ids, adjacency)
     while len(comps) > 1:
         base = comps[0]
         best = min(
@@ -537,7 +521,9 @@ def synthetic_network(
         )
         _, a, b = best
         edges.add((min(a, b), max(a, b)))
-        comps = comps_of(edges)
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+        comps = _components(ids, adjacency)
 
     nodes = [SkywayNode(nid, positions[nid][0], positions[nid][1], owners[nid], pads[nid]) for nid in ids]
     segments = [SkywaySegment(a, b, math.hypot(positions[a][0] - positions[b][0], positions[a][1] - positions[b][1])) for a, b in sorted(edges)]

@@ -72,36 +72,24 @@ def capabilities_score(provider: Provider, cohort: Sequence[Provider]) -> float:
 
 def density_score(
     provider: Provider,
-    request: DeliveryRequest,
-    grid: RegionGrid,
+    region_paths: Sequence[tuple[int, ...]],
     heatmaps: Mapping[int, DensityHeatmap],
-    t: int = 3,
-    cohort: Sequence[Provider] | None = None,
-    region_paths: Sequence[tuple[int, ...]] | None = None,
-    path_density_sums: Sequence[float] | None = None,
+    cohort: Sequence[Provider],
 ) -> ProviderScore:
-    """Score a provider by its partner's pad density along the t shortest region paths.
+    """Score a provider by its partner's pad density along the given region paths.
 
     Each path scores (sum of partner densities over its cells) * tier multiplier
-    * capabilities score; the provider keeps the best path. ``region_paths`` and
-    the per-path partner density sums may be passed in when the same request is
-    scored for many providers.
+    * capabilities score within the cohort; the provider keeps the best path.
     """
-    caps = capabilities_score(provider, cohort if cohort is not None else [provider])
-    if region_paths is None:
-        source_cell = grid.cell_of[request.source]
-        dest_cell = grid.cell_of[request.destination]
-        region_paths = t_shortest_region_paths(grid, source_cell, dest_cell, t)
     if not region_paths:
         return ProviderScore(provider.provider_id, 0.0, None)
+    caps = capabilities_score(provider, cohort)
     heatmap = heatmaps[provider.partnership.charging_provider_id]
-    if path_density_sums is None:
-        path_density_sums = [sum(heatmap.density(cell) for cell in path) for path in region_paths]
     multiplier = TIER_SCORE_MULTIPLIER[provider.partnership.tier]
     best_path = None
     best = -math.inf
-    for path, density_sum in zip(region_paths, path_density_sums):
-        value = density_sum * multiplier * caps
+    for path in region_paths:
+        value = sum(heatmap.density(cell) for cell in path) * multiplier * caps
         if value > best:
             best, best_path = value, path
     return ProviderScore(provider.provider_id, best, tuple(best_path))
@@ -152,25 +140,7 @@ def select_cohort(
         dest_cell = grid.cell_of[request.destination]
         paths = t_shortest_region_paths(grid, source_cell, dest_cell, t)
         path_cells = sum(len(p) for p in paths)
-        # per-path density sums depend only on the charging company, so compute
-        # them once; each provider's score is then a handful of reads
-        company_sums = {
-            cp: [sum(hm.density(cell) for cell in path) for path in paths]
-            for cp, hm in heatmaps.items()
-        }
-        scores = [
-            density_score(
-                p,
-                request,
-                grid,
-                heatmaps,
-                t=t,
-                cohort=filtered,
-                region_paths=paths,
-                path_density_sums=company_sums[p.partnership.charging_provider_id],
-            )
-            for p in filtered
-        ]
+        scores = [density_score(p, paths, heatmaps, filtered) for p in filtered]
         ops = path_cells * (1 + len(heatmaps)) + 6 * len(filtered)
     else:
         raise ValueError(f"unknown pruning strategy {strategy!r}")

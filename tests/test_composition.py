@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import astuple
 
 import networkx as nx
 import pytest
@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from skybroker import composition
 from skybroker.composition import (
+    DroneState,
+    _direct_ok,
     _Leg,
-    can_reach_directly,
     compose,
-    node_value,
     prepare_composition,
     score_candidates,
     viable_candidates,
@@ -25,10 +25,11 @@ from skybroker.domain import (
     FORMATIONS,
     STATIC,
     DeliveryRequest,
+    Partnership,
     ScenarioLimits,
     generate_scenario,
 )
-from skybroker.energy import WindField, best_formation, relative_sector, segment_energy
+from skybroker.energy import WindField, best_formation, node_service_time, relative_sector, segment_energy
 from skybroker.harness import ExperimentConfig, build_network
 from skybroker.network import (
     SkywayNetwork,
@@ -113,55 +114,65 @@ class TestComposeBasics:
                 assert compose(p, req, net, seeds=seeds) == compose(p, req, net, seeds=seeds)
 
 
+def direct_ok(provider, req, net, config, seeds=None):
+    state, ctx = prepare_composition(provider, req, net, config, seeds)
+    return _direct_ok(state, ctx)
+
+
 class TestCanReachDirectly:
+    """The composer's direct check: every dispatched drone, loaded with its
+    package, flies the whole shortest path on its current charge."""
+
     def test_adjacent_fully_charged(self, unit_config):
         net = line_network([800.0])
         provider = simple_provider(battery=1000)
-        assert can_reach_directly(provider.swarm, 0, 1, net, unit_config)
+        assert direct_ok(provider, request(0, 1), net, unit_config)
 
     def test_segment_beyond_full_battery_range(self, unit_config):
         net = line_network([1000.0, 8000.0])
-        provider = simple_provider(battery=5.0)  # second leg needs ~22 Wh
-        assert not can_reach_directly(provider.swarm, 0, 2, net, unit_config)
+        provider = simple_provider(battery=5.0)  # second leg needs ~33 Wh
+        assert not direct_ok(provider, request(0, 2), net, unit_config)
 
     def test_total_remaining_energy_bounds_direct_flight(self, unit_config):
-        # each leg fits the battery but the two together do not
+        # each 4.17 Wh leg fits the battery but the two together do not
         net = line_network([1000.0, 1000.0])
-        provider = simple_provider(battery=4.0, payload_cap=3.0)
-        assert not can_reach_directly(provider.swarm, 0, 2, net, unit_config)
-        assert can_reach_directly(provider.swarm, 1, 2, net, unit_config)
+        provider = simple_provider(battery=5.0, payload_cap=3.0)
+        assert not direct_ok(provider, request(0, 2), net, unit_config)
+        assert direct_ok(provider, request(1, 2), net, unit_config)
 
     def test_matches_leg_by_leg_simulation_oracle(self):
         config = EnergyModelConfig()
         rng = random.Random(12)
-        agree = 0
+        outcomes = set()
         for case in range(100):
             net = synthetic_network(1000 + case, 25)
-            wind = WindField.from_config(rng.randrange(2**32), config)
+            seeds = Seeds.from_master(rng.randrange(2**32))
+            n_drones = rng.randint(1, 4)
             provider = simple_provider(
-                n_drones=rng.randint(1, 4),
+                n_drones=n_drones,
                 battery=rng.uniform(5.0, 60.0),
                 speed=rng.uniform(10, 20),
             )
-            nodes = sorted(net.nodes)
-            source, dest = rng.sample(nodes, 2)
+            packages = tuple(rng.uniform(0.1, 2.5) for _ in range(rng.randint(1, n_drones)))
+            source, dest = rng.sample(sorted(net.nodes), 2)
+            state, ctx = prepare_composition(provider, request(source, dest, packages), net, config, seeds)
 
             graph = nx.Graph()
             for seg in net.segments:
                 graph.add_edge(seg.a, seg.b, weight=seg.length)
             path = nx.dijkstra_path(graph, source, dest)
-            totals = [0.0] * provider.swarm.size
+            wind = WindField.from_config(seeds.wind, config)
+            totals = [0.0] * len(state.drones)
             feasible = True
             for a, b in zip(path, path[1:]):
                 sector = relative_sector(wind.at(a, b, 0.0).direction, net.heading(a, b))
-                for i, d in enumerate(provider.swarm.drones):
+                for i, d in enumerate(state.drones):
                     totals[i] += segment_energy(d, net.length(a, b), provider.swarm.formation, sector, i, config)
                     if totals[i] > d.current_energy + 1e-9:
                         feasible = False
-            got = can_reach_directly(provider.swarm, source, dest, net, config, wind)
-            assert got == feasible
-            agree += 1
-        assert agree == 100
+            assert _direct_ok(state, ctx) == feasible
+            outcomes.add(feasible)
+        assert outcomes == {True, False}
 
 
 class TestNodeValue:
@@ -174,7 +185,8 @@ class TestNodeValue:
         state, ctx = prepare_composition(provider, req, net, unit_config, seeds)
         candidates = viable_candidates(state, ctx)
         assert sorted(leg.node for leg in candidates) == [1, 2]
-        assert node_value(2, state, req, ctx) > node_value(1, state, req, ctx)
+        values = {leg.node: value for value, leg in score_candidates(state, candidates, ctx)}
+        assert values[2] > values[1]
 
     def test_all_weight_on_delivery_time_selects_min_time_candidate(self, seeds, no_progress):
         # pure weighted-QoS mode (progress weight zero): with all weight on
@@ -257,14 +269,6 @@ class TestNodeValue:
         assert ranked[0][1].node == best_expected
         for value, leg in ranked:
             assert value == pytest.approx(expected[leg.node], rel=1e-9)
-
-    def test_non_candidate_rejected(self, unit_config, seeds):
-        net = line_network([500.0, 500.0])
-        provider = simple_provider(battery=1000)
-        req = request(0, 2)
-        state, ctx = prepare_composition(provider, req, net, unit_config, seeds)
-        with pytest.raises(ValueError, match="not a viable candidate"):
-            node_value(2, state, req, ctx)
 
 
 class TestDynamicSplitting:
@@ -467,13 +471,6 @@ def acceptance_compositions():
     return calls
 
 
-def light_drone_leads(swarm, packages):
-    """Packing with the lightest package in slot 0, so that a sub-swarm's
-    drones move to slots they cannot afford and the split folds back."""
-    loads = sorted(packages) + [0.0] * (swarm.size - len(packages))
-    return replace(swarm, drones=tuple(replace(d, assigned_payload=w) for d, w in zip(swarm.drones, loads)))
-
-
 class TestMemoisedPhysics:
     def test_memos_change_no_outcome(self, monkeypatch):
         split_attempts = []
@@ -493,29 +490,68 @@ class TestMemoisedPhysics:
                     outcomes.append(compose(*args))
                 return outcomes
 
-        # position factors make slot 0 dearest; with the light drone leading,
-        # the heavy drone cannot afford slot 0 once the swarm splits, so the
-        # split folds back
-        fold_back = [(
+        # three packages on two drones put 1.4 kg in slot 1 and 1.0 kg in slot
+        # 0; position factors make slot 0 dearest, so once the swarm splits the
+        # heavy drone cannot afford slot 0 and the split folds back
+        fold_back = (
             simple_provider(n_drones=2, battery=5.0, techniques=frozenset({DYNAMIC, FIXED_FORMATION}), charging_provider=9),
-            request(0, 3, packages=(0.5, 1.5)),
+            request(0, 3, packages=(1.0, 0.7, 0.7)),
             diamond_network(),
             unit_energy_config(position_factors=(1.1, 1.0)),
-        )]
-        sample = acceptance_compositions()
-        shipped = compose_all(sample, _split_subswarm=counted_split) + compose_all(
-            fold_back, _split_subswarm=counted_split, assign_packages=light_drone_leads
         )
-        recomputed = compose_all(sample, _leg_info=recomputed_leg_info) + compose_all(
-            fold_back, _leg_info=recomputed_leg_info, assign_packages=light_drone_leads
-        )
+        sample = acceptance_compositions() + [fold_back]
+        shipped = compose_all(sample, _split_subswarm=counted_split)
+        recomputed = compose_all(sample, _leg_info=recomputed_leg_info)
 
         splits = [len(out.paths) > 1 for out in shipped]
         folded = [tries > did_split for tries, did_split in zip(split_attempts, splits)]
         assert any(splits) and any(folded)
+        assert split_attempts[len(sample) - 1] == 1 and len(shipped[-1].paths) == 1
         for got, want in zip(shipped, recomputed, strict=True):
             assert got.paths == want.paths
             assert got.pqos == want.pqos
             assert got.evaluations == want.evaluations
             assert got.arrival_spread_s == want.arrival_spread_s
             assert got.energy_ledger == want.energy_ledger
+
+
+drone_states = st.builds(
+    lambda capacity, energy, payload, spent: DroneState(
+        drone_id=1,
+        battery_capacity=capacity,
+        payload_capacity=3.0,
+        speed=10.0,
+        current_energy=energy * capacity,
+        assigned_payload=payload,
+        initial_energy=capacity,
+        consumed=spent,
+        purchased=spent / 2,
+    ),
+    st.floats(1.0, 100.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 50.0),
+)
+
+
+class TestNodeServiceReadsOnly:
+    @given(
+        st.lists(st.tuples(drone_states, st.floats(0.0, 1.0)), min_size=1, max_size=6),
+        st.integers(1, 4),
+        st.sampled_from([None, "platinum", "gold", "silver"]),
+        st.sampled_from([None, 0, 2, 4]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_drones_unchanged(self, drones_and_fill, pads, tier, queue_override):
+        """node_service_time leaves every field of its drones unchanged; the
+        composer's departure estimate passes it the live drones and relies on
+        this."""
+        drones = [d for d, _ in drones_and_fill]
+        targets = [d.current_energy + fill * (d.battery_capacity - d.current_energy) for d, fill in drones_and_fill]
+        before = [astuple(d) for d in drones]
+        partnership = Partnership.for_tier(1, tier) if tier else None
+        node_service_time(
+            drones, SkywayNode(7, 0.0, 0.0, 1, pads), targets, partnership, 5, EnergyModelConfig(),
+            queue_override=queue_override,
+        )
+        assert [astuple(d) for d in drones] == before

@@ -25,8 +25,6 @@ from skybroker.domain import (
     assign_packages,
     generate_scenario,
     normalize_weights,
-    scenario_from_jsonl,
-    scenario_to_jsonl,
 )
 from skybroker.network import synthetic_network
 
@@ -195,7 +193,7 @@ class TestGenerateScenario:
         net = synthetic_network(1, 50)
         a = generate_scenario(9, net, 15, 20)
         b = generate_scenario(9, net, 15, 20)
-        assert scenario_to_jsonl(*a) == scenario_to_jsonl(*b)
+        assert a == b
 
     def test_zero_counts_rejected(self):
         net = synthetic_network(1, 50)
@@ -230,12 +228,3 @@ class TestGenerateScenario:
             assert 5 <= d.speed <= 6
             assert 2 <= d.payload_capacity <= 2.5
             assert 2 <= p.swarm.size <= 4
-
-    def test_scenario_round_trip(self):
-        net = synthetic_network(6, 50)
-        providers, requests = generate_scenario(5, net, 8, 6)
-        blob = scenario_to_jsonl(providers, requests)
-        p2, r2 = scenario_from_jsonl(blob)
-        assert scenario_to_jsonl(p2, r2) == blob
-        assert [p.provider_id for p in p2] == [p.provider_id for p in providers]
-        assert r2 == requests

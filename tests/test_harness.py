@@ -219,6 +219,31 @@ class TestCli:
         assert err.startswith("skybroker: error: ") and message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("source", [["--synthetic", "20", "--config"], ["--network"]])
+    def test_missing_input_file_is_a_one_line_error(self, tmp_path, source, capsys):
+        assert cli_main(["run", *source, str(tmp_path / "absent.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("skybroker: error: ") and "absent.json" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"energy": {"charge_rate_w": "fast"}}, "energy config charge_rate_w must be a finite float, got 'fast'"),
+            ({"energy": {"charge_rate_w": float("nan")}}, "charge_rate_w must be a finite float, got nan"),
+            ({"energy": {"queue_draw_max": 2.5}}, "energy config queue_draw_max must be a finite int"),
+            ({"energy": {"formation_factors": 3}}, "factor tables are malformed"),
+            ({"composition": 3}, "composition config must be a JSON object"),
+        ],
+    )
+    def test_malformed_config_is_a_one_line_error(self, tmp_path, config, message, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        assert cli_main(["run", "--synthetic", "20", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("skybroker: error: ") and message in err
+        assert err.count("\n") == 1
+
     def test_synth_network_round_trips(self, tmp_path, capsys):
         out = tmp_path / "net.json"
         rc = cli_main(["synth-network", "--nodes", "25", "--seed", "9", "--out", str(out)])

@@ -1,5 +1,7 @@
 import io
+import json
 import math
+import warnings
 
 import networkx as nx
 import pytest
@@ -66,6 +68,19 @@ class TestLoadNetwork:
         with pytest.raises(ParseError, match="self-loop"):
             load("1 1\n", "1 0 0\n2 100 0\n", "1 1 2\n2 1 3\n")
 
+    @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
+    def test_non_finite_coordinate_rejected(self, x):
+        with pytest.raises(ParseError, match="node 2: coordinates must be finite"):
+            load("", f"1 0 0\n2 {x} 0\n", "1 1 2\n2 1 3\n")
+
+    def test_zero_pads_rejected(self):
+        with pytest.raises(ParseError, match="node 2: pad_count"):
+            load("1 2\n", "1 0 0\n2 100 0\n", "1 1 2\n2 1 0\n")
+
+    def test_overflowing_segment_rejected(self):
+        with pytest.raises(ParseError, match="length must be positive and finite"):
+            load("1 2\n", "1 -1e308 0\n2 1e308 0\n", "1 1 2\n2 1 3\n")
+
     def test_492_node_subnetwork_loads_connected(self):
         # mirrors ingesting an urban edge-list extract of 492 connected nodes
         net = synthetic_network(42, 492)
@@ -87,6 +102,73 @@ class TestCanonicalDump:
     def test_malformed_dump(self):
         with pytest.raises(ParseError):
             load_network_dump("{\"nodes\": 3}")
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ([[1, 0, 0, 1, 1], [1, 5, 0, 1, 1]], "duplicate node id 1"),
+            ([], "at least one node"),
+            ([[1, float("nan"), 0, 1, 1]], "finite"),
+            ([[1, 0, 0, 1, 0]], "pad_count"),
+        ],
+    )
+    def test_invalid_dump_contents(self, nodes, message):
+        with pytest.raises(ParseError, match=message):
+            load_network_dump(json.dumps({"nodes": nodes, "edges": []}))
+
+
+@st.composite
+def fuzzed_networks(draw, odd):
+    """Nodes [id, x, y, owner, pads] and edges [a, b] on up to five nodes, with
+    up to two values replaced by draws from odd. Coordinates of +-1e308 are
+    finite, but a segment between them is not."""
+    n = draw(st.integers(1, 5))
+    coord = st.sampled_from([-1e308, -200.0, 0.0, 100.0, 300.0, 1e308])
+    node = st.integers(0, n - 1)
+    nodes = [[i, draw(coord), draw(coord), draw(st.integers(1, 3)), draw(st.integers(1, 4))] for i in range(n)]
+    edges = [[draw(node), draw(node)] for _ in range(draw(st.integers(0, 2 * n)))]
+    records = nodes + edges
+    for _ in range(draw(st.integers(0, 2))):
+        record = draw(st.sampled_from(records))
+        record[draw(st.integers(0, len(record) - 1))] = draw(odd)
+    return nodes, edges
+
+
+def as_text(network):
+    nodes, edges = network
+    lines = lambda records: "\n".join(" ".join(map(str, r)) for r in records)
+    return lines(edges), lines(n[:3] for n in nodes), lines([n[0], *n[3:]] for n in nodes)
+
+
+odd_tokens = st.one_of(st.sampled_from(["inf", "-inf", "nan", "0", "-1", "1e400", "x"]), st.text(max_size=3))
+odd_scalars = st.one_of(st.floats(), st.sampled_from([10**400, "1", None, True]), st.text(max_size=2))
+dump_blobs = st.one_of(
+    fuzzed_networks(odd_scalars).map(lambda net: json.dumps({"nodes": net[0], "edges": net[1]})),
+    st.lists(odd_scalars).map(json.dumps),
+    st.text(max_size=30),
+)
+
+
+class TestLoaderFuzz:
+    """Both loaders either return a network or raise ParseError, nothing else."""
+
+    @given(fuzzed_networks(odd_tokens).map(as_text))
+    @settings(max_examples=300, deadline=None)
+    def test_text_triple(self, streams):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # disconnected inputs warn and load
+            try:
+                load(*streams)
+            except ParseError:
+                pass
+
+    @given(dump_blobs)
+    @settings(max_examples=300, deadline=None)
+    def test_dump_blob(self, blob):
+        try:
+            load_network_dump(blob)
+        except ParseError:
+            pass
 
 
 class TestSegmentInvariants:

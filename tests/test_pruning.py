@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skybroker.domain import DeliveryRequest, ScenarioLimits, generate_scenario
-from skybroker.network import build_all_heatmaps, build_region_grid, synthetic_network
+from skybroker.network import build_all_heatmaps, build_region_grid, synthetic_network, t_shortest_region_paths
 from skybroker.pruning import (
     NoFeasibleProviders,
     ProviderScore,
@@ -101,6 +101,10 @@ class TestCapabilitiesScore:
             assert capabilities_score(p, providers) == pytest.approx(expected)
 
 
+def region_paths(grid, req, t=3):
+    return t_shortest_region_paths(grid, grid.cell_of[req.source], grid.cell_of[req.destination], t)
+
+
 @pytest.fixture
 def scored_world():
     net = synthetic_network(5, 60)
@@ -118,7 +122,7 @@ class TestDensityScore:
         heatmaps = dict(heatmaps) | {99: empty}
         p = simple_provider(1, charging_provider=99, battery=100, speed=20)
         req = request(source=nodes[0], destination=nodes[-1])
-        score = density_score(p, req, grid, heatmaps, cohort=[p])
+        score = density_score(p, region_paths(grid, req), heatmaps, [p])
         assert score.score == 0.0
 
     def test_density_ratio_preserved(self, scored_world):
@@ -131,16 +135,16 @@ class TestDensityScore:
             1: dataclasses.replace(heatmaps[2], charging_provider=1, cells=tuple(2 * c for c in heatmaps[2].cells)),
             2: heatmaps[2],
         }
-        sa = density_score(a, req, grid, doubled, cohort=cohort)
-        sb = density_score(b, req, grid, doubled, cohort=cohort)
+        sa = density_score(a, region_paths(grid, req), doubled, cohort)
+        sb = density_score(b, region_paths(grid, req), doubled, cohort)
         assert sa.score == pytest.approx(2 * sb.score)
 
     def test_extra_paths_with_lower_sums_do_not_change_max(self, scored_world):
         net, grid, heatmaps, nodes = scored_world
         req = request(source=nodes[0], destination=nodes[-1])
         p = simple_provider(1, charging_provider=1)
-        s1 = density_score(p, req, grid, heatmaps, t=1, cohort=[p])
-        s3 = density_score(p, req, grid, heatmaps, t=3, cohort=[p])
+        s1 = density_score(p, region_paths(grid, req, t=1), heatmaps, [p])
+        s3 = density_score(p, region_paths(grid, req, t=3), heatmaps, [p])
         # the max over paths can only grow with t
         assert s3.score >= s1.score
 
@@ -156,15 +160,15 @@ class TestDensityScore:
         cells[dest_cell] = 3.0
         sparse = {1: dataclasses.replace(heatmaps[1], cells=tuple(cells))}
         p = simple_provider(1, charging_provider=1)
-        s1 = density_score(p, req, grid, sparse, t=1, cohort=[p])
-        s3 = density_score(p, req, grid, sparse, t=3, cohort=[p])
+        s1 = density_score(p, region_paths(grid, req, t=1), sparse, [p])
+        s3 = density_score(p, region_paths(grid, req, t=3), sparse, [p])
         assert s1.score == s3.score
 
     def test_best_path_endpoints_are_request_cells(self, scored_world):
         net, grid, heatmaps, nodes = scored_world
         req = request(source=nodes[3], destination=nodes[-4])
         p = simple_provider(1, charging_provider=1)
-        score = density_score(p, req, grid, heatmaps, cohort=[p])
+        score = density_score(p, region_paths(grid, req), heatmaps, [p])
         assert score.best_region_path[0] == grid.cell_of[req.source]
         assert score.best_region_path[-1] == grid.cell_of[req.destination]
 
@@ -174,7 +178,7 @@ class TestDensityScore:
         tiers = {}
         for tier in ("platinum", "gold", "silver"):
             p = simple_provider(1, charging_provider=1, tier=tier)
-            tiers[tier] = density_score(p, req, grid, heatmaps, cohort=[p]).score
+            tiers[tier] = density_score(p, region_paths(grid, req), heatmaps, [p]).score
         assert tiers["platinum"] > tiers["gold"] > tiers["silver"] > 0
 
 
