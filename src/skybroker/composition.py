@@ -7,10 +7,11 @@ it moves to the unvisited neighbour with the best weighted incremental QoS
 value. Charging happens at the departure node whenever some drone cannot
 afford the next leg: non-cooperative swarms then refill to full (and top up
 opportunistically when passing their partner's uncongested stations), while
-cooperative swarms buy only what the remaining route needs plus a margin. A
-dynamic swarm splits once, at the first congested decision node, into two
-sub-swarms that continue independently and must arrive within a bounded time
-window.
+cooperative swarms buy only what the remaining route needs plus a margin.
+Candidate scoring estimates its stops by the same rules, at the expected queue
+length. A dynamic swarm splits once, at the first congested decision node, into
+two sub-swarms that continue independently and must arrive within a bounded
+time window.
 
 Reachability: a neighbour is a candidate only if the destination can still be
 reached from it through unvisited nodes. Each neighbour is checked by a
@@ -21,12 +22,13 @@ step. A failed search has explored the neighbour's whole unvisited component,
 which goes into the sub-swarm's dead set. A dead node stays dead for good,
 because ``visited`` only grows; a split sibling inherits the set.
 
-Evaluations: the execution-time QoS and the pruning proxy count evaluation
-units, one per drone for every leg looked at, node service priced or
-candidate scored. Leg physics are memoised per sub-swarm (keyed on the leg and
-the wind time slice, and reset whenever the sub-swarm's drone list changes),
-but a memo hit still charges its units, so the counts do not depend on the
-memo.
+Evaluations: the execution-time QoS counts evaluation units, charged at three
+sites only: ``_leg_info``, one per drone for every leg looked at;
+``_price_stop``, one per drone for every charging stop priced, flown or
+estimated; ``score_candidates``, one per candidate scored. Leg physics are
+memoised per sub-swarm (keyed on the leg and the wind time slice, and reset
+whenever the sub-swarm's drone list changes), but a memo hit still charges its
+units, so the counts do not depend on the memo.
 
 All mutable state is confined to per-provider copies; network, configs and
 seeds are shared read-only, so providers can compose in parallel.
@@ -36,9 +38,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .config import CompositionConfig, EnergyModelConfig, Seeds, mix64
 from .domain import (
@@ -91,7 +92,6 @@ class SubSwarmState:
     charge_s: float = 0.0
     wait_s: float = 0.0
     cost: float = 0.0
-    plan: deque[int] | None = None
     success: bool | None = None
     # unvisited nodes from which the destination is unreachable through
     # unvisited nodes (see the module docstring)
@@ -237,43 +237,77 @@ def _leg_within_capacity(state: SubSwarmState, leg: _Leg) -> bool:
     return all(e <= d.battery_capacity + _EPS for d, e in zip(state.drones, leg.energies))
 
 
-def _charge_targets(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> list[float]:
+def _must_charge(energies: Iterable[float], leg: _Leg) -> bool:
+    """Whether some drone, holding the given energies, cannot afford the leg."""
+    return any(p < e - _EPS for p, e in zip(energies, leg.energies))
+
+
+def _tops_up(
+    drones: Sequence[DroneState],
+    energies: Iterable[float],
+    node_id: int,
+    ctx: CompositionContext,
+    queue: int | None = None,
+) -> bool:
+    """Whether drones holding the given energies top up on arriving at node_id.
+
+    Only non-cooperative swarms do, at their partner's own stations and only
+    when the queue (drawn, last, if None) lets their priority walk them
+    straight onto a pad, so stops fall on priority pads instead of wherever
+    the battery would run dry."""
+    threshold = ctx.comp.opportunistic_charge_threshold
+    partnership = ctx.provider.partnership
+    owner = ctx.network.node(node_id).station_owner
+    if not (
+        not ctx.cooperative
+        and threshold > 0
+        and node_id != ctx.request.destination
+        and owner == partnership.charging_provider_id
+        and any(p < threshold * d.battery_capacity for d, p in zip(drones, energies))
+    ):
+        return False
+    if queue is None:
+        queue = queue_length(ctx.congestion_seed, node_id, ctx.energy)
+    return partnership.queue_ahead(queue, owner) == 0
+
+
+def _charge_targets(
+    drones: Sequence[DroneState], leg: _Leg, ctx: CompositionContext, remaining_m: float | None
+) -> list[float]:
     """Per-drone charge targets before flying the leg, following the swarm's policy.
 
-    Cooperative swarms buy what the remaining route ahead needs (estimated from
-    the shortest-path distance, capped at capacity) plus margin, instead of
-    refilling fully; they stop roughly as rarely as everyone else but never
-    carry a full tank across the finish line.
+    Non-cooperative swarms refill to capacity. Cooperative swarms buy what the
+    leg needs, or the remaining_m metres of route ahead if more (capped at
+    capacity), plus margin; they stop roughly as rarely as everyone else but
+    never carry a full tank across the finish line.
     """
     if not ctx.cooperative:
-        return [d.battery_capacity for d in state.drones]
-    remaining_m = ctx.dist_to_dest.get(state.current_node)
+        return [d.battery_capacity for d in drones]
     targets = []
-    for drone, leg_energy in zip(state.drones, leg.energies):
-        if remaining_m is None:
-            need = leg_energy
-        else:
-            power_w = (
-                ctx.energy.base_power_w
-                + ctx.energy.payload_power_coeff_w_per_kg * drone.assigned_payload
-            )
-            route_estimate = power_w * (remaining_m / drone.speed) / 3600.0
-            need = max(leg_energy, route_estimate)
+    for drone, need in zip(drones, leg.energies):
+        if remaining_m is not None:
+            power_w = ctx.energy.base_power_w + ctx.energy.payload_power_coeff_w_per_kg * drone.assigned_payload
+            need = max(need, power_w * (remaining_m / drone.speed) / 3600.0)
         target = cooperative_target(drone, min(drone.battery_capacity, need), ctx.energy)
         targets.append(max(drone.current_energy, target))
     return targets
 
 
-def _apply_service(state: SubSwarmState, node_id: int, targets: Sequence[float], ctx: CompositionContext) -> NodeService:
-    service = node_service_time(
-        state.drones,
-        ctx.network.node(node_id),
-        targets,
-        ctx.provider.partnership,
-        ctx.congestion_seed,
-        ctx.energy,
-    )
-    ctx.evaluations += len(state.drones)
+def _price_stop(
+    drones: Sequence[DroneState],
+    node_id: int,
+    targets: Sequence[float],
+    ctx: CompositionContext,
+    queue: int | None = None,
+) -> NodeService:
+    """Price a charging stop at node_id (drawn queue if None); one evaluation per drone."""
+    ctx.evaluations += len(drones)
+    node, partnership = ctx.network.node(node_id), ctx.provider.partnership
+    return node_service_time(drones, node, targets, partnership, ctx.congestion_seed, ctx.energy, queue_override=queue)
+
+
+def _charge(state: SubSwarmState, node_id: int, targets: Sequence[float], ctx: CompositionContext) -> None:
+    service = _price_stop(state.drones, node_id, targets, ctx)
     state.charge_s += service.charge_s
     state.wait_s += service.wait_s
     state.cost += service.cost
@@ -282,21 +316,17 @@ def _apply_service(state: SubSwarmState, node_id: int, targets: Sequence[float],
         if bought > 0:
             drone.purchased += bought
             drone.current_energy = target
-    return service
 
 
 def _traverse(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> bool:
-    """Charge as needed at the current node, then fly the leg.
-
-    A charging stop happens exactly when some drone cannot afford the leg; the
-    amount bought follows the swarm's policy (see _charge_targets). Returns
-    False when the leg is infeasible outright.
-    """
+    """Charge as needed at the current node, fly the leg, then top up as the
+    policy says. Returns False when the leg is infeasible outright."""
     if not _leg_within_capacity(state, leg):
         state.success = False
         return False
-    if any(d.current_energy < e - _EPS for d, e in zip(state.drones, leg.energies)):
-        _apply_service(state, state.current_node, _charge_targets(state, leg, ctx), ctx)
+    if _must_charge((d.current_energy for d in state.drones), leg):
+        remaining_m = ctx.dist_to_dest.get(state.current_node)
+        _charge(state, state.current_node, _charge_targets(state.drones, leg, ctx, remaining_m), ctx)
     for drone, e in zip(state.drones, leg.energies):
         drone.current_energy = max(0.0, drone.current_energy - e)
         drone.consumed += e
@@ -304,21 +334,8 @@ def _traverse(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> bool:
     state.cost += ctx.comp.operating_cost_per_km * leg.length / 1000.0
     state.path.append(leg.node)
     state.visited.add(leg.node)
-    # opportunistic top-up at the partner's own stations, placing stops at
-    # priority pads instead of wherever the battery would run dry; only worth
-    # it when the swarm's priority walks it straight onto a pad
-    threshold = ctx.comp.opportunistic_charge_threshold
-    node = ctx.network.node(leg.node)
-    if (
-        not ctx.cooperative
-        and threshold > 0
-        and leg.node != ctx.request.destination
-        and node.station_owner == ctx.provider.partnership.charging_provider_id
-        and any(d.current_energy < threshold * d.battery_capacity for d in state.drones)
-    ):
-        q = queue_length(ctx.congestion_seed, leg.node, ctx.energy)
-        if ctx.provider.partnership.queue_ahead(q, node.station_owner) == 0:
-            _apply_service(state, leg.node, [d.battery_capacity for d in state.drones], ctx)
+    if _tops_up(state.drones, (d.current_energy for d in state.drones), leg.node, ctx):
+        _charge(state, leg.node, _charge_targets(state.drones, leg, ctx, None), ctx)
     return True
 
 
@@ -381,67 +398,32 @@ def viable_candidates(state: SubSwarmState, ctx: CompositionContext) -> list[_Le
 
 def _estimate_departure_service(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> NodeService:
     """Exact prediction of the charge incurred at the current node to fly the leg."""
-    if all(d.current_energy >= e - _EPS for d, e in zip(state.drones, leg.energies)):
+    if not _must_charge((d.current_energy for d in state.drones), leg):
         return NodeService(0.0, 0.0, 0.0, 0.0)
-    ctx.evaluations += len(state.drones)
+    targets = _charge_targets(state.drones, leg, ctx, ctx.dist_to_dest.get(state.current_node))
     # node_service_time only reads the drones, so the live ones serve as probes
-    return node_service_time(
-        state.drones,
-        ctx.network.node(state.current_node),
-        _charge_targets(state, leg, ctx),
-        ctx.provider.partnership,
-        ctx.congestion_seed,
-        ctx.energy,
-        queue_override=ctx.energy.queue_draw_max // 2,
-    )
+    return _price_stop(state.drones, state.current_node, targets, ctx, ctx.energy.queue_draw_max // 2)
 
 
 def _estimate_arrival_service(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> NodeService:
     """Expected charging overhead at the candidate node.
 
     A stop is predicted there when the onward leg (approximated by the incoming
-    one) would be unaffordable, or when a non-cooperative swarm would top up at
-    its partner's station. The estimate prices only what actually differs
-    between stations, the queue wait (at the expected queue length) and the
-    energy price; charging time itself is excluded because the total energy a
-    route buys, and hence the time on pads, barely depends on where the stops
-    fall. The destination never charges.
+    one) would be unaffordable, or when the swarm would top up there. The
+    estimate prices only what actually differs between stations, the queue
+    wait (at the expected queue length) and the energy price; charging time
+    itself is excluded because the total energy a route buys, and hence the
+    time on pads, barely depends on where the stops fall. The destination
+    never charges.
     """
     if leg.node == ctx.request.destination:
         return NodeService(0.0, 0.0, 0.0, 0.0)
-    node = ctx.network.node(leg.node)
-    partnership = ctx.provider.partnership
     post = [max(0.0, d.current_energy - e) for d, e in zip(state.drones, leg.energies)]
-    must_charge = any(p < e - _EPS for p, e in zip(post, leg.energies))
     expected_q = ctx.energy.queue_draw_max // 2
-    threshold = ctx.comp.opportunistic_charge_threshold
-    would_top_up = (
-        not ctx.cooperative
-        and threshold > 0
-        and node.station_owner == partnership.charging_provider_id
-        and partnership.queue_ahead(expected_q, node.station_owner) == 0
-        and any(p < threshold * d.battery_capacity for d, p in zip(state.drones, post))
-    )
-    if not (must_charge or would_top_up):
+    if not (_must_charge(post, leg) or _tops_up(state.drones, post, leg.node, ctx, expected_q)):
         return NodeService(0.0, 0.0, 0.0, 0.0)
     probes = [replace(d, current_energy=p) for d, p in zip(state.drones, post)]
-    if ctx.cooperative:
-        targets = [
-            max(p, min(d.battery_capacity, e * (1.0 + ctx.energy.cooperative_margin)))
-            for d, p, e in zip(state.drones, post, leg.energies)
-        ]
-    else:
-        targets = [d.battery_capacity for d in state.drones]
-    ctx.evaluations += len(state.drones)
-    service = node_service_time(
-        probes,
-        node,
-        targets,
-        partnership,
-        ctx.congestion_seed,
-        ctx.energy,
-        queue_override=expected_q,
-    )
+    service = _price_stop(probes, leg.node, _charge_targets(probes, leg, ctx, None), ctx, expected_q)
     return NodeService(0.0, service.wait_s, service.energy_wh, service.cost)
 
 
@@ -529,12 +511,6 @@ def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, pending: list[S
             state.success = True
             return
 
-        if state.plan is not None:
-            leg = _leg_info(state, node, state.plan.popleft(), ctx)
-            if not _traverse(state, leg, ctx):
-                return
-            continue
-
         if (
             ctx.dynamic
             and not ctx.split_done
@@ -565,9 +541,12 @@ def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, pending: list[S
                 state.legs = {}
 
         if _direct_ok(state, ctx):
-            remaining = tree_path(ctx.parent_to_dest, node)
-            state.plan = deque(remaining[1:])
-            continue
+            path = tree_path(ctx.parent_to_dest, node)
+            for a, b in zip(path, path[1:]):
+                if not _traverse(state, _leg_info(state, a, b, ctx), ctx):
+                    return
+            state.success = True
+            return
 
         candidates = viable_candidates(state, ctx)
         if not candidates:
@@ -599,15 +578,12 @@ def compose(
     )
     if request.source not in ctx.dist_to_dest:
         state.success = False
-        finished = [state]
-    else:
-        queue = [state]
-        finished = []
-        while queue:
-            sub = queue.pop(0)
-            if sub.success is None:
-                _run_subswarm(sub, ctx, queue)
-            finished.append(sub)
+    queue, finished = [state], []
+    while queue:
+        sub = queue.pop(0)
+        if sub.success is None:
+            _run_subswarm(sub, ctx, queue)
+        finished.append(sub)
 
     delivery_times = [s.delivery_time for s in finished]
     spread = max(delivery_times) - min(delivery_times) if len(finished) > 1 else 0.0

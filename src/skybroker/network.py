@@ -472,6 +472,8 @@ def synthetic_network(
         raise ValueError("need at least one charging provider")
     if not 0.0 <= cluster_bias <= 1.0:
         raise ValueError("cluster_bias must be in [0, 1]")
+    if k_nearest < 0:
+        raise ValueError("k_nearest must be non-negative")
     rng = random.Random(seed)
     positions = {nid: (rng.uniform(0, area_m), rng.uniform(0, area_m)) for nid in range(1, n_nodes + 1)}
     # Charging companies concentrate in districts (soft Voronoi around seeded
@@ -501,29 +503,21 @@ def synthetic_network(
     edges: set[tuple[int, int]] = set()
     ids = sorted(positions)
     for nid in ids:
-        nearest = sorted((d2(nid, other), other) for other in ids if other != nid)
-        for _, other in nearest[: k_nearest]:
+        nearest = heapq.nsmallest(k_nearest, ((d2(nid, other), other) for other in ids if other != nid))
+        for _, other in nearest:
             edges.add((min(nid, other), max(nid, other)))
 
-    # stitch components together via their closest cross pairs
+    # stitch the other components one by one onto the first (the one holding
+    # the smallest id), each time through the closest cross pair
     adjacency: dict[int, list[int]] = {nid: [] for nid in ids}
     for a, b in edges:
         adjacency[a].append(b)
         adjacency[b].append(a)
-    comps = _components(ids, adjacency)
-    while len(comps) > 1:
-        base = comps[0]
-        best = min(
-            (d2(a, b), a, b)
-            for a in sorted(base)
-            for comp in comps[1:]
-            for b in sorted(comp)
-        )
-        _, a, b = best
+    base, *rest = _components(ids, adjacency)
+    while rest:
+        _, a, b = min((d2(a, b), a, b) for a in base for comp in rest for b in comp)
+        base |= rest.pop(next(i for i, comp in enumerate(rest) if b in comp))
         edges.add((min(a, b), max(a, b)))
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-        comps = _components(ids, adjacency)
 
     nodes = [SkywayNode(nid, positions[nid][0], positions[nid][1], owners[nid], pads[nid]) for nid in ids]
     segments = [SkywaySegment(a, b, math.hypot(positions[a][0] - positions[b][0], positions[a][1] - positions[b][1])) for a, b in sorted(edges)]

@@ -123,8 +123,11 @@ def select_cohort(
 ) -> tuple[list[Provider], int]:
     """Apply one pruning strategy; returns (surviving providers, scoring op count).
 
-    The op count approximates the scoring work in the same units as composition
-    evaluation counters: one unit per heatmap cell touched or capability axis read.
+    The op count is the pruning runtime proxy, a fixed cost model: brute 0;
+    capabilities 4 per provider; density path_cells * (1 + charging companies)
+    plus 6 per provider, path_cells summed over the t region paths. The density
+    term predates per-provider density sums and no longer mirrors the work
+    done; it stays because proxy_time in the outputs is pinned to it.
     """
     if strategy == "brute":
         return list(filtered), 0

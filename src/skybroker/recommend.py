@@ -40,9 +40,6 @@ class Ballot:
         if len(set(self.ranking)) != len(self.ranking) or not self.ranking:
             raise ValueError("ranking must be a non-empty permutation of the candidates")
 
-    def prefers(self, a: int, b: int) -> bool:
-        return self.ranking.index(a) < self.ranking.index(b)
-
 
 @dataclass(frozen=True)
 class ElectionResult:
@@ -145,13 +142,13 @@ def borda(ballots: Sequence[Ballot]) -> ElectionResult:
 def pairwise_preferences(ballots: Sequence[Ballot]) -> dict[tuple[int, int], float]:
     """Total ballot weight preferring a over b, for every ordered pair (a, b)."""
     candidates = _candidates(ballots)
+    # each ballot's rank positions, with weights summed in ballot order
+    ranks = [(ballot.weight, {c: i for i, c in enumerate(ballot.ranking)}) for ballot in ballots]
     prefs: dict[tuple[int, int], float] = {}
     for i, a in enumerate(candidates):
         for b in candidates[i + 1 :]:
-            wa = sum(ballot.weight for ballot in ballots if ballot.prefers(a, b))
-            wb = sum(ballot.weight for ballot in ballots if ballot.prefers(b, a))
-            prefs[(a, b)] = wa
-            prefs[(b, a)] = wb
+            prefs[(a, b)] = sum(weight for weight, pos in ranks if pos[a] < pos[b])
+            prefs[(b, a)] = sum(weight for weight, pos in ranks if pos[b] < pos[a])
     return prefs
 
 

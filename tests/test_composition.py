@@ -4,7 +4,7 @@ from dataclasses import astuple
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skybroker import composition
@@ -19,6 +19,7 @@ from skybroker.composition import (
 )
 from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
 from skybroker.domain import (
+    COOPERATIVE,
     DYNAMIC,
     FIXED_FORMATION,
     FLEXIBLE_FORMATION,
@@ -29,7 +30,14 @@ from skybroker.domain import (
     ScenarioLimits,
     generate_scenario,
 )
-from skybroker.energy import WindField, best_formation, node_service_time, relative_sector, segment_energy
+from skybroker.energy import (
+    NodeService,
+    WindField,
+    best_formation,
+    node_service_time,
+    relative_sector,
+    segment_energy,
+)
 from skybroker.harness import ExperimentConfig, build_network
 from skybroker.network import (
     SkywayNetwork,
@@ -555,3 +563,68 @@ class TestNodeServiceReadsOnly:
             queue_override=queue_override,
         )
         assert [astuple(d) for d in drones] == before
+
+
+@st.composite
+def first_legs(draw, cooperative, threshold, min_fill_legs=0.0):
+    """A swarm at node 0 of a line 0-1-2 (destination 2) with drawn energies,
+    about to fly the leg 0 -> 1, on an energy model with no exogenous queue, so
+    the drawn queue and the expected queue are both 0. Every drone can fly the
+    leg on a full battery and holds at least min_fill_legs times its leg
+    energy."""
+    n = draw(st.integers(1, 3))
+    techniques = frozenset({STATIC, FIXED_FORMATION} | ({COOPERATIVE} if cooperative else set()))
+    provider = simple_provider(
+        n_drones=n,
+        battery=draw(st.floats(5.0, 60.0)),
+        techniques=techniques,
+        charging_provider=2,
+        tier=draw(st.sampled_from(["platinum", "gold", "silver"])),
+    )
+    net = line_network(
+        [draw(st.floats(300.0, 3000.0)), draw(st.floats(300.0, 3000.0))],
+        owners=draw(st.lists(st.sampled_from([1, 2]), min_size=3, max_size=3)),
+        pads=draw(st.lists(st.integers(1, 4), min_size=3, max_size=3)),
+    )
+    packages = tuple(draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
+    state, ctx = prepare_composition(
+        provider,
+        request(0, 2, packages),
+        net,
+        EnergyModelConfig(queue_draw_max=0),
+        Seeds.from_master(draw(st.integers(0, 2**32 - 1))),
+        CompositionConfig(opportunistic_charge_threshold=draw(threshold)),
+    )
+    leg = composition._leg_info(state, 0, 1, ctx)
+    for drone, e in zip(state.drones, leg.energies):
+        assume(e <= drone.battery_capacity and min_fill_legs * e <= drone.battery_capacity)
+        drone.current_energy = draw(st.floats(min_fill_legs * e, drone.battery_capacity))
+    return state, ctx, leg
+
+
+class TestEstimatesMatchExecutor:
+    """Candidate scoring and the flown swarm share one charging policy: with no
+    exogenous queue the estimates price exactly what _traverse pays."""
+
+    @given(st.booleans().flatmap(lambda coop: first_legs(coop, st.just(0.0))))
+    @settings(max_examples=150, deadline=None)
+    def test_departure_estimate_is_the_departure_stop(self, case):
+        state, ctx, leg = case  # threshold 0: no top-up on arrival
+        estimate = composition._estimate_departure_service(state, leg, ctx)
+        assert composition._traverse(state, leg, ctx)
+        assert (state.charge_s, state.wait_s) == (estimate.charge_s, estimate.wait_s)
+        assert state.cost == estimate.cost + ctx.comp.operating_cost_per_km * leg.length / 1000.0
+
+    @given(first_legs(False, st.floats(0.0, 1.0), min_fill_legs=2.0))
+    @settings(max_examples=150, deadline=None)
+    def test_arrival_estimate_predicts_the_top_up(self, case):
+        state, ctx, leg = case  # every drone can fly the leg twice: no forced stop
+        estimate = composition._estimate_arrival_service(state, leg, ctx)
+        assert composition._traverse(state, leg, ctx)
+        topped_up = any(d.purchased > 0 for d in state.drones)
+        assert (estimate != NodeService(0.0, 0.0, 0.0, 0.0)) == topped_up
+        if topped_up:
+            assert estimate.wait_s == state.wait_s
+            assert estimate.energy_wh == pytest.approx(sum(d.purchased for d in state.drones))
+            operating = ctx.comp.operating_cost_per_km * leg.length / 1000.0
+            assert estimate.cost == pytest.approx(state.cost - operating)

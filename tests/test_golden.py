@@ -1,9 +1,11 @@
-"""Byte contract: two benchmark configs still write their pinned output bytes.
+"""Byte contract: three benchmark configs still write their pinned output bytes.
 
 The configs and the sha256 digests come from brokerbench/workloads.py and
 brokerbench/expected.json; this test only reads them. per_request.csv carries
 execution_time and proxy_time, so the digests also pin the evaluation cost
-model.
+model. sweep is the config that pins candidate scoring's charging estimates:
+pricing the estimated top-up at the drawn queue instead of the expected one
+leaves the smoke and short_hop bytes unchanged but not the sweep ones.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ WORKLOADS = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
 EXPECTED = json.loads((BENCH / "expected.json").read_text())
 
 
-@pytest.mark.parametrize("workload", ["smoke", "short_hop"])
+@pytest.mark.parametrize("workload", ["smoke", "short_hop", "sweep"])
 def test_seed_one_outputs_match_pinned_digests(workload, tmp_path):
     run_experiment(ExperimentConfig(seed=1, **WORKLOADS[workload].config), tmp_path)
     digests = {

@@ -390,6 +390,23 @@ class TestSyntheticNetwork:
         assert a.is_connected()
         assert set(a.charging_providers) <= set(range(1, 6))
 
+    def test_stitching_alone_builds_the_minimum_spanning_tree(self):
+        # with no nearest-neighbour edges every node starts alone, and joining
+        # the closest cross pair onto the first component is Prim's algorithm
+        net = synthetic_network(8, 30, k_nearest=0)
+        complete = nx.Graph()
+        for a in net.nodes:
+            for b in net.nodes:
+                if a < b:
+                    na, nb = net.node(a), net.node(b)
+                    complete.add_edge(a, b, weight=math.hypot(na.x - nb.x, na.y - nb.y))
+        mst = nx.minimum_spanning_tree(complete)
+        assert sorted((s.a, s.b) for s in net.segments) == sorted((min(e), max(e)) for e in mst.edges)
+
+    def test_negative_k_nearest_rejected(self):
+        with pytest.raises(ValueError, match="k_nearest"):
+            synthetic_network(1, 10, k_nearest=-1)
+
     def test_segment_lengths_euclidean(self):
         net = synthetic_network(3, 40)
         for seg in net.segments:
