@@ -36,12 +36,10 @@ from .domain import (
     normalize_weights,
 )
 from .energy import (
-    InfeasibleLegError,
     NodeService,
     Wind,
     WindField,
     best_formation,
-    cooperative_target,
     execution_time_proxy,
     node_service_time,
     relative_sector,
@@ -56,14 +54,12 @@ from .harness import (
     write_outputs,
 )
 from .network import (
-    DensityHeatmap,
     ParseError,
     RegionGrid,
     SkywayNetwork,
     SkywayNode,
     SkywaySegment,
     build_all_heatmaps,
-    build_heatmap,
     build_region_grid,
     dump_network,
     load_network,
@@ -74,8 +70,7 @@ from .network import (
 )
 from .pruning import (
     NoFeasibleProviders,
-    ProviderScore,
-    capabilities_score,
+    capabilities_scores,
     density_score,
     filter_providers,
     prune,
@@ -85,7 +80,6 @@ from .recommend import (
     Ballot,
     ElectionResult,
     NoSuccessfulProviders,
-    SatisfactionScore,
     borda,
     build_ballots,
     condorcet,

@@ -13,6 +13,12 @@ length. A dynamic swarm splits once, at the first congested decision node, into
 two sub-swarms that continue independently and must arrive within a bounded
 time window.
 
+Loop-freedom: greedy moves (splits included) only go to unvisited nodes, so
+they never revisit a node. The committed direct path follows the
+shortest-path tree without regard to ``visited``, so it may pass through nodes
+the swarm has already visited. Each sub-swarm path is thus a loop-free greedy
+prefix followed by a loop-free suffix along the tree.
+
 Reachability: a neighbour is a candidate only if the destination can still be
 reached from it through unvisited nodes. Each neighbour is checked by a
 best-first search toward the destination (keyed on the shortest-path distance)
@@ -54,7 +60,6 @@ from .energy import (
     NodeService,
     WindField,
     best_formation,
-    cooperative_target,
     execution_time_proxy,
     node_service_time,
     queue_length,
@@ -277,9 +282,9 @@ def _charge_targets(
     """Per-drone charge targets before flying the leg, following the swarm's policy.
 
     Non-cooperative swarms refill to capacity. Cooperative swarms buy what the
-    leg needs, or the remaining_m metres of route ahead if more (capped at
-    capacity), plus margin; they stop roughly as rarely as everyone else but
-    never carry a full tank across the finish line.
+    leg needs, or the remaining_m metres of route ahead if more, plus margin,
+    capped at capacity; they stop roughly as rarely as everyone else but never
+    carry a full tank across the finish line.
     """
     if not ctx.cooperative:
         return [d.battery_capacity for d in drones]
@@ -288,7 +293,7 @@ def _charge_targets(
         if remaining_m is not None:
             power_w = ctx.energy.base_power_w + ctx.energy.payload_power_coeff_w_per_kg * drone.assigned_payload
             need = max(need, power_w * (remaining_m / drone.speed) / 3600.0)
-        target = cooperative_target(drone, min(drone.battery_capacity, need), ctx.energy)
+        target = min(drone.battery_capacity, need * (1.0 + ctx.energy.cooperative_margin))
         targets.append(max(drone.current_energy, target))
     return targets
 

@@ -17,10 +17,6 @@ from .network import SkywayNode
 TWO_PI = 2.0 * math.pi
 
 
-class InfeasibleLegError(ValueError):
-    """The next leg cannot be flown even on a full battery."""
-
-
 class EnergyState(Protocol):
     battery_capacity: float
     current_energy: float
@@ -187,17 +183,6 @@ def node_service_time(
         price = config.non_partner_price_per_kwh
     cost = energy_wh / 1000.0 * price
     return NodeService(charge_s, wait_s, energy_wh, cost)
-
-
-def cooperative_target(drone: EnergyState, next_leg_energy_wh: float, config: EnergyModelConfig) -> float:
-    """Charge target of a cooperating drone: next-leg need plus margin, capped at capacity."""
-    if next_leg_energy_wh < 0:
-        raise ValueError("leg energy must be non-negative")
-    if next_leg_energy_wh > drone.battery_capacity + 1e-9:
-        raise InfeasibleLegError(
-            f"next leg needs {next_leg_energy_wh} Wh but capacity is {drone.battery_capacity} Wh"
-        )
-    return min(drone.battery_capacity, next_leg_energy_wh * (1.0 + config.cooperative_margin))
 
 
 def execution_time_proxy(

@@ -229,8 +229,8 @@ def _process_request(
             if not successes:
                 continue
             cohort_pqos = {o.provider_id: o.pqos for o in successes}
-            sat_table = satisfaction(cohort_pqos, request.qos_weights)
             nhat_table = normalized_qos(cohort_pqos)
+            sat_table = satisfaction(nhat_table, request.qos_weights)
             ballots = build_ballots(successes, request.qos_weights)
             for method in cfg.voting_methods:
                 winner, ops, paradox = _run_method(method, ballots, successes, request, seeds)
@@ -248,7 +248,7 @@ def _process_request(
                     "energy": pqos.energy,
                     "cost": pqos.cost,
                     "execution_time": pqos.execution_time,
-                    "satisfaction": sat_table[winner].overall,
+                    "satisfaction": sat_table[winner],
                     "proxy_time": proxy,
                     "recommend_ops": ops,
                     "paradox": int(paradox),

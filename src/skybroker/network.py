@@ -16,8 +16,6 @@ from typing import Iterable, Iterator, Mapping
 
 from .config import ConfigurationError
 
-LENGTH_RTOL = 1e-6
-
 
 class ParseError(ValueError):
     pass
@@ -52,9 +50,13 @@ class SkywaySegment:
 
 
 class SkywayNetwork:
-    """Undirected geometric graph of charging-station rooftops and line-of-sight segments."""
+    """Undirected geometric graph of charging-station rooftops and line-of-sight segments.
 
-    def __init__(self, nodes: Iterable[SkywayNode], segments: Iterable[SkywaySegment]):
+    Edges are node pairs; each segment's length is the Euclidean distance
+    between its end nodes, and a pair given twice is one segment.
+    """
+
+    def __init__(self, nodes: Iterable[SkywayNode], edges: Iterable[tuple[int, int]]):
         self.nodes: dict[int, SkywayNode] = {}
         for node in nodes:
             if node.node_id in self.nodes:
@@ -63,25 +65,18 @@ class SkywayNetwork:
         if not self.nodes:
             raise ValueError("network must contain at least one node")
 
-        lengths: dict[tuple[int, int], float] = {}
-        for seg in segments:
-            a, b = min(seg.a, seg.b), max(seg.a, seg.b)
+        pairs: set[tuple[int, int]] = set()
+        for a, b in edges:
+            a, b = min(a, b), max(a, b)
             for end in (a, b):
                 if end not in self.nodes:
                     raise ValueError(f"segment references unknown node {end}")
+            pairs.add((a, b))
+        segments = []
+        for a, b in sorted(pairs):
             na, nb = self.nodes[a], self.nodes[b]
-            euclid = math.hypot(na.x - nb.x, na.y - nb.y)
-            if not math.isclose(seg.length, euclid, rel_tol=LENGTH_RTOL, abs_tol=1e-9):
-                raise ValueError(
-                    f"segment ({a}, {b}): length {seg.length} does not match "
-                    f"the euclidean node distance {euclid}"
-                )
-            if lengths.setdefault((a, b), seg.length) != seg.length:
-                raise ValueError(f"conflicting duplicate segment ({a}, {b})")
-
-        self.segments: tuple[SkywaySegment, ...] = tuple(
-            SkywaySegment(a, b, lengths[(a, b)]) for a, b in sorted(lengths)
-        )
+            segments.append(SkywaySegment(a, b, math.hypot(na.x - nb.x, na.y - nb.y)))
+        self.segments: tuple[SkywaySegment, ...] = tuple(segments)
         adjacency: dict[int, list[tuple[int, float]]] = {nid: [] for nid in self.nodes}
         for seg in self.segments:
             adjacency[seg.a].append((seg.b, seg.length))
@@ -222,11 +217,7 @@ def load_network(
     # segments of zero or overflowing length
     try:
         nodes = [SkywayNode(nid, *positions[nid], *station_info[nid]) for nid in sorted(positions)]
-        segments = [
-            SkywaySegment(a, b, math.hypot(positions[a][0] - positions[b][0], positions[a][1] - positions[b][1]))
-            for a, b in edges
-        ]
-        network = SkywayNetwork(nodes, segments)
+        network = SkywayNetwork(nodes, edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
     comps = network.components()
@@ -239,7 +230,7 @@ def load_network(
         )
         network = SkywayNetwork(
             [n for n in nodes if n.node_id in keep],
-            [s for s in segments if s.a in keep and s.b in keep],
+            [(a, b) for a, b in edges if a in keep],
         )
     return network
 
@@ -260,12 +251,7 @@ def load_network_dump(text: str) -> SkywayNetwork:
     try:
         payload = json.loads(text)
         nodes = [SkywayNode(int(i), float(x), float(y), int(o), int(p)) for i, x, y, o, p in payload["nodes"]]
-        positions = {n.node_id: (n.x, n.y) for n in nodes}
-        segments = [
-            SkywaySegment(a, b, math.hypot(positions[a][0] - positions[b][0], positions[a][1] - positions[b][1]))
-            for a, b in payload["edges"]
-        ]
-        return SkywayNetwork(nodes, segments)
+        return SkywayNetwork(nodes, payload["edges"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed network dump: {exc}") from None
 
@@ -295,10 +281,6 @@ def _axis_cell(value: float, lo: float, hi: float, resolution: int) -> int:
 class RegionGrid:
     """G x G partition of the network bounding box; cells are flat row-major indices."""
 
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
     resolution: int
     cell_of: Mapping[int, int]  # node_id -> flat cell index
 
@@ -339,40 +321,16 @@ def build_region_grid(network: SkywayNetwork, resolution: int = 8) -> RegionGrid
         + _axis_cell(n.x, xmin, xmax, resolution)
         for nid, n in network.nodes.items()
     }
-    return RegionGrid(
-        xmin=xmin, ymin=ymin, xmax=xmax, ymax=ymax,
-        resolution=resolution, cell_of=membership,
-    )
+    return RegionGrid(resolution, membership)
 
 
-@dataclass(frozen=True)
-class DensityHeatmap:
-    """Per-cell pad density of one charging company across the region grid."""
-
-    charging_provider: int
-    resolution: int
-    cells: tuple[float, ...]
-
-    def density(self, cell: int) -> float:
-        return self.cells[cell]
-
-    @property
-    def total(self) -> float:
-        return sum(self.cells)
-
-
-def build_heatmap(network: SkywayNetwork, grid: RegionGrid, charging_provider: int) -> DensityHeatmap:
-    if charging_provider not in network.charging_providers:
-        raise ValueError(f"unknown charging provider {charging_provider}")
-    cells = [0.0] * grid.cell_count
+def build_all_heatmaps(network: SkywayNetwork, grid: RegionGrid) -> dict[int, tuple[float, ...]]:
+    """Per-cell pad density of each charging company, keyed by company, in one
+    pass over the nodes."""
+    cells = {cp: [0.0] * grid.cell_count for cp in network.charging_providers}
     for nid, node in network.nodes.items():
-        if node.station_owner == charging_provider:
-            cells[grid.cell_of[nid]] += node.pad_count
-    return DensityHeatmap(charging_provider, grid.resolution, tuple(cells))
-
-
-def build_all_heatmaps(network: SkywayNetwork, grid: RegionGrid) -> dict[int, DensityHeatmap]:
-    return {cp: build_heatmap(network, grid, cp) for cp in network.charging_providers}
+        cells[node.station_owner][grid.cell_of[nid]] += node.pad_count
+    return {cp: tuple(density) for cp, density in cells.items()}
 
 
 def t_shortest_region_paths(
@@ -520,5 +478,4 @@ def synthetic_network(
         edges.add((min(a, b), max(a, b)))
 
     nodes = [SkywayNode(nid, positions[nid][0], positions[nid][1], owners[nid], pads[nid]) for nid in ids]
-    segments = [SkywaySegment(a, b, math.hypot(positions[a][0] - positions[b][0], positions[a][1] - positions[b][1])) for a, b in sorted(edges)]
-    return SkywayNetwork(nodes, segments)
+    return SkywayNetwork(nodes, edges)

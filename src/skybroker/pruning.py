@@ -8,11 +8,10 @@ likely region paths, scaled by partnership tier and capabilities).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .domain import DeliveryRequest, Provider
-from .network import DensityHeatmap, RegionGrid, t_shortest_region_paths
+from .network import RegionGrid, t_shortest_region_paths
 
 STRATEGIES = ("brute", "capabilities", "density")
 
@@ -21,13 +20,6 @@ TIER_SCORE_MULTIPLIER = {"platinum": 1.2, "gold": 1.1, "silver": 1.0}
 
 class NoFeasibleProviders(Exception):
     """No provider can physically carry the request; the request is rejected."""
-
-
-@dataclass(frozen=True)
-class ProviderScore:
-    provider_id: int
-    score: float
-    best_region_path: tuple[int, ...] | None
 
 
 def filter_providers(providers: Sequence[Provider], request: DeliveryRequest) -> list[Provider]:
@@ -48,68 +40,61 @@ def filter_providers(providers: Sequence[Provider], request: DeliveryRequest) ->
     return survivors
 
 
-def capabilities_score(provider: Provider, cohort: Sequence[Provider]) -> float:
-    """Mean min-max-normalized battery, speed, payload capacity and swarm size.
+def _axes(provider: Provider) -> tuple[float, float, float, float]:
+    d = provider.swarm.drones[0]
+    return (d.battery_capacity, d.speed, d.payload_capacity, float(provider.swarm.size))
+
+
+def capabilities_scores(cohort: Sequence[Provider]) -> dict[int, float]:
+    """Mean min-max-normalized battery, speed, payload capacity and swarm size,
+    by provider id.
 
     Axes with zero spread across the cohort count as 1, so a single-provider
     cohort scores exactly 1.
     """
-    if not cohort:
-        raise ValueError("cohort must be non-empty")
-
-    def axes(p: Provider) -> tuple[float, float, float, float]:
-        d = p.swarm.drones[0]
-        return (d.battery_capacity, d.speed, d.payload_capacity, float(p.swarm.size))
-
-    mine = axes(provider)
-    columns = list(zip(*(axes(p) for p in cohort)))
-    total = 0.0
-    for value, column in zip(mine, columns):
-        lo, hi = min(column), max(column)
-        total += 1.0 if hi - lo <= 0 else (value - lo) / (hi - lo)
-    return total / 4.0
+    rows = [_axes(p) for p in cohort]
+    bounds = [(min(column), max(column)) for column in zip(*rows)]
+    scores = {}
+    for provider, row in zip(cohort, rows):
+        # a running total, not sum(): from Python 3.12 sum() of floats is
+        # compensated and rounds differently
+        total = 0.0
+        for value, (lo, hi) in zip(row, bounds):
+            total += 1.0 if hi - lo <= 0 else (value - lo) / (hi - lo)
+        scores[provider.provider_id] = total / 4.0
+    return scores
 
 
 def density_score(
     provider: Provider,
     region_paths: Sequence[tuple[int, ...]],
-    heatmaps: Mapping[int, DensityHeatmap],
-    cohort: Sequence[Provider],
-) -> ProviderScore:
+    heatmaps: Mapping[int, Sequence[float]],
+    capabilities: float,
+) -> float:
     """Score a provider by its partner's pad density along the given region paths.
 
-    Each path scores (sum of partner densities over its cells) * tier multiplier
-    * capabilities score within the cohort; the provider keeps the best path.
+    The best path's sum of partner densities over its cells, times the tier
+    multiplier and the provider's capabilities score within the cohort.
     """
-    if not region_paths:
-        return ProviderScore(provider.provider_id, 0.0, None)
-    caps = capabilities_score(provider, cohort)
-    heatmap = heatmaps[provider.partnership.charging_provider_id]
-    multiplier = TIER_SCORE_MULTIPLIER[provider.partnership.tier]
-    best_path = None
-    best = -math.inf
-    for path in region_paths:
-        value = sum(heatmap.density(cell) for cell in path) * multiplier * caps
-        if value > best:
-            best, best_path = value, path
-    return ProviderScore(provider.provider_id, best, tuple(best_path))
+    density = heatmaps[provider.partnership.charging_provider_id]
+    # rounding is monotone, so scaling the best sum by non-negative factors
+    # gives the same float as the best of the per-path products
+    best = max((sum(density[cell] for cell in path) for path in region_paths), default=0.0)
+    return best * TIER_SCORE_MULTIPLIER[provider.partnership.tier] * capabilities
 
 
-def prune(scores: Sequence[ProviderScore], k_percent: float) -> list[ProviderScore]:
-    """Drop the floor(m * k / 100) lowest-scoring providers, never all of them.
+def prune(scores: Mapping[int, float], k_percent: float) -> set[int]:
+    """Ids surviving the drop of the floor(m * k / 100) lowest-scoring
+    providers, never all of them.
 
-    Score ties at the cut are broken by provider id, lower id survives. Input
-    order is preserved in the survivors.
+    Score ties at the cut are broken by provider id, lower id survives.
     """
     if not 0 <= k_percent < 100:
         raise ValueError("k_percent must be in [0, 100)")
     m = len(scores)
     to_remove = min(math.floor(m * k_percent / 100.0), m - 1)
-    if to_remove <= 0:
-        return list(scores)
-    removal_order = sorted(scores, key=lambda s: (s.score, -s.provider_id))
-    removed = {s.provider_id for s in removal_order[:to_remove]}
-    return [s for s in scores if s.provider_id not in removed]
+    removal_order = sorted(scores, key=lambda pid: (scores[pid], -pid))
+    return set(removal_order[max(to_remove, 0):])
 
 
 def select_cohort(
@@ -117,7 +102,7 @@ def select_cohort(
     filtered: Sequence[Provider],
     request: DeliveryRequest,
     grid: RegionGrid | None = None,
-    heatmaps: Mapping[int, DensityHeatmap] | None = None,
+    heatmaps: Mapping[int, Sequence[float]] | None = None,
     t: int = 3,
     k_percent: float = 50.0,
 ) -> tuple[list[Provider], int]:
@@ -132,9 +117,7 @@ def select_cohort(
     if strategy == "brute":
         return list(filtered), 0
     if strategy == "capabilities":
-        scores = [
-            ProviderScore(p.provider_id, capabilities_score(p, filtered), None) for p in filtered
-        ]
+        scores = capabilities_scores(filtered)
         ops = 4 * len(filtered)
     elif strategy == "density":
         if grid is None or heatmaps is None:
@@ -143,9 +126,10 @@ def select_cohort(
         dest_cell = grid.cell_of[request.destination]
         paths = t_shortest_region_paths(grid, source_cell, dest_cell, t)
         path_cells = sum(len(p) for p in paths)
-        scores = [density_score(p, paths, heatmaps, filtered) for p in filtered]
+        caps = capabilities_scores(filtered)
+        scores = {p.provider_id: density_score(p, paths, heatmaps, caps[p.provider_id]) for p in filtered}
         ops = path_cells * (1 + len(heatmaps)) + 6 * len(filtered)
     else:
         raise ValueError(f"unknown pruning strategy {strategy!r}")
-    surviving_ids = {s.provider_id for s in prune(scores, k_percent)}
-    return [p for p in filtered if p.provider_id in surviving_ids], ops
+    survivors = prune(scores, k_percent)
+    return [p for p in filtered if p.provider_id in survivors], ops

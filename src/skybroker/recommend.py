@@ -218,31 +218,19 @@ def normalized_qos(cohort: Mapping[int, QosVector]) -> dict[int, dict[str, float
     return result
 
 
-@dataclass(frozen=True)
-class SatisfactionScore:
-    per_metric: Mapping[str, float]
-    overall: float
-
-
 def satisfaction(
-    cohort: Mapping[int, QosVector],
+    normalized: Mapping[int, Mapping[str, float]],
     qos_weights: Mapping[str, float],
-) -> dict[int, SatisfactionScore]:
-    """Per-provider satisfaction against cohort-derived expectations.
+) -> dict[int, float]:
+    """Per-provider satisfaction against cohort-derived expectations, from the
+    cohort's normalized_qos table.
 
     In normalized higher-is-better space the expected value of a metric equals
     its preference weight, so each metric scores weight * (normalized - weight);
-    the overall score is the mean over the four metrics. Zero means expectations
+    the satisfaction is the mean over the four metrics. Zero means expectations
     met exactly, positive exceeds them, negative falls short.
     """
-    normalized = normalized_qos(cohort)
-    scores = {}
-    for pid, n_hat in normalized.items():
-        per_metric = {
-            m: qos_weights[m] * (n_hat[m] - qos_weights[m]) for m in QOS_METRICS
-        }
-        scores[pid] = SatisfactionScore(
-            per_metric=per_metric,
-            overall=math.fsum(per_metric.values()) / len(QOS_METRICS),
-        )
-    return scores
+    return {
+        pid: math.fsum(qos_weights[m] * (n_hat[m] - qos_weights[m]) for m in QOS_METRICS) / len(QOS_METRICS)
+        for pid, n_hat in normalized.items()
+    }

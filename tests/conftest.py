@@ -10,7 +10,7 @@ from skybroker.domain import (
     Provider,
     Swarm,
 )
-from skybroker.network import SkywayNetwork, SkywayNode, SkywaySegment
+from skybroker.network import SkywayNetwork, SkywayNode
 
 
 def unit_energy_config(**overrides) -> EnergyModelConfig:
@@ -34,8 +34,7 @@ def line_network(lengths, owners=None, pads=None) -> SkywayNetwork:
     for length in lengths:
         xs.append(xs[-1] + length)
     nodes = [SkywayNode(i, xs[i], 0.0, owners[i], pads[i]) for i in range(n)]
-    segments = [SkywaySegment(i, i + 1, lengths[i]) for i in range(n - 1)]
-    return SkywayNetwork(nodes, segments)
+    return SkywayNetwork(nodes, [(i, i + 1) for i in range(n - 1)])
 
 
 def simple_provider(

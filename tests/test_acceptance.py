@@ -368,6 +368,39 @@ def test_invariant_energy_conservation_and_time_identity():
     )
 
 
+def _split_at_tree_suffix(path, parent):
+    """(prefix, suffix) of path, the suffix being its longest tail that follows
+    the parent pointers of the destination's shortest-path tree."""
+    start = len(path) - 1
+    while start > 0 and parent.get(path[start - 1]) == path[start]:
+        start -= 1
+    return path[:start], path[start:]
+
+
+def test_invariant_loop_freedom_of_greedy_prefix_and_tree_suffix():
+    # greedy moves never revisit a node; the committed direct path follows the
+    # tree and may cross nodes already visited (see the composition docstring)
+    paths = repeating = 0
+    for seed in (101, 102, 103):
+        net = synthetic_network(seed, 70)
+        parents = {}
+        for provider, request, out in _composition_batch(seed):
+            if request.destination not in parents:
+                parents[request.destination] = shortest_path_tree(net, request.destination)[1]
+            for path in out.paths:
+                prefix, suffix = _split_at_tree_suffix(path, parents[request.destination])
+                assert len(set(prefix)) == len(prefix), (provider.provider_id, request.request_id, path)
+                assert len(set(suffix)) == len(suffix), (provider.provider_id, request.request_id, path)
+                paths += 1
+                repeating += len(set(path)) != len(path)
+    report(
+        "invariant-loop-freedom",
+        repeating > 0,
+        f"greedy prefix and tree suffix loop-free on all {paths} sub-swarm paths; "
+        f"{repeating} paths repeat a node across the two",
+    )
+
+
 def test_invariant_weight_scaling_of_all_winners():
     rng = random.Random(77)
     net = synthetic_network(55, 60)

@@ -42,7 +42,6 @@ from skybroker.harness import ExperimentConfig, build_network
 from skybroker.network import (
     SkywayNetwork,
     SkywayNode,
-    SkywaySegment,
     shortest_path_tree,
     synthetic_network,
 )
@@ -70,13 +69,7 @@ def diamond_network(leg=1000.0, pads=(1, 1, 1, 4), owners=(1, 1, 1, 1)):
         SkywayNode(2, dx, dy, owners[2], pads[2]),
         SkywayNode(3, 0.0, 2 * dy, owners[3], pads[3]),
     ]
-    segments = [
-        SkywaySegment(0, 1, leg),
-        SkywaySegment(0, 2, leg),
-        SkywaySegment(1, 3, leg),
-        SkywaySegment(2, 3, leg),
-    ]
-    return SkywayNetwork(nodes, segments)
+    return SkywayNetwork(nodes, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
 class TestComposeBasics:
@@ -206,15 +199,7 @@ class TestNodeValue:
             SkywayNode(3, -350.0, 350.0, 1, 4),
             SkywayNode(4, 0.0, 900.0, 1, 4),
         ]
-        segments = [
-            SkywaySegment(0, 1, math.hypot(200, 300)),
-            SkywaySegment(0, 2, 400.0),
-            SkywaySegment(0, 3, math.hypot(350, 350)),
-            SkywaySegment(1, 4, math.hypot(200, 600)),
-            SkywaySegment(2, 4, 500.0),
-            SkywaySegment(3, 4, math.hypot(350, 550)),
-        ]
-        net = SkywayNetwork(nodes, segments)
+        net = SkywayNetwork(nodes, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
         provider = simple_provider(battery=1000.0, charging_provider=9)
         req = request(0, 4, weights={"delivery_time": 1.0})
         state, ctx = prepare_composition(
@@ -415,10 +400,7 @@ def reachability_walks(draw):
     )
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     xy = {v: (rng.uniform(0, 5000), rng.uniform(0, 5000)) for v in graph.nodes}
-    network = SkywayNetwork(
-        [SkywayNode(v, *xy[v], 1, 4) for v in graph.nodes],
-        [SkywaySegment(a, b, math.hypot(xy[a][0] - xy[b][0], xy[a][1] - xy[b][1])) for a, b in graph.edges],
-    )
+    network = SkywayNetwork([SkywayNode(v, *xy[v], 1, 4) for v in graph.nodes], graph.edges)
     nodes = st.sampled_from(sorted(graph.nodes))
     destination = draw(nodes)
     steps = []

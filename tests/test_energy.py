@@ -1,10 +1,12 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skybroker.composition import _charge_targets
 from skybroker.config import EnergyModelConfig
 from skybroker.domain import (
     DYNAMIC,
@@ -16,10 +18,8 @@ from skybroker.domain import (
     Partnership,
 )
 from skybroker.energy import (
-    InfeasibleLegError,
     WindField,
     best_formation,
-    cooperative_target,
     execution_time_proxy,
     node_service_time,
     queue_length,
@@ -214,20 +214,25 @@ class TestNodeService:
         assert len(set(draws)) > 1
 
 
+def cooperative_target(need, config, battery=50.0):
+    """The charge target of one empty drone of a cooperative swarm whose next
+    leg needs `need` Wh."""
+    ctx = SimpleNamespace(cooperative=True, energy=config)
+    leg = SimpleNamespace(energies=(need,))
+    return _charge_targets([drone(battery=battery, current=0.0)], leg, ctx, None)[0]
+
+
 class TestCooperativeTarget:
     def test_margin_applied(self, unit_config):
-        assert cooperative_target(drone(battery=50), 10.0, unit_config) == pytest.approx(11.0)
+        assert cooperative_target(10.0, unit_config) == pytest.approx(11.0)
 
     def test_clamped_at_capacity(self, unit_config):
-        assert cooperative_target(drone(battery=50), 50.0, unit_config) == 50.0
+        assert cooperative_target(50.0, unit_config) == 50.0
+        assert cooperative_target(60.0, unit_config) == 50.0
 
     def test_zero_margin_exact_need(self):
         cfg = unit_energy_config(cooperative_margin=0.0)
-        assert cooperative_target(drone(battery=50), 10.0, cfg) == 10.0
-
-    def test_infeasible_leg_signalled(self, unit_config):
-        with pytest.raises(InfeasibleLegError):
-            cooperative_target(drone(battery=50), 50.1, unit_config)
+        assert cooperative_target(10.0, cfg) == 10.0
 
 
 class TestExecutionProxy:

@@ -15,7 +15,6 @@ from skybroker.network import (
     SkywayNode,
     SkywaySegment,
     build_all_heatmaps,
-    build_heatmap,
     build_region_grid,
     dump_network,
     load_network,
@@ -172,10 +171,10 @@ class TestLoaderFuzz:
 
 
 class TestSegmentInvariants:
-    def test_length_must_match_euclidean_distance(self):
-        nodes = [SkywayNode(1, 0, 0, 1, 1), SkywayNode(2, 100, 0, 1, 1)]
-        with pytest.raises(ValueError, match="does not match"):
-            SkywayNetwork(nodes, [SkywaySegment(1, 2, 150.0)])
+    def test_pairs_in_either_order_are_one_euclidean_segment(self):
+        nodes = [SkywayNode(1, 0, 0, 1, 1), SkywayNode(2, 30, 40, 1, 1)]
+        net = SkywayNetwork(nodes, [(2, 1), (1, 2)])
+        assert net.segments == (SkywaySegment(1, 2, 50.0),)
 
     def test_pad_count_positive(self):
         with pytest.raises(ValueError):
@@ -190,7 +189,7 @@ class TestRegionGrid:
             SkywayNode(3, 0, 100, 1, 1),
             SkywayNode(4, 100, 100, 1, 1),
         ]
-        net = SkywayNetwork(nodes, [SkywaySegment(1, 2, 100.0)])
+        net = SkywayNetwork(nodes, [(1, 2)])
         grid = build_region_grid(net, 2)
         assert len(set(grid.cell_of.values())) == 4
 
@@ -249,43 +248,49 @@ class TestHeatmaps:
         nodes = [SkywayNode(1, 0, 0, 7, 3), SkywayNode(2, 100, 100, 8, 1)]
         net = SkywayNetwork(nodes, [])
         grid = build_region_grid(net, 2)
-        hm = build_heatmap(net, grid, 7)
-        assert sorted(hm.cells, reverse=True)[0] == 3.0
-        assert sum(1 for c in hm.cells if c > 0) == 1
-        other = build_heatmap(net, grid, 8)
-        assert other.total == 1.0
+        heatmaps = build_all_heatmaps(net, grid)
+        assert sorted(heatmaps[7], reverse=True)[0] == 3.0
+        assert sum(1 for c in heatmaps[7] if c > 0) == 1
+        assert sum(heatmaps[8]) == 1.0
 
-    def test_unknown_provider_rejected(self):
-        net = synthetic_network(1, 10)
-        grid = build_region_grid(net, 4)
-        with pytest.raises(ValueError, match="unknown charging provider"):
-            build_heatmap(net, grid, 999)
+    def test_matches_one_pass_per_company(self):
+        net = synthetic_network(4, 90)
+        grid = build_region_grid(net, 6)
+        heatmaps = build_all_heatmaps(net, grid)
+        assert list(heatmaps) == list(net.charging_providers)
+        for cp, hm in heatmaps.items():
+            cells = [0.0] * grid.cell_count
+            for nid, node in net.nodes.items():
+                if node.station_owner == cp:
+                    cells[grid.cell_of[nid]] += node.pad_count
+            assert hm == tuple(cells)
 
     def test_conservation_across_providers(self):
         net = synthetic_network(5, 120)
         grid = build_region_grid(net, 8)
         heatmaps = build_all_heatmaps(net, grid)
         total_pads = sum(n.pad_count for n in net.nodes.values())
-        assert sum(hm.total for hm in heatmaps.values()) == total_pads
+        assert sum(sum(hm) for hm in heatmaps.values()) == total_pads
         # cell-wise sum equals the all-provider pad heatmap
         for cell in range(grid.cell_count):
             direct = sum(
                 n.pad_count for nid, n in net.nodes.items() if grid.cell_of[nid] == cell
             )
-            assert sum(hm.cells[cell] for hm in heatmaps.values()) == direct
+            assert sum(hm[cell] for hm in heatmaps.values()) == direct
 
     def test_argmax_cell_matches_independent_count(self):
         net = synthetic_network(9, 150)
         grid = build_region_grid(net, 8)
+        heatmaps = build_all_heatmaps(net, grid)
         for cp in net.charging_providers:
-            hm = build_heatmap(net, grid, cp)
+            hm = heatmaps[cp]
             counts = {}
             for nid, node in net.nodes.items():
                 if node.station_owner == cp:
                     counts[grid.cell_of[nid]] = counts.get(grid.cell_of[nid], 0) + node.pad_count
             if not counts:
                 continue
-            best = max(hm.cells)
+            best = max(hm)
             assert best == max(counts.values())
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -295,7 +300,7 @@ class TestHeatmaps:
         grid = build_region_grid(net, 4)
         heatmaps = build_all_heatmaps(net, grid)
         total_pads = sum(n.pad_count for n in net.nodes.values())
-        assert sum(hm.total for hm in heatmaps.values()) == total_pads
+        assert sum(sum(hm) for hm in heatmaps.values()) == total_pads
 
 
 def grid_for(resolution):

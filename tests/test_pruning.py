@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -9,9 +8,9 @@ from hypothesis import strategies as st
 from skybroker.domain import DeliveryRequest, ScenarioLimits, generate_scenario
 from skybroker.network import build_all_heatmaps, build_region_grid, synthetic_network, t_shortest_region_paths
 from skybroker.pruning import (
+    TIER_SCORE_MULTIPLIER,
     NoFeasibleProviders,
-    ProviderScore,
-    capabilities_score,
+    capabilities_scores,
     density_score,
     filter_providers,
     prune,
@@ -74,13 +73,11 @@ class TestCapabilitiesScore:
     def test_max_on_all_axes_scores_one(self):
         top = simple_provider(1, n_drones=8, battery=100, payload_cap=3, speed=20)
         low = simple_provider(2, n_drones=3, battery=50, payload_cap=1, speed=10)
-        cohort = [top, low]
-        assert capabilities_score(top, cohort) == 1.0
-        assert capabilities_score(low, cohort) == 0.0
+        assert capabilities_scores([top, low]) == {1: 1.0, 2: 0.0}
 
     def test_single_provider_cohort_scores_one(self):
         p = simple_provider(1)
-        assert capabilities_score(p, [p]) == 1.0
+        assert capabilities_scores([p]) == {1: 1.0}
 
     def test_matches_independent_recomputation(self):
         net = synthetic_network(3, 40)
@@ -92,17 +89,22 @@ class TestCapabilitiesScore:
             float(p.swarm.size),
         )
         columns = list(zip(*(axes(p) for p in providers)))
+        scores = capabilities_scores(providers)
         for p in providers:
             expected = 0.0
             for value, column in zip(axes(p), columns):
                 lo, hi = min(column), max(column)
                 expected += 1.0 if hi == lo else (value - lo) / (hi - lo)
             expected /= 4
-            assert capabilities_score(p, providers) == pytest.approx(expected)
+            assert scores[p.provider_id] == pytest.approx(expected)
 
 
 def region_paths(grid, req, t=3):
     return t_shortest_region_paths(grid, grid.cell_of[req.source], grid.cell_of[req.destination], t)
+
+
+def score(provider, paths, heatmaps, cohort):
+    return density_score(provider, paths, heatmaps, capabilities_scores(cohort)[provider.provider_id])
 
 
 @pytest.fixture
@@ -118,12 +120,10 @@ class TestDensityScore:
     def test_zero_partner_density_scores_zero(self, scored_world):
         net, grid, heatmaps, nodes = scored_world
         # a heatmap of zeros for a fictitious extra company
-        empty = dataclasses.replace(heatmaps[1], charging_provider=99, cells=(0.0,) * grid.cell_count)
-        heatmaps = dict(heatmaps) | {99: empty}
+        heatmaps = dict(heatmaps) | {99: (0.0,) * grid.cell_count}
         p = simple_provider(1, charging_provider=99, battery=100, speed=20)
         req = request(source=nodes[0], destination=nodes[-1])
-        score = density_score(p, region_paths(grid, req), heatmaps, [p])
-        assert score.score == 0.0
+        assert score(p, region_paths(grid, req), heatmaps, [p]) == 0.0
 
     def test_density_ratio_preserved(self, scored_world):
         net, grid, heatmaps, nodes = scored_world
@@ -131,22 +131,19 @@ class TestDensityScore:
         a = simple_provider(1, charging_provider=1, tier="gold")
         b = simple_provider(2, charging_provider=2, tier="gold")
         cohort = [a, b]
-        doubled = {
-            1: dataclasses.replace(heatmaps[2], charging_provider=1, cells=tuple(2 * c for c in heatmaps[2].cells)),
-            2: heatmaps[2],
-        }
-        sa = density_score(a, region_paths(grid, req), doubled, cohort)
-        sb = density_score(b, region_paths(grid, req), doubled, cohort)
-        assert sa.score == pytest.approx(2 * sb.score)
+        doubled = {1: tuple(2 * c for c in heatmaps[2]), 2: heatmaps[2]}
+        sa = score(a, region_paths(grid, req), doubled, cohort)
+        sb = score(b, region_paths(grid, req), doubled, cohort)
+        assert sa == pytest.approx(2 * sb)
 
     def test_extra_paths_with_lower_sums_do_not_change_max(self, scored_world):
         net, grid, heatmaps, nodes = scored_world
         req = request(source=nodes[0], destination=nodes[-1])
         p = simple_provider(1, charging_provider=1)
-        s1 = density_score(p, region_paths(grid, req, t=1), heatmaps, [p])
-        s3 = density_score(p, region_paths(grid, req, t=3), heatmaps, [p])
+        s1 = score(p, region_paths(grid, req, t=1), heatmaps, [p])
+        s3 = score(p, region_paths(grid, req, t=3), heatmaps, [p])
         # the max over paths can only grow with t
-        assert s3.score >= s1.score
+        assert s3 >= s1
 
     def test_max_saturates_when_extra_paths_add_nothing(self, scored_world):
         # partner pads only in the source and destination cells: every region
@@ -158,19 +155,11 @@ class TestDensityScore:
         cells = [0.0] * grid.cell_count
         cells[source_cell] = 5.0
         cells[dest_cell] = 3.0
-        sparse = {1: dataclasses.replace(heatmaps[1], cells=tuple(cells))}
+        sparse = {1: tuple(cells)}
         p = simple_provider(1, charging_provider=1)
-        s1 = density_score(p, region_paths(grid, req, t=1), sparse, [p])
-        s3 = density_score(p, region_paths(grid, req, t=3), sparse, [p])
-        assert s1.score == s3.score
-
-    def test_best_path_endpoints_are_request_cells(self, scored_world):
-        net, grid, heatmaps, nodes = scored_world
-        req = request(source=nodes[3], destination=nodes[-4])
-        p = simple_provider(1, charging_provider=1)
-        score = density_score(p, region_paths(grid, req), heatmaps, [p])
-        assert score.best_region_path[0] == grid.cell_of[req.source]
-        assert score.best_region_path[-1] == grid.cell_of[req.destination]
+        s1 = score(p, region_paths(grid, req, t=1), sparse, [p])
+        s3 = score(p, region_paths(grid, req, t=3), sparse, [p])
+        assert s1 == s3
 
     def test_tier_multiplier_ordering(self, scored_world):
         net, grid, heatmaps, nodes = scored_world
@@ -178,12 +167,87 @@ class TestDensityScore:
         tiers = {}
         for tier in ("platinum", "gold", "silver"):
             p = simple_provider(1, charging_provider=1, tier=tier)
-            tiers[tier] = density_score(p, region_paths(grid, req), heatmaps, [p]).score
+            tiers[tier] = score(p, region_paths(grid, req), heatmaps, [p])
         assert tiers["platinum"] > tiers["gold"] > tiers["silver"] > 0
 
 
+def oracle_capabilities_score(provider, cohort):
+    """Per-provider capabilities score, rebuilding the cohort's columns on every call."""
+
+    def axes(p):
+        d = p.swarm.drones[0]
+        return (d.battery_capacity, d.speed, d.payload_capacity, float(p.swarm.size))
+
+    mine = axes(provider)
+    columns = list(zip(*(axes(p) for p in cohort)))
+    total = 0.0
+    for value, column in zip(mine, columns):
+        lo, hi = min(column), max(column)
+        total += 1.0 if hi - lo <= 0 else (value - lo) / (hi - lo)
+    return total / 4.0
+
+
+def oracle_density_score(provider, region_paths, heatmaps, cohort):
+    """Best of the per-path products (density sum * tier * capabilities), with
+    the path that gives it."""
+    caps = oracle_capabilities_score(provider, cohort)
+    density = heatmaps[provider.partnership.charging_provider_id]
+    multiplier = TIER_SCORE_MULTIPLIER[provider.partnership.tier]
+    best, best_path = -math.inf, None
+    for path in region_paths:
+        value = sum(density[cell] for cell in path) * multiplier * caps
+        if value > best:
+            best, best_path = value, path
+    return best, best_path
+
+
+@st.composite
+def scored_cohorts(draw):
+    """A cohort (often of one provider, often with tied or flat axes), heatmaps
+    of arbitrary non-negative densities and region paths over their cells."""
+    companies = draw(st.integers(1, 3))
+    n_cells = draw(st.integers(1, 9))
+    density = st.one_of(st.just(0.0), st.integers(0, 12).map(float), st.floats(0.0, 1e6))
+    cells = st.lists(density, min_size=n_cells, max_size=n_cells).map(tuple)
+    heatmaps = {cp: draw(cells) for cp in range(1, companies + 1)}
+    path = st.lists(st.integers(0, n_cells - 1), min_size=1, max_size=6).map(tuple)
+    paths = draw(st.lists(path, min_size=1, max_size=4))
+
+    def axis(lo, hi):
+        return draw(st.one_of(st.sampled_from([lo, (lo + hi) / 2, hi]), st.floats(lo, hi)))
+
+    cohort = [
+        simple_provider(
+            pid,
+            n_drones=draw(st.sampled_from([2, 4, 8])),
+            battery=axis(50.0, 400.0),
+            payload_cap=axis(0.5, 3.0),
+            speed=axis(8.0, 25.0),
+            charging_provider=draw(st.integers(1, companies)),
+            tier=draw(st.sampled_from(sorted(TIER_SCORE_MULTIPLIER))),
+        )
+        for pid in range(1, draw(st.integers(1, 6)) + 1)
+    ]
+    return cohort, heatmaps, paths
+
+
+class TestScoresMatchPerProviderOracles:
+    """The cohort-wide scores equal the per-provider oracles bit for bit:
+    proxy_time and satisfaction depend on them far beyond the pinned seeds."""
+
+    @given(scored_cohorts())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical(self, world):
+        cohort, heatmaps, paths = world
+        caps = capabilities_scores(cohort)
+        for p in cohort:
+            assert caps[p.provider_id] == oracle_capabilities_score(p, cohort)
+            expected, _best_path = oracle_density_score(p, paths, heatmaps, cohort)
+            assert density_score(p, paths, heatmaps, caps[p.provider_id]) == expected
+
+
 def scores(values):
-    return [ProviderScore(i + 1, v, None) for i, v in enumerate(values)]
+    return {i + 1: v for i, v in enumerate(values)}
 
 
 class TestPrune:
@@ -197,17 +261,15 @@ class TestPrune:
 
     def test_floor_and_never_empty(self):
         kept = prune(scores([5.0, 1.0, 3.0]), 90.0)
-        assert len(kept) == 1  # floor(2.7) = 2 removed
-        assert kept[0].score == 5.0
+        assert kept == {1}  # floor(2.7) = 2 removed; the 5.0 survives
 
     def test_lowest_scores_removed_order_preserved(self):
         kept = prune(scores([5.0, 1.0, 4.0, 2.0]), 50.0)
-        assert [s.provider_id for s in kept] == [1, 3]
+        assert kept == {1, 3}
 
     def test_ties_broken_by_lower_provider_id(self):
-        tied = [ProviderScore(1, 1.0, None), ProviderScore(2, 1.0, None), ProviderScore(3, 2.0, None)]
-        kept = prune(tied, 34.0)  # remove floor(3*0.34)=1
-        assert [s.provider_id for s in kept] == [1, 3]
+        kept = prune({1: 1.0, 2: 1.0, 3: 2.0}, 34.0)  # remove floor(3*0.34)=1
+        assert kept == {1, 3}
 
     def test_k_range_validated(self):
         with pytest.raises(ValueError):

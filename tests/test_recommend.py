@@ -400,9 +400,9 @@ class TestSatisfaction:
             2: QosVector(1.0, 1.0, 1.0, 1.0),
             3: QosVector(0.75, 0.75, 0.75, 0.75),  # normalizes to exactly 0.25
         }
-        scores = satisfaction(cohort, weights)
-        assert scores[3].overall == 0.0
-        assert all(v == 0.0 for v in scores[3].per_metric.values())
+        normalized = normalized_qos(cohort)
+        assert all(v == 0.25 for v in normalized[3].values())
+        assert satisfaction(normalized, weights)[3] == 0.0
 
     def test_best_on_every_metric_exceeds_expectation(self):
         weights = normalize_weights({"delivery_time": 0.4, "energy": 0.3, "cost": 0.2, "execution_time": 0.1})
@@ -410,10 +410,10 @@ class TestSatisfaction:
             1: QosVector(1.0, 1.0, 1.0, 1.0),
             2: QosVector(5.0, 5.0, 5.0, 5.0),
         }
-        scores = satisfaction(cohort, weights)
+        scores = satisfaction(normalized_qos(cohort), weights)
         expected = sum(w * (1 - w) for w in weights.values()) / 4
-        assert scores[1].overall == pytest.approx(expected)
-        assert scores[1].overall > 0
+        assert scores[1] == pytest.approx(expected)
+        assert scores[1] > 0
 
     def test_zero_spread_metric_normalizes_to_one(self):
         cohort = {1: QosVector(5, 1, 1, 1), 2: QosVector(5, 2, 2, 2)}
@@ -423,7 +423,7 @@ class TestSatisfaction:
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(ValueError):
-            satisfaction({}, EQUAL_WEIGHTS)
+            satisfaction(normalized_qos({}), EQUAL_WEIGHTS)
 
     def test_invariant_under_affine_raw_transforms(self):
         rng = random.Random(41)
@@ -433,7 +433,7 @@ class TestSatisfaction:
                 for pid in range(1, 5)
             }
             weights = normalize_weights({m: rng.uniform(0.1, 1) for m in QOS_METRICS})
-            base = satisfaction(cohort, weights)
+            base = satisfaction(normalized_qos(cohort), weights)
             a, b = rng.uniform(0.5, 3), rng.uniform(-5, 5)
             shifted = {
                 pid: QosVector(
@@ -444,6 +444,6 @@ class TestSatisfaction:
                 )
                 for pid, q in cohort.items()
             }
-            transformed = satisfaction(shifted, weights)
+            transformed = satisfaction(normalized_qos(shifted), weights)
             for pid in cohort:
-                assert transformed[pid].overall == pytest.approx(base[pid].overall, abs=1e-12)
+                assert transformed[pid] == pytest.approx(base[pid], abs=1e-12)
