@@ -47,7 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--charging-companies", type=int, default=5)
     run.add_argument("--out", type=Path, help="directory for per_request.csv, summary.csv, manifest.json")
     run.add_argument("--config", type=Path, help="JSON file overriding energy/composition defaults")
-    run.add_argument("--wallclock", action="store_true", help="also record wall-clock seconds per request")
+    run.add_argument(
+        "--wallclock",
+        action="store_true",
+        help="record in wall_s the seconds spent composing each request's cohort union "
+        "(0.0 without this flag)",
+    )
 
     synth = sub.add_parser("synth-network", help="generate and dump a synthetic skyway network")
     synth.add_argument("--nodes", type=int, required=True)

@@ -5,11 +5,23 @@ comparison, k-percent sweep and vote-count-system comparison. Every run is a
 pure function of its config, and the emitted CSV bytes are identical across
 repeat runs.
 
+Each request that passes the filter runs in three stages:
+
+1. select the cohort of every (strategy, k) pair; pruning never reads a
+   composition outcome;
+2. compose the union of the cohorts, each provider once, in filtered order;
+3. vote and score per cohort, reusing the union's outcomes.
+
+Only when no cohort member composes successfully are the remaining filtered
+providers composed, in filtered order, up to the first success: the request is
+then served with no rows, and unserved if none succeeds. A strategy's proxy
+time only counts its own cohort's evaluations plus its scoring work.
+
 Satisfaction expectations are derived from the cohort the broker actually
 composed and voted over (the pruned survivors), so a strategy is judged against
-the field it offered the consumer. Each provider is composed once per request
-and the outcome is reused by every strategy; a strategy's proxy time only
-counts its own cohort's evaluations plus its scoring work.
+the field it offered the consumer. With `measure_wallclock` the `wall_s` column
+holds the seconds of stage 2 (destination tree and the union's compositions);
+otherwise it is 0.0.
 """
 
 from __future__ import annotations
@@ -204,60 +216,71 @@ def _process_request(
     except NoFeasibleProviders:
         return [], "rejected"
 
+    # Stage 1: select every cohort. Pruning reads only the filtered providers,
+    # the request, the grid and the heatmaps, never a composition outcome.
+    cohorts = [
+        (strategy, k, *select_cohort(strategy, filtered, request, grid, heatmaps, cfg.t_paths, k))
+        for strategy in cfg.strategies
+        for k in cfg.k_values
+    ]
+
+    # Stage 2: compose the union of the cohorts, in filtered order. compose
+    # keeps all its mutable state per provider, so skipping one changes no
+    # other provider's outcome.
+    members = {p.provider_id for _strategy, _k, cohort, _ops in cohorts for p in cohort}
     started = time.perf_counter()
     dest_tree = shortest_path_tree(network, request.destination)
-    outcomes = {
-        p.provider_id: compose(
-            p, request, network, cfg.energy, seeds, cfg.composition, dest_tree
-        )
-        for p in filtered
-    }
+
+    def composed(provider: Provider) -> CompositionOutcome:
+        return compose(provider, request, network, cfg.energy, seeds, cfg.composition, dest_tree)
+
+    outcomes = {p.provider_id: composed(p) for p in filtered if p.provider_id in members}
     wall_s = time.perf_counter() - started if cfg.measure_wallclock else 0.0
 
     if not any(o.success for o in outcomes.values()):
-        return [], "unserved"
+        # No cohort has a success, so there are no rows; the request is still
+        # served if some pruned-away provider can fly it.
+        rest = (p for p in filtered if p.provider_id not in members)
+        return [], "served" if any(composed(p).success for p in rest) else "unserved"
 
+    # Stage 3: vote and score per cohort.
     rows = []
-    for strategy in cfg.strategies:
-        for k in cfg.k_values:
-            cohort, scoring_ops = select_cohort(
-                strategy, filtered, request, grid, heatmaps, cfg.t_paths, k
-            )
-            cohort_outcomes = [outcomes[p.provider_id] for p in cohort]
-            successes = [o for o in cohort_outcomes if o.success]
-            proxy = scoring_ops + sum(o.evaluations for o in cohort_outcomes)
-            if not successes:
-                continue
-            cohort_pqos = {o.provider_id: o.pqos for o in successes}
-            nhat_table = normalized_qos(cohort_pqos)
-            sat_table = satisfaction(nhat_table, request.qos_weights)
-            ballots = build_ballots(successes, request.qos_weights)
-            for method in cfg.voting_methods:
-                winner, ops, paradox = _run_method(method, ballots, successes, request, seeds)
-                pqos = outcomes[winner].pqos
-                row = {
-                    "seed": cfg.seed,
-                    "request_id": request.request_id,
-                    "strategy": strategy,
-                    "k_percent": k,
-                    "method": method,
-                    "winner": winner,
-                    "cohort_size": len(cohort_outcomes),
-                    "cohort_successes": len(successes),
-                    "delivery_time": pqos.delivery_time,
-                    "energy": pqos.energy,
-                    "cost": pqos.cost,
-                    "execution_time": pqos.execution_time,
-                    "satisfaction": sat_table[winner],
-                    "proxy_time": proxy,
-                    "recommend_ops": ops,
-                    "paradox": int(paradox),
-                    "wall_s": wall_s,
-                }
-                for m in QOS_METRICS:
-                    row[f"nhat_{m}"] = nhat_table[winner][m]
-                    row[f"w_{m}"] = request.qos_weights[m]
-                rows.append(row)
+    for strategy, k, cohort, scoring_ops in cohorts:
+        cohort_outcomes = [outcomes[p.provider_id] for p in cohort]
+        successes = [o for o in cohort_outcomes if o.success]
+        proxy = scoring_ops + sum(o.evaluations for o in cohort_outcomes)
+        if not successes:
+            continue
+        cohort_pqos = {o.provider_id: o.pqos for o in successes}
+        nhat_table = normalized_qos(cohort_pqos)
+        sat_table = satisfaction(nhat_table, request.qos_weights)
+        ballots = build_ballots(successes, request.qos_weights)
+        for method in cfg.voting_methods:
+            winner, ops, paradox = _run_method(method, ballots, successes, request, seeds)
+            pqos = outcomes[winner].pqos
+            row = {
+                "seed": cfg.seed,
+                "request_id": request.request_id,
+                "strategy": strategy,
+                "k_percent": k,
+                "method": method,
+                "winner": winner,
+                "cohort_size": len(cohort_outcomes),
+                "cohort_successes": len(successes),
+                "delivery_time": pqos.delivery_time,
+                "energy": pqos.energy,
+                "cost": pqos.cost,
+                "execution_time": pqos.execution_time,
+                "satisfaction": sat_table[winner],
+                "proxy_time": proxy,
+                "recommend_ops": ops,
+                "paradox": int(paradox),
+                "wall_s": wall_s,
+            }
+            for m in QOS_METRICS:
+                row[f"nhat_{m}"] = nhat_table[winner][m]
+                row[f"w_{m}"] = request.qos_weights[m]
+            rows.append(row)
     return rows, "served"
 
 

@@ -247,11 +247,25 @@ def dump_network(network: SkywayNetwork) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def _integral(value: object) -> int:
+    """An integer field of a dump: an int, or a float with an integral value.
+    Bools, strings and other floats are refused, so a loaded dump re-dumps
+    with plain ints."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def load_network_dump(text: str) -> SkywayNetwork:
     try:
         payload = json.loads(text)
-        nodes = [SkywayNode(int(i), float(x), float(y), int(o), int(p)) for i, x, y, o, p in payload["nodes"]]
-        return SkywayNetwork(nodes, payload["edges"])
+        nodes = [
+            SkywayNode(_integral(i), float(x), float(y), _integral(o), _integral(p))
+            for i, x, y, o, p in payload["nodes"]
+        ]
+        return SkywayNetwork(nodes, [(_integral(a), _integral(b)) for a, b in payload["edges"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed network dump: {exc}") from None
 

@@ -1,7 +1,8 @@
-"""Byte contract: three benchmark configs still write their pinned output bytes.
+"""Byte contract: fixed configs still write their pinned output bytes.
 
-The configs and the sha256 digests come from brokerbench/workloads.py and
-brokerbench/expected.json; this test only reads them. per_request.csv carries
+Three benchmark configs take their configs and sha256 digests from
+brokerbench/workloads.py and brokerbench/expected.json; this test only reads
+them; two pruned configs are pinned below. per_request.csv carries
 execution_time and proxy_time, so the digests also pin the evaluation cost
 model. sweep is the config that pins candidate scoring's charging estimates:
 pricing the estimated top-up at the drawn queue instead of the expected one
@@ -30,3 +31,36 @@ def test_seed_one_outputs_match_pinned_digests(workload, tmp_path):
         for name in EXPECTED[workload]["1"]
     }
     assert digests == EXPECTED[workload]["1"]
+
+
+# Configs without the brute strategy, where pruning keeps some providers out of
+# every cohort, so a slip in composing only the cohort union shows here. The
+# digests were taken from the request pipeline that composed every filtered
+# provider. "fallback" holds an unserved request and one served only by a
+# provider outside every cohort.
+PRUNED_CONFIGS = {
+    "density": (
+        dict(seed=1, synthetic_nodes=100, n_requests=20, strategies=("density",), k_values=(30.0, 50.0, 70.0)),
+        {
+            "per_request.csv": "df2b65309b299bc0d6854e93a084ea39a422300a3495c9d7232938eb5a062fc9",
+            "summary.csv": "dd1031242b2c9ba288cced4938d2e5000644d9da82b5ccf26f88e764d6f9a674",
+            "manifest.json": "4cb62c708c98ce7ee14484a079a19e811d63874fa477b7cbb1defc334ca29282",
+        },
+    ),
+    "fallback": (
+        dict(seed=14, synthetic_nodes=40, n_providers=6, n_requests=8, strategies=("density",), k_values=(70.0,)),
+        {
+            "per_request.csv": "4aed1b364f5249e7aca143976a481ed4e5dbadd2011c07ffbcc9714f585dfceb",
+            "summary.csv": "a1f7ac78c513ed66d27c4d679997d3212d261ad9e0cee9808c3c5741e4e2a1f8",
+            "manifest.json": "7e696362f39a9a35e617c3589bb28da043ed2f25dde3b6aabd679cdb2715427f",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_CONFIGS))
+def test_pruned_outputs_match_pinned_digests(name, tmp_path):
+    config, expected = PRUNED_CONFIGS[name]
+    run_experiment(ExperimentConfig(**config), tmp_path)
+    digests = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in expected}
+    assert digests == expected

@@ -3,12 +3,14 @@ import math
 import random
 import statistics
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
+import skybroker.harness as harness
 from skybroker.cli import main as cli_main
-from skybroker.config import ConfigurationError
-from skybroker.domain import QOS_METRICS, ScenarioLimits
+from skybroker.config import ConfigurationError, Seeds
+from skybroker.domain import QOS_METRICS, ScenarioLimits, generate_scenario
 from skybroker.harness import (
     ExperimentConfig,
     aggregate,
@@ -17,7 +19,15 @@ from skybroker.harness import (
     run_experiment,
     spearman,
 )
-from skybroker.network import dump_network, load_network_dump, network_to_streams, synthetic_network
+from skybroker.network import (
+    build_all_heatmaps,
+    build_region_grid,
+    dump_network,
+    load_network_dump,
+    network_to_streams,
+    synthetic_network,
+)
+from skybroker.recommend import VOTING_METHODS
 
 
 def small_config(**overrides):
@@ -161,6 +171,153 @@ class TestRunExperiment:
     def test_wallclock_mode_fills_column(self):
         result = run_experiment(small_config(n_requests=2, measure_wallclock=True))
         assert any(row["wall_s"] > 0 for row in result.rows)
+
+
+def eager_process_request(request, providers, network, grid, heatmaps, seeds, cfg):
+    """The request pipeline before lazy composition, kept as the oracle: every
+    filtered provider is composed before any cohort is selected."""
+    try:
+        filtered = harness.filter_providers(providers, request)
+    except harness.NoFeasibleProviders:
+        return [], "rejected"
+    dest_tree = harness.shortest_path_tree(network, request.destination)
+    outcomes = {
+        p.provider_id: harness.compose(p, request, network, cfg.energy, seeds, cfg.composition, dest_tree)
+        for p in filtered
+    }
+    if not any(o.success for o in outcomes.values()):
+        return [], "unserved"
+    rows = []
+    for strategy in cfg.strategies:
+        for k in cfg.k_values:
+            cohort, scoring_ops = harness.select_cohort(
+                strategy, filtered, request, grid, heatmaps, cfg.t_paths, k
+            )
+            cohort_outcomes = [outcomes[p.provider_id] for p in cohort]
+            successes = [o for o in cohort_outcomes if o.success]
+            proxy = scoring_ops + sum(o.evaluations for o in cohort_outcomes)
+            if not successes:
+                continue
+            nhat_table = harness.normalized_qos({o.provider_id: o.pqos for o in successes})
+            sat_table = harness.satisfaction(nhat_table, request.qos_weights)
+            ballots = harness.build_ballots(successes, request.qos_weights)
+            for method in cfg.voting_methods:
+                winner, ops, paradox = harness._run_method(method, ballots, successes, request, seeds)
+                pqos = outcomes[winner].pqos
+                row = {
+                    "seed": cfg.seed,
+                    "request_id": request.request_id,
+                    "strategy": strategy,
+                    "k_percent": k,
+                    "method": method,
+                    "winner": winner,
+                    "cohort_size": len(cohort_outcomes),
+                    "cohort_successes": len(successes),
+                    "delivery_time": pqos.delivery_time,
+                    "energy": pqos.energy,
+                    "cost": pqos.cost,
+                    "execution_time": pqos.execution_time,
+                    "satisfaction": sat_table[winner],
+                    "proxy_time": proxy,
+                    "recommend_ops": ops,
+                    "paradox": int(paradox),
+                    "wall_s": 0.0,
+                }
+                for m in QOS_METRICS:
+                    row[f"nhat_{m}"] = nhat_table[winner][m]
+                    row[f"w_{m}"] = request.qos_weights[m]
+                rows.append(row)
+    return rows, "served"
+
+
+def pipeline_inputs(cfg):
+    """The requests of cfg and the remaining arguments of _process_request."""
+    network = build_network(cfg)
+    grid = build_region_grid(network, cfg.grid_resolution)
+    heatmaps = build_all_heatmaps(network, grid)
+    providers, requests = generate_scenario(
+        cfg.seed, network, cfg.n_providers, cfg.n_requests, cfg.limits, cfg.ranges
+    )
+    return requests, (providers, network, grid, heatmaps, Seeds.from_master(cfg.seed), cfg)
+
+
+def tiny_config(seed, strategies, k_values, **overrides):
+    return ExperimentConfig(
+        seed=seed, synthetic_nodes=40, n_providers=6, n_requests=8,
+        strategies=strategies, k_values=k_values, **overrides,
+    )
+
+
+# Seeds 14, 16 and 23 of the tiny configs hold unserved requests; seeds 15, 25
+# and 29 hold requests that only a provider outside every cohort can serve.
+ORACLE_CONFIGS = [
+    *(tiny_config(s, ("density",), (30.0, 50.0, 70.0)) for s in (1, 14, 25)),
+    *(tiny_config(s, ("capabilities",), (30.0, 60.0)) for s in (2, 16)),
+    *(
+        tiny_config(s, ("capabilities", "density"), (40.0, 70.0), voting_methods=VOTING_METHODS)
+        for s in (15, 23, 29)
+    ),
+    ExperimentConfig(
+        seed=2, synthetic_nodes=100, n_requests=8, strategies=("density",), k_values=(30.0, 50.0, 70.0)
+    ),
+]
+
+
+class TestLazyComposition:
+    def test_matches_eager_oracle_on_every_request(self, monkeypatch):
+        composed = []
+        real_compose = harness.compose
+        monkeypatch.setattr(
+            harness, "compose", lambda p, *rest: composed.append(p) or real_compose(p, *rest)
+        )
+        seen = {"unserved": 0, "served without rows": 0, "skipped a provider": 0}
+        for cfg in ORACLE_CONFIGS:
+            requests, args = pipeline_inputs(cfg)
+            for request in requests:
+                composed.clear()
+                lazy = harness._process_request(request, *args)
+                lazy_calls = len(composed)
+                composed.clear()
+                assert lazy == eager_process_request(request, *args)
+                rows, status = lazy
+                seen["unserved"] += status == "unserved"
+                seen["served without rows"] += status == "served" and not rows
+                seen["skipped a provider"] += lazy_calls < len(composed)
+        assert all(seen.values()), seen
+
+    @pytest.fixture
+    def fallback(self, monkeypatch):
+        """Runs one request where the only cohort is the first two filtered
+        providers and exactly the given providers compose successfully."""
+        requests, args = pipeline_inputs(small_config(strategies=("density",), n_requests=1))
+        index = {p.provider_id: i for i, p in enumerate(args[0])}
+        monkeypatch.setattr(harness, "filter_providers", lambda providers, request: list(providers))
+        monkeypatch.setattr(harness, "select_cohort", lambda strategy, filtered, *rest: (filtered[:2], 0))
+        calls, winners = [], set()
+
+        def fake_compose(provider, *rest):
+            calls.append(index[provider.provider_id])
+            return SimpleNamespace(success=calls[-1] in winners)
+
+        monkeypatch.setattr(harness, "compose", fake_compose)
+
+        def run(*succeeding):
+            calls.clear()
+            winners.clear()
+            winners.update(succeeding)
+            rows, status = harness._process_request(requests[0], *args)
+            return rows, status, list(calls)
+
+        return run
+
+    def test_pruned_away_success_serves_without_rows(self, fallback):
+        assert fallback(4) == ([], "served", [0, 1, 2, 3, 4])
+
+    def test_no_success_anywhere_is_unserved(self, fallback):
+        assert fallback() == ([], "unserved", list(range(8)))
+
+    def test_fallback_stops_at_first_success(self, fallback):
+        assert fallback(2, 5) == ([], "served", [0, 1, 2])
 
 
 class TestBuildNetwork:

@@ -109,11 +109,24 @@ class TestCanonicalDump:
             ([], "at least one node"),
             ([[1, float("nan"), 0, 1, 1]], "finite"),
             ([[1, 0, 0, 1, 0]], "pad_count"),
+            ([[True, 0, 0, 1, 1]], "expected an integer, got True"),
+            ([[1.5, 0, 0, 1, 1]], "expected an integer, got 1.5"),
+            ([["1", 0, 0, 1, 1]], "expected an integer, got '1'"),
         ],
     )
     def test_invalid_dump_contents(self, nodes, message):
         with pytest.raises(ParseError, match=message):
             load_network_dump(json.dumps({"nodes": nodes, "edges": []}))
+
+    @pytest.mark.parametrize("edges, bad", [([[True, 2.0]], "True"), ([[1, 2.5]], "2.5")])
+    def test_non_integer_edge_end_rejected(self, edges, bad):
+        nodes = [[1, 0, 0, 1, 1], [2, 30, 40, 1, 1]]
+        with pytest.raises(ParseError, match=f"expected an integer, got {bad}"):
+            load_network_dump(json.dumps({"nodes": nodes, "edges": edges}))
+
+    def test_integral_floats_load_as_ints(self):
+        net = load_network_dump('{"nodes": [[1.0, 0, 0, 1, 1], [2, 30, 40, 1.0, 2.0]], "edges": [[2.0, 1]]}')
+        assert dump_network(net) == '{"nodes":[[1,0.0,0.0,1,1],[2,30.0,40.0,1,2]],"edges":[[1,2]]}'
 
 
 @st.composite
@@ -148,8 +161,19 @@ dump_blobs = st.one_of(
 )
 
 
+def assert_canonical(net):
+    """The dump of net holds plain ints and loads back to net, whose dump it is again."""
+    blob = dump_network(net)
+    payload = json.loads(blob)
+    integers = [v for n in payload["nodes"] for v in (n[0], n[3], n[4])] + sum(payload["edges"], [])
+    assert all(type(v) is int for v in integers)
+    again = load_network_dump(blob)
+    assert again == net and dump_network(again) == blob
+
+
 class TestLoaderFuzz:
-    """Both loaders either return a network or raise ParseError, nothing else."""
+    """Both loaders either return a network or raise ParseError, nothing else,
+    and a loaded dump re-dumps canonically."""
 
     @given(fuzzed_networks(odd_tokens).map(as_text))
     @settings(max_examples=300, deadline=None)
@@ -165,9 +189,32 @@ class TestLoaderFuzz:
     @settings(max_examples=300, deadline=None)
     def test_dump_blob(self, blob):
         try:
-            load_network_dump(blob)
+            net = load_network_dump(blob)
         except ParseError:
-            pass
+            return
+        assert_canonical(net)
+
+    @given(st.integers(1, 20), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_dump_ids_in_other_json_forms(self, seed, data):
+        """Integers spelled as integral floats load as the same network; one
+        spelled as a bool or a fraction is refused."""
+        net = synthetic_network(seed, 6)
+        payload = json.loads(dump_network(net))
+        fields = [(n, i) for n in payload["nodes"] for i in (0, 3, 4)]
+        fields += [(e, i) for e in payload["edges"] for i in (0, 1)]
+        for record, i in fields:
+            record[i] = data.draw(st.sampled_from([record[i], float(record[i])]))
+        odd = data.draw(st.lists(st.sampled_from(fields), max_size=2))
+        for record, i in odd:
+            record[i] = data.draw(st.sampled_from([True, False, int(record[i]) + 0.5]))
+        try:
+            loaded = load_network_dump(json.dumps(payload))
+        except ParseError:
+            assert odd
+            return
+        assert not odd and loaded == net
+        assert_canonical(loaded)
 
 
 class TestSegmentInvariants:
