@@ -13,6 +13,13 @@ length. A dynamic swarm splits once, at the first congested decision node, into
 two sub-swarms that continue independently and must arrive within a bounded
 time window.
 
+Capacity: each drone carries one package, heaviest first (``assign_packages``
+refuses more packages than drones), and only loaded drones fly, so loads never
+increase along the drone list. A split never folds back: each half's drone in
+slot j is no heavier than the whole swarm's, so both halves can fly the legs
+``viable_candidates`` checked for the whole swarm. Only the committed direct
+path checks capacity in flight, since its later legs fall in later wind slices.
+
 Loop-freedom: greedy moves (splits included) only go to unvisited nodes, so
 they never revisit a node. The committed direct path follows the
 shortest-path tree without regard to ``visited``, so it may pass through nodes
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .config import CompositionConfig, EnergyModelConfig, Seeds, mix64
@@ -77,7 +84,6 @@ class DroneState:
 
     drone_id: int
     battery_capacity: float
-    payload_capacity: float
     speed: float
     current_energy: float
     assigned_payload: float
@@ -180,7 +186,7 @@ def prepare_composition(
     swarm = assign_packages(provider.swarm, request.packages)
     # one package per drone: drones without a package would fly empty, so only
     # the loaded ones are dispatched for the request
-    dispatched = [d for d in swarm.drones if d.assigned_payload > 0] or [swarm.drones[0]]
+    dispatched = swarm.drones[: len(request.packages)]
     dist, parent = dest_tree if dest_tree is not None else shortest_path_tree(network, request.destination)
     ctx = CompositionContext(
         network=network,
@@ -202,7 +208,6 @@ def prepare_composition(
             DroneState(
                 drone_id=d.drone_id,
                 battery_capacity=d.battery_capacity,
-                payload_capacity=d.payload_capacity,
                 speed=d.speed,
                 current_energy=d.current_energy,
                 assigned_payload=d.assigned_payload,
@@ -277,7 +282,11 @@ def _tops_up(
 
 
 def _charge_targets(
-    drones: Sequence[DroneState], leg: _Leg, ctx: CompositionContext, remaining_m: float | None
+    drones: Sequence[DroneState],
+    energies: Iterable[float],
+    leg: _Leg,
+    ctx: CompositionContext,
+    remaining_m: float | None,
 ) -> list[float]:
     """Per-drone charge targets before flying the leg, following the swarm's policy.
 
@@ -289,17 +298,18 @@ def _charge_targets(
     if not ctx.cooperative:
         return [d.battery_capacity for d in drones]
     targets = []
-    for drone, need in zip(drones, leg.energies):
+    for drone, held, need in zip(drones, energies, leg.energies):
         if remaining_m is not None:
             power_w = ctx.energy.base_power_w + ctx.energy.payload_power_coeff_w_per_kg * drone.assigned_payload
             need = max(need, power_w * (remaining_m / drone.speed) / 3600.0)
         target = min(drone.battery_capacity, need * (1.0 + ctx.energy.cooperative_margin))
-        targets.append(max(drone.current_energy, target))
+        targets.append(max(held, target))
     return targets
 
 
 def _price_stop(
     drones: Sequence[DroneState],
+    energies: Sequence[float],
     node_id: int,
     targets: Sequence[float],
     ctx: CompositionContext,
@@ -308,11 +318,14 @@ def _price_stop(
     """Price a charging stop at node_id (drawn queue if None); one evaluation per drone."""
     ctx.evaluations += len(drones)
     node, partnership = ctx.network.node(node_id), ctx.provider.partnership
-    return node_service_time(drones, node, targets, partnership, ctx.congestion_seed, ctx.energy, queue_override=queue)
+    return node_service_time(drones, energies, node, targets, partnership, ctx.congestion_seed, ctx.energy, queue)
 
 
-def _charge(state: SubSwarmState, node_id: int, targets: Sequence[float], ctx: CompositionContext) -> None:
-    service = _price_stop(state.drones, node_id, targets, ctx)
+def _charge(state: SubSwarmState, leg: _Leg, ctx: CompositionContext, remaining_m: float | None) -> None:
+    """Charge at the current node to the policy's targets for the leg and remaining_m."""
+    held = [d.current_energy for d in state.drones]
+    targets = _charge_targets(state.drones, held, leg, ctx, remaining_m)
+    service = _price_stop(state.drones, held, state.current_node, targets, ctx)
     state.charge_s += service.charge_s
     state.wait_s += service.wait_s
     state.cost += service.cost
@@ -323,15 +336,11 @@ def _charge(state: SubSwarmState, node_id: int, targets: Sequence[float], ctx: C
             drone.current_energy = target
 
 
-def _traverse(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> bool:
+def _traverse(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> None:
     """Charge as needed at the current node, fly the leg, then top up as the
-    policy says. Returns False when the leg is infeasible outright."""
-    if not _leg_within_capacity(state, leg):
-        state.success = False
-        return False
+    policy says. Every drone can fly the leg on a full battery."""
     if _must_charge((d.current_energy for d in state.drones), leg):
-        remaining_m = ctx.dist_to_dest.get(state.current_node)
-        _charge(state, state.current_node, _charge_targets(state.drones, leg, ctx, remaining_m), ctx)
+        _charge(state, leg, ctx, ctx.dist_to_dest.get(state.current_node))
     for drone, e in zip(state.drones, leg.energies):
         drone.current_energy = max(0.0, drone.current_energy - e)
         drone.consumed += e
@@ -340,8 +349,7 @@ def _traverse(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> bool:
     state.path.append(leg.node)
     state.visited.add(leg.node)
     if _tops_up(state.drones, (d.current_energy for d in state.drones), leg.node, ctx):
-        _charge(state, leg.node, _charge_targets(state.drones, leg, ctx, None), ctx)
-    return True
+        _charge(state, leg, ctx, None)
 
 
 def _direct_ok(state: SubSwarmState, ctx: CompositionContext) -> bool:
@@ -403,11 +411,11 @@ def viable_candidates(state: SubSwarmState, ctx: CompositionContext) -> list[_Le
 
 def _estimate_departure_service(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> NodeService:
     """Exact prediction of the charge incurred at the current node to fly the leg."""
-    if not _must_charge((d.current_energy for d in state.drones), leg):
+    held = [d.current_energy for d in state.drones]
+    if not _must_charge(held, leg):
         return NodeService(0.0, 0.0, 0.0, 0.0)
-    targets = _charge_targets(state.drones, leg, ctx, ctx.dist_to_dest.get(state.current_node))
-    # node_service_time only reads the drones, so the live ones serve as probes
-    return _price_stop(state.drones, state.current_node, targets, ctx, ctx.energy.queue_draw_max // 2)
+    targets = _charge_targets(state.drones, held, leg, ctx, ctx.dist_to_dest.get(state.current_node))
+    return _price_stop(state.drones, held, state.current_node, targets, ctx, ctx.energy.queue_draw_max // 2)
 
 
 def _estimate_arrival_service(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> NodeService:
@@ -427,8 +435,8 @@ def _estimate_arrival_service(state: SubSwarmState, leg: _Leg, ctx: CompositionC
     expected_q = ctx.energy.queue_draw_max // 2
     if not (_must_charge(post, leg) or _tops_up(state.drones, post, leg.node, ctx, expected_q)):
         return NodeService(0.0, 0.0, 0.0, 0.0)
-    probes = [replace(d, current_energy=p) for d, p in zip(state.drones, post)]
-    service = _price_stop(probes, leg.node, _charge_targets(probes, leg, ctx, None), ctx, expected_q)
+    targets = _charge_targets(state.drones, post, leg, ctx, None)
+    service = _price_stop(state.drones, post, leg.node, targets, ctx, expected_q)
     return NodeService(0.0, service.wait_s, service.energy_wh, service.cost)
 
 
@@ -525,31 +533,21 @@ def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, pending: list[S
             candidates = viable_candidates(state, ctx)
             if len(candidates) >= 2:
                 ranked = score_candidates(state, candidates, ctx)
-                first_target, second_target = ranked[0][1].node, ranked[1][1].node
                 sibling = _split_subswarm(state)
-                leg_a = _leg_info(state, node, first_target, ctx)
-                leg_b = _leg_info(sibling, node, second_target, ctx)
-                if _leg_within_capacity(state, leg_a) and _leg_within_capacity(sibling, leg_b):
-                    ctx.split_done = True
-                    moved = _traverse(state, leg_a, ctx)
-                    _traverse(sibling, leg_b, ctx)
-                    pending.append(sibling)
-                    if not moved:
-                        return
-                    continue
-                # fold the split back when a half cannot fly its leg at its new
-                # slots. This needs a drone carrying two packages (more packages
-                # than drones), so that a heavier load sits in a later, cheaper
-                # slot; filter_providers rules such requests out in the harness,
-                # but compose itself accepts them.
-                state.drones = state.drones + sibling.drones
-                state.legs = {}
+                ctx.split_done = True
+                _traverse(state, _leg_info(state, node, ranked[0][1].node, ctx), ctx)
+                _traverse(sibling, _leg_info(sibling, node, ranked[1][1].node, ctx), ctx)
+                pending.append(sibling)
+                continue
 
         if _direct_ok(state, ctx):
             path = tree_path(ctx.parent_to_dest, node)
             for a, b in zip(path, path[1:]):
-                if not _traverse(state, _leg_info(state, a, b, ctx), ctx):
+                leg = _leg_info(state, a, b, ctx)
+                if not _leg_within_capacity(state, leg):
+                    state.success = False
                     return
+                _traverse(state, leg, ctx)
             state.success = True
             return
 
@@ -557,9 +555,7 @@ def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, pending: list[S
         if not candidates:
             state.success = False
             return
-        ranked = score_candidates(state, candidates, ctx)
-        if not _traverse(state, ranked[0][1], ctx):
-            return
+        _traverse(state, score_candidates(state, candidates, ctx)[0][1], ctx)
 
 
 def compose(

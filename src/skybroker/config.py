@@ -87,6 +87,12 @@ class EnergyModelConfig:
             raise ConfigurationError("queue_draw_max must be non-negative")
         if self.exogenous_service_s < 0:
             raise ConfigurationError("exogenous_service_s must be non-negative")
+        if self.non_partner_price_per_kwh <= 0:
+            raise ConfigurationError("non_partner_price_per_kwh must be positive")
+        if self.wind_max_speed < 0 or self.wind_slice_s <= 0:
+            raise ConfigurationError("wind_max_speed must be non-negative and wind_slice_s positive")
+        if self.et_flexible_factor <= 0 or self.et_dynamic_factor <= 0:
+            raise ConfigurationError("execution-time factors must be positive")
         missing = [f.value for f in FORMATIONS if f not in self.formation_factors]
         if missing:
             raise ConfigurationError(f"formation_factors missing formations: {missing}")

@@ -223,17 +223,14 @@ class QosVector:
 
 
 def assign_packages(swarm: Swarm, packages: Sequence[float]) -> Swarm:
-    """Assign package weights to drones, heaviest first onto the least-loaded drone.
-
-    With at most one package per drone (guaranteed once capability filtering has
-    passed) this spreads packages across empty drones in descending weight order.
-    """
-    loads = [0.0] * swarm.size
-    for weight in sorted(packages, reverse=True):
-        slot = min(range(swarm.size), key=lambda i: (loads[i], i))
-        loads[slot] += weight
-    drones = tuple(replace(d, assigned_payload=loads[i]) for i, d in enumerate(swarm.drones))
-    return replace(swarm, drones=drones)
+    """One package per drone: drone i carries the i-th heaviest package and the
+    drones after the last package carry nothing, so loads never increase along
+    the swarm. More packages than drones raise ValueError (filter_providers
+    rules such providers out before composition)."""
+    if len(packages) > swarm.size:
+        raise ValueError(f"{len(packages)} packages need one drone each, the swarm has {swarm.size}")
+    loads = sorted(map(float, packages), reverse=True) + [0.0] * (swarm.size - len(packages))
+    return replace(swarm, drones=tuple(replace(d, assigned_payload=w) for d, w in zip(swarm.drones, loads)))
 
 
 @dataclass(frozen=True)

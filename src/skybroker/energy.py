@@ -19,7 +19,6 @@ TWO_PI = 2.0 * math.pi
 
 class EnergyState(Protocol):
     battery_capacity: float
-    current_energy: float
     assigned_payload: float
     speed: float
 
@@ -127,14 +126,16 @@ class NodeService(NamedTuple):
 
 def node_service_time(
     drones: Sequence[EnergyState],
+    energies: Sequence[float],
     node: SkywayNode,
     target_energies: Sequence[float],
-    partnership: Partnership | None,
+    partnership: Partnership,
     congestion_seed: int,
     config: EnergyModelConfig,
     queue_override: int | None = None,
 ) -> NodeService:
-    """Simulate one charging stop of the swarm at a node.
+    """Simulate one charging stop of the swarm at a node, each drone charging
+    from the energy it holds to its target.
 
     Drones with a positive deficit occupy pads in batches of pad_count, in
     listed order. Each batch takes (max deficit in batch) / charge_rate. The
@@ -146,17 +147,17 @@ def node_service_time(
     ``queue_override`` replaces the drawn exogenous queue length; planners use
     it to price a stop with the expected queue instead of peeking at the draw.
     """
-    if len(drones) != len(target_energies):
-        raise ValueError("one target energy required per drone")
+    if not len(drones) == len(energies) == len(target_energies):
+        raise ValueError("one held and one target energy required per drone")
     deficits = []
-    for drone, target in zip(drones, target_energies):
+    for drone, held, target in zip(drones, energies, target_energies):
         if target > drone.battery_capacity + 1e-9:
             raise ValueError(
                 f"target energy {target} exceeds battery capacity {drone.battery_capacity}"
             )
-        if target < drone.current_energy - 1e-9:
+        if target < held - 1e-9:
             raise ValueError("target energy below current energy")
-        deficits.append(max(0.0, target - drone.current_energy))
+        deficits.append(max(0.0, target - held))
 
     charging = [d for d in deficits if d > 1e-12]
     if not charging:
@@ -166,7 +167,7 @@ def node_service_time(
         q = queue_override
     else:
         q = queue_length(congestion_seed, node.node_id, config)
-    ahead = partnership.queue_ahead(q, node.station_owner) if partnership else q
+    ahead = partnership.queue_ahead(q, node.station_owner)
     exogenous_wait = math.ceil(ahead / node.pad_count) * config.exogenous_service_s
 
     batch_makespan = 0.0
@@ -177,7 +178,7 @@ def node_service_time(
     wait_s = exogenous_wait + (batch_makespan - charge_s)
 
     energy_wh = sum(charging)
-    if partnership is not None and node.station_owner == partnership.charging_provider_id:
+    if node.station_owner == partnership.charging_provider_id:
         price = partnership.price_per_kwh
     else:
         price = config.non_partner_price_per_kwh

@@ -258,11 +258,18 @@ def _integral(value: object) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _coordinate(value: object) -> float:
+    """A coordinate of a dump: an int or a float. Bools and strings are refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"expected a number, got {value!r}")
+
+
 def load_network_dump(text: str) -> SkywayNetwork:
     try:
         payload = json.loads(text)
         nodes = [
-            SkywayNode(_integral(i), float(x), float(y), _integral(o), _integral(p))
+            SkywayNode(_integral(i), _coordinate(x), _coordinate(y), _integral(o), _integral(p))
             for i, x, y, o, p in payload["nodes"]
         ]
         return SkywayNetwork(nodes, [(_integral(a), _integral(b)) for a, b in payload["edges"]])

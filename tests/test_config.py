@@ -56,6 +56,28 @@ class TestEnergyConfigValidation:
         with pytest.raises(ConfigurationError):
             EnergyModelConfig(charge_rate_w=0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("wind_max_speed", -0.5, "wind_max_speed must be non-negative and wind_slice_s positive"),
+            ("wind_slice_s", 0.0, "wind_max_speed must be non-negative and wind_slice_s positive"),
+            ("wind_slice_s", -600.0, "wind_max_speed must be non-negative and wind_slice_s positive"),
+            ("non_partner_price_per_kwh", 0.0, "non_partner_price_per_kwh must be positive"),
+            ("non_partner_price_per_kwh", -0.3, "non_partner_price_per_kwh must be positive"),
+            ("et_flexible_factor", 0.0, "execution-time factors must be positive"),
+            ("et_flexible_factor", -1.0, "execution-time factors must be positive"),
+            ("et_dynamic_factor", -1.3, "execution-time factors must be positive"),
+        ],
+    )
+    def test_out_of_range_values_fail_fast_from_a_config_file(self, tmp_path, field, value, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"energy": {field: value}}))
+        with pytest.raises(ConfigurationError, match=message):
+            load_config_file(path)
+
+    def test_zero_wind_is_allowed(self):
+        assert EnergyModelConfig(wind_max_speed=0.0).wind_max_speed == 0.0
+
     def test_position_factor_clamps_to_last_slot(self):
         cfg = EnergyModelConfig(position_factors=(1.2, 1.0, 0.9))
         assert cfg.position_factor(0) == 1.2

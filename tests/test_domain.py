@@ -176,8 +176,16 @@ class TestAssignPackages:
             Formation.VEE,
         )
         loaded = assign_packages(swarm, [1.0, 1.5])
-        carrying = [d for d in loaded.drones if d.assigned_payload > 0]
-        assert len(carrying) == 2
+        assert [d.assigned_payload for d in loaded.drones] == [1.5, 1.0, 0.0, 0.0, 0.0]
+
+    def test_more_packages_than_drones_rejected(self):
+        swarm = Swarm(
+            tuple(Drone(i, 50, 3, 10) for i in (1, 2)),
+            frozenset({STATIC, FIXED_FORMATION}),
+            Formation.VEE,
+        )
+        with pytest.raises(ValueError, match="3 packages need one drone each, the swarm has 2"):
+            assign_packages(swarm, [1.0, 1.0, 1.0])
 
 
 class TestGenerateScenario:

@@ -125,10 +125,18 @@ def station(node_id=1, owner=1, pads=4):
     return SkywayNode(node_id, 0.0, 0.0, owner, pads)
 
 
+# a partnership with a charging company that owns none of the test stations
+ELSEWHERE = Partnership.for_tier(99, "gold")
+
+
+def held(drones):
+    return [d.current_energy for d in drones]
+
+
 class TestNodeService:
     def test_parallel_charging_no_wait(self, unit_config):
         drones = [drone(battery=50, current=40) for _ in range(4)]
-        svc = node_service_time(drones, station(pads=4), [50] * 4, None, 0, unit_config)
+        svc = node_service_time(drones, held(drones), station(pads=4), [50] * 4, ELSEWHERE, 0, unit_config)
         assert svc.wait_s == 0.0
         assert svc.charge_s == pytest.approx(3600 * 10 / 100)
         assert svc.energy_wh == pytest.approx(40.0)
@@ -137,7 +145,7 @@ class TestNodeService:
         # 4 drones, 2 pads, equal 10 Wh deficits: two batches of 360 s, so the
         # swarm spends 720 s at the node, half of it waiting
         drones = [drone(battery=50, current=40) for _ in range(4)]
-        svc = node_service_time(drones, station(pads=2), [50] * 4, None, 0, unit_config)
+        svc = node_service_time(drones, held(drones), station(pads=2), [50] * 4, ELSEWHERE, 0, unit_config)
         assert svc.charge_s == pytest.approx(360.0)
         assert svc.wait_s == pytest.approx(360.0)
 
@@ -145,7 +153,7 @@ class TestNodeService:
         drones = [drone(battery=50, current=40)]
         partnership = Partnership.for_tier(1, "platinum")
         svc = node_service_time(
-            drones, station(owner=1, pads=1), [50], partnership, 0, unit_config, queue_override=7
+            drones, held(drones), station(owner=1, pads=1), [50], partnership, 0, unit_config, queue_override=7
         )
         assert svc.wait_s == 0.0
 
@@ -153,7 +161,7 @@ class TestNodeService:
         drones = [drone(battery=50, current=40)]
         gold = Partnership.for_tier(1, "gold")
         svc = node_service_time(
-            drones, station(owner=1, pads=1), [50], gold, 0, unit_config, queue_override=7
+            drones, held(drones), station(owner=1, pads=1), [50], gold, 0, unit_config, queue_override=7
         )
         assert svc.wait_s == pytest.approx(2 * unit_config.exogenous_service_s)
 
@@ -161,7 +169,7 @@ class TestNodeService:
         drones = [drone(battery=50, current=40)]
         gold = Partnership.for_tier(1, "gold")
         svc = node_service_time(
-            drones, station(owner=2, pads=1), [50], gold, 0, unit_config, queue_override=3
+            drones, held(drones), station(owner=2, pads=1), [50], gold, 0, unit_config, queue_override=3
         )
         assert svc.wait_s == pytest.approx(3 * unit_config.exogenous_service_s)
         assert svc.cost == pytest.approx(10 / 1000 * unit_config.non_partner_price_per_kwh)
@@ -169,32 +177,32 @@ class TestNodeService:
     def test_partner_price_at_partner_station(self, unit_config):
         drones = [drone(battery=50, current=40)]
         gold = Partnership.for_tier(1, "gold")
-        svc = node_service_time(drones, station(owner=1), [50], gold, 0, unit_config)
+        svc = node_service_time(drones, held(drones), station(owner=1), [50], gold, 0, unit_config)
         assert svc.cost == pytest.approx(10 / 1000 * gold.price_per_kwh)
 
     def test_target_above_capacity_rejected(self, unit_config):
         with pytest.raises(ValueError, match="capacity"):
-            node_service_time([drone(battery=50)], station(), [51], None, 0, unit_config)
+            node_service_time([drone(battery=50)], [50.0], station(), [51], ELSEWHERE, 0, unit_config)
 
     def test_target_below_current_rejected(self, unit_config):
         with pytest.raises(ValueError, match="below"):
-            node_service_time([drone(battery=50, current=40)], station(), [30], None, 0, unit_config)
+            node_service_time([drone(battery=50, current=40)], [40.0], station(), [30], ELSEWHERE, 0, unit_config)
 
     def test_no_deficit_no_service(self):
         cfg = unit_energy_config(queue_draw_max=4)
         drones = [drone(battery=50, current=50)]
-        svc = node_service_time(drones, station(pads=1), [50], None, 0, cfg)
+        svc = node_service_time(drones, held(drones), station(pads=1), [50], ELSEWHERE, 0, cfg)
         assert svc == (0.0, 0.0, 0.0, 0.0)
 
     def test_zero_cost_when_nothing_purchased(self, unit_config):
         drones = [drone(battery=50, current=50)]
-        svc = node_service_time(drones, station(), [50], None, 0, unit_config)
+        svc = node_service_time(drones, held(drones), station(), [50], ELSEWHERE, 0, unit_config)
         assert svc.cost == 0.0
 
     @pytest.mark.parametrize("pads", [1, 2, 3, 4, 8])
     def test_queue_conservation_energy_invariant_of_pads(self, pads, unit_config):
         drones = [drone(battery=50, current=30 + i) for i in range(5)]
-        svc = node_service_time(drones, station(pads=pads), [50] * 5, None, 0, unit_config)
+        svc = node_service_time(drones, held(drones), station(pads=pads), [50] * 5, ELSEWHERE, 0, unit_config)
         # pad count changes wall clock, never the energy purchased; total pad
         # occupancy is the purchased energy over the charge rate
         assert svc.energy_wh == pytest.approx(sum(50 - (30 + i) for i in range(5)))
@@ -203,7 +211,7 @@ class TestNodeService:
 
     def test_enough_pads_and_empty_queue_no_wait(self, unit_config):
         drones = [drone(battery=50, current=20 + i) for i in range(3)]
-        svc = node_service_time(drones, station(pads=3), [50] * 3, None, 0, unit_config)
+        svc = node_service_time(drones, held(drones), station(pads=3), [50] * 3, ELSEWHERE, 0, unit_config)
         assert svc.wait_s == 0.0
 
     def test_queue_length_deterministic_within_bounds(self):
@@ -219,7 +227,7 @@ def cooperative_target(need, config, battery=50.0):
     leg needs `need` Wh."""
     ctx = SimpleNamespace(cooperative=True, energy=config)
     leg = SimpleNamespace(energies=(need,))
-    return _charge_targets([drone(battery=battery, current=0.0)], leg, ctx, None)[0]
+    return _charge_targets([drone(battery=battery, current=0.0)], [0.0], leg, ctx, None)[0]
 
 
 class TestCooperativeTarget:

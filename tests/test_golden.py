@@ -2,7 +2,8 @@
 
 Three benchmark configs take their configs and sha256 digests from
 brokerbench/workloads.py and brokerbench/expected.json; this test only reads
-them; two pruned configs are pinned below. per_request.csv carries
+them; two pruned configs and one with rising position factors are pinned
+below. per_request.csv carries
 execution_time and proxy_time, so the digests also pin the evaluation cost
 model. sweep is the config that pins candidate scoring's charging estimates:
 pricing the estimated top-up at the drawn queue instead of the expected one
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from skybroker.config import EnergyModelConfig
 from skybroker.harness import ExperimentConfig, run_experiment
 
 BENCH = Path(__file__).resolve().parent.parent / "brokerbench"
@@ -61,6 +63,34 @@ PRUNED_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(PRUNED_CONFIGS))
 def test_pruned_outputs_match_pinned_digests(name, tmp_path):
     config, expected = PRUNED_CONFIGS[name]
+    run_experiment(ExperimentConfig(**config), tmp_path)
+    digests = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in expected}
+    assert digests == expected
+
+
+# Position factors that rise along the swarm make the later slots dearer, the
+# case in which a split half was once thought unable to fly its leg. The
+# config splits 81 times; its digests were taken from the composer that still
+# checked each split and could fold it back.
+RISING_SLOTS = (
+    dict(
+        seed=1,
+        synthetic_nodes=60,
+        n_requests=20,
+        strategies=("brute", "density"),
+        voting_methods=("irv", "borda"),
+        energy=EnergyModelConfig(position_factors=(0.9, 1.0, 1.1, 1.2)),
+    ),
+    {
+        "per_request.csv": "b1b2c9484b7076f82036204b9f6593441e94a93ffe14664ae498541dbbd22034",
+        "summary.csv": "2bbce118a8e29b325a81701bcfcd1ddfbfe3b697248f61b660a655032becffe8",
+        "manifest.json": "993a0a75cc96095964514d407e385afaf67adf85d7dc3734615639c0689b6b12",
+    },
+)
+
+
+def test_rising_position_factors_match_pinned_digests(tmp_path):
+    config, expected = RISING_SLOTS
     run_experiment(ExperimentConfig(**config), tmp_path)
     digests = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in expected}
     assert digests == expected

@@ -112,6 +112,9 @@ class TestCanonicalDump:
             ([[True, 0, 0, 1, 1]], "expected an integer, got True"),
             ([[1.5, 0, 0, 1, 1]], "expected an integer, got 1.5"),
             ([["1", 0, 0, 1, 1]], "expected an integer, got '1'"),
+            ([[1, True, 5, 1, 1]], "expected a number, got True"),
+            ([[1, 1, "5", 1, 1]], "expected a number, got '5'"),
+            ([[1, None, 5, 1, 1]], "expected a number, got None"),
         ],
     )
     def test_invalid_dump_contents(self, nodes, message):
@@ -197,17 +200,21 @@ class TestLoaderFuzz:
     @given(st.integers(1, 20), st.data())
     @settings(max_examples=100, deadline=None)
     def test_dump_ids_in_other_json_forms(self, seed, data):
-        """Integers spelled as integral floats load as the same network; one
-        spelled as a bool or a fraction is refused."""
+        """Integers spelled as integral floats load as the same network; an
+        integer spelled as a bool, a string or a fraction, or a coordinate
+        spelled as a bool or a string, is refused."""
         net = synthetic_network(seed, 6)
         payload = json.loads(dump_network(net))
-        fields = [(n, i) for n in payload["nodes"] for i in (0, 3, 4)]
-        fields += [(e, i) for e in payload["edges"] for i in (0, 1)]
-        for record, i in fields:
+        ints = [(n, i) for n in payload["nodes"] for i in (0, 3, 4)]
+        ints += [(e, i) for e in payload["edges"] for i in (0, 1)]
+        for record, i in ints:
             record[i] = data.draw(st.sampled_from([record[i], float(record[i])]))
+        fields = [(r, i, [int(r[i]) + 0.5]) for r, i in ints]
+        fields += [(n, i, []) for n in payload["nodes"] for i in (1, 2)]
         odd = data.draw(st.lists(st.sampled_from(fields), max_size=2))
-        for record, i in odd:
-            record[i] = data.draw(st.sampled_from([True, False, int(record[i]) + 0.5]))
+        spellings = [data.draw(st.sampled_from([True, False, str(r[i]), *fractions])) for r, i, fractions in odd]
+        for (record, i, _), spelling in zip(odd, spellings):
+            record[i] = spelling
         try:
             loaded = load_network_dump(json.dumps(payload))
         except ParseError:
