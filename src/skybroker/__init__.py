@@ -24,7 +24,6 @@ from .domain import (
     QOS_METRICS,
     CapabilityRanges,
     DeliveryRequest,
-    Drone,
     Formation,
     Partnership,
     Provider,
@@ -37,7 +36,6 @@ from .domain import (
 )
 from .energy import (
     NodeService,
-    Wind,
     WindField,
     best_formation,
     execution_time_proxy,

@@ -13,9 +13,11 @@ length. A dynamic swarm splits once, at the first congested decision node, into
 two sub-swarms that continue independently and must arrive within a bounded
 time window.
 
-Capacity: each drone carries one package, heaviest first (``assign_packages``
-refuses more packages than drones), and only loaded drones fly, so loads never
-increase along the drone list. A split never folds back: each half's drone in
+Capacity: the swarm is one spec (battery, payload, speed) times its size. Each
+drone carries one package, heaviest first (``assign_packages`` refuses more
+packages than drones and any package over the payload capacity), and only
+loaded drones fly, each starting on a full battery, so loads never increase
+along the drone list. A split never folds back: each half's drone in
 slot j is no heavier than the whole swarm's, so both halves can fly the legs
 ``viable_candidates`` checked for the whole swarm. Only the committed direct
 path checks capacity in flight, since its later legs fall in later wind slices.
@@ -80,14 +82,13 @@ _EPS = 1e-9
 
 @dataclass
 class DroneState:
-    """Mutable per-composition copy of one drone, tracking its energy ledger."""
+    """Mutable per-composition state of one dispatched drone, tracking its energy ledger."""
 
     drone_id: int
     battery_capacity: float
     speed: float
     current_energy: float
     assigned_payload: float
-    initial_energy: float
     consumed: float = 0.0
     purchased: float = 0.0
 
@@ -145,8 +146,6 @@ class CompositionContext:
 class _Leg:
     node: int
     length: float
-    formation: Formation
-    sector: int
     energies: tuple[float, ...]
 
 
@@ -163,7 +162,8 @@ class CompositionOutcome:
     travel_s: float
     charge_s: float
     wait_s: float
-    # per drone: (drone_id, initial_energy, consumed, purchased, final_energy)
+    # per drone: (drone_id, battery_capacity, consumed, purchased, final_energy);
+    # every drone starts on a full battery
     energy_ledger: tuple[tuple[int, float, float, float, float], ...]
 
 
@@ -183,10 +183,10 @@ def prepare_composition(
     for endpoint in (request.source, request.destination):
         if endpoint not in network.nodes:
             raise ValueError(f"request endpoint {endpoint} is not a network node")
-    swarm = assign_packages(provider.swarm, request.packages)
+    swarm = provider.swarm
     # one package per drone: drones without a package would fly empty, so only
     # the loaded ones are dispatched for the request
-    dispatched = swarm.drones[: len(request.packages)]
+    loads = assign_packages(swarm, request.packages)[: len(request.packages)]
     dist, parent = dest_tree if dest_tree is not None else shortest_path_tree(network, request.destination)
     ctx = CompositionContext(
         network=network,
@@ -194,7 +194,7 @@ def prepare_composition(
         provider=provider,
         energy=energy_config,
         comp=comp_config,
-        wind=WindField.from_config(seeds.wind, energy_config),
+        wind=WindField(seeds.wind, energy_config.wind_slice_s),
         congestion_seed=mix64(seeds.congestion, request.request_id),
         dist_to_dest=dist,
         parent_to_dest=parent,
@@ -206,14 +206,13 @@ def prepare_composition(
     state = SubSwarmState(
         drones=[
             DroneState(
-                drone_id=d.drone_id,
-                battery_capacity=d.battery_capacity,
-                speed=d.speed,
-                current_energy=d.current_energy,
-                assigned_payload=d.assigned_payload,
-                initial_energy=d.current_energy,
+                drone_id=i,
+                battery_capacity=swarm.battery_capacity,
+                speed=swarm.speed,
+                current_energy=swarm.battery_capacity,
+                assigned_payload=load,
             )
-            for d in dispatched
+            for i, load in enumerate(loads, start=1)
         ],
         path=[request.source],
         visited={request.source},
@@ -229,8 +228,7 @@ def _leg_info(state: SubSwarmState, a: int, b: int, ctx: CompositionContext) -> 
     leg = state.legs.get(key)
     if leg is None:
         length = ctx.network.length(a, b)
-        wind = ctx.wind.at(a, b, state.delivery_time)
-        sector = relative_sector(wind.direction, ctx.network.heading(a, b))
+        sector = relative_sector(ctx.wind.at(a, b, state.delivery_time), ctx.network.heading(a, b))
         formation = (
             best_formation(sector, FORMATIONS, ctx.energy) if ctx.flexible else ctx.base_formation
         )
@@ -238,7 +236,7 @@ def _leg_info(state: SubSwarmState, a: int, b: int, ctx: CompositionContext) -> 
             segment_energy(d, length, formation, sector, slot, ctx.energy)
             for slot, d in enumerate(state.drones)
         )
-        leg = _Leg(node=b, length=length, formation=formation, sector=sector, energies=energies)
+        leg = _Leg(node=b, length=length, energies=energies)
         state.legs[key] = leg
     return leg
 
@@ -596,7 +594,7 @@ def compose(
     ledger = tuple(
         sorted(
             (
-                (d.drone_id, d.initial_energy, d.consumed, d.purchased, d.current_energy)
+                (d.drone_id, d.battery_capacity, d.consumed, d.purchased, d.current_energy)
                 for s in finished
                 for d in s.drones
             ),

@@ -67,6 +67,8 @@ class EnergyModelConfig:
     # single-drone refill at the default charge rate so queue priority matters.
     exogenous_service_s: float = 1800.0
     queue_draw_max: int = 4  # exogenous queue length drawn uniformly from {0..max}
+    # Read by nothing: the wind field draws directions only. The field stays
+    # because manifest.json serialises the config.
     wind_max_speed: float = 10.0
     wind_slice_s: float = 600.0
     et_flexible_factor: float = 1.5
@@ -101,10 +103,10 @@ class EnergyModelConfig:
                 raise ConfigurationError(
                     f"formation_factors[{formation.value}] must cover {WIND_SECTORS} wind sectors"
                 )
-            if any(v <= 0 for v in row):
-                raise ConfigurationError("formation factors must be positive")
-        if not self.position_factors or any(v <= 0 for v in self.position_factors):
-            raise ConfigurationError("position factors must be positive")
+            if not all(0 < v < math.inf for v in row):
+                raise ConfigurationError("formation factors must be positive and finite")
+        if not self.position_factors or not all(0 < v < math.inf for v in self.position_factors):
+            raise ConfigurationError("position factors must be positive and finite")
 
     def formation_factor(self, formation: Formation, wind_sector: int) -> float:
         return self.formation_factors[formation][wind_sector % WIND_SECTORS]

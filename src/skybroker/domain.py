@@ -1,10 +1,10 @@
-"""Providers, swarms, drones, partnerships, delivery requests and QoS vectors."""
+"""Providers, swarms, partnerships, delivery requests and QoS vectors."""
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -45,40 +45,26 @@ TIER_QUEUE_SKIP: dict[str, int | None] = {"platinum": None, "gold": 2, "silver":
 
 
 @dataclass(frozen=True)
-class Drone:
-    drone_id: int
-    battery_capacity: float  # Wh
-    payload_capacity: float  # kg
-    speed: float  # m/s
-    current_energy: float | None = None  # defaults to a full battery
-    assigned_payload: float = 0.0  # kg
-
-    def __post_init__(self) -> None:
-        if self.current_energy is None:
-            object.__setattr__(self, "current_energy", self.battery_capacity)
-        if self.battery_capacity <= 0:
-            raise ValueError(f"drone {self.drone_id}: battery_capacity must be positive")
-        if not 0.0 <= self.current_energy <= self.battery_capacity + 1e-9:
-            raise ValueError(f"drone {self.drone_id}: current_energy outside [0, capacity]")
-        if self.payload_capacity <= 0:
-            raise ValueError(f"drone {self.drone_id}: payload_capacity must be positive")
-        if not 0.0 <= self.assigned_payload <= self.payload_capacity + 1e-9:
-            raise ValueError(f"drone {self.drone_id}: assigned_payload outside [0, payload_capacity]")
-        if self.speed <= 0:
-            raise ValueError(f"drone {self.drone_id}: speed must be positive")
-
-
-@dataclass(frozen=True)
 class Swarm:
-    """A homogeneous set of drones plus the techniques the provider flies them with."""
+    """A homogeneous swarm: ``size`` identical drones with one battery, payload
+    and speed spec, plus the techniques the provider flies them with."""
 
-    drones: tuple[Drone, ...]
+    size: int
+    battery_capacity: float  # Wh per drone
+    payload_capacity: float  # kg per drone
+    speed: float  # m/s
     techniques: frozenset[str]
     formation: Formation
 
     def __post_init__(self) -> None:
-        if not self.drones:
+        if self.size < 1:
             raise ValueError("swarm must contain at least one drone")
+        if self.battery_capacity <= 0:
+            raise ValueError("battery_capacity must be positive")
+        if self.payload_capacity <= 0:
+            raise ValueError("payload_capacity must be positive")
+        if self.speed <= 0:
+            raise ValueError("speed must be positive")
         unknown = set(self.techniques) - ALL_TECHNIQUES
         if unknown:
             raise ValueError(f"unknown techniques: {sorted(unknown)}")
@@ -86,18 +72,6 @@ class Swarm:
             raise ValueError("swarm needs exactly one of {static, dynamic}")
         if len(self.techniques & FORMATION_POLICY_TECHNIQUES) != 1:
             raise ValueError("swarm needs exactly one of {fixed_formation, flexible_formation}")
-        first = self.drones[0]
-        for d in self.drones[1:]:
-            if (
-                d.battery_capacity != first.battery_capacity
-                or d.payload_capacity != first.payload_capacity
-                or d.speed != first.speed
-            ):
-                raise ValueError("swarm drones must be homogeneous in capacity and speed")
-
-    @property
-    def size(self) -> int:
-        return len(self.drones)
 
     @property
     def is_dynamic(self) -> bool:
@@ -218,19 +192,19 @@ class QosVector:
     def get(self, metric: str) -> float:
         return float(getattr(self, metric))
 
-    def as_dict(self) -> dict[str, float]:
-        return {m: self.get(m) for m in QOS_METRICS}
 
-
-def assign_packages(swarm: Swarm, packages: Sequence[float]) -> Swarm:
-    """One package per drone: drone i carries the i-th heaviest package and the
-    drones after the last package carry nothing, so loads never increase along
-    the swarm. More packages than drones raise ValueError (filter_providers
-    rules such providers out before composition)."""
+def assign_packages(swarm: Swarm, packages: Sequence[float]) -> tuple[float, ...]:
+    """Per-drone loads for one package per drone: drone i carries the i-th
+    heaviest package and the drones after the last package carry nothing, so
+    loads never increase along the swarm. More packages than drones, or a
+    package over the payload capacity, raise ValueError (filter_providers rules
+    such providers out before composition)."""
     if len(packages) > swarm.size:
         raise ValueError(f"{len(packages)} packages need one drone each, the swarm has {swarm.size}")
     loads = sorted(map(float, packages), reverse=True) + [0.0] * (swarm.size - len(packages))
-    return replace(swarm, drones=tuple(replace(d, assigned_payload=w) for d, w in zip(swarm.drones, loads)))
+    if loads[0] > swarm.payload_capacity + 1e-9:
+        raise ValueError(f"a {loads[0]} kg package exceeds payload_capacity {swarm.payload_capacity} kg")
+    return tuple(loads)
 
 
 @dataclass(frozen=True)
@@ -280,15 +254,18 @@ def generate_scenario(
         techniques = {behaviour, policy}
         if cooperative:
             techniques.add(COOPERATIVE)
-        drones = tuple(
-            Drone(drone_id=i, battery_capacity=battery, payload_capacity=payload, speed=speed)
-            for i in range(1, size + 1)
-        )
         partnership = Partnership.for_tier(rng.choice(charging_ids), rng.choice(TIERS))
         providers.append(
             Provider(
                 provider_id=pid,
-                swarm=Swarm(drones=drones, techniques=frozenset(techniques), formation=formation),
+                swarm=Swarm(
+                    size=size,
+                    battery_capacity=battery,
+                    payload_capacity=payload,
+                    speed=speed,
+                    techniques=frozenset(techniques),
+                    formation=formation,
+                ),
                 partnership=partnership,
             )
         )

@@ -1,4 +1,5 @@
-"""Parametric physics: flight energy, wind and formation effects, charging service.
+"""Parametric physics: flight energy, wind direction and formation effects,
+charging service.
 
 Everything here is a pure function of its inputs plus explicit seeds, so results
 are reproducible across runs and platforms.
@@ -7,7 +8,6 @@ are reproducible across runs and platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from .config import WIND_SECTORS, EnergyModelConfig, mix64, unit_draw
@@ -23,43 +23,33 @@ class EnergyState(Protocol):
     speed: float
 
 
-@dataclass(frozen=True)
-class Wind:
-    speed: float  # m/s
-    direction: float  # radians, direction the air moves toward
-
-
 class WindField:
-    """Seeded per-segment wind, piecewise constant over time slices.
+    """Seeded per-segment wind direction, piecewise constant over time slices.
 
-    Draws are memoised per instance. The composer makes one field per
-    composition, so the memo holds only the segments that composition looks at.
+    Only the direction shapes flight energy (through the relative wind sector),
+    so no wind speed is drawn. Draws are memoised per instance. The composer
+    makes one field per composition, so the memo holds only the segments that
+    composition looks at.
     """
 
-    def __init__(self, seed: int, max_speed: float = 10.0, slice_s: float = 600.0):
-        if max_speed < 0 or slice_s <= 0:
-            raise ValueError("max_speed must be non-negative and slice_s positive")
+    def __init__(self, seed: int, slice_s: float = 600.0):
+        if slice_s <= 0:
+            raise ValueError("slice_s must be positive")
         self.seed = seed
-        self.max_speed = max_speed
         self.slice_s = slice_s
-        self._memo: dict[tuple[int, int, int], Wind] = {}
+        self._memo: dict[tuple[int, int, int], float] = {}
 
     def time_slice(self, elapsed_s: float) -> int:
         """Index of the time slice the wind is constant over at elapsed_s."""
         return int(max(elapsed_s, 0.0) // self.slice_s)
 
-    def at(self, a: int, b: int, elapsed_s: float = 0.0) -> Wind:
+    def at(self, a: int, b: int, elapsed_s: float = 0.0) -> float:
+        """Direction the air moves toward over segment a-b at elapsed_s, in radians."""
         key = (min(a, b), max(a, b), self.time_slice(elapsed_s))
-        wind = self._memo.get(key)
-        if wind is None:
-            speed = unit_draw(self.seed, *key, 1) * self.max_speed
-            direction = unit_draw(self.seed, *key, 2) * TWO_PI
-            wind = self._memo[key] = Wind(speed=speed, direction=direction)
-        return wind
-
-    @classmethod
-    def from_config(cls, seed: int, config: EnergyModelConfig) -> "WindField":
-        return cls(seed, max_speed=config.wind_max_speed, slice_s=config.wind_slice_s)
+        direction = self._memo.get(key)
+        if direction is None:
+            direction = self._memo[key] = unit_draw(self.seed, *key, 2) * TWO_PI
+        return direction
 
 
 def relative_sector(wind_direction: float, heading: float, sectors: int = WIND_SECTORS) -> int:

@@ -117,9 +117,6 @@ class SkywayNetwork:
         adjacency = {v: [nbr for nbr, _ in nbrs] for v, nbrs in self._adjacency.items()}
         return _components(sorted(self.nodes), adjacency)
 
-    def is_connected(self) -> bool:
-        return len(self.components()) == 1
-
 
 def _components(ids: Iterable[int], neighbours: Mapping[int, Iterable[int]]) -> list[set[int]]:
     """Connected components by depth-first search, in the order of their first

@@ -27,11 +27,7 @@ def filter_providers(providers: Sequence[Provider], request: DeliveryRequest) ->
     is large enough for one package per drone. Order is preserved."""
     heaviest = max(request.packages)
     count = len(request.packages)
-    survivors = [
-        p
-        for p in providers
-        if p.swarm.drones[0].payload_capacity >= heaviest and p.swarm.size >= count
-    ]
+    survivors = [p for p in providers if p.swarm.payload_capacity >= heaviest and p.swarm.size >= count]
     if not survivors:
         raise NoFeasibleProviders(
             f"request {request.request_id}: no provider can carry "
@@ -41,8 +37,8 @@ def filter_providers(providers: Sequence[Provider], request: DeliveryRequest) ->
 
 
 def _axes(provider: Provider) -> tuple[float, float, float, float]:
-    d = provider.swarm.drones[0]
-    return (d.battery_capacity, d.speed, d.payload_capacity, float(provider.swarm.size))
+    s = provider.swarm
+    return (s.battery_capacity, s.speed, s.payload_capacity, float(s.size))
 
 
 def capabilities_scores(cohort: Sequence[Provider]) -> dict[int, float]:

@@ -4,7 +4,6 @@ from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
 from skybroker.domain import (
     FIXED_FORMATION,
     STATIC,
-    Drone,
     Formation,
     Partnership,
     Provider,
@@ -48,13 +47,16 @@ def simple_provider(
     charging_provider=1,
     tier="gold",
 ) -> Provider:
-    drones = tuple(
-        Drone(drone_id=i, battery_capacity=battery, payload_capacity=payload_cap, speed=speed)
-        for i in range(1, n_drones + 1)
-    )
     return Provider(
         provider_id=provider_id,
-        swarm=Swarm(drones=drones, techniques=techniques, formation=formation),
+        swarm=Swarm(
+            size=n_drones,
+            battery_capacity=battery,
+            payload_capacity=payload_cap,
+            speed=speed,
+            techniques=techniques,
+            formation=formation,
+        ),
         partnership=Partnership.for_tier(charging_provider, tier),
     )
 

@@ -1,0 +1,33 @@
+"""The benchmark's traced mode stays wired to the program.
+
+`brokerbench/tracer.py` wraps skybroker functions by module and attribute name,
+and only a traced run installs those wrappers. One traced repetition of the
+tiny `smoke` workload (well under a second) makes renaming or removing a
+wrapped name fail here, not only in a `--trace 1` benchmark run.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "brokerbench"
+
+
+def test_traced_smoke_child_reports_every_layer_metric(tmp_path, monkeypatch):
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), "--workload", "smoke", "--seeds", "1",
+         "--out", str(tmp_path), "--report", str(report), "--traced"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads(report.read_text())["layers"]
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    # run.py fills in the trace.* metrics across repetitions
+    wanted = {name for name in tracer.LAYER_METRICS if not name.startswith("trace.")}
+    assert len(wanted) == len(tracer.LAYER_METRICS) - 2
+    assert wanted <= set(layers)

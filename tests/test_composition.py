@@ -109,6 +109,12 @@ class TestComposeBasics:
         with pytest.raises(ValueError, match="3 packages need one drone each, the swarm has 2"):
             compose(provider, request(0, 1, packages=(1.0, 1.0, 1.0)), net, unit_config, seeds)
 
+    def test_package_over_payload_capacity_rejected(self, unit_config, seeds):
+        net = line_network([500.0])
+        provider = simple_provider(n_drones=2, payload_cap=2.0)
+        with pytest.raises(ValueError, match="payload_capacity"):
+            compose(provider, request(0, 1, packages=(1.0, 2.5)), net, unit_config, seeds)
+
     def test_deterministic_outcomes(self, seeds):
         net = synthetic_network(4, 60)
         providers, requests = generate_scenario(4, net, 6, 4, ScenarioLimits(max_packages=4))
@@ -168,11 +174,11 @@ class TestCanReachDirectly:
             for seg in net.segments:
                 graph.add_edge(seg.a, seg.b, weight=seg.length)
             path = nx.dijkstra_path(graph, source, dest)
-            wind = WindField.from_config(seeds.wind, config)
+            wind = WindField(seeds.wind, config.wind_slice_s)
             totals = [0.0] * len(state.drones)
             feasible = True
             for a, b in zip(path, path[1:]):
-                sector = relative_sector(wind.at(a, b, 0.0).direction, net.heading(a, b))
+                sector = relative_sector(wind.at(a, b, 0.0), net.heading(a, b))
                 for i, d in enumerate(state.drones):
                     totals[i] += segment_energy(d, net.length(a, b), provider.swarm.formation, sector, i, config)
                     if totals[i] > d.current_energy + 1e-9:
@@ -237,13 +243,13 @@ class TestNodeValue:
         for seg in net.segments:
             graph.add_edge(seg.a, seg.b, weight=seg.length)
         remaining = nx.single_source_dijkstra_path_length(graph, dest)
-        wind = WindField.from_config(seeds.wind, config)
+        wind = WindField(seeds.wind, config.wind_slice_s)
 
         rows = []
         for leg in candidates:
             length = net.length(hub, leg.node)
-            sector = relative_sector(wind.at(hub, leg.node, 0.0).direction, net.heading(hub, leg.node))
-            energy = segment_energy(provider.swarm.drones[0], length, provider.swarm.formation, sector, 0, config)
+            sector = relative_sector(wind.at(hub, leg.node, 0.0), net.heading(hub, leg.node))
+            energy = segment_energy(state.drones[0], length, provider.swarm.formation, sector, 0, config)
             rows.append((leg.node, length / 15.0, energy, 0.005 * length / 1000.0, remaining[leg.node]))
 
         def oriented(values):
@@ -475,15 +481,15 @@ class TestReachability:
 def recomputed_leg_info(state, a, b, ctx):
     """Leg physics computed from scratch on every call, with a wind field that
     has never drawn before: the composer without its memos."""
-    wind = WindField(ctx.wind.seed, ctx.wind.max_speed, ctx.wind.slice_s).at(a, b, state.delivery_time)
+    wind = WindField(ctx.wind.seed, ctx.wind.slice_s).at(a, b, state.delivery_time)
     length = ctx.network.length(a, b)
-    sector = relative_sector(wind.direction, ctx.network.heading(a, b))
+    sector = relative_sector(wind, ctx.network.heading(a, b))
     formation = best_formation(sector, FORMATIONS, ctx.energy) if ctx.flexible else ctx.base_formation
     energies = tuple(
         segment_energy(d, length, formation, sector, slot, ctx.energy) for slot, d in enumerate(state.drones)
     )
     ctx.evaluations += len(state.drones)
-    return _Leg(node=b, length=length, formation=formation, sector=sector, energies=energies)
+    return _Leg(node=b, length=length, energies=energies)
 
 
 def acceptance_compositions():
@@ -528,7 +534,6 @@ drone_states = st.builds(
         speed=10.0,
         current_energy=energy * capacity,
         assigned_payload=payload,
-        initial_energy=capacity,
         consumed=spent,
         purchased=spent / 2,
     ),

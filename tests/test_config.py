@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -12,6 +13,13 @@ from skybroker.config import (
     unit_draw,
 )
 from skybroker.domain import Formation
+
+
+def formation_table(vee_first_sector):
+    """A config-file formation table of ones, but for VEE's first sector."""
+    table = {f.value: [1.0] * 8 for f in Formation}
+    table[Formation.VEE.value][0] = vee_first_sector
+    return table
 
 
 class TestMix64:
@@ -67,6 +75,10 @@ class TestEnergyConfigValidation:
             ("et_flexible_factor", 0.0, "execution-time factors must be positive"),
             ("et_flexible_factor", -1.0, "execution-time factors must be positive"),
             ("et_dynamic_factor", -1.3, "execution-time factors must be positive"),
+            ("position_factors", [math.nan, 1.0], "position factors must be positive and finite"),
+            ("position_factors", [1.0, math.inf], "position factors must be positive and finite"),
+            ("formation_factors", formation_table(math.nan), "formation factors must be positive and finite"),
+            ("formation_factors", formation_table(math.inf), "formation factors must be positive and finite"),
         ],
     )
     def test_out_of_range_values_fail_fast_from_a_config_file(self, tmp_path, field, value, message):

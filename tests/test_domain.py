@@ -16,7 +16,6 @@ from skybroker.domain import (
     NON_PARTNER_PRICE_PER_KWH,
     CapabilityRanges,
     DeliveryRequest,
-    Drone,
     Formation,
     Partnership,
     QosVector,
@@ -75,41 +74,37 @@ class TestNormalizeWeights:
         assert normalize_weights(raw) == normalize_weights(scaled)
 
 
-class TestDomainInvariants:
-    def test_drone_validation(self):
-        with pytest.raises(ValueError):
-            Drone(1, battery_capacity=10, payload_capacity=1, speed=0.0)
-        with pytest.raises(ValueError):
-            Drone(1, battery_capacity=10, payload_capacity=1, speed=5, current_energy=11)
-        d = Drone(1, battery_capacity=10, payload_capacity=1, speed=5)
-        assert d.current_energy == 10  # defaults to full
+def make_swarm(techniques=frozenset({STATIC, FIXED_FORMATION}), formation=Formation.VEE, **spec):
+    """Two drones of 50 Wh, 3 kg and 10 m/s unless spec overrides them."""
+    fields = dict(size=2, battery_capacity=50.0, payload_capacity=3.0, speed=10.0) | spec
+    return Swarm(techniques=techniques, formation=formation, **fields)
 
-    def _drones(self, n=2):
-        return tuple(Drone(i, 50, 2, 10) for i in range(1, n + 1))
+
+class TestDomainInvariants:
+    def test_swarm_validation(self):
+        with pytest.raises(ValueError, match="speed"):
+            make_swarm(speed=0.0)
+        with pytest.raises(ValueError, match="at least one drone"):
+            make_swarm(size=0)
+        with pytest.raises(ValueError, match="battery_capacity"):
+            make_swarm(battery_capacity=0.0)
+        with pytest.raises(ValueError, match="payload_capacity"):
+            make_swarm(payload_capacity=-1.0)
 
     def test_swarm_needs_exactly_one_behaviour(self):
         with pytest.raises(ValueError, match="static"):
-            Swarm(self._drones(), frozenset({FIXED_FORMATION}), Formation.VEE)
+            make_swarm(frozenset({FIXED_FORMATION}))
         with pytest.raises(ValueError, match="static"):
-            Swarm(self._drones(), frozenset({STATIC, DYNAMIC, FIXED_FORMATION}), Formation.VEE)
+            make_swarm(frozenset({STATIC, DYNAMIC, FIXED_FORMATION}))
 
     def test_swarm_needs_exactly_one_formation_policy(self):
         with pytest.raises(ValueError, match="formation"):
-            Swarm(self._drones(), frozenset({STATIC}), Formation.VEE)
+            make_swarm(frozenset({STATIC}))
         with pytest.raises(ValueError):
-            Swarm(
-                self._drones(),
-                frozenset({STATIC, FIXED_FORMATION, FLEXIBLE_FORMATION}),
-                Formation.VEE,
-            )
-
-    def test_swarm_homogeneity(self):
-        drones = (Drone(1, 50, 2, 10), Drone(2, 60, 2, 10))
-        with pytest.raises(ValueError, match="homogeneous"):
-            Swarm(drones, frozenset({STATIC, FIXED_FORMATION}), Formation.VEE)
+            make_swarm(frozenset({STATIC, FIXED_FORMATION, FLEXIBLE_FORMATION}))
 
     def test_swarm_technique_flags(self):
-        s = Swarm(self._drones(), frozenset({DYNAMIC, FLEXIBLE_FORMATION, COOPERATIVE}), Formation.COLUMN)
+        s = make_swarm(frozenset({DYNAMIC, FLEXIBLE_FORMATION, COOPERATIVE}), Formation.COLUMN)
         assert s.is_dynamic and s.is_flexible and s.is_cooperative
 
     def test_platinum_queue_skip_unlimited(self):
@@ -150,42 +145,18 @@ class TestDomainInvariants:
             QosVector(-1.0, 0, 0, 0)
         with pytest.raises(ValueError):
             QosVector(math.inf, 0, 0, 0)
-        q = QosVector(1, 2, 3, 4)
-        assert q.as_dict() == {
-            "delivery_time": 1.0,
-            "energy": 2.0,
-            "cost": 3.0,
-            "execution_time": 4.0,
-        }
 
 
 class TestAssignPackages:
     def test_heaviest_first_onto_least_loaded(self):
-        swarm = Swarm(
-            tuple(Drone(i, 50, 3, 10) for i in (1, 2, 3)),
-            frozenset({STATIC, FIXED_FORMATION}),
-            Formation.VEE,
-        )
-        loaded = assign_packages(swarm, [1.0, 3.0, 2.0])
-        assert [d.assigned_payload for d in loaded.drones] == [3.0, 2.0, 1.0]
+        assert assign_packages(make_swarm(size=3), [1.0, 3.0, 2.0]) == (3.0, 2.0, 1.0)
 
     def test_one_package_per_drone_when_feasible(self):
-        swarm = Swarm(
-            tuple(Drone(i, 50, 3, 10) for i in range(1, 6)),
-            frozenset({STATIC, FIXED_FORMATION}),
-            Formation.VEE,
-        )
-        loaded = assign_packages(swarm, [1.0, 1.5])
-        assert [d.assigned_payload for d in loaded.drones] == [1.5, 1.0, 0.0, 0.0, 0.0]
+        assert assign_packages(make_swarm(size=5), [1.0, 1.5]) == (1.5, 1.0, 0.0, 0.0, 0.0)
 
     def test_more_packages_than_drones_rejected(self):
-        swarm = Swarm(
-            tuple(Drone(i, 50, 3, 10) for i in (1, 2)),
-            frozenset({STATIC, FIXED_FORMATION}),
-            Formation.VEE,
-        )
         with pytest.raises(ValueError, match="3 packages need one drone each, the swarm has 2"):
-            assign_packages(swarm, [1.0, 1.0, 1.0])
+            assign_packages(make_swarm(size=2), [1.0, 1.0, 1.0])
 
 
 class TestGenerateScenario:
@@ -231,8 +202,8 @@ class TestGenerateScenario:
         ranges = CapabilityRanges(battery_wh=(10, 20), speed_mps=(5, 6), payload_kg=(2, 2.5), swarm_size=(2, 4))
         providers, _ = generate_scenario(0, net, 30, 1, ranges=ranges)
         for p in providers:
-            d = p.swarm.drones[0]
-            assert 10 <= d.battery_capacity <= 20
-            assert 5 <= d.speed <= 6
-            assert 2 <= d.payload_capacity <= 2.5
+            s = p.swarm
+            assert 10 <= s.battery_capacity <= 20
+            assert 5 <= s.speed <= 6
+            assert 2 <= s.payload_capacity <= 2.5
             assert 2 <= p.swarm.size <= 4

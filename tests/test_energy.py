@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skybroker.composition import _charge_targets
+from skybroker.composition import DroneState, _charge_targets
 from skybroker.config import EnergyModelConfig
 from skybroker.domain import (
     DYNAMIC,
     FIXED_FORMATION,
     FLEXIBLE_FORMATION,
     STATIC,
-    Drone,
     Formation,
     Partnership,
 )
@@ -34,12 +33,11 @@ FORMATIONS = tuple(Formation)
 
 
 def drone(battery=100.0, payload=0.0, speed=10.0, current=None):
-    return Drone(
+    return DroneState(
         drone_id=1,
         battery_capacity=battery,
-        payload_capacity=3.0,
         speed=speed,
-        current_energy=current,
+        current_energy=battery if current is None else current,
         assigned_payload=payload,
     )
 
@@ -113,8 +111,7 @@ class TestWindField:
         b = field.at(5, 3, 100.0)  # undirected
         assert a == b
         assert field.at(3, 5, 100.0) == a
-        assert 0 <= a.speed <= 10.0
-        assert 0 <= a.direction < 2 * math.pi
+        assert 0 <= a < 2 * math.pi
 
     def test_piecewise_constant_in_time(self):
         field = WindField(seed=7, slice_s=600.0)

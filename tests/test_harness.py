@@ -390,6 +390,7 @@ class TestCli:
             ({"energy": {"charge_rate_w": float("nan")}}, "charge_rate_w must be a finite float, got nan"),
             ({"energy": {"queue_draw_max": 2.5}}, "energy config queue_draw_max must be a finite int"),
             ({"energy": {"formation_factors": 3}}, "factor tables are malformed"),
+            ({"energy": {"position_factors": [float("nan"), 1.0]}}, "position factors must be positive and finite"),
             ({"composition": 3}, "composition config must be a JSON object"),
         ],
     )

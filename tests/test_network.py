@@ -61,7 +61,7 @@ class TestLoadNetwork:
         with pytest.warns(UserWarning, match="largest component"):
             net = load(edges, coords, stations)
         assert sorted(net.nodes) == [1, 2, 3, 4]
-        assert net.is_connected()
+        assert len(net.components()) == 1
 
     def test_self_loop_rejected(self):
         with pytest.raises(ParseError, match="self-loop"):
@@ -86,7 +86,7 @@ class TestLoadNetwork:
         edges, coords, stations = network_to_streams(net)
         loaded = load(edges, coords, stations)
         assert loaded.n_nodes == 492
-        assert loaded.is_connected()
+        assert len(loaded.components()) == 1
         assert loaded == net
 
 
@@ -446,7 +446,7 @@ class TestSyntheticNetwork:
         a = synthetic_network(5, 100)
         b = synthetic_network(5, 100)
         assert a == b
-        assert a.is_connected()
+        assert len(a.components()) == 1
         assert set(a.charging_providers) <= set(range(1, 6))
 
     def test_stitching_alone_builds_the_minimum_spanning_tree(self):

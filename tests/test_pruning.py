@@ -82,12 +82,7 @@ class TestCapabilitiesScore:
     def test_matches_independent_recomputation(self):
         net = synthetic_network(3, 40)
         providers, _ = generate_scenario(7, net, 10, 1)
-        axes = lambda p: (
-            p.swarm.drones[0].battery_capacity,
-            p.swarm.drones[0].speed,
-            p.swarm.drones[0].payload_capacity,
-            float(p.swarm.size),
-        )
+        axes = lambda p: (p.swarm.battery_capacity, p.swarm.speed, p.swarm.payload_capacity, float(p.swarm.size))
         columns = list(zip(*(axes(p) for p in providers)))
         scores = capabilities_scores(providers)
         for p in providers:
@@ -175,8 +170,8 @@ def oracle_capabilities_score(provider, cohort):
     """Per-provider capabilities score, rebuilding the cohort's columns on every call."""
 
     def axes(p):
-        d = p.swarm.drones[0]
-        return (d.battery_capacity, d.speed, d.payload_capacity, float(p.swarm.size))
+        s = p.swarm
+        return (s.battery_capacity, s.speed, s.payload_capacity, float(s.size))
 
     mine = axes(provider)
     columns = list(zip(*(axes(p) for p in cohort)))
