@@ -13,11 +13,16 @@ length. A dynamic swarm splits once, at the first congested decision node, into
 two sub-swarms that continue independently and must arrive within a bounded
 time window.
 
-Capacity: the swarm is one spec (battery, payload, speed) times its size. Each
+Capacity: the swarm is one spec (battery, payload, speed, formation,
+techniques) times its size, read from the provider wherever it is needed. Each
 drone carries one package, heaviest first (``assign_packages`` refuses more
 packages than drones and any package over the payload capacity), and only
-loaded drones fly, each starting on a full battery, so loads never increase
-along the drone list. A split never folds back: each half's drone in
+loaded drones fly, each starting on a full battery. A sub-swarm holds one slot
+per dispatched drone in four vectors: ``loads`` (never increasing along the
+slots), and the energy each drone ``held``, ``consumed`` and ``purchased``.
+No output reads ``purchased``; it is kept because it closes the energy ledger
+(held = capacity - consumed + purchased) that the conservation tests check.
+A split slices all four vectors and never folds back: each half's drone in
 slot j is no heavier than the whole swarm's, so both halves can fly the legs
 ``viable_candidates`` checked for the whole swarm. Only the committed direct
 path checks capacity in flight, since its later legs fall in later wind slices.
@@ -42,7 +47,7 @@ sites only: ``_leg_info``, one per drone for every leg looked at;
 ``_price_stop``, one per drone for every charging stop priced, flown or
 estimated; ``score_candidates``, one per candidate scored. Leg physics are
 memoised per sub-swarm (keyed on the leg and the wind time slice, and reset
-whenever the sub-swarm's drone list changes), but a memo hit still charges its
+when a split slices the sub-swarm's slots), but a memo hit still charges its
 units, so the counts do not depend on the memo.
 
 All mutable state is confined to per-provider copies; network, configs and
@@ -57,14 +62,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .config import CompositionConfig, EnergyModelConfig, Seeds, mix64
-from .domain import (
-    FORMATIONS,
-    DeliveryRequest,
-    Formation,
-    Provider,
-    QosVector,
-    assign_packages,
-)
+from .domain import FORMATIONS, DeliveryRequest, Provider, QosVector, assign_packages
 from .energy import (
     NodeService,
     WindField,
@@ -81,23 +79,15 @@ _EPS = 1e-9
 
 
 @dataclass
-class DroneState:
-    """Mutable per-composition state of one dispatched drone, tracking its energy ledger."""
-
-    drone_id: int
-    battery_capacity: float
-    speed: float
-    current_energy: float
-    assigned_payload: float
-    consumed: float = 0.0
-    purchased: float = 0.0
-
-
-@dataclass
 class SubSwarmState:
-    """One (sub-)swarm walking the network; a provider starts with exactly one."""
+    """One (sub-)swarm walking the network; a provider starts with exactly one.
 
-    drones: list[DroneState]
+    Slot j of loads, held, consumed and purchased belongs to the same drone."""
+
+    loads: tuple[float, ...]
+    held: list[float]
+    consumed: list[float]
+    purchased: list[float]
     path: list[int]
     visited: set[int]
     travel_s: float = 0.0
@@ -108,8 +98,8 @@ class SubSwarmState:
     # unvisited nodes from which the destination is unreachable through
     # unvisited nodes (see the module docstring)
     dead: set[int] = field(default_factory=set)
-    # leg physics for the current drone list, keyed on (a, b, wind time slice);
-    # reassigning drones must reset it
+    # leg physics for the current slots, keyed on (a, b, wind time slice);
+    # slicing the slots must reset it
     legs: dict[tuple[int, int, int], _Leg] = field(default_factory=dict)
 
     @property
@@ -134,10 +124,6 @@ class CompositionContext:
     congestion_seed: int
     dist_to_dest: Mapping[int, float]
     parent_to_dest: Mapping[int, int | None]
-    dynamic: bool
-    flexible: bool
-    cooperative: bool
-    base_formation: Formation
     evaluations: int = 0
     split_done: bool = False
 
@@ -158,13 +144,6 @@ class CompositionOutcome:
     paths: tuple[tuple[int, ...], ...]  # node sequence per sub-swarm
     pqos: QosVector
     evaluations: int
-    arrival_spread_s: float
-    travel_s: float
-    charge_s: float
-    wait_s: float
-    # per drone: (drone_id, battery_capacity, consumed, purchased, final_energy);
-    # every drone starts on a full battery
-    energy_ledger: tuple[tuple[int, float, float, float, float], ...]
 
 
 def prepare_composition(
@@ -183,10 +162,9 @@ def prepare_composition(
     for endpoint in (request.source, request.destination):
         if endpoint not in network.nodes:
             raise ValueError(f"request endpoint {endpoint} is not a network node")
-    swarm = provider.swarm
     # one package per drone: drones without a package would fly empty, so only
     # the loaded ones are dispatched for the request
-    loads = assign_packages(swarm, request.packages)[: len(request.packages)]
+    loads = assign_packages(provider.swarm, request.packages)[: len(request.packages)]
     dist, parent = dest_tree if dest_tree is not None else shortest_path_tree(network, request.destination)
     ctx = CompositionContext(
         network=network,
@@ -198,22 +176,13 @@ def prepare_composition(
         congestion_seed=mix64(seeds.congestion, request.request_id),
         dist_to_dest=dist,
         parent_to_dest=parent,
-        dynamic=swarm.is_dynamic,
-        flexible=swarm.is_flexible,
-        cooperative=swarm.is_cooperative,
-        base_formation=swarm.formation,
     )
+    n = len(loads)
     state = SubSwarmState(
-        drones=[
-            DroneState(
-                drone_id=i,
-                battery_capacity=swarm.battery_capacity,
-                speed=swarm.speed,
-                current_energy=swarm.battery_capacity,
-                assigned_payload=load,
-            )
-            for i, load in enumerate(loads, start=1)
-        ],
+        loads=loads,
+        held=[provider.swarm.battery_capacity] * n,
+        consumed=[0.0] * n,
+        purchased=[0.0] * n,
         path=[request.source],
         visited={request.source},
     )
@@ -223,26 +192,26 @@ def prepare_composition(
 def _leg_info(state: SubSwarmState, a: int, b: int, ctx: CompositionContext) -> _Leg:
     """Physics of flying a -> b at the sub-swarm's current time; charges one
     evaluation per drone whether or not the leg comes from the memo."""
-    ctx.evaluations += len(state.drones)
+    ctx.evaluations += len(state.loads)
     key = (a, b, ctx.wind.time_slice(state.delivery_time))
     leg = state.legs.get(key)
     if leg is None:
+        swarm = ctx.provider.swarm
         length = ctx.network.length(a, b)
         sector = relative_sector(ctx.wind.at(a, b, state.delivery_time), ctx.network.heading(a, b))
-        formation = (
-            best_formation(sector, FORMATIONS, ctx.energy) if ctx.flexible else ctx.base_formation
-        )
+        formation = best_formation(sector, FORMATIONS, ctx.energy) if swarm.is_flexible else swarm.formation
         energies = tuple(
-            segment_energy(d, length, formation, sector, slot, ctx.energy)
-            for slot, d in enumerate(state.drones)
+            segment_energy(load, swarm.speed, length, formation, sector, slot, ctx.energy)
+            for slot, load in enumerate(state.loads)
         )
         leg = _Leg(node=b, length=length, energies=energies)
         state.legs[key] = leg
     return leg
 
 
-def _leg_within_capacity(state: SubSwarmState, leg: _Leg) -> bool:
-    return all(e <= d.battery_capacity + _EPS for d, e in zip(state.drones, leg.energies))
+def _leg_within_capacity(leg: _Leg, ctx: CompositionContext) -> bool:
+    capacity = ctx.provider.swarm.battery_capacity
+    return all(e <= capacity + _EPS for e in leg.energies)
 
 
 def _must_charge(energies: Iterable[float], leg: _Leg) -> bool:
@@ -251,8 +220,7 @@ def _must_charge(energies: Iterable[float], leg: _Leg) -> bool:
 
 
 def _tops_up(
-    drones: Sequence[DroneState],
-    energies: Iterable[float],
+    energies: Sequence[float],
     node_id: int,
     ctx: CompositionContext,
     queue: int | None = None,
@@ -264,14 +232,14 @@ def _tops_up(
     straight onto a pad, so stops fall on priority pads instead of wherever
     the battery would run dry."""
     threshold = ctx.comp.opportunistic_charge_threshold
-    partnership = ctx.provider.partnership
+    swarm, partnership = ctx.provider.swarm, ctx.provider.partnership
     owner = ctx.network.node(node_id).station_owner
     if not (
-        not ctx.cooperative
+        not swarm.is_cooperative
         and threshold > 0
         and node_id != ctx.request.destination
         and owner == partnership.charging_provider_id
-        and any(p < threshold * d.battery_capacity for d, p in zip(drones, energies))
+        and any(p < threshold * swarm.battery_capacity for p in energies)
     ):
         return False
     if queue is None:
@@ -280,8 +248,8 @@ def _tops_up(
 
 
 def _charge_targets(
-    drones: Sequence[DroneState],
-    energies: Iterable[float],
+    loads: Sequence[float],
+    energies: Sequence[float],
     leg: _Leg,
     ctx: CompositionContext,
     remaining_m: float | None,
@@ -293,20 +261,20 @@ def _charge_targets(
     capped at capacity; they stop roughly as rarely as everyone else but never
     carry a full tank across the finish line.
     """
-    if not ctx.cooperative:
-        return [d.battery_capacity for d in drones]
+    swarm = ctx.provider.swarm
+    if not swarm.is_cooperative:
+        return [swarm.battery_capacity] * len(energies)
     targets = []
-    for drone, held, need in zip(drones, energies, leg.energies):
+    for load, held, need in zip(loads, energies, leg.energies):
         if remaining_m is not None:
-            power_w = ctx.energy.base_power_w + ctx.energy.payload_power_coeff_w_per_kg * drone.assigned_payload
-            need = max(need, power_w * (remaining_m / drone.speed) / 3600.0)
-        target = min(drone.battery_capacity, need * (1.0 + ctx.energy.cooperative_margin))
+            power_w = ctx.energy.base_power_w + ctx.energy.payload_power_coeff_w_per_kg * load
+            need = max(need, power_w * (remaining_m / swarm.speed) / 3600.0)
+        target = min(swarm.battery_capacity, need * (1.0 + ctx.energy.cooperative_margin))
         targets.append(max(held, target))
     return targets
 
 
 def _price_stop(
-    drones: Sequence[DroneState],
     energies: Sequence[float],
     node_id: int,
     targets: Sequence[float],
@@ -314,56 +282,59 @@ def _price_stop(
     queue: int | None = None,
 ) -> NodeService:
     """Price a charging stop at node_id (drawn queue if None); one evaluation per drone."""
-    ctx.evaluations += len(drones)
-    node, partnership = ctx.network.node(node_id), ctx.provider.partnership
-    return node_service_time(drones, energies, node, targets, partnership, ctx.congestion_seed, ctx.energy, queue)
+    ctx.evaluations += len(energies)
+    node, provider = ctx.network.node(node_id), ctx.provider
+    return node_service_time(
+        provider.swarm.battery_capacity, energies, node, targets, provider.partnership,
+        ctx.congestion_seed, ctx.energy, queue,
+    )
 
 
 def _charge(state: SubSwarmState, leg: _Leg, ctx: CompositionContext, remaining_m: float | None) -> None:
     """Charge at the current node to the policy's targets for the leg and remaining_m."""
-    held = [d.current_energy for d in state.drones]
-    targets = _charge_targets(state.drones, held, leg, ctx, remaining_m)
-    service = _price_stop(state.drones, held, state.current_node, targets, ctx)
+    targets = _charge_targets(state.loads, state.held, leg, ctx, remaining_m)
+    service = _price_stop(state.held, state.current_node, targets, ctx)
     state.charge_s += service.charge_s
     state.wait_s += service.wait_s
     state.cost += service.cost
-    for drone, target in zip(state.drones, targets):
-        bought = max(0.0, target - drone.current_energy)
+    for slot, target in enumerate(targets):
+        bought = max(0.0, target - state.held[slot])
         if bought > 0:
-            drone.purchased += bought
-            drone.current_energy = target
+            state.purchased[slot] += bought
+            state.held[slot] = target
 
 
 def _traverse(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> None:
     """Charge as needed at the current node, fly the leg, then top up as the
     policy says. Every drone can fly the leg on a full battery."""
-    if _must_charge((d.current_energy for d in state.drones), leg):
+    if _must_charge(state.held, leg):
         _charge(state, leg, ctx, ctx.dist_to_dest.get(state.current_node))
-    for drone, e in zip(state.drones, leg.energies):
-        drone.current_energy = max(0.0, drone.current_energy - e)
-        drone.consumed += e
-    state.travel_s += leg.length / state.drones[0].speed
+    for slot, e in enumerate(leg.energies):
+        state.held[slot] = max(0.0, state.held[slot] - e)
+        state.consumed[slot] += e
+    state.travel_s += leg.length / ctx.provider.swarm.speed
     state.cost += ctx.comp.operating_cost_per_km * leg.length / 1000.0
     state.path.append(leg.node)
     state.visited.add(leg.node)
-    if _tops_up(state.drones, (d.current_energy for d in state.drones), leg.node, ctx):
+    if _tops_up(state.held, leg.node, ctx):
         _charge(state, leg, ctx, None)
 
 
-def _direct_ok(state: SubSwarmState, ctx: CompositionContext) -> bool:
-    """Whether every drone can fly the whole shortest path to the destination
-    on its current charge, with no charging stop."""
+def _direct_path(state: SubSwarmState, ctx: CompositionContext) -> list[int] | None:
+    """The shortest path from the current node to the destination if every
+    drone can fly all of it on its current charge, with no charging stop;
+    otherwise None."""
     if state.current_node not in ctx.dist_to_dest:
-        return False
+        return None
     path = tree_path(ctx.parent_to_dest, state.current_node)
-    totals = [0.0] * len(state.drones)
+    totals = [0.0] * len(state.loads)
     for a, b in zip(path, path[1:]):
         leg = _leg_info(state, a, b, ctx)
-        for i, (drone, e) in enumerate(zip(state.drones, leg.energies)):
-            totals[i] += e
-            if totals[i] > drone.current_energy + _EPS:
-                return False
-    return True
+        for slot, e in enumerate(leg.energies):
+            totals[slot] += e
+            if totals[slot] > state.held[slot] + _EPS:
+                return None
+    return path
 
 
 def _reaches_destination(start: int, state: SubSwarmState, ctx: CompositionContext, alive: set[int]) -> bool:
@@ -402,18 +373,17 @@ def viable_candidates(state: SubSwarmState, ctx: CompositionContext) -> list[_Le
         if nbr in state.visited or nbr in state.dead or not _reaches_destination(nbr, state, ctx, alive):
             continue
         leg = _leg_info(state, state.current_node, nbr, ctx)
-        if _leg_within_capacity(state, leg):
+        if _leg_within_capacity(leg, ctx):
             out.append(leg)
     return out
 
 
 def _estimate_departure_service(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> NodeService:
     """Exact prediction of the charge incurred at the current node to fly the leg."""
-    held = [d.current_energy for d in state.drones]
-    if not _must_charge(held, leg):
+    if not _must_charge(state.held, leg):
         return NodeService(0.0, 0.0, 0.0, 0.0)
-    targets = _charge_targets(state.drones, held, leg, ctx, ctx.dist_to_dest.get(state.current_node))
-    return _price_stop(state.drones, held, state.current_node, targets, ctx, ctx.energy.queue_draw_max // 2)
+    targets = _charge_targets(state.loads, state.held, leg, ctx, ctx.dist_to_dest.get(state.current_node))
+    return _price_stop(state.held, state.current_node, targets, ctx, ctx.energy.queue_draw_max // 2)
 
 
 def _estimate_arrival_service(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> NodeService:
@@ -429,12 +399,12 @@ def _estimate_arrival_service(state: SubSwarmState, leg: _Leg, ctx: CompositionC
     """
     if leg.node == ctx.request.destination:
         return NodeService(0.0, 0.0, 0.0, 0.0)
-    post = [max(0.0, d.current_energy - e) for d, e in zip(state.drones, leg.energies)]
+    post = [max(0.0, p - e) for p, e in zip(state.held, leg.energies)]
     expected_q = ctx.energy.queue_draw_max // 2
-    if not (_must_charge(post, leg) or _tops_up(state.drones, post, leg.node, ctx, expected_q)):
+    if not (_must_charge(post, leg) or _tops_up(post, leg.node, ctx, expected_q)):
         return NodeService(0.0, 0.0, 0.0, 0.0)
-    targets = _charge_targets(state.drones, post, leg, ctx, None)
-    service = _price_stop(state.drones, post, leg.node, targets, ctx, expected_q)
+    targets = _charge_targets(state.loads, post, leg, ctx, None)
+    service = _price_stop(post, leg.node, targets, ctx, expected_q)
     return NodeService(0.0, service.wait_s, service.energy_wh, service.cost)
 
 
@@ -465,7 +435,7 @@ def score_candidates(
     for leg in candidates:
         depart = _estimate_departure_service(state, leg, ctx)
         arrive = _estimate_arrival_service(state, leg, ctx)
-        travel = leg.length / state.drones[0].speed
+        travel = leg.length / ctx.provider.swarm.speed
         dt_col.append(depart.charge_s + depart.wait_s + travel + arrive.charge_s + arrive.wait_s)
         ec_col.append(sum(leg.energies))
         cost_col.append(
@@ -497,10 +467,14 @@ def score_candidates(
 
 
 def _split_subswarm(state: SubSwarmState) -> SubSwarmState:
-    """Split drones (with their packages) as evenly as possible; returns the sibling."""
-    half = (len(state.drones) + 1) // 2
+    """Split the slots (drones with their packages) as evenly as possible;
+    returns the sibling."""
+    half = (len(state.loads) + 1) // 2
     sibling = SubSwarmState(
-        drones=state.drones[half:],
+        loads=state.loads[half:],
+        held=state.held[half:],
+        consumed=state.consumed[half:],
+        purchased=state.purchased[half:],
         path=list(state.path),
         visited=set(state.visited),
         travel_s=state.travel_s,
@@ -509,12 +483,13 @@ def _split_subswarm(state: SubSwarmState) -> SubSwarmState:
         cost=0.0,  # shared history cost stays with the first sub-swarm
         dead=set(state.dead),
     )
-    state.drones = state.drones[:half]
+    state.loads, state.held = state.loads[:half], state.held[:half]
+    state.consumed, state.purchased = state.consumed[:half], state.purchased[:half]
     state.legs = {}
     return sibling
 
 
-def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, pending: list[SubSwarmState]) -> None:
+def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, subswarms: list[SubSwarmState]) -> None:
     destination = ctx.request.destination
     while True:
         node = state.current_node
@@ -523,10 +498,10 @@ def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, pending: list[S
             return
 
         if (
-            ctx.dynamic
+            ctx.provider.swarm.is_dynamic
             and not ctx.split_done
-            and len(state.drones) >= 2
-            and ctx.network.node(node).pad_count < len(state.drones)
+            and len(state.loads) >= 2
+            and ctx.network.node(node).pad_count < len(state.loads)
         ):
             candidates = viable_candidates(state, ctx)
             if len(candidates) >= 2:
@@ -535,14 +510,14 @@ def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, pending: list[S
                 ctx.split_done = True
                 _traverse(state, _leg_info(state, node, ranked[0][1].node, ctx), ctx)
                 _traverse(sibling, _leg_info(sibling, node, ranked[1][1].node, ctx), ctx)
-                pending.append(sibling)
+                subswarms.append(sibling)
                 continue
 
-        if _direct_ok(state, ctx):
-            path = tree_path(ctx.parent_to_dest, node)
+        path = _direct_path(state, ctx)
+        if path is not None:
             for a, b in zip(path, path[1:]):
                 leg = _leg_info(state, a, b, ctx)
-                if not _leg_within_capacity(state, leg):
+                if not _leg_within_capacity(leg, ctx):
                     state.success = False
                     return
                 _traverse(state, leg, ctx)
@@ -554,6 +529,18 @@ def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, pending: list[S
             state.success = False
             return
         _traverse(state, score_candidates(state, candidates, ctx)[0][1], ctx)
+
+
+def fly(state: SubSwarmState, ctx: CompositionContext) -> list[SubSwarmState]:
+    """Fly the initial sub-swarm, and the sibling a split makes, to the end;
+    returns the finished sub-swarms, the initial one first."""
+    if state.current_node not in ctx.dist_to_dest:
+        state.success = False
+    subswarms = [state]
+    for sub in subswarms:  # a split appends the sibling, which flies next
+        if sub.success is None:
+            _run_subswarm(sub, ctx, subswarms)
+    return subswarms
 
 
 def compose(
@@ -575,47 +562,19 @@ def compose(
     state, ctx = prepare_composition(
         provider, request, network, energy_config, seeds, comp_config, dest_tree
     )
-    if request.source not in ctx.dist_to_dest:
-        state.success = False
-    queue, finished = [state], []
-    while queue:
-        sub = queue.pop(0)
-        if sub.success is None:
-            _run_subswarm(sub, ctx, queue)
-        finished.append(sub)
-
+    finished = fly(state, ctx)
     delivery_times = [s.delivery_time for s in finished]
-    spread = max(delivery_times) - min(delivery_times) if len(finished) > 1 else 0.0
-    success = all(s.success for s in finished)
-    if success and len(finished) > 1 and spread > ctx.comp.arrival_window_s:
-        success = False
-
-    slowest = max(finished, key=lambda s: s.delivery_time)
-    ledger = tuple(
-        sorted(
-            (
-                (d.drone_id, d.battery_capacity, d.consumed, d.purchased, d.current_energy)
-                for s in finished
-                for d in s.drones
-            ),
-            key=lambda row: row[0],
-        )
-    )
+    spread = max(delivery_times) - min(delivery_times)
     pqos = QosVector(
         delivery_time=max(delivery_times),
-        energy=sum(d.consumed for s in finished for d in s.drones),
+        energy=sum(e for s in finished for e in s.consumed),
         cost=sum(s.cost for s in finished),
         execution_time=execution_time_proxy(ctx.evaluations, provider.swarm.techniques, ctx.energy),
     )
     return CompositionOutcome(
         provider_id=provider.provider_id,
-        success=success,
+        success=all(s.success for s in finished) and spread <= ctx.comp.arrival_window_s,
         paths=tuple(tuple(s.path) for s in finished),
         pqos=pqos,
         evaluations=ctx.evaluations,
-        arrival_spread_s=spread,
-        travel_s=slowest.travel_s,
-        charge_s=slowest.charge_s,
-        wait_s=slowest.wait_s,
-        energy_ledger=ledger,
     )

@@ -8,19 +8,13 @@ are reproducible across runs and platforms.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import WIND_SECTORS, EnergyModelConfig, mix64, unit_draw
 from .domain import DYNAMIC, FLEXIBLE_FORMATION, Formation, Partnership
 from .network import SkywayNode
 
 TWO_PI = 2.0 * math.pi
-
-
-class EnergyState(Protocol):
-    battery_capacity: float
-    assigned_payload: float
-    speed: float
 
 
 class WindField:
@@ -63,14 +57,16 @@ def relative_sector(wind_direction: float, heading: float, sectors: int = WIND_S
 
 
 def segment_energy(
-    drone: EnergyState,
+    payload_kg: float,
+    speed: float,
     segment_length_m: float,
     formation: Formation,
     wind_sector: int,
     slot_index: int,
     config: EnergyModelConfig,
 ) -> float:
-    """Energy in Wh one drone spends traversing a segment.
+    """Energy in Wh one drone, carrying payload_kg at speed m/s, spends
+    traversing a segment.
 
     Linear power model (base plus payload term) scaled by the formation factor
     for the relative wind sector and the drone's slot position factor.
@@ -79,8 +75,8 @@ def segment_energy(
         raise ValueError("segment length must be non-negative")
     if segment_length_m == 0:
         return 0.0
-    power_w = config.base_power_w + config.payload_power_coeff_w_per_kg * drone.assigned_payload
-    seconds = segment_length_m / drone.speed
+    power_w = config.base_power_w + config.payload_power_coeff_w_per_kg * payload_kg
+    seconds = segment_length_m / speed
     factor = config.formation_factor(formation, wind_sector) * config.position_factor(slot_index)
     return power_w * seconds * factor / 3600.0
 
@@ -115,7 +111,7 @@ class NodeService(NamedTuple):
 
 
 def node_service_time(
-    drones: Sequence[EnergyState],
+    battery_capacity: float,
     energies: Sequence[float],
     node: SkywayNode,
     target_energies: Sequence[float],
@@ -125,7 +121,7 @@ def node_service_time(
     queue_override: int | None = None,
 ) -> NodeService:
     """Simulate one charging stop of the swarm at a node, each drone charging
-    from the energy it holds to its target.
+    from the energy it holds to its target, at most battery_capacity.
 
     Drones with a positive deficit occupy pads in batches of pad_count, in
     listed order. Each batch takes (max deficit in batch) / charge_rate. The
@@ -137,14 +133,12 @@ def node_service_time(
     ``queue_override`` replaces the drawn exogenous queue length; planners use
     it to price a stop with the expected queue instead of peeking at the draw.
     """
-    if not len(drones) == len(energies) == len(target_energies):
+    if len(energies) != len(target_energies):
         raise ValueError("one held and one target energy required per drone")
     deficits = []
-    for drone, held, target in zip(drones, energies, target_energies):
-        if target > drone.battery_capacity + 1e-9:
-            raise ValueError(
-                f"target energy {target} exceeds battery capacity {drone.battery_capacity}"
-            )
+    for held, target in zip(energies, target_energies):
+        if target > battery_capacity + 1e-9:
+            raise ValueError(f"target energy {target} exceeds battery capacity {battery_capacity}")
         if target < held - 1e-9:
             raise ValueError("target energy below current energy")
         deficits.append(max(0.0, target - held))

@@ -98,12 +98,16 @@ class ExperimentConfig:
     measure_wallclock: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("strategies", "k_values", "voting_methods"):
+            values = getattr(self, name)
+            if not values or len(set(values)) < len(values):
+                raise ConfigurationError(f"{name} must be non-empty and without duplicates, got {values!r}")
         for strategy in self.strategies:
             if strategy not in STRATEGIES:
-                raise ValueError(f"unknown pruning strategy {strategy!r}")
+                raise ConfigurationError(f"unknown pruning strategy {strategy!r}")
         for method in self.voting_methods:
             if method not in VOTING_METHODS:
-                raise ValueError(f"unknown voting method {method!r}")
+                raise ConfigurationError(f"unknown voting method {method!r}")
         for k in self.k_values:
             if not 0 <= k < 100:
                 raise ConfigurationError(f"k_values must be in [0, 100), got {k}")

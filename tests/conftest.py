@@ -1,5 +1,8 @@
+from unittest import mock
+
 import pytest
 
+from skybroker import composition
 from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
 from skybroker.domain import (
     FIXED_FORMATION,
@@ -59,6 +62,35 @@ def simple_provider(
         ),
         partnership=Partnership.for_tier(charging_provider, tier),
     )
+
+
+def compose_flown(*args, **kwargs):
+    """compose's outcome together with the finished sub-swarms it was built from."""
+    flown = []
+    fly = composition.fly
+
+    def record(state, ctx):
+        flown.extend(fly(state, ctx))
+        return flown
+
+    with mock.patch.object(composition, "fly", record):
+        return composition.compose(*args, **kwargs), flown
+
+
+def check_flown(provider, comp_config, out, flown):
+    """Energy conservation and the outcome's sums over the finished
+    sub-swarms: every drone starts on a full battery, so it holds its capacity
+    less what it consumed plus what it purchased."""
+    capacity = provider.swarm.battery_capacity
+    for sub in flown:
+        for held, consumed, purchased in zip(sub.held, sub.consumed, sub.purchased, strict=True):
+            assert held >= 0
+            assert abs(held - (capacity - consumed + purchased)) <= 1e-9 * capacity
+    assert out.pqos.energy == sum(e for sub in flown for e in sub.consumed)
+    assert out.pqos.delivery_time == max(sub.travel_s + sub.charge_s + sub.wait_s for sub in flown)
+    if out.success:
+        times = [sub.delivery_time for sub in flown]
+        assert max(times) - min(times) <= comp_config.arrival_window_s
 
 
 @pytest.fixture

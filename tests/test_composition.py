@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import astuple
 
 import networkx as nx
 import pytest
@@ -9,8 +8,7 @@ from hypothesis import strategies as st
 
 from skybroker import composition
 from skybroker.composition import (
-    DroneState,
-    _direct_ok,
+    _direct_path,
     _Leg,
     compose,
     prepare_composition,
@@ -42,12 +40,15 @@ from skybroker.harness import ExperimentConfig, build_network
 from skybroker.network import (
     SkywayNetwork,
     SkywayNode,
+    dump_network,
+    load_network_dump,
     shortest_path_tree,
     synthetic_network,
+    tree_path,
 )
 from skybroker.pruning import NoFeasibleProviders, filter_providers
 
-from conftest import line_network, simple_provider, unit_energy_config
+from conftest import check_flown, compose_flown, line_network, simple_provider, unit_energy_config
 
 
 def request(source, destination, packages=(1.0,), weights=None, request_id=1):
@@ -76,24 +77,24 @@ class TestComposeBasics:
     def test_adjacent_destination_direct_flight(self, unit_config, seeds):
         net = line_network([800.0])
         provider = simple_provider(n_drones=1, battery=1000, speed=10)
-        out = compose(provider, request(0, 1), net, unit_config, seeds)
+        out, (sub,) = compose_flown(provider, request(0, 1), net, unit_config, seeds)
         assert out.success
         assert out.paths == ((0, 1),)
         assert out.pqos.delivery_time == pytest.approx(80.0)
-        assert out.charge_s == 0.0 and out.wait_s == 0.0
+        assert sub.charge_s == 0.0 and sub.wait_s == 0.0
 
     def test_three_node_line_single_charging_stop(self, unit_config, seeds):
         # 1 kg payload draws 150 W, so each 1000 m leg at 10 m/s burns
         # 15000 J (4.1667 Wh); a 5 Wh battery covers one leg but not two
         net = line_network([1000.0, 1000.0])
         provider = simple_provider(n_drones=1, battery=5.0, speed=10, charging_provider=9)
-        out = compose(provider, request(0, 2, packages=(1.0,)), net, unit_config, seeds)
+        out, (sub,) = compose_flown(provider, request(0, 2, packages=(1.0,)), net, unit_config, seeds)
         assert out.success
         assert out.paths == ((0, 1, 2),)
         leg_wh = 15000.0 / 3600.0
         assert out.pqos.energy == pytest.approx(2 * leg_wh)
-        assert out.charge_s == pytest.approx(150.0)  # 15000 J at 100 W
-        assert out.wait_s == 0.0
+        assert sub.charge_s == pytest.approx(150.0)  # 15000 J at 100 W
+        assert sub.wait_s == 0.0
         assert out.pqos.delivery_time == pytest.approx(100.0 + 150.0 + 100.0)
         charge_cost = leg_wh / 1000.0 * 0.30
         assert out.pqos.cost == pytest.approx(charge_cost + 0.005 * 2.0)
@@ -129,7 +130,7 @@ class TestComposeBasics:
 
 def direct_ok(provider, req, net, config, seeds=None):
     state, ctx = prepare_composition(provider, req, net, config, seeds)
-    return _direct_ok(state, ctx)
+    return _direct_path(state, ctx) is not None
 
 
 class TestCanReachDirectly:
@@ -175,15 +176,17 @@ class TestCanReachDirectly:
                 graph.add_edge(seg.a, seg.b, weight=seg.length)
             path = nx.dijkstra_path(graph, source, dest)
             wind = WindField(seeds.wind, config.wind_slice_s)
-            totals = [0.0] * len(state.drones)
+            totals = [0.0] * len(state.loads)
             feasible = True
             for a, b in zip(path, path[1:]):
                 sector = relative_sector(wind.at(a, b, 0.0), net.heading(a, b))
-                for i, d in enumerate(state.drones):
-                    totals[i] += segment_energy(d, net.length(a, b), provider.swarm.formation, sector, i, config)
-                    if totals[i] > d.current_energy + 1e-9:
+                for i, load in enumerate(state.loads):
+                    totals[i] += segment_energy(
+                        load, provider.swarm.speed, net.length(a, b), provider.swarm.formation, sector, i, config
+                    )
+                    if totals[i] > state.held[i] + 1e-9:
                         feasible = False
-            assert _direct_ok(state, ctx) == feasible
+            assert _direct_path(state, ctx) == (tree_path(ctx.parent_to_dest, source) if feasible else None)
             outcomes.add(feasible)
         assert outcomes == {True, False}
 
@@ -249,7 +252,7 @@ class TestNodeValue:
         for leg in candidates:
             length = net.length(hub, leg.node)
             sector = relative_sector(wind.at(hub, leg.node, 0.0), net.heading(hub, leg.node))
-            energy = segment_energy(state.drones[0], length, provider.swarm.formation, sector, 0, config)
+            energy = segment_energy(state.loads[0], 15.0, length, provider.swarm.formation, sector, 0, config)
             rows.append((leg.node, length / 15.0, energy, 0.005 * length / 1000.0, remaining[leg.node]))
 
         def oriented(values):
@@ -292,20 +295,17 @@ class TestDynamicSplitting:
         net = diamond_network(leg=1000.0, pads=(1, 1, 1, 4))
         req = request(0, 3, packages=(1.0, 1.0, 1.0, 1.0))
 
-        static_out = compose(self._provider(STATIC), req, net, unit_config, seeds)
-        dynamic_out = compose(self._provider(DYNAMIC), req, net, unit_config, seeds)
+        static_out, (static_sub,) = compose_flown(self._provider(STATIC), req, net, unit_config, seeds)
+        dynamic_out, (first, second) = compose_flown(self._provider(DYNAMIC), req, net, unit_config, seeds)
 
         assert static_out.success
         assert static_out.paths == ((0, 1, 3),)
-        assert static_out.wait_s == pytest.approx(3 * 150.0)
+        assert static_sub.wait_s == pytest.approx(3 * 150.0)
 
         assert dynamic_out.success
-        assert len(dynamic_out.paths) == 2
-        middles = {path[1] for path in dynamic_out.paths}
-        assert middles == {1, 2}
-        assert dynamic_out.arrival_spread_s == pytest.approx(0.0)
-        assert dynamic_out.wait_s == pytest.approx(150.0)
-        assert dynamic_out.wait_s < static_out.wait_s
+        assert {first.path[1], second.path[1]} == {1, 2}
+        assert first.delivery_time == pytest.approx(second.delivery_time)
+        assert (first.wait_s, second.wait_s) == pytest.approx((150.0, 150.0))
 
     def test_successful_dynamic_runs_respect_arrival_window(self, seeds):
         net = synthetic_network(8, 80)
@@ -322,10 +322,10 @@ class TestDynamicSplitting:
             for p in feasible:
                 if not p.swarm.is_dynamic:
                     continue
-                out = compose(p, req, net, seeds=seeds, comp_config=comp_cfg, dest_tree=tree)
-                if out.success and len(out.paths) > 1:
+                out, flown = compose_flown(p, req, net, seeds=seeds, comp_config=comp_cfg, dest_tree=tree)
+                if out.success and len(flown) > 1:
                     checked += 1
-                    assert out.arrival_spread_s <= comp_cfg.arrival_window_s
+                    assert abs(flown[0].delivery_time - flown[1].delivery_time) <= comp_cfg.arrival_window_s
         assert checked > 0
 
 
@@ -384,19 +384,6 @@ class TestCompositionInvariants:
                 outcomes.append((p, req, compose(p, req, net, seeds=seeds, dest_tree=tree), net))
         return outcomes
 
-    def test_energy_conservation_on_every_successful_run(self):
-        for provider, req, out, net in self._batch(13):
-            if not out.success:
-                continue
-            for drone_id, initial, consumed, purchased, final in out.energy_ledger:
-                residual = final - (initial - consumed + purchased)
-                assert abs(residual) <= 1e-9 * max(1.0, initial)
-                assert final >= -1e-9
-
-    def test_delivery_time_accumulation_identity(self):
-        for provider, req, out, net in self._batch(14):
-            assert out.pqos.delivery_time == out.travel_s + out.charge_s + out.wait_s
-
     def test_paths_terminate_and_reach_destination_on_success(self):
         for provider, req, out, net in self._batch(15):
             for path in out.paths:
@@ -423,6 +410,40 @@ class TestCompositionInvariants:
         out_flex = compose(flexible, req, net, seeds=seeds)
         assert out_fixed.paths == out_flex.paths
         assert out_flex.pqos.energy <= out_fixed.pqos.energy + 1e-12
+
+
+class TestEnergyConservation:
+    @given(
+        st.integers(0, 2**16),
+        st.integers(6, 30),
+        st.sampled_from([8000.0, 30000.0]),
+        st.integers(0, 8),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_ledger_closes_on_random_and_loaded_networks(self, seed, n_nodes, area_m, queue_draw_max, threshold):
+        """Every drone of every finished sub-swarm holds its capacity less what
+        it consumed plus what it purchased, and the outcome sums the
+        sub-swarms, on a random network and on its dump loaded back alike."""
+        net = synthetic_network(seed, n_nodes, area_m=area_m)
+        loaded = load_network_dump(dump_network(net))
+        limits = ScenarioLimits(max_packages=5, max_package_weight_kg=2.0)
+        providers, requests = generate_scenario(seed, net, 6, 3, limits)
+        energy = EnergyModelConfig(queue_draw_max=queue_draw_max)
+        comp_cfg = CompositionConfig(opportunistic_charge_threshold=threshold)
+        seeds = Seeds.from_master(seed)
+        for req in requests:
+            try:
+                feasible = filter_providers(providers, req)
+            except NoFeasibleProviders:
+                continue
+            for p in feasible:
+                outcomes = []
+                for network in (net, loaded):
+                    out, flown = compose_flown(p, req, network, energy, seeds, comp_cfg)
+                    check_flown(p, comp_cfg, out, flown)
+                    outcomes.append(out)
+                assert outcomes[0] == outcomes[1]
 
 
 def alive_by_full_dfs(network, visited, destination):
@@ -484,11 +505,13 @@ def recomputed_leg_info(state, a, b, ctx):
     wind = WindField(ctx.wind.seed, ctx.wind.slice_s).at(a, b, state.delivery_time)
     length = ctx.network.length(a, b)
     sector = relative_sector(wind, ctx.network.heading(a, b))
-    formation = best_formation(sector, FORMATIONS, ctx.energy) if ctx.flexible else ctx.base_formation
+    swarm = ctx.provider.swarm
+    formation = best_formation(sector, FORMATIONS, ctx.energy) if swarm.is_flexible else swarm.formation
     energies = tuple(
-        segment_energy(d, length, formation, sector, slot, ctx.energy) for slot, d in enumerate(state.drones)
+        segment_energy(load, swarm.speed, length, formation, sector, slot, ctx.energy)
+        for slot, load in enumerate(state.loads)
     )
-    ctx.evaluations += len(state.drones)
+    ctx.evaluations += len(state.loads)
     return _Leg(node=b, length=length, energies=energies)
 
 
@@ -514,56 +537,41 @@ def acceptance_compositions():
 class TestMemoisedPhysics:
     def test_memos_change_no_outcome(self, monkeypatch):
         sample = acceptance_compositions()
-        shipped = [compose(*args) for args in sample]
+        shipped = [compose_flown(*args) for args in sample]
         monkeypatch.setattr(composition, "_leg_info", recomputed_leg_info)
-        recomputed = [compose(*args) for args in sample]
+        recomputed = [compose_flown(*args) for args in sample]
 
-        assert any(len(out.paths) > 1 for out in shipped)
-        for got, want in zip(shipped, recomputed, strict=True):
-            assert got.paths == want.paths
-            assert got.pqos == want.pqos
-            assert got.evaluations == want.evaluations
-            assert got.arrival_spread_s == want.arrival_spread_s
-            assert got.energy_ledger == want.energy_ledger
+        def ledger(flown):
+            return [(sub.held, sub.consumed, sub.purchased) for sub in flown]
 
-
-drone_states = st.builds(
-    lambda capacity, energy, payload, spent: DroneState(
-        drone_id=1,
-        battery_capacity=capacity,
-        speed=10.0,
-        current_energy=energy * capacity,
-        assigned_payload=payload,
-        consumed=spent,
-        purchased=spent / 2,
-    ),
-    st.floats(1.0, 100.0),
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 3.0),
-    st.floats(0.0, 50.0),
-)
+        assert any(len(out.paths) > 1 for out, _ in shipped)
+        for (got, got_flown), (want, want_flown) in zip(shipped, recomputed, strict=True):
+            assert got == want
+            assert ledger(got_flown) == ledger(want_flown)
 
 
 class TestNodeServiceReadsOnly:
     @given(
-        st.lists(st.tuples(drone_states, st.floats(0.0, 1.0)), min_size=1, max_size=6),
+        st.floats(1.0, 100.0),
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6),
         st.integers(1, 4),
         st.sampled_from([1, 2]),  # the partner owns the station, or another company does
         st.sampled_from(["platinum", "gold", "silver"]),
         st.sampled_from([None, 0, 2, 4]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_drones_unchanged(self, drones_and_fill, pads, partner, tier, queue_override):
-        """node_service_time leaves every field of its drones unchanged; the
-        composer's estimates pass it the live drones and rely on this."""
-        drones = [d for d, _ in drones_and_fill]
-        targets = [d.current_energy + fill * (d.battery_capacity - d.current_energy) for d, fill in drones_and_fill]
-        before = [astuple(d) for d in drones]
+    def test_energies_unchanged(self, capacity, fills, pads, partner, tier, queue_override):
+        """node_service_time leaves the energies and targets it is given
+        unchanged; the composer passes it a sub-swarm's live held vector and
+        relies on this."""
+        energies = [held * capacity for held, _ in fills]
+        targets = [p + fill * (capacity - p) for p, (_, fill) in zip(energies, fills)]
+        before = (list(energies), list(targets))
         node_service_time(
-            drones, [d.current_energy for d in drones], SkywayNode(7, 0.0, 0.0, 1, pads), targets,
+            capacity, energies, SkywayNode(7, 0.0, 0.0, 1, pads), targets,
             Partnership.for_tier(partner, tier), 5, EnergyModelConfig(), queue_override=queue_override,
         )
-        assert [astuple(d) for d in drones] == before
+        assert (energies, targets) == before
 
 
 @st.composite
@@ -597,9 +605,10 @@ def first_legs(draw, cooperative, threshold, min_fill_legs=0.0):
         CompositionConfig(opportunistic_charge_threshold=draw(threshold)),
     )
     leg = composition._leg_info(state, 0, 1, ctx)
-    for drone, e in zip(state.drones, leg.energies):
-        assume(e <= drone.battery_capacity and min_fill_legs * e <= drone.battery_capacity)
-        drone.current_energy = draw(st.floats(min_fill_legs * e, drone.battery_capacity))
+    capacity = provider.swarm.battery_capacity
+    for slot, e in enumerate(leg.energies):
+        assume(e <= capacity and min_fill_legs * e <= capacity)
+        state.held[slot] = draw(st.floats(min_fill_legs * e, capacity))
     return state, ctx, leg
 
 
@@ -622,10 +631,10 @@ class TestEstimatesMatchExecutor:
         state, ctx, leg = case  # every drone can fly the leg twice: no forced stop
         estimate = composition._estimate_arrival_service(state, leg, ctx)
         composition._traverse(state, leg, ctx)
-        topped_up = any(d.purchased > 0 for d in state.drones)
+        topped_up = any(p > 0 for p in state.purchased)
         assert (estimate != NodeService(0.0, 0.0, 0.0, 0.0)) == topped_up
         if topped_up:
             assert estimate.wait_s == state.wait_s
-            assert estimate.energy_wh == pytest.approx(sum(d.purchased for d in state.drones))
+            assert estimate.energy_wh == pytest.approx(sum(state.purchased))
             operating = ctx.comp.operating_cost_per_km * leg.length / 1000.0
             assert estimate.cost == pytest.approx(state.cost - operating)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skybroker.composition import DroneState, _charge_targets
+from skybroker.composition import _charge_targets
 from skybroker.config import EnergyModelConfig
 from skybroker.domain import (
+    COOPERATIVE,
     DYNAMIC,
     FIXED_FORMATION,
     FLEXIBLE_FORMATION,
@@ -27,38 +28,28 @@ from skybroker.energy import (
 )
 from skybroker.network import SkywayNode
 
-from conftest import unit_energy_config
+from conftest import simple_provider, unit_energy_config
 
 FORMATIONS = tuple(Formation)
 
 
-def drone(battery=100.0, payload=0.0, speed=10.0, current=None):
-    return DroneState(
-        drone_id=1,
-        battery_capacity=battery,
-        speed=speed,
-        current_energy=battery if current is None else current,
-        assigned_payload=payload,
-    )
-
-
 class TestSegmentEnergy:
     def test_zero_length_zero_energy(self, unit_config):
-        assert segment_energy(drone(), 0.0, Formation.VEE, 0, 0, unit_config) == 0.0
+        assert segment_energy(0.0, 10.0, 0.0, Formation.VEE, 0, 0, unit_config) == 0.0
 
     def test_heavier_payload_consumes_strictly_more(self, unit_config):
-        light = segment_energy(drone(payload=0.0), 500, Formation.VEE, 0, 0, unit_config)
-        heavy = segment_energy(drone(payload=2.0), 500, Formation.VEE, 0, 0, unit_config)
+        light = segment_energy(0.0, 10.0, 500, Formation.VEE, 0, 0, unit_config)
+        heavy = segment_energy(2.0, 10.0, 500, Formation.VEE, 0, 0, unit_config)
         assert heavy > light
 
     def test_hand_computed_value(self, unit_config):
         # 1000 m at 10 m/s with 1 kg payload: (100 + 50) W * 100 s = 15000 J
-        e = segment_energy(drone(payload=1.0), 1000.0, Formation.VEE, 0, 0, unit_config)
+        e = segment_energy(1.0, 10.0, 1000.0, Formation.VEE, 0, 0, unit_config)
         assert e == pytest.approx(15000.0 / 3600.0)
 
     def test_negative_length_rejected(self, unit_config):
         with pytest.raises(ValueError):
-            segment_energy(drone(), -1.0, Formation.VEE, 0, 0, unit_config)
+            segment_energy(0.0, 10.0, -1.0, Formation.VEE, 0, 0, unit_config)
 
     @given(
         st.floats(min_value=0, max_value=3),
@@ -71,11 +62,11 @@ class TestSegmentEnergy:
         cfg = unit_energy_config()
         lo_p, hi_p = sorted((p1, p2))
         lo_l, hi_l = sorted((l1, l2))
-        assert segment_energy(drone(payload=lo_p), hi_l, Formation.VEE, 0, 0, cfg) <= segment_energy(
-            drone(payload=hi_p), hi_l, Formation.VEE, 0, 0, cfg
+        assert segment_energy(lo_p, 10.0, hi_l, Formation.VEE, 0, 0, cfg) <= segment_energy(
+            hi_p, 10.0, hi_l, Formation.VEE, 0, 0, cfg
         )
-        assert segment_energy(drone(payload=hi_p), lo_l, Formation.VEE, 0, 0, cfg) <= segment_energy(
-            drone(payload=hi_p), hi_l, Formation.VEE, 0, 0, cfg
+        assert segment_energy(hi_p, 10.0, lo_l, Formation.VEE, 0, 0, cfg) <= segment_energy(
+            hi_p, 10.0, hi_l, Formation.VEE, 0, 0, cfg
         )
 
 
@@ -126,14 +117,10 @@ def station(node_id=1, owner=1, pads=4):
 ELSEWHERE = Partnership.for_tier(99, "gold")
 
 
-def held(drones):
-    return [d.current_energy for d in drones]
-
-
 class TestNodeService:
     def test_parallel_charging_no_wait(self, unit_config):
-        drones = [drone(battery=50, current=40) for _ in range(4)]
-        svc = node_service_time(drones, held(drones), station(pads=4), [50] * 4, ELSEWHERE, 0, unit_config)
+        held = [40.0] * 4
+        svc = node_service_time(50.0, held, station(pads=4), [50] * 4, ELSEWHERE, 0, unit_config)
         assert svc.wait_s == 0.0
         assert svc.charge_s == pytest.approx(3600 * 10 / 100)
         assert svc.energy_wh == pytest.approx(40.0)
@@ -141,65 +128,65 @@ class TestNodeService:
     def test_two_batches_hand_simulated(self, unit_config):
         # 4 drones, 2 pads, equal 10 Wh deficits: two batches of 360 s, so the
         # swarm spends 720 s at the node, half of it waiting
-        drones = [drone(battery=50, current=40) for _ in range(4)]
-        svc = node_service_time(drones, held(drones), station(pads=2), [50] * 4, ELSEWHERE, 0, unit_config)
+        held = [40.0] * 4
+        svc = node_service_time(50.0, held, station(pads=2), [50] * 4, ELSEWHERE, 0, unit_config)
         assert svc.charge_s == pytest.approx(360.0)
         assert svc.wait_s == pytest.approx(360.0)
 
     def test_platinum_skips_whole_queue(self, unit_config):
-        drones = [drone(battery=50, current=40)]
+        held = [40.0]
         partnership = Partnership.for_tier(1, "platinum")
         svc = node_service_time(
-            drones, held(drones), station(owner=1, pads=1), [50], partnership, 0, unit_config, queue_override=7
+            50.0, held, station(owner=1, pads=1), [50], partnership, 0, unit_config, queue_override=7
         )
         assert svc.wait_s == 0.0
 
     def test_gold_admits_exactly_two_ahead(self, unit_config):
-        drones = [drone(battery=50, current=40)]
+        held = [40.0]
         gold = Partnership.for_tier(1, "gold")
         svc = node_service_time(
-            drones, held(drones), station(owner=1, pads=1), [50], gold, 0, unit_config, queue_override=7
+            50.0, held, station(owner=1, pads=1), [50], gold, 0, unit_config, queue_override=7
         )
         assert svc.wait_s == pytest.approx(2 * unit_config.exogenous_service_s)
 
     def test_partner_benefits_only_at_partner_stations(self, unit_config):
-        drones = [drone(battery=50, current=40)]
+        held = [40.0]
         gold = Partnership.for_tier(1, "gold")
         svc = node_service_time(
-            drones, held(drones), station(owner=2, pads=1), [50], gold, 0, unit_config, queue_override=3
+            50.0, held, station(owner=2, pads=1), [50], gold, 0, unit_config, queue_override=3
         )
         assert svc.wait_s == pytest.approx(3 * unit_config.exogenous_service_s)
         assert svc.cost == pytest.approx(10 / 1000 * unit_config.non_partner_price_per_kwh)
 
     def test_partner_price_at_partner_station(self, unit_config):
-        drones = [drone(battery=50, current=40)]
+        held = [40.0]
         gold = Partnership.for_tier(1, "gold")
-        svc = node_service_time(drones, held(drones), station(owner=1), [50], gold, 0, unit_config)
+        svc = node_service_time(50.0, held, station(owner=1), [50], gold, 0, unit_config)
         assert svc.cost == pytest.approx(10 / 1000 * gold.price_per_kwh)
 
     def test_target_above_capacity_rejected(self, unit_config):
         with pytest.raises(ValueError, match="capacity"):
-            node_service_time([drone(battery=50)], [50.0], station(), [51], ELSEWHERE, 0, unit_config)
+            node_service_time(50.0, [50.0], station(), [51], ELSEWHERE, 0, unit_config)
 
     def test_target_below_current_rejected(self, unit_config):
         with pytest.raises(ValueError, match="below"):
-            node_service_time([drone(battery=50, current=40)], [40.0], station(), [30], ELSEWHERE, 0, unit_config)
+            node_service_time(50.0, [40.0], station(), [30], ELSEWHERE, 0, unit_config)
 
     def test_no_deficit_no_service(self):
         cfg = unit_energy_config(queue_draw_max=4)
-        drones = [drone(battery=50, current=50)]
-        svc = node_service_time(drones, held(drones), station(pads=1), [50], ELSEWHERE, 0, cfg)
+        held = [50.0]
+        svc = node_service_time(50.0, held, station(pads=1), [50], ELSEWHERE, 0, cfg)
         assert svc == (0.0, 0.0, 0.0, 0.0)
 
     def test_zero_cost_when_nothing_purchased(self, unit_config):
-        drones = [drone(battery=50, current=50)]
-        svc = node_service_time(drones, held(drones), station(), [50], ELSEWHERE, 0, unit_config)
+        held = [50.0]
+        svc = node_service_time(50.0, held, station(), [50], ELSEWHERE, 0, unit_config)
         assert svc.cost == 0.0
 
     @pytest.mark.parametrize("pads", [1, 2, 3, 4, 8])
     def test_queue_conservation_energy_invariant_of_pads(self, pads, unit_config):
-        drones = [drone(battery=50, current=30 + i) for i in range(5)]
-        svc = node_service_time(drones, held(drones), station(pads=pads), [50] * 5, ELSEWHERE, 0, unit_config)
+        held = [30.0 + i for i in range(5)]
+        svc = node_service_time(50.0, held, station(pads=pads), [50] * 5, ELSEWHERE, 0, unit_config)
         # pad count changes wall clock, never the energy purchased; total pad
         # occupancy is the purchased energy over the charge rate
         assert svc.energy_wh == pytest.approx(sum(50 - (30 + i) for i in range(5)))
@@ -207,8 +194,8 @@ class TestNodeService:
         assert occupancy == pytest.approx(3600 * svc.energy_wh / 100)
 
     def test_enough_pads_and_empty_queue_no_wait(self, unit_config):
-        drones = [drone(battery=50, current=20 + i) for i in range(3)]
-        svc = node_service_time(drones, held(drones), station(pads=3), [50] * 3, ELSEWHERE, 0, unit_config)
+        held = [20.0 + i for i in range(3)]
+        svc = node_service_time(50.0, held, station(pads=3), [50] * 3, ELSEWHERE, 0, unit_config)
         assert svc.wait_s == 0.0
 
     def test_queue_length_deterministic_within_bounds(self):
@@ -222,9 +209,10 @@ class TestNodeService:
 def cooperative_target(need, config, battery=50.0):
     """The charge target of one empty drone of a cooperative swarm whose next
     leg needs `need` Wh."""
-    ctx = SimpleNamespace(cooperative=True, energy=config)
+    provider = simple_provider(battery=battery, techniques=frozenset({STATIC, FIXED_FORMATION, COOPERATIVE}))
+    ctx = SimpleNamespace(provider=provider, energy=config)
     leg = SimpleNamespace(energies=(need,))
-    return _charge_targets([drone(battery=battery, current=0.0)], [0.0], leg, ctx, None)[0]
+    return _charge_targets((0.0,), [0.0], leg, ctx, None)[0]
 
 
 class TestCooperativeTarget:

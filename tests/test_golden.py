@@ -2,8 +2,8 @@
 
 Three benchmark configs take their configs and sha256 digests from
 brokerbench/workloads.py and brokerbench/expected.json; this test only reads
-them; two pruned configs and one with rising position factors are pinned
-below. per_request.csv carries
+them; two pruned configs, one with rising position factors and one that
+charges at most stops are pinned below. per_request.csv carries
 execution_time and proxy_time, so the digests also pin the evaluation cost
 model. sweep is the config that pins candidate scoring's charging estimates:
 pricing the estimated top-up at the drawn queue instead of the expected one
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from skybroker.config import EnergyModelConfig
+from skybroker.config import CompositionConfig, EnergyModelConfig
 from skybroker.harness import ExperimentConfig, run_experiment
 
 BENCH = Path(__file__).resolve().parent.parent / "brokerbench"
@@ -91,6 +91,36 @@ RISING_SLOTS = (
 
 def test_rising_position_factors_match_pinned_digests(tmp_path):
     config, expected = RISING_SLOTS
+    run_experiment(ExperimentConfig(**config), tmp_path)
+    digests = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in expected}
+    assert digests == expected
+
+
+# Long exogenous queues and a high top-up threshold make charging the common
+# case: the config makes 58 opportunistic top-ups, 431 forced stops and 88
+# splits. Its digests were taken from the composer that still kept one record
+# per drone.
+CHARGING_HEAVY = (
+    dict(
+        seed=1,
+        synthetic_nodes=60,
+        n_requests=20,
+        strategies=("brute", "density"),
+        k_values=(50.0,),
+        voting_methods=("irv", "borda"),
+        energy=EnergyModelConfig(queue_draw_max=8),
+        composition=CompositionConfig(opportunistic_charge_threshold=0.8),
+    ),
+    {
+        "per_request.csv": "446133045a782fcfc25f5fff4bcbabf4720420138d8f2ee8af526ff388f530c5",
+        "summary.csv": "008d4e42b2fe1a20177755e73e3c56d2964f3393f4a0dc11f5cc708675712ac2",
+        "manifest.json": "0f53056a95e5c2191b1398ffc61c984ab640084cfb1594385a00aff5d73368f6",
+    },
+)
+
+
+def test_charging_heavy_config_matches_pinned_digests(tmp_path):
+    config, expected = CHARGING_HEAVY
     run_experiment(ExperimentConfig(**config), tmp_path)
     digests = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in expected}
     assert digests == expected

@@ -158,6 +158,12 @@ class TestRunExperiment:
         [
             {"k_values": (50.0, 100.0)},
             {"k_values": (-1.0,)},
+            {"k_values": ()},
+            {"k_values": (50.0, 50.0)},
+            {"strategies": ()},
+            {"strategies": ("density", "density")},
+            {"voting_methods": ()},
+            {"voting_methods": ("irv", "borda", "irv")},
             {"t_paths": 0},
             {"grid_resolution": 1},
             {"n_providers": 0},
@@ -369,9 +375,21 @@ class TestCli:
             assert column in header
         assert "mean sat" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("k, message", [("100", "k_values must be in [0, 100)"), ("abc", "'abc'")])
-    def test_bad_k_is_a_one_line_error(self, k, message, capsys):
-        assert cli_main(["run", "--synthetic", "20", "--k", k]) == 2
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--k", "100", "k_values must be in [0, 100)"),
+            ("--k", "abc", "'abc'"),
+            ("--k", ",", "k_values must be non-empty"),
+            ("--k", "50,50", "k_values must be non-empty and without duplicates"),
+            ("--pruning", ",", "strategies must be non-empty"),
+            ("--pruning", "density,density", "strategies must be non-empty and without duplicates"),
+            ("--voting", ",", "voting_methods must be non-empty"),
+            ("--voting", "irv,irv", "voting_methods must be non-empty and without duplicates"),
+        ],
+    )
+    def test_bad_list_option_is_a_one_line_error(self, option, value, message, capsys):
+        assert cli_main(["run", "--synthetic", "20", option, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("skybroker: error: ") and message in err
         assert err.count("\n") == 1

@@ -31,11 +31,6 @@ def outcome(pid, dt, ec, c, et, success=True):
         paths=((1, 2),),
         pqos=QosVector(dt, ec, c, et),
         evaluations=10,
-        arrival_spread_s=0.0,
-        travel_s=dt,
-        charge_s=0.0,
-        wait_s=0.0,
-        energy_ledger=(),
     )
 
 
