@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .config import CompositionConfig, EnergyModelConfig, Seeds, mix64
-from .domain import FORMATIONS, DeliveryRequest, Provider, QosVector, assign_packages
+from .domain import FORMATIONS, DeliveryRequest, Provider, QosVector, assign_packages, normalize_lower_better
 from .energy import (
     NodeService,
     WindField,
@@ -199,7 +199,7 @@ def _leg_info(state: SubSwarmState, a: int, b: int, ctx: CompositionContext) -> 
         swarm = ctx.provider.swarm
         length = ctx.network.length(a, b)
         sector = relative_sector(ctx.wind.at(a, b, state.delivery_time), ctx.network.heading(a, b))
-        formation = best_formation(sector, FORMATIONS, ctx.energy) if swarm.is_flexible else swarm.formation
+        formation = best_formation(sector, FORMATIONS, ctx.energy) if swarm.flexible else swarm.formation
         energies = tuple(
             segment_energy(load, swarm.speed, length, formation, sector, slot, ctx.energy)
             for slot, load in enumerate(state.loads)
@@ -235,7 +235,7 @@ def _tops_up(
     swarm, partnership = ctx.provider.swarm, ctx.provider.partnership
     owner = ctx.network.node(node_id).station_owner
     if not (
-        not swarm.is_cooperative
+        not swarm.cooperative
         and threshold > 0
         and node_id != ctx.request.destination
         and owner == partnership.charging_provider_id
@@ -262,7 +262,7 @@ def _charge_targets(
     carry a full tank across the finish line.
     """
     swarm = ctx.provider.swarm
-    if not swarm.is_cooperative:
+    if not swarm.cooperative:
         return [swarm.battery_capacity] * len(energies)
     targets = []
     for load, held, need in zip(loads, energies, leg.energies):
@@ -408,15 +408,6 @@ def _estimate_arrival_service(state: SubSwarmState, leg: _Leg, ctx: CompositionC
     return NodeService(0.0, service.wait_s, service.energy_wh, service.cost)
 
 
-def _oriented_normalize(values: Sequence[float]) -> list[float]:
-    """Min-max normalize lower-is-better values so that higher means better."""
-    lo, hi = min(values), max(values)
-    span = hi - lo
-    if span <= 1e-12:
-        return [1.0] * len(values)
-    return [(hi - v) / span for v in values]
-
-
 def score_candidates(
     state: SubSwarmState, candidates: Sequence[_Leg], ctx: CompositionContext
 ) -> list[tuple[float, _Leg]]:
@@ -444,11 +435,11 @@ def score_candidates(
         rem_col.append(ctx.dist_to_dest.get(leg.node, float("inf")))
     ctx.evaluations += len(candidates)
 
-    dt_hat = _oriented_normalize(dt_col)
-    ec_hat = _oriented_normalize(ec_col)
-    cost_hat = _oriented_normalize(cost_col)
+    dt_hat = normalize_lower_better(dt_col)
+    ec_hat = normalize_lower_better(ec_col)
+    cost_hat = normalize_lower_better(cost_col)
     et_hat = [1.0] * len(candidates)  # the proxy tick is identical for every candidate
-    rem_hat = _oriented_normalize(rem_col)
+    rem_hat = normalize_lower_better(rem_col)
 
     weights = ctx.request.qos_weights
     pw = ctx.comp.progress_weight
@@ -498,7 +489,7 @@ def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, subswarms: list
             return
 
         if (
-            ctx.provider.swarm.is_dynamic
+            ctx.provider.swarm.dynamic
             and not ctx.split_done
             and len(state.loads) >= 2
             and ctx.network.node(node).pad_count < len(state.loads)
@@ -569,7 +560,7 @@ def compose(
         delivery_time=max(delivery_times),
         energy=sum(e for s in finished for e in s.consumed),
         cost=sum(s.cost for s in finished),
-        execution_time=execution_time_proxy(ctx.evaluations, provider.swarm.techniques, ctx.energy),
+        execution_time=execution_time_proxy(ctx.evaluations, provider.swarm, ctx.energy),
     )
     return CompositionOutcome(
         provider_id=provider.provider_id,

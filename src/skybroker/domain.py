@@ -6,7 +6,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .network import SkywayNetwork
@@ -24,36 +24,46 @@ class Formation(str, Enum):
 
 FORMATIONS: tuple[Formation, ...] = tuple(Formation)
 
-STATIC = "static"
-DYNAMIC = "dynamic"
-FIXED_FORMATION = "fixed_formation"
-FLEXIBLE_FORMATION = "flexible_formation"
-COOPERATIVE = "cooperative"
-
-BEHAVIOUR_TECHNIQUES = frozenset({STATIC, DYNAMIC})
-FORMATION_POLICY_TECHNIQUES = frozenset({FIXED_FORMATION, FLEXIBLE_FORMATION})
-ALL_TECHNIQUES = BEHAVIOUR_TECHNIQUES | FORMATION_POLICY_TECHNIQUES | {COOPERATIVE}
-
 QOS_METRICS = ("delivery_time", "energy", "cost", "execution_time")
 
-TIERS = ("platinum", "gold", "silver")
-TIER_PRICES_PER_KWH = {"platinum": 0.15, "gold": 0.20, "silver": 0.25}
 NON_PARTNER_PRICE_PER_KWH = 0.30
-# Queued drones admitted ahead of the swarm at partner stations. None means the
-# swarm may skip the entire queue.
-TIER_QUEUE_SKIP: dict[str, int | None] = {"platinum": None, "gold": 2, "silver": 1}
+
+
+class TierTerms(NamedTuple):
+    price_per_kwh: float  # at the partner's own stations
+    # queued drones admitted ahead of the swarm at the partner's stations;
+    # None means the swarm skips the entire queue
+    queue_skip: int | None
+    score_multiplier: float  # on the density pruning score
+
+
+TIERS: dict[str, TierTerms] = {
+    "platinum": TierTerms(0.15, None, 1.2),
+    "gold": TierTerms(0.20, 2, 1.1),
+    "silver": TierTerms(0.25, 1, 1.0),
+}
 
 
 @dataclass(frozen=True)
 class Swarm:
     """A homogeneous swarm: ``size`` identical drones with one battery, payload
-    and speed spec, plus the techniques the provider flies them with."""
+    and speed spec, plus the three techniques the provider flies them with.
+
+    ``dynamic`` swarms may split once, at a congested node, into two
+    sub-swarms; static ones never split. ``flexible`` swarms fly each leg in
+    the formation best for its wind sector; fixed ones always fly
+    ``formation``. ``cooperative`` swarms buy at a charging stop only what the
+    route ahead needs plus a margin and never top up opportunistically; the
+    others refill to full.
+    """
 
     size: int
     battery_capacity: float  # Wh per drone
     payload_capacity: float  # kg per drone
     speed: float  # m/s
-    techniques: frozenset[str]
+    dynamic: bool
+    flexible: bool
+    cooperative: bool
     formation: Formation
 
     def __post_init__(self) -> None:
@@ -65,67 +75,26 @@ class Swarm:
             raise ValueError("payload_capacity must be positive")
         if self.speed <= 0:
             raise ValueError("speed must be positive")
-        unknown = set(self.techniques) - ALL_TECHNIQUES
-        if unknown:
-            raise ValueError(f"unknown techniques: {sorted(unknown)}")
-        if len(self.techniques & BEHAVIOUR_TECHNIQUES) != 1:
-            raise ValueError("swarm needs exactly one of {static, dynamic}")
-        if len(self.techniques & FORMATION_POLICY_TECHNIQUES) != 1:
-            raise ValueError("swarm needs exactly one of {fixed_formation, flexible_formation}")
-
-    @property
-    def is_dynamic(self) -> bool:
-        return DYNAMIC in self.techniques
-
-    @property
-    def is_flexible(self) -> bool:
-        return FLEXIBLE_FORMATION in self.techniques
-
-    @property
-    def is_cooperative(self) -> bool:
-        return COOPERATIVE in self.techniques
 
 
 @dataclass(frozen=True)
 class Partnership:
-    """Agreement with one charging company granting price and queue benefits.
-
-    ``queue_skip`` caps how many already-queued drones are served before the
-    swarm at stations owned by the partner; None grants unlimited priority,
-    i.e. the swarm skips the whole queue.
-    """
+    """Agreement with one charging company; its tier's ``TIERS`` terms set the
+    price and queue priority at that company's stations."""
 
     charging_provider_id: int
     tier: str
-    price_per_kwh: float
-    queue_skip: int | None
 
     def __post_init__(self) -> None:
         if self.tier not in TIERS:
             raise ValueError(f"unknown partnership tier {self.tier!r}")
-        if self.price_per_kwh <= 0:
-            raise ValueError("price_per_kwh must be positive")
-        if self.tier == "platinum" and self.queue_skip is not None:
-            raise ValueError("platinum partnerships always skip the whole queue")
-        if self.queue_skip is not None and self.queue_skip < 0:
-            raise ValueError("queue_skip must be non-negative")
-
-    @classmethod
-    def for_tier(cls, charging_provider_id: int, tier: str) -> "Partnership":
-        return cls(
-            charging_provider_id=charging_provider_id,
-            tier=tier,
-            price_per_kwh=TIER_PRICES_PER_KWH[tier],
-            queue_skip=TIER_QUEUE_SKIP[tier],
-        )
 
     def queue_ahead(self, queue_length: int, station_owner: int) -> int:
         """Exogenous drones served before the swarm at a station owned by ``station_owner``."""
         if station_owner != self.charging_provider_id:
             return queue_length
-        if self.queue_skip is None:
-            return 0
-        return min(queue_length, self.queue_skip)
+        skip = TIERS[self.tier].queue_skip
+        return 0 if skip is None else min(queue_length, skip)
 
 
 @dataclass(frozen=True)
@@ -153,6 +122,18 @@ def normalize_weights(raw: Mapping[str, float]) -> dict[str, float]:
     if abs(total - 1.0) <= 1e-12:
         return values
     return {m: v / total for m, v in values.items()}
+
+
+def normalize_lower_better(values: Sequence[float]) -> list[float]:
+    """Min-max normalize lower-is-better values so that higher means better.
+
+    A span of at most 1e-12 normalizes every value to 1.
+    """
+    lo, hi = min(values), max(values)
+    span = hi - lo
+    if span <= 1e-12:
+        return [1.0] * len(values)
+    return [(hi - v) / span for v in values]
 
 
 @dataclass(frozen=True)
@@ -235,6 +216,8 @@ def generate_scenario(
         raise ValueError("n_providers must be positive")
     if n_requests <= 0:
         raise ValueError("n_requests must be positive")
+    if network.n_nodes < 2:
+        raise ValueError(f"a request needs two distinct nodes, the network has {network.n_nodes}")
     limits = limits or ScenarioLimits()
     ranges = ranges or CapabilityRanges()
     rng = random.Random(seed)
@@ -247,28 +230,13 @@ def generate_scenario(
         speed = rng.uniform(*ranges.speed_mps)
         payload = rng.uniform(*ranges.payload_kg)
         size = rng.randint(*ranges.swarm_size)
-        behaviour = rng.choice((STATIC, DYNAMIC))
-        policy = rng.choice((FIXED_FORMATION, FLEXIBLE_FORMATION))
+        dynamic = rng.choice((False, True))
+        flexible = rng.choice((False, True))
         cooperative = rng.random() < 0.5
         formation = rng.choice(FORMATIONS)
-        techniques = {behaviour, policy}
-        if cooperative:
-            techniques.add(COOPERATIVE)
-        partnership = Partnership.for_tier(rng.choice(charging_ids), rng.choice(TIERS))
-        providers.append(
-            Provider(
-                provider_id=pid,
-                swarm=Swarm(
-                    size=size,
-                    battery_capacity=battery,
-                    payload_capacity=payload,
-                    speed=speed,
-                    techniques=frozenset(techniques),
-                    formation=formation,
-                ),
-                partnership=partnership,
-            )
-        )
+        partnership = Partnership(rng.choice(charging_ids), rng.choice(tuple(TIERS)))
+        swarm = Swarm(size, battery, payload, speed, dynamic, flexible, cooperative, formation)
+        providers.append(Provider(pid, swarm, partnership))
 
     requests = []
     for rid in range(1, n_requests + 1):

@@ -8,10 +8,10 @@ are reproducible across runs and platforms.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .config import WIND_SECTORS, EnergyModelConfig, mix64, unit_draw
-from .domain import DYNAMIC, FLEXIBLE_FORMATION, Formation, Partnership
+from .domain import TIERS, Formation, Partnership, Swarm
 from .network import SkywayNode
 
 TWO_PI = 2.0 * math.pi
@@ -163,26 +163,20 @@ def node_service_time(
 
     energy_wh = sum(charging)
     if node.station_owner == partnership.charging_provider_id:
-        price = partnership.price_per_kwh
+        price = TIERS[partnership.tier].price_per_kwh
     else:
         price = config.non_partner_price_per_kwh
     cost = energy_wh / 1000.0 * price
     return NodeService(charge_s, wait_s, energy_wh, cost)
 
 
-def execution_time_proxy(
-    evaluations: int,
-    techniques: Iterable[str],
-    config: EnergyModelConfig | None = None,
-) -> float:
+def execution_time_proxy(evaluations: int, swarm: Swarm, config: EnergyModelConfig) -> float:
     """Deterministic execution-time proxy: evaluation count times technique factors."""
     if evaluations < 0:
         raise ValueError("evaluations must be non-negative")
-    config = config or EnergyModelConfig()
     factor = 1.0
-    technique_set = set(techniques)
-    if FLEXIBLE_FORMATION in technique_set:
+    if swarm.flexible:
         factor *= config.et_flexible_factor
-    if DYNAMIC in technique_set:
+    if swarm.dynamic:
         factor *= config.et_dynamic_factor
     return evaluations * factor

@@ -113,8 +113,11 @@ class ExperimentConfig:
                 raise ConfigurationError(f"k_values must be in [0, 100), got {k}")
         if self.t_paths < 1:
             raise ConfigurationError(f"t_paths must be at least 1, got {self.t_paths}")
-        if self.grid_resolution < 2:
-            raise ConfigurationError(f"grid_resolution must be at least 2, got {self.grid_resolution}")
+        # the region path search nests one generator level per hop and each
+        # company's heatmap holds one float per cell, so larger grids overflow
+        # the stack or the memory
+        if not 2 <= self.grid_resolution <= 256:
+            raise ConfigurationError(f"grid_resolution must be in [2, 256], got {self.grid_resolution}")
         if self.n_providers < 1 or self.n_requests < 1:
             raise ConfigurationError("n_providers and n_requests must be at least 1")
 
@@ -186,7 +189,6 @@ def build_network(cfg: ExperimentConfig) -> SkywayNetwork:
 def _run_method(
     method: str,
     ballots,
-    successes: Sequence[CompositionOutcome],
     request: DeliveryRequest,
     seeds: Seeds,
 ) -> tuple[int, int, bool]:
@@ -200,7 +202,7 @@ def _run_method(
     elif method == "condorcet":
         r = condorcet(ballots, rng_seed)
     elif method == "topweight":
-        return top_weight(successes, request.qos_weights), len(successes), False
+        return top_weight(ballots), len(ballots[0].ranking), False
     else:
         raise ValueError(f"unknown voting method {method!r}")
     return r.winner, r.op_count, r.paradox
@@ -260,7 +262,7 @@ def _process_request(
         sat_table = satisfaction(nhat_table, request.qos_weights)
         ballots = build_ballots(successes, request.qos_weights)
         for method in cfg.voting_methods:
-            winner, ops, paradox = _run_method(method, ballots, successes, request, seeds)
+            winner, ops, paradox = _run_method(method, ballots, request, seeds)
             pqos = outcomes[winner].pqos
             row = {
                 "seed": cfg.seed,

@@ -10,12 +10,10 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from .domain import DeliveryRequest, Provider
+from .domain import TIERS, DeliveryRequest, Provider, normalize_lower_better
 from .network import RegionGrid, t_shortest_region_paths
 
 STRATEGIES = ("brute", "capabilities", "density")
-
-TIER_SCORE_MULTIPLIER = {"platinum": 1.2, "gold": 1.1, "silver": 1.0}
 
 
 class NoFeasibleProviders(Exception):
@@ -45,18 +43,18 @@ def capabilities_scores(cohort: Sequence[Provider]) -> dict[int, float]:
     """Mean min-max-normalized battery, speed, payload capacity and swarm size,
     by provider id.
 
-    Axes with zero spread across the cohort count as 1, so a single-provider
-    cohort scores exactly 1.
+    Axes with no spread (at most 1e-12) across the cohort count as 1, so a
+    single-provider cohort scores exactly 1.
     """
-    rows = [_axes(p) for p in cohort]
-    bounds = [(min(column), max(column)) for column in zip(*rows)]
+    # negated, the capabilities are lower-is-better
+    columns = [normalize_lower_better([-v for v in column]) for column in zip(*map(_axes, cohort))]
     scores = {}
-    for provider, row in zip(cohort, rows):
+    for provider, row in zip(cohort, zip(*columns)):
         # a running total, not sum(): from Python 3.12 sum() of floats is
         # compensated and rounds differently
         total = 0.0
-        for value, (lo, hi) in zip(row, bounds):
-            total += 1.0 if hi - lo <= 0 else (value - lo) / (hi - lo)
+        for value in row:
+            total += value
         scores[provider.provider_id] = total / 4.0
     return scores
 
@@ -76,7 +74,7 @@ def density_score(
     # rounding is monotone, so scaling the best sum by non-negative factors
     # gives the same float as the best of the per-path products
     best = max((sum(density[cell] for cell in path) for path in region_paths), default=0.0)
-    return best * TIER_SCORE_MULTIPLIER[provider.partnership.tier] * capabilities
+    return best * TIERS[provider.partnership.tier].score_multiplier * capabilities
 
 
 def prune(scores: Mapping[int, float], k_percent: float) -> set[int]:

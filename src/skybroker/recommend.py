@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .composition import CompositionOutcome
-from .domain import QOS_METRICS, QosVector
+from .domain import QOS_METRICS, QosVector, normalize_lower_better
 
 
 class NoSuccessfulProviders(Exception):
@@ -177,17 +177,10 @@ def condorcet(ballots: Sequence[Ballot], rng_seed: int = 0) -> ElectionResult:
     return ElectionResult("condorcet", winner, wins, paradox=True, op_count=ops)
 
 
-def top_weight(
-    outcomes: Iterable[CompositionOutcome],
-    qos_weights: Mapping[str, float],
-) -> int:
-    """Baseline: best raw value on the single highest-weighted metric."""
-    successful = [o for o in outcomes if o.success]
-    if not successful:
-        raise NoSuccessfulProviders("no successful composition to recommend from")
-    metric = max(QOS_METRICS, key=lambda m: qos_weights[m])  # ties keep metric order
-    chosen = min(successful, key=lambda o: (o.pqos.get(metric), o.provider_id))
-    return chosen.provider_id
+def top_weight(ballots: Sequence[Ballot]) -> int:
+    """Baseline: the top choice of the highest-weighted metric's ballot, which
+    ranks by raw value. Equal weights keep metric order."""
+    return max(ballots, key=lambda b: b.weight).ranking[0]
 
 
 VOTING_METHODS = ("plurality", "irv", "borda", "condorcet", "topweight")
@@ -204,18 +197,12 @@ def expected_raw(low: float, high: float, weight: float) -> float:
 def normalized_qos(cohort: Mapping[int, QosVector]) -> dict[int, dict[str, float]]:
     """Min-max normalize each metric over the cohort, oriented higher-is-better.
 
-    A metric with zero spread normalizes to 1 for everyone.
+    A metric with no spread (at most 1e-12) normalizes to 1 for everyone.
     """
     if not cohort:
         raise ValueError("cohort must be non-empty")
-    result: dict[int, dict[str, float]] = {pid: {} for pid in cohort}
-    for metric in QOS_METRICS:
-        values = {pid: q.get(metric) for pid, q in cohort.items()}
-        lo, hi = min(values.values()), max(values.values())
-        span = hi - lo
-        for pid, v in values.items():
-            result[pid][metric] = 1.0 if span <= 0 else (hi - v) / span
-    return result
+    columns = [normalize_lower_better([q.get(m) for q in cohort.values()]) for m in QOS_METRICS]
+    return {pid: dict(zip(QOS_METRICS, row)) for pid, row in zip(cohort, zip(*columns))}
 
 
 def satisfaction(

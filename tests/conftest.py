@@ -4,14 +4,7 @@ import pytest
 
 from skybroker import composition
 from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
-from skybroker.domain import (
-    FIXED_FORMATION,
-    STATIC,
-    Formation,
-    Partnership,
-    Provider,
-    Swarm,
-)
+from skybroker.domain import Formation, Partnership, Provider, Swarm
 from skybroker.network import SkywayNetwork, SkywayNode
 
 
@@ -45,7 +38,9 @@ def simple_provider(
     battery=1000.0,
     payload_cap=3.0,
     speed=10.0,
-    techniques=frozenset({STATIC, FIXED_FORMATION}),
+    dynamic=False,
+    flexible=False,
+    cooperative=False,
     formation=Formation.VEE,
     charging_provider=1,
     tier="gold",
@@ -57,10 +52,12 @@ def simple_provider(
             battery_capacity=battery,
             payload_capacity=payload_cap,
             speed=speed,
-            techniques=techniques,
+            dynamic=dynamic,
+            flexible=flexible,
+            cooperative=cooperative,
             formation=formation,
         ),
-        partnership=Partnership.for_tier(charging_provider, tier),
+        partnership=Partnership(charging_provider, tier),
     )
 
 

@@ -202,8 +202,8 @@ def test_exact_paper_arithmetic():
     ]
     borda_points = borda(ballots).tallies[1]
     eqos = expected_raw(15.0, 50.0, 0.6)
-    gold = Partnership.for_tier(1, "gold")
-    platinum = Partnership.for_tier(1, "platinum")
+    gold = Partnership(1, "gold")
+    platinum = Partnership(1, "platinum")
     gold_ahead = {q: gold.queue_ahead(q, 1) for q in range(2, 11)}
     platinum_ahead = {q: platinum.queue_ahead(q, 1) for q in range(0, 11)}
     passed = (
@@ -420,7 +420,6 @@ def test_invariant_weight_scaling_of_all_winners():
         elections += 1
         scale = rng.choice((0.25, 0.5, 2.0, 4.0))
         base = build_ballots(successes, request.qos_weights)
-        scaled_weights = {m: w * scale for m, w in request.qos_weights.items()}
         # weights renormalize at request construction, so apply the scale to the
         # ballots directly: argmax invariance must hold either way
         scaled = [Ballot(b.voter, b.weight * scale, b.ranking) for b in base]
@@ -429,7 +428,7 @@ def test_invariant_weight_scaling_of_all_winners():
         assert instant_runoff(base, tie_seed).winner == instant_runoff(scaled, tie_seed).winner
         assert borda(base).winner == borda(scaled).winner
         assert condorcet(base, tie_seed).winner == condorcet(scaled, tie_seed).winner
-        assert top_weight(successes, request.qos_weights) == top_weight(successes, scaled_weights)
+        assert top_weight(base) == top_weight(scaled)
     report(
         "invariant-weight-scaling",
         elections >= 5,

@@ -17,12 +17,7 @@ from skybroker.composition import (
 )
 from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
 from skybroker.domain import (
-    COOPERATIVE,
-    DYNAMIC,
-    FIXED_FORMATION,
-    FLEXIBLE_FORMATION,
     FORMATIONS,
-    STATIC,
     DeliveryRequest,
     Partnership,
     ScenarioLimits,
@@ -280,14 +275,8 @@ class TestNodeValue:
 
 
 class TestDynamicSplitting:
-    def _provider(self, behaviour):
-        return simple_provider(
-            n_drones=4,
-            battery=5.0,
-            speed=10,
-            techniques=frozenset({behaviour, FIXED_FORMATION}),
-            charging_provider=9,
-        )
+    def _provider(self, dynamic):
+        return simple_provider(n_drones=4, battery=5.0, speed=10, dynamic=dynamic, charging_provider=9)
 
     def test_split_halves_bottleneck_waits(self, unit_config, seeds):
         # one-pad stations force sequential charging; the dynamic swarm splits
@@ -295,8 +284,8 @@ class TestDynamicSplitting:
         net = diamond_network(leg=1000.0, pads=(1, 1, 1, 4))
         req = request(0, 3, packages=(1.0, 1.0, 1.0, 1.0))
 
-        static_out, (static_sub,) = compose_flown(self._provider(STATIC), req, net, unit_config, seeds)
-        dynamic_out, (first, second) = compose_flown(self._provider(DYNAMIC), req, net, unit_config, seeds)
+        static_out, (static_sub,) = compose_flown(self._provider(False), req, net, unit_config, seeds)
+        dynamic_out, (first, second) = compose_flown(self._provider(True), req, net, unit_config, seeds)
 
         assert static_out.success
         assert static_out.paths == ((0, 1, 3),)
@@ -320,7 +309,7 @@ class TestDynamicSplitting:
                 continue
             tree = shortest_path_tree(net, req.destination)
             for p in feasible:
-                if not p.swarm.is_dynamic:
+                if not p.swarm.dynamic:
                     continue
                 out, flown = compose_flown(p, req, net, seeds=seeds, comp_config=comp_cfg, dest_tree=tree)
                 if out.success and len(flown) > 1:
@@ -335,9 +324,8 @@ def loaded_swarms(draw):
     drone, at the source of a diamond network, under drawn position factors,
     wind seed and formation policy."""
     n = draw(st.integers(2, 6))
-    policy = draw(st.sampled_from([FIXED_FORMATION, FLEXIBLE_FORMATION]))
     provider = simple_provider(
-        n_drones=n, techniques=frozenset({DYNAMIC, policy}), formation=draw(st.sampled_from(FORMATIONS))
+        n_drones=n, dynamic=True, flexible=draw(st.booleans()), formation=draw(st.sampled_from(FORMATIONS))
     )
     packages = tuple(draw(st.lists(st.floats(0.1, 3.0), min_size=2, max_size=n)))
     factors = tuple(draw(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=7)))
@@ -396,7 +384,7 @@ class TestCompositionInvariants:
         from skybroker.energy import execution_time_proxy
 
         for provider, req, out, net in self._batch(16, n_requests=4):
-            expected = execution_time_proxy(out.evaluations, provider.swarm.techniques)
+            expected = execution_time_proxy(out.evaluations, provider.swarm, EnergyModelConfig())
             assert out.pqos.execution_time == pytest.approx(expected)
 
     def test_flexible_formation_never_worse_on_forced_path(self, seeds):
@@ -404,8 +392,8 @@ class TestCompositionInvariants:
         net = line_network([900.0, 1100.0, 800.0], pads=[4] * 5)
         req = request(0, 3, packages=(1.0,))
         base = dict(n_drones=1, battery=1000.0, speed=10, charging_provider=9)
-        fixed = simple_provider(techniques=frozenset({STATIC, FIXED_FORMATION}), **base)
-        flexible = simple_provider(techniques=frozenset({STATIC, FLEXIBLE_FORMATION}), **base)
+        fixed = simple_provider(**base)
+        flexible = simple_provider(flexible=True, **base)
         out_fixed = compose(fixed, req, net, seeds=seeds)
         out_flex = compose(flexible, req, net, seeds=seeds)
         assert out_fixed.paths == out_flex.paths
@@ -506,7 +494,7 @@ def recomputed_leg_info(state, a, b, ctx):
     length = ctx.network.length(a, b)
     sector = relative_sector(wind, ctx.network.heading(a, b))
     swarm = ctx.provider.swarm
-    formation = best_formation(sector, FORMATIONS, ctx.energy) if swarm.is_flexible else swarm.formation
+    formation = best_formation(sector, FORMATIONS, ctx.energy) if swarm.flexible else swarm.formation
     energies = tuple(
         segment_energy(load, swarm.speed, length, formation, sector, slot, ctx.energy)
         for slot, load in enumerate(state.loads)
@@ -569,7 +557,7 @@ class TestNodeServiceReadsOnly:
         before = (list(energies), list(targets))
         node_service_time(
             capacity, energies, SkywayNode(7, 0.0, 0.0, 1, pads), targets,
-            Partnership.for_tier(partner, tier), 5, EnergyModelConfig(), queue_override=queue_override,
+            Partnership(partner, tier), 5, EnergyModelConfig(), queue_override=queue_override,
         )
         assert (energies, targets) == before
 
@@ -582,11 +570,10 @@ def first_legs(draw, cooperative, threshold, min_fill_legs=0.0):
     leg on a full battery and holds at least min_fill_legs times its leg
     energy."""
     n = draw(st.integers(1, 3))
-    techniques = frozenset({STATIC, FIXED_FORMATION} | ({COOPERATIVE} if cooperative else set()))
     provider = simple_provider(
         n_drones=n,
         battery=draw(st.floats(5.0, 60.0)),
-        techniques=techniques,
+        cooperative=cooperative,
         charging_provider=2,
         tier=draw(st.sampled_from(["platinum", "gold", "silver"])),
     )

@@ -6,14 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skybroker.domain import (
-    COOPERATIVE,
-    DYNAMIC,
-    FIXED_FORMATION,
-    FLEXIBLE_FORMATION,
-    QOS_METRICS,
-    STATIC,
-    TIER_PRICES_PER_KWH,
     NON_PARTNER_PRICE_PER_KWH,
+    QOS_METRICS,
+    TIERS,
     CapabilityRanges,
     DeliveryRequest,
     Formation,
@@ -74,10 +69,14 @@ class TestNormalizeWeights:
         assert normalize_weights(raw) == normalize_weights(scaled)
 
 
-def make_swarm(techniques=frozenset({STATIC, FIXED_FORMATION}), formation=Formation.VEE, **spec):
-    """Two drones of 50 Wh, 3 kg and 10 m/s unless spec overrides them."""
-    fields = dict(size=2, battery_capacity=50.0, payload_capacity=3.0, speed=10.0) | spec
-    return Swarm(techniques=techniques, formation=formation, **fields)
+def make_swarm(**spec):
+    """Two static, fixed-formation, non-cooperative drones of 50 Wh, 3 kg and
+    10 m/s flying vee unless spec overrides them."""
+    fields = dict(
+        size=2, battery_capacity=50.0, payload_capacity=3.0, speed=10.0,
+        dynamic=False, flexible=False, cooperative=False, formation=Formation.VEE,
+    )
+    return Swarm(**(fields | spec))
 
 
 class TestDomainInvariants:
@@ -91,39 +90,21 @@ class TestDomainInvariants:
         with pytest.raises(ValueError, match="payload_capacity"):
             make_swarm(payload_capacity=-1.0)
 
-    def test_swarm_needs_exactly_one_behaviour(self):
-        with pytest.raises(ValueError, match="static"):
-            make_swarm(frozenset({FIXED_FORMATION}))
-        with pytest.raises(ValueError, match="static"):
-            make_swarm(frozenset({STATIC, DYNAMIC, FIXED_FORMATION}))
-
-    def test_swarm_needs_exactly_one_formation_policy(self):
-        with pytest.raises(ValueError, match="formation"):
-            make_swarm(frozenset({STATIC}))
-        with pytest.raises(ValueError):
-            make_swarm(frozenset({STATIC, FIXED_FORMATION, FLEXIBLE_FORMATION}))
-
-    def test_swarm_technique_flags(self):
-        s = make_swarm(frozenset({DYNAMIC, FLEXIBLE_FORMATION, COOPERATIVE}), Formation.COLUMN)
-        assert s.is_dynamic and s.is_flexible and s.is_cooperative
-
-    def test_platinum_queue_skip_unlimited(self):
-        with pytest.raises(ValueError, match="platinum"):
-            Partnership(1, "platinum", 0.15, queue_skip=3)
-        p = Partnership.for_tier(1, "platinum")
-        assert p.queue_skip is None
-
     def test_tier_price_ordering(self):
         assert (
-            TIER_PRICES_PER_KWH["platinum"]
-            < TIER_PRICES_PER_KWH["gold"]
-            < TIER_PRICES_PER_KWH["silver"]
+            TIERS["platinum"].price_per_kwh
+            < TIERS["gold"].price_per_kwh
+            < TIERS["silver"].price_per_kwh
             < NON_PARTNER_PRICE_PER_KWH
         )
 
+    def test_unknown_tier_rejected(self):
+        with pytest.raises(ValueError, match="unknown partnership tier 'bronze'"):
+            Partnership(1, "bronze")
+
     def test_queue_ahead_semantics(self):
-        gold = Partnership.for_tier(4, "gold")
-        platinum = Partnership.for_tier(4, "platinum")
+        gold = Partnership(4, "gold")
+        platinum = Partnership(4, "platinum")
         # at partner stations the tier caps how many queued drones go first
         assert gold.queue_ahead(7, station_owner=4) == 2
         assert platinum.queue_ahead(7, station_owner=4) == 0
@@ -159,6 +140,52 @@ class TestAssignPackages:
             assign_packages(make_swarm(size=2), [1.0, 1.0, 1.0])
 
 
+# (dynamic, flexible, cooperative, formation, partner company, tier) of each provider
+# of generate_scenario(4, synthetic_network(2, 60), 40, 1)
+PINNED_FLEET = [
+    (False, False, True, "COLUMN", 3, "platinum"),
+    (False, True, True, "VEE", 3, "gold"),
+    (False, True, False, "COLUMN", 2, "platinum"),
+    (True, False, False, "COLUMN", 3, "silver"),
+    (False, False, True, "VEE", 1, "platinum"),
+    (True, False, False, "DIAMOND", 1, "gold"),
+    (True, True, False, "FRONT", 5, "platinum"),
+    (True, False, True, "DIAMOND", 3, "gold"),
+    (True, False, True, "FRONT", 2, "silver"),
+    (True, False, False, "FRONT", 2, "gold"),
+    (True, False, True, "FRONT", 3, "gold"),
+    (False, False, True, "DIAMOND", 5, "silver"),
+    (False, True, False, "VEE", 5, "gold"),
+    (False, False, True, "ECHELON", 1, "platinum"),
+    (True, False, True, "FRONT", 3, "platinum"),
+    (False, True, True, "FRONT", 5, "platinum"),
+    (True, True, True, "DIAMOND", 5, "platinum"),
+    (True, False, False, "FRONT", 3, "gold"),
+    (False, True, False, "DIAMOND", 3, "silver"),
+    (True, True, False, "DIAMOND", 1, "platinum"),
+    (True, True, False, "COLUMN", 1, "platinum"),
+    (True, True, True, "VEE", 5, "platinum"),
+    (False, True, True, "COLUMN", 1, "gold"),
+    (True, True, True, "FRONT", 4, "platinum"),
+    (False, True, False, "ECHELON", 4, "silver"),
+    (True, True, True, "COLUMN", 2, "gold"),
+    (True, True, False, "VEE", 2, "platinum"),
+    (True, False, False, "ECHELON", 3, "gold"),
+    (False, True, False, "ECHELON", 5, "gold"),
+    (True, True, True, "COLUMN", 3, "silver"),
+    (False, True, False, "FRONT", 2, "silver"),
+    (True, False, True, "FRONT", 3, "platinum"),
+    (True, False, True, "COLUMN", 4, "silver"),
+    (False, True, False, "DIAMOND", 5, "silver"),
+    (False, True, False, "FRONT", 3, "platinum"),
+    (True, True, False, "FRONT", 3, "gold"),
+    (True, True, True, "ECHELON", 5, "platinum"),
+    (True, False, False, "ECHELON", 2, "silver"),
+    (False, False, True, "VEE", 2, "gold"),
+    (True, False, False, "DIAMOND", 1, "platinum"),
+]
+
+
 class TestGenerateScenario:
     def test_limits_respected(self):
         net = synthetic_network(1, 50)
@@ -180,6 +207,18 @@ class TestGenerateScenario:
             generate_scenario(1, net, 0, 5)
         with pytest.raises(ValueError):
             generate_scenario(1, net, 5, 0)
+
+    def test_fleet_pinned(self):
+        """Techniques, formation and partnership of each generated provider are
+        pinned, so a change in the order of the draws fails here and not only
+        through the output digests."""
+        providers, _ = generate_scenario(4, synthetic_network(2, 60), 40, 1)
+        fleet = [
+            (p.swarm.dynamic, p.swarm.flexible, p.swarm.cooperative, p.swarm.formation.name,
+             p.partnership.charging_provider_id, p.partnership.tier)
+            for p in providers
+        ]
+        assert fleet == PINNED_FLEET
 
     def test_every_provider_has_one_partnership_with_known_company(self):
         net = synthetic_network(2, 60)

@@ -8,15 +8,7 @@ from hypothesis import strategies as st
 
 from skybroker.composition import _charge_targets
 from skybroker.config import EnergyModelConfig
-from skybroker.domain import (
-    COOPERATIVE,
-    DYNAMIC,
-    FIXED_FORMATION,
-    FLEXIBLE_FORMATION,
-    STATIC,
-    Formation,
-    Partnership,
-)
+from skybroker.domain import TIERS, Formation, Partnership
 from skybroker.energy import (
     WindField,
     best_formation,
@@ -114,7 +106,7 @@ def station(node_id=1, owner=1, pads=4):
 
 
 # a partnership with a charging company that owns none of the test stations
-ELSEWHERE = Partnership.for_tier(99, "gold")
+ELSEWHERE = Partnership(99, "gold")
 
 
 class TestNodeService:
@@ -135,7 +127,7 @@ class TestNodeService:
 
     def test_platinum_skips_whole_queue(self, unit_config):
         held = [40.0]
-        partnership = Partnership.for_tier(1, "platinum")
+        partnership = Partnership(1, "platinum")
         svc = node_service_time(
             50.0, held, station(owner=1, pads=1), [50], partnership, 0, unit_config, queue_override=7
         )
@@ -143,7 +135,7 @@ class TestNodeService:
 
     def test_gold_admits_exactly_two_ahead(self, unit_config):
         held = [40.0]
-        gold = Partnership.for_tier(1, "gold")
+        gold = Partnership(1, "gold")
         svc = node_service_time(
             50.0, held, station(owner=1, pads=1), [50], gold, 0, unit_config, queue_override=7
         )
@@ -151,7 +143,7 @@ class TestNodeService:
 
     def test_partner_benefits_only_at_partner_stations(self, unit_config):
         held = [40.0]
-        gold = Partnership.for_tier(1, "gold")
+        gold = Partnership(1, "gold")
         svc = node_service_time(
             50.0, held, station(owner=2, pads=1), [50], gold, 0, unit_config, queue_override=3
         )
@@ -160,9 +152,9 @@ class TestNodeService:
 
     def test_partner_price_at_partner_station(self, unit_config):
         held = [40.0]
-        gold = Partnership.for_tier(1, "gold")
+        gold = Partnership(1, "gold")
         svc = node_service_time(50.0, held, station(owner=1), [50], gold, 0, unit_config)
-        assert svc.cost == pytest.approx(10 / 1000 * gold.price_per_kwh)
+        assert svc.cost == pytest.approx(10 / 1000 * TIERS["gold"].price_per_kwh)
 
     def test_target_above_capacity_rejected(self, unit_config):
         with pytest.raises(ValueError, match="capacity"):
@@ -209,7 +201,7 @@ class TestNodeService:
 def cooperative_target(need, config, battery=50.0):
     """The charge target of one empty drone of a cooperative swarm whose next
     leg needs `need` Wh."""
-    provider = simple_provider(battery=battery, techniques=frozenset({STATIC, FIXED_FORMATION, COOPERATIVE}))
+    provider = simple_provider(battery=battery, cooperative=True)
     ctx = SimpleNamespace(provider=provider, energy=config)
     leg = SimpleNamespace(energies=(need,))
     return _charge_targets((0.0,), [0.0], leg, ctx, None)[0]
@@ -229,15 +221,18 @@ class TestCooperativeTarget:
 
 
 class TestExecutionProxy:
+    STATIC_FIXED = simple_provider().swarm
+
     def test_zero_evaluations(self):
-        assert execution_time_proxy(0, {STATIC, FIXED_FORMATION}) == 0.0
+        assert execution_time_proxy(0, self.STATIC_FIXED, EnergyModelConfig()) == 0.0
 
     def test_unit_factors(self):
-        assert execution_time_proxy(100, {STATIC, FIXED_FORMATION}) == 100.0
+        assert execution_time_proxy(100, self.STATIC_FIXED, EnergyModelConfig()) == 100.0
 
     def test_dynamic_flexible_factors(self):
-        assert execution_time_proxy(100, {DYNAMIC, FLEXIBLE_FORMATION}) == pytest.approx(195.0)
+        swarm = simple_provider(dynamic=True, flexible=True).swarm
+        assert execution_time_proxy(100, swarm, EnergyModelConfig()) == pytest.approx(195.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            execution_time_proxy(-1, set())
+            execution_time_proxy(-1, self.STATIC_FIXED, EnergyModelConfig())

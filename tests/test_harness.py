@@ -20,6 +20,8 @@ from skybroker.harness import (
     spearman,
 )
 from skybroker.network import (
+    SkywayNetwork,
+    SkywayNode,
     build_all_heatmaps,
     build_region_grid,
     dump_network,
@@ -208,7 +210,7 @@ def eager_process_request(request, providers, network, grid, heatmaps, seeds, cf
             sat_table = harness.satisfaction(nhat_table, request.qos_weights)
             ballots = harness.build_ballots(successes, request.qos_weights)
             for method in cfg.voting_methods:
-                winner, ops, paradox = harness._run_method(method, ballots, successes, request, seeds)
+                winner, ops, paradox = harness._run_method(method, ballots, request, seeds)
                 pqos = outcomes[winner].pqos
                 row = {
                     "seed": cfg.seed,
@@ -386,9 +388,14 @@ class TestCli:
             ("--pruning", "density,density", "strategies must be non-empty and without duplicates"),
             ("--voting", ",", "voting_methods must be non-empty"),
             ("--voting", "irv,irv", "voting_methods must be non-empty and without duplicates"),
+            ("--grid", "1200", "grid_resolution must be in [2, 256], got 1200"),
+            ("--grid", "100000", "grid_resolution must be in [2, 256], got 100000"),
         ],
     )
-    def test_bad_list_option_is_a_one_line_error(self, option, value, message, capsys):
+    def test_bad_list_option_is_a_one_line_error(self, option, value, message, capsys, monkeypatch):
+        # the config must fail before any grid is built: an oversized grid
+        # would overflow the stack or exhaust the memory
+        monkeypatch.setattr(harness, "build_region_grid", lambda *args: pytest.fail("grid built"))
         assert cli_main(["run", "--synthetic", "20", option, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("skybroker: error: ") and message in err
@@ -400,6 +407,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("skybroker: error: ") and "absent.json" in err
         assert err.count("\n") == 1
+
+    def test_one_node_network_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text(dump_network(SkywayNetwork([SkywayNode(1, 0.0, 0.0, 1, 4)], [])))
+        assert cli_main(["run", "--network", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "skybroker: error: a request needs two distinct nodes, the network has 1\n"
 
     @pytest.mark.parametrize(
         "config, message",

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skybroker.domain import DeliveryRequest, ScenarioLimits, generate_scenario
+from skybroker.domain import TIERS, DeliveryRequest, ScenarioLimits, generate_scenario
 from skybroker.network import build_all_heatmaps, build_region_grid, synthetic_network, t_shortest_region_paths
 from skybroker.pruning import (
-    TIER_SCORE_MULTIPLIER,
     NoFeasibleProviders,
     capabilities_scores,
     density_score,
@@ -178,7 +177,7 @@ def oracle_capabilities_score(provider, cohort):
     total = 0.0
     for value, column in zip(mine, columns):
         lo, hi = min(column), max(column)
-        total += 1.0 if hi - lo <= 0 else (value - lo) / (hi - lo)
+        total += 1.0 if hi - lo <= 1e-12 else (value - lo) / (hi - lo)
     return total / 4.0
 
 
@@ -187,7 +186,7 @@ def oracle_density_score(provider, region_paths, heatmaps, cohort):
     the path that gives it."""
     caps = oracle_capabilities_score(provider, cohort)
     density = heatmaps[provider.partnership.charging_provider_id]
-    multiplier = TIER_SCORE_MULTIPLIER[provider.partnership.tier]
+    multiplier = TIERS[provider.partnership.tier].score_multiplier
     best, best_path = -math.inf, None
     for path in region_paths:
         value = sum(density[cell] for cell in path) * multiplier * caps
@@ -219,7 +218,7 @@ def scored_cohorts(draw):
             payload_cap=axis(0.5, 3.0),
             speed=axis(8.0, 25.0),
             charging_provider=draw(st.integers(1, companies)),
-            tier=draw(st.sampled_from(sorted(TIER_SCORE_MULTIPLIER))),
+            tier=draw(st.sampled_from(sorted(TIERS))),
         )
         for pid in range(1, draw(st.integers(1, 6)) + 1)
     ]

@@ -293,15 +293,15 @@ class TestTopWeight:
     def test_dominant_metric_selects_its_best(self):
         outs = [outcome(1, dt=50, ec=1, c=1, et=1), outcome(2, dt=10, ec=9, c=9, et=9)]
         weights = normalize_weights({"delivery_time": 0.7, "energy": 0.1, "cost": 0.1, "execution_time": 0.1})
-        assert top_weight(outs, weights) == 2
+        assert top_weight(build_ballots(outs, weights)) == 2
 
     def test_single_provider(self):
-        assert top_weight([outcome(3, 1, 1, 1, 1)], EQUAL_WEIGHTS) == 3
+        assert top_weight(build_ballots([outcome(3, 1, 1, 1, 1)], EQUAL_WEIGHTS)) == 3
 
     def test_weight_ties_follow_metric_order(self):
         # equal weights fall back to delivery_time as the deciding metric
         outs = [outcome(1, dt=5, ec=9, c=9, et=9), outcome(2, dt=9, ec=1, c=1, et=1)]
-        assert top_weight(outs, EQUAL_WEIGHTS) == 1
+        assert top_weight(build_ballots(outs, EQUAL_WEIGHTS)) == 1
 
     def test_matches_argmin_oracle(self):
         rng = random.Random(3)
@@ -314,7 +314,7 @@ class TestTopWeight:
             weights = normalize_weights(raw)
             metric = max(QOS_METRICS, key=lambda m: weights[m])
             expected = min(outs, key=lambda o: (o.pqos.get(metric), o.provider_id)).provider_id
-            assert top_weight(outs, weights) == expected
+            assert top_weight(build_ballots(outs, weights)) == expected
 
 
 class TestVotingInvariants:
