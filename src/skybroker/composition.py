@@ -45,13 +45,18 @@ because ``visited`` only grows; a split sibling inherits the set.
 Evaluations: the execution-time QoS counts evaluation units, charged at three
 sites only: ``_leg_info``, one per drone for every leg looked at;
 ``_price_stop``, one per drone for every charging stop priced, flown or
-estimated; ``score_candidates``, one per candidate scored. Leg physics are
-memoised per sub-swarm (keyed on the leg and the wind time slice, and reset
-when a split slices the sub-swarm's slots), but a memo hit still charges its
-units, so the counts do not depend on the memo.
+estimated; ``score_candidates``, one per candidate scored. Each sub-swarm
+counts its own units and the outcome sums them over the finished sub-swarms.
+Leg physics are memoised per sub-swarm (keyed on the leg and the wind time
+slice, and reset when a split slices the sub-swarm's slots), but a memo hit
+still charges its units, so the counts do not depend on the memo.
 
-All mutable state is confined to per-provider copies; network, configs and
-seeds are shared read-only, so providers can compose in parallel.
+Every provider composed for one request reads the same ``RequestContext``:
+network, request, configs, destination tree, congestion seed and one
+``WindField``. The field's memo is the context's only mutable part, and it
+holds pure functions of (seed, segment, time slice), so the order in which
+providers compose changes no outcome. All other mutable state lives on the
+provider's own sub-swarms.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ from .energy import (
     relative_sector,
     segment_energy,
 )
-from .network import SkywayNetwork, shortest_path_tree, tree_path
+from .network import SkywayNetwork, tree_path
 
 _EPS = 1e-9
 
@@ -84,6 +89,7 @@ class SubSwarmState:
 
     Slot j of loads, held, consumed and purchased belongs to the same drone."""
 
+    provider: Provider  # shared with a split sibling
     loads: tuple[float, ...]
     held: list[float]
     consumed: list[float]
@@ -95,6 +101,7 @@ class SubSwarmState:
     wait_s: float = 0.0
     cost: float = 0.0
     success: bool | None = None
+    evaluations: int = 0
     # unvisited nodes from which the destination is unreachable through
     # unvisited nodes (see the module docstring)
     dead: set[int] = field(default_factory=set)
@@ -111,21 +118,44 @@ class SubSwarmState:
         return self.path[-1]
 
 
-@dataclass
-class CompositionContext:
-    """Shared read-only inputs plus the evaluation counter for one composition."""
+@dataclass(frozen=True)
+class RequestContext:
+    """Read-only inputs shared by every provider composed for one request."""
 
     network: SkywayNetwork
     request: DeliveryRequest
-    provider: Provider
     energy: EnergyModelConfig
     comp: CompositionConfig
     wind: WindField
     congestion_seed: int
     dist_to_dest: Mapping[int, float]
     parent_to_dest: Mapping[int, int | None]
-    evaluations: int = 0
-    split_done: bool = False
+
+
+def request_context(
+    network: SkywayNetwork,
+    request: DeliveryRequest,
+    energy: EnergyModelConfig,
+    comp: CompositionConfig,
+    seeds: Seeds,
+    dest_tree: tuple[Mapping[int, float], Mapping[int, int | None]],
+) -> RequestContext:
+    """The context of one request, given the shortest-path tree toward its
+    destination (``shortest_path_tree``)."""
+    for endpoint in (request.source, request.destination):
+        if endpoint not in network.nodes:
+            raise ValueError(f"request endpoint {endpoint} is not a network node")
+    dist, parent = dest_tree
+    return RequestContext(
+        network=network,
+        request=request,
+        energy=energy,
+        comp=comp,
+        wind=WindField(seeds.wind, energy.wind_slice_s),
+        congestion_seed=mix64(seeds.congestion, request.request_id),
+        dist_to_dest=dist,
+        parent_to_dest=parent,
+    )
 
 
 @dataclass(frozen=True)
@@ -146,57 +176,31 @@ class CompositionOutcome:
     evaluations: int
 
 
-def prepare_composition(
-    provider: Provider,
-    request: DeliveryRequest,
-    network: SkywayNetwork,
-    energy_config: EnergyModelConfig | None = None,
-    seeds: Seeds | None = None,
-    comp_config: CompositionConfig | None = None,
-    dest_tree: tuple[Mapping[int, float], Mapping[int, int | None]] | None = None,
-) -> tuple[SubSwarmState, CompositionContext]:
-    """Build the initial sub-swarm (packages assigned) and composition context."""
-    energy_config = energy_config or EnergyModelConfig()
-    comp_config = comp_config or CompositionConfig()
-    seeds = seeds or Seeds.from_master(0)
-    for endpoint in (request.source, request.destination):
-        if endpoint not in network.nodes:
-            raise ValueError(f"request endpoint {endpoint} is not a network node")
-    # one package per drone: drones without a package would fly empty, so only
-    # the loaded ones are dispatched for the request
-    loads = assign_packages(provider.swarm, request.packages)[: len(request.packages)]
-    dist, parent = dest_tree if dest_tree is not None else shortest_path_tree(network, request.destination)
-    ctx = CompositionContext(
-        network=network,
-        request=request,
-        provider=provider,
-        energy=energy_config,
-        comp=comp_config,
-        wind=WindField(seeds.wind, energy_config.wind_slice_s),
-        congestion_seed=mix64(seeds.congestion, request.request_id),
-        dist_to_dest=dist,
-        parent_to_dest=parent,
-    )
+def _launch(provider: Provider, ctx: RequestContext) -> SubSwarmState:
+    """The provider's initial sub-swarm at the request source: one drone per
+    package, each on a full battery (drones without a package would fly
+    empty, so only the loaded ones are dispatched)."""
+    loads = assign_packages(provider.swarm, ctx.request.packages)
     n = len(loads)
-    state = SubSwarmState(
+    return SubSwarmState(
+        provider=provider,
         loads=loads,
         held=[provider.swarm.battery_capacity] * n,
         consumed=[0.0] * n,
         purchased=[0.0] * n,
-        path=[request.source],
-        visited={request.source},
+        path=[ctx.request.source],
+        visited={ctx.request.source},
     )
-    return state, ctx
 
 
-def _leg_info(state: SubSwarmState, a: int, b: int, ctx: CompositionContext) -> _Leg:
+def _leg_info(state: SubSwarmState, a: int, b: int, ctx: RequestContext) -> _Leg:
     """Physics of flying a -> b at the sub-swarm's current time; charges one
     evaluation per drone whether or not the leg comes from the memo."""
-    ctx.evaluations += len(state.loads)
+    state.evaluations += len(state.loads)
     key = (a, b, ctx.wind.time_slice(state.delivery_time))
     leg = state.legs.get(key)
     if leg is None:
-        swarm = ctx.provider.swarm
+        swarm = state.provider.swarm
         length = ctx.network.length(a, b)
         sector = relative_sector(ctx.wind.at(a, b, state.delivery_time), ctx.network.heading(a, b))
         formation = best_formation(sector, FORMATIONS, ctx.energy) if swarm.flexible else swarm.formation
@@ -209,8 +213,8 @@ def _leg_info(state: SubSwarmState, a: int, b: int, ctx: CompositionContext) -> 
     return leg
 
 
-def _leg_within_capacity(leg: _Leg, ctx: CompositionContext) -> bool:
-    capacity = ctx.provider.swarm.battery_capacity
+def _leg_within_capacity(leg: _Leg, state: SubSwarmState) -> bool:
+    capacity = state.provider.swarm.battery_capacity
     return all(e <= capacity + _EPS for e in leg.energies)
 
 
@@ -220,9 +224,10 @@ def _must_charge(energies: Iterable[float], leg: _Leg) -> bool:
 
 
 def _tops_up(
+    state: SubSwarmState,
     energies: Sequence[float],
     node_id: int,
-    ctx: CompositionContext,
+    ctx: RequestContext,
     queue: int | None = None,
 ) -> bool:
     """Whether drones holding the given energies top up on arriving at node_id.
@@ -232,7 +237,7 @@ def _tops_up(
     straight onto a pad, so stops fall on priority pads instead of wherever
     the battery would run dry."""
     threshold = ctx.comp.opportunistic_charge_threshold
-    swarm, partnership = ctx.provider.swarm, ctx.provider.partnership
+    swarm, partnership = state.provider.swarm, state.provider.partnership
     owner = ctx.network.node(node_id).station_owner
     if not (
         not swarm.cooperative
@@ -248,10 +253,10 @@ def _tops_up(
 
 
 def _charge_targets(
-    loads: Sequence[float],
+    state: SubSwarmState,
     energies: Sequence[float],
     leg: _Leg,
-    ctx: CompositionContext,
+    ctx: RequestContext,
     remaining_m: float | None,
 ) -> list[float]:
     """Per-drone charge targets before flying the leg, following the swarm's policy.
@@ -261,11 +266,11 @@ def _charge_targets(
     capped at capacity; they stop roughly as rarely as everyone else but never
     carry a full tank across the finish line.
     """
-    swarm = ctx.provider.swarm
+    swarm = state.provider.swarm
     if not swarm.cooperative:
         return [swarm.battery_capacity] * len(energies)
     targets = []
-    for load, held, need in zip(loads, energies, leg.energies):
+    for load, held, need in zip(state.loads, energies, leg.energies):
         if remaining_m is not None:
             power_w = ctx.energy.base_power_w + ctx.energy.payload_power_coeff_w_per_kg * load
             need = max(need, power_w * (remaining_m / swarm.speed) / 3600.0)
@@ -275,25 +280,26 @@ def _charge_targets(
 
 
 def _price_stop(
+    state: SubSwarmState,
     energies: Sequence[float],
     node_id: int,
     targets: Sequence[float],
-    ctx: CompositionContext,
+    ctx: RequestContext,
     queue: int | None = None,
 ) -> NodeService:
     """Price a charging stop at node_id (drawn queue if None); one evaluation per drone."""
-    ctx.evaluations += len(energies)
-    node, provider = ctx.network.node(node_id), ctx.provider
+    state.evaluations += len(energies)
+    node, provider = ctx.network.node(node_id), state.provider
     return node_service_time(
         provider.swarm.battery_capacity, energies, node, targets, provider.partnership,
         ctx.congestion_seed, ctx.energy, queue,
     )
 
 
-def _charge(state: SubSwarmState, leg: _Leg, ctx: CompositionContext, remaining_m: float | None) -> None:
+def _charge(state: SubSwarmState, leg: _Leg, ctx: RequestContext, remaining_m: float | None) -> None:
     """Charge at the current node to the policy's targets for the leg and remaining_m."""
-    targets = _charge_targets(state.loads, state.held, leg, ctx, remaining_m)
-    service = _price_stop(state.held, state.current_node, targets, ctx)
+    targets = _charge_targets(state, state.held, leg, ctx, remaining_m)
+    service = _price_stop(state, state.held, state.current_node, targets, ctx)
     state.charge_s += service.charge_s
     state.wait_s += service.wait_s
     state.cost += service.cost
@@ -304,7 +310,7 @@ def _charge(state: SubSwarmState, leg: _Leg, ctx: CompositionContext, remaining_
             state.held[slot] = target
 
 
-def _traverse(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> None:
+def _traverse(state: SubSwarmState, leg: _Leg, ctx: RequestContext) -> None:
     """Charge as needed at the current node, fly the leg, then top up as the
     policy says. Every drone can fly the leg on a full battery."""
     if _must_charge(state.held, leg):
@@ -312,15 +318,15 @@ def _traverse(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> None:
     for slot, e in enumerate(leg.energies):
         state.held[slot] = max(0.0, state.held[slot] - e)
         state.consumed[slot] += e
-    state.travel_s += leg.length / ctx.provider.swarm.speed
+    state.travel_s += leg.length / state.provider.swarm.speed
     state.cost += ctx.comp.operating_cost_per_km * leg.length / 1000.0
     state.path.append(leg.node)
     state.visited.add(leg.node)
-    if _tops_up(state.held, leg.node, ctx):
+    if _tops_up(state, state.held, leg.node, ctx):
         _charge(state, leg, ctx, None)
 
 
-def _direct_path(state: SubSwarmState, ctx: CompositionContext) -> list[int] | None:
+def _direct_path(state: SubSwarmState, ctx: RequestContext) -> list[int] | None:
     """The shortest path from the current node to the destination if every
     drone can fly all of it on its current charge, with no charging stop;
     otherwise None."""
@@ -337,7 +343,7 @@ def _direct_path(state: SubSwarmState, ctx: CompositionContext) -> list[int] | N
     return path
 
 
-def _reaches_destination(start: int, state: SubSwarmState, ctx: CompositionContext, alive: set[int]) -> bool:
+def _reaches_destination(start: int, state: SubSwarmState, ctx: RequestContext, alive: set[int]) -> bool:
     """Whether the destination is reachable from the unvisited node start
     through unvisited nodes.
 
@@ -364,7 +370,7 @@ def _reaches_destination(start: int, state: SubSwarmState, ctx: CompositionConte
     return False
 
 
-def viable_candidates(state: SubSwarmState, ctx: CompositionContext) -> list[_Leg]:
+def viable_candidates(state: SubSwarmState, ctx: RequestContext) -> list[_Leg]:
     """Unvisited neighbours whose leg every drone can fly on a full battery and
     from which the destination remains reachable through unvisited nodes."""
     alive: set[int] = set()
@@ -373,20 +379,20 @@ def viable_candidates(state: SubSwarmState, ctx: CompositionContext) -> list[_Le
         if nbr in state.visited or nbr in state.dead or not _reaches_destination(nbr, state, ctx, alive):
             continue
         leg = _leg_info(state, state.current_node, nbr, ctx)
-        if _leg_within_capacity(leg, ctx):
+        if _leg_within_capacity(leg, state):
             out.append(leg)
     return out
 
 
-def _estimate_departure_service(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> NodeService:
+def _estimate_departure_service(state: SubSwarmState, leg: _Leg, ctx: RequestContext) -> NodeService:
     """Exact prediction of the charge incurred at the current node to fly the leg."""
     if not _must_charge(state.held, leg):
         return NodeService(0.0, 0.0, 0.0, 0.0)
-    targets = _charge_targets(state.loads, state.held, leg, ctx, ctx.dist_to_dest.get(state.current_node))
-    return _price_stop(state.held, state.current_node, targets, ctx, ctx.energy.queue_draw_max // 2)
+    targets = _charge_targets(state, state.held, leg, ctx, ctx.dist_to_dest.get(state.current_node))
+    return _price_stop(state, state.held, state.current_node, targets, ctx, ctx.energy.queue_draw_max // 2)
 
 
-def _estimate_arrival_service(state: SubSwarmState, leg: _Leg, ctx: CompositionContext) -> NodeService:
+def _estimate_arrival_service(state: SubSwarmState, leg: _Leg, ctx: RequestContext) -> NodeService:
     """Expected charging overhead at the candidate node.
 
     A stop is predicted there when the onward leg (approximated by the incoming
@@ -401,15 +407,15 @@ def _estimate_arrival_service(state: SubSwarmState, leg: _Leg, ctx: CompositionC
         return NodeService(0.0, 0.0, 0.0, 0.0)
     post = [max(0.0, p - e) for p, e in zip(state.held, leg.energies)]
     expected_q = ctx.energy.queue_draw_max // 2
-    if not (_must_charge(post, leg) or _tops_up(post, leg.node, ctx, expected_q)):
+    if not (_must_charge(post, leg) or _tops_up(state, post, leg.node, ctx, expected_q)):
         return NodeService(0.0, 0.0, 0.0, 0.0)
-    targets = _charge_targets(state.loads, post, leg, ctx, None)
-    service = _price_stop(post, leg.node, targets, ctx, expected_q)
+    targets = _charge_targets(state, post, leg, ctx, None)
+    service = _price_stop(state, post, leg.node, targets, ctx, expected_q)
     return NodeService(0.0, service.wait_s, service.energy_wh, service.cost)
 
 
 def score_candidates(
-    state: SubSwarmState, candidates: Sequence[_Leg], ctx: CompositionContext
+    state: SubSwarmState, candidates: Sequence[_Leg], ctx: RequestContext
 ) -> list[tuple[float, _Leg]]:
     """Weighted incremental QoS value per candidate, best first.
 
@@ -426,14 +432,14 @@ def score_candidates(
     for leg in candidates:
         depart = _estimate_departure_service(state, leg, ctx)
         arrive = _estimate_arrival_service(state, leg, ctx)
-        travel = leg.length / ctx.provider.swarm.speed
+        travel = leg.length / state.provider.swarm.speed
         dt_col.append(depart.charge_s + depart.wait_s + travel + arrive.charge_s + arrive.wait_s)
         ec_col.append(sum(leg.energies))
         cost_col.append(
             depart.cost + arrive.cost + ctx.comp.operating_cost_per_km * leg.length / 1000.0
         )
         rem_col.append(ctx.dist_to_dest.get(leg.node, float("inf")))
-    ctx.evaluations += len(candidates)
+    state.evaluations += len(candidates)
 
     dt_hat = normalize_lower_better(dt_col)
     ec_hat = normalize_lower_better(ec_col)
@@ -462,6 +468,7 @@ def _split_subswarm(state: SubSwarmState) -> SubSwarmState:
     returns the sibling."""
     half = (len(state.loads) + 1) // 2
     sibling = SubSwarmState(
+        provider=state.provider,
         loads=state.loads[half:],
         held=state.held[half:],
         consumed=state.consumed[half:],
@@ -480,7 +487,7 @@ def _split_subswarm(state: SubSwarmState) -> SubSwarmState:
     return sibling
 
 
-def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, subswarms: list[SubSwarmState]) -> None:
+def _run_subswarm(state: SubSwarmState, ctx: RequestContext, subswarms: list[SubSwarmState]) -> None:
     destination = ctx.request.destination
     while True:
         node = state.current_node
@@ -489,8 +496,8 @@ def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, subswarms: list
             return
 
         if (
-            ctx.provider.swarm.dynamic
-            and not ctx.split_done
+            state.provider.swarm.dynamic
+            and len(subswarms) == 1  # a swarm splits at most once
             and len(state.loads) >= 2
             and ctx.network.node(node).pad_count < len(state.loads)
         ):
@@ -498,7 +505,6 @@ def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, subswarms: list
             if len(candidates) >= 2:
                 ranked = score_candidates(state, candidates, ctx)
                 sibling = _split_subswarm(state)
-                ctx.split_done = True
                 _traverse(state, _leg_info(state, node, ranked[0][1].node, ctx), ctx)
                 _traverse(sibling, _leg_info(sibling, node, ranked[1][1].node, ctx), ctx)
                 subswarms.append(sibling)
@@ -508,7 +514,7 @@ def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, subswarms: list
         if path is not None:
             for a, b in zip(path, path[1:]):
                 leg = _leg_info(state, a, b, ctx)
-                if not _leg_within_capacity(leg, ctx):
+                if not _leg_within_capacity(leg, state):
                     state.success = False
                     return
                 _traverse(state, leg, ctx)
@@ -522,7 +528,7 @@ def _run_subswarm(state: SubSwarmState, ctx: CompositionContext, subswarms: list
         _traverse(state, score_candidates(state, candidates, ctx)[0][1], ctx)
 
 
-def fly(state: SubSwarmState, ctx: CompositionContext) -> list[SubSwarmState]:
+def fly(state: SubSwarmState, ctx: RequestContext) -> list[SubSwarmState]:
     """Fly the initial sub-swarm, and the sibling a split makes, to the end;
     returns the finished sub-swarms, the initial one first."""
     if state.current_node not in ctx.dist_to_dest:
@@ -534,38 +540,29 @@ def fly(state: SubSwarmState, ctx: CompositionContext) -> list[SubSwarmState]:
     return subswarms
 
 
-def compose(
-    provider: Provider,
-    request: DeliveryRequest,
-    network: SkywayNetwork,
-    energy_config: EnergyModelConfig | None = None,
-    seeds: Seeds | None = None,
-    comp_config: CompositionConfig | None = None,
-    dest_tree: tuple[Mapping[int, float], Mapping[int, int | None]] | None = None,
-) -> CompositionOutcome:
+def compose(provider: Provider, ctx: RequestContext) -> CompositionOutcome:
     """Compose the delivery path for one provider and accumulate its perceived QoS.
 
     Failure (no reachable unvisited neighbour, an infeasible leg, or sub-swarms
     missing the arrival window) is a normal outcome with success=False, not an
-    error. The same provider, request, seeds and configs always produce a
-    bitwise-identical outcome.
+    error. The same provider and request context always produce a
+    bitwise-identical outcome, whichever providers composed over the context
+    before.
     """
-    state, ctx = prepare_composition(
-        provider, request, network, energy_config, seeds, comp_config, dest_tree
-    )
-    finished = fly(state, ctx)
+    finished = fly(_launch(provider, ctx), ctx)
     delivery_times = [s.delivery_time for s in finished]
     spread = max(delivery_times) - min(delivery_times)
+    evaluations = sum(s.evaluations for s in finished)
     pqos = QosVector(
         delivery_time=max(delivery_times),
         energy=sum(e for s in finished for e in s.consumed),
         cost=sum(s.cost for s in finished),
-        execution_time=execution_time_proxy(ctx.evaluations, provider.swarm, ctx.energy),
+        execution_time=execution_time_proxy(evaluations, provider.swarm, ctx.energy),
     )
     return CompositionOutcome(
         provider_id=provider.provider_id,
         success=all(s.success for s in finished) and spread <= ctx.comp.arrival_window_s,
         paths=tuple(tuple(s.path) for s in finished),
         pqos=pqos,
-        evaluations=ctx.evaluations,
+        evaluations=evaluations,
     )

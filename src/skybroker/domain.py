@@ -175,15 +175,15 @@ class QosVector:
 
 
 def assign_packages(swarm: Swarm, packages: Sequence[float]) -> tuple[float, ...]:
-    """Per-drone loads for one package per drone: drone i carries the i-th
-    heaviest package and the drones after the last package carry nothing, so
-    loads never increase along the swarm. More packages than drones, or a
-    package over the payload capacity, raise ValueError (filter_providers rules
-    such providers out before composition)."""
+    """The loads of the drones dispatched for one package per drone: drone i
+    carries the i-th heaviest package, so loads never increase along the swarm.
+    More packages than drones, or a package over the payload capacity, raise
+    ValueError (filter_providers rules such providers out before
+    composition)."""
     if len(packages) > swarm.size:
         raise ValueError(f"{len(packages)} packages need one drone each, the swarm has {swarm.size}")
-    loads = sorted(map(float, packages), reverse=True) + [0.0] * (swarm.size - len(packages))
-    if loads[0] > swarm.payload_capacity + 1e-9:
+    loads = sorted(map(float, packages), reverse=True)
+    if loads and loads[0] > swarm.payload_capacity + 1e-9:
         raise ValueError(f"a {loads[0]} kg package exceeds payload_capacity {swarm.payload_capacity} kg")
     return tuple(loads)
 

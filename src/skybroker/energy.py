@@ -22,8 +22,8 @@ class WindField:
 
     Only the direction shapes flight energy (through the relative wind sector),
     so no wind speed is drawn. Draws are memoised per instance. The composer
-    makes one field per composition, so the memo holds only the segments that
-    composition looks at.
+    makes one field per request, so the memo holds the segments that request's
+    compositions look at, and is dropped with the request.
     """
 
     def __init__(self, seed: int, slice_s: float = 600.0):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .composition import CompositionOutcome, compose
+from .composition import compose, request_context
 from .config import CompositionConfig, ConfigurationError, EnergyModelConfig, Seeds, mix64
 from .domain import (
     QOS_METRICS,
@@ -230,24 +230,22 @@ def _process_request(
         for k in cfg.k_values
     ]
 
-    # Stage 2: compose the union of the cohorts, in filtered order. compose
-    # keeps all its mutable state per provider, so skipping one changes no
-    # other provider's outcome.
+    # Stage 2: compose the union of the cohorts, in filtered order, over one
+    # request context. The context's only mutable part is its wind field's memo
+    # of pure draws, so skipping a provider changes no other provider's outcome.
     members = {p.provider_id for _strategy, _k, cohort, _ops in cohorts for p in cohort}
     started = time.perf_counter()
-    dest_tree = shortest_path_tree(network, request.destination)
-
-    def composed(provider: Provider) -> CompositionOutcome:
-        return compose(provider, request, network, cfg.energy, seeds, cfg.composition, dest_tree)
-
-    outcomes = {p.provider_id: composed(p) for p in filtered if p.provider_id in members}
+    ctx = request_context(
+        network, request, cfg.energy, cfg.composition, seeds, shortest_path_tree(network, request.destination)
+    )
+    outcomes = {p.provider_id: compose(p, ctx) for p in filtered if p.provider_id in members}
     wall_s = time.perf_counter() - started if cfg.measure_wallclock else 0.0
 
     if not any(o.success for o in outcomes.values()):
         # No cohort has a success, so there are no rows; the request is still
         # served if some pruned-away provider can fly it.
         rest = (p for p in filtered if p.provider_id not in members)
-        return [], "served" if any(composed(p).success for p in rest) else "unserved"
+        return [], "served" if any(compose(p, ctx).success for p in rest) else "unserved"
 
     # Stage 3: vote and score per cohort.
     rows = []

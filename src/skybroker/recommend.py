@@ -189,11 +189,6 @@ VOTING_METHODS = ("plurality", "irv", "borda", "condorcet", "topweight")
 # --- satisfaction -----------------------------------------------------------
 
 
-def expected_raw(low: float, high: float, weight: float) -> float:
-    """Expected QoS in raw units from the feasible range and the preference weight."""
-    return (high - low) * weight + low
-
-
 def normalized_qos(cohort: Mapping[int, QosVector]) -> dict[int, dict[str, float]]:
     """Min-max normalize each metric over the cohort, oriented higher-is-better.
 

@@ -5,7 +5,7 @@ import pytest
 from skybroker import composition
 from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
 from skybroker.domain import Formation, Partnership, Provider, Swarm
-from skybroker.network import SkywayNetwork, SkywayNode
+from skybroker.network import SkywayNetwork, SkywayNode, shortest_path_tree
 
 
 def unit_energy_config(**overrides) -> EnergyModelConfig:
@@ -18,6 +18,15 @@ def unit_energy_config(**overrides) -> EnergyModelConfig:
     )
     defaults.update(overrides)
     return EnergyModelConfig(**defaults)
+
+
+def network_to_streams(network: SkywayNetwork) -> tuple[str, str, str]:
+    """Render a network back into the (edge list, coords, stations) text form."""
+    edges = "\n".join(f"{s.a} {s.b}" for s in network.segments) + "\n"
+    ordered = sorted(network.nodes.values(), key=lambda n: n.node_id)
+    coords = "\n".join(f"{n.node_id} {n.x!r} {n.y!r}" for n in ordered) + "\n"
+    stations = "\n".join(f"{n.node_id} {n.station_owner} {n.pad_count}" for n in ordered) + "\n"
+    return edges, coords, stations
 
 
 def line_network(lengths, owners=None, pads=None) -> SkywayNetwork:
@@ -61,7 +70,20 @@ def simple_provider(
     )
 
 
-def compose_flown(*args, **kwargs):
+def make_context(network, request, energy=None, seeds=None, comp=None, dest_tree=None):
+    """composition.request_context with test defaults: the default energy and
+    composition configs, master seed 0 and the destination tree computed here."""
+    return composition.request_context(
+        network,
+        request,
+        energy or EnergyModelConfig(),
+        comp or CompositionConfig(),
+        seeds or Seeds.from_master(0),
+        dest_tree or shortest_path_tree(network, request.destination),
+    )
+
+
+def compose_flown(provider, ctx):
     """compose's outcome together with the finished sub-swarms it was built from."""
     flown = []
     fly = composition.fly
@@ -71,7 +93,7 @@ def compose_flown(*args, **kwargs):
         return flown
 
     with mock.patch.object(composition, "fly", record):
-        return composition.compose(*args, **kwargs), flown
+        return composition.compose(provider, ctx), flown
 
 
 def check_flown(provider, comp_config, out, flown):

@@ -30,14 +30,13 @@ from skybroker.recommend import (
     borda,
     build_ballots,
     condorcet,
-    expected_raw,
     instant_runoff,
     pairwise_preferences,
     plurality,
     top_weight,
 )
 
-from conftest import check_flown, compose_flown
+from conftest import check_flown, compose_flown, make_context
 
 SEEDS = tuple(range(1, 11))
 K_VALUES = (30.0, 40.0, 50.0, 60.0, 70.0)
@@ -201,7 +200,8 @@ def test_exact_paper_arithmetic():
         Ballot("v5", 1.0, (2, 1, 3)),
     ]
     borda_points = borda(ballots).tallies[1]
-    eqos = expected_raw(15.0, 50.0, 0.6)
+    # the expected QoS in raw units: (high - low) * weight + low
+    eqos = (50.0 - 15.0) * 0.6 + 15.0
     gold = Partnership(1, "gold")
     platinum = Partnership(1, "platinum")
     gold_ahead = {q: gold.queue_ahead(q, 1) for q in range(2, 11)}
@@ -347,9 +347,9 @@ def _composition_batch(seed, n_requests=10):
             feasible = filter_providers(providers, request)
         except NoFeasibleProviders:
             continue
-        tree = shortest_path_tree(net, request.destination)
+        ctx = make_context(net, request, seeds=seeds)
         for provider in feasible:
-            yield provider, request, *compose_flown(provider, request, net, seeds=seeds, dest_tree=tree)
+            yield provider, request, *compose_flown(provider, ctx)
 
 
 def test_invariant_energy_conservation_and_time_identity():
@@ -412,8 +412,8 @@ def test_invariant_weight_scaling_of_all_winners():
             feasible = filter_providers(providers, request)
         except NoFeasibleProviders:
             continue
-        tree = shortest_path_tree(net, request.destination)
-        outcomes = [compose(p, request, net, seeds=seeds, dest_tree=tree) for p in feasible]
+        ctx = make_context(net, request, seeds=seeds)
+        outcomes = [compose(p, ctx) for p in feasible]
         successes = [o for o in outcomes if o.success]
         if len(successes) < 2:
             continue

@@ -4,6 +4,10 @@
 and only a traced run installs those wrappers. One traced repetition of the
 tiny `smoke` workload (well under a second) makes renaming or removing a
 wrapped name fail here, not only in a `--trace 1` benchmark run.
+
+The same run pins the deterministic counters of the composer's work. The
+evaluation count is the paper's execution-time QoS, so a refactor that shifts
+it, or the leg, stop and search work behind it, fails here by name.
 """
 
 import importlib
@@ -31,3 +35,11 @@ def test_traced_smoke_child_reports_every_layer_metric(tmp_path, monkeypatch):
     wanted = {name for name in tracer.LAYER_METRICS if not name.startswith("trace.")}
     assert len(wanted) == len(tracer.LAYER_METRICS) - 2
     assert wanted <= set(layers)
+
+    pinned = {
+        "composition.evaluations": 1351,
+        "energy.segment_energy_calls": 728,
+        "energy.node_service_calls": 10,
+        "network.neighbor_queries": 280,
+    }
+    assert {name: layers[name] for name in pinned} == pinned

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from skybroker import composition
 from skybroker.composition import (
     _direct_path,
+    _launch,
     _Leg,
     compose,
-    prepare_composition,
+    request_context,
     score_candidates,
     viable_candidates,
 )
@@ -43,7 +44,7 @@ from skybroker.network import (
 )
 from skybroker.pruning import NoFeasibleProviders, filter_providers
 
-from conftest import check_flown, compose_flown, line_network, simple_provider, unit_energy_config
+from conftest import check_flown, compose_flown, line_network, make_context, simple_provider, unit_energy_config
 
 
 def request(source, destination, packages=(1.0,), weights=None, request_id=1):
@@ -72,7 +73,7 @@ class TestComposeBasics:
     def test_adjacent_destination_direct_flight(self, unit_config, seeds):
         net = line_network([800.0])
         provider = simple_provider(n_drones=1, battery=1000, speed=10)
-        out, (sub,) = compose_flown(provider, request(0, 1), net, unit_config, seeds)
+        out, (sub,) = compose_flown(provider, make_context(net, request(0, 1), unit_config, seeds))
         assert out.success
         assert out.paths == ((0, 1),)
         assert out.pqos.delivery_time == pytest.approx(80.0)
@@ -83,7 +84,8 @@ class TestComposeBasics:
         # 15000 J (4.1667 Wh); a 5 Wh battery covers one leg but not two
         net = line_network([1000.0, 1000.0])
         provider = simple_provider(n_drones=1, battery=5.0, speed=10, charging_provider=9)
-        out, (sub,) = compose_flown(provider, request(0, 2, packages=(1.0,)), net, unit_config, seeds)
+        ctx = make_context(net, request(0, 2, packages=(1.0,)), unit_config, seeds)
+        out, (sub,) = compose_flown(provider, ctx)
         assert out.success
         assert out.paths == ((0, 1, 2),)
         leg_wh = 15000.0 / 3600.0
@@ -97,19 +99,19 @@ class TestComposeBasics:
     def test_unknown_endpoint_rejected(self, unit_config, seeds):
         net = line_network([500.0])
         with pytest.raises(ValueError, match="endpoint"):
-            compose(simple_provider(), request(0, 99), net, unit_config, seeds)
+            request_context(net, request(0, 99), unit_config, CompositionConfig(), seeds, ({}, {}))
 
     def test_more_packages_than_drones_rejected(self, unit_config, seeds):
         net = line_network([500.0])
         provider = simple_provider(n_drones=2)
         with pytest.raises(ValueError, match="3 packages need one drone each, the swarm has 2"):
-            compose(provider, request(0, 1, packages=(1.0, 1.0, 1.0)), net, unit_config, seeds)
+            compose(provider, make_context(net, request(0, 1, packages=(1.0, 1.0, 1.0)), unit_config, seeds))
 
     def test_package_over_payload_capacity_rejected(self, unit_config, seeds):
         net = line_network([500.0])
         provider = simple_provider(n_drones=2, payload_cap=2.0)
         with pytest.raises(ValueError, match="payload_capacity"):
-            compose(provider, request(0, 1, packages=(1.0, 2.5)), net, unit_config, seeds)
+            compose(provider, make_context(net, request(0, 1, packages=(1.0, 2.5)), unit_config, seeds))
 
     def test_deterministic_outcomes(self, seeds):
         net = synthetic_network(4, 60)
@@ -119,13 +121,14 @@ class TestComposeBasics:
                 feasible = filter_providers(providers, req)
             except NoFeasibleProviders:
                 continue
+            ctx = make_context(net, req, seeds=seeds)
             for p in feasible[:3]:
-                assert compose(p, req, net, seeds=seeds) == compose(p, req, net, seeds=seeds)
+                assert compose(p, ctx) == compose(p, make_context(net, req, seeds=seeds))
 
 
-def direct_ok(provider, req, net, config, seeds=None):
-    state, ctx = prepare_composition(provider, req, net, config, seeds)
-    return _direct_path(state, ctx) is not None
+def direct_ok(provider, req, net, config):
+    ctx = make_context(net, req, config)
+    return _direct_path(_launch(provider, ctx), ctx) is not None
 
 
 class TestCanReachDirectly:
@@ -164,7 +167,8 @@ class TestCanReachDirectly:
             )
             packages = tuple(rng.uniform(0.1, 2.5) for _ in range(rng.randint(1, n_drones)))
             source, dest = rng.sample(sorted(net.nodes), 2)
-            state, ctx = prepare_composition(provider, request(source, dest, packages), net, config, seeds)
+            ctx = make_context(net, request(source, dest, packages), config, seeds)
+            state = _launch(provider, ctx)
 
             graph = nx.Graph()
             for seg in net.segments:
@@ -193,7 +197,8 @@ class TestNodeValue:
         net = diamond_network(leg=500.0, owners=(1, 1, 2, 1), pads=(4, 4, 4, 4))
         provider = simple_provider(battery=3.5, charging_provider=2, tier="gold")
         req = request(0, 3, packages=(1.0,))
-        state, ctx = prepare_composition(provider, req, net, unit_config, seeds)
+        ctx = make_context(net, req, unit_config, seeds)
+        state = _launch(provider, ctx)
         candidates = viable_candidates(state, ctx)
         assert sorted(leg.node for leg in candidates) == [1, 2]
         values = {leg.node: value for value, leg in score_candidates(state, candidates, ctx)}
@@ -212,9 +217,8 @@ class TestNodeValue:
         net = SkywayNetwork(nodes, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
         provider = simple_provider(battery=1000.0, charging_provider=9)
         req = request(0, 4, weights={"delivery_time": 1.0})
-        state, ctx = prepare_composition(
-            provider, req, net, unit_energy_config(), seeds, no_progress
-        )
+        ctx = make_context(net, req, unit_energy_config(), seeds, no_progress)
+        state = _launch(provider, ctx)
         ranked = score_candidates(state, viable_candidates(state, ctx), ctx)
         assert ranked[0][1].node == 1  # 360.6 m beats 400 m and 494.97 m
 
@@ -232,7 +236,8 @@ class TestNodeValue:
         req = request(hub, dest, packages=(1.0,), weights={
             "delivery_time": 0.4, "energy": 0.3, "cost": 0.2, "execution_time": 0.1,
         })
-        state, ctx = prepare_composition(provider, req, net, config, seeds, comp_cfg)
+        ctx = make_context(net, req, config, seeds, comp_cfg)
+        state = _launch(provider, ctx)
         candidates = viable_candidates(state, ctx)
         assert len(candidates) >= 4
         ranked = score_candidates(state, candidates, ctx)
@@ -284,8 +289,9 @@ class TestDynamicSplitting:
         net = diamond_network(leg=1000.0, pads=(1, 1, 1, 4))
         req = request(0, 3, packages=(1.0, 1.0, 1.0, 1.0))
 
-        static_out, (static_sub,) = compose_flown(self._provider(False), req, net, unit_config, seeds)
-        dynamic_out, (first, second) = compose_flown(self._provider(True), req, net, unit_config, seeds)
+        ctx = make_context(net, req, unit_config, seeds)
+        static_out, (static_sub,) = compose_flown(self._provider(False), ctx)
+        dynamic_out, (first, second) = compose_flown(self._provider(True), ctx)
 
         assert static_out.success
         assert static_out.paths == ((0, 1, 3),)
@@ -307,11 +313,11 @@ class TestDynamicSplitting:
                 feasible = filter_providers(providers, req)
             except NoFeasibleProviders:
                 continue
-            tree = shortest_path_tree(net, req.destination)
+            ctx = make_context(net, req, seeds=seeds, comp=comp_cfg)
             for p in feasible:
                 if not p.swarm.dynamic:
                     continue
-                out, flown = compose_flown(p, req, net, seeds=seeds, comp_config=comp_cfg, dest_tree=tree)
+                out, flown = compose_flown(p, ctx)
                 if out.success and len(flown) > 1:
                     checked += 1
                     assert abs(flown[0].delivery_time - flown[1].delivery_time) <= comp_cfg.arrival_window_s
@@ -329,13 +335,13 @@ def loaded_swarms(draw):
     )
     packages = tuple(draw(st.lists(st.floats(0.1, 3.0), min_size=2, max_size=n)))
     factors = tuple(draw(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=7)))
-    return prepare_composition(
-        provider,
-        request(0, 3, packages),
+    ctx = make_context(
         diamond_network(leg=draw(st.floats(100.0, 5000.0))),
+        request(0, 3, packages),
         EnergyModelConfig(position_factors=factors),
         Seeds.from_master(draw(st.integers(0, 2**32 - 1))),
     )
+    return _launch(provider, ctx), ctx
 
 
 class TestSplitNeverFoldsBack:
@@ -367,9 +373,9 @@ class TestCompositionInvariants:
                 feasible = filter_providers(providers, req)
             except NoFeasibleProviders:
                 continue
-            tree = shortest_path_tree(net, req.destination)
+            ctx = make_context(net, req, seeds=seeds)
             for p in feasible:
-                outcomes.append((p, req, compose(p, req, net, seeds=seeds, dest_tree=tree), net))
+                outcomes.append((p, req, compose(p, ctx), net))
         return outcomes
 
     def test_paths_terminate_and_reach_destination_on_success(self):
@@ -394,8 +400,9 @@ class TestCompositionInvariants:
         base = dict(n_drones=1, battery=1000.0, speed=10, charging_provider=9)
         fixed = simple_provider(**base)
         flexible = simple_provider(flexible=True, **base)
-        out_fixed = compose(fixed, req, net, seeds=seeds)
-        out_flex = compose(flexible, req, net, seeds=seeds)
+        ctx = make_context(net, req, seeds=seeds)
+        out_fixed = compose(fixed, ctx)
+        out_flex = compose(flexible, ctx)
         assert out_fixed.paths == out_flex.paths
         assert out_flex.pqos.energy <= out_fixed.pqos.energy + 1e-12
 
@@ -425,10 +432,11 @@ class TestEnergyConservation:
                 feasible = filter_providers(providers, req)
             except NoFeasibleProviders:
                 continue
+            contexts = [make_context(network, req, energy, seeds, comp_cfg) for network in (net, loaded)]
             for p in feasible:
                 outcomes = []
-                for network in (net, loaded):
-                    out, flown = compose_flown(p, req, network, energy, seeds, comp_cfg)
+                for ctx in contexts:
+                    out, flown = compose_flown(p, ctx)
                     check_flown(p, comp_cfg, out, flown)
                     outcomes.append(out)
                 assert outcomes[0] == outcomes[1]
@@ -475,7 +483,8 @@ class TestReachability:
     def test_candidates_match_full_dfs_and_dead_stays_dead(self, walk):
         network, destination, steps = walk
         provider = simple_provider(battery=1e9)  # every leg fits, so only reachability filters
-        state, ctx = prepare_composition(provider, request(steps[0][0], destination), network)
+        ctx = make_context(network, request(steps[0][0], destination))
+        state = _launch(provider, ctx)
         for current, extra_visited in steps:
             state.path.append(current)
             state.visited |= extra_visited | {current}
@@ -489,45 +498,69 @@ class TestReachability:
 
 def recomputed_leg_info(state, a, b, ctx):
     """Leg physics computed from scratch on every call, with a wind field that
-    has never drawn before: the composer without its memos."""
+    has never drawn before: the composer without its memos, the request's
+    shared wind memo included."""
     wind = WindField(ctx.wind.seed, ctx.wind.slice_s).at(a, b, state.delivery_time)
     length = ctx.network.length(a, b)
     sector = relative_sector(wind, ctx.network.heading(a, b))
-    swarm = ctx.provider.swarm
+    swarm = state.provider.swarm
     formation = best_formation(sector, FORMATIONS, ctx.energy) if swarm.flexible else swarm.formation
     energies = tuple(
         segment_energy(load, swarm.speed, length, formation, sector, slot, ctx.energy)
         for slot, load in enumerate(state.loads)
     )
-    ctx.evaluations += len(state.loads)
+    state.evaluations += len(state.loads)
     return _Leg(node=b, length=length, energies=energies)
 
 
+def acceptance_requests(seed):
+    """The feasible providers and the request_context arguments of every
+    request of seed at the acceptance config that some provider can fly."""
+    cfg = ExperimentConfig(seed=seed)
+    net = build_network(cfg)
+    providers, requests = generate_scenario(seed, net, cfg.n_providers, cfg.n_requests, cfg.limits, cfg.ranges)
+    seeds = Seeds.from_master(seed)
+    for req in requests:
+        try:
+            feasible = filter_providers(providers, req)
+        except NoFeasibleProviders:
+            continue
+        yield feasible, (net, req, cfg.energy, cfg.composition, seeds, shortest_path_tree(net, req.destination))
+
+
 def acceptance_compositions():
-    """compose arguments for every feasible provider of every request of
-    seeds 1-3 at the acceptance config."""
+    """(provider, context) for every feasible provider of every request of
+    seeds 1-3 at the acceptance config; a request's providers share one
+    context, as in the harness."""
     calls = []
     for seed in (1, 2, 3):
-        cfg = ExperimentConfig(seed=seed)
-        net = build_network(cfg)
-        providers, requests = generate_scenario(seed, net, cfg.n_providers, cfg.n_requests, cfg.limits, cfg.ranges)
-        seeds = Seeds.from_master(seed)
-        for req in requests:
-            try:
-                feasible = filter_providers(providers, req)
-            except NoFeasibleProviders:
-                continue
-            tree = shortest_path_tree(net, req.destination)
-            calls += [(p, req, net, cfg.energy, seeds, cfg.composition, tree) for p in feasible]
+        for feasible, args in acceptance_requests(seed):
+            ctx = request_context(*args)
+            calls += [(p, ctx) for p in feasible]
     return calls
+
+
+class TestSharedContext:
+    def test_composition_order_changes_no_outcome(self):
+        """The context's wind memo holds pure draws, so a request's providers
+        composed in reverse order over one context get the outcomes they get
+        in filtered order."""
+        shared = 0
+        for feasible, args in acceptance_requests(1):
+            forward_ctx, reverse_ctx = request_context(*args), request_context(*args)
+            forward = [compose(p, forward_ctx) for p in feasible]
+            reverse = [compose(p, reverse_ctx) for p in reversed(feasible)]
+            assert forward == reverse[::-1]
+            shared += len(feasible) > 1
+        assert shared > 0
 
 
 class TestMemoisedPhysics:
     def test_memos_change_no_outcome(self, monkeypatch):
         sample = acceptance_compositions()
-        shipped = [compose_flown(*args) for args in sample]
+        shipped = [compose_flown(p, ctx) for p, ctx in sample]
         monkeypatch.setattr(composition, "_leg_info", recomputed_leg_info)
-        recomputed = [compose_flown(*args) for args in sample]
+        recomputed = [compose_flown(p, ctx) for p, ctx in sample]
 
         def ledger(flown):
             return [(sub.held, sub.consumed, sub.purchased) for sub in flown]
@@ -583,14 +616,14 @@ def first_legs(draw, cooperative, threshold, min_fill_legs=0.0):
         pads=draw(st.lists(st.integers(1, 4), min_size=3, max_size=3)),
     )
     packages = tuple(draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
-    state, ctx = prepare_composition(
-        provider,
-        request(0, 2, packages),
+    ctx = make_context(
         net,
+        request(0, 2, packages),
         EnergyModelConfig(queue_draw_max=0),
         Seeds.from_master(draw(st.integers(0, 2**32 - 1))),
         CompositionConfig(opportunistic_charge_threshold=draw(threshold)),
     )
+    state = _launch(provider, ctx)
     leg = composition._leg_info(state, 0, 1, ctx)
     capacity = provider.swarm.battery_capacity
     for slot, e in enumerate(leg.energies):

@@ -133,7 +133,7 @@ class TestAssignPackages:
         assert assign_packages(make_swarm(size=3), [1.0, 3.0, 2.0]) == (3.0, 2.0, 1.0)
 
     def test_one_package_per_drone_when_feasible(self):
-        assert assign_packages(make_swarm(size=5), [1.0, 1.5]) == (1.5, 1.0, 0.0, 0.0, 0.0)
+        assert assign_packages(make_swarm(size=5), [1.0, 1.5]) == (1.5, 1.0)
 
     def test_more_packages_than_drones_rejected(self):
         with pytest.raises(ValueError, match="3 packages need one drone each, the swarm has 2"):

@@ -201,10 +201,9 @@ class TestNodeService:
 def cooperative_target(need, config, battery=50.0):
     """The charge target of one empty drone of a cooperative swarm whose next
     leg needs `need` Wh."""
-    provider = simple_provider(battery=battery, cooperative=True)
-    ctx = SimpleNamespace(provider=provider, energy=config)
+    state = SimpleNamespace(provider=simple_provider(battery=battery, cooperative=True), loads=(0.0,))
     leg = SimpleNamespace(energies=(need,))
-    return _charge_targets((0.0,), [0.0], leg, ctx, None)[0]
+    return _charge_targets(state, [0.0], leg, SimpleNamespace(energy=config), None)[0]
 
 
 class TestCooperativeTarget:

@@ -26,10 +26,11 @@ from skybroker.network import (
     build_region_grid,
     dump_network,
     load_network_dump,
-    network_to_streams,
     synthetic_network,
 )
 from skybroker.recommend import VOTING_METHODS
+
+from conftest import network_to_streams
 
 
 def small_config(**overrides):
@@ -189,10 +190,8 @@ def eager_process_request(request, providers, network, grid, heatmaps, seeds, cf
     except harness.NoFeasibleProviders:
         return [], "rejected"
     dest_tree = harness.shortest_path_tree(network, request.destination)
-    outcomes = {
-        p.provider_id: harness.compose(p, request, network, cfg.energy, seeds, cfg.composition, dest_tree)
-        for p in filtered
-    }
+    ctx = harness.request_context(network, request, cfg.energy, cfg.composition, seeds, dest_tree)
+    outcomes = {p.provider_id: harness.compose(p, ctx) for p in filtered}
     if not any(o.success for o in outcomes.values()):
         return [], "unserved"
     rows = []

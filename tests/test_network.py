@@ -19,12 +19,13 @@ from skybroker.network import (
     dump_network,
     load_network,
     load_network_dump,
-    network_to_streams,
     shortest_path_tree,
     synthetic_network,
     t_shortest_region_paths,
     tree_path,
 )
+
+from conftest import network_to_streams
 
 
 def load(edges, coords, stations):

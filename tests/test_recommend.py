@@ -14,7 +14,6 @@ from skybroker.recommend import (
     borda,
     build_ballots,
     condorcet,
-    expected_raw,
     instant_runoff,
     normalized_qos,
     pairwise_preferences,
@@ -384,10 +383,6 @@ class TestVotingInvariants:
 
 
 class TestSatisfaction:
-    def test_raw_space_expectation_example(self):
-        # a 15..50 minute feasible range with weight 0.6 expects 36 minutes
-        assert expected_raw(15.0, 50.0, 0.6) == 36.0
-
     def test_expectation_met_scores_exactly_zero(self):
         weights = {m: 0.25 for m in QOS_METRICS}
         cohort = {
