@@ -17,7 +17,12 @@ def _comma_list(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
+def _joined(values) -> str:
+    return ",".join(map(str, values))
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = ExperimentConfig()
     parser = argparse.ArgumentParser(prog="skybroker", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -28,23 +33,23 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--coords", type=Path, help="node coordinates text file")
     source.add_argument("--stations", type=Path, help="station ownership text file")
     source.add_argument("--synthetic", type=int, metavar="NODES", help="generate a seeded network")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--providers", type=int, default=20)
-    run.add_argument("--requests", type=int, default=50)
+    run.add_argument("--seed", type=int, default=defaults.seed)
+    run.add_argument("--providers", type=int, default=defaults.n_providers)
+    run.add_argument("--requests", type=int, default=defaults.n_requests)
     run.add_argument(
         "--pruning",
-        default="density",
+        default=_joined(defaults.strategies),
         help=f"comma-separated strategies from {{{', '.join(STRATEGIES)}}}",
     )
-    run.add_argument("--k", default="50", help="comma-separated pruning percentages")
-    run.add_argument("--t", type=int, default=3, help="region paths per density score")
+    run.add_argument("--k", default=_joined(defaults.k_values), help="comma-separated pruning percentages")
+    run.add_argument("--t", type=int, default=defaults.t_paths, help="region paths per density score")
     run.add_argument(
         "--voting",
-        default="irv",
+        default=_joined(defaults.voting_methods),
         help=f"comma-separated methods from {{{', '.join(VOTING_METHODS)}}}",
     )
-    run.add_argument("--grid", type=int, default=8, help="region grid resolution")
-    run.add_argument("--charging-companies", type=int, default=5)
+    run.add_argument("--grid", type=int, default=defaults.grid_resolution, help="region grid resolution")
+    run.add_argument("--charging-companies", type=int, default=defaults.charging_companies)
     run.add_argument("--out", type=Path, help="directory for per_request.csv, summary.csv, manifest.json")
     run.add_argument("--config", type=Path, help="JSON file overriding energy/composition defaults")
     run.add_argument(
@@ -56,21 +61,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth-network", help="generate and dump a synthetic skyway network")
     synth.add_argument("--nodes", type=int, required=True)
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--charging-companies", type=int, default=5)
-    synth.add_argument("--area", type=float, default=30000.0, help="side of the square area in meters")
+    synth.add_argument("--seed", type=int, default=defaults.seed)
+    synth.add_argument("--charging-companies", type=int, default=defaults.charging_companies)
+    synth.add_argument("--area", type=float, default=defaults.area_m, help="side of the square area in meters")
     synth.add_argument("--out", type=Path, required=True)
     return parser
 
 
 def _run_command(args: argparse.Namespace) -> int:
-    energy, composition = (
-        load_config_file(args.config) if args.config else (None, None)
-    )
-    kwargs = {}
-    if energy is not None:
-        kwargs["energy"] = energy
-        kwargs["composition"] = composition
+    overrides = {}
+    if args.config:
+        overrides["energy"], overrides["composition"] = load_config_file(args.config)
     cfg = ExperimentConfig(
         seed=args.seed,
         synthetic_nodes=args.synthetic,
@@ -87,7 +88,7 @@ def _run_command(args: argparse.Namespace) -> int:
         voting_methods=tuple(_comma_list(args.voting)),
         grid_resolution=args.grid,
         measure_wallclock=args.wallclock,
-        **kwargs,
+        **overrides,
     )
     result = run_experiment(cfg, out_dir=args.out)
     served = result.manifest["requests"]

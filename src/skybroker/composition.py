@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .config import CompositionConfig, EnergyModelConfig, Seeds, mix64
-from .domain import FORMATIONS, DeliveryRequest, Provider, QosVector, assign_packages, normalize_lower_better
+from .domain import DeliveryRequest, Provider, QosVector, assign_packages, normalize_lower_better
 from .energy import (
     NodeService,
     WindField,
@@ -203,7 +203,7 @@ def _leg_info(state: SubSwarmState, a: int, b: int, ctx: RequestContext) -> _Leg
         swarm = state.provider.swarm
         length = ctx.network.length(a, b)
         sector = relative_sector(ctx.wind.at(a, b, state.delivery_time), ctx.network.heading(a, b))
-        formation = best_formation(sector, FORMATIONS, ctx.energy) if swarm.flexible else swarm.formation
+        formation = best_formation(sector, ctx.energy) if swarm.flexible else swarm.formation
         energies = tuple(
             segment_energy(load, swarm.speed, length, formation, sector, slot, ctx.energy)
             for slot, load in enumerate(state.loads)
@@ -285,21 +285,23 @@ def _price_stop(
     node_id: int,
     targets: Sequence[float],
     ctx: RequestContext,
-    queue: int | None = None,
+    queue: int,
 ) -> NodeService:
-    """Price a charging stop at node_id (drawn queue if None); one evaluation per drone."""
+    """Price a charging stop at node_id behind the given exogenous queue; one
+    evaluation per drone."""
     state.evaluations += len(energies)
     node, provider = ctx.network.node(node_id), state.provider
     return node_service_time(
-        provider.swarm.battery_capacity, energies, node, targets, provider.partnership,
-        ctx.congestion_seed, ctx.energy, queue,
+        provider.swarm.battery_capacity, energies, node, targets, provider.partnership, queue, ctx.energy
     )
 
 
 def _charge(state: SubSwarmState, leg: _Leg, ctx: RequestContext, remaining_m: float | None) -> None:
-    """Charge at the current node to the policy's targets for the leg and remaining_m."""
+    """Charge at the current node, behind its drawn queue, to the policy's
+    targets for the leg and remaining_m."""
     targets = _charge_targets(state, state.held, leg, ctx, remaining_m)
-    service = _price_stop(state, state.held, state.current_node, targets, ctx)
+    queue = queue_length(ctx.congestion_seed, state.current_node, ctx.energy)
+    service = _price_stop(state, state.held, state.current_node, targets, ctx, queue)
     state.charge_s += service.charge_s
     state.wait_s += service.wait_s
     state.cost += service.cost

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .domain import FORMATIONS, NON_PARTNER_PRICE_PER_KWH, Formation
+from .domain import FORMATIONS, Formation
 
 _MASK64 = (1 << 64) - 1
 
@@ -62,7 +62,7 @@ class EnergyModelConfig:
     payload_power_coeff_w_per_kg: float = 50.0
     charge_rate_w: float = 100.0
     cooperative_margin: float = 0.1
-    non_partner_price_per_kwh: float = NON_PARTNER_PRICE_PER_KWH
+    non_partner_price_per_kwh: float = 0.30  # at any other company's station
     # Time one round of queued outside drones holds the pads; sized to a full
     # single-drone refill at the default charge rate so queue priority matters.
     exogenous_service_s: float = 1800.0

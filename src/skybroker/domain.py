@@ -26,8 +26,6 @@ FORMATIONS: tuple[Formation, ...] = tuple(Formation)
 
 QOS_METRICS = ("delivery_time", "energy", "cost", "execution_time")
 
-NON_PARTNER_PRICE_PER_KWH = 0.30
-
 
 class TierTerms(NamedTuple):
     price_per_kwh: float  # at the partner's own stations
@@ -178,20 +176,20 @@ def assign_packages(swarm: Swarm, packages: Sequence[float]) -> tuple[float, ...
     """The loads of the drones dispatched for one package per drone: drone i
     carries the i-th heaviest package, so loads never increase along the swarm.
     More packages than drones, or a package over the payload capacity, raise
-    ValueError (filter_providers rules such providers out before
-    composition)."""
+    ValueError: the same rule by which filter_providers rules such providers
+    out before composition."""
     if len(packages) > swarm.size:
         raise ValueError(f"{len(packages)} packages need one drone each, the swarm has {swarm.size}")
     loads = sorted(map(float, packages), reverse=True)
-    if loads and loads[0] > swarm.payload_capacity + 1e-9:
+    if loads and loads[0] > swarm.payload_capacity:
         raise ValueError(f"a {loads[0]} kg package exceeds payload_capacity {swarm.payload_capacity} kg")
     return tuple(loads)
 
 
 @dataclass(frozen=True)
 class ScenarioLimits:
-    max_packages: int = 10
-    max_package_weight_kg: float = 2.5
+    max_packages: int = 6
+    max_package_weight_kg: float = 2.0
     min_package_weight_kg: float = 0.1
 
 
@@ -208,8 +206,8 @@ def generate_scenario(
     network: "SkywayNetwork",
     n_providers: int,
     n_requests: int,
-    limits: ScenarioLimits | None = None,
-    ranges: CapabilityRanges | None = None,
+    limits: ScenarioLimits,
+    ranges: CapabilityRanges,
 ) -> tuple[tuple[Provider, ...], tuple[DeliveryRequest, ...]]:
     """Synthesize a provider fleet and request batch, deterministic for a fixed seed."""
     if n_providers <= 0:
@@ -218,8 +216,6 @@ def generate_scenario(
         raise ValueError("n_requests must be positive")
     if network.n_nodes < 2:
         raise ValueError(f"a request needs two distinct nodes, the network has {network.n_nodes}")
-    limits = limits or ScenarioLimits()
-    ranges = ranges or CapabilityRanges()
     rng = random.Random(seed)
     charging_ids = network.charging_providers
     node_ids = sorted(network.nodes)

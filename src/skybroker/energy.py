@@ -11,7 +11,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .config import WIND_SECTORS, EnergyModelConfig, mix64, unit_draw
-from .domain import TIERS, Formation, Partnership, Swarm
+from .domain import FORMATIONS, TIERS, Formation, Partnership, Swarm
 from .network import SkywayNode
 
 TWO_PI = 2.0 * math.pi
@@ -21,12 +21,13 @@ class WindField:
     """Seeded per-segment wind direction, piecewise constant over time slices.
 
     Only the direction shapes flight energy (through the relative wind sector),
-    so no wind speed is drawn. Draws are memoised per instance. The composer
-    makes one field per request, so the memo holds the segments that request's
-    compositions look at, and is dropped with the request.
+    so no wind speed is drawn. ``slice_s`` is the slice length in seconds (the
+    energy config's ``wind_slice_s``). Draws are memoised per instance. The
+    composer makes one field per request, so the memo holds the segments that
+    request's compositions look at, and is dropped with the request.
     """
 
-    def __init__(self, seed: int, slice_s: float = 600.0):
+    def __init__(self, seed: int, slice_s: float):
         if slice_s <= 0:
             raise ValueError("slice_s must be positive")
         self.seed = seed
@@ -37,7 +38,7 @@ class WindField:
         """Index of the time slice the wind is constant over at elapsed_s."""
         return int(max(elapsed_s, 0.0) // self.slice_s)
 
-    def at(self, a: int, b: int, elapsed_s: float = 0.0) -> float:
+    def at(self, a: int, b: int, elapsed_s: float) -> float:
         """Direction the air moves toward over segment a-b at elapsed_s, in radians."""
         key = (min(a, b), max(a, b), self.time_slice(elapsed_s))
         direction = self._memo.get(key)
@@ -46,14 +47,15 @@ class WindField:
         return direction
 
 
-def relative_sector(wind_direction: float, heading: float, sectors: int = WIND_SECTORS) -> int:
-    """Discretize the wind angle relative to the flight heading.
+def relative_sector(wind_direction: float, heading: float) -> int:
+    """Discretize the wind angle relative to the flight heading into one of
+    WIND_SECTORS sectors.
 
     Sector 0 means the wind blows along the heading (tailwind); sector
-    ``sectors // 2`` is a headwind.
+    ``WIND_SECTORS // 2`` is a headwind.
     """
     rel = (wind_direction - heading) % TWO_PI
-    return int(rel / (TWO_PI / sectors)) % sectors
+    return int(rel / (TWO_PI / WIND_SECTORS)) % WIND_SECTORS
 
 
 def segment_energy(
@@ -81,17 +83,11 @@ def segment_energy(
     return power_w * seconds * factor / 3600.0
 
 
-def best_formation(
-    wind_sector: int,
-    formations: Sequence[Formation],
-    config: EnergyModelConfig,
-) -> Formation:
+def best_formation(wind_sector: int, config: EnergyModelConfig) -> Formation:
     """Formation with the smallest factor for this wind sector; ties keep enum order."""
-    if not formations:
-        raise ValueError("no formations to choose from")
-    best = formations[0]
+    best = FORMATIONS[0]
     best_factor = config.formation_factor(best, wind_sector)
-    for formation in formations[1:]:
+    for formation in FORMATIONS[1:]:
         factor = config.formation_factor(formation, wind_sector)
         if factor < best_factor:
             best, best_factor = formation, factor
@@ -116,9 +112,8 @@ def node_service_time(
     node: SkywayNode,
     target_energies: Sequence[float],
     partnership: Partnership,
-    congestion_seed: int,
+    queue: int,
     config: EnergyModelConfig,
-    queue_override: int | None = None,
 ) -> NodeService:
     """Simulate one charging stop of the swarm at a node, each drone charging
     from the energy it holds to its target, at most battery_capacity.
@@ -130,8 +125,9 @@ def node_service_time(
     drones served first (reduced by partnership priority at partner-owned
     stations) plus the swarm's own sequential batches.
 
-    ``queue_override`` replaces the drawn exogenous queue length; planners use
-    it to price a stop with the expected queue instead of peeking at the draw.
+    ``queue`` is the exogenous queue length at the node: a flown stop passes
+    the drawn ``queue_length``, and planners pass the expected length instead
+    of peeking at the draw.
     """
     if len(energies) != len(target_energies):
         raise ValueError("one held and one target energy required per drone")
@@ -147,11 +143,7 @@ def node_service_time(
     if not charging:
         return NodeService(0.0, 0.0, 0.0, 0.0)
 
-    if queue_override is not None:
-        q = queue_override
-    else:
-        q = queue_length(congestion_seed, node.node_id, config)
-    ahead = partnership.queue_ahead(q, node.station_owner)
+    ahead = partnership.queue_ahead(queue, node.station_owner)
     exogenous_wait = math.ceil(ahead / node.pad_count) * config.exogenous_service_s
 
     batch_makespan = 0.0

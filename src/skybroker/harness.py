@@ -27,13 +27,12 @@ otherwise it is 0.0.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -89,9 +88,7 @@ class ExperimentConfig:
     t_paths: int = 3
     voting_methods: tuple[str, ...] = ("irv",)
     grid_resolution: int = 8
-    limits: ScenarioLimits = field(
-        default_factory=lambda: ScenarioLimits(max_packages=6, max_package_weight_kg=2.0)
-    )
+    limits: ScenarioLimits = field(default_factory=ScenarioLimits)
     ranges: CapabilityRanges = field(default_factory=CapabilityRanges)
     energy: EnergyModelConfig = field(default_factory=EnergyModelConfig)
     composition: CompositionConfig = field(default_factory=CompositionConfig)
@@ -312,7 +309,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     manifest = {
         "seed": cfg.seed,
         "config_hash": config_hash(cfg),
-        "config": config_to_jsonable(cfg),
+        "config": asdict(cfg),
         "network_nodes": network.n_nodes,
         "requests": dict(outcomes),
         "rows": len(rows),
@@ -401,18 +398,9 @@ def aggregate(rows: Sequence[Mapping]) -> AggregateResult:
     return AggregateResult(summary, trends)
 
 
-def config_to_jsonable(cfg: ExperimentConfig) -> dict:
-    raw = dataclasses.asdict(cfg)
-    raw["energy"]["formation_factors"] = {
-        formation.value: list(row)
-        for formation, row in cfg.energy.formation_factors.items()
-    }
-    raw["energy"]["position_factors"] = list(cfg.energy.position_factors)
-    return raw
-
-
 def config_hash(cfg: ExperimentConfig) -> str:
-    canonical = json.dumps(config_to_jsonable(cfg), sort_keys=True, separators=(",", ":"))
+    # json writes the str-enum formation keys as their values and tuples as lists
+    canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

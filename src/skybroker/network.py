@@ -319,7 +319,7 @@ class RegionGrid:
         return tuple(sorted(out))
 
 
-def build_region_grid(network: SkywayNetwork, resolution: int = 8) -> RegionGrid:
+def build_region_grid(network: SkywayNetwork, resolution: int) -> RegionGrid:
     if resolution < 2:
         raise ConfigurationError("grid resolution must be at least 2")
     xs = [n.x for n in network.nodes.values()]
@@ -343,7 +343,7 @@ def build_all_heatmaps(network: SkywayNetwork, grid: RegionGrid) -> dict[int, tu
 
 
 def t_shortest_region_paths(
-    grid: RegionGrid, source_cell: int, dest_cell: int, t: int = 3
+    grid: RegionGrid, source_cell: int, dest_cell: int, t: int
 ) -> list[tuple[int, ...]]:
     """Up to t loop-free cell paths ordered by hop count, then lexicographically.
 
@@ -422,6 +422,11 @@ def tree_path(parent: Mapping[int, int | None], start: int) -> list[int]:
 
 # --- synthetic networks ------------------------------------------------------
 
+# chance that a station belongs to its district's company rather than to a
+# uniformly drawn one
+DISTRICT_SHARE = 0.6
+PADS_PER_STATION = (1, 4)  # inclusive range of a station's pad count
+
 
 def synthetic_network(
     seed: int,
@@ -429,30 +434,26 @@ def synthetic_network(
     n_charging_providers: int = 5,
     area_m: float = 30000.0,
     k_nearest: int = 4,
-    pad_counts: tuple[int, int] = (1, 4),
-    cluster_bias: float = 0.6,
 ) -> SkywayNetwork:
     """Seeded random geometric network: k-nearest-neighbour edges, stitched connected."""
     if n_nodes < 2:
         raise ValueError("need at least 2 nodes")
     if n_charging_providers < 1:
         raise ValueError("need at least one charging provider")
-    if not 0.0 <= cluster_bias <= 1.0:
-        raise ValueError("cluster_bias must be in [0, 1]")
     if k_nearest < 0:
         raise ValueError("k_nearest must be non-negative")
     rng = random.Random(seed)
     positions = {nid: (rng.uniform(0, area_m), rng.uniform(0, area_m)) for nid in range(1, n_nodes + 1)}
     # Charging companies concentrate in districts (soft Voronoi around seeded
     # anchors) but keep scattered background presence elsewhere, mirroring how
-    # real operators cover a city; cluster_bias sets the district share.
+    # real operators cover a city.
     anchors = {
         cp: (rng.uniform(0, area_m), rng.uniform(0, area_m))
         for cp in range(1, n_charging_providers + 1)
     }
     owners = {}
     for nid, (x, y) in positions.items():
-        if rng.random() < cluster_bias:
+        if rng.random() < DISTRICT_SHARE:
             best_cp, best_score = 1, float("inf")
             for cp, (ax, ay) in anchors.items():
                 score = math.hypot(x - ax, y - ay) * rng.uniform(0.7, 1.3)
@@ -461,7 +462,7 @@ def synthetic_network(
             owners[nid] = best_cp
         else:
             owners[nid] = rng.randint(1, n_charging_providers)
-    pads = {nid: rng.randint(*pad_counts) for nid in positions}
+    pads = {nid: rng.randint(*PADS_PER_STATION) for nid in positions}
 
     def d2(a: int, b: int) -> float:
         (xa, ya), (xb, yb) = positions[a], positions[b]

@@ -95,12 +95,16 @@ def select_cohort(
     strategy: str,
     filtered: Sequence[Provider],
     request: DeliveryRequest,
-    grid: RegionGrid | None = None,
-    heatmaps: Mapping[int, Sequence[float]] | None = None,
-    t: int = 3,
-    k_percent: float = 50.0,
+    grid: RegionGrid,
+    heatmaps: Mapping[int, Sequence[float]],
+    t: int,
+    k_percent: float,
 ) -> tuple[list[Provider], int]:
     """Apply one pruning strategy; returns (surviving providers, scoring op count).
+
+    Every strategy takes the same inputs: only density reads the region grid,
+    the per-company heatmaps (``build_all_heatmaps``) and t, the number of
+    region paths it scores; brute keeps every provider whatever k_percent.
 
     The op count is the pruning runtime proxy, a fixed cost model: brute 0;
     capabilities 4 per provider; density path_cells * (1 + charging companies)
@@ -114,8 +118,6 @@ def select_cohort(
         scores = capabilities_scores(filtered)
         ops = 4 * len(filtered)
     elif strategy == "density":
-        if grid is None or heatmaps is None:
-            raise ValueError("density pruning needs a region grid and heatmaps")
         source_cell = grid.cell_of[request.source]
         dest_cell = grid.cell_of[request.destination]
         paths = t_shortest_region_paths(grid, source_cell, dest_cell, t)

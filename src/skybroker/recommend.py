@@ -15,15 +15,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .composition import CompositionOutcome
 from .domain import QOS_METRICS, QosVector, normalize_lower_better
-
-
-class NoSuccessfulProviders(Exception):
-    """No provider composed successfully; nothing can be recommended."""
 
 
 @dataclass(frozen=True)
@@ -43,12 +39,10 @@ class Ballot:
 
 @dataclass(frozen=True)
 class ElectionResult:
-    method: str
     winner: int
-    tallies: Mapping[int, float] = field(default_factory=dict)
+    tallies: Mapping[int, float]
+    op_count: int
     paradox: bool = False
-    op_count: int = 0
-    rounds: int = 1
 
 
 def _candidates(ballots: Sequence[Ballot]) -> list[int]:
@@ -60,16 +54,14 @@ def _candidates(ballots: Sequence[Ballot]) -> list[int]:
 
 
 def build_ballots(
-    outcomes: Iterable[CompositionOutcome],
+    successes: Sequence[CompositionOutcome],
     qos_weights: Mapping[str, float],
 ) -> list[Ballot]:
-    """One ballot per QoS metric over the successful providers, ascending raw pQoS."""
-    successful = [o for o in outcomes if o.success]
-    if not successful:
-        raise NoSuccessfulProviders("no successful composition to vote over")
+    """One ballot per QoS metric over the successful compositions, ascending
+    raw pQoS. No successes means empty rankings, which Ballot refuses."""
     ballots = []
     for metric in QOS_METRICS:
-        ordered = sorted(successful, key=lambda o: (o.pqos.get(metric), o.provider_id))
+        ordered = sorted(successes, key=lambda o: (o.pqos.get(metric), o.provider_id))
         ballots.append(
             Ballot(
                 voter=metric,
@@ -87,10 +79,10 @@ def plurality(ballots: Sequence[Ballot]) -> ElectionResult:
     for ballot in ballots:
         tallies[ballot.ranking[0]] += ballot.weight
     winner = min(candidates, key=lambda c: (-tallies[c], c))
-    return ElectionResult("plurality", winner, tallies, op_count=len(ballots))
+    return ElectionResult(winner, tallies, len(ballots))
 
 
-def instant_runoff(ballots: Sequence[Ballot], rng_seed: int = 0) -> ElectionResult:
+def instant_runoff(ballots: Sequence[Ballot], rng_seed: int) -> ElectionResult:
     """Weighted instant-runoff voting.
 
     Rounds of top-choice counting; a candidate holding strictly more than half
@@ -105,10 +97,7 @@ def instant_runoff(ballots: Sequence[Ballot], rng_seed: int = 0) -> ElectionResu
     active = set(candidates)
     total_weight = sum(b.weight for b in ballots)
     ops = 0
-    rounds = 0
-    tallies: dict[int, float] = {}
     while True:
-        rounds += 1
         tallies = {c: 0.0 for c in sorted(active)}
         for ballot in ballots:
             for choice in ballot.ranking:
@@ -118,7 +107,7 @@ def instant_runoff(ballots: Sequence[Ballot], rng_seed: int = 0) -> ElectionResu
         ops += len(ballots)
         leader = min(active, key=lambda c: (-tallies[c], c))
         if tallies[leader] > total_weight / 2.0 or len(active) == 1:
-            return ElectionResult("irv", leader, tallies, op_count=ops, rounds=rounds)
+            return ElectionResult(leader, tallies, ops)
         minimum = min(tallies[c] for c in active)
         tied = sorted(c for c in active if tallies[c] == minimum)
         eliminated = tied[0] if len(tied) == 1 else rng.choice(tied)
@@ -136,7 +125,7 @@ def borda(ballots: Sequence[Ballot]) -> ElectionResult:
             tallies[candidate] += ballot.weight * (u - position)
         ops += u
     winner = min(candidates, key=lambda c: (-tallies[c], c))
-    return ElectionResult("borda", winner, tallies, op_count=ops)
+    return ElectionResult(winner, tallies, ops)
 
 
 def pairwise_preferences(ballots: Sequence[Ballot]) -> dict[tuple[int, int], float]:
@@ -152,7 +141,7 @@ def pairwise_preferences(ballots: Sequence[Ballot]) -> dict[tuple[int, int], flo
     return prefs
 
 
-def condorcet(ballots: Sequence[Ballot], rng_seed: int = 0) -> ElectionResult:
+def condorcet(ballots: Sequence[Ballot], rng_seed: int) -> ElectionResult:
     """Head-to-head election between every provider pair.
 
     The global winner is the candidate with the most pairwise wins. When no
@@ -172,9 +161,8 @@ def condorcet(ballots: Sequence[Ballot], rng_seed: int = 0) -> ElectionResult:
     best = max(wins.values()) if wins else 0.0
     top = sorted(c for c in candidates if wins[c] == best)
     if len(top) == 1:
-        return ElectionResult("condorcet", top[0], wins, paradox=False, op_count=ops)
-    winner = random.Random(rng_seed).choice(top)
-    return ElectionResult("condorcet", winner, wins, paradox=True, op_count=ops)
+        return ElectionResult(top[0], wins, ops)
+    return ElectionResult(random.Random(rng_seed).choice(top), wins, ops, paradox=True)
 
 
 def top_weight(ballots: Sequence[Ballot]) -> int:

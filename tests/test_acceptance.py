@@ -16,7 +16,7 @@ import pytest
 
 from skybroker.composition import compose
 from skybroker.config import CompositionConfig, Seeds
-from skybroker.domain import QOS_METRICS, Partnership, ScenarioLimits, generate_scenario
+from skybroker.domain import QOS_METRICS, CapabilityRanges, Partnership, ScenarioLimits, generate_scenario
 from skybroker.harness import ExperimentConfig, run_experiment, spearman
 from skybroker.network import (
     RegionGrid,
@@ -340,7 +340,7 @@ def test_oracle_equivalence_region_paths():
 def _composition_batch(seed, n_requests=10):
     net = synthetic_network(seed, 70)
     limits = ScenarioLimits(max_packages=5, max_package_weight_kg=2.0)
-    providers, requests = generate_scenario(seed, net, 12, n_requests, limits)
+    providers, requests = generate_scenario(seed, net, 12, n_requests, limits, CapabilityRanges())
     seeds = Seeds.from_master(seed)
     for request in requests:
         try:
@@ -404,7 +404,7 @@ def test_invariant_weight_scaling_of_all_winners():
     rng = random.Random(77)
     net = synthetic_network(55, 60)
     limits = ScenarioLimits(max_packages=4, max_package_weight_kg=2.0)
-    providers, requests = generate_scenario(55, net, 10, 8, limits)
+    providers, requests = generate_scenario(55, net, 10, 8, limits, CapabilityRanges())
     seeds = Seeds.from_master(55)
     elections = 0
     for request in requests:

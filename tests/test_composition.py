@@ -19,6 +19,7 @@ from skybroker.composition import (
 from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
 from skybroker.domain import (
     FORMATIONS,
+    CapabilityRanges,
     DeliveryRequest,
     Partnership,
     ScenarioLimits,
@@ -115,7 +116,9 @@ class TestComposeBasics:
 
     def test_deterministic_outcomes(self, seeds):
         net = synthetic_network(4, 60)
-        providers, requests = generate_scenario(4, net, 6, 4, ScenarioLimits(max_packages=4))
+        providers, requests = generate_scenario(
+            4, net, 6, 4, ScenarioLimits(max_packages=4, max_package_weight_kg=2.5), CapabilityRanges()
+        )
         for req in requests:
             try:
                 feasible = filter_providers(providers, req)
@@ -305,7 +308,7 @@ class TestDynamicSplitting:
     def test_successful_dynamic_runs_respect_arrival_window(self, seeds):
         net = synthetic_network(8, 80)
         limits = ScenarioLimits(max_packages=6, max_package_weight_kg=2.0)
-        providers, requests = generate_scenario(8, net, 12, 10, limits)
+        providers, requests = generate_scenario(8, net, 12, 10, limits, CapabilityRanges())
         comp_cfg = CompositionConfig()
         checked = 0
         for req in requests:
@@ -365,7 +368,7 @@ class TestCompositionInvariants:
     def _batch(self, seed, n_requests=8):
         net = synthetic_network(seed, 70)
         limits = ScenarioLimits(max_packages=5, max_package_weight_kg=2.0)
-        providers, requests = generate_scenario(seed, net, 10, n_requests, limits)
+        providers, requests = generate_scenario(seed, net, 10, n_requests, limits, CapabilityRanges())
         seeds = Seeds.from_master(seed)
         outcomes = []
         for req in requests:
@@ -423,7 +426,7 @@ class TestEnergyConservation:
         net = synthetic_network(seed, n_nodes, area_m=area_m)
         loaded = load_network_dump(dump_network(net))
         limits = ScenarioLimits(max_packages=5, max_package_weight_kg=2.0)
-        providers, requests = generate_scenario(seed, net, 6, 3, limits)
+        providers, requests = generate_scenario(seed, net, 6, 3, limits, CapabilityRanges())
         energy = EnergyModelConfig(queue_draw_max=queue_draw_max)
         comp_cfg = CompositionConfig(opportunistic_charge_threshold=threshold)
         seeds = Seeds.from_master(seed)
@@ -504,7 +507,7 @@ def recomputed_leg_info(state, a, b, ctx):
     length = ctx.network.length(a, b)
     sector = relative_sector(wind, ctx.network.heading(a, b))
     swarm = state.provider.swarm
-    formation = best_formation(sector, FORMATIONS, ctx.energy) if swarm.flexible else swarm.formation
+    formation = best_formation(sector, ctx.energy) if swarm.flexible else swarm.formation
     energies = tuple(
         segment_energy(load, swarm.speed, length, formation, sector, slot, ctx.energy)
         for slot, load in enumerate(state.loads)
@@ -578,10 +581,10 @@ class TestNodeServiceReadsOnly:
         st.integers(1, 4),
         st.sampled_from([1, 2]),  # the partner owns the station, or another company does
         st.sampled_from(["platinum", "gold", "silver"]),
-        st.sampled_from([None, 0, 2, 4]),
+        st.integers(0, 4),  # the exogenous queue, drawn from {0..queue_draw_max} by default
     )
     @settings(max_examples=100, deadline=None)
-    def test_energies_unchanged(self, capacity, fills, pads, partner, tier, queue_override):
+    def test_energies_unchanged(self, capacity, fills, pads, partner, tier, queue):
         """node_service_time leaves the energies and targets it is given
         unchanged; the composer passes it a sub-swarm's live held vector and
         relies on this."""
@@ -590,7 +593,7 @@ class TestNodeServiceReadsOnly:
         before = (list(energies), list(targets))
         node_service_time(
             capacity, energies, SkywayNode(7, 0.0, 0.0, 1, pads), targets,
-            Partnership(partner, tier), 5, EnergyModelConfig(), queue_override=queue_override,
+            Partnership(partner, tier), queue, EnergyModelConfig(),
         )
         assert (energies, targets) == before
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skybroker.config import EnergyModelConfig
 from skybroker.domain import (
-    NON_PARTNER_PRICE_PER_KWH,
     QOS_METRICS,
     TIERS,
     CapabilityRanges,
@@ -21,6 +21,9 @@ from skybroker.domain import (
     normalize_weights,
 )
 from skybroker.network import synthetic_network
+
+# up to 10 packages of up to 2.5 kg
+WIDE_LIMITS = ScenarioLimits(max_packages=10, max_package_weight_kg=2.5)
 
 
 class TestNormalizeWeights:
@@ -95,7 +98,7 @@ class TestDomainInvariants:
             TIERS["platinum"].price_per_kwh
             < TIERS["gold"].price_per_kwh
             < TIERS["silver"].price_per_kwh
-            < NON_PARTNER_PRICE_PER_KWH
+            < EnergyModelConfig().non_partner_price_per_kwh
         )
 
     def test_unknown_tier_rejected(self):
@@ -141,7 +144,7 @@ class TestAssignPackages:
 
 
 # (dynamic, flexible, cooperative, formation, partner company, tier) of each provider
-# of generate_scenario(4, synthetic_network(2, 60), 40, 1)
+# of generate_scenario(4, synthetic_network(2, 60), 40, 1, WIDE_LIMITS, CapabilityRanges())
 PINNED_FLEET = [
     (False, False, True, "COLUMN", 3, "platinum"),
     (False, True, True, "VEE", 3, "gold"),
@@ -189,30 +192,29 @@ PINNED_FLEET = [
 class TestGenerateScenario:
     def test_limits_respected(self):
         net = synthetic_network(1, 50)
-        limits = ScenarioLimits(max_packages=10, max_package_weight_kg=2.5)
-        _, requests = generate_scenario(3, net, 10, 40, limits)
+        _, requests = generate_scenario(3, net, 10, 40, WIDE_LIMITS, CapabilityRanges())
         for r in requests:
             assert len(r.packages) <= 10
             assert max(r.packages) <= 2.5
 
     def test_deterministic_byte_identical(self):
         net = synthetic_network(1, 50)
-        a = generate_scenario(9, net, 15, 20)
-        b = generate_scenario(9, net, 15, 20)
+        a = generate_scenario(9, net, 15, 20, WIDE_LIMITS, CapabilityRanges())
+        b = generate_scenario(9, net, 15, 20, WIDE_LIMITS, CapabilityRanges())
         assert a == b
 
     def test_zero_counts_rejected(self):
         net = synthetic_network(1, 50)
         with pytest.raises(ValueError):
-            generate_scenario(1, net, 0, 5)
+            generate_scenario(1, net, 0, 5, WIDE_LIMITS, CapabilityRanges())
         with pytest.raises(ValueError):
-            generate_scenario(1, net, 5, 0)
+            generate_scenario(1, net, 5, 0, WIDE_LIMITS, CapabilityRanges())
 
     def test_fleet_pinned(self):
         """Techniques, formation and partnership of each generated provider are
         pinned, so a change in the order of the draws fails here and not only
         through the output digests."""
-        providers, _ = generate_scenario(4, synthetic_network(2, 60), 40, 1)
+        providers, _ = generate_scenario(4, synthetic_network(2, 60), 40, 1, WIDE_LIMITS, CapabilityRanges())
         fleet = [
             (p.swarm.dynamic, p.swarm.flexible, p.swarm.cooperative, p.swarm.formation.name,
              p.partnership.charging_provider_id, p.partnership.tier)
@@ -222,7 +224,7 @@ class TestGenerateScenario:
 
     def test_every_provider_has_one_partnership_with_known_company(self):
         net = synthetic_network(2, 60)
-        providers, _ = generate_scenario(4, net, 40, 1)
+        providers, _ = generate_scenario(4, net, 40, 1, WIDE_LIMITS, CapabilityRanges())
         for p in providers:
             assert p.partnership.charging_provider_id in net.charging_providers
 
@@ -230,7 +232,7 @@ class TestGenerateScenario:
         net = synthetic_network(2, 40)
         counts = collections.Counter()
         for seed in range(100):
-            providers, _ = generate_scenario(seed, net, 40, 1)
+            providers, _ = generate_scenario(seed, net, 40, 1, WIDE_LIMITS, CapabilityRanges())
             counts.update(p.partnership.tier for p in providers)
         total = sum(counts.values())
         for tier in ("platinum", "gold", "silver"):
@@ -239,7 +241,7 @@ class TestGenerateScenario:
     def test_capability_ranges_honoured(self):
         net = synthetic_network(2, 40)
         ranges = CapabilityRanges(battery_wh=(10, 20), speed_mps=(5, 6), payload_kg=(2, 2.5), swarm_size=(2, 4))
-        providers, _ = generate_scenario(0, net, 30, 1, ranges=ranges)
+        providers, _ = generate_scenario(0, net, 30, 1, WIDE_LIMITS, ranges)
         for p in providers:
             s = p.swarm
             assert 10 <= s.battery_capacity <= 20

@@ -66,10 +66,10 @@ class TestBestFormation:
     def test_argmin_for_sector(self):
         cfg = EnergyModelConfig()
         # default table pins column as the headwind optimum
-        assert best_formation(4, FORMATIONS, cfg) == Formation.COLUMN
+        assert best_formation(4, cfg) == Formation.COLUMN
 
     def test_all_equal_tie_breaks_by_enum_order(self, unit_config):
-        assert best_formation(3, FORMATIONS, unit_config) == Formation.VEE
+        assert best_formation(3, unit_config) == Formation.VEE
 
     def test_random_tables_argmin(self):
         rng = random.Random(0)
@@ -77,7 +77,7 @@ class TestBestFormation:
             table = {f: tuple(rng.uniform(0.85, 1.25) for _ in range(8)) for f in FORMATIONS}
             cfg = EnergyModelConfig(formation_factors=table)
             sector = rng.randrange(8)
-            chosen = best_formation(sector, FORMATIONS, cfg)
+            chosen = best_formation(sector, cfg)
             assert all(
                 table[chosen][sector] <= table[f][sector] for f in FORMATIONS
             )
@@ -89,7 +89,7 @@ class TestBestFormation:
 
 class TestWindField:
     def test_deterministic_per_segment_and_slice(self):
-        field = WindField(seed=7)
+        field = WindField(seed=7, slice_s=600.0)
         a = field.at(3, 5, 100.0)
         b = field.at(5, 3, 100.0)  # undirected
         assert a == b
@@ -129,7 +129,7 @@ class TestNodeService:
         held = [40.0]
         partnership = Partnership(1, "platinum")
         svc = node_service_time(
-            50.0, held, station(owner=1, pads=1), [50], partnership, 0, unit_config, queue_override=7
+            50.0, held, station(owner=1, pads=1), [50], partnership, 7, unit_config
         )
         assert svc.wait_s == 0.0
 
@@ -137,7 +137,7 @@ class TestNodeService:
         held = [40.0]
         gold = Partnership(1, "gold")
         svc = node_service_time(
-            50.0, held, station(owner=1, pads=1), [50], gold, 0, unit_config, queue_override=7
+            50.0, held, station(owner=1, pads=1), [50], gold, 7, unit_config
         )
         assert svc.wait_s == pytest.approx(2 * unit_config.exogenous_service_s)
 
@@ -145,7 +145,7 @@ class TestNodeService:
         held = [40.0]
         gold = Partnership(1, "gold")
         svc = node_service_time(
-            50.0, held, station(owner=2, pads=1), [50], gold, 0, unit_config, queue_override=3
+            50.0, held, station(owner=2, pads=1), [50], gold, 3, unit_config
         )
         assert svc.wait_s == pytest.approx(3 * unit_config.exogenous_service_s)
         assert svc.cost == pytest.approx(10 / 1000 * unit_config.non_partner_price_per_kwh)

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skybroker.domain import TIERS, DeliveryRequest, ScenarioLimits, generate_scenario
+from skybroker.domain import (
+    TIERS,
+    CapabilityRanges,
+    DeliveryRequest,
+    ScenarioLimits,
+    assign_packages,
+    generate_scenario,
+)
 from skybroker.network import build_all_heatmaps, build_region_grid, synthetic_network, t_shortest_region_paths
 from skybroker.pruning import (
     NoFeasibleProviders,
@@ -17,6 +24,9 @@ from skybroker.pruning import (
 )
 
 from conftest import simple_provider
+
+# up to 10 packages of up to 2.5 kg
+WIDE_LIMITS = ScenarioLimits(max_packages=10, max_package_weight_kg=2.5)
 
 
 def request(source=1, destination=2, packages=(1.0,), weights=None):
@@ -51,6 +61,22 @@ class TestFilter:
         with pytest.raises(NoFeasibleProviders):
             filter_providers([simple_provider(1, n_drones=1)], request(packages=(1.0, 1.0)))
 
+    @pytest.mark.parametrize("excess, carried", [(0.0, True), (5e-10, False)])
+    def test_filter_and_assign_share_one_carry_rule(self, excess, carried):
+        """A package exactly at the payload capacity is carried, and one just
+        above it refused, by the filter and the composer's assignment alike."""
+        provider = simple_provider(1, payload_cap=2.0)
+        req = request(packages=(2.0 + excess,))
+        try:
+            kept = bool(filter_providers([provider], req))
+        except NoFeasibleProviders:
+            kept = False
+        try:
+            assigned = bool(assign_packages(provider.swarm, req.packages))
+        except ValueError:
+            assigned = False
+        assert kept == assigned == carried
+
     def test_filtering_monotone_in_capability(self):
         rng = random.Random(4)
         for _ in range(50):
@@ -80,7 +106,7 @@ class TestCapabilitiesScore:
 
     def test_matches_independent_recomputation(self):
         net = synthetic_network(3, 40)
-        providers, _ = generate_scenario(7, net, 10, 1)
+        providers, _ = generate_scenario(7, net, 10, 1, WIDE_LIMITS, CapabilityRanges())
         axes = lambda p: (p.swarm.battery_capacity, p.swarm.speed, p.swarm.payload_capacity, float(p.swarm.size))
         columns = list(zip(*(axes(p) for p in providers)))
         scores = capabilities_scores(providers)
@@ -285,10 +311,11 @@ class TestPrune:
 class TestSelectCohort:
     def test_brute_is_superset_of_pruned_cohorts(self, scored_world):
         net, grid, heatmaps, nodes = scored_world
-        providers, _ = generate_scenario(11, net, 12, 1, ScenarioLimits(max_packages=4))
+        limits = ScenarioLimits(max_packages=4, max_package_weight_kg=2.5)
+        providers, _ = generate_scenario(11, net, 12, 1, limits, CapabilityRanges())
         req = request(source=nodes[0], destination=nodes[-1], packages=(1.0,))
         filtered = filter_providers(providers, req)
-        brute, ops0 = select_cohort("brute", filtered, req)
+        brute, ops0 = select_cohort("brute", filtered, req, grid, heatmaps, 3, 50.0)
         assert ops0 == 0
         for strategy in ("capabilities", "density"):
             cohort, ops = select_cohort(strategy, filtered, req, grid, heatmaps, 3, 50.0)
@@ -299,9 +326,4 @@ class TestSelectCohort:
         net, grid, heatmaps, nodes = scored_world
         p = simple_provider(1)
         with pytest.raises(ValueError, match="unknown pruning strategy"):
-            select_cohort("magic", [p], request())
-
-    def test_density_needs_grid(self):
-        p = simple_provider(1)
-        with pytest.raises(ValueError, match="region grid"):
-            select_cohort("density", [p], request())
+            select_cohort("magic", [p], request(), grid, heatmaps, 3, 50.0)

@@ -10,7 +10,6 @@ from skybroker.composition import CompositionOutcome
 from skybroker.domain import QOS_METRICS, QosVector, normalize_weights
 from skybroker.recommend import (
     Ballot,
-    NoSuccessfulProviders,
     borda,
     build_ballots,
     condorcet,
@@ -23,10 +22,10 @@ from skybroker.recommend import (
 )
 
 
-def outcome(pid, dt, ec, c, et, success=True):
+def outcome(pid, dt, ec, c, et):
     return CompositionOutcome(
         provider_id=pid,
-        success=success,
+        success=True,
         paths=((1, 2),),
         pqos=QosVector(dt, ec, c, et),
         evaluations=10,
@@ -57,14 +56,9 @@ class TestBuildBallots:
         assert all(b.ranking == (7,) for b in ballots)
         assert len(ballots) == 4
 
-    def test_failed_outcomes_excluded(self):
-        outs = [outcome(1, 1, 1, 1, 1), outcome(2, 0.5, 0.5, 0.5, 0.5, success=False)]
-        ballots = build_ballots(outs, EQUAL_WEIGHTS)
-        assert all(b.ranking == (1,) for b in ballots)
-
-    def test_no_successes_signalled(self):
-        with pytest.raises(NoSuccessfulProviders):
-            build_ballots([outcome(1, 1, 1, 1, 1, success=False)], EQUAL_WEIGHTS)
+    def test_no_successes_refused(self):
+        with pytest.raises(ValueError, match="non-empty permutation"):
+            build_ballots([], EQUAL_WEIGHTS)
 
     def test_raw_value_ties_break_by_provider_id(self):
         outs = [outcome(2, 1, 1, 1, 1), outcome(1, 1, 2, 2, 2)]
@@ -125,7 +119,7 @@ class TestInstantRunoff:
         ]
         result = instant_runoff(ballots, 0)
         assert result.winner == 1
-        assert result.rounds == 1
+        assert result.op_count == len(ballots)  # one round
 
     def test_transfer_flips_the_leader(self):
         # candidate 3 is eliminated first and its weight transfers to 2
@@ -136,7 +130,7 @@ class TestInstantRunoff:
         ]
         result = instant_runoff(ballots, 0)
         assert result.winner == 2
-        assert result.rounds == 2
+        assert result.op_count == 2 * len(ballots)  # two rounds
 
     def test_deterministic_for_fixed_seed(self):
         ballots = [
@@ -358,7 +352,7 @@ class TestVotingInvariants:
             if majority:
                 result = instant_runoff(ballots, rng.randrange(2**32))
                 assert result.winner == majority[0]
-                assert result.rounds == 1
+                assert result.op_count == len(ballots)  # one round
 
     def test_mixed_candidate_sets_rejected(self):
         with pytest.raises(ValueError, match="same candidate set"):

@@ -1,0 +1,77 @@
+"""The library's public surface: where defaults live.
+
+A default lives in one place, the config dataclass field the pipeline reads
+(``ExperimentConfig``, ``EnergyModelConfig``, ``CompositionConfig``,
+``ScenarioLimits``, ``CapabilityRanges``). Functions take their inputs
+explicitly, so a parameter default in ``src/`` is either on the list below or a
+second home for a value that can drift from the config's.
+"""
+
+import ast
+from pathlib import Path
+from types import SimpleNamespace
+
+import skybroker
+from skybroker import cli
+from skybroker.domain import ScenarioLimits
+from skybroker.harness import ExperimentConfig
+
+ALLOWED_DEFAULTS = {
+    # callers give argv or let argparse read sys.argv
+    ("main", "argv"),
+    # callers write the outputs or only want the result
+    ("run_experiment", "out_dir"),
+    # the opportunistic top-up draws the queue lazily unless given one
+    ("_tops_up", "queue"),
+    # test networks vary these; k_nearest=0 forces stitching
+    ("synthetic_network", "n_charging_providers"),
+    ("synthetic_network", "area_m"),
+    ("synthetic_network", "k_nearest"),
+}
+
+
+def defaulted_parameters(source: str) -> set[tuple[str, str]]:
+    """(function, parameter) for every parameter with a default in source."""
+    pairs = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        args = node.args
+        positional = args.posonlyargs + args.args
+        for arg in positional[len(positional) - len(args.defaults) :]:
+            pairs.add((name, arg.arg))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                pairs.add((name, arg.arg))
+    return pairs
+
+
+def test_only_allowlisted_parameter_defaults():
+    found = set()
+    for path in sorted(Path(skybroker.__file__).parent.glob("*.py")):
+        found |= defaulted_parameters(path.read_text())
+    assert found == ALLOWED_DEFAULTS
+
+
+def test_scan_sees_every_kind_of_default():
+    source = "def f(a, b=1, *, c=2, d): pass\nclass K:\n    def g(self, e=None): pass\ng = lambda h=0: h\n"
+    assert defaulted_parameters(source) == {("f", "b"), ("f", "c"), ("g", "e"), ("<lambda>", "h")}
+
+
+def test_experiment_limits_are_the_scenario_defaults():
+    assert ExperimentConfig().limits == ScenarioLimits()
+
+
+def test_cli_run_defaults_are_the_experiment_defaults(monkeypatch):
+    built = []
+
+    def fake_run(cfg, out_dir=None):
+        built.append(cfg)
+        return SimpleNamespace(
+            manifest={"requests": {"served": 0, "rejected": 0, "unserved": 0}}, rows=[], summary=[], trends={}
+        )
+
+    monkeypatch.setattr(cli, "run_experiment", fake_run)
+    assert cli.main(["run", "--synthetic", "12"]) == 0
+    assert built == [ExperimentConfig(synthetic_nodes=12)]
