@@ -27,29 +27,34 @@ slot j is no heavier than the whole swarm's, so both halves can fly the legs
 ``viable_candidates`` checked for the whole swarm. Only the committed direct
 path checks capacity in flight, since its later legs fall in later wind slices.
 
-Loop-freedom: greedy moves (splits included) only go to unvisited nodes, so
-they never revisit a node. The committed direct path follows the
-shortest-path tree without regard to ``visited``, so it may pass through nodes
-the swarm has already visited. Each sub-swarm path is thus a loop-free greedy
-prefix followed by a loop-free suffix along the tree.
+Loop-freedom: greedy moves (splits included) only go to nodes outside the
+sub-swarm's ``closed`` set, which holds every visited node, so they never
+revisit a node. The committed direct path follows the shortest-path tree
+without regard to ``closed``, so it may pass through nodes the swarm has
+already visited. Each sub-swarm path is thus a loop-free greedy prefix followed
+by a loop-free suffix along the tree.
 
 Reachability: a neighbour is a candidate only if the destination can still be
 reached from it through unvisited nodes. Each neighbour is checked by a
 best-first search toward the destination (keyed on the shortest-path distance)
 that stops at the destination or at a node already proven alive in the same
 step; every node a successful search explores is alive for the rest of that
-step. A failed search has explored the neighbour's whole unvisited component,
-which goes into the sub-swarm's dead set. A dead node stays dead for good,
-because ``visited`` only grows; a split sibling inherits the set.
+step. A failed search has explored the neighbour's whole unvisited component
+(dead: the destination is out of its reach), which joins ``closed`` for good,
+because the visited nodes only grow; a split sibling inherits the set. Moves
+and searches read the one closed set. That skips no live node: a dead
+component never borders the component of a node that is not dead, so a search
+from such a node would never have entered it.
 
 Evaluations: the execution-time QoS counts evaluation units, charged at three
-sites only: ``_leg_info``, one per drone for every leg looked at;
-``_price_stop``, one per drone for every charging stop priced, flown or
-estimated; ``score_candidates``, one per candidate scored. Each sub-swarm
-counts its own units and the outcome sums them over the finished sub-swarms.
-Leg physics are memoised per sub-swarm (keyed on the leg and the wind time
-slice, and reset when a split slices the sub-swarm's slots), but a memo hit
-still charges its units, so the counts do not depend on the memo.
+sites only: ``_leg_info``, one per drone for every leg looked at; ``_stop``,
+one per drone for every charging stop priced, flown (behind the drawn queue)
+or estimated (behind the expected queue); ``score_candidates``, one per
+candidate scored. Each sub-swarm counts its own units and the outcome sums
+them over the finished sub-swarms. Leg physics are memoised per sub-swarm
+(keyed on the leg and the wind time slice, and reset when a split slices the
+sub-swarm's slots), but a memo hit still charges its units, so the counts do
+not depend on the memo.
 
 Every provider composed for one request reads the same ``RequestContext``:
 network, request, configs, destination tree, congestion seed and one
@@ -73,6 +78,7 @@ from .energy import (
     WindField,
     best_formation,
     execution_time_proxy,
+    flight_power_w,
     node_service_time,
     queue_length,
     relative_sector,
@@ -95,16 +101,15 @@ class SubSwarmState:
     consumed: list[float]
     purchased: list[float]
     path: list[int]
-    visited: set[int]
+    # visited nodes, and unvisited ones from which the destination is
+    # unreachable through unvisited nodes (see the module docstring)
+    closed: set[int]
     travel_s: float = 0.0
     charge_s: float = 0.0
     wait_s: float = 0.0
     cost: float = 0.0
     success: bool | None = None
     evaluations: int = 0
-    # unvisited nodes from which the destination is unreachable through
-    # unvisited nodes (see the module docstring)
-    dead: set[int] = field(default_factory=set)
     # leg physics for the current slots, keyed on (a, b, wind time slice);
     # slicing the slots must reset it
     legs: dict[tuple[int, int, int], _Leg] = field(default_factory=dict)
@@ -189,7 +194,7 @@ def _launch(provider: Provider, ctx: RequestContext) -> SubSwarmState:
         consumed=[0.0] * n,
         purchased=[0.0] * n,
         path=[ctx.request.source],
-        visited={ctx.request.source},
+        closed={ctx.request.source},
     )
 
 
@@ -235,13 +240,13 @@ def _tops_up(
     Only non-cooperative swarms do, at their partner's own stations and only
     when the queue (drawn, last, if None) lets their priority walk them
     straight onto a pad, so stops fall on priority pads instead of wherever
-    the battery would run dry."""
+    the battery would run dry. A zero threshold never tops up: held energies
+    are never negative."""
     threshold = ctx.comp.opportunistic_charge_threshold
     swarm, partnership = state.provider.swarm, state.provider.partnership
     owner = ctx.network.node(node_id).station_owner
     if not (
         not swarm.cooperative
-        and threshold > 0
         and node_id != ctx.request.destination
         and owner == partnership.charging_provider_id
         and any(p < threshold * swarm.battery_capacity for p in energies)
@@ -252,64 +257,50 @@ def _tops_up(
     return partnership.queue_ahead(queue, owner) == 0
 
 
-def _charge_targets(
+def _stop(
     state: SubSwarmState,
     energies: Sequence[float],
+    node_id: int,
     leg: _Leg,
     ctx: RequestContext,
     remaining_m: float | None,
-) -> list[float]:
-    """Per-drone charge targets before flying the leg, following the swarm's policy.
+    queue: int,
+) -> tuple[list[float], NodeService]:
+    """A charging stop at node_id, by drones holding the given energies, before
+    flying the leg: the per-drone targets the swarm's policy charges to, and
+    the stop's price behind the given exogenous queue; one evaluation per drone.
 
     Non-cooperative swarms refill to capacity. Cooperative swarms buy what the
     leg needs, or the remaining_m metres of route ahead if more, plus margin,
     capped at capacity; they stop roughly as rarely as everyone else but never
     carry a full tank across the finish line.
     """
-    swarm = state.provider.swarm
-    if not swarm.cooperative:
-        return [swarm.battery_capacity] * len(energies)
-    targets = []
-    for load, held, need in zip(state.loads, energies, leg.energies):
-        if remaining_m is not None:
-            power_w = ctx.energy.base_power_w + ctx.energy.payload_power_coeff_w_per_kg * load
-            need = max(need, power_w * (remaining_m / swarm.speed) / 3600.0)
-        target = min(swarm.battery_capacity, need * (1.0 + ctx.energy.cooperative_margin))
-        targets.append(max(held, target))
-    return targets
-
-
-def _price_stop(
-    state: SubSwarmState,
-    energies: Sequence[float],
-    node_id: int,
-    targets: Sequence[float],
-    ctx: RequestContext,
-    queue: int,
-) -> NodeService:
-    """Price a charging stop at node_id behind the given exogenous queue; one
-    evaluation per drone."""
     state.evaluations += len(energies)
-    node, provider = ctx.network.node(node_id), state.provider
-    return node_service_time(
-        provider.swarm.battery_capacity, energies, node, targets, provider.partnership, queue, ctx.energy
-    )
+    swarm, config = state.provider.swarm, ctx.energy
+    if swarm.cooperative:
+        targets = []
+        for load, held, need in zip(state.loads, energies, leg.energies):
+            if remaining_m is not None:
+                need = max(need, flight_power_w(load, config) * (remaining_m / swarm.speed) / 3600.0)
+            targets.append(max(held, min(swarm.battery_capacity, need * (1.0 + config.cooperative_margin))))
+    else:
+        targets = [swarm.battery_capacity] * len(energies)
+    node, partnership = ctx.network.node(node_id), state.provider.partnership
+    return targets, node_service_time(swarm.battery_capacity, energies, node, targets, partnership, queue, config)
 
 
 def _charge(state: SubSwarmState, leg: _Leg, ctx: RequestContext, remaining_m: float | None) -> None:
     """Charge at the current node, behind its drawn queue, to the policy's
-    targets for the leg and remaining_m."""
-    targets = _charge_targets(state, state.held, leg, ctx, remaining_m)
+    targets for the leg and remaining_m. A target is never below the held
+    energy."""
     queue = queue_length(ctx.congestion_seed, state.current_node, ctx.energy)
-    service = _price_stop(state, state.held, state.current_node, targets, ctx, queue)
+    targets, service = _stop(state, state.held, state.current_node, leg, ctx, remaining_m, queue)
     state.charge_s += service.charge_s
     state.wait_s += service.wait_s
     state.cost += service.cost
     for slot, target in enumerate(targets):
-        bought = max(0.0, target - state.held[slot])
-        if bought > 0:
-            state.purchased[slot] += bought
-            state.held[slot] = target
+        state.purchased[slot] += target - state.held[slot]
+        state.held[slot] = target
 
 
 def _traverse(state: SubSwarmState, leg: _Leg, ctx: RequestContext) -> None:
@@ -323,7 +314,7 @@ def _traverse(state: SubSwarmState, leg: _Leg, ctx: RequestContext) -> None:
     state.travel_s += leg.length / state.provider.swarm.speed
     state.cost += ctx.comp.operating_cost_per_km * leg.length / 1000.0
     state.path.append(leg.node)
-    state.visited.add(leg.node)
+    state.closed.add(leg.node)
     if _tops_up(state, state.held, leg.node, ctx):
         _charge(state, leg, ctx, None)
 
@@ -331,9 +322,8 @@ def _traverse(state: SubSwarmState, leg: _Leg, ctx: RequestContext) -> None:
 def _direct_path(state: SubSwarmState, ctx: RequestContext) -> list[int] | None:
     """The shortest path from the current node to the destination if every
     drone can fly all of it on its current charge, with no charging stop;
-    otherwise None."""
-    if state.current_node not in ctx.dist_to_dest:
-        return None
+    otherwise None. The current node reaches the destination: ``fly`` fails
+    a source that does not, and every later node was a live candidate."""
     path = tree_path(ctx.parent_to_dest, state.current_node)
     totals = [0.0] * len(state.loads)
     for a, b in zip(path, path[1:]):
@@ -352,7 +342,7 @@ def _reaches_destination(start: int, state: SubSwarmState, ctx: RequestContext, 
     Best-first search keyed on the distance to the destination; it stops as
     soon as it meets the destination or a node in alive. On success every
     explored node joins alive; on failure the explored set is start's whole
-    unvisited component and joins the sub-swarm's dead set.
+    unvisited component and joins the sub-swarm's closed set.
     """
     destination, dist = ctx.request.destination, ctx.dist_to_dest
     if start == destination or start in alive:
@@ -365,10 +355,10 @@ def _reaches_destination(start: int, state: SubSwarmState, ctx: RequestContext, 
             if nbr == destination or nbr in alive:
                 alive |= explored
                 return True
-            if nbr not in explored and nbr not in state.visited:
+            if nbr not in explored and nbr not in state.closed:
                 explored.add(nbr)
                 heapq.heappush(frontier, (dist.get(nbr, math.inf), nbr))
-    state.dead |= explored
+    state.closed |= explored
     return False
 
 
@@ -378,7 +368,7 @@ def viable_candidates(state: SubSwarmState, ctx: RequestContext) -> list[_Leg]:
     alive: set[int] = set()
     out = []
     for nbr, _length in ctx.network.neighbors(state.current_node):
-        if nbr in state.visited or nbr in state.dead or not _reaches_destination(nbr, state, ctx, alive):
+        if nbr in state.closed or not _reaches_destination(nbr, state, ctx, alive):
             continue
         leg = _leg_info(state, state.current_node, nbr, ctx)
         if _leg_within_capacity(leg, state):
@@ -387,11 +377,12 @@ def viable_candidates(state: SubSwarmState, ctx: RequestContext) -> list[_Leg]:
 
 
 def _estimate_departure_service(state: SubSwarmState, leg: _Leg, ctx: RequestContext) -> NodeService:
-    """Exact prediction of the charge incurred at the current node to fly the leg."""
+    """The charge flying the leg forces at the current node, as ``_traverse``
+    would pay it but behind the expected queue length, not the drawn one."""
     if not _must_charge(state.held, leg):
         return NodeService(0.0, 0.0, 0.0, 0.0)
-    targets = _charge_targets(state, state.held, leg, ctx, ctx.dist_to_dest.get(state.current_node))
-    return _price_stop(state, state.held, state.current_node, targets, ctx, ctx.energy.queue_draw_max // 2)
+    remaining_m = ctx.dist_to_dest.get(state.current_node)
+    return _stop(state, state.held, state.current_node, leg, ctx, remaining_m, ctx.energy.queue_draw_max // 2)[1]
 
 
 def _estimate_arrival_service(state: SubSwarmState, leg: _Leg, ctx: RequestContext) -> NodeService:
@@ -411,8 +402,7 @@ def _estimate_arrival_service(state: SubSwarmState, leg: _Leg, ctx: RequestConte
     expected_q = ctx.energy.queue_draw_max // 2
     if not (_must_charge(post, leg) or _tops_up(state, post, leg.node, ctx, expected_q)):
         return NodeService(0.0, 0.0, 0.0, 0.0)
-    targets = _charge_targets(state, post, leg, ctx, None)
-    service = _price_stop(state, post, leg.node, targets, ctx, expected_q)
+    _targets, service = _stop(state, post, leg.node, leg, ctx, None, expected_q)
     return NodeService(0.0, service.wait_s, service.energy_wh, service.cost)
 
 
@@ -428,8 +418,6 @@ def score_candidates(
     oriented so higher is better, weighted by the consumer preferences, and a
     normalized remaining-distance criterion is mixed in with progress_weight.
     """
-    if not candidates:
-        return []
     dt_col, ec_col, cost_col, rem_col = [], [], [], []
     for leg in candidates:
         depart = _estimate_departure_service(state, leg, ctx)
@@ -476,12 +464,11 @@ def _split_subswarm(state: SubSwarmState) -> SubSwarmState:
         consumed=state.consumed[half:],
         purchased=state.purchased[half:],
         path=list(state.path),
-        visited=set(state.visited),
+        closed=set(state.closed),
         travel_s=state.travel_s,
         charge_s=state.charge_s,
         wait_s=state.wait_s,
         cost=0.0,  # shared history cost stays with the first sub-swarm
-        dead=set(state.dead),
     )
     state.loads, state.held = state.loads[:half], state.held[:half]
     state.consumed, state.purchased = state.consumed[:half], state.purchased[:half]

@@ -58,6 +58,12 @@ def relative_sector(wind_direction: float, heading: float) -> int:
     return int(rel / (TWO_PI / WIND_SECTORS)) % WIND_SECTORS
 
 
+def flight_power_w(payload_kg: float, config: EnergyModelConfig) -> float:
+    """Power in W one drone draws carrying payload_kg: the linear power model
+    (base plus payload term) behind flight energy and cooperative charge needs."""
+    return config.base_power_w + config.payload_power_coeff_w_per_kg * payload_kg
+
+
 def segment_energy(
     payload_kg: float,
     speed: float,
@@ -70,14 +76,14 @@ def segment_energy(
     """Energy in Wh one drone, carrying payload_kg at speed m/s, spends
     traversing a segment.
 
-    Linear power model (base plus payload term) scaled by the formation factor
-    for the relative wind sector and the drone's slot position factor.
+    ``flight_power_w`` scaled by the formation factor for the relative wind
+    sector and the drone's slot position factor.
     """
     if segment_length_m < 0:
         raise ValueError("segment length must be non-negative")
     if segment_length_m == 0:
         return 0.0
-    power_w = config.base_power_w + config.payload_power_coeff_w_per_kg * payload_kg
+    power_w = flight_power_w(payload_kg, config)
     seconds = segment_length_m / speed
     factor = config.formation_factor(formation, wind_sector) * config.position_factor(slot_index)
     return power_w * seconds * factor / 3600.0

@@ -367,9 +367,8 @@ def t_shortest_region_paths(
             if used == budget:
                 yield tuple(path)
             return
+        # the Chebyshev bound below keeps remaining >= 1 off the destination
         remaining = budget - used
-        if remaining <= 0:
-            return
         for nbr in grid.cell_neighbors(current):
             if nbr in visited or grid.chebyshev(nbr, dest_cell) > remaining - 1:
                 continue

@@ -59,22 +59,30 @@ def capabilities_scores(cohort: Sequence[Provider]) -> dict[int, float]:
     return scores
 
 
-def density_score(
-    provider: Provider,
+def density_scores(
+    cohort: Sequence[Provider],
     region_paths: Sequence[tuple[int, ...]],
     heatmaps: Mapping[int, Sequence[float]],
-    capabilities: float,
-) -> float:
-    """Score a provider by its partner's pad density along the given region paths.
+) -> dict[int, float]:
+    """Partner pad density along the given region paths, by provider id.
 
-    The best path's sum of partner densities over its cells, times the tier
-    multiplier and the provider's capabilities score within the cohort.
+    Each charging company's best path sum of its densities over the path's
+    cells is taken once; a provider scores its partner's best sum times the
+    tier multiplier and its capabilities score within the cohort.
     """
-    density = heatmaps[provider.partnership.charging_provider_id]
     # rounding is monotone, so scaling the best sum by non-negative factors
     # gives the same float as the best of the per-path products
-    best = max((sum(density[cell] for cell in path) for path in region_paths), default=0.0)
-    return best * TIERS[provider.partnership.tier].score_multiplier * capabilities
+    best = {
+        company: max((sum(density[cell] for cell in path) for path in region_paths), default=0.0)
+        for company, density in heatmaps.items()
+    }
+    caps = capabilities_scores(cohort)
+    return {
+        p.provider_id: best[p.partnership.charging_provider_id]
+        * TIERS[p.partnership.tier].score_multiplier
+        * caps[p.provider_id]
+        for p in cohort
+    }
 
 
 def prune(scores: Mapping[int, float], k_percent: float) -> set[int]:
@@ -106,11 +114,13 @@ def select_cohort(
     the per-company heatmaps (``build_all_heatmaps``) and t, the number of
     region paths it scores; brute keeps every provider whatever k_percent.
 
-    The op count is the pruning runtime proxy, a fixed cost model: brute 0;
-    capabilities 4 per provider; density path_cells * (1 + charging companies)
-    plus 6 per provider, path_cells summed over the t region paths. The density
-    term predates per-provider density sums and no longer mirrors the work
-    done; it stays because proxy_time in the outputs is pinned to it.
+    The op count is the pruning runtime proxy, one op per cell read or score
+    term: brute 0; capabilities 4 per provider, its four axes; density
+    path_cells * (1 + charging companies) plus 6 per provider, where path_cells
+    sums the cells of the t region paths. Density reads those cells once to
+    enumerate the paths and once per charging company to sum its densities
+    (``density_scores``), then takes per provider its four capability axes,
+    its tier multiplier and its partner's best sum.
     """
     if strategy == "brute":
         return list(filtered), 0
@@ -122,8 +132,7 @@ def select_cohort(
         dest_cell = grid.cell_of[request.destination]
         paths = t_shortest_region_paths(grid, source_cell, dest_cell, t)
         path_cells = sum(len(p) for p in paths)
-        caps = capabilities_scores(filtered)
-        scores = {p.provider_id: density_score(p, paths, heatmaps, caps[p.provider_id]) for p in filtered}
+        scores = density_scores(filtered, paths, heatmaps)
         ops = path_cells * (1 + len(heatmaps)) + 6 * len(filtered)
     else:
         raise ValueError(f"unknown pruning strategy {strategy!r}")

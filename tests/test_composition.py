@@ -11,6 +11,7 @@ from skybroker.composition import (
     _direct_path,
     _launch,
     _Leg,
+    _split_subswarm,
     compose,
     request_context,
     score_candidates,
@@ -460,10 +461,19 @@ def alive_by_full_dfs(network, visited, destination):
     return seen
 
 
+def walk_steps(draw, nodes, destination, n):
+    """Up to six steps, each the node the swarm stands on and extra visited nodes."""
+    return [
+        (draw(nodes.filter(lambda v: v != destination)), draw(st.sets(nodes, max_size=n // 2)))
+        for _ in range(draw(st.integers(min_value=1, max_value=6)))
+    ]
+
+
 @st.composite
 def reachability_walks(draw):
     """A random graph (often disconnected), destination, start and a sequence
-    of ever-growing visited sets, each with the node the swarm stands on."""
+    of ever-growing visited sets, each with the node the swarm stands on; then
+    a split, and each half's own further steps."""
     n = draw(st.integers(min_value=3, max_value=24))
     graph = nx.gnp_random_graph(
         n, draw(st.floats(min_value=0.03, max_value=0.4)), seed=draw(st.integers(0, 2**32 - 1))
@@ -473,30 +483,48 @@ def reachability_walks(draw):
     network = SkywayNetwork([SkywayNode(v, *xy[v], 1, 4) for v in graph.nodes], graph.edges)
     nodes = st.sampled_from(sorted(graph.nodes))
     destination = draw(nodes)
-    steps = []
-    for _ in range(draw(st.integers(min_value=1, max_value=6))):
-        current = draw(nodes.filter(lambda v: v != destination))
-        steps.append((current, draw(st.sets(nodes, max_size=n // 2))))
-    return network, destination, steps
+    steps, *halves = (walk_steps(draw, nodes, destination, n) for _ in range(3))
+    return network, destination, steps, halves
+
+
+def check_step(state, visited, current, extra_visited, network, ctx):
+    """Stand state on current with extra_visited and current added to the
+    visited nodes: its candidates are the neighbours the full DFS finds alive,
+    and no node it closed without visiting is alive."""
+    state.path.append(current)
+    visited |= extra_visited | {current}
+    state.closed |= visited
+    alive = alive_by_full_dfs(network, visited, ctx.request.destination)
+    expected = sorted(nbr for nbr, _ in network.neighbors(current) if nbr not in visited and nbr in alive)
+    assert [leg.node for leg in viable_candidates(state, ctx)] == expected
+    assert not (state.closed - visited) & alive
 
 
 class TestReachability:
     @given(reachability_walks())
     @settings(max_examples=200, deadline=None)
     def test_candidates_match_full_dfs_and_dead_stays_dead(self, walk):
-        network, destination, steps = walk
+        network, destination, steps, _halves = walk
         provider = simple_provider(battery=1e9)  # every leg fits, so only reachability filters
         ctx = make_context(network, request(steps[0][0], destination))
-        state = _launch(provider, ctx)
+        state, visited = _launch(provider, ctx), set()
         for current, extra_visited in steps:
-            state.path.append(current)
-            state.visited |= extra_visited | {current}
-            alive = alive_by_full_dfs(network, state.visited, destination)
-            expected = sorted(
-                nbr for nbr, _ in network.neighbors(current) if nbr not in state.visited and nbr in alive
-            )
-            assert [leg.node for leg in viable_candidates(state, ctx)] == expected
-            assert not state.dead & alive
+            check_step(state, visited, current, extra_visited, network, ctx)
+
+    @given(reachability_walks())
+    @settings(max_examples=100, deadline=None)
+    def test_split_siblings_match_full_dfs_over_their_own_visits(self, walk):
+        network, destination, steps, halves = walk
+        provider = simple_provider(n_drones=2, battery=1e9)
+        ctx = make_context(network, request(steps[0][0], destination, packages=(1.0, 1.0)))
+        state, visited = _launch(provider, ctx), set()
+        for current, extra_visited in steps:
+            check_step(state, visited, current, extra_visited, network, ctx)
+        sibling = _split_subswarm(state)
+        for half, half_steps in zip((state, sibling), halves):
+            half_visited = set(visited)
+            for current, extra_visited in half_steps:
+                check_step(half, half_visited, current, extra_visited, network, ctx)
 
 
 def recomputed_leg_info(state, a, b, ctx):

@@ -20,6 +20,7 @@ from skybroker.domain import (
     generate_scenario,
     normalize_weights,
 )
+from skybroker.harness import ExperimentConfig
 from skybroker.network import synthetic_network
 
 # up to 10 packages of up to 2.5 kg
@@ -248,3 +249,50 @@ class TestGenerateScenario:
             assert 5 <= s.speed <= 6
             assert 2 <= s.payload_capacity <= 2.5
             assert 2 <= p.swarm.size <= 4
+
+
+class TestScenarioRanges:
+    """Scenario limits and capability ranges fail at construction, naming the
+    field, instead of deep inside generate_scenario (or not at all)."""
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(max_packages=0), "max_packages"),
+            (dict(max_packages=2.5), "max_packages"),
+            (dict(min_package_weight_kg=0.0), "min_package_weight_kg"),
+            (dict(min_package_weight_kg=-0.5), "min_package_weight_kg"),
+            (dict(max_package_weight_kg=math.inf), "max_package_weight_kg"),
+            (dict(max_package_weight_kg=math.nan), "max_package_weight_kg"),
+            (dict(min_package_weight_kg=2.5, max_package_weight_kg=2.0), "min_package_weight_kg"),
+        ],
+    )
+    def test_bad_limits_refused(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            ScenarioLimits(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(battery_wh=(0.0, 50.0)), "battery_wh"),
+            (dict(battery_wh=(100.0, 50.0)), "battery_wh"),
+            (dict(speed_mps=(-1.0, 20.0)), "speed_mps"),
+            (dict(speed_mps=(10.0, math.inf)), "speed_mps"),
+            (dict(payload_kg=(math.nan, 3.0)), "payload_kg"),
+            (dict(swarm_size=(5, 2)), "swarm_size"),
+            (dict(swarm_size=(0, 4)), "swarm_size"),
+            (dict(swarm_size=(2.5, 4)), "swarm_size"),
+        ],
+    )
+    def test_bad_ranges_refused(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            CapabilityRanges(**kwargs)
+
+    def test_experiment_config_with_bad_limits_fails_at_construction(self):
+        with pytest.raises(ValueError, match="max_packages"):
+            ExperimentConfig(limits=ScenarioLimits(max_packages=0))
+
+    def test_defaults_and_wide_limits_construct(self):
+        ExperimentConfig()
+        assert WIDE_LIMITS.max_packages == 10
+        assert CapabilityRanges(swarm_size=(1, 1)).swarm_size == (1, 1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skybroker.composition import _charge_targets
+from skybroker.composition import _stop
 from skybroker.config import EnergyModelConfig
 from skybroker.domain import TIERS, Formation, Partnership
 from skybroker.energy import (
@@ -20,7 +20,7 @@ from skybroker.energy import (
 )
 from skybroker.network import SkywayNode
 
-from conftest import simple_provider, unit_energy_config
+from conftest import line_network, simple_provider, unit_energy_config
 
 FORMATIONS = tuple(Formation)
 
@@ -201,9 +201,13 @@ class TestNodeService:
 def cooperative_target(need, config, battery=50.0):
     """The charge target of one empty drone of a cooperative swarm whose next
     leg needs `need` Wh."""
-    state = SimpleNamespace(provider=simple_provider(battery=battery, cooperative=True), loads=(0.0,))
+    state = SimpleNamespace(
+        provider=simple_provider(battery=battery, cooperative=True), loads=(0.0,), evaluations=0
+    )
     leg = SimpleNamespace(energies=(need,))
-    return _charge_targets(state, [0.0], leg, SimpleNamespace(energy=config), None)[0]
+    ctx = SimpleNamespace(energy=config, network=line_network([1000.0]))
+    targets, _service = _stop(state, [0.0], 0, leg, ctx, None, 0)
+    return targets[0]
 
 
 class TestCooperativeTarget:

@@ -17,7 +17,7 @@ from skybroker.network import build_all_heatmaps, build_region_grid, synthetic_n
 from skybroker.pruning import (
     NoFeasibleProviders,
     capabilities_scores,
-    density_score,
+    density_scores,
     filter_providers,
     prune,
     select_cohort,
@@ -124,7 +124,7 @@ def region_paths(grid, req, t=3):
 
 
 def score(provider, paths, heatmaps, cohort):
-    return density_score(provider, paths, heatmaps, capabilities_scores(cohort)[provider.provider_id])
+    return density_scores(cohort, paths, heatmaps)[provider.provider_id]
 
 
 @pytest.fixture
@@ -260,10 +260,11 @@ class TestScoresMatchPerProviderOracles:
     def test_bit_identical(self, world):
         cohort, heatmaps, paths = world
         caps = capabilities_scores(cohort)
+        density = density_scores(cohort, paths, heatmaps)
         for p in cohort:
             assert caps[p.provider_id] == oracle_capabilities_score(p, cohort)
             expected, _best_path = oracle_density_score(p, paths, heatmaps, cohort)
-            assert density_score(p, paths, heatmaps, caps[p.provider_id]) == expected
+            assert density[p.provider_id] == expected
 
 
 def scores(values):
