@@ -10,9 +10,12 @@ Each request that passes the filter runs in three stages:
 1. select the cohort of every (strategy, k) pair; pruning never reads a
    composition outcome;
 2. compose the union of the cohorts, each provider once, in filtered order;
-3. vote and score per cohort, reusing the union's outcomes.
+3. vote and score per cohort, reusing the union's outcomes: each cohort's
+   successes give one {provider_id: QosVector} table, which normalisation,
+   satisfaction, the ballots and the winner's row all read.
 
-Only when no cohort member composes successfully are the remaining filtered
+A request the filter leaves no provider for is rejected before stage 1. Only
+when no cohort member composes successfully are the remaining filtered
 providers composed, in filtered order, up to the first success: the request is
 then served with no rows, and unserved if none succeeds. A strategy's proxy
 time only counts its own cohort's evaluations plus its scoring work.
@@ -55,7 +58,7 @@ from .network import (
     shortest_path_tree,
     synthetic_network,
 )
-from .pruning import STRATEGIES, NoFeasibleProviders, filter_providers, select_cohort
+from .pruning import STRATEGIES, filter_providers, select_cohort
 from .recommend import (
     VOTING_METHODS,
     borda,
@@ -214,9 +217,8 @@ def _process_request(
     seeds: Seeds,
     cfg: ExperimentConfig,
 ) -> tuple[list[dict], str]:
-    try:
-        filtered = filter_providers(providers, request)
-    except NoFeasibleProviders:
+    filtered = filter_providers(providers, request)
+    if not filtered:
         return [], "rejected"
 
     # Stage 1: select every cohort. Pruning reads only the filtered providers,
@@ -248,17 +250,16 @@ def _process_request(
     rows = []
     for strategy, k, cohort, scoring_ops in cohorts:
         cohort_outcomes = [outcomes[p.provider_id] for p in cohort]
-        successes = [o for o in cohort_outcomes if o.success]
         proxy = scoring_ops + sum(o.evaluations for o in cohort_outcomes)
-        if not successes:
+        cohort_pqos = {o.provider_id: o.pqos for o in cohort_outcomes if o.success}
+        if not cohort_pqos:
             continue
-        cohort_pqos = {o.provider_id: o.pqos for o in successes}
         nhat_table = normalized_qos(cohort_pqos)
         sat_table = satisfaction(nhat_table, request.qos_weights)
-        ballots = build_ballots(successes, request.qos_weights)
+        ballots = build_ballots(cohort_pqos, request.qos_weights)
         for method in cfg.voting_methods:
             winner, ops, paradox = _run_method(method, ballots, request, seeds)
-            pqos = outcomes[winner].pqos
+            pqos = cohort_pqos[winner]
             row = {
                 "seed": cfg.seed,
                 "request_id": request.request_id,
@@ -267,7 +268,7 @@ def _process_request(
                 "method": method,
                 "winner": winner,
                 "cohort_size": len(cohort_outcomes),
-                "cohort_successes": len(successes),
+                "cohort_successes": len(cohort_pqos),
                 "delivery_time": pqos.delivery_time,
                 "energy": pqos.energy,
                 "cost": pqos.cost,
@@ -305,7 +306,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         rows.extend(request_rows)
     rows.sort(key=lambda r: (r["request_id"], r["strategy"], r["k_percent"], r["method"]))
 
-    aggregated = aggregate(rows)
+    summary, trends = aggregate(rows)
     manifest = {
         "seed": cfg.seed,
         "config_hash": config_hash(cfg),
@@ -314,16 +315,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         "requests": dict(outcomes),
         "rows": len(rows),
     }
-    result = ExperimentResult(rows, aggregated.summary, aggregated.trends, manifest)
+    result = ExperimentResult(rows, summary, trends, manifest)
     if out_dir is not None:
         write_outputs(result, out_dir)
     return result
-
-
-@dataclass
-class AggregateResult:
-    summary: list[dict]
-    trends: dict[str, float | None]
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
@@ -351,10 +346,11 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
         return None
 
 
-def aggregate(rows: Sequence[Mapping]) -> AggregateResult:
-    """Mean/stddev per (strategy, method, k) plus satisfaction/runtime trends vs k."""
+def aggregate(rows: Sequence[Mapping]) -> tuple[list[dict], dict[str, float | None]]:
+    """(summary, trends): mean/stddev per (strategy, method, k) plus
+    satisfaction/runtime trends vs k."""
     if not rows:
-        return AggregateResult([], {})
+        return [], {}
     groups: dict[tuple, list[Mapping]] = {}
     for row in rows:
         groups.setdefault((row["strategy"], row["method"], row["k_percent"]), []).append(row)
@@ -395,7 +391,7 @@ def aggregate(rows: Sequence[Mapping]) -> AggregateResult:
         trends[f"{strategy}/{method}/proxy_time_vs_k"] = spearman(
             ks, [per_k[k]["mean_proxy_time"] for k in ks]
         )
-    return AggregateResult(summary, trends)
+    return summary, trends
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -408,8 +404,7 @@ def _render_csv(fieldnames: Sequence[str], rows: Sequence[Mapping]) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in fieldnames})
+    writer.writerows(rows)
     return buffer.getvalue()
 
 

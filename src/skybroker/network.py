@@ -217,19 +217,25 @@ def load_network(
         network = SkywayNetwork(nodes, edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    return _largest_component(network)
+
+
+def _largest_component(network: SkywayNetwork) -> SkywayNetwork:
+    """The loaders' connectivity rule: a disconnected network keeps its largest
+    component, ties going to the one with the smallest node id, with a warning."""
     comps = network.components()
-    if len(comps) > 1:
-        keep = max(comps, key=lambda c: (len(c), -min(c)))
-        warnings.warn(
-            f"network is disconnected; keeping the largest component "
-            f"({len(keep)} of {network.n_nodes} nodes)",
-            stacklevel=2,
-        )
-        network = SkywayNetwork(
-            [n for n in nodes if n.node_id in keep],
-            [(a, b) for a, b in edges if a in keep],
-        )
-    return network
+    if len(comps) == 1:
+        return network
+    keep = max(comps, key=lambda c: (len(c), -min(c)))
+    warnings.warn(
+        f"network is disconnected; keeping the largest component "
+        f"({len(keep)} of {network.n_nodes} nodes)",
+        stacklevel=3,
+    )
+    return SkywayNetwork(
+        [n for n in network.nodes.values() if n.node_id in keep],
+        [(s.a, s.b) for s in network.segments if s.a in keep],
+    )
 
 
 def dump_network(network: SkywayNetwork) -> str:
@@ -263,15 +269,18 @@ def _coordinate(value: object) -> float:
 
 
 def load_network_dump(text: str) -> SkywayNetwork:
+    """Load a dump_network blob; like load_network, a disconnected dump keeps
+    its largest component with a warning."""
     try:
         payload = json.loads(text)
         nodes = [
             SkywayNode(_integral(i), _coordinate(x), _coordinate(y), _integral(o), _integral(p))
             for i, x, y, o, p in payload["nodes"]
         ]
-        return SkywayNetwork(nodes, [(_integral(a), _integral(b)) for a, b in payload["edges"]])
+        network = SkywayNetwork(nodes, [(_integral(a), _integral(b)) for a, b in payload["edges"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed network dump: {exc}") from None
+    return _largest_component(network)
 
 
 # --- region grid and density heatmaps -------------------------------------

@@ -16,22 +16,13 @@ from .network import RegionGrid, t_shortest_region_paths
 STRATEGIES = ("brute", "capabilities", "density")
 
 
-class NoFeasibleProviders(Exception):
-    """No provider can physically carry the request; the request is rejected."""
-
-
 def filter_providers(providers: Sequence[Provider], request: DeliveryRequest) -> list[Provider]:
     """Keep providers whose drones can carry the heaviest package and whose swarm
-    is large enough for one package per drone. Order is preserved."""
+    is large enough for one package per drone. Order is preserved; an empty
+    list means nobody can carry the request."""
     heaviest = max(request.packages)
     count = len(request.packages)
-    survivors = [p for p in providers if p.swarm.payload_capacity >= heaviest and p.swarm.size >= count]
-    if not survivors:
-        raise NoFeasibleProviders(
-            f"request {request.request_id}: no provider can carry "
-            f"{count} packages up to {heaviest} kg"
-        )
-    return survivors
+    return [p for p in providers if p.swarm.payload_capacity >= heaviest and p.swarm.size >= count]
 
 
 def _axes(provider: Provider) -> tuple[float, float, float, float]:

@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .composition import CompositionOutcome
 from .domain import QOS_METRICS, QosVector, normalize_lower_better
 
 
@@ -54,22 +53,20 @@ def _candidates(ballots: Sequence[Ballot]) -> list[int]:
 
 
 def build_ballots(
-    successes: Sequence[CompositionOutcome],
+    pqos: Mapping[int, QosVector],
     qos_weights: Mapping[str, float],
 ) -> list[Ballot]:
-    """One ballot per QoS metric over the successful compositions, ascending
-    raw pQoS. No successes means empty rankings, which Ballot refuses."""
-    ballots = []
-    for metric in QOS_METRICS:
-        ordered = sorted(successes, key=lambda o: (o.pqos.get(metric), o.provider_id))
-        ballots.append(
-            Ballot(
-                voter=metric,
-                weight=qos_weights[metric],
-                ranking=tuple(o.provider_id for o in ordered),
-            )
+    """One ballot per QoS metric over the cohort's {provider_id: QosVector}
+    table of successful compositions, ascending raw pQoS, ties by provider id.
+    An empty table means empty rankings, which Ballot refuses."""
+    return [
+        Ballot(
+            voter=metric,
+            weight=qos_weights[metric],
+            ranking=tuple(sorted(pqos, key=lambda pid: (pqos[pid].get(metric), pid))),
         )
-    return ballots
+        for metric in QOS_METRICS
+    ]
 
 
 def plurality(ballots: Sequence[Ballot]) -> ElectionResult:

@@ -1,11 +1,15 @@
+import random
+from fractions import Fraction
 from unittest import mock
 
+import networkx as nx
 import pytest
 
 from skybroker import composition
 from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
-from skybroker.domain import Formation, Partnership, Provider, Swarm
-from skybroker.network import SkywayNetwork, SkywayNode, shortest_path_tree
+from skybroker.domain import QOS_METRICS, Formation, Partnership, Provider, Swarm
+from skybroker.network import SkywayNetwork, SkywayNode, build_region_grid, shortest_path_tree
+from skybroker.recommend import Ballot
 
 
 def unit_energy_config(**overrides) -> EnergyModelConfig:
@@ -125,3 +129,62 @@ def seeds():
 @pytest.fixture
 def no_progress():
     return CompositionConfig(progress_weight=0.0)
+
+
+# --- oracles shared by several test files -------------------------------------
+
+
+def random_election(rng, max_candidates=4):
+    """Four metric ballots over 1..u candidates, u drawn up to max_candidates."""
+    u = rng.randint(1, max_candidates)
+    candidates = list(range(1, u + 1))
+    ballots = []
+    for metric in QOS_METRICS:
+        ranking = candidates[:]
+        rng.shuffle(ranking)
+        weight = rng.randint(1, 64) / 64  # dyadic weights keep float sums exact
+        ballots.append(Ballot(metric, weight, tuple(ranking)))
+    return ballots
+
+
+def oracle_irv(ballots, rng_seed):
+    """Independent IRV with exact Fraction tallies, mirroring the documented
+    tie protocol: random.Random(rng_seed).choice(sorted(tied))."""
+    rng = random.Random(rng_seed)
+    active = sorted({c for b in ballots for c in b.ranking})
+    weights = [Fraction(b.weight).limit_denominator(1 << 20) for b in ballots]
+    total = sum(weights)
+    while True:
+        tally = {c: Fraction(0) for c in active}
+        for b, w in zip(ballots, weights):
+            for choice in b.ranking:
+                if choice in active:
+                    tally[choice] += w
+                    break
+        leader = min(active, key=lambda c: (-tally[c], c))
+        if tally[leader] * 2 > total or len(active) == 1:
+            return leader
+        minimum = min(tally.values())
+        tied = sorted(c for c in active if tally[c] == minimum)
+        active.remove(tied[0] if len(tied) == 1 else rng.choice(tied))
+
+
+def region_grid(resolution):
+    """The resolution x resolution region grid over two nodes at opposite corners."""
+    nodes = [SkywayNode(1, 0.0, 0.0, 1, 1), SkywayNode(2, float(resolution), float(resolution), 1, 1)]
+    return build_region_grid(SkywayNetwork(nodes, []), resolution)
+
+
+def oracle_region_paths(grid, source, dest, t, cutoff):
+    """The first t loop-free cell paths of at most cutoff hops, sorted by
+    (hops, lexicographic), enumerated by networkx."""
+    if source == dest:
+        return [(source,)]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(grid.cell_count))
+    for cell in range(grid.cell_count):
+        for nbr in grid.cell_neighbors(cell):
+            graph.add_edge(cell, nbr)
+    paths = [tuple(p) for p in nx.all_simple_paths(graph, source, dest, cutoff=cutoff)]
+    paths.sort(key=lambda p: (len(p), p))
+    return paths[:t]

@@ -9,22 +9,15 @@ once and is sliced by the individual criteria.
 import random
 import statistics
 import time
-from fractions import Fraction
 
-import networkx as nx
 import pytest
 
 from skybroker.composition import compose
 from skybroker.config import CompositionConfig, Seeds
-from skybroker.domain import QOS_METRICS, CapabilityRanges, Partnership, ScenarioLimits, generate_scenario
+from skybroker.domain import CapabilityRanges, Partnership, ScenarioLimits, generate_scenario
 from skybroker.harness import ExperimentConfig, run_experiment, spearman
-from skybroker.network import (
-    RegionGrid,
-    shortest_path_tree,
-    synthetic_network,
-    t_shortest_region_paths,
-)
-from skybroker.pruning import NoFeasibleProviders, filter_providers
+from skybroker.network import shortest_path_tree, synthetic_network, t_shortest_region_paths
+from skybroker.pruning import filter_providers
 from skybroker.recommend import (
     Ballot,
     borda,
@@ -36,7 +29,15 @@ from skybroker.recommend import (
     top_weight,
 )
 
-from conftest import check_flown, compose_flown, make_context
+from conftest import (
+    check_flown,
+    compose_flown,
+    make_context,
+    oracle_irv,
+    oracle_region_paths,
+    random_election,
+    region_grid,
+)
 
 SEEDS = tuple(range(1, 11))
 K_VALUES = (30.0, 40.0, 50.0, 60.0, 70.0)
@@ -223,50 +224,19 @@ def test_exact_paper_arithmetic():
 # --- oracle equivalence suites ------------------------------------------------
 
 
-def _random_election(rng, max_candidates=4):
-    u = rng.randint(1, max_candidates)
-    candidates = list(range(1, u + 1))
-    ballots = []
-    for metric in QOS_METRICS:
-        ranking = candidates[:]
-        rng.shuffle(ranking)
-        ballots.append(Ballot(metric, rng.randint(1, 64) / 64, tuple(ranking)))
-    return ballots
-
-
-def _oracle_irv(ballots, rng_seed):
-    rng = random.Random(rng_seed)
-    active = sorted({c for b in ballots for c in b.ranking})
-    weights = [Fraction(b.weight).limit_denominator(1 << 20) for b in ballots]
-    total = sum(weights)
-    while True:
-        tally = {c: Fraction(0) for c in active}
-        for b, w in zip(ballots, weights):
-            for choice in b.ranking:
-                if choice in active:
-                    tally[choice] += w
-                    break
-        leader = min(active, key=lambda c: (-tally[c], c))
-        if tally[leader] * 2 > total or len(active) == 1:
-            return leader
-        minimum = min(tally.values())
-        tied = sorted(c for c in active if tally[c] == minimum)
-        active.remove(tied[0] if len(tied) == 1 else rng.choice(tied))
-
-
 def test_oracle_equivalence_instant_runoff():
     rng = random.Random(1001)
     for _ in range(500):
-        ballots = _random_election(rng)
+        ballots = random_election(rng)
         seed = rng.randrange(2**32)
-        assert instant_runoff(ballots, seed).winner == _oracle_irv(ballots, seed)
+        assert instant_runoff(ballots, seed).winner == oracle_irv(ballots, seed)
     report("oracle-irv", True, "500 seeded elections with u <= 4 match the brute-force enumerator")
 
 
 def test_oracle_equivalence_borda():
     rng = random.Random(1002)
     for _ in range(500):
-        ballots = _random_election(rng)
+        ballots = random_election(rng)
         u = len(ballots[0].ranking)
         expected = {c: 0.0 for c in ballots[0].ranking}
         for b in ballots:
@@ -281,7 +251,7 @@ def test_oracle_equivalence_borda():
 def test_oracle_equivalence_condorcet_pairwise():
     rng = random.Random(1003)
     for _ in range(500):
-        ballots = _random_election(rng)
+        ballots = random_election(rng)
         prefs = pairwise_preferences(ballots)
         candidates = sorted(ballots[0].ranking)
         for i, a in enumerate(candidates):
@@ -293,34 +263,11 @@ def test_oracle_equivalence_condorcet_pairwise():
     report("oracle-condorcet", True, "500 seeded pairwise matrices match brute-force counts")
 
 
-def _grid(resolution):
-    from skybroker.network import SkywayNetwork, SkywayNode, build_region_grid
-
-    nodes = [
-        SkywayNode(1, 0.0, 0.0, 1, 1),
-        SkywayNode(2, float(resolution), float(resolution), 1, 1),
-    ]
-    return build_region_grid(SkywayNetwork(nodes, []), resolution)
-
-
-def _oracle_region_paths(grid: RegionGrid, source, dest, t, max_hops):
-    graph = nx.Graph()
-    graph.add_nodes_from(range(grid.cell_count))
-    for cell in range(grid.cell_count):
-        for nbr in grid.cell_neighbors(cell):
-            graph.add_edge(cell, nbr)
-    if source == dest:
-        return [(source,)]
-    paths = [tuple(p) for p in nx.all_simple_paths(graph, source, dest, cutoff=max_hops)]
-    paths.sort(key=lambda p: (len(p), p))
-    return paths[:t]
-
-
 def test_oracle_equivalence_region_paths():
     rng = random.Random(1004)
     for _ in range(500):
         resolution = rng.randint(2, 4)
-        grid = _grid(resolution)
+        grid = region_grid(resolution)
         source = rng.randrange(grid.cell_count)
         dest = rng.randrange(grid.cell_count)
         t = rng.randint(1, 6)
@@ -329,7 +276,7 @@ def test_oracle_equivalence_region_paths():
             max_hops = len(got[-1]) - 1
         else:
             max_hops = grid.cell_count - 1  # saturated: enumerate everything
-        expected = _oracle_region_paths(grid, source, dest, t, max_hops)
+        expected = oracle_region_paths(grid, source, dest, t, max_hops)
         assert got == expected
     report("oracle-region-paths", True, "500 seeded grid instances match exhaustive enumeration")
 
@@ -343,9 +290,8 @@ def _composition_batch(seed, n_requests=10):
     providers, requests = generate_scenario(seed, net, 12, n_requests, limits, CapabilityRanges())
     seeds = Seeds.from_master(seed)
     for request in requests:
-        try:
-            feasible = filter_providers(providers, request)
-        except NoFeasibleProviders:
+        feasible = filter_providers(providers, request)
+        if not feasible:
             continue
         ctx = make_context(net, request, seeds=seeds)
         for provider in feasible:
@@ -408,18 +354,17 @@ def test_invariant_weight_scaling_of_all_winners():
     seeds = Seeds.from_master(55)
     elections = 0
     for request in requests:
-        try:
-            feasible = filter_providers(providers, request)
-        except NoFeasibleProviders:
+        feasible = filter_providers(providers, request)
+        if not feasible:
             continue
         ctx = make_context(net, request, seeds=seeds)
         outcomes = [compose(p, ctx) for p in feasible]
-        successes = [o for o in outcomes if o.success]
-        if len(successes) < 2:
+        pqos = {o.provider_id: o.pqos for o in outcomes if o.success}
+        if len(pqos) < 2:
             continue
         elections += 1
         scale = rng.choice((0.25, 0.5, 2.0, 4.0))
-        base = build_ballots(successes, request.qos_weights)
+        base = build_ballots(pqos, request.qos_weights)
         # weights renormalize at request construction, so apply the scale to the
         # ballots directly: argmax invariance must hold either way
         scaled = [Ballot(b.voter, b.weight * scale, b.ranking) for b in base]

@@ -44,7 +44,7 @@ from skybroker.network import (
     synthetic_network,
     tree_path,
 )
-from skybroker.pruning import NoFeasibleProviders, filter_providers
+from skybroker.pruning import filter_providers
 
 from conftest import check_flown, compose_flown, line_network, make_context, simple_provider, unit_energy_config
 
@@ -121,9 +121,8 @@ class TestComposeBasics:
             4, net, 6, 4, ScenarioLimits(max_packages=4, max_package_weight_kg=2.5), CapabilityRanges()
         )
         for req in requests:
-            try:
-                feasible = filter_providers(providers, req)
-            except NoFeasibleProviders:
+            feasible = filter_providers(providers, req)
+            if not feasible:
                 continue
             ctx = make_context(net, req, seeds=seeds)
             for p in feasible[:3]:
@@ -313,9 +312,8 @@ class TestDynamicSplitting:
         comp_cfg = CompositionConfig()
         checked = 0
         for req in requests:
-            try:
-                feasible = filter_providers(providers, req)
-            except NoFeasibleProviders:
+            feasible = filter_providers(providers, req)
+            if not feasible:
                 continue
             ctx = make_context(net, req, seeds=seeds, comp=comp_cfg)
             for p in feasible:
@@ -373,9 +371,8 @@ class TestCompositionInvariants:
         seeds = Seeds.from_master(seed)
         outcomes = []
         for req in requests:
-            try:
-                feasible = filter_providers(providers, req)
-            except NoFeasibleProviders:
+            feasible = filter_providers(providers, req)
+            if not feasible:
                 continue
             ctx = make_context(net, req, seeds=seeds)
             for p in feasible:
@@ -432,9 +429,8 @@ class TestEnergyConservation:
         comp_cfg = CompositionConfig(opportunistic_charge_threshold=threshold)
         seeds = Seeds.from_master(seed)
         for req in requests:
-            try:
-                feasible = filter_providers(providers, req)
-            except NoFeasibleProviders:
+            feasible = filter_providers(providers, req)
+            if not feasible:
                 continue
             contexts = [make_context(network, req, energy, seeds, comp_cfg) for network in (net, loaded)]
             for p in feasible:
@@ -552,9 +548,8 @@ def acceptance_requests(seed):
     providers, requests = generate_scenario(seed, net, cfg.n_providers, cfg.n_requests, cfg.limits, cfg.ranges)
     seeds = Seeds.from_master(seed)
     for req in requests:
-        try:
-            feasible = filter_providers(providers, req)
-        except NoFeasibleProviders:
+        feasible = filter_providers(providers, req)
+        if not feasible:
             continue
         yield feasible, (net, req, cfg.energy, cfg.composition, seeds, shortest_path_tree(net, req.destination))
 

@@ -2,10 +2,10 @@
 
 Three benchmark configs take their configs and sha256 digests from
 brokerbench/workloads.py and brokerbench/expected.json; this test only reads
-them; two pruned configs, one with rising position factors and one that
-charges at most stops are pinned below. per_request.csv carries
-execution_time and proxy_time, so the digests also pin the evaluation cost
-model. sweep is the config that pins candidate scoring's charging estimates:
+them. Four more configs are pinned in one table below: two pruned ones, one
+with rising position factors and one that charges at most stops.
+per_request.csv carries execution_time and proxy_time, so the digests also pin
+the evaluation cost model. sweep is the config that pins candidate scoring's charging estimates:
 pricing the estimated top-up at the drawn queue instead of the expected one
 leaves the smoke and short_hop bytes unchanged but not the sweep ones.
 """
@@ -35,12 +35,13 @@ def test_seed_one_outputs_match_pinned_digests(workload, tmp_path):
     assert digests == EXPECTED[workload]["1"]
 
 
-# Configs without the brute strategy, where pruning keeps some providers out of
-# every cohort, so a slip in composing only the cohort union shows here. The
-# digests were taken from the request pipeline that composed every filtered
-# provider. "fallback" holds an unserved request and one served only by a
-# provider outside every cohort.
-PRUNED_CONFIGS = {
+# Configs pinned here, by name: (config, sha256 of each output file).
+PINNED_CONFIGS = {
+    # Configs without the brute strategy, where pruning keeps some providers
+    # out of every cohort, so a slip in composing only the cohort union shows
+    # here. The digests were taken from the request pipeline that composed
+    # every filtered provider. "fallback" holds an unserved request and one
+    # served only by a provider outside every cohort.
     "density": (
         dict(seed=1, synthetic_nodes=100, n_requests=20, strategies=("density",), k_values=(30.0, 50.0, 70.0)),
         {
@@ -57,70 +58,52 @@ PRUNED_CONFIGS = {
             "manifest.json": "7e696362f39a9a35e617c3589bb28da043ed2f25dde3b6aabd679cdb2715427f",
         },
     ),
+    # Position factors that rise along the swarm make the later slots dearer,
+    # the case in which a split half was once thought unable to fly its leg.
+    # The config splits 81 times; its digests were taken from the composer that
+    # still checked each split and could fold it back.
+    "rising_position_factors": (
+        dict(
+            seed=1,
+            synthetic_nodes=60,
+            n_requests=20,
+            strategies=("brute", "density"),
+            voting_methods=("irv", "borda"),
+            energy=EnergyModelConfig(position_factors=(0.9, 1.0, 1.1, 1.2)),
+        ),
+        {
+            "per_request.csv": "b1b2c9484b7076f82036204b9f6593441e94a93ffe14664ae498541dbbd22034",
+            "summary.csv": "2bbce118a8e29b325a81701bcfcd1ddfbfe3b697248f61b660a655032becffe8",
+            "manifest.json": "993a0a75cc96095964514d407e385afaf67adf85d7dc3734615639c0689b6b12",
+        },
+    ),
+    # Long exogenous queues and a high top-up threshold make charging the
+    # common case: the config makes 58 opportunistic top-ups, 431 forced stops
+    # and 88 splits. Its digests were taken from the composer that still kept
+    # one record per drone.
+    "charging_heavy": (
+        dict(
+            seed=1,
+            synthetic_nodes=60,
+            n_requests=20,
+            strategies=("brute", "density"),
+            k_values=(50.0,),
+            voting_methods=("irv", "borda"),
+            energy=EnergyModelConfig(queue_draw_max=8),
+            composition=CompositionConfig(opportunistic_charge_threshold=0.8),
+        ),
+        {
+            "per_request.csv": "446133045a782fcfc25f5fff4bcbabf4720420138d8f2ee8af526ff388f530c5",
+            "summary.csv": "008d4e42b2fe1a20177755e73e3c56d2964f3393f4a0dc11f5cc708675712ac2",
+            "manifest.json": "0f53056a95e5c2191b1398ffc61c984ab640084cfb1594385a00aff5d73368f6",
+        },
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PRUNED_CONFIGS))
-def test_pruned_outputs_match_pinned_digests(name, tmp_path):
-    config, expected = PRUNED_CONFIGS[name]
-    run_experiment(ExperimentConfig(**config), tmp_path)
-    digests = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in expected}
-    assert digests == expected
-
-
-# Position factors that rise along the swarm make the later slots dearer, the
-# case in which a split half was once thought unable to fly its leg. The
-# config splits 81 times; its digests were taken from the composer that still
-# checked each split and could fold it back.
-RISING_SLOTS = (
-    dict(
-        seed=1,
-        synthetic_nodes=60,
-        n_requests=20,
-        strategies=("brute", "density"),
-        voting_methods=("irv", "borda"),
-        energy=EnergyModelConfig(position_factors=(0.9, 1.0, 1.1, 1.2)),
-    ),
-    {
-        "per_request.csv": "b1b2c9484b7076f82036204b9f6593441e94a93ffe14664ae498541dbbd22034",
-        "summary.csv": "2bbce118a8e29b325a81701bcfcd1ddfbfe3b697248f61b660a655032becffe8",
-        "manifest.json": "993a0a75cc96095964514d407e385afaf67adf85d7dc3734615639c0689b6b12",
-    },
-)
-
-
-def test_rising_position_factors_match_pinned_digests(tmp_path):
-    config, expected = RISING_SLOTS
-    run_experiment(ExperimentConfig(**config), tmp_path)
-    digests = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in expected}
-    assert digests == expected
-
-
-# Long exogenous queues and a high top-up threshold make charging the common
-# case: the config makes 58 opportunistic top-ups, 431 forced stops and 88
-# splits. Its digests were taken from the composer that still kept one record
-# per drone.
-CHARGING_HEAVY = (
-    dict(
-        seed=1,
-        synthetic_nodes=60,
-        n_requests=20,
-        strategies=("brute", "density"),
-        k_values=(50.0,),
-        voting_methods=("irv", "borda"),
-        energy=EnergyModelConfig(queue_draw_max=8),
-        composition=CompositionConfig(opportunistic_charge_threshold=0.8),
-    ),
-    {
-        "per_request.csv": "446133045a782fcfc25f5fff4bcbabf4720420138d8f2ee8af526ff388f530c5",
-        "summary.csv": "008d4e42b2fe1a20177755e73e3c56d2964f3393f4a0dc11f5cc708675712ac2",
-        "manifest.json": "0f53056a95e5c2191b1398ffc61c984ab640084cfb1594385a00aff5d73368f6",
-    },
-)
-
-
-def test_charging_heavy_config_matches_pinned_digests(tmp_path):
-    config, expected = CHARGING_HEAVY
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_pinned_config_outputs_match_digests(name, tmp_path):
+    config, expected = PINNED_CONFIGS[name]
     run_experiment(ExperimentConfig(**config), tmp_path)
     digests = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in expected}
     assert digests == expected

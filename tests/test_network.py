@@ -25,7 +25,7 @@ from skybroker.network import (
     tree_path,
 )
 
-from conftest import network_to_streams
+from conftest import network_to_streams, oracle_region_paths, region_grid
 
 
 def load(edges, coords, stations):
@@ -102,6 +102,21 @@ class TestCanonicalDump:
     def test_malformed_dump(self):
         with pytest.raises(ParseError):
             load_network_dump("{\"nodes\": 3}")
+
+    @pytest.mark.parametrize(
+        "n_nodes, edges, kept",
+        [
+            (5, [[1, 2], [2, 3], [3, 4]], [1, 2, 3, 4]),  # node 5 isolated
+            (4, [[1, 2], [3, 4]], [1, 2]),  # equal sizes: the smallest id wins
+        ],
+        ids=["isolated_node", "equal_halves"],
+    )
+    def test_disconnected_keeps_largest_component_with_warning(self, n_nodes, edges, kept):
+        nodes = [[i, 100.0 * i, 0.0, 1, 1] for i in range(1, n_nodes + 1)]
+        with pytest.warns(UserWarning, match="largest component"):
+            net = load_network_dump(json.dumps({"nodes": nodes, "edges": edges}))
+        assert sorted(net.nodes) == kept
+        assert len(net.components()) == 1
 
     @pytest.mark.parametrize(
         "nodes, message",
@@ -192,10 +207,12 @@ class TestLoaderFuzz:
     @given(dump_blobs)
     @settings(max_examples=300, deadline=None)
     def test_dump_blob(self, blob):
-        try:
-            net = load_network_dump(blob)
-        except ParseError:
-            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # disconnected dumps warn and load
+            try:
+                net = load_network_dump(blob)
+            except ParseError:
+                return
         assert_canonical(net)
 
     @given(st.integers(1, 20), st.data())
@@ -358,30 +375,9 @@ class TestHeatmaps:
         assert sum(sum(hm) for hm in heatmaps.values()) == total_pads
 
 
-def grid_for(resolution):
-    nodes = [SkywayNode(1, 0, 0, 1, 1), SkywayNode(2, float(resolution), float(resolution), 1, 1)]
-    net = SkywayNetwork(nodes, [])
-    return build_region_grid(net, resolution)
-
-
-def oracle_paths(grid, source, dest, t):
-    """All loop-free cell paths via networkx, sorted by (hops, lexicographic)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(grid.cell_count))
-    for cell in range(grid.cell_count):
-        for nbr in grid.cell_neighbors(cell):
-            graph.add_edge(cell, nbr)
-    cutoff = 2 * grid.resolution + 2
-    paths = [tuple(p) for p in nx.all_simple_paths(graph, source, dest, cutoff=cutoff)]
-    if source == dest:
-        paths = [(source,)]
-    paths.sort(key=lambda p: (len(p), p))
-    return paths[:t]
-
-
 class TestRegionPaths:
     def test_adjacent_cells_first_path_one_hop(self):
-        grid = grid_for(3)
+        grid = region_grid(3)
         paths = t_shortest_region_paths(grid, 0, 1, 3)
         assert len(paths) == 3
         assert len(paths[0]) == 2
@@ -390,34 +386,34 @@ class TestRegionPaths:
             assert p[0] == 0 and p[-1] == 1
 
     def test_same_cell_single_zero_length_path(self):
-        grid = grid_for(3)
+        grid = region_grid(3)
         assert t_shortest_region_paths(grid, 4, 4, 5) == [(4,)]
 
     def test_saturation_returns_all_paths(self):
         # 2x2 grid cells form a complete graph on 4 vertices: exactly 5 loop-free
         # paths exist between any two distinct cells
-        grid = grid_for(2)
+        grid = region_grid(2)
         paths = t_shortest_region_paths(grid, 0, 3, 50)
         assert len(paths) == 5
 
     def test_opposite_corners_match_enumeration_oracle(self):
-        grid = grid_for(4)
+        grid = region_grid(4)
         got = t_shortest_region_paths(grid, 0, 15, 5)
-        assert got == oracle_paths(grid, 0, 15, 5)
+        assert got == oracle_region_paths(grid, 0, 15, 5, cutoff=2 * grid.resolution + 2)
 
     def test_hop_counts_non_decreasing(self):
-        grid = grid_for(4)
+        grid = region_grid(4)
         paths = t_shortest_region_paths(grid, 1, 14, 12)
         hops = [len(p) for p in paths]
         assert hops == sorted(hops)
 
     def test_t_must_be_positive(self):
-        grid = grid_for(3)
+        grid = region_grid(3)
         with pytest.raises(ValueError):
             t_shortest_region_paths(grid, 0, 1, 0)
 
     def test_cell_outside_grid_rejected(self):
-        grid = grid_for(3)
+        grid = region_grid(3)
         with pytest.raises(ValueError):
             t_shortest_region_paths(grid, 0, 99, 1)
 

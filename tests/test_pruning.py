@@ -15,7 +15,6 @@ from skybroker.domain import (
 )
 from skybroker.network import build_all_heatmaps, build_region_grid, synthetic_network, t_shortest_region_paths
 from skybroker.pruning import (
-    NoFeasibleProviders,
     capabilities_scores,
     density_scores,
     filter_providers,
@@ -58,8 +57,7 @@ class TestFilter:
         assert [p.provider_id for p in kept] == [3, 1, 2]
 
     def test_no_survivors_signalled(self):
-        with pytest.raises(NoFeasibleProviders):
-            filter_providers([simple_provider(1, n_drones=1)], request(packages=(1.0, 1.0)))
+        assert filter_providers([simple_provider(1, n_drones=1)], request(packages=(1.0, 1.0))) == []
 
     @pytest.mark.parametrize("excess, carried", [(0.0, True), (5e-10, False)])
     def test_filter_and_assign_share_one_carry_rule(self, excess, carried):
@@ -67,10 +65,7 @@ class TestFilter:
         above it refused, by the filter and the composer's assignment alike."""
         provider = simple_provider(1, payload_cap=2.0)
         req = request(packages=(2.0 + excess,))
-        try:
-            kept = bool(filter_providers([provider], req))
-        except NoFeasibleProviders:
-            kept = False
+        kept = bool(filter_providers([provider], req))
         try:
             assigned = bool(assign_packages(provider.swarm, req.packages))
         except ValueError:
@@ -86,11 +81,7 @@ class TestFilter:
             boosted = simple_provider(1, n_drones=size + 1, payload_cap=payload + 0.5)
             packages = tuple(rng.uniform(0.2, 2.6) for _ in range(rng.randint(1, 7)))
             req = request(packages=packages)
-            try:
-                kept = filter_providers([provider], req)
-            except NoFeasibleProviders:
-                kept = []
-            if kept:
+            if filter_providers([provider], req):
                 assert filter_providers([boosted], req)
 
 

@@ -1,12 +1,10 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skybroker.composition import CompositionOutcome
 from skybroker.domain import QOS_METRICS, QosVector, normalize_weights
 from skybroker.recommend import (
     Ballot,
@@ -21,15 +19,13 @@ from skybroker.recommend import (
     top_weight,
 )
 
+from conftest import oracle_irv, random_election
 
-def outcome(pid, dt, ec, c, et):
-    return CompositionOutcome(
-        provider_id=pid,
-        success=True,
-        paths=((1, 2),),
-        pqos=QosVector(dt, ec, c, et),
-        evaluations=10,
-    )
+
+def qos_table(*rows):
+    """A cohort's {provider_id: QosVector} table; each row is (provider_id,
+    delivery_time, energy, cost, execution_time)."""
+    return {pid: QosVector(*metrics) for pid, *metrics in rows}
 
 
 def ballot(voter, weight, ranking):
@@ -41,43 +37,38 @@ EQUAL_WEIGHTS = {m: 0.25 for m in QOS_METRICS}
 
 class TestBuildBallots:
     def test_delivery_time_ballot_ranks_best_first(self):
-        outs = [
-            outcome(1, dt=30, ec=1, c=1, et=1),
-            outcome(2, dt=20, ec=2, c=2, et=2),
-            outcome(3, dt=10, ec=3, c=3, et=3),
-        ]
-        ballots = build_ballots(outs, EQUAL_WEIGHTS)
+        table = qos_table((1, 30, 1, 1, 1), (2, 20, 2, 2, 2), (3, 10, 3, 3, 3))
+        ballots = build_ballots(table, EQUAL_WEIGHTS)
         by_voter = {b.voter: b for b in ballots}
         assert by_voter["delivery_time"].ranking == (3, 2, 1)
         assert by_voter["energy"].ranking == (1, 2, 3)
 
     def test_single_provider_every_ballot_trivial(self):
-        ballots = build_ballots([outcome(7, 1, 1, 1, 1)], EQUAL_WEIGHTS)
+        ballots = build_ballots(qos_table((7, 1, 1, 1, 1)), EQUAL_WEIGHTS)
         assert all(b.ranking == (7,) for b in ballots)
         assert len(ballots) == 4
 
     def test_no_successes_refused(self):
         with pytest.raises(ValueError, match="non-empty permutation"):
-            build_ballots([], EQUAL_WEIGHTS)
+            build_ballots({}, EQUAL_WEIGHTS)
 
     def test_raw_value_ties_break_by_provider_id(self):
-        outs = [outcome(2, 1, 1, 1, 1), outcome(1, 1, 2, 2, 2)]
-        ballots = build_ballots(outs, EQUAL_WEIGHTS)
+        table = qos_table((2, 1, 1, 1, 1), (1, 1, 2, 2, 2))
+        ballots = build_ballots(table, EQUAL_WEIGHTS)
         assert ballots[0].ranking == (1, 2)
 
     def test_matches_independent_sort(self):
         rng = random.Random(5)
         for _ in range(50):
-            outs = [
-                outcome(pid, rng.uniform(0, 9), rng.uniform(0, 9), rng.uniform(0, 9), rng.uniform(0, 9))
-                for pid in range(1, rng.randint(2, 7))
-            ]
-            ballots = build_ballots(outs, EQUAL_WEIGHTS)
+            table = qos_table(
+                *[
+                    (pid, rng.uniform(0, 9), rng.uniform(0, 9), rng.uniform(0, 9), rng.uniform(0, 9))
+                    for pid in range(1, rng.randint(2, 7))
+                ]
+            )
+            ballots = build_ballots(table, EQUAL_WEIGHTS)
             for b in ballots:
-                expected = tuple(
-                    o.provider_id
-                    for o in sorted(outs, key=lambda o: (o.pqos.get(b.voter), o.provider_id))
-                )
+                expected = tuple(sorted(table, key=lambda pid: (table[pid].get(b.voter), pid)))
                 assert b.ranking == expected
 
 
@@ -141,41 +132,6 @@ class TestInstantRunoff:
         ]
         winners = {instant_runoff(ballots, 42).winner for _ in range(5)}
         assert len(winners) == 1
-
-
-def oracle_irv(ballots, rng_seed):
-    """Independent IRV with exact Fraction tallies, mirroring the documented
-    tie protocol: random.Random(rng_seed).choice(sorted(tied))."""
-    rng = random.Random(rng_seed)
-    active = sorted({c for b in ballots for c in b.ranking})
-    weights = [Fraction(b.weight).limit_denominator(1 << 20) for b in ballots]
-    total = sum(weights)
-    while True:
-        tally = {c: Fraction(0) for c in active}
-        for b, w in zip(ballots, weights):
-            for choice in b.ranking:
-                if choice in active:
-                    tally[choice] += w
-                    break
-        leader = min(active, key=lambda c: (-tally[c], c))
-        if tally[leader] * 2 > total or len(active) == 1:
-            return leader
-        minimum = min(tally.values())
-        tied = sorted(c for c in active if tally[c] == minimum)
-        eliminated = tied[0] if len(tied) == 1 else rng.choice(tied)
-        active.remove(eliminated)
-
-
-def random_election(rng, max_candidates=4, dyadic=64):
-    u = rng.randint(1, max_candidates)
-    candidates = list(range(1, u + 1))
-    ballots = []
-    for metric in QOS_METRICS:
-        ranking = candidates[:]
-        rng.shuffle(ranking)
-        weight = rng.randint(1, dyadic) / dyadic  # dyadic weights keep float sums exact
-        ballots.append(ballot(metric, weight, ranking))
-    return ballots
 
 
 class TestIrvOracle:
@@ -284,30 +240,32 @@ class TestCondorcet:
 
 class TestTopWeight:
     def test_dominant_metric_selects_its_best(self):
-        outs = [outcome(1, dt=50, ec=1, c=1, et=1), outcome(2, dt=10, ec=9, c=9, et=9)]
+        table = qos_table((1, 50, 1, 1, 1), (2, 10, 9, 9, 9))
         weights = normalize_weights({"delivery_time": 0.7, "energy": 0.1, "cost": 0.1, "execution_time": 0.1})
-        assert top_weight(build_ballots(outs, weights)) == 2
+        assert top_weight(build_ballots(table, weights)) == 2
 
     def test_single_provider(self):
-        assert top_weight(build_ballots([outcome(3, 1, 1, 1, 1)], EQUAL_WEIGHTS)) == 3
+        assert top_weight(build_ballots(qos_table((3, 1, 1, 1, 1)), EQUAL_WEIGHTS)) == 3
 
     def test_weight_ties_follow_metric_order(self):
         # equal weights fall back to delivery_time as the deciding metric
-        outs = [outcome(1, dt=5, ec=9, c=9, et=9), outcome(2, dt=9, ec=1, c=1, et=1)]
-        assert top_weight(build_ballots(outs, EQUAL_WEIGHTS)) == 1
+        table = qos_table((1, 5, 9, 9, 9), (2, 9, 1, 1, 1))
+        assert top_weight(build_ballots(table, EQUAL_WEIGHTS)) == 1
 
     def test_matches_argmin_oracle(self):
         rng = random.Random(3)
         for _ in range(200):
-            outs = [
-                outcome(pid, rng.uniform(0, 9), rng.uniform(0, 9), rng.uniform(0, 9), rng.uniform(0, 9))
-                for pid in range(1, rng.randint(2, 6))
-            ]
+            table = qos_table(
+                *[
+                    (pid, rng.uniform(0, 9), rng.uniform(0, 9), rng.uniform(0, 9), rng.uniform(0, 9))
+                    for pid in range(1, rng.randint(2, 6))
+                ]
+            )
             raw = {m: rng.uniform(0.05, 1) for m in QOS_METRICS}
             weights = normalize_weights(raw)
             metric = max(QOS_METRICS, key=lambda m: weights[m])
-            expected = min(outs, key=lambda o: (o.pqos.get(metric), o.provider_id)).provider_id
-            assert top_weight(build_ballots(outs, weights)) == expected
+            expected = min(table, key=lambda pid: (table[pid].get(metric), pid))
+            assert top_weight(build_ballots(table, weights)) == expected
 
 
 class TestVotingInvariants:
