@@ -180,8 +180,15 @@ def _section_kwargs(cls: type, data: object, section: str) -> dict:
     return dict(data)
 
 
-def energy_config_from_dict(data: object) -> EnergyModelConfig:
-    kwargs = _section_kwargs(EnergyModelConfig, data, "energy")
+def load_config_file(path: str | Path) -> tuple[EnergyModelConfig, CompositionConfig]:
+    """Load overrides from a JSON file with optional "energy"/"composition" sections."""
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ConfigurationError("config file must hold a JSON object")
+    unknown = set(data) - {"energy", "composition"}
+    if unknown:
+        raise ConfigurationError(f"unknown config sections: {sorted(unknown)}")
+    kwargs = _section_kwargs(EnergyModelConfig, data.get("energy", {}), "energy")
     try:
         if "formation_factors" in kwargs:
             kwargs["formation_factors"] = {
@@ -192,21 +199,6 @@ def energy_config_from_dict(data: object) -> EnergyModelConfig:
             kwargs["position_factors"] = tuple(float(v) for v in kwargs["position_factors"])
     except (AttributeError, TypeError) as exc:
         raise ConfigurationError(f"energy config factor tables are malformed: {exc}") from None
-    return EnergyModelConfig(**kwargs)
-
-
-def composition_config_from_dict(data: object) -> CompositionConfig:
-    return CompositionConfig(**_section_kwargs(CompositionConfig, data, "composition"))
-
-
-def load_config_file(path: str | Path) -> tuple[EnergyModelConfig, CompositionConfig]:
-    """Load overrides from a JSON file with optional "energy"/"composition" sections."""
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ConfigurationError("config file must hold a JSON object")
-    unknown = set(data) - {"energy", "composition"}
-    if unknown:
-        raise ConfigurationError(f"unknown config sections: {sorted(unknown)}")
-    energy = energy_config_from_dict(data.get("energy", {}))
-    composition = composition_config_from_dict(data.get("composition", {}))
+    energy = EnergyModelConfig(**kwargs)
+    composition = CompositionConfig(**_section_kwargs(CompositionConfig, data.get("composition", {}), "composition"))
     return energy, composition

@@ -81,8 +81,6 @@ def segment_energy(
     """
     if segment_length_m < 0:
         raise ValueError("segment length must be non-negative")
-    if segment_length_m == 0:
-        return 0.0
     power_w = flight_power_w(payload_kg, config)
     seconds = segment_length_m / speed
     factor = config.formation_factor(formation, wind_sector) * config.position_factor(slot_index)

@@ -315,6 +315,7 @@ class RegionGrid:
         return max(abs(ax - bx), abs(ay - by))
 
     def cell_neighbors(self, cell: int) -> tuple[int, ...]:
+        """The up to 8 adjacent cells in ascending order, which the region path search's order rests on."""
         g = self.resolution
         cx, cy = self.cell_xy(cell)
         out = []
@@ -325,7 +326,7 @@ class RegionGrid:
                 nx, ny = cx + dx, cy + dy
                 if 0 <= nx < g and 0 <= ny < g:
                     out.append(ny * g + nx)
-        return tuple(sorted(out))
+        return tuple(out)
 
 
 def build_region_grid(network: SkywayNetwork, resolution: int) -> RegionGrid:
@@ -450,6 +451,8 @@ def synthetic_network(
         raise ValueError("need at least one charging provider")
     if k_nearest < 0:
         raise ValueError("k_nearest must be non-negative")
+    if not 0 < area_m < math.inf:
+        raise ValueError(f"area_m must be positive and finite, got {area_m}")
     rng = random.Random(seed)
     positions = {nid: (rng.uniform(0, area_m), rng.uniform(0, area_m)) for nid in range(1, n_nodes + 1)}
     # Charging companies concentrate in districts (soft Voronoi around seeded

@@ -1,15 +1,24 @@
 import random
+import runpy
+import time
+from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import networkx as nx
 import pytest
 
-from skybroker import composition
+from skybroker import composition, harness
 from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
-from skybroker.domain import QOS_METRICS, Formation, Partnership, Provider, Swarm
+from skybroker.domain import QOS_METRICS, Formation, Partnership, Provider, Swarm, generate_scenario
+from skybroker.harness import ExperimentConfig, ExperimentResult, build_network, run_experiment
 from skybroker.network import SkywayNetwork, SkywayNode, build_region_grid, shortest_path_tree
+from skybroker.pruning import filter_providers
 from skybroker.recommend import Ballot
+
+BENCH = Path(__file__).resolve().parent.parent / "brokerbench"
+WORKLOADS = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
 
 
 def unit_energy_config(**overrides) -> EnergyModelConfig:
@@ -114,6 +123,79 @@ def check_flown(provider, comp_config, out, flown):
     if out.success:
         times = [sub.delivery_time for sub in flown]
         assert max(times) - min(times) <= comp_config.arrival_window_s
+
+
+def composable_requests(cfg, seeds=None):
+    """(request, feasible providers, request context) for every request of
+    cfg's scenario that some provider can carry. As in harness stage 2, the
+    request's providers share one context over cfg's network, energy and
+    composition configs and the seeds (cfg.seed's unless given)."""
+    network = build_network(cfg)
+    providers, requests = generate_scenario(
+        cfg.seed, network, cfg.n_providers, cfg.n_requests, cfg.limits, cfg.ranges
+    )
+    seeds = seeds or Seeds.from_master(cfg.seed)
+    for request in requests:
+        feasible = filter_providers(providers, request)
+        if feasible:
+            dest_tree = shortest_path_tree(network, request.destination)
+            yield request, feasible, composition.request_context(
+                network, request, cfg.energy, cfg.composition, seeds, dest_tree
+            )
+
+
+def run_recorded(cfg):
+    """run_experiment(cfg) and, in the order the harness composes them,
+    (provider, context, outcome, finished sub-swarms) for every composition."""
+    compositions = []
+
+    def recording(provider, ctx):
+        out, flown = compose_flown(provider, ctx)
+        compositions.append((provider, ctx, out, flown))
+        return out
+
+    with mock.patch.object(harness, "compose", recording):
+        return run_experiment(cfg), compositions
+
+
+# --- the acceptance battery ---------------------------------------------------
+
+# 10 seeded desk-scale scenarios, all three pruning strategies, the full k
+# sweep and all five recommendation methods
+SEEDS = tuple(range(1, 11))
+K_VALUES = (30.0, 40.0, 50.0, 60.0, 70.0)
+METHODS = ("plurality", "irv", "borda", "condorcet", "topweight")
+STRATEGIES = ("brute", "capabilities", "density")
+# seeds whose compositions the battery keeps for the composer's own checks
+RECORDED_SEEDS = (1, 2, 3)
+
+
+@dataclass
+class BatteryRun:
+    config: ExperimentConfig
+    result: ExperimentResult
+    wall_s: float
+    # (provider, context, outcome, finished sub-swarms); empty unless recorded
+    compositions: list
+
+
+class Battery(dict):
+    """seed -> BatteryRun, each seed run the first time a test reads it."""
+
+    def __missing__(self, seed):
+        cfg = ExperimentConfig(seed=seed, strategies=STRATEGIES, k_values=K_VALUES, voting_methods=METHODS)
+        started = time.perf_counter()
+        if seed in RECORDED_SEEDS:
+            result, compositions = run_recorded(cfg)
+        else:
+            result, compositions = run_experiment(cfg), []
+        self[seed] = BatteryRun(cfg, result, time.perf_counter() - started, compositions)
+        return self[seed]
+
+
+@pytest.fixture(scope="session")
+def battery():
+    return Battery()
 
 
 @pytest.fixture

@@ -1,23 +1,21 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line per
-criterion. The experiment battery (10 seeded desk-scale scenarios, all three
-pruning strategies, the full k sweep and all five recommendation methods) runs
-once and is sliced by the individual criteria.
+criterion. The experiment battery (the ``battery`` fixture of conftest.py: 10
+seeded desk-scale scenarios, all three pruning strategies, the full k sweep and
+all five recommendation methods) runs once and is sliced by the individual
+criteria.
 """
 
 import random
 import statistics
-import time
 
 import pytest
 
 from skybroker.composition import compose
-from skybroker.config import CompositionConfig, Seeds
-from skybroker.domain import CapabilityRanges, Partnership, ScenarioLimits, generate_scenario
+from skybroker.domain import Partnership, ScenarioLimits
 from skybroker.harness import ExperimentConfig, run_experiment, spearman
-from skybroker.network import shortest_path_tree, synthetic_network, t_shortest_region_paths
-from skybroker.pruning import filter_providers
+from skybroker.network import t_shortest_region_paths
 from skybroker.recommend import (
     Ballot,
     borda,
@@ -30,41 +28,23 @@ from skybroker.recommend import (
 )
 
 from conftest import (
+    K_VALUES,
+    METHODS,
+    SEEDS,
+    STRATEGIES,
     check_flown,
+    composable_requests,
     compose_flown,
-    make_context,
     oracle_irv,
     oracle_region_paths,
     random_election,
     region_grid,
 )
 
-SEEDS = tuple(range(1, 11))
-K_VALUES = (30.0, 40.0, 50.0, 60.0, 70.0)
-METHODS = ("plurality", "irv", "borda", "condorcet", "topweight")
-STRATEGIES = ("brute", "capabilities", "density")
-
 
 def report(name, passed, detail):
     print(f"\nACCEPTANCE {name}: {'PASS' if passed else 'FAIL'} ({detail})")
     assert passed, f"{name}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def battery():
-    runs = {}
-    for seed in SEEDS:
-        started = time.perf_counter()
-        result = run_experiment(
-            ExperimentConfig(
-                seed=seed,
-                strategies=STRATEGIES,
-                k_values=K_VALUES,
-                voting_methods=METHODS,
-            )
-        )
-        runs[seed] = (result, time.perf_counter() - started)
-    return runs
 
 
 def summary_lookup(result):
@@ -79,9 +59,9 @@ def test_pruning_strategy_ordering(battery):
     density_wins = 0
     slowest = 0.0
     for seed in SEEDS:
-        result, wall = battery[seed]
-        slowest = max(slowest, wall)
-        table = summary_lookup(result)
+        run = battery[seed]
+        slowest = max(slowest, run.wall_s)
+        table = summary_lookup(run.result)
         per_seed = {s: table[(s, "irv", 50.0)]["mean_satisfaction"] for s in STRATEGIES}
         for s in STRATEGIES:
             means[s].append(per_seed[s])
@@ -105,10 +85,9 @@ def test_pruning_runtime_proxy(battery):
     composition evaluations on every seed, scoring overhead included."""
     worst = 0.0
     for seed in SEEDS:
-        result, _ = battery[seed]
         totals = {"brute": 0.0, "density": 0.0}
         seen = set()
-        for row in result.rows:
+        for row in battery[seed].result.rows:
             key = (row["request_id"], row["strategy"])
             if row["k_percent"] != 50.0 or row["strategy"] not in totals or key in seen:
                 continue
@@ -128,7 +107,7 @@ def test_k_sweep_monotonicity(battery):
     sat = {k: [] for k in K_VALUES}
     proxy = {k: [] for k in K_VALUES}
     for seed in SEEDS:
-        table = summary_lookup(battery[seed][0])
+        table = summary_lookup(battery[seed].result)
         for k in K_VALUES:
             sat[k].append(table[("density", "irv", k)]["mean_satisfaction"])
             proxy[k].append(table[("density", "irv", k)]["mean_proxy_time"])
@@ -153,7 +132,7 @@ def test_voting_comparison(battery):
     beats = {m: 0 for m in ranked}
     borda_best = 0
     for seed in SEEDS:
-        table = summary_lookup(battery[seed][0])
+        table = summary_lookup(battery[seed].result)
         means = {m: table[("density", m, 50.0)]["mean_satisfaction"] for m in METHODS}
         for m in ranked:
             if means[m] >= means["topweight"]:
@@ -173,9 +152,8 @@ def test_condorcet_operation_cost(battery):
     election performs strictly more tally operations than the other systems."""
     checked = 0
     for seed in SEEDS:
-        result, _ = battery[seed]
         by_request = {}
-        for row in result.rows:
+        for row in battery[seed].result.rows:
             if row["strategy"] == "density" and row["k_percent"] == 50.0:
                 by_request.setdefault(row["request_id"], {})[row["method"]] = row
         for rows in by_request.values():
@@ -284,25 +262,24 @@ def test_oracle_equivalence_region_paths():
 # --- invariant suites ---------------------------------------------------------
 
 
-def _composition_batch(seed, n_requests=10):
-    net = synthetic_network(seed, 70)
-    limits = ScenarioLimits(max_packages=5, max_package_weight_kg=2.0)
-    providers, requests = generate_scenario(seed, net, 12, n_requests, limits, CapabilityRanges())
-    seeds = Seeds.from_master(seed)
-    for request in requests:
-        feasible = filter_providers(providers, request)
-        if not feasible:
-            continue
-        ctx = make_context(net, request, seeds=seeds)
+def _composition_batch(seed):
+    cfg = ExperimentConfig(
+        seed=seed,
+        synthetic_nodes=70,
+        n_providers=12,
+        n_requests=10,
+        limits=ScenarioLimits(max_packages=5, max_package_weight_kg=2.0),
+    )
+    for _request, feasible, ctx in composable_requests(cfg):
         for provider in feasible:
-            yield provider, request, *compose_flown(provider, ctx)
+            yield provider, ctx, *compose_flown(provider, ctx)
 
 
 def test_invariant_energy_conservation_and_time_identity():
     checked = successes = 0
     for seed in (101, 102, 103):
-        for provider, request, out, flown in _composition_batch(seed):
-            check_flown(provider, CompositionConfig(), out, flown)
+        for provider, ctx, out, flown in _composition_batch(seed):
+            check_flown(provider, ctx.comp, out, flown)
             checked += 1
             successes += out.success
     report(
@@ -327,15 +304,11 @@ def test_invariant_loop_freedom_of_greedy_prefix_and_tree_suffix():
     # tree and may cross nodes already visited (see the composition docstring)
     paths = repeating = 0
     for seed in (101, 102, 103):
-        net = synthetic_network(seed, 70)
-        parents = {}
-        for provider, request, out, _ in _composition_batch(seed):
-            if request.destination not in parents:
-                parents[request.destination] = shortest_path_tree(net, request.destination)[1]
+        for provider, ctx, out, _ in _composition_batch(seed):
             for path in out.paths:
-                prefix, suffix = _split_at_tree_suffix(path, parents[request.destination])
-                assert len(set(prefix)) == len(prefix), (provider.provider_id, request.request_id, path)
-                assert len(set(suffix)) == len(suffix), (provider.provider_id, request.request_id, path)
+                prefix, suffix = _split_at_tree_suffix(path, ctx.parent_to_dest)
+                assert len(set(prefix)) == len(prefix), (provider.provider_id, ctx.request.request_id, path)
+                assert len(set(suffix)) == len(suffix), (provider.provider_id, ctx.request.request_id, path)
                 paths += 1
                 repeating += len(set(path)) != len(path)
     report(
@@ -348,16 +321,15 @@ def test_invariant_loop_freedom_of_greedy_prefix_and_tree_suffix():
 
 def test_invariant_weight_scaling_of_all_winners():
     rng = random.Random(77)
-    net = synthetic_network(55, 60)
-    limits = ScenarioLimits(max_packages=4, max_package_weight_kg=2.0)
-    providers, requests = generate_scenario(55, net, 10, 8, limits, CapabilityRanges())
-    seeds = Seeds.from_master(55)
+    cfg = ExperimentConfig(
+        seed=55,
+        synthetic_nodes=60,
+        n_providers=10,
+        n_requests=8,
+        limits=ScenarioLimits(max_packages=4, max_package_weight_kg=2.0),
+    )
     elections = 0
-    for request in requests:
-        feasible = filter_providers(providers, request)
-        if not feasible:
-            continue
-        ctx = make_context(net, request, seeds=seeds)
+    for request, feasible, ctx in composable_requests(cfg):
         outcomes = [compose(p, ctx) for p in feasible]
         pqos = {o.provider_id: o.pqos for o in outcomes if o.success}
         if len(pqos) < 2:

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import random
 
@@ -18,14 +20,7 @@ from skybroker.composition import (
     viable_candidates,
 )
 from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
-from skybroker.domain import (
-    FORMATIONS,
-    CapabilityRanges,
-    DeliveryRequest,
-    Partnership,
-    ScenarioLimits,
-    generate_scenario,
-)
+from skybroker.domain import FORMATIONS, DeliveryRequest, Partnership, ScenarioLimits
 from skybroker.energy import (
     NodeService,
     WindField,
@@ -34,19 +29,21 @@ from skybroker.energy import (
     relative_sector,
     segment_energy,
 )
-from skybroker.harness import ExperimentConfig, build_network
-from skybroker.network import (
-    SkywayNetwork,
-    SkywayNode,
-    dump_network,
-    load_network_dump,
-    shortest_path_tree,
-    synthetic_network,
-    tree_path,
-)
-from skybroker.pruning import filter_providers
+from skybroker.harness import ExperimentConfig
+from skybroker.network import SkywayNetwork, SkywayNode, dump_network, load_network_dump, synthetic_network, tree_path
 
-from conftest import check_flown, compose_flown, line_network, make_context, simple_provider, unit_energy_config
+from conftest import (
+    RECORDED_SEEDS,
+    WORKLOADS,
+    check_flown,
+    composable_requests,
+    compose_flown,
+    line_network,
+    make_context,
+    run_recorded,
+    simple_provider,
+    unit_energy_config,
+)
 
 
 def request(source, destination, packages=(1.0,), weights=None, request_id=1):
@@ -116,17 +113,16 @@ class TestComposeBasics:
             compose(provider, make_context(net, request(0, 1, packages=(1.0, 2.5)), unit_config, seeds))
 
     def test_deterministic_outcomes(self, seeds):
-        net = synthetic_network(4, 60)
-        providers, requests = generate_scenario(
-            4, net, 6, 4, ScenarioLimits(max_packages=4, max_package_weight_kg=2.5), CapabilityRanges()
+        cfg = ExperimentConfig(
+            seed=4,
+            synthetic_nodes=60,
+            n_providers=6,
+            n_requests=4,
+            limits=ScenarioLimits(max_packages=4, max_package_weight_kg=2.5),
         )
-        for req in requests:
-            feasible = filter_providers(providers, req)
-            if not feasible:
-                continue
-            ctx = make_context(net, req, seeds=seeds)
+        for req, feasible, ctx in composable_requests(cfg, seeds):
             for p in feasible[:3]:
-                assert compose(p, ctx) == compose(p, make_context(net, req, seeds=seeds))
+                assert compose(p, ctx) == compose(p, make_context(ctx.network, req, seeds=seeds))
 
 
 def direct_ok(provider, req, net, config):
@@ -306,23 +302,22 @@ class TestDynamicSplitting:
         assert (first.wait_s, second.wait_s) == pytest.approx((150.0, 150.0))
 
     def test_successful_dynamic_runs_respect_arrival_window(self, seeds):
-        net = synthetic_network(8, 80)
-        limits = ScenarioLimits(max_packages=6, max_package_weight_kg=2.0)
-        providers, requests = generate_scenario(8, net, 12, 10, limits, CapabilityRanges())
-        comp_cfg = CompositionConfig()
+        cfg = ExperimentConfig(
+            seed=8,
+            synthetic_nodes=80,
+            n_providers=12,
+            n_requests=10,
+            limits=ScenarioLimits(max_packages=6, max_package_weight_kg=2.0),
+        )
         checked = 0
-        for req in requests:
-            feasible = filter_providers(providers, req)
-            if not feasible:
-                continue
-            ctx = make_context(net, req, seeds=seeds, comp=comp_cfg)
+        for _req, feasible, ctx in composable_requests(cfg, seeds):
             for p in feasible:
                 if not p.swarm.dynamic:
                     continue
                 out, flown = compose_flown(p, ctx)
                 if out.success and len(flown) > 1:
                     checked += 1
-                    assert abs(flown[0].delivery_time - flown[1].delivery_time) <= comp_cfg.arrival_window_s
+                    assert abs(flown[0].delivery_time - flown[1].delivery_time) <= ctx.comp.arrival_window_s
         assert checked > 0
 
 
@@ -365,33 +360,30 @@ class TestSplitNeverFoldsBack:
 
 class TestCompositionInvariants:
     def _batch(self, seed, n_requests=8):
-        net = synthetic_network(seed, 70)
-        limits = ScenarioLimits(max_packages=5, max_package_weight_kg=2.0)
-        providers, requests = generate_scenario(seed, net, 10, n_requests, limits, CapabilityRanges())
-        seeds = Seeds.from_master(seed)
-        outcomes = []
-        for req in requests:
-            feasible = filter_providers(providers, req)
-            if not feasible:
-                continue
-            ctx = make_context(net, req, seeds=seeds)
+        cfg = ExperimentConfig(
+            seed=seed,
+            synthetic_nodes=70,
+            n_providers=10,
+            n_requests=n_requests,
+            limits=ScenarioLimits(max_packages=5, max_package_weight_kg=2.0),
+        )
+        for _req, feasible, ctx in composable_requests(cfg):
             for p in feasible:
-                outcomes.append((p, req, compose(p, ctx), net))
-        return outcomes
+                yield p, ctx, compose(p, ctx)
 
     def test_paths_terminate_and_reach_destination_on_success(self):
-        for provider, req, out, net in self._batch(15):
+        for provider, ctx, out in self._batch(15):
             for path in out.paths:
-                assert len(path) <= 2 * net.n_nodes
-                assert path[0] == req.source
+                assert len(path) <= 2 * ctx.network.n_nodes
+                assert path[0] == ctx.request.source
             if out.success:
-                assert all(path[-1] == req.destination for path in out.paths)
+                assert all(path[-1] == ctx.request.destination for path in out.paths)
 
     def test_evaluations_feed_execution_time(self):
         from skybroker.energy import execution_time_proxy
 
-        for provider, req, out, net in self._batch(16, n_requests=4):
-            expected = execution_time_proxy(out.evaluations, provider.swarm, EnergyModelConfig())
+        for provider, ctx, out in self._batch(16, n_requests=4):
+            expected = execution_time_proxy(out.evaluations, provider.swarm, ctx.energy)
             assert out.pqos.execution_time == pytest.approx(expected)
 
     def test_flexible_formation_never_worse_on_forced_path(self, seeds):
@@ -408,6 +400,35 @@ class TestCompositionInvariants:
         assert out_flex.pqos.energy <= out_fixed.pqos.energy + 1e-12
 
 
+class TestEvaluationSites:
+    def test_units_per_charge_site_on_smoke(self, monkeypatch):
+        """The units each of the three charge sites the composer's docstring
+        names adds on the smoke workload (seed 1), pinned per site, so a
+        refactor that moves work from one site to another fails here by name.
+        Together they are every evaluation the outcomes report."""
+        units = dict.fromkeys(("legs", "stops", "candidates"), 0)
+        leg_info, stop, score = composition._leg_info, composition._stop, composition.score_candidates
+
+        def counted_leg_info(state, *rest):
+            units["legs"] += len(state.loads)
+            return leg_info(state, *rest)
+
+        def counted_stop(state, energies, *rest):
+            units["stops"] += len(energies)
+            return stop(state, energies, *rest)
+
+        def counted_score(state, candidates, ctx):
+            units["candidates"] += len(candidates)
+            return score(state, candidates, ctx)
+
+        monkeypatch.setattr(composition, "_leg_info", counted_leg_info)
+        monkeypatch.setattr(composition, "_stop", counted_stop)
+        monkeypatch.setattr(composition, "score_candidates", counted_score)
+        _result, compositions = run_recorded(ExperimentConfig(seed=1, **WORKLOADS["smoke"].config))
+        assert units == {"legs": 1243, "stops": 50, "candidates": 58}
+        assert sum(units.values()) == sum(out.evaluations for _, _, out, _ in compositions)
+
+
 class TestEnergyConservation:
     @given(
         st.integers(0, 2**16),
@@ -421,23 +442,24 @@ class TestEnergyConservation:
         """Every drone of every finished sub-swarm holds its capacity less what
         it consumed plus what it purchased, and the outcome sums the
         sub-swarms, on a random network and on its dump loaded back alike."""
-        net = synthetic_network(seed, n_nodes, area_m=area_m)
-        loaded = load_network_dump(dump_network(net))
-        limits = ScenarioLimits(max_packages=5, max_package_weight_kg=2.0)
-        providers, requests = generate_scenario(seed, net, 6, 3, limits, CapabilityRanges())
-        energy = EnergyModelConfig(queue_draw_max=queue_draw_max)
-        comp_cfg = CompositionConfig(opportunistic_charge_threshold=threshold)
-        seeds = Seeds.from_master(seed)
-        for req in requests:
-            feasible = filter_providers(providers, req)
-            if not feasible:
-                continue
-            contexts = [make_context(network, req, energy, seeds, comp_cfg) for network in (net, loaded)]
+        cfg = ExperimentConfig(
+            seed=seed,
+            synthetic_nodes=n_nodes,
+            area_m=area_m,
+            n_providers=6,
+            n_requests=3,
+            limits=ScenarioLimits(max_packages=5, max_package_weight_kg=2.0),
+            energy=EnergyModelConfig(queue_draw_max=queue_draw_max),
+            composition=CompositionConfig(opportunistic_charge_threshold=threshold),
+        )
+        for req, feasible, ctx in composable_requests(cfg):
+            loaded = load_network_dump(dump_network(ctx.network))
+            contexts = [ctx, make_context(loaded, req, cfg.energy, Seeds.from_master(seed), cfg.composition)]
             for p in feasible:
                 outcomes = []
-                for ctx in contexts:
-                    out, flown = compose_flown(p, ctx)
-                    check_flown(p, comp_cfg, out, flown)
+                for context in contexts:
+                    out, flown = compose_flown(p, context)
+                    check_flown(p, cfg.composition, out, flown)
                     outcomes.append(out)
                 assert outcomes[0] == outcomes[1]
 
@@ -540,59 +562,38 @@ def recomputed_leg_info(state, a, b, ctx):
     return _Leg(node=b, length=length, energies=energies)
 
 
-def acceptance_requests(seed):
-    """The feasible providers and the request_context arguments of every
-    request of seed at the acceptance config that some provider can fly."""
-    cfg = ExperimentConfig(seed=seed)
-    net = build_network(cfg)
-    providers, requests = generate_scenario(seed, net, cfg.n_providers, cfg.n_requests, cfg.limits, cfg.ranges)
-    seeds = Seeds.from_master(seed)
-    for req in requests:
-        feasible = filter_providers(providers, req)
-        if not feasible:
-            continue
-        yield feasible, (net, req, cfg.energy, cfg.composition, seeds, shortest_path_tree(net, req.destination))
-
-
-def acceptance_compositions():
-    """(provider, context) for every feasible provider of every request of
-    seeds 1-3 at the acceptance config; a request's providers share one
-    context, as in the harness."""
-    calls = []
-    for seed in (1, 2, 3):
-        for feasible, args in acceptance_requests(seed):
-            ctx = request_context(*args)
-            calls += [(p, ctx) for p in feasible]
-    return calls
-
-
 class TestSharedContext:
-    def test_composition_order_changes_no_outcome(self):
+    def test_composition_order_changes_no_outcome(self, battery):
         """The context's wind memo holds pure draws, so a request's providers
-        composed in reverse order over one context get the outcomes they get
-        in filtered order."""
+        composed in reverse order over a fresh context get the outcomes the
+        acceptance battery's seed 1 got composing them in filtered order."""
         shared = 0
-        for feasible, args in acceptance_requests(1):
-            forward_ctx, reverse_ctx = request_context(*args), request_context(*args)
-            forward = [compose(p, forward_ctx) for p in feasible]
-            reverse = [compose(p, reverse_ctx) for p in reversed(feasible)]
-            assert forward == reverse[::-1]
-            shared += len(feasible) > 1
+        by_request = itertools.groupby(battery[1].compositions, key=lambda c: c[1].request.request_id)
+        for _request_id, group in by_request:
+            providers, contexts, forward, _flown = zip(*group)
+            wind = contexts[0].wind
+            ctx = dataclasses.replace(contexts[0], wind=WindField(wind.seed, wind.slice_s))
+            reverse = [compose(p, ctx) for p in reversed(providers)]
+            assert list(forward) == reverse[::-1]
+            shared += len(providers) > 1
         assert shared > 0
 
 
 class TestMemoisedPhysics:
-    def test_memos_change_no_outcome(self, monkeypatch):
-        sample = acceptance_compositions()
-        shipped = [compose_flown(p, ctx) for p, ctx in sample]
+    def test_memos_change_no_outcome(self, battery, monkeypatch):
+        """Every composition of the acceptance battery's seeds 1-3, composed
+        again without the memos, gets the outcome and energy ledger the
+        battery recorded."""
+        sample = [c for seed in RECORDED_SEEDS for c in battery[seed].compositions]
+        assert len(sample) == 1899
+        assert any(len(out.paths) > 1 for _, _, out, _ in sample)
         monkeypatch.setattr(composition, "_leg_info", recomputed_leg_info)
-        recomputed = [compose_flown(p, ctx) for p, ctx in sample]
 
         def ledger(flown):
             return [(sub.held, sub.consumed, sub.purchased) for sub in flown]
 
-        assert any(len(out.paths) > 1 for out, _ in shipped)
-        for (got, got_flown), (want, want_flown) in zip(shipped, recomputed, strict=True):
+        for provider, ctx, want, want_flown in sample:
+            got, got_flown = compose_flown(provider, ctx)
             assert got == want
             assert ledger(got_flown) == ledger(want_flown)
 

@@ -2,32 +2,39 @@
 
 Three benchmark configs take their configs and sha256 digests from
 brokerbench/workloads.py and brokerbench/expected.json; this test only reads
-them. Four more configs are pinned in one table below: two pruned ones, one
-with rising position factors and one that charges at most stops.
-per_request.csv carries execution_time and proxy_time, so the digests also pin
-the evaluation cost model. sweep is the config that pins candidate scoring's charging estimates:
+them. The sweep config is the acceptance battery's, so the sweep digests are
+taken from the outputs of the battery's seed 1 run (the ``battery`` fixture of
+conftest.py), once the two configs are checked to be equal. Four more configs
+are pinned in one table below: two pruned ones, one with rising position
+factors and one that charges at most stops. per_request.csv carries
+execution_time and proxy_time, so the digests also pin the evaluation cost
+model. sweep is the config that pins candidate scoring's charging estimates:
 pricing the estimated top-up at the drawn queue instead of the expected one
 leaves the smoke and short_hop bytes unchanged but not the sweep ones.
 """
 
 import hashlib
 import json
-import runpy
-from pathlib import Path
 
 import pytest
 
 from skybroker.config import CompositionConfig, EnergyModelConfig
-from skybroker.harness import ExperimentConfig, run_experiment
+from skybroker.harness import ExperimentConfig, run_experiment, write_outputs
 
-BENCH = Path(__file__).resolve().parent.parent / "brokerbench"
-WORKLOADS = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
+from conftest import BENCH, WORKLOADS
+
 EXPECTED = json.loads((BENCH / "expected.json").read_text())
 
 
 @pytest.mark.parametrize("workload", ["smoke", "short_hop", "sweep"])
-def test_seed_one_outputs_match_pinned_digests(workload, tmp_path):
-    run_experiment(ExperimentConfig(seed=1, **WORKLOADS[workload].config), tmp_path)
+def test_seed_one_outputs_match_pinned_digests(workload, tmp_path, request):
+    config = ExperimentConfig(seed=1, **WORKLOADS[workload].config)
+    if workload == "sweep":
+        run = request.getfixturevalue("battery")[1]
+        assert run.config == config
+        write_outputs(run.result, tmp_path)
+    else:
+        run_experiment(config, tmp_path)
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in EXPECTED[workload]["1"]

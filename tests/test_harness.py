@@ -453,6 +453,10 @@ class TestCli:
         net = load_network_dump(out.read_text())
         assert net.n_nodes == 25
 
+    def test_synth_network_zero_area_is_a_one_line_error(self, tmp_path, capsys):
+        assert cli_main(["synth-network", "--nodes", "20", "--area", "0", "--out", str(tmp_path / "net.json")]) == 2
+        assert capsys.readouterr().err == "skybroker: error: area_m must be positive and finite, got 0.0\n"
+
     def test_run_accepts_config_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"energy": {"charge_rate_w": 250.0}, "composition": {"progress_weight": 0.3}}))

@@ -463,6 +463,11 @@ class TestSyntheticNetwork:
         with pytest.raises(ValueError, match="k_nearest"):
             synthetic_network(1, 10, k_nearest=-1)
 
+    @pytest.mark.parametrize("area_m", [0.0, -5.0, math.nan, math.inf])
+    def test_area_not_positive_and_finite_rejected(self, area_m):
+        with pytest.raises(ValueError, match="area_m"):
+            synthetic_network(1, 10, area_m=area_m)
+
     def test_segment_lengths_euclidean(self):
         net = synthetic_network(3, 40)
         for seg in net.segments:
