@@ -120,7 +120,7 @@ def _synth_command(args: argparse.Namespace) -> int:
         area_m=args.area,
     )
     args.out.write_text(dump_network(network) + "\n")
-    print(f"wrote {args.out} ({network.n_nodes} nodes, {len(network.segments)} segments)")
+    print(f"wrote {args.out} ({network.n_nodes} nodes, {len(network.edges())} segments)")
     return 0
 
 

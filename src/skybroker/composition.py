@@ -72,7 +72,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .config import CompositionConfig, EnergyModelConfig, Seeds, mix64
-from .domain import DeliveryRequest, Provider, QosVector, assign_packages, normalize_lower_better
+from .domain import DeliveryRequest, Provider, QosVector, assign_packages, normalize_lower_better, total
 from .energy import (
     NodeService,
     WindField,
@@ -424,7 +424,7 @@ def score_candidates(
         arrive = _estimate_arrival_service(state, leg, ctx)
         travel = leg.length / state.provider.swarm.speed
         dt_col.append(depart.charge_s + depart.wait_s + travel + arrive.charge_s + arrive.wait_s)
-        ec_col.append(sum(leg.energies))
+        ec_col.append(total(leg.energies))
         cost_col.append(
             depart.cost + arrive.cost + ctx.comp.operating_cost_per_km * leg.length / 1000.0
         )
@@ -541,11 +541,11 @@ def compose(provider: Provider, ctx: RequestContext) -> CompositionOutcome:
     finished = fly(_launch(provider, ctx), ctx)
     delivery_times = [s.delivery_time for s in finished]
     spread = max(delivery_times) - min(delivery_times)
-    evaluations = sum(s.evaluations for s in finished)
+    evaluations = total(s.evaluations for s in finished)
     pqos = QosVector(
         delivery_time=max(delivery_times),
-        energy=sum(e for s in finished for e in s.consumed),
-        cost=sum(s.cost for s in finished),
+        energy=total(e for s in finished for e in s.consumed),
+        cost=total(s.cost for s in finished),
         execution_time=execution_time_proxy(evaluations, provider.swarm, ctx.energy),
     )
     return CompositionOutcome(

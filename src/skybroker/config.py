@@ -180,6 +180,21 @@ def _section_kwargs(cls: type, data: object, section: str) -> dict:
     return dict(data)
 
 
+def _malformed(name: str, problem: str) -> ConfigurationError:
+    return ConfigurationError(f"energy config factor tables are malformed: {name} {problem}")
+
+
+def _factor_row(value: object, name: str) -> tuple[float, ...]:
+    """One factor table row of a config file: a JSON array of numbers, as floats.
+    Bools, strings and numbers too large for a float are refused."""
+    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+        try:
+            return tuple(float(v) for v in value)
+        except OverflowError:
+            pass
+    raise _malformed(name, f"must be a JSON array of numbers, got {value!r}")
+
+
 def load_config_file(path: str | Path) -> tuple[EnergyModelConfig, CompositionConfig]:
     """Load overrides from a JSON file with optional "energy"/"composition" sections."""
     data = json.loads(Path(path).read_text())
@@ -189,16 +204,19 @@ def load_config_file(path: str | Path) -> tuple[EnergyModelConfig, CompositionCo
     if unknown:
         raise ConfigurationError(f"unknown config sections: {sorted(unknown)}")
     kwargs = _section_kwargs(EnergyModelConfig, data.get("energy", {}), "energy")
-    try:
-        if "formation_factors" in kwargs:
-            kwargs["formation_factors"] = {
-                Formation(name): tuple(float(v) for v in row)
-                for name, row in kwargs["formation_factors"].items()
-            }
-        if "position_factors" in kwargs:
-            kwargs["position_factors"] = tuple(float(v) for v in kwargs["position_factors"])
-    except (AttributeError, TypeError) as exc:
-        raise ConfigurationError(f"energy config factor tables are malformed: {exc}") from None
+    if "formation_factors" in kwargs:
+        table = kwargs["formation_factors"]
+        if not isinstance(table, dict):
+            raise _malformed("formation_factors", f"must be a JSON object of formation names to arrays, got {table!r}")
+        names = [f.value for f in FORMATIONS]
+        for name in table:
+            if name not in names:
+                raise _malformed(f"formation_factors[{name}]", f"is not a formation; expected one of {', '.join(names)}")
+        kwargs["formation_factors"] = {
+            Formation(name): _factor_row(row, f"formation_factors[{name}]") for name, row in table.items()
+        }
+    if "position_factors" in kwargs:
+        kwargs["position_factors"] = _factor_row(kwargs["position_factors"], "position_factors")
     energy = EnergyModelConfig(**kwargs)
     composition = CompositionConfig(**_section_kwargs(CompositionConfig, data.get("composition", {}), "composition"))
     return energy, composition

@@ -6,7 +6,9 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from functools import reduce
+from operator import add
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .network import SkywayNetwork
@@ -102,6 +104,13 @@ class Provider:
     partnership: Partnership
 
 
+def total(values: Iterable[float]) -> float:
+    """The left-to-right sum of values from int 0: ints stay ints, and floats
+    round at each addition as the builtin sum() does up to Python 3.11. From
+    3.12 sum() compensates float rounding, which would change the outputs."""
+    return reduce(add, values, 0)
+
+
 def normalize_weights(raw: Mapping[str, float]) -> dict[str, float]:
     """Normalize preference weights over the four QoS metrics to sum to one.
 
@@ -114,12 +123,12 @@ def normalize_weights(raw: Mapping[str, float]) -> dict[str, float]:
     values = {m: float(raw.get(m, 0.0)) for m in QOS_METRICS}
     if any(v < 0 for v in values.values()):
         raise ValueError("QoS weights must be non-negative")
-    total = sum(values.values())
-    if total <= 0:
+    weight = total(values.values())
+    if weight <= 0:
         raise ValueError("at least one QoS weight must be positive")
-    if abs(total - 1.0) <= 1e-12:
+    if abs(weight - 1.0) <= 1e-12:
         return values
-    return {m: v / total for m, v in values.items()}
+    return {m: v / weight for m, v in values.items()}
 
 
 def normalize_lower_better(values: Sequence[float]) -> list[float]:

@@ -11,7 +11,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .config import WIND_SECTORS, EnergyModelConfig, mix64, unit_draw
-from .domain import FORMATIONS, TIERS, Formation, Partnership, Swarm
+from .domain import FORMATIONS, TIERS, Formation, Partnership, Swarm, total
 from .network import SkywayNode
 
 TWO_PI = 2.0 * math.pi
@@ -157,7 +157,7 @@ def node_service_time(
     charge_s = 3600.0 * max(charging) / config.charge_rate_w
     wait_s = exogenous_wait + (batch_makespan - charge_s)
 
-    energy_wh = sum(charging)
+    energy_wh = total(charging)
     if node.station_owner == partnership.charging_provider_id:
         price = TIERS[partnership.tier].price_per_kwh
     else:

@@ -48,6 +48,7 @@ from .domain import (
     Provider,
     ScenarioLimits,
     generate_scenario,
+    total,
 )
 from .network import (
     SkywayNetwork,
@@ -250,7 +251,7 @@ def _process_request(
     rows = []
     for strategy, k, cohort, scoring_ops in cohorts:
         cohort_outcomes = [outcomes[p.provider_id] for p in cohort]
-        proxy = scoring_ops + sum(o.evaluations for o in cohort_outcomes)
+        proxy = scoring_ops + total(o.evaluations for o in cohort_outcomes)
         cohort_pqos = {o.provider_id: o.pqos for o in cohort_outcomes if o.success}
         if not cohort_pqos:
             continue
@@ -360,8 +361,8 @@ def aggregate(rows: Sequence[Mapping]) -> tuple[list[dict], dict[str, float | No
         sats = [r["satisfaction"] for r in members]
         proxies = [r["proxy_time"] for r in members]
         per_request = {r["request_id"]: r for r in members}
-        total = sum(r["cohort_size"] for r in per_request.values())
-        failed = sum(r["cohort_size"] - r["cohort_successes"] for r in per_request.values())
+        composed = total(r["cohort_size"] for r in per_request.values())
+        failed = total(r["cohort_size"] - r["cohort_successes"] for r in per_request.values())
         summary.append(
             {
                 "seed": members[0].get("seed", 0),
@@ -373,7 +374,7 @@ def aggregate(rows: Sequence[Mapping]) -> tuple[list[dict], dict[str, float | No
                 "std_satisfaction": statistics.pstdev(sats),
                 "mean_proxy_time": statistics.fmean(proxies),
                 "mean_recommend_ops": statistics.fmean([r["recommend_ops"] for r in members]),
-                "failure_rate": failed / total if total else 0.0,
+                "failure_rate": failed / composed if composed else 0.0,
             }
         )
 

@@ -1,7 +1,9 @@
 """Skyway network graph, region grid, per-company density heatmaps, dataset ingestion.
 
 Networks are immutable after construction and safe to share across parallel
-per-provider compositions.
+per-provider compositions. A network's one store of its segments is its
+adjacency: each node's (neighbour, length) pairs in ascending neighbour id.
+Components, the dump and the edge list are all derived from it.
 """
 
 from __future__ import annotations
@@ -36,19 +38,6 @@ class SkywayNode:
             raise ValueError(f"node {self.node_id}: pad_count must be at least 1")
 
 
-@dataclass(frozen=True)
-class SkywaySegment:
-    a: int
-    b: int
-    length: float  # meters
-
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError(f"segment endpoints must differ (node {self.a})")
-        if not 0 < self.length < math.inf:
-            raise ValueError(f"segment ({self.a}, {self.b}): length must be positive and finite")
-
-
 class SkywayNetwork:
     """Undirected geometric graph of charging-station rooftops and line-of-sight segments.
 
@@ -72,24 +61,22 @@ class SkywayNetwork:
                 if end not in self.nodes:
                     raise ValueError(f"segment references unknown node {end}")
             pairs.add((a, b))
-        segments = []
-        for a, b in sorted(pairs):
-            na, nb = self.nodes[a], self.nodes[b]
-            segments.append(SkywaySegment(a, b, math.hypot(na.x - nb.x, na.y - nb.y)))
-        self.segments: tuple[SkywaySegment, ...] = tuple(segments)
+        # taken in sorted order, the pairs fill every neighbour list in
+        # ascending neighbour id
         adjacency: dict[int, list[tuple[int, float]]] = {nid: [] for nid in self.nodes}
-        for seg in self.segments:
-            adjacency[seg.a].append((seg.b, seg.length))
-            adjacency[seg.b].append((seg.a, seg.length))
-        self._adjacency = {nid: tuple(sorted(nbrs)) for nid, nbrs in adjacency.items()}
+        for a, b in sorted(pairs):
+            if a == b:
+                raise ValueError(f"segment endpoints must differ (node {a})")
+            na, nb = self.nodes[a], self.nodes[b]
+            length = math.hypot(na.x - nb.x, na.y - nb.y)
+            if not 0 < length < math.inf:
+                raise ValueError(f"segment ({a}, {b}): length must be positive and finite")
+            adjacency[a].append((b, length))
+            adjacency[b].append((a, length))
+        self._adjacency = {nid: tuple(nbrs) for nid, nbrs in adjacency.items()}
         self.charging_providers: tuple[int, ...] = tuple(
             sorted({n.station_owner for n in self.nodes.values()})
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SkywayNetwork):
-            return NotImplemented
-        return self.nodes == other.nodes and self.segments == other.segments
 
     @property
     def n_nodes(self) -> int:
@@ -100,6 +87,10 @@ class SkywayNetwork:
 
     def neighbors(self, node_id: int) -> tuple[tuple[int, float], ...]:
         return self._adjacency[node_id]
+
+    def edges(self) -> list[tuple[int, int]]:
+        """The segments as sorted (a, b) pairs with a < b."""
+        return [(a, b) for a, nbrs in sorted(self._adjacency.items()) for b, _ in nbrs if a < b]
 
     def length(self, a: int, b: int) -> float:
         for nbr, length in self._adjacency[a]:
@@ -113,44 +104,39 @@ class SkywayNetwork:
         return math.atan2(nb.y - na.y, nb.x - na.x)
 
     def components(self) -> list[set[int]]:
-        """Connected components, ordered by their smallest node id."""
-        adjacency = {v: [nbr for nbr, _ in nbrs] for v, nbrs in self._adjacency.items()}
-        return _components(sorted(self.nodes), adjacency)
+        """Connected components by depth-first search, ordered by their smallest node id."""
+        seen: set[int] = set()
+        comps = []
+        for start in sorted(self._adjacency):
+            if start in seen:
+                continue
+            comp = {start}
+            stack = [start]
+            while stack:
+                for nbr, _ in self._adjacency[stack.pop()]:
+                    if nbr not in comp:
+                        comp.add(nbr)
+                        stack.append(nbr)
+            seen |= comp
+            comps.append(comp)
+        return comps
 
 
-def _components(ids: Iterable[int], neighbours: Mapping[int, Iterable[int]]) -> list[set[int]]:
-    """Connected components by depth-first search, in the order of their first
-    node in ids."""
-    seen: set[int] = set()
-    comps = []
-    for start in ids:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for nbr in neighbours[stack.pop()]:
-                if nbr not in comp:
-                    comp.add(nbr)
-                    stack.append(nbr)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
-def _parse_fields(line: str, line_no: int, n_fields: int, what: str) -> list[str]:
-    parts = line.split()
-    if len(parts) != n_fields:
-        raise ParseError(f"{what} line {line_no}: expected {n_fields} fields, got {len(parts)}: {line!r}")
-    return parts
-
-
-def _iter_lines(stream: Iterable[str]) -> Iterator[tuple[int, str]]:
+def _records(stream: Iterable[str], what: str, types: tuple[type, ...]) -> Iterator[tuple[int, list]]:
+    """(line number, fields converted by types) for each record of one text
+    input, skipping blank lines and # comments."""
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield line_no, line
+        parts = line.split()
+        if len(parts) != len(types):
+            raise ParseError(f"{what} line {line_no}: expected {len(types)} fields, got {len(parts)}: {line!r}")
+        try:
+            fields = [convert(part) for convert, part in zip(types, parts)]
+        except ValueError as exc:
+            raise ParseError(f"{what} line {line_no}: {exc}") from None
+        yield line_no, fields
 
 
 def load_network(
@@ -168,12 +154,7 @@ def load_network(
     Disconnected inputs keep the largest connected component with a warning.
     """
     positions: dict[int, tuple[float, float]] = {}
-    for line_no, line in _iter_lines(coords):
-        parts = _parse_fields(line, line_no, 3, "coords")
-        try:
-            nid, x, y = int(parts[0]), float(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"coords line {line_no}: {exc}") from None
+    for line_no, (nid, x, y) in _records(coords, "coords", (int, float, float)):
         if nid in positions:
             raise ParseError(f"coords line {line_no}: duplicate node {nid}")
         positions[nid] = (x, y)
@@ -181,12 +162,7 @@ def load_network(
         raise ParseError("empty network: no coordinates given")
 
     station_info: dict[int, tuple[int, int]] = {}
-    for line_no, line in _iter_lines(stations):
-        parts = _parse_fields(line, line_no, 3, "stations")
-        try:
-            nid, owner, pads = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"stations line {line_no}: {exc}") from None
+    for line_no, (nid, owner, pads) in _records(stations, "stations", (int, int, int)):
         if nid not in positions:
             raise ParseError(f"stations line {line_no}: node {nid} has no coordinates")
         if nid in station_info:
@@ -197,12 +173,7 @@ def load_network(
         raise ParseError(f"node {missing[0]} has no station record")
 
     edges: list[tuple[int, int]] = []
-    for line_no, line in _iter_lines(edge_list):
-        parts = _parse_fields(line, line_no, 2, "edge list")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"edge list line {line_no}: {exc}") from None
+    for line_no, (a, b) in _records(edge_list, "edge list", (int, int)):
         for end in (a, b):
             if end not in positions:
                 raise ParseError(f"edge list line {line_no}: node {end} has no coordinates")
@@ -234,7 +205,7 @@ def _largest_component(network: SkywayNetwork) -> SkywayNetwork:
     )
     return SkywayNetwork(
         [n for n in network.nodes.values() if n.node_id in keep],
-        [(s.a, s.b) for s in network.segments if s.a in keep],
+        [(a, b) for a, b in network.edges() if a in keep],
     )
 
 
@@ -245,7 +216,7 @@ def dump_network(network: SkywayNetwork) -> str:
             [n.node_id, n.x, n.y, n.station_owner, n.pad_count]
             for n in sorted(network.nodes.values(), key=lambda n: n.node_id)
         ],
-        "edges": [[s.a, s.b] for s in network.segments],
+        "edges": network.edges(),
     }
     return json.dumps(payload, separators=(",", ":"))
 
@@ -479,24 +450,22 @@ def synthetic_network(
         (xa, ya), (xb, yb) = positions[a], positions[b]
         return (xa - xb) ** 2 + (ya - yb) ** 2
 
-    edges: set[tuple[int, int]] = set()
     ids = sorted(positions)
-    for nid in ids:
-        nearest = heapq.nsmallest(k_nearest, ((d2(nid, other), other) for other in ids if other != nid))
-        for _, other in nearest:
-            edges.add((min(nid, other), max(nid, other)))
+    edges = [
+        (nid, other)
+        for nid in ids
+        for _, other in heapq.nsmallest(k_nearest, ((d2(nid, other), other) for other in ids if other != nid))
+    ]
+    nodes = [SkywayNode(nid, positions[nid][0], positions[nid][1], owners[nid], pads[nid]) for nid in ids]
+    network = SkywayNetwork(nodes, edges)
+    base, *rest = network.components()
+    if not rest:
+        return network
 
     # stitch the other components one by one onto the first (the one holding
     # the smallest id), each time through the closest cross pair
-    adjacency: dict[int, list[int]] = {nid: [] for nid in ids}
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    base, *rest = _components(ids, adjacency)
     while rest:
         _, a, b = min((d2(a, b), a, b) for a in base for comp in rest for b in comp)
         base |= rest.pop(next(i for i, comp in enumerate(rest) if b in comp))
-        edges.add((min(a, b), max(a, b)))
-
-    nodes = [SkywayNode(nid, positions[nid][0], positions[nid][1], owners[nid], pads[nid]) for nid in ids]
+        edges.append((a, b))
     return SkywayNetwork(nodes, edges)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from .domain import TIERS, DeliveryRequest, Provider, normalize_lower_better
+from .domain import TIERS, DeliveryRequest, Provider, normalize_lower_better, total
 from .network import RegionGrid, t_shortest_region_paths
 
 STRATEGIES = ("brute", "capabilities", "density")
@@ -39,15 +39,7 @@ def capabilities_scores(cohort: Sequence[Provider]) -> dict[int, float]:
     """
     # negated, the capabilities are lower-is-better
     columns = [normalize_lower_better([-v for v in column]) for column in zip(*map(_axes, cohort))]
-    scores = {}
-    for provider, row in zip(cohort, zip(*columns)):
-        # a running total, not sum(): from Python 3.12 sum() of floats is
-        # compensated and rounds differently
-        total = 0.0
-        for value in row:
-            total += value
-        scores[provider.provider_id] = total / 4.0
-    return scores
+    return {provider.provider_id: total(row) / 4.0 for provider, row in zip(cohort, zip(*columns))}
 
 
 def density_scores(
@@ -64,7 +56,7 @@ def density_scores(
     # rounding is monotone, so scaling the best sum by non-negative factors
     # gives the same float as the best of the per-path products
     best = {
-        company: max((sum(density[cell] for cell in path) for path in region_paths), default=0.0)
+        company: max((total(density[cell] for cell in path) for path in region_paths), default=0.0)
         for company, density in heatmaps.items()
     }
     caps = capabilities_scores(cohort)
@@ -122,7 +114,7 @@ def select_cohort(
         source_cell = grid.cell_of[request.source]
         dest_cell = grid.cell_of[request.destination]
         paths = t_shortest_region_paths(grid, source_cell, dest_cell, t)
-        path_cells = sum(len(p) for p in paths)
+        path_cells = total(len(p) for p in paths)
         scores = density_scores(filtered, paths, heatmaps)
         ops = path_cells * (1 + len(heatmaps)) + 6 * len(filtered)
     else:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .domain import QOS_METRICS, QosVector, normalize_lower_better
+from .domain import QOS_METRICS, QosVector, normalize_lower_better, total
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def instant_runoff(ballots: Sequence[Ballot], rng_seed: int) -> ElectionResult:
     candidates = _candidates(ballots)
     rng = random.Random(rng_seed)
     active = set(candidates)
-    total_weight = sum(b.weight for b in ballots)
+    total_weight = total(b.weight for b in ballots)
     ops = 0
     while True:
         tallies = {c: 0.0 for c in sorted(active)}
@@ -128,13 +128,18 @@ def borda(ballots: Sequence[Ballot]) -> ElectionResult:
 def pairwise_preferences(ballots: Sequence[Ballot]) -> dict[tuple[int, int], float]:
     """Total ballot weight preferring a over b, for every ordered pair (a, b)."""
     candidates = _candidates(ballots)
-    # each ballot's rank positions, with weights summed in ballot order
+    # each ballot's rank positions; weights are added in ballot order
     ranks = [(ballot.weight, {c: i for i, c in enumerate(ballot.ranking)}) for ballot in ballots]
     prefs: dict[tuple[int, int], float] = {}
     for i, a in enumerate(candidates):
         for b in candidates[i + 1 :]:
-            prefs[(a, b)] = sum(weight for weight, pos in ranks if pos[a] < pos[b])
-            prefs[(b, a)] = sum(weight for weight, pos in ranks if pos[b] < pos[a])
+            a_over_b = b_over_a = 0
+            for weight, pos in ranks:
+                if pos[a] < pos[b]:
+                    a_over_b += weight
+                else:
+                    b_over_a += weight
+            prefs[(a, b)], prefs[(b, a)] = a_over_b, b_over_a
     return prefs
 
 

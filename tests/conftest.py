@@ -35,7 +35,7 @@ def unit_energy_config(**overrides) -> EnergyModelConfig:
 
 def network_to_streams(network: SkywayNetwork) -> tuple[str, str, str]:
     """Render a network back into the (edge list, coords, stations) text form."""
-    edges = "\n".join(f"{s.a} {s.b}" for s in network.segments) + "\n"
+    edges = "\n".join(f"{a} {b}" for a, b in network.edges()) + "\n"
     ordered = sorted(network.nodes.values(), key=lambda n: n.node_id)
     coords = "\n".join(f"{n.node_id} {n.x!r} {n.y!r}" for n in ordered) + "\n"
     stations = "\n".join(f"{n.node_id} {n.station_owner} {n.pad_count}" for n in ordered) + "\n"

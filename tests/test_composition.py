@@ -170,8 +170,8 @@ class TestCanReachDirectly:
             state = _launch(provider, ctx)
 
             graph = nx.Graph()
-            for seg in net.segments:
-                graph.add_edge(seg.a, seg.b, weight=seg.length)
+            for a, b in net.edges():
+                graph.add_edge(a, b, weight=net.length(a, b))
             path = nx.dijkstra_path(graph, source, dest)
             wind = WindField(seeds.wind, config.wind_slice_s)
             totals = [0.0] * len(state.loads)
@@ -242,8 +242,8 @@ class TestNodeValue:
         ranked = score_candidates(state, candidates, ctx)
 
         graph = nx.Graph()
-        for seg in net.segments:
-            graph.add_edge(seg.a, seg.b, weight=seg.length)
+        for a, b in net.edges():
+            graph.add_edge(a, b, weight=net.length(a, b))
         remaining = nx.single_source_dijkstra_path_length(graph, dest)
         wind = WindField(seeds.wind, config.wind_slice_s)
 

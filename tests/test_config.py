@@ -144,3 +144,48 @@ class TestConfigFile:
         path.write_text(json.dumps({"turbo": {}}))
         with pytest.raises(ConfigurationError, match="unknown config sections"):
             load_config_file(path)
+
+    @pytest.mark.parametrize(
+        "energy, field",
+        [
+            ({"position_factors": "1234"}, "position_factors"),
+            ({"position_factors": "abc"}, "position_factors"),
+            ({"position_factors": {"a": 1}}, "position_factors"),
+            ({"position_factors": [True, 1, 1, 1, 1]}, "position_factors"),
+            ({"position_factors": ["1.0"]}, "position_factors"),
+            ({"position_factors": [[1.0]]}, "position_factors"),
+            ({"formation_factors": {"bogus": [1.0] * 8}}, "formation_factors[bogus]"),
+            ({"formation_factors": [[1.0] * 8] * 5}, "formation_factors"),
+            ({"formation_factors": {**formation_table(1.0), "vee": [1.0] * 7 + [False]}}, "formation_factors[vee]"),
+            ({"formation_factors": {**formation_table(1.0), "column": "11111111"}}, "formation_factors[column]"),
+        ],
+        ids=[
+            "digit_string",
+            "string",
+            "object",
+            "bool_entry",
+            "numeric_string_entry",
+            "nested_array",
+            "unknown_formation",
+            "formation_array",
+            "formation_bool_entry",
+            "formation_string_row",
+        ],
+    )
+    def test_malformed_factor_tables_are_refused_naming_the_field(self, tmp_path, energy, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"energy": energy}))
+        with pytest.raises(ConfigurationError) as refused:
+            load_config_file(path)
+        message = str(refused.value)
+        assert f"factor tables are malformed: {field} " in message
+        assert "\n" not in message
+
+    def test_factor_tables_take_ints_as_floats(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        table = {f.value: [1] * 8 for f in Formation}
+        path.write_text(json.dumps({"energy": {"position_factors": [1, 0.9], "formation_factors": table}}))
+        energy, _ = load_config_file(path)
+        assert energy.position_factors == (1.0, 0.9)
+        assert energy.formation_factors[Formation.VEE] == (1.0,) * 8
+        assert all(type(v) is float for v in energy.position_factors + energy.formation_factors[Formation.VEE])

@@ -13,8 +13,12 @@ pricing the estimated top-up at the drawn queue instead of the expected one
 leaves the smoke and short_hop bytes unchanged but not the sweep ones.
 """
 
+import builtins
 import hashlib
 import json
+import math
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -40,6 +44,45 @@ def test_seed_one_outputs_match_pinned_digests(workload, tmp_path, request):
         for name in EXPECTED[workload]["1"]
     }
     assert digests == EXPECTED[workload]["1"]
+
+
+def compensated_sum(iterable, /, start=0):
+    """A model of the builtin sum() of CPython 3.12 and later: exact on ints,
+    and once the running total is a float, each float is added with Neumaier
+    compensation, which joins the total at the end."""
+    result, compensation = start, 0.0
+    for item in iterable:
+        if type(result) is float and type(item) is float:
+            t = result + item
+            if abs(result) >= abs(item):
+                compensation += (result - t) + item
+            else:
+                compensation += (item - t) + result
+            result = t
+        else:
+            result = result + item
+    if type(result) is float and compensation and math.isfinite(compensation):
+        result += compensation
+    return result
+
+
+def test_compensated_sum_model_rounds_unlike_a_left_fold():
+    tenths = [0.1] * 10
+    assert compensated_sum(tenths) == 1.0
+    assert reduce(add, tenths, 0) == 0.9999999999999999
+    assert compensated_sum([1, 2, 3]) == 6 and type(compensated_sum([1, 2, 3])) is int
+
+
+def test_smoke_outputs_keep_their_bytes_under_compensated_sum(monkeypatch, tmp_path):
+    """Float totals are left folds, so the output bytes do not depend on
+    whether the running CPython compensates sum() of floats, as 3.12 does."""
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    run_experiment(ExperimentConfig(seed=1, **WORKLOADS["smoke"].config), tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in EXPECTED["smoke"]["1"]
+    }
+    assert digests == EXPECTED["smoke"]["1"]
 
 
 # Configs pinned here, by name: (config, sha256 of each output file).

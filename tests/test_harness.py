@@ -346,7 +346,7 @@ class TestBuildNetwork:
         path = tmp_path / "net.json"
         path.write_text(dump_network(net))
         cfg = small_config(network_path=str(path), synthetic_nodes=None)
-        assert build_network(cfg) == net
+        assert dump_network(build_network(cfg)) == dump_network(net)
 
     def test_from_text_triple(self, tmp_path):
         net = synthetic_network(3, 30)
@@ -359,7 +359,7 @@ class TestBuildNetwork:
             coords_path=str(tmp_path / "coords"),
             stations_path=str(tmp_path / "stations"),
         )
-        assert build_network(cfg) == net
+        assert dump_network(build_network(cfg)) == dump_network(net)
 
     def test_triple_must_be_complete(self, tmp_path):
         cfg = small_config(synthetic_nodes=None, edges_path=str(tmp_path / "edges"))
@@ -445,6 +445,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("skybroker: error: ") and message in err
         assert err.count("\n") == 1
+
+    def test_unknown_formation_in_config_is_a_one_line_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"energy": {"formation_factors": {"bogus": [1.0] * 8}}}))
+        assert cli_main(["run", "--synthetic", "20", "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err == (
+            "skybroker: error: energy config factor tables are malformed: formation_factors[bogus] "
+            "is not a formation; expected one of vee, diamond, front, echelon, column\n"
+        )
 
     def test_synth_network_round_trips(self, tmp_path, capsys):
         out = tmp_path / "net.json"

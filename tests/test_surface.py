@@ -1,10 +1,14 @@
-"""The library's public surface: where defaults live.
+"""The library's public surface: where defaults live, and how totals add.
 
 A default lives in one place, the config dataclass field the pipeline reads
 (``ExperimentConfig``, ``EnergyModelConfig``, ``CompositionConfig``,
 ``ScenarioLimits``, ``CapabilityRanges``). Functions take their inputs
 explicitly, so a parameter default in ``src/`` is either on the list below or a
 second home for a value that can drift from the config's.
+
+Totals go through ``domain.total``, a left fold: from Python 3.12 the builtin
+``sum()`` of floats is compensated and rounds differently, so one float total
+through it changes the output bytes with the interpreter.
 """
 
 import ast
@@ -57,6 +61,27 @@ def test_only_allowlisted_parameter_defaults():
 def test_scan_sees_every_kind_of_default():
     source = "def f(a, b=1, *, c=2, d): pass\nclass K:\n    def g(self, e=None): pass\ng = lambda h=0: h\n"
     assert defaulted_parameters(source) == {("f", "b"), ("f", "c"), ("g", "e"), ("<lambda>", "h")}
+
+
+def sum_references(source: str) -> list[int]:
+    """Line numbers of every use of the name sum in source."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name) and node.id == "sum"
+    )
+
+
+def test_no_module_uses_the_builtin_sum():
+    found = {}
+    for path in sorted(Path(skybroker.__file__).parent.glob("*.py")):
+        lines = sum_references(path.read_text())
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def test_sum_scan_sees_calls_and_references():
+    source = "a = sum(x)\nb = map(sum, rows)\nc = rows.sum()\nd = total(x)\n"
+    assert sum_references(source) == [1, 2]
 
 
 def test_experiment_limits_are_the_scenario_defaults():
