@@ -1,13 +1,14 @@
-"""Configuration dataclasses, defaults and deterministic seed derivation."""
+"""Configuration dataclasses with their defaults and field rules, and deterministic seed derivation."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .domain import FORMATIONS, Formation
 
@@ -16,6 +17,37 @@ _MASK64 = (1 << 64) - 1
 
 class ConfigurationError(ValueError):
     pass
+
+
+def rule(text: str, holds: Callable[[float], bool]) -> dict:
+    """Field metadata for ``check_fields``: a value must be ``text``, which
+    ``holds(value)`` tests."""
+    return {"rule": (text, holds)}
+
+
+POSITIVE = rule("positive", lambda v: v > 0)
+NON_NEGATIVE = rule("non-negative", lambda v: v >= 0)
+
+
+def check_fields(config: object, section: str) -> None:
+    """Check every field of a config dataclass that declares a rule: its value
+    (each entry, for a tuple field) must be a finite number of its default's
+    type, never a bool (a float field also takes an int, kept as it is), and
+    the rule must hold. Raises a one-line ConfigurationError naming the section
+    and the field."""
+    for f in dataclasses.fields(config):
+        if "rule" not in f.metadata:
+            continue
+        text, holds = f.metadata["rule"]
+        many = isinstance(f.default, tuple)
+        kind = type(f.default[0] if many else f.default)
+        value = getattr(config, f.name)
+        for v in value if many else (value,):
+            # the comparison is exact for ints of any size and false for NaN
+            if isinstance(v, bool) or not isinstance(v, (int, kind)) or not abs(v) <= sys.float_info.max:
+                raise ConfigurationError(f"{section} config {f.name} must be a finite {kind.__name__}, got {v!r}")
+            if not holds(v):
+                raise ConfigurationError(f"{section} config {f.name} must be {text}, got {v!r}")
 
 
 def mix64(*parts: int) -> int:
@@ -58,43 +90,28 @@ DEFAULT_POSITION_FACTORS = (1.10, 1.00, 0.95, 0.92, 0.90)
 class EnergyModelConfig:
     """Parameters of the parametric flight/charging model. All defaults overridable."""
 
-    base_power_w: float = 100.0
-    payload_power_coeff_w_per_kg: float = 50.0
-    charge_rate_w: float = 100.0
-    cooperative_margin: float = 0.1
-    non_partner_price_per_kwh: float = 0.30  # at any other company's station
+    base_power_w: float = field(default=100.0, metadata=POSITIVE)
+    payload_power_coeff_w_per_kg: float = field(default=50.0, metadata=NON_NEGATIVE)
+    charge_rate_w: float = field(default=100.0, metadata=POSITIVE)
+    cooperative_margin: float = field(default=0.1, metadata=NON_NEGATIVE)
+    non_partner_price_per_kwh: float = field(default=0.30, metadata=POSITIVE)  # at any other company's station
     # Time one round of queued outside drones holds the pads; sized to a full
     # single-drone refill at the default charge rate so queue priority matters.
-    exogenous_service_s: float = 1800.0
-    queue_draw_max: int = 4  # exogenous queue length drawn uniformly from {0..max}
+    exogenous_service_s: float = field(default=1800.0, metadata=NON_NEGATIVE)
+    queue_draw_max: int = field(default=4, metadata=NON_NEGATIVE)  # exogenous queue drawn uniformly from {0..max}
     # Read by nothing: the wind field draws directions only. The field stays
     # because manifest.json serialises the config.
-    wind_max_speed: float = 10.0
-    wind_slice_s: float = 600.0
-    et_flexible_factor: float = 1.5
-    et_dynamic_factor: float = 1.3
+    wind_max_speed: float = field(default=10.0, metadata=NON_NEGATIVE)
+    wind_slice_s: float = field(default=600.0, metadata=POSITIVE)
+    et_flexible_factor: float = field(default=1.5, metadata=POSITIVE)
+    et_dynamic_factor: float = field(default=1.3, metadata=POSITIVE)
     formation_factors: Mapping[Formation, tuple[float, ...]] = field(
         default_factory=lambda: dict(DEFAULT_FORMATION_FACTORS)
     )
     position_factors: tuple[float, ...] = DEFAULT_POSITION_FACTORS
 
     def __post_init__(self) -> None:
-        if self.base_power_w <= 0 or self.payload_power_coeff_w_per_kg < 0:
-            raise ConfigurationError("power parameters must be positive")
-        if self.charge_rate_w <= 0:
-            raise ConfigurationError("charge_rate_w must be positive")
-        if self.cooperative_margin < 0:
-            raise ConfigurationError("cooperative_margin must be non-negative")
-        if self.queue_draw_max < 0:
-            raise ConfigurationError("queue_draw_max must be non-negative")
-        if self.exogenous_service_s < 0:
-            raise ConfigurationError("exogenous_service_s must be non-negative")
-        if self.non_partner_price_per_kwh <= 0:
-            raise ConfigurationError("non_partner_price_per_kwh must be positive")
-        if self.wind_max_speed < 0 or self.wind_slice_s <= 0:
-            raise ConfigurationError("wind_max_speed must be non-negative and wind_slice_s positive")
-        if self.et_flexible_factor <= 0 or self.et_dynamic_factor <= 0:
-            raise ConfigurationError("execution-time factors must be positive")
+        check_fields(self, "energy")
         missing = [f.value for f in FORMATIONS if f not in self.formation_factors]
         if missing:
             raise ConfigurationError(f"formation_factors missing formations: {missing}")
@@ -125,28 +142,21 @@ class CompositionConfig:
     # Weight of the "remaining distance to destination" criterion mixed into the
     # node value; the four QoS criteria are rescaled by (1 - progress_weight).
     # Zero recovers the pure weighted-QoS selection.
-    progress_weight: float = 0.2
+    progress_weight: float = field(default=0.2, metadata=rule("in [0, 1)", lambda v: 0 <= v < 1))
     # Sub-swarms must arrive within this window. Sized to one full battery
     # refill at the default charge rate; anything shorter fails every split
     # because sub-swarm schedules differ by whole charging stops.
-    arrival_window_s: float = 1800.0
+    arrival_window_s: float = field(default=1800.0, metadata=NON_NEGATIVE)
     # Kept small so charging prices (and hence partnership discounts) stay a
     # visible share of the cost metric.
-    operating_cost_per_km: float = 0.005
+    operating_cost_per_km: float = field(default=0.005, metadata=NON_NEGATIVE)
     # Non-cooperative swarms passing their partner's station top up when any
     # drone is below this capacity fraction, placing charging stops at priority
     # stations instead of wherever the battery happens to run dry. Zero disables.
-    opportunistic_charge_threshold: float = 0.5
+    opportunistic_charge_threshold: float = field(default=0.5, metadata=rule("in [0, 1]", lambda v: 0 <= v <= 1))
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.progress_weight < 1.0:
-            raise ConfigurationError("progress_weight must be in [0, 1)")
-        if self.arrival_window_s < 0:
-            raise ConfigurationError("arrival_window_s must be non-negative")
-        if self.operating_cost_per_km < 0:
-            raise ConfigurationError("operating_cost_per_km must be non-negative")
-        if not 0.0 <= self.opportunistic_charge_threshold <= 1.0:
-            raise ConfigurationError("opportunistic_charge_threshold must be in [0, 1]")
+        check_fields(self, "composition")
 
 
 @dataclass(frozen=True)
@@ -163,20 +173,13 @@ class Seeds:
 
 
 def _section_kwargs(cls: type, data: object, section: str) -> dict:
-    """Keyword arguments for cls from one config section, with its keys and the
-    types of its numeric values checked."""
+    """Keyword arguments for cls from one config section, with its keys
+    checked; cls checks the values."""
     if not isinstance(data, Mapping):
         raise ConfigurationError(f"{section} config must be a JSON object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigurationError(f"unknown {section} config keys: {sorted(unknown)}")
-    for name, value in data.items():
-        default = fields[name].default
-        if isinstance(default, (int, float)):
-            wanted = float if isinstance(default, float) else int
-            if isinstance(value, bool) or not isinstance(value, (int, wanted)) or not -math.inf < value < math.inf:
-                raise ConfigurationError(f"{section} config {name} must be a finite {wanted.__name__}, got {value!r}")
     return dict(data)
 
 

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .composition import compose, request_context
-from .config import CompositionConfig, ConfigurationError, EnergyModelConfig, Seeds, mix64
+from .config import POSITIVE, CompositionConfig, ConfigurationError, EnergyModelConfig, Seeds, check_fields, mix64, rule
 from .domain import (
     QOS_METRICS,
     CapabilityRanges,
@@ -85,13 +85,16 @@ class ExperimentConfig:
     stations_path: str | None = None
     charging_companies: int = 5
     area_m: float = 30000.0
-    n_providers: int = 20
-    n_requests: int = 50
+    n_providers: int = field(default=20, metadata=POSITIVE)
+    n_requests: int = field(default=50, metadata=POSITIVE)
     strategies: tuple[str, ...] = ("density",)
-    k_values: tuple[float, ...] = (50.0,)
-    t_paths: int = 3
+    k_values: tuple[float, ...] = field(default=(50.0,), metadata=rule("in [0, 100)", lambda k: 0 <= k < 100))
+    t_paths: int = field(default=3, metadata=POSITIVE)
     voting_methods: tuple[str, ...] = ("irv",)
-    grid_resolution: int = 8
+    # the region path search nests one generator level per hop and each
+    # company's heatmap holds one float per cell, so larger grids overflow
+    # the stack or the memory
+    grid_resolution: int = field(default=8, metadata=rule("in [2, 256]", lambda v: 2 <= v <= 256))
     limits: ScenarioLimits = field(default_factory=ScenarioLimits)
     ranges: CapabilityRanges = field(default_factory=CapabilityRanges)
     energy: EnergyModelConfig = field(default_factory=EnergyModelConfig)
@@ -99,6 +102,12 @@ class ExperimentConfig:
     measure_wallclock: bool = False
 
     def __post_init__(self) -> None:
+        check_fields(self, "experiment")
+        sources = {"synthetic_nodes": self.synthetic_nodes, "network_path": self.network_path}
+        sources["edges/coords/stations"] = self.edges_path or self.coords_path or self.stations_path
+        given = [name for name, value in sources.items() if value]
+        if len(given) > 1:
+            raise ConfigurationError(f"give one network source, got {', '.join(given)}; files need synthetic_nodes=None")
         for name in ("strategies", "k_values", "voting_methods"):
             values = getattr(self, name)
             if not values or len(set(values)) < len(values):
@@ -109,18 +118,6 @@ class ExperimentConfig:
         for method in self.voting_methods:
             if method not in VOTING_METHODS:
                 raise ConfigurationError(f"unknown voting method {method!r}")
-        for k in self.k_values:
-            if not 0 <= k < 100:
-                raise ConfigurationError(f"k_values must be in [0, 100), got {k}")
-        if self.t_paths < 1:
-            raise ConfigurationError(f"t_paths must be at least 1, got {self.t_paths}")
-        # the region path search nests one generator level per hop and each
-        # company's heatmap holds one float per cell, so larger grids overflow
-        # the stack or the memory
-        if not 2 <= self.grid_resolution <= 256:
-            raise ConfigurationError(f"grid_resolution must be in [2, 256], got {self.grid_resolution}")
-        if self.n_providers < 1 or self.n_requests < 1:
-            raise ConfigurationError("n_providers and n_requests must be at least 1")
 
 
 PER_REQUEST_FIELDS = [
@@ -168,6 +165,8 @@ class ExperimentResult:
 
 
 def build_network(cfg: ExperimentConfig) -> SkywayNetwork:
+    """The network of the one source cfg gives: a synthetic network, a dump,
+    or the edge list, coords and stations files."""
     if cfg.network_path:
         return load_network_dump(Path(cfg.network_path).read_text())
     if cfg.edges_path or cfg.coords_path or cfg.stations_path:
@@ -350,8 +349,6 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
 def aggregate(rows: Sequence[Mapping]) -> tuple[list[dict], dict[str, float | None]]:
     """(summary, trends): mean/stddev per (strategy, method, k) plus
     satisfaction/runtime trends vs k."""
-    if not rows:
-        return [], {}
     groups: dict[tuple, list[Mapping]] = {}
     for row in rows:
         groups.setdefault((row["strategy"], row["method"], row["k_percent"]), []).append(row)

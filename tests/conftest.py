@@ -1,7 +1,8 @@
+import functools
 import random
 import runpy
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -12,6 +13,7 @@ import pytest
 from skybroker import composition, harness
 from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
 from skybroker.domain import QOS_METRICS, Formation, Partnership, Provider, Swarm, generate_scenario
+from skybroker.energy import WindField, best_formation, relative_sector, segment_energy
 from skybroker.harness import ExperimentConfig, ExperimentResult, build_network, run_experiment
 from skybroker.network import SkywayNetwork, SkywayNode, build_region_grid, shortest_path_tree
 from skybroker.pruning import filter_providers
@@ -144,18 +146,96 @@ def composable_requests(cfg, seeds=None):
             )
 
 
+def alive_by_full_dfs(network, visited, destination):
+    """Reachability oracle: unvisited nodes from which the destination can be
+    reached through unvisited nodes, by one DFS over the whole graph from the
+    destination."""
+    seen = {destination}
+    stack = [destination]
+    while stack:
+        node = stack.pop()
+        for nbr, _ in network.neighbors(node):
+            if nbr not in seen and nbr not in visited:
+                seen.add(nbr)
+                stack.append(nbr)
+    return seen
+
+
+def fresh_leg(state, a, b, ctx):
+    """Leg physics of a -> b at the sub-swarm's current time, computed from
+    scratch with a wind field that has never drawn before; charges no
+    evaluation."""
+    wind = WindField(ctx.wind.seed, ctx.wind.slice_s).at(a, b, state.delivery_time)
+    length = ctx.network.length(a, b)
+    sector = relative_sector(wind, ctx.network.heading(a, b))
+    swarm = state.provider.swarm
+    formation = best_formation(sector, ctx.energy) if swarm.flexible else swarm.formation
+    energies = tuple(
+        segment_energy(load, swarm.speed, length, formation, sector, slot, ctx.energy)
+        for slot, load in enumerate(state.loads)
+    )
+    return composition._Leg(node=b, length=length, energies=energies)
+
+
+@dataclass
+class CandidateAudit:
+    """viable_candidates calls checked against the oracles, and each call that
+    disagreed: (provider id, request id, path, candidates, expected, alive
+    nodes closed without a visit)."""
+
+    checked: int = 0
+    mismatches: list = field(default_factory=list)
+
+
+def audited(viable_candidates, audit):
+    """viable_candidates, with each call's result checked against the full DFS
+    and a from-scratch capacity test: the candidates, in adjacency order, are
+    the unvisited neighbours the DFS finds alive whose leg every drone can fly
+    on a full battery, and the closed set holds no alive node it did not
+    visit. The check charges no evaluation and changes no state. About half
+    the calls of a battery seed repeat a recent DFS, so the last results are
+    kept."""
+    alive_by_dfs = functools.lru_cache(maxsize=1024)(alive_by_full_dfs)
+
+    def checked(state, ctx):
+        legs = viable_candidates(state, ctx)
+        got = [leg.node for leg in legs]
+        visited, here = frozenset(state.path), state.current_node
+        alive = alive_by_dfs(ctx.network, visited, ctx.request.destination)
+        capacity = state.provider.swarm.battery_capacity
+        expected = [
+            nbr
+            for nbr, _ in ctx.network.neighbors(here)
+            if nbr not in visited
+            and nbr in alive
+            and all(e <= capacity + composition._EPS for e in fresh_leg(state, here, nbr, ctx).energies)
+        ]
+        wrongly_closed = (state.closed - visited) & alive
+        audit.checked += 1
+        if got != expected or wrongly_closed:
+            audit.mismatches.append(
+                (state.provider.provider_id, ctx.request.request_id, list(state.path), got, expected, wrongly_closed)
+            )
+        return legs
+
+    return checked
+
+
 def run_recorded(cfg):
-    """run_experiment(cfg) and, in the order the harness composes them,
-    (provider, context, outcome, finished sub-swarms) for every composition."""
-    compositions = []
+    """run_experiment(cfg), in the order the harness composes them
+    (provider, context, outcome, finished sub-swarms) for every composition,
+    and the audit of every viable_candidates call (see ``audited``)."""
+    compositions, audit = [], CandidateAudit()
 
     def recording(provider, ctx):
         out, flown = compose_flown(provider, ctx)
         compositions.append((provider, ctx, out, flown))
         return out
 
-    with mock.patch.object(harness, "compose", recording):
-        return run_experiment(cfg), compositions
+    with mock.patch.object(harness, "compose", recording), mock.patch.object(
+        composition, "viable_candidates", audited(composition.viable_candidates, audit)
+    ):
+        return run_experiment(cfg), compositions, audit
 
 
 # --- the acceptance battery ---------------------------------------------------
@@ -177,6 +257,8 @@ class BatteryRun:
     wall_s: float
     # (provider, context, outcome, finished sub-swarms); empty unless recorded
     compositions: list
+    # the run's viable_candidates calls, checked; none unless recorded
+    candidates: CandidateAudit
 
 
 class Battery(dict):
@@ -186,10 +268,10 @@ class Battery(dict):
         cfg = ExperimentConfig(seed=seed, strategies=STRATEGIES, k_values=K_VALUES, voting_methods=METHODS)
         started = time.perf_counter()
         if seed in RECORDED_SEEDS:
-            result, compositions = run_recorded(cfg)
+            result, compositions, audit = run_recorded(cfg)
         else:
-            result, compositions = run_experiment(cfg), []
-        self[seed] = BatteryRun(cfg, result, time.perf_counter() - started, compositions)
+            result, compositions, audit = run_experiment(cfg), [], CandidateAudit()
+        self[seed] = BatteryRun(cfg, result, time.perf_counter() - started, compositions, audit)
         return self[seed]
 
 

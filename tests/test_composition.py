@@ -12,7 +12,6 @@ from skybroker import composition
 from skybroker.composition import (
     _direct_path,
     _launch,
-    _Leg,
     _split_subswarm,
     compose,
     request_context,
@@ -24,7 +23,6 @@ from skybroker.domain import FORMATIONS, DeliveryRequest, Partnership, ScenarioL
 from skybroker.energy import (
     NodeService,
     WindField,
-    best_formation,
     node_service_time,
     relative_sector,
     segment_energy,
@@ -35,9 +33,11 @@ from skybroker.network import SkywayNetwork, SkywayNode, dump_network, load_netw
 from conftest import (
     RECORDED_SEEDS,
     WORKLOADS,
+    alive_by_full_dfs,
     check_flown,
     composable_requests,
     compose_flown,
+    fresh_leg,
     line_network,
     make_context,
     run_recorded,
@@ -424,7 +424,7 @@ class TestEvaluationSites:
         monkeypatch.setattr(composition, "_leg_info", counted_leg_info)
         monkeypatch.setattr(composition, "_stop", counted_stop)
         monkeypatch.setattr(composition, "score_candidates", counted_score)
-        _result, compositions = run_recorded(ExperimentConfig(seed=1, **WORKLOADS["smoke"].config))
+        _result, compositions, _audit = run_recorded(ExperimentConfig(seed=1, **WORKLOADS["smoke"].config))
         assert units == {"legs": 1243, "stops": 50, "candidates": 58}
         assert sum(units.values()) == sum(out.evaluations for _, _, out, _ in compositions)
 
@@ -462,21 +462,6 @@ class TestEnergyConservation:
                     check_flown(p, cfg.composition, out, flown)
                     outcomes.append(out)
                 assert outcomes[0] == outcomes[1]
-
-
-def alive_by_full_dfs(network, visited, destination):
-    """Reachability oracle: unvisited nodes from which the destination can be
-    reached through unvisited nodes, by one DFS over the whole graph from the
-    destination."""
-    seen = {destination}
-    stack = [destination]
-    while stack:
-        node = stack.pop()
-        for nbr, _ in network.neighbors(node):
-            if nbr not in seen and nbr not in visited:
-                seen.add(nbr)
-                stack.append(nbr)
-    return seen
 
 
 def walk_steps(draw, nodes, destination, n):
@@ -519,6 +504,15 @@ def check_step(state, visited, current, extra_visited, network, ctx):
 
 
 class TestReachability:
+    def test_battery_moves_match_full_dfs(self, battery):
+        """Every viable_candidates call of the acceptance battery's recorded
+        seeds, checked as it ran (``conftest.audited``): the candidates are
+        the open neighbours the full DFS finds alive whose leg fits a full
+        battery, and no alive node was closed without a visit."""
+        audits = [battery[seed].candidates for seed in RECORDED_SEEDS]
+        assert [m for a in audits for m in a.mismatches] == []
+        assert [a.checked for a in audits] == [12759, 6747, 4705]
+
     @given(reachability_walks())
     @settings(max_examples=200, deadline=None)
     def test_candidates_match_full_dfs_and_dead_stays_dead(self, walk):
@@ -546,20 +540,10 @@ class TestReachability:
 
 
 def recomputed_leg_info(state, a, b, ctx):
-    """Leg physics computed from scratch on every call, with a wind field that
-    has never drawn before: the composer without its memos, the request's
-    shared wind memo included."""
-    wind = WindField(ctx.wind.seed, ctx.wind.slice_s).at(a, b, state.delivery_time)
-    length = ctx.network.length(a, b)
-    sector = relative_sector(wind, ctx.network.heading(a, b))
-    swarm = state.provider.swarm
-    formation = best_formation(sector, ctx.energy) if swarm.flexible else swarm.formation
-    energies = tuple(
-        segment_energy(load, swarm.speed, length, formation, sector, slot, ctx.energy)
-        for slot, load in enumerate(state.loads)
-    )
+    """The composer's leg physics without its memos, the request's shared wind
+    memo included: ``fresh_leg``, charging one evaluation per drone."""
     state.evaluations += len(state.loads)
-    return _Leg(node=b, length=length, energies=energies)
+    return fresh_leg(state, a, b, ctx)
 
 
 class TestSharedContext:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -13,6 +14,7 @@ from skybroker.config import (
     unit_draw,
 )
 from skybroker.domain import Formation
+from skybroker.harness import ExperimentConfig
 
 
 def formation_table(vee_first_sector):
@@ -67,14 +69,14 @@ class TestEnergyConfigValidation:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("wind_max_speed", -0.5, "wind_max_speed must be non-negative and wind_slice_s positive"),
-            ("wind_slice_s", 0.0, "wind_max_speed must be non-negative and wind_slice_s positive"),
-            ("wind_slice_s", -600.0, "wind_max_speed must be non-negative and wind_slice_s positive"),
+            ("wind_max_speed", -0.5, "energy config wind_max_speed must be non-negative, got -0.5"),
+            ("wind_slice_s", 0.0, "energy config wind_slice_s must be positive, got 0.0"),
+            ("wind_slice_s", -600.0, "energy config wind_slice_s must be positive, got -600.0"),
             ("non_partner_price_per_kwh", 0.0, "non_partner_price_per_kwh must be positive"),
             ("non_partner_price_per_kwh", -0.3, "non_partner_price_per_kwh must be positive"),
-            ("et_flexible_factor", 0.0, "execution-time factors must be positive"),
-            ("et_flexible_factor", -1.0, "execution-time factors must be positive"),
-            ("et_dynamic_factor", -1.3, "execution-time factors must be positive"),
+            ("et_flexible_factor", 0.0, "energy config et_flexible_factor must be positive, got 0.0"),
+            ("et_flexible_factor", -1.0, "energy config et_flexible_factor must be positive, got -1.0"),
+            ("et_dynamic_factor", -1.3, "energy config et_dynamic_factor must be positive, got -1.3"),
             ("position_factors", [math.nan, 1.0], "position factors must be positive and finite"),
             ("position_factors", [1.0, math.inf], "position factors must be positive and finite"),
             ("formation_factors", formation_table(math.nan), "formation factors must be positive and finite"),
@@ -115,6 +117,69 @@ class TestCompositionConfigValidation:
             CompositionConfig(arrival_window_s=-1)
         with pytest.raises(ConfigurationError):
             CompositionConfig(opportunistic_charge_threshold=1.5)
+
+
+SECTIONS = {"energy": EnergyModelConfig, "composition": CompositionConfig, "experiment": ExperimentConfig}
+# Numeric fields with no rule of their own: each is checked elsewhere or takes
+# any value.
+UNRULED = {
+    ("energy", "position_factors"),  # a factor table, checked as a whole
+    ("experiment", "seed"),  # every int seeds the draws
+    # synthetic_network checks these, for `skybroker synth-network` too
+    ("experiment", "synthetic_nodes"),
+    ("experiment", "charging_companies"),
+    ("experiment", "area_m"),
+}
+
+
+def numeric_fields():
+    """(section, field) for every config field whose default is a number or a
+    tuple of numbers, but those in UNRULED."""
+    for section, cls in SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            values = f.default if isinstance(f.default, tuple) else (f.default,)
+            if values and all(type(v) in (int, float) for v in values) and (section, f.name) not in UNRULED:
+                yield section, f
+
+
+class TestFieldRules:
+    @pytest.mark.parametrize("section, f", list(numeric_fields()), ids=lambda v: getattr(v, "name", v))
+    def test_every_numeric_field_refuses_bad_values_in_one_line(self, section, f, tmp_path):
+        """Through the constructor and, for the file sections, through a
+        config file: NaN, +-inf, a bool, a string and a 401-digit int (and a
+        fraction, for an int field) each end in a one-line error naming the
+        section and the field. A numeric field with no rule fails here."""
+        bad_values = [math.nan, math.inf, -math.inf, True, "12", 10**400]
+        if type(f.default) is int:
+            bad_values.append(2.5)
+        path = tmp_path / "cfg.json"
+        for bad in bad_values:
+            with pytest.raises(ConfigurationError) as refused:
+                SECTIONS[section](**{f.name: (bad,) if isinstance(f.default, tuple) else bad})
+            messages = [str(refused.value)]
+            if section != "experiment":
+                path.write_text(json.dumps({section: {f.name: bad}}))
+                with pytest.raises(ConfigurationError) as refused:
+                    load_config_file(path)
+                messages.append(str(refused.value))
+            for message in messages:
+                assert message.startswith(f"{section} config {f.name} must be "), message
+                assert "\n" not in message
+
+    def test_an_int_given_for_a_float_field_stays_an_int(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"energy": {"charge_rate_w": 200}, "composition": {"arrival_window_s": 900}}))
+        energy, composition = load_config_file(path)
+        config = dataclasses.asdict(ExperimentConfig(k_values=(50,), energy=energy, composition=composition))
+        kept = [config["energy"]["charge_rate_w"], config["composition"]["arrival_window_s"], config["k_values"][0]]
+        assert kept == [200, 900, 50]
+        assert [type(v) for v in kept] == [int, int, int]
+
+    def test_range_errors_name_the_rule_and_the_value(self):
+        with pytest.raises(ConfigurationError, match=r"^composition config progress_weight must be in \[0, 1\), got 1\.0$"):
+            CompositionConfig(progress_weight=1.0)
+        with pytest.raises(ConfigurationError, match=r"^experiment config k_values must be in \[0, 100\), got -1$"):
+            ExperimentConfig(k_values=(50.0, -1))
 
 
 class TestConfigFile:

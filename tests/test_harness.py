@@ -366,6 +366,19 @@ class TestBuildNetwork:
         with pytest.raises(ValueError, match="together"):
             build_network(cfg)
 
+    @pytest.mark.parametrize(
+        "sources, named",
+        [
+            ({"network_path": "net.json"}, "synthetic_nodes, network_path"),
+            ({"coords_path": "coords"}, "synthetic_nodes, edges/coords/stations"),
+            ({"synthetic_nodes": None, "network_path": "net.json", "edges_path": "edges"}, "network_path, edges/coords"),
+        ],
+    )
+    def test_two_sources_refused_at_construction(self, sources, named):
+        with pytest.raises(ConfigurationError, match=f"^give one network source, got {named}") as refused:
+            ExperimentConfig(**sources)
+        assert "synthetic_nodes=None" in str(refused.value)
+
     def test_no_source_rejected(self):
         cfg = small_config(synthetic_nodes=None)
         with pytest.raises(ValueError, match="network source"):
@@ -426,6 +439,15 @@ class TestCli:
         assert cli_main(["run", "--network", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == "skybroker: error: a request needs two distinct nodes, the network has 1\n"
+
+    def test_two_network_sources_are_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text(dump_network(synthetic_network(1, 25)))
+        assert cli_main(["run", "--network", str(path), "--synthetic", "60"]) == 2
+        assert capsys.readouterr().err == (
+            "skybroker: error: give one network source, got synthetic_nodes, network_path;"
+            " files need synthetic_nodes=None\n"
+        )
 
     @pytest.mark.parametrize(
         "config, message",
