@@ -11,8 +11,14 @@ workload follows, for the per-layer metrics and deterministic counters.
 
 Writes a BENCH_<n>.json of the form {"about", "parent", "machine", "runs"},
 each run {"commit", "pair", "command", "result"} with `result` the last line
-brokerbench/run.py printed, and prints each side's median per end-to-end
-metric. Run from anywhere inside a git checkout:
+brokerbench/run.py printed. Then prints, per workload and end-to-end metric,
+each side's median, the pairs the change won, the parent's quartile spread
+and the median change (both relative to the parent's median), and a verdict:
+`gain` when the change won at least 9/10 of the pairs and its median is better
+by more than the spread; `worse` when its median is worse by more than the
+metric's BENCHMARK.json bound; `unresolved` when the spread is wider than the
+bound and not every change run beats every parent run; else `within bound`.
+Run from anywhere inside a git checkout:
 
   python3 scripts/bench_pairs.py --parent HEAD --about "what changed" --out BENCH_17.json
 """
@@ -33,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SECONDS = BENCHMARK["run_seconds"]
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
+END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
 PAIRS = 10  # the fewest pairs a claimed gain may rest on
 
 
@@ -77,17 +84,40 @@ def measure(roots: dict[str, Path]) -> list[dict]:
     return runs
 
 
-def medians(runs: list[dict]) -> dict[tuple[str, str, str], float]:
-    """(workload, metric, side) -> median over the untraced runs."""
-    values: dict[tuple[str, str, str], list[float]] = {}
+def readings(runs: list[dict]) -> dict[tuple[str, str], dict[str, list[float]]]:
+    """(workload, metric) -> side -> the untraced runs' values of an
+    end-to-end metric, in pair order, so parent[i] and change[i] are a pair."""
+    values: dict[tuple[str, str], dict[str, list[float]]] = {}
     for run in runs:
         if run["pair"] == "traced":
             continue
         words = run["command"].split()
         workload = words[words.index("--workload") + 1]
         for metric, reading in run["result"]["metrics"].items():
-            values.setdefault((workload, metric, run["commit"]), []).append(reading["value"])
-    return {key: statistics.median(vals) for key, vals in values.items()}
+            if metric in END_TO_END:
+                values.setdefault((workload, metric), {}).setdefault(run["commit"], []).append(reading["value"])
+    return values
+
+
+def compare(parent: list[float], change: list[float], better: str, bound: float) -> tuple[int, float, float, str]:
+    """(pairs the change won, the parent's quartile spread, the median change,
+    the verdict) of one workload and end-to-end metric; the spread and the
+    change are relative to the parent's median. Ties win for neither side."""
+    sign = 1 if better == "higher" else -1
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    base = statistics.median(parent)
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    spread = (q3 - q1) / base
+    delta = statistics.median(change) / base - 1
+    if won >= 0.9 * len(parent) and sign * delta > spread:
+        verdict = "gain"
+    elif -sign * delta > bound:
+        verdict = "worse"
+    elif spread > bound and not all(sign * (c - p) > 0 for c in change for p in parent):
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    return won, spread, delta, verdict
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -105,10 +135,14 @@ def main(argv: list[str] | None = None) -> int:
     record = {"about": args.about, "parent": sha, "machine": machine, "runs": runs}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 
-    table = medians(runs)
-    for workload, metric in dict.fromkeys((w, m) for w, m, _side in table):
-        parent, change = table[workload, metric, "parent"], table[workload, metric, "change"]
-        print(f"{workload:<10} {metric:<15} parent {parent:10.4g}  change {change:10.4g}  ({change / parent - 1:+.1%})")
+    for (workload, metric), sides in readings(runs).items():
+        parent, change = sides["parent"], sides["change"]
+        won, spread, delta, verdict = compare(parent, change, END_TO_END[metric]["better"], END_TO_END[metric]["bound"])
+        print(
+            f"{workload:<10} {metric:<15} parent {statistics.median(parent):10.4g}  "
+            f"change {statistics.median(change):10.4g}  ({delta:+.1%})  won {won}/{len(parent)}  "
+            f"spread {spread:.1%}  {verdict}"
+        )
     return 0
 
 

@@ -7,8 +7,8 @@ import sys
 from pathlib import Path
 
 from .config import load_config_file
-from .harness import ExperimentConfig, run_experiment
-from .network import dump_network, synthetic_network
+from .harness import ExperimentConfig, build_network, run_experiment
+from .network import dump_network
 from .pruning import STRATEGIES
 from .recommend import VOTING_METHODS
 
@@ -113,12 +113,10 @@ def _run_command(args: argparse.Namespace) -> int:
 
 
 def _synth_command(args: argparse.Namespace) -> int:
-    network = synthetic_network(
-        args.seed,
-        args.nodes,
-        n_charging_providers=args.charging_companies,
-        area_m=args.area,
+    cfg = ExperimentConfig(
+        seed=args.seed, synthetic_nodes=args.nodes, charging_companies=args.charging_companies, area_m=args.area
     )
+    network = build_network(cfg)
     args.out.write_text(dump_network(network) + "\n")
     print(f"wrote {args.out} ({network.n_nodes} nodes, {len(network.edges())} segments)")
     return 0

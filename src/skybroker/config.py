@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,25 +28,33 @@ POSITIVE = rule("positive", lambda v: v > 0)
 NON_NEGATIVE = rule("non-negative", lambda v: v >= 0)
 
 
+def check_entries(name: str, values: object, kind: type, metadata: Mapping) -> None:
+    """Check a tuple (or list) of numbers named name: each entry must be a
+    finite number of type kind, never a bool (a float field also takes an int,
+    kept as it is), and the rule metadata declares must hold. Raises a
+    one-line ConfigurationError naming name."""
+    if not isinstance(values, (tuple, list)):
+        raise ConfigurationError(f"{name} must be a tuple, got {values!r}")
+    text, holds = metadata["rule"]
+    for v in values:
+        # the comparison is exact for ints of any size and false for NaN
+        if isinstance(v, bool) or not isinstance(v, (int, kind)) or not abs(v) <= sys.float_info.max:
+            raise ConfigurationError(f"{name} must be a finite {kind.__name__}, got {v!r}")
+        if not holds(v):
+            raise ConfigurationError(f"{name} must be {text}, got {v!r}")
+
+
 def check_fields(config: object, section: str) -> None:
-    """Check every field of a config dataclass that declares a rule: its value
-    (each entry, for a tuple field) must be a finite number of its default's
-    type, never a bool (a float field also takes an int, kept as it is), and
-    the rule must hold. Raises a one-line ConfigurationError naming the section
-    and the field."""
+    """Check every field of a config dataclass that declares a rule, each entry
+    of it for a tuple field, by check_entries under the name "<section> config
+    <field>". A None is skipped where the field's type admits it."""
     for f in dataclasses.fields(config):
-        if "rule" not in f.metadata:
+        value = getattr(config, f.name)
+        if "rule" not in f.metadata or (value is None and "None" in str(f.type)):
             continue
-        text, holds = f.metadata["rule"]
         many = isinstance(f.default, tuple)
         kind = type(f.default[0] if many else f.default)
-        value = getattr(config, f.name)
-        for v in value if many else (value,):
-            # the comparison is exact for ints of any size and false for NaN
-            if isinstance(v, bool) or not isinstance(v, (int, kind)) or not abs(v) <= sys.float_info.max:
-                raise ConfigurationError(f"{section} config {f.name} must be a finite {kind.__name__}, got {v!r}")
-            if not holds(v):
-                raise ConfigurationError(f"{section} config {f.name} must be {text}, got {v!r}")
+        check_entries(f"{section} config {f.name}", value if many else (value,), kind, f.metadata)
 
 
 def mix64(*parts: int) -> int:
@@ -108,22 +115,21 @@ class EnergyModelConfig:
     formation_factors: Mapping[Formation, tuple[float, ...]] = field(
         default_factory=lambda: dict(DEFAULT_FORMATION_FACTORS)
     )
-    position_factors: tuple[float, ...] = DEFAULT_POSITION_FACTORS
+    position_factors: tuple[float, ...] = field(default=DEFAULT_POSITION_FACTORS, metadata=POSITIVE)
 
     def __post_init__(self) -> None:
         check_fields(self, "energy")
         missing = [f.value for f in FORMATIONS if f not in self.formation_factors]
         if missing:
-            raise ConfigurationError(f"formation_factors missing formations: {missing}")
-        for formation, row in self.formation_factors.items():
+            raise ConfigurationError(f"energy config formation_factors missing formations: {missing}")
+        for formation in FORMATIONS:
+            name = f"energy config formation_factors[{formation.value}]"
+            row = self.formation_factors[formation]
+            check_entries(name, row, float, POSITIVE)
             if len(row) != WIND_SECTORS:
-                raise ConfigurationError(
-                    f"formation_factors[{formation.value}] must cover {WIND_SECTORS} wind sectors"
-                )
-            if not all(0 < v < math.inf for v in row):
-                raise ConfigurationError("formation factors must be positive and finite")
-        if not self.position_factors or not all(0 < v < math.inf for v in self.position_factors):
-            raise ConfigurationError("position factors must be positive and finite")
+                raise ConfigurationError(f"{name} must cover {WIND_SECTORS} wind sectors")
+        if not self.position_factors:
+            raise ConfigurationError("energy config position_factors must be non-empty")
 
     def formation_factor(self, formation: Formation, wind_sector: int) -> float:
         return self.formation_factors[formation][wind_sector % WIND_SECTORS]
@@ -160,6 +166,38 @@ class CompositionConfig:
 
 
 @dataclass(frozen=True)
+class ScenarioLimits:
+    """Packages per request, drawn from 1 to max_packages, each of a weight
+    drawn uniformly from [min_package_weight_kg, max_package_weight_kg]."""
+
+    max_packages: int = field(default=6, metadata=POSITIVE)
+    max_package_weight_kg: float = field(default=2.0, metadata=POSITIVE)
+    min_package_weight_kg: float = field(default=0.1, metadata=POSITIVE)
+
+    def __post_init__(self) -> None:
+        check_fields(self, "limits")
+        if self.min_package_weight_kg > self.max_package_weight_kg:
+            raise ConfigurationError("limits config min_package_weight_kg must not exceed max_package_weight_kg")
+
+
+@dataclass(frozen=True)
+class CapabilityRanges:
+    """(low, high) ranges the providers' swarm specs are drawn from."""
+
+    battery_wh: tuple[float, float] = field(default=(50.0, 100.0), metadata=POSITIVE)
+    speed_mps: tuple[float, float] = field(default=(10.0, 20.0), metadata=POSITIVE)
+    payload_kg: tuple[float, float] = field(default=(1.0, 3.0), metadata=POSITIVE)
+    swarm_size: tuple[int, int] = field(default=(3, 12), metadata=POSITIVE)
+
+    def __post_init__(self) -> None:
+        check_fields(self, "ranges")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if len(value) != 2 or value[0] > value[1]:
+                raise ConfigurationError(f"ranges config {f.name} must be (low, high) with low <= high, got {value!r}")
+
+
+@dataclass(frozen=True)
 class Seeds:
     """Independent deterministic seed streams derived from one master seed."""
 
@@ -184,7 +222,7 @@ def _section_kwargs(cls: type, data: object, section: str) -> dict:
 
 
 def _malformed(name: str, problem: str) -> ConfigurationError:
-    return ConfigurationError(f"energy config factor tables are malformed: {name} {problem}")
+    return ConfigurationError(f"energy config {name} {problem}")
 
 
 def _factor_row(value: object, name: str) -> tuple[float, ...]:

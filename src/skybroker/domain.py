@@ -11,6 +11,7 @@ from operator import add
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
+    from .config import CapabilityRanges, ScenarioLimits
     from .network import SkywayNetwork
 
 
@@ -195,48 +196,6 @@ def assign_packages(swarm: Swarm, packages: Sequence[float]) -> tuple[float, ...
     return tuple(loads)
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class ScenarioLimits:
-    """Packages per request, drawn from 1 to max_packages, each of a weight
-    drawn uniformly from [min_package_weight_kg, max_package_weight_kg]."""
-
-    max_packages: int = 6
-    max_package_weight_kg: float = 2.0
-    min_package_weight_kg: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not _is_int(self.max_packages) or self.max_packages < 1:
-            raise ValueError(f"max_packages must be an integer of at least 1, got {self.max_packages!r}")
-        for name in ("min_package_weight_kg", "max_package_weight_kg"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.min_package_weight_kg > self.max_package_weight_kg:
-            raise ValueError("min_package_weight_kg must not exceed max_package_weight_kg")
-
-
-@dataclass(frozen=True)
-class CapabilityRanges:
-    """(low, high) ranges the providers' swarm specs are drawn from."""
-
-    battery_wh: tuple[float, float] = (50.0, 100.0)
-    speed_mps: tuple[float, float] = (10.0, 20.0)
-    payload_kg: tuple[float, float] = (1.0, 3.0)
-    swarm_size: tuple[int, int] = (3, 12)
-
-    def __post_init__(self) -> None:
-        for name in ("battery_wh", "speed_mps", "payload_kg", "swarm_size"):
-            low, high = getattr(self, name)
-            if name == "swarm_size" and not (_is_int(low) and _is_int(high)):
-                raise ValueError(f"swarm_size must be a range of integers, got {(low, high)!r}")
-            if not (0 < low <= high < math.inf):
-                raise ValueError(f"{name} must be a positive finite range with low <= high, got {(low, high)!r}")
-
-
 def generate_scenario(
     seed: int,
     network: "SkywayNetwork",
@@ -246,10 +205,6 @@ def generate_scenario(
     ranges: CapabilityRanges,
 ) -> tuple[tuple[Provider, ...], tuple[DeliveryRequest, ...]]:
     """Synthesize a provider fleet and request batch, deterministic for a fixed seed."""
-    if n_providers <= 0:
-        raise ValueError("n_providers must be positive")
-    if n_requests <= 0:
-        raise ValueError("n_requests must be positive")
     if network.n_nodes < 2:
         raise ValueError(f"a request needs two distinct nodes, the network has {network.n_nodes}")
     rng = random.Random(seed)

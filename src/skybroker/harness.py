@@ -40,13 +40,14 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .composition import compose, request_context
-from .config import POSITIVE, CompositionConfig, ConfigurationError, EnergyModelConfig, Seeds, check_fields, mix64, rule
+from .config import (
+    POSITIVE, CapabilityRanges, CompositionConfig, ConfigurationError, EnergyModelConfig, ScenarioLimits, Seeds,
+    check_fields, mix64, rule,
+)
 from .domain import (
     QOS_METRICS,
-    CapabilityRanges,
     DeliveryRequest,
     Provider,
-    ScenarioLimits,
     generate_scenario,
     total,
 )
@@ -77,14 +78,15 @@ _METHOD_SEED_INDEX = {name: i + 1 for i, name in enumerate(VOTING_METHODS)}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    seed: int = 0
-    synthetic_nodes: int | None = 100
+    # every int seeds the draws, so only the rule's type check applies
+    seed: int = field(default=0, metadata=rule("any int", lambda v: True))
+    synthetic_nodes: int | None = field(default=100, metadata=rule("at least 2", lambda v: v >= 2))
     network_path: str | None = None
     edges_path: str | None = None
     coords_path: str | None = None
     stations_path: str | None = None
-    charging_companies: int = 5
-    area_m: float = 30000.0
+    charging_companies: int = field(default=5, metadata=POSITIVE)
+    area_m: float = field(default=30000.0, metadata=POSITIVE)
     n_providers: int = field(default=20, metadata=POSITIVE)
     n_requests: int = field(default=50, metadata=POSITIVE)
     strategies: tuple[str, ...] = ("density",)
@@ -103,15 +105,24 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, "experiment")
+        files = (self.edges_path, self.coords_path, self.stations_path)
         sources = {"synthetic_nodes": self.synthetic_nodes, "network_path": self.network_path}
-        sources["edges/coords/stations"] = self.edges_path or self.coords_path or self.stations_path
-        given = [name for name, value in sources.items() if value]
+        sources["edges/coords/stations"] = files if files != (None, None, None) else None
+        given = [name for name, value in sources.items() if value is not None]
         if len(given) > 1:
             raise ConfigurationError(f"give one network source, got {', '.join(given)}; files need synthetic_nodes=None")
+        if not given:
+            raise ConfigurationError("experiment config synthetic_nodes is None and no other network source given")
+        if None in files and given == ["edges/coords/stations"]:
+            raise ConfigurationError("experiment config edges_path, coords_path and stations_path must be given together")
         for name in ("strategies", "k_values", "voting_methods"):
             values = getattr(self, name)
+            if not isinstance(values, (tuple, list)):
+                raise ConfigurationError(f"experiment config {name} must be a tuple, got {values!r}")
             if not values or len(set(values)) < len(values):
-                raise ConfigurationError(f"{name} must be non-empty and without duplicates, got {values!r}")
+                raise ConfigurationError(
+                    f"experiment config {name} must be non-empty and without duplicates, got {values!r}"
+                )
         for strategy in self.strategies:
             if strategy not in STRATEGIES:
                 raise ConfigurationError(f"unknown pruning strategy {strategy!r}")
@@ -167,23 +178,17 @@ class ExperimentResult:
 def build_network(cfg: ExperimentConfig) -> SkywayNetwork:
     """The network of the one source cfg gives: a synthetic network, a dump,
     or the edge list, coords and stations files."""
-    if cfg.network_path:
+    if cfg.network_path is not None:
         return load_network_dump(Path(cfg.network_path).read_text())
-    if cfg.edges_path or cfg.coords_path or cfg.stations_path:
-        if not (cfg.edges_path and cfg.coords_path and cfg.stations_path):
-            raise ValueError("edge list, coords and stations files must be given together")
-        with open(cfg.edges_path) as edges, open(cfg.coords_path) as coords, open(
-            cfg.stations_path
-        ) as stations:
-            return load_network(edges, coords, stations)
-    if cfg.synthetic_nodes:
+    if cfg.synthetic_nodes is not None:
         return synthetic_network(
             cfg.seed,
             cfg.synthetic_nodes,
             n_charging_providers=cfg.charging_companies,
             area_m=cfg.area_m,
         )
-    raise ValueError("no network source configured")
+    with open(cfg.edges_path) as edges, open(cfg.coords_path) as coords, open(cfg.stations_path) as stations:
+        return load_network(edges, coords, stations)
 
 
 def _run_method(

@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .config import ConfigurationError
-
 
 class ParseError(ValueError):
     pass
@@ -301,8 +299,6 @@ class RegionGrid:
 
 
 def build_region_grid(network: SkywayNetwork, resolution: int) -> RegionGrid:
-    if resolution < 2:
-        raise ConfigurationError("grid resolution must be at least 2")
     xs = [n.x for n in network.nodes.values()]
     ys = [n.y for n in network.nodes.values()]
     xmin, xmax, ymin, ymax = min(xs), max(xs), min(ys), max(ys)
@@ -416,14 +412,8 @@ def synthetic_network(
     k_nearest: int = 4,
 ) -> SkywayNetwork:
     """Seeded random geometric network: k-nearest-neighbour edges, stitched connected."""
-    if n_nodes < 2:
-        raise ValueError("need at least 2 nodes")
-    if n_charging_providers < 1:
-        raise ValueError("need at least one charging provider")
     if k_nearest < 0:
         raise ValueError("k_nearest must be non-negative")
-    if not 0 < area_m < math.inf:
-        raise ValueError(f"area_m must be positive and finite, got {area_m}")
     rng = random.Random(seed)
     positions = {nid: (rng.uniform(0, area_m), rng.uniform(0, area_m)) for nid in range(1, n_nodes + 1)}
     # Charging companies concentrate in districts (soft Voronoi around seeded

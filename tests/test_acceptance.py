@@ -13,7 +13,8 @@ import statistics
 import pytest
 
 from skybroker.composition import compose
-from skybroker.domain import Partnership, ScenarioLimits
+from skybroker.config import ScenarioLimits
+from skybroker.domain import Partnership
 from skybroker.harness import ExperimentConfig, run_experiment, spearman
 from skybroker.network import t_shortest_region_paths
 from skybroker.recommend import (

@@ -18,8 +18,8 @@ from skybroker.composition import (
     score_candidates,
     viable_candidates,
 )
-from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
-from skybroker.domain import FORMATIONS, DeliveryRequest, Partnership, ScenarioLimits
+from skybroker.config import CompositionConfig, EnergyModelConfig, ScenarioLimits, Seeds
+from skybroker.domain import FORMATIONS, DeliveryRequest, Partnership
 from skybroker.energy import (
     NodeService,
     WindField,

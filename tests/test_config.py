@@ -5,9 +5,11 @@ import math
 import pytest
 
 from skybroker.config import (
+    CapabilityRanges,
     CompositionConfig,
     ConfigurationError,
     EnergyModelConfig,
+    ScenarioLimits,
     Seeds,
     load_config_file,
     mix64,
@@ -77,10 +79,10 @@ class TestEnergyConfigValidation:
             ("et_flexible_factor", 0.0, "energy config et_flexible_factor must be positive, got 0.0"),
             ("et_flexible_factor", -1.0, "energy config et_flexible_factor must be positive, got -1.0"),
             ("et_dynamic_factor", -1.3, "energy config et_dynamic_factor must be positive, got -1.3"),
-            ("position_factors", [math.nan, 1.0], "position factors must be positive and finite"),
-            ("position_factors", [1.0, math.inf], "position factors must be positive and finite"),
-            ("formation_factors", formation_table(math.nan), "formation factors must be positive and finite"),
-            ("formation_factors", formation_table(math.inf), "formation factors must be positive and finite"),
+            ("position_factors", [math.nan, 1.0], "energy config position_factors must be a finite float, got nan"),
+            ("position_factors", [1.0, math.inf], "energy config position_factors must be a finite float, got inf"),
+            ("formation_factors", formation_table(math.nan), r"config formation_factors\[vee\] must be a finite float"),
+            ("formation_factors", formation_table(math.inf), r"config formation_factors\[vee\] must be a finite float"),
         ],
     )
     def test_out_of_range_values_fail_fast_from_a_config_file(self, tmp_path, field, value, message):
@@ -88,6 +90,23 @@ class TestEnergyConfigValidation:
         path.write_text(json.dumps({"energy": {field: value}}))
         with pytest.raises(ConfigurationError, match=message):
             load_config_file(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((True,) * 8, "must be a finite float, got True"),
+            ((10**400,) + (1.0,) * 7, "must be a finite float, got 1000"),
+            ((1.0,) * 7 + (0,), "must be positive, got 0"),
+            (1.0, "must be a tuple, got 1.0"),
+        ],
+        ids=["bool", "beyond_float", "zero", "scalar"],
+    )
+    def test_formation_rows_refuse_what_the_field_rules_refuse(self, row, message):
+        table = {f: (1.0,) * 8 for f in Formation}
+        table[Formation.VEE] = row
+        with pytest.raises(ConfigurationError) as refused:
+            EnergyModelConfig(formation_factors=table)
+        assert str(refused.value).startswith(f"energy config formation_factors[vee] {message}")
 
     def test_zero_wind_is_allowed(self):
         assert EnergyModelConfig(wind_max_speed=0.0).wind_max_speed == 0.0
@@ -119,26 +138,22 @@ class TestCompositionConfigValidation:
             CompositionConfig(opportunistic_charge_threshold=1.5)
 
 
-SECTIONS = {"energy": EnergyModelConfig, "composition": CompositionConfig, "experiment": ExperimentConfig}
-# Numeric fields with no rule of their own: each is checked elsewhere or takes
-# any value.
-UNRULED = {
-    ("energy", "position_factors"),  # a factor table, checked as a whole
-    ("experiment", "seed"),  # every int seeds the draws
-    # synthetic_network checks these, for `skybroker synth-network` too
-    ("experiment", "synthetic_nodes"),
-    ("experiment", "charging_companies"),
-    ("experiment", "area_m"),
+SECTIONS = {
+    "energy": EnergyModelConfig,
+    "composition": CompositionConfig,
+    "experiment": ExperimentConfig,
+    "limits": ScenarioLimits,
+    "ranges": CapabilityRanges,
 }
 
 
 def numeric_fields():
     """(section, field) for every config field whose default is a number or a
-    tuple of numbers, but those in UNRULED."""
+    tuple of numbers."""
     for section, cls in SECTIONS.items():
         for f in dataclasses.fields(cls):
             values = f.default if isinstance(f.default, tuple) else (f.default,)
-            if values and all(type(v) in (int, float) for v in values) and (section, f.name) not in UNRULED:
+            if values and all(type(v) in (int, float) for v in values):
                 yield section, f
 
 
@@ -146,19 +161,26 @@ class TestFieldRules:
     @pytest.mark.parametrize("section, f", list(numeric_fields()), ids=lambda v: getattr(v, "name", v))
     def test_every_numeric_field_refuses_bad_values_in_one_line(self, section, f, tmp_path):
         """Through the constructor and, for the file sections, through a
-        config file: NaN, +-inf, a bool, a string and a 401-digit int (and a
-        fraction, for an int field) each end in a one-line error naming the
+        config file: NaN, +-inf, a bool, a string, a 401-digit int and None
+        (unless the field is optional), a fraction for an int field, and a
+        scalar for a tuple field each end in a one-line error naming the
         section and the field. A numeric field with no rule fails here."""
+        many = isinstance(f.default, tuple)
         bad_values = [math.nan, math.inf, -math.inf, True, "12", 10**400]
-        if type(f.default) is int:
+        if "None" not in str(f.type):
+            bad_values.append(None)
+        if type(f.default[0] if many else f.default) is int:
             bad_values.append(2.5)
         path = tmp_path / "cfg.json"
-        for bad in bad_values:
+        cases = [((bad,) if many else bad, [bad] if many else bad) for bad in bad_values]
+        if many:
+            cases.append((f.default[0], f.default[0]))
+        for given, written in cases:
             with pytest.raises(ConfigurationError) as refused:
-                SECTIONS[section](**{f.name: (bad,) if isinstance(f.default, tuple) else bad})
+                SECTIONS[section](**{f.name: given})
             messages = [str(refused.value)]
-            if section != "experiment":
-                path.write_text(json.dumps({section: {f.name: bad}}))
+            if section in ("energy", "composition"):
+                path.write_text(json.dumps({section: {f.name: written}}))
                 with pytest.raises(ConfigurationError) as refused:
                     load_config_file(path)
                 messages.append(str(refused.value))
@@ -174,6 +196,11 @@ class TestFieldRules:
         kept = [config["energy"]["charge_rate_w"], config["composition"]["arrival_window_s"], config["k_values"][0]]
         assert kept == [200, 900, 50]
         assert [type(v) for v in kept] == [int, int, int]
+
+    @pytest.mark.parametrize("field, value", [("strategies", "density"), ("voting_methods", "irv")])
+    def test_a_bare_string_is_not_a_list_of_names(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^experiment config {field} must be a tuple, got '{value}'$"):
+            ExperimentConfig(**{field: value})
 
     def test_range_errors_name_the_rule_and_the_value(self):
         with pytest.raises(ConfigurationError, match=r"^composition config progress_weight must be in \[0, 1\), got 1\.0$"):
@@ -243,7 +270,7 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError) as refused:
             load_config_file(path)
         message = str(refused.value)
-        assert f"factor tables are malformed: {field} " in message
+        assert message.startswith(f"energy config {field} ")
         assert "\n" not in message
 
     def test_factor_tables_take_ints_as_floats(self, tmp_path):

@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skybroker.config import EnergyModelConfig
+from skybroker.config import CapabilityRanges, ConfigurationError, EnergyModelConfig, ScenarioLimits
 from skybroker.domain import (
     QOS_METRICS,
     TIERS,
-    CapabilityRanges,
     DeliveryRequest,
     Formation,
     Partnership,
     QosVector,
-    ScenarioLimits,
     Swarm,
     assign_packages,
     generate_scenario,
@@ -205,11 +203,11 @@ class TestGenerateScenario:
         assert a == b
 
     def test_zero_counts_rejected(self):
-        net = synthetic_network(1, 50)
-        with pytest.raises(ValueError):
-            generate_scenario(1, net, 0, 5, WIDE_LIMITS, CapabilityRanges())
-        with pytest.raises(ValueError):
-            generate_scenario(1, net, 5, 0, WIDE_LIMITS, CapabilityRanges())
+        # the experiment config's rules keep zero counts from generate_scenario
+        with pytest.raises(ConfigurationError, match="^experiment config n_providers must be positive, got 0$"):
+            ExperimentConfig(n_providers=0)
+        with pytest.raises(ConfigurationError, match="^experiment config n_requests must be positive, got 0$"):
+            ExperimentConfig(n_requests=0)
 
     def test_fleet_pinned(self):
         """Techniques, formation and partnership of each generated provider are

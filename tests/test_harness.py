@@ -9,8 +9,8 @@ import pytest
 
 import skybroker.harness as harness
 from skybroker.cli import main as cli_main
-from skybroker.config import ConfigurationError, Seeds
-from skybroker.domain import QOS_METRICS, ScenarioLimits, generate_scenario
+from skybroker.config import ConfigurationError, ScenarioLimits, Seeds
+from skybroker.domain import QOS_METRICS, generate_scenario
 from skybroker.harness import (
     ExperimentConfig,
     aggregate,
@@ -362,9 +362,10 @@ class TestBuildNetwork:
         assert dump_network(build_network(cfg)) == dump_network(net)
 
     def test_triple_must_be_complete(self, tmp_path):
-        cfg = small_config(synthetic_nodes=None, edges_path=str(tmp_path / "edges"))
-        with pytest.raises(ValueError, match="together"):
-            build_network(cfg)
+        for given in (["edges_path"], ["coords_path", "stations_path"]):
+            files = {name: str(tmp_path / name) for name in given}
+            with pytest.raises(ConfigurationError, match="^experiment config edges_path, coords_path and stations_path"):
+                small_config(synthetic_nodes=None, **files)
 
     @pytest.mark.parametrize(
         "sources, named",
@@ -380,9 +381,12 @@ class TestBuildNetwork:
         assert "synthetic_nodes=None" in str(refused.value)
 
     def test_no_source_rejected(self):
-        cfg = small_config(synthetic_nodes=None)
-        with pytest.raises(ValueError, match="network source"):
-            build_network(cfg)
+        with pytest.raises(ConfigurationError, match="^experiment config synthetic_nodes is None and no other"):
+            small_config(synthetic_nodes=None)
+
+    def test_zero_nodes_is_a_source_and_refused(self):
+        with pytest.raises(ConfigurationError, match="^experiment config synthetic_nodes must be at least 2, got 0$"):
+            small_config(synthetic_nodes=0)
 
 
 class TestCli:
@@ -455,8 +459,8 @@ class TestCli:
             ({"energy": {"charge_rate_w": "fast"}}, "energy config charge_rate_w must be a finite float, got 'fast'"),
             ({"energy": {"charge_rate_w": float("nan")}}, "charge_rate_w must be a finite float, got nan"),
             ({"energy": {"queue_draw_max": 2.5}}, "energy config queue_draw_max must be a finite int"),
-            ({"energy": {"formation_factors": 3}}, "factor tables are malformed"),
-            ({"energy": {"position_factors": [float("nan"), 1.0]}}, "position factors must be positive and finite"),
+            ({"energy": {"formation_factors": 3}}, "energy config formation_factors must be a JSON object"),
+            ({"energy": {"position_factors": [float("nan"), 1.0]}}, "position_factors must be a finite float, got nan"),
             ({"composition": 3}, "composition config must be a JSON object"),
         ],
     )
@@ -473,7 +477,7 @@ class TestCli:
         cfg_file.write_text(json.dumps({"energy": {"formation_factors": {"bogus": [1.0] * 8}}}))
         assert cli_main(["run", "--synthetic", "20", "--config", str(cfg_file)]) == 2
         assert capsys.readouterr().err == (
-            "skybroker: error: energy config factor tables are malformed: formation_factors[bogus] "
+            "skybroker: error: energy config formation_factors[bogus] "
             "is not a formation; expected one of vee, diamond, front, echelon, column\n"
         )
 
@@ -486,7 +490,25 @@ class TestCli:
 
     def test_synth_network_zero_area_is_a_one_line_error(self, tmp_path, capsys):
         assert cli_main(["synth-network", "--nodes", "20", "--area", "0", "--out", str(tmp_path / "net.json")]) == 2
-        assert capsys.readouterr().err == "skybroker: error: area_m must be positive and finite, got 0.0\n"
+        assert capsys.readouterr().err == "skybroker: error: experiment config area_m must be positive, got 0.0\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["synth-network", "--nodes", "1"], "synthetic_nodes must be at least 2, got 1"),
+            (["synth-network", "--nodes", "20", "--area", "nan"], "area_m must be a finite float, got nan"),
+            (["synth-network", "--nodes", "9", "--charging-companies", "0"], "charging_companies must be positive, got 0"),
+            (["run", "--synthetic", "0"], "synthetic_nodes must be at least 2, got 0"),
+            (["run", "--synthetic", "20", "--charging-companies", "0"], "charging_companies must be positive, got 0"),
+            (["run", "--synthetic", "20", "--requests", "0"], "n_requests must be positive, got 0"),
+            (["run"], "synthetic_nodes is None and no other network source given"),
+        ],
+    )
+    def test_bad_network_option_is_a_one_line_error(self, tmp_path, argv, message, capsys):
+        if argv[0] == "synth-network":
+            argv = [*argv, "--out", str(tmp_path / "net.json")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == f"skybroker: error: experiment config {message}\n"
 
     def test_run_accepts_config_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skybroker.config import ConfigurationError
+from skybroker.harness import ExperimentConfig
 from skybroker.network import (
     ParseError,
     SkywayNetwork,
@@ -271,9 +272,9 @@ class TestRegionGrid:
         assert set(grid.cell_of.values()) == {0}
 
     def test_resolution_below_two_rejected(self):
-        net = synthetic_network(1, 10)
-        with pytest.raises(ConfigurationError):
-            build_region_grid(net, 1)
+        # the experiment config's rule keeps it from build_region_grid
+        with pytest.raises(ConfigurationError, match=r"^experiment config grid_resolution must be in \[2, 256\]"):
+            ExperimentConfig(grid_resolution=1)
 
     def test_boundary_ties_go_to_lower_cell(self):
         # bounds 0..8 with G=8 gives unit cells; x=3.0 sits exactly between
@@ -476,8 +477,9 @@ class TestSyntheticNetwork:
 
     @pytest.mark.parametrize("area_m", [0.0, -5.0, math.nan, math.inf])
     def test_area_not_positive_and_finite_rejected(self, area_m):
-        with pytest.raises(ValueError, match="area_m"):
-            synthetic_network(1, 10, area_m=area_m)
+        # the experiment config's rule keeps it from synthetic_network
+        with pytest.raises(ConfigurationError, match="^experiment config area_m must be "):
+            ExperimentConfig(area_m=area_m)
 
     def test_segment_lengths_euclidean(self):
         net = synthetic_network(3, 40)

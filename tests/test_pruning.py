@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skybroker.config import CapabilityRanges, ScenarioLimits
 from skybroker.domain import (
     TIERS,
-    CapabilityRanges,
     DeliveryRequest,
-    ScenarioLimits,
     assign_packages,
     generate_scenario,
 )

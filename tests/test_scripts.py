@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -66,4 +68,33 @@ def test_bench_pairs_alternates_the_first_side(tmp_path, monkeypatch, capsys):
     assert record["runs"][-1]["pair"] == "traced"
     printed = capsys.readouterr().out.splitlines()
     assert [line.split()[:2] for line in printed] == [["sweep", "requests_per_s"], ["short_hop", "requests_per_s"]]
-    assert "(+10.0%)" in printed[0]
+    assert "(+10.0%)  won 3/3  spread 0.0%  gain" in printed[0]
+
+
+@pytest.mark.parametrize(
+    "parent, change, better, verdict",
+    [
+        # every pair won, by more than the parent's spread of 2%
+        ([10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.0, 10.1, 9.9, 10.0], [11.0] * 10, "higher", "gain"),
+        ([10.0] * 10, [9.0] * 10, "lower", "gain"),
+        # 20% slower, past the 15% bound
+        ([10.0] * 10, [12.0] * 10, "lower", "worse"),
+        ([10.0] * 10, [8.0] * 10, "higher", "worse"),
+        # a 40% spread hides a 5% gain that not every run shows
+        ([5.0, 15.0, 10.0, 10.0, 10.0, 6.0, 14.0, 10.0, 10.0, 10.0], [10.5] * 10, "higher", "unresolved"),
+        # the same spread, but every change run beats every parent run
+        ([5.0, 15.0, 10.0, 10.0, 10.0, 6.0, 14.0, 10.0, 10.0, 10.0], [4.0] * 10, "lower", "gain"),
+        # 8 of 10 pairs is too few for a gain
+        ([10.0] * 10, [9.0] * 8 + [11.0] * 2, "lower", "within bound"),
+        ([10.0] * 10, [10.0] * 10, "lower", "within bound"),
+    ],
+)
+def test_bench_pairs_verdict(parent, change, better, verdict):
+    assert load_script("bench_pairs").compare(parent, change, better, 0.15)[3] == verdict
+
+
+def test_bench_pairs_verdict_counts_pairs_and_relative_spread():
+    parent, change = [8.0, 12.0, 10.0, 9.0, 11.0], [9.0, 12.0, 12.0, 8.0, 12.0]
+    won, spread, delta, _ = load_script("bench_pairs").compare(parent, change, "higher", 0.15)
+    assert won == 3  # the tie in pair 2 wins for neither side
+    assert (spread, delta) == (pytest.approx(0.3), pytest.approx(0.2))

@@ -1,10 +1,11 @@
 """The library's public surface: where defaults live, and how totals add.
 
-A default lives in one place, the config dataclass field the pipeline reads
-(``ExperimentConfig``, ``EnergyModelConfig``, ``CompositionConfig``,
-``ScenarioLimits``, ``CapabilityRanges``). Functions take their inputs
-explicitly, so a parameter default in ``src/`` is either on the list below or a
-second home for a value that can drift from the config's.
+A default lives in one place, the config dataclass field the pipeline reads:
+``EnergyModelConfig``, ``CompositionConfig``, ``ScenarioLimits`` and
+``CapabilityRanges`` in ``config.py``, beside the field rules that check them,
+and ``ExperimentConfig``, which holds them, in ``harness.py``. Functions take
+their inputs explicitly, so a parameter default in ``src/`` is either on the
+list below or a second home for a value that can drift from the config's.
 
 Totals go through ``domain.total``, a left fold: from Python 3.12 the builtin
 ``sum()`` of floats is compensated and rounds differently, so one float total
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 
 import skybroker
 from skybroker import cli
-from skybroker.domain import ScenarioLimits
+from skybroker.config import ScenarioLimits
 from skybroker.harness import ExperimentConfig
 
 ALLOWED_DEFAULTS = {
