@@ -18,7 +18,10 @@ and the median change (both relative to the parent's median), and a verdict:
 by more than the spread; `worse` when its median is worse by more than the
 metric's BENCHMARK.json bound; `unresolved` when the spread is wider than the
 bound and not every change run beats every parent run; else `within bound`.
-Run from anywhere inside a git checkout:
+Then, per workload, each of brokerbench/tracer.py's DETERMINISTIC_COUNTERS
+whose traced values differ between the sides, with both values, or `counters:
+same` when none differ; and last every run that was not correct or failed
+requests. Run from anywhere inside a git checkout:
 
   python3 scripts/bench_pairs.py --parent HEAD --about "what changed" --out BENCH_17.json
 """
@@ -26,6 +29,7 @@ Run from anywhere inside a git checkout:
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -41,6 +45,18 @@ SECONDS = BENCHMARK["run_seconds"]
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
 PAIRS = 10  # the fewest pairs a claimed gain may rest on
+
+
+def deterministic_counters() -> tuple[str, ...]:
+    """DETERMINISTIC_COUNTERS of brokerbench/tracer.py, read from its source:
+    importing it needs the benchmark's own modules on the path."""
+    for node in ast.parse((ROOT / "brokerbench" / "tracer.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["DETERMINISTIC_COUNTERS"]:
+            return ast.literal_eval(node.value)
+    raise SystemExit("brokerbench/tracer.py defines no DETERMINISTIC_COUNTERS")
+
+
+COUNTERS = deterministic_counters()
 
 
 def export(revision: str, dest: Path) -> str:
@@ -84,6 +100,11 @@ def measure(roots: dict[str, Path]) -> list[dict]:
     return runs
 
 
+def workload_of(run: dict) -> str:
+    words = run["command"].split()
+    return words[words.index("--workload") + 1]
+
+
 def readings(runs: list[dict]) -> dict[tuple[str, str], dict[str, list[float]]]:
     """(workload, metric) -> side -> the untraced runs' values of an
     end-to-end metric, in pair order, so parent[i] and change[i] are a pair."""
@@ -91,12 +112,39 @@ def readings(runs: list[dict]) -> dict[tuple[str, str], dict[str, list[float]]]:
     for run in runs:
         if run["pair"] == "traced":
             continue
-        words = run["command"].split()
-        workload = words[words.index("--workload") + 1]
         for metric, reading in run["result"]["metrics"].items():
             if metric in END_TO_END:
-                values.setdefault((workload, metric), {}).setdefault(run["commit"], []).append(reading["value"])
+                values.setdefault((workload_of(run), metric), {}).setdefault(run["commit"], []).append(reading["value"])
     return values
+
+
+def counter_report(runs: list[dict]) -> list[str]:
+    """Per workload, a line for each deterministic counter whose traced values
+    differ between the parent and the change (or that a side lacks), else one
+    `counters: same` line."""
+    traced = {(workload_of(run), run["commit"]): run["result"]["metrics"] for run in runs if run["pair"] == "traced"}
+    lines = []
+    for workload in dict.fromkeys(workload for workload, _ in traced):
+        differ = []
+        for name in COUNTERS:
+            parent, change = (traced[workload, side].get(name, {}).get("value") for side in ("parent", "change"))
+            if parent is None or parent != change:
+                differ.append(f"{workload:<10} {name:<30} parent {parent}  change {change}")
+        lines += differ or [f"{workload:<10} counters: same"]
+    return lines
+
+
+def failures(runs: list[dict]) -> list[str]:
+    """A line for each run that was not correct or failed requests."""
+    lines = []
+    for run in runs:
+        result = run["result"]
+        if not result["correct"] or result["failed"]:
+            lines.append(
+                f"{workload_of(run):<10} {run['commit']} pair {run['pair']}: correct {result['correct']}, "
+                f"failed {result['failed']} of {result['attempted']}"
+            )
+    return lines
 
 
 def compare(parent: list[float], change: list[float], better: str, bound: float) -> tuple[int, float, float, str]:
@@ -143,6 +191,8 @@ def main(argv: list[str] | None = None) -> int:
             f"change {statistics.median(change):10.4g}  ({delta:+.1%})  won {won}/{len(parent)}  "
             f"spread {spread:.1%}  {verdict}"
         )
+    for line in counter_report(runs) + failures(runs):
+        print(line)
     return 0
 
 

@@ -29,10 +29,10 @@ path checks capacity in flight, since its later legs fall in later wind slices.
 
 Loop-freedom: greedy moves (splits included) only go to nodes outside the
 sub-swarm's ``closed`` set, which holds every visited node, so they never
-revisit a node. The committed direct path follows the shortest-path tree
-without regard to ``closed``, so it may pass through nodes the swarm has
-already visited. Each sub-swarm path is thus a loop-free greedy prefix followed
-by a loop-free suffix along the tree.
+revisit a node. The direct check and the committed flight share one lazy walk
+down the shortest-path tree, ``_tree_legs``, blind to ``closed``: the flight
+may pass through nodes the swarm has already visited. Each sub-swarm path is
+thus a loop-free greedy prefix followed by a loop-free suffix along the tree.
 
 Reachability: a neighbour is a candidate only if the destination can still be
 reached from it through unvisited nodes. Each neighbour is checked by a
@@ -50,8 +50,12 @@ Evaluations: the execution-time QoS counts evaluation units, charged at three
 sites only: ``_leg_info``, one per drone for every leg looked at; ``_stop``,
 one per drone for every charging stop priced, flown (behind the drawn queue)
 or estimated (behind the expected queue); ``score_candidates``, one per
-candidate scored. Each sub-swarm counts its own units and the outcome sums
-them over the finished sub-swarms. Leg physics are memoised per sub-swarm
+candidate scored. The direct check and the committed flight share one lazy
+walk down the tree, so each looks at a leg only on reaching it: the check at
+the current time, up to and including the first leg some drone cannot afford,
+and the flight just before flying the leg, at the time the sub-swarm reaches
+it. Each sub-swarm counts its own units and the outcome sums them over the
+finished sub-swarms. Leg physics are memoised per sub-swarm
 (keyed on the leg and the wind time slice, and reset when a split slices the
 sub-swarm's slots), but a memo hit still charges its units, so the counts do
 not depend on the memo.
@@ -69,7 +73,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import CompositionConfig, EnergyModelConfig, Seeds, mix64
 from .domain import DeliveryRequest, Provider, QosVector, assign_packages, normalize_lower_better, total
@@ -84,7 +88,7 @@ from .energy import (
     relative_sector,
     segment_energy,
 )
-from .network import SkywayNetwork, tree_path
+from .network import SkywayNetwork
 
 _EPS = 1e-9
 
@@ -319,20 +323,26 @@ def _traverse(state: SubSwarmState, leg: _Leg, ctx: RequestContext) -> None:
         _charge(state, leg, ctx, None)
 
 
-def _direct_path(state: SubSwarmState, ctx: RequestContext) -> list[int] | None:
-    """The shortest path from the current node to the destination if every
-    drone can fly all of it on its current charge, with no charging stop;
-    otherwise None. The current node reaches the destination: ``fly`` fails
-    a source that does not, and every later node was a live candidate."""
-    path = tree_path(ctx.parent_to_dest, state.current_node)
+def _tree_legs(state: SubSwarmState, ctx: RequestContext) -> Iterator[_Leg]:
+    """The legs down the destination tree from the current node, each looked
+    at only when the walk reaches it. ``fly`` fails a source the tree does not
+    hold, and every later node was a live candidate."""
+    a, b = state.current_node, ctx.parent_to_dest[state.current_node]
+    while b is not None:
+        yield _leg_info(state, a, b, ctx)
+        a, b = b, ctx.parent_to_dest[b]
+
+
+def _fits_direct(state: SubSwarmState, ctx: RequestContext) -> bool:
+    """Whether every drone can fly the rest of the tree path on its current
+    charge; the walk stops at the first leg some drone cannot afford."""
     totals = [0.0] * len(state.loads)
-    for a, b in zip(path, path[1:]):
-        leg = _leg_info(state, a, b, ctx)
+    for leg in _tree_legs(state, ctx):
         for slot, e in enumerate(leg.energies):
             totals[slot] += e
             if totals[slot] > state.held[slot] + _EPS:
-                return None
-    return path
+                return False
+    return True
 
 
 def _reaches_destination(start: int, state: SubSwarmState, ctx: RequestContext, alive: set[int]) -> bool:
@@ -499,10 +509,8 @@ def _run_subswarm(state: SubSwarmState, ctx: RequestContext, subswarms: list[Sub
                 subswarms.append(sibling)
                 continue
 
-        path = _direct_path(state, ctx)
-        if path is not None:
-            for a, b in zip(path, path[1:]):
-                leg = _leg_info(state, a, b, ctx)
+        if _fits_direct(state, ctx):
+            for leg in _tree_legs(state, ctx):
                 if not _leg_within_capacity(leg, state):
                     state.success = False
                     return

@@ -119,12 +119,18 @@ class EnergyModelConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, "energy")
-        missing = [f.value for f in FORMATIONS if f not in self.formation_factors]
+        table = self.formation_factors
+        if not isinstance(table, Mapping):
+            raise ConfigurationError(f"energy config formation_factors must be a mapping of formations, got {table!r}")
+        unknown = [key for key in table if key not in FORMATIONS]
+        if unknown:
+            raise ConfigurationError(f"energy config formation_factors has keys that are not formations: {unknown!r}")
+        missing = [f.value for f in FORMATIONS if f not in table]
         if missing:
             raise ConfigurationError(f"energy config formation_factors missing formations: {missing}")
         for formation in FORMATIONS:
             name = f"energy config formation_factors[{formation.value}]"
-            row = self.formation_factors[formation]
+            row = table[formation]
             check_entries(name, row, float, POSITIVE)
             if len(row) != WIND_SECTORS:
                 raise ConfigurationError(f"{name} must cover {WIND_SECTORS} wind sectors")

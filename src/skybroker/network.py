@@ -386,16 +386,6 @@ def shortest_path_tree(network: SkywayNetwork, root: int) -> tuple[dict[int, flo
     return dist, parent
 
 
-def tree_path(parent: Mapping[int, int | None], start: int) -> list[int]:
-    """Walk parent pointers from start to the tree root (inclusive)."""
-    path = [start]
-    while True:
-        nxt = parent[path[-1]]
-        if nxt is None:
-            return path
-        path.append(nxt)
-
-
 # --- synthetic networks ------------------------------------------------------
 
 # chance that a station belongs to its district's company rather than to a

@@ -146,6 +146,15 @@ def composable_requests(cfg, seeds=None):
             )
 
 
+def tree_path(parent, start):
+    """Path oracle: parent pointers walked from start to the tree root
+    (inclusive)."""
+    path = [start]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path
+
+
 def alive_by_full_dfs(network, visited, destination):
     """Reachability oracle: unvisited nodes from which the destination can be
     reached through unvisited nodes, by one DFS over the whole graph from the

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from skybroker import composition
 from skybroker.composition import (
-    _direct_path,
+    _fits_direct,
     _launch,
     _split_subswarm,
+    _tree_legs,
     compose,
     request_context,
     score_candidates,
@@ -28,7 +29,7 @@ from skybroker.energy import (
     segment_energy,
 )
 from skybroker.harness import ExperimentConfig
-from skybroker.network import SkywayNetwork, SkywayNode, dump_network, load_network_dump, synthetic_network, tree_path
+from skybroker.network import SkywayNetwork, SkywayNode, dump_network, load_network_dump, synthetic_network
 
 from conftest import (
     RECORDED_SEEDS,
@@ -42,6 +43,7 @@ from conftest import (
     make_context,
     run_recorded,
     simple_provider,
+    tree_path,
     unit_energy_config,
 )
 
@@ -127,7 +129,7 @@ class TestComposeBasics:
 
 def direct_ok(provider, req, net, config):
     ctx = make_context(net, req, config)
-    return _direct_path(_launch(provider, ctx), ctx) is not None
+    return _fits_direct(_launch(provider, ctx), ctx)
 
 
 class TestCanReachDirectly:
@@ -184,9 +186,45 @@ class TestCanReachDirectly:
                     )
                     if totals[i] > state.held[i] + 1e-9:
                         feasible = False
-            assert _direct_path(state, ctx) == (tree_path(ctx.parent_to_dest, source) if feasible else None)
+            assert _fits_direct(state, ctx) == feasible
+            assert [leg.node for leg in _tree_legs(state, ctx)] == tree_path(ctx.parent_to_dest, source)[1:]
             outcomes.add(feasible)
         assert outcomes == {True, False}
+
+
+class TestCommittedFlight:
+    def test_each_leg_is_looked_at_when_the_swarm_reaches_it(self, monkeypatch):
+        """A swarm that commits to the direct path at its source reaches every
+        leg of it in a later wind slice than the check looked at it in. Each
+        leg it flies must carry the physics of the slice it reaches the leg
+        in, as the fresh-leg oracle computes them then, not the check's."""
+        net = line_network([1000.0] * 6)  # 100 s a leg at 10 m/s
+        ctx = make_context(net, request(0, 6), EnergyModelConfig(wind_slice_s=60.0))
+        provider = simple_provider(battery=1000.0)  # never charges or tops up
+        traverse, viable = composition._traverse, composition.viable_candidates
+        flown, greedy_steps = [], []
+
+        def recorded_traverse(state, leg, ctx):
+            flown.append((state.delivery_time, leg, fresh_leg(state, state.current_node, leg.node, ctx)))
+            traverse(state, leg, ctx)
+
+        def recorded_viable(state, ctx):
+            greedy_steps.append(state.current_node)
+            return viable(state, ctx)
+
+        monkeypatch.setattr(composition, "_traverse", recorded_traverse)
+        monkeypatch.setattr(composition, "viable_candidates", recorded_viable)
+        out = compose(provider, ctx)
+        assert out.success and out.paths == (tuple(range(7)),)
+        assert greedy_steps == []  # the direct check passed at the source
+
+        times = [t for t, _, _ in flown]
+        assert times == [100.0 * i for i in range(6)]
+        assert [ctx.wind.time_slice(t) for t in times] == [0, 1, 3, 5, 6, 8]
+        assert [leg for _, leg, _ in flown] == [oracle for _, _, oracle in flown]
+        launched = _launch(provider, ctx)
+        checked = [fresh_leg(launched, leg.node - 1, leg.node, ctx) for _, leg, _ in flown]
+        assert [leg.energies for _, leg, _ in flown] != [leg.energies for leg in checked]
 
 
 class TestNodeValue:

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from skybroker.config import (
+    DEFAULT_FORMATION_FACTORS,
     CapabilityRanges,
     CompositionConfig,
     ConfigurationError,
@@ -107,6 +108,22 @@ class TestEnergyConfigValidation:
         with pytest.raises(ConfigurationError) as refused:
             EnergyModelConfig(formation_factors=table)
         assert str(refused.value).startswith(f"energy config formation_factors[vee] {message}")
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (3, "energy config formation_factors must be a mapping of formations, got 3"),
+            (
+                {**DEFAULT_FORMATION_FACTORS, "bogus": "x"},
+                "energy config formation_factors has keys that are not formations: ['bogus']",
+            ),
+        ],
+        ids=["not_a_mapping", "unknown_key"],
+    )
+    def test_formation_table_refused_in_one_line(self, table, message):
+        with pytest.raises(ConfigurationError) as refused:
+            EnergyModelConfig(formation_factors=table)
+        assert str(refused.value) == message
 
     def test_zero_wind_is_allowed(self):
         assert EnergyModelConfig(wind_max_speed=0.0).wind_max_speed == 0.0

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skybroker.config import ConfigurationError
-from skybroker.harness import ExperimentConfig
+from skybroker.harness import ExperimentConfig, run_experiment
 from skybroker.network import (
     ParseError,
     SkywayNetwork,
@@ -23,10 +23,9 @@ from skybroker.network import (
     shortest_path_tree,
     synthetic_network,
     t_shortest_region_paths,
-    tree_path,
 )
 
-from conftest import network_to_streams, oracle_region_paths, region_grid
+from conftest import network_to_streams, oracle_region_paths, region_grid, tree_path
 
 
 def load(edges, coords, stations):
@@ -475,11 +474,17 @@ class TestSyntheticNetwork:
         with pytest.raises(ValueError, match="k_nearest"):
             synthetic_network(1, 10, k_nearest=-1)
 
-    @pytest.mark.parametrize("area_m", [0.0, -5.0, math.nan, math.inf])
+    @pytest.mark.parametrize("area_m", [0.0, -5.0, math.nan, math.inf, 1e160])
     def test_area_not_positive_and_finite_rejected(self, area_m):
         # the experiment config's rule keeps it from synthetic_network
         with pytest.raises(ConfigurationError, match="^experiment config area_m must be "):
             ExperimentConfig(area_m=area_m)
+
+    def test_largest_area_runs(self):
+        # the builder squares coordinate differences; beyond area_m's bound
+        # they overflow
+        result = run_experiment(ExperimentConfig(area_m=1e150, synthetic_nodes=20, n_providers=3, n_requests=2))
+        assert result.manifest["requests"] == {"served": 0, "rejected": 0, "unserved": 2}  # no swarm flies that far
 
     def test_segment_lengths_euclidean(self):
         net = synthetic_network(3, 40)

@@ -39,6 +39,8 @@ def test_bench_pairs_alternates_the_first_side(tmp_path, monkeypatch, capsys):
     def fake_run(root, args):
         side = "change" if root == script.ROOT else "parent"
         calls.append((side, args[1], args[-1]))
+        if args[-1] == "1":
+            return traced_result()
         metrics = {"requests_per_s": {"value": 10.0 if side == "parent" else 11.0, "unit": "1/s"}}
         return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
 
@@ -67,8 +69,52 @@ def test_bench_pairs_alternates_the_first_side(tmp_path, monkeypatch, capsys):
     assert record["runs"][0]["command"] == "python3 brokerbench/run.py --workload sweep --seconds 1 --trace 0"
     assert record["runs"][-1]["pair"] == "traced"
     printed = capsys.readouterr().out.splitlines()
-    assert [line.split()[:2] for line in printed] == [["sweep", "requests_per_s"], ["short_hop", "requests_per_s"]]
+    assert [line.split()[:2] for line in printed] == [
+        ["sweep", "requests_per_s"], ["short_hop", "requests_per_s"], ["sweep", "counters:"], ["short_hop", "counters:"]
+    ]
     assert "(+10.0%)  won 3/3  spread 0.0%  gain" in printed[0]
+    assert printed[2:] == ["sweep      counters: same", "short_hop  counters: same"]
+
+
+def traced_result(correct=True, failed=0, **counters):
+    """A traced run's result line: every deterministic counter 7, but for the
+    given ones (with dots written as underscores)."""
+    script = load_script("bench_pairs")
+    values = {name: counters.get(name.replace(".", "_"), 7) for name in script.COUNTERS}
+    metrics = {name: {"value": value, "unit": "count"} for name, value in values.items()}
+    return {"correct": correct, "attempted": 6, "failed": failed, "metrics": metrics}
+
+
+def test_bench_pairs_counters_are_those_of_the_tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "brokerbench"))
+    assert load_script("bench_pairs").COUNTERS == importlib.import_module("tracer").DETERMINISTIC_COUNTERS
+
+
+def test_bench_pairs_reports_counters_that_differ_and_failed_runs():
+    script = load_script("bench_pairs")
+
+    def run(commit, pair, workload, result):
+        command = f"python3 brokerbench/run.py --workload {workload} --seconds 1 --trace {int(pair == 'traced')}"
+        return {"commit": commit, "pair": pair, "command": command, "result": result}
+
+    untraced = {"correct": True, "attempted": 6, "failed": 0, "metrics": {}}
+    runs = [
+        run("parent", 1, "sweep", untraced),
+        run("change", 1, "sweep", {**untraced, "correct": False, "failed": 6}),
+        run("parent", "traced", "sweep", traced_result(composition_evaluations=100)),
+        run("change", "traced", "sweep", traced_result(composition_evaluations=101, harness_rows=None)),
+        run("parent", "traced", "short_hop", traced_result()),
+        run("change", "traced", "short_hop", traced_result(failed=2)),
+    ]
+    assert script.counter_report(runs) == [
+        "sweep      composition.evaluations        parent 100  change 101",
+        "sweep      harness.rows                   parent 7  change None",
+        "short_hop  counters: same",
+    ]
+    assert script.failures(runs) == [
+        "sweep      change pair 1: correct False, failed 6 of 6",
+        "short_hop  change pair traced: correct True, failed 2 of 6",
+    ]
 
 
 @pytest.mark.parametrize(
