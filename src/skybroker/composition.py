@@ -44,7 +44,11 @@ step. A failed search has explored the neighbour's whole unvisited component
 because the visited nodes only grow; a split sibling inherits the set. Moves
 and searches read the one closed set. That skips no live node: a dead
 component never borders the component of a node that is not dead, so a search
-from such a node would never have entered it.
+from such a node would never have entered it. Nor is a greedy step stranded:
+the source is in the tree, and each move goes to a node with a route to the
+destination through unvisited nodes, whose next node is an open, alive
+neighbour at the next step. No candidates means every alive neighbour's leg
+exceeds some drone's full battery.
 
 Evaluations: the execution-time QoS counts evaluation units, charged at three
 sites only: ``_leg_info``, one per drone for every leg looked at; ``_stop``,
@@ -65,7 +69,8 @@ network, request, configs, destination tree, congestion seed and one
 ``WindField``. The field's memo is the context's only mutable part, and it
 holds pure functions of (seed, segment, time slice), so the order in which
 providers compose changes no outcome. All other mutable state lives on the
-provider's own sub-swarms.
+provider's own sub-swarms. The benchmark's tracer counts calls by replacing
+this module's ``segment_energy`` and ``node_service_time``: call them by name.
 """
 
 from __future__ import annotations
@@ -112,7 +117,6 @@ class SubSwarmState:
     charge_s: float = 0.0
     wait_s: float = 0.0
     cost: float = 0.0
-    success: bool | None = None
     evaluations: int = 0
     # leg physics for the current slots, keyed on (a, b, wind time slice);
     # slicing the slots must reset it
@@ -275,9 +279,9 @@ def _stop(
     the stop's price behind the given exogenous queue; one evaluation per drone.
 
     Non-cooperative swarms refill to capacity. Cooperative swarms buy what the
-    leg needs, or the remaining_m metres of route ahead if more, plus margin,
-    capped at capacity; they stop roughly as rarely as everyone else but never
-    carry a full tank across the finish line.
+    leg needs, or the remaining_m metres ahead if more (None on a top-up or an
+    arrival estimate), plus margin, capped at capacity; they stop roughly as
+    rarely as everyone else but never carry a full tank across the finish line.
     """
     state.evaluations += len(energies)
     swarm, config = state.provider.swarm, ctx.energy
@@ -311,7 +315,7 @@ def _traverse(state: SubSwarmState, leg: _Leg, ctx: RequestContext) -> None:
     """Charge as needed at the current node, fly the leg, then top up as the
     policy says. Every drone can fly the leg on a full battery."""
     if _must_charge(state.held, leg):
-        _charge(state, leg, ctx, ctx.dist_to_dest.get(state.current_node))
+        _charge(state, leg, ctx, ctx.dist_to_dest[state.current_node])
     for slot, e in enumerate(leg.energies):
         state.held[slot] = max(0.0, state.held[slot] - e)
         state.consumed[slot] += e
@@ -391,7 +395,7 @@ def _estimate_departure_service(state: SubSwarmState, leg: _Leg, ctx: RequestCon
     would pay it but behind the expected queue length, not the drawn one."""
     if not _must_charge(state.held, leg):
         return NodeService(0.0, 0.0, 0.0, 0.0)
-    remaining_m = ctx.dist_to_dest.get(state.current_node)
+    remaining_m = ctx.dist_to_dest[state.current_node]
     return _stop(state, state.held, state.current_node, leg, ctx, remaining_m, ctx.energy.queue_draw_max // 2)[1]
 
 
@@ -438,7 +442,7 @@ def score_candidates(
         cost_col.append(
             depart.cost + arrive.cost + ctx.comp.operating_cost_per_km * leg.length / 1000.0
         )
-        rem_col.append(ctx.dist_to_dest.get(leg.node, float("inf")))
+        rem_col.append(ctx.dist_to_dest[leg.node])
     state.evaluations += len(candidates)
 
     dt_hat = normalize_lower_better(dt_col)
@@ -486,18 +490,13 @@ def _split_subswarm(state: SubSwarmState) -> SubSwarmState:
     return sibling
 
 
-def _run_subswarm(state: SubSwarmState, ctx: RequestContext, subswarms: list[SubSwarmState]) -> None:
-    destination = ctx.request.destination
-    while True:
+def _run_subswarm(state: SubSwarmState, ctx: RequestContext, subswarms: list[SubSwarmState]) -> bool:
+    """Fly on from a node the tree holds; returns whether the sub-swarm arrived."""
+    while state.current_node != ctx.request.destination:
         node = state.current_node
-        if node == destination:
-            state.success = True
-            return
-
         if (
             state.provider.swarm.dynamic
             and len(subswarms) == 1  # a swarm splits at most once
-            and len(state.loads) >= 2
             and ctx.network.node(node).pad_count < len(state.loads)
         ):
             candidates = viable_candidates(state, ctx)
@@ -512,41 +511,39 @@ def _run_subswarm(state: SubSwarmState, ctx: RequestContext, subswarms: list[Sub
         if _fits_direct(state, ctx):
             for leg in _tree_legs(state, ctx):
                 if not _leg_within_capacity(leg, state):
-                    state.success = False
-                    return
+                    return False
                 _traverse(state, leg, ctx)
-            state.success = True
-            return
+            return True
 
         candidates = viable_candidates(state, ctx)
         if not candidates:
-            state.success = False
-            return
+            return False
         _traverse(state, score_candidates(state, candidates, ctx)[0][1], ctx)
+    return True
 
 
-def fly(state: SubSwarmState, ctx: RequestContext) -> list[SubSwarmState]:
-    """Fly the initial sub-swarm, and the sibling a split makes, to the end;
-    returns the finished sub-swarms, the initial one first."""
+def fly(state: SubSwarmState, ctx: RequestContext) -> tuple[list[SubSwarmState], bool]:
+    """Fly the initial sub-swarm, then the sibling a split makes, each to the
+    end even if the other failed; returns the finished sub-swarms, the initial
+    one first, and whether all arrived. A source off the tree never flies."""
     if state.current_node not in ctx.dist_to_dest:
-        state.success = False
-    subswarms = [state]
+        return [state], False
+    subswarms, arrived = [state], True
     for sub in subswarms:  # a split appends the sibling, which flies next
-        if sub.success is None:
-            _run_subswarm(sub, ctx, subswarms)
-    return subswarms
+        arrived &= _run_subswarm(sub, ctx, subswarms)
+    return subswarms, arrived
 
 
 def compose(provider: Provider, ctx: RequestContext) -> CompositionOutcome:
     """Compose the delivery path for one provider and accumulate its perceived QoS.
 
-    Failure (no reachable unvisited neighbour, an infeasible leg, or sub-swarms
-    missing the arrival window) is a normal outcome with success=False, not an
-    error. The same provider and request context always produce a
-    bitwise-identical outcome, whichever providers composed over the context
-    before.
+    Failure (a source the tree does not hold, no neighbour whose leg fits a
+    full battery, a committed leg beyond a full battery, or sub-swarms missing
+    the arrival window) is a normal outcome with success=False, not an error.
+    The same provider and request context always produce a bitwise-identical
+    outcome, whichever providers composed over the context before.
     """
-    finished = fly(_launch(provider, ctx), ctx)
+    finished, arrived = fly(_launch(provider, ctx), ctx)
     delivery_times = [s.delivery_time for s in finished]
     spread = max(delivery_times) - min(delivery_times)
     evaluations = total(s.evaluations for s in finished)
@@ -558,7 +555,7 @@ def compose(provider: Provider, ctx: RequestContext) -> CompositionOutcome:
     )
     return CompositionOutcome(
         provider_id=provider.provider_id,
-        success=all(s.success for s in finished) and spread <= ctx.comp.arrival_window_s,
+        success=arrived and spread <= ctx.comp.arrival_window_s,
         paths=tuple(tuple(s.path) for s in finished),
         pqos=pqos,
         evaluations=evaluations,

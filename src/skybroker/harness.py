@@ -25,6 +25,14 @@ composed and voted over (the pruned survivors), so a strategy is judged against
 the field it offered the consumer. With `measure_wallclock` the `wall_s` column
 holds the seconds of stage 2 (destination tree and the union's compositions);
 otherwise it is 0.0.
+
+The benchmark's tracer (``brokerbench/tracer.py``) times and counts a run by
+replacing module attributes by name: this module's ``_process_request``, its
+stage functions and its five elections, ``composition.segment_energy`` and
+``node_service_time``, ``energy.unit_draw`` and ``WindField.at``, and
+``SkywayNetwork.neighbors``. Call them through those names: a call that
+bypasses one, such as an election table built at import time, leaves the
+traced metrics empty.
 """
 
 from __future__ import annotations
@@ -355,7 +363,8 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
 
 def aggregate(rows: Sequence[Mapping]) -> tuple[list[dict], dict[str, float | None]]:
     """(summary, trends): mean/stddev per (strategy, method, k) plus
-    satisfaction/runtime trends vs k."""
+    satisfaction/runtime trends vs k. A run writes at most one row per
+    (request, strategy, k, method), so a group's rows are its requests."""
     groups: dict[tuple, list[Mapping]] = {}
     for row in rows:
         groups.setdefault((row["strategy"], row["method"], row["k_percent"]), []).append(row)
@@ -364,16 +373,15 @@ def aggregate(rows: Sequence[Mapping]) -> tuple[list[dict], dict[str, float | No
     for (strategy, method, k), members in sorted(groups.items()):
         sats = [r["satisfaction"] for r in members]
         proxies = [r["proxy_time"] for r in members]
-        per_request = {r["request_id"]: r for r in members}
-        composed = total(r["cohort_size"] for r in per_request.values())
-        failed = total(r["cohort_size"] - r["cohort_successes"] for r in per_request.values())
+        composed = total(r["cohort_size"] for r in members)
+        failed = total(r["cohort_size"] - r["cohort_successes"] for r in members)
         summary.append(
             {
                 "seed": members[0].get("seed", 0),
                 "strategy": strategy,
                 "method": method,
                 "k_percent": k,
-                "requests_served": len(per_request),
+                "requests_served": len(members),
                 "mean_satisfaction": statistics.fmean(sats),
                 "std_satisfaction": statistics.pstdev(sats),
                 "mean_proxy_time": statistics.fmean(proxies),

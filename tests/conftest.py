@@ -104,8 +104,9 @@ def compose_flown(provider, ctx):
     fly = composition.fly
 
     def record(state, ctx):
-        flown.extend(fly(state, ctx))
-        return flown
+        finished, arrived = fly(state, ctx)
+        flown.extend(finished)
+        return flown, arrived
 
     with mock.patch.object(composition, "fly", record):
         return composition.compose(provider, ctx), flown
@@ -190,10 +191,12 @@ def fresh_leg(state, a, b, ctx):
 class CandidateAudit:
     """viable_candidates calls checked against the oracles, and each call that
     disagreed: (provider id, request id, path, candidates, expected, alive
-    nodes closed without a visit)."""
+    nodes closed without a visit). stranded counts the calls made where no
+    unvisited neighbour is alive."""
 
     checked: int = 0
     mismatches: list = field(default_factory=list)
+    stranded: int = 0
 
 
 def audited(viable_candidates, audit):
@@ -201,7 +204,8 @@ def audited(viable_candidates, audit):
     and a from-scratch capacity test: the candidates, in adjacency order, are
     the unvisited neighbours the DFS finds alive whose leg every drone can fly
     on a full battery, and the closed set holds no alive node it did not
-    visit. The check charges no evaluation and changes no state. About half
+    visit. A call with no unvisited neighbour the DFS finds alive counts as
+    stranded. The check charges no evaluation and changes no state. About half
     the calls of a battery seed repeat a recent DFS, so the last results are
     kept."""
     alive_by_dfs = functools.lru_cache(maxsize=1024)(alive_by_full_dfs)
@@ -212,15 +216,15 @@ def audited(viable_candidates, audit):
         visited, here = frozenset(state.path), state.current_node
         alive = alive_by_dfs(ctx.network, visited, ctx.request.destination)
         capacity = state.provider.swarm.battery_capacity
+        open_alive = [nbr for nbr, _ in ctx.network.neighbors(here) if nbr not in visited and nbr in alive]
         expected = [
             nbr
-            for nbr, _ in ctx.network.neighbors(here)
-            if nbr not in visited
-            and nbr in alive
-            and all(e <= capacity + composition._EPS for e in fresh_leg(state, here, nbr, ctx).energies)
+            for nbr in open_alive
+            if all(e <= capacity + composition._EPS for e in fresh_leg(state, here, nbr, ctx).energies)
         ]
         wrongly_closed = (state.closed - visited) & alive
         audit.checked += 1
+        audit.stranded += not open_alive
         if got != expected or wrongly_closed:
             audit.mismatches.append(
                 (state.provider.provider_id, ctx.request.request_id, list(state.path), got, expected, wrongly_closed)

@@ -97,6 +97,14 @@ class TestComposeBasics:
         charge_cost = leg_wh / 1000.0 * 0.30
         assert out.pqos.cost == pytest.approx(charge_cost + 0.005 * 2.0)
 
+    def test_source_off_the_destination_tree_fails_without_flying(self, unit_config, seeds):
+        nodes = [SkywayNode(i, 1000.0 * i, 0.0, 1, 4) for i in range(4)]
+        net = SkywayNetwork(nodes, [(0, 1), (2, 3)])  # two components
+        out, (sub,) = compose_flown(simple_provider(), make_context(net, request(0, 3), unit_config, seeds))
+        assert not out.success
+        assert out.paths == ((0,),)
+        assert out.evaluations == sub.evaluations == 0
+
     def test_unknown_endpoint_rejected(self, unit_config, seeds):
         net = line_network([500.0])
         with pytest.raises(ValueError, match="endpoint"):
@@ -339,6 +347,27 @@ class TestDynamicSplitting:
         assert first.delivery_time == pytest.approx(second.delivery_time)
         assert (first.wait_s, second.wait_s) == pytest.approx((150.0, 150.0))
 
+    def test_a_stranded_half_does_not_ground_its_sibling(self, unit_config, seeds, no_progress):
+        # the one-pad source splits the swarm; the heavy half takes node 1,
+        # whose 5 km leg to the destination no full battery covers, while the
+        # light half flies on via node 2 and its evaluations still count
+        nodes = [
+            SkywayNode(0, 0.0, 0.0, 1, 1),
+            SkywayNode(1, 1000.0, 0.0, 1, 4),
+            SkywayNode(2, -2000.0, 1.0, 1, 4),
+            SkywayNode(3, -4000.0, 0.0, 1, 4),
+        ]
+        net = SkywayNetwork(nodes, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        provider = simple_provider(n_drones=2, battery=20.0, speed=10, dynamic=True, charging_provider=9)
+        ctx = make_context(net, request(0, 3, packages=(2.0, 0.1)), unit_config, seeds, no_progress)
+        out, (heavy, light) = compose_flown(provider, ctx)
+
+        assert (heavy.loads, light.loads) == ((2.0,), (0.1,))
+        assert not out.success
+        assert out.paths == ((0, 1), (0, 2, 3))
+        assert light.current_node == ctx.request.destination
+        assert out.evaluations == heavy.evaluations + light.evaluations == 11 + 3
+
     def test_successful_dynamic_runs_respect_arrival_window(self, seeds):
         cfg = ExperimentConfig(
             seed=8,
@@ -546,10 +575,13 @@ class TestReachability:
         """Every viable_candidates call of the acceptance battery's recorded
         seeds, checked as it ran (``conftest.audited``): the candidates are
         the open neighbours the full DFS finds alive whose leg fits a full
-        battery, and no alive node was closed without a visit."""
+        battery, and no alive node was closed without a visit. No greedy step
+        is stranded: every call has an open neighbour the DFS finds alive, so
+        no candidates can only mean no such leg fits a full battery."""
         audits = [battery[seed].candidates for seed in RECORDED_SEEDS]
         assert [m for a in audits for m in a.mismatches] == []
         assert [a.checked for a in audits] == [12759, 6747, 4705]
+        assert [a.stranded for a in audits] == [0, 0, 0]
 
     @given(reachability_walks())
     @settings(max_examples=200, deadline=None)

@@ -123,6 +123,13 @@ class TestAggregate:
     def test_empty_rows(self):
         assert aggregate([]) == ([], {})
 
+    def test_rows_unique_per_request_strategy_k_method(self, small_result, battery):
+        """aggregate counts a group's rows as its served requests, which holds
+        because a run writes at most one row per (request, strategy, k, method)."""
+        for result in (small_result, battery[1].result):
+            keys = [(r["request_id"], r["strategy"], r["k_percent"], r["method"]) for r in result.rows]
+            assert len(set(keys)) == len(keys)
+
 
 class TestRunExperiment:
     def test_row_schema_and_sanity(self, small_result):
