@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Run the benchmark's city1000 config on networks of growing size.
+
+For each rung (a node count) runs `run_experiment` once on the `city1000`
+config of brokerbench/workloads.py with that many synthetic nodes, then
+prints the rung's unscaled wall seconds (network build included), the part of
+them spent building the network and, within the build, stitching its
+components together, and the sha256 of per_request.csv, summary.csv and
+manifest.json. The hashes let two checkouts show that they wrote the same
+bytes. Run from the root of a checkout:
+
+  PYTHONPATH=src python3 scripts/scale_ladder.py --nodes 300 1000 3000
+  PYTHONPATH=src python3 scripts/scale_ladder.py --nodes 10000 --requests 5
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import runpy
+import sys
+import tempfile
+import time
+from pathlib import Path
+from unittest import mock
+
+from skybroker import harness, network
+from skybroker.harness import ExperimentConfig, run_experiment
+
+ROOT = Path(__file__).resolve().parents[1]
+CITY = runpy.run_path(str(ROOT / "brokerbench" / "workloads.py"))["WORKLOADS"]["city1000"]
+OUTPUTS = ("per_request.csv", "summary.csv", "manifest.json")
+
+
+def timed(function, spent: list[float]):
+    """function, adding the seconds each call takes to spent[0]."""
+
+    def wrapper(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            spent[0] += time.perf_counter() - started
+
+    return wrapper
+
+
+def rung(nodes: int, requests: int, seed: int, out_dir: Path) -> dict:
+    """One run of the city1000 config on a network of the given size: its wall,
+    build and stitching seconds and the sha256 of each output file."""
+    cfg = ExperimentConfig(**{**CITY.config, "synthetic_nodes": nodes, "n_requests": requests, "seed": seed})
+    build, stitch = [0.0], [0.0]
+    with mock.patch.object(harness, "build_network", timed(harness.build_network, build)), mock.patch.object(
+        network, "_stitches", timed(network._stitches, stitch)
+    ):
+        started = time.perf_counter()
+        run_experiment(cfg, out_dir=out_dir)
+        wall = time.perf_counter() - started
+    hashes = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in OUTPUTS}
+    return {"nodes": nodes, "wall_s": wall, "build_s": build[0], "stitch_s": stitch[0], **hashes}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--nodes", type=int, nargs="+", default=[300, 1000, 3000, 10000])
+    parser.add_argument("--requests", type=int, default=CITY.requests_per_seed)
+    parser.add_argument("--seed", type=int, default=CITY.seeds[0])
+    parser.add_argument("--out", type=Path, help="keep each rung's outputs under OUT/nodes_<n>")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as scratch:
+        root = args.out or Path(scratch)
+        print(f"city1000 config, {args.requests} requests, seed {args.seed}")
+        for nodes in args.nodes:
+            r = rung(nodes, args.requests, args.seed, root / f"nodes_{nodes}")
+            print(
+                f"{nodes:>6} nodes  wall {r['wall_s']:7.2f} s  build {r['build_s']:6.2f} s  "
+                f"stitch {r['stitch_s']:6.3f} s  " + "  ".join(f"{name} {r[name]}" for name in OUTPUTS),
+                flush=True,
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

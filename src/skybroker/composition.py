@@ -50,6 +50,19 @@ destination through unvisited nodes, whose next node is an open, alive
 neighbour at the next step. No candidates means every alive neighbour's leg
 exceeds some drone's full battery.
 
+A flight seeds each step's alive set: ``_joined_open_neighbours`` walks
+breadth-first through open nodes from the current node's first open
+neighbour, and if it meets all the others within 64 nodes, they are all
+alive from the start, so no search runs. This is exact because the current
+node was alive when the flight reached it (the source is in the tree, and
+every move goes to a live candidate, a split's two halves included): its
+next node toward the destination is an open neighbour that is still alive,
+and every open neighbour joined to that one through open nodes is alive
+too. The searches would have closed nothing, so the candidates and
+``closed`` are the same either way. A walk that meets them all too late, or
+not at all, seeds nothing. Tests that stand a sub-swarm on an arbitrary node
+break that premise, so they pass ``set()`` and run every search.
+
 Evaluations: the execution-time QoS counts evaluation units, charged at three
 sites only: ``_leg_info``, one per drone for every leg looked at; ``_stop``,
 one per drone for every charging stop priced, flown (behind the drawn queue)
@@ -77,6 +90,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -96,6 +110,9 @@ from .energy import (
 from .network import SkywayNetwork
 
 _EPS = 1e-9
+# nodes the seeding walk of a greedy step may look at before the step falls
+# back to one search per open neighbour
+_JOIN_BUDGET = 64
 
 
 @dataclass
@@ -376,10 +393,30 @@ def _reaches_destination(start: int, state: SubSwarmState, ctx: RequestContext, 
     return False
 
 
-def viable_candidates(state: SubSwarmState, ctx: RequestContext) -> list[_Leg]:
+def _joined_open_neighbours(state: SubSwarmState, ctx: RequestContext) -> set[int]:
+    """The current node's open neighbours if a breadth-first walk through open
+    nodes from the first of them meets all the others within _JOIN_BUDGET
+    nodes, else the empty set."""
+    wanted = {nbr for nbr, _length in ctx.network.neighbors(state.current_node) if nbr not in state.closed}
+    if not wanted:
+        return wanted
+    first = min(wanted)
+    seen, queue = {first}, deque([first])
+    missing = len(wanted) - 1
+    while missing and queue and len(seen) < _JOIN_BUDGET:
+        for nbr, _length in ctx.network.neighbors(queue.popleft()):
+            if nbr not in seen and nbr not in state.closed:
+                seen.add(nbr)
+                queue.append(nbr)
+                missing -= nbr in wanted
+    return set() if missing else wanted
+
+
+def viable_candidates(state: SubSwarmState, ctx: RequestContext, alive: set[int]) -> list[_Leg]:
     """Unvisited neighbours whose leg every drone can fly on a full battery and
-    from which the destination remains reachable through unvisited nodes."""
-    alive: set[int] = set()
+    from which the destination remains reachable through unvisited nodes,
+    given nodes already known to be alive in this step (see the module
+    docstring)."""
     out = []
     for nbr, _length in ctx.network.neighbors(state.current_node):
         if nbr in state.closed or not _reaches_destination(nbr, state, ctx, alive):
@@ -499,7 +536,7 @@ def _run_subswarm(state: SubSwarmState, ctx: RequestContext, subswarms: list[Sub
             and len(subswarms) == 1  # a swarm splits at most once
             and ctx.network.node(node).pad_count < len(state.loads)
         ):
-            candidates = viable_candidates(state, ctx)
+            candidates = viable_candidates(state, ctx, _joined_open_neighbours(state, ctx))
             if len(candidates) >= 2:
                 ranked = score_candidates(state, candidates, ctx)
                 sibling = _split_subswarm(state)
@@ -515,7 +552,7 @@ def _run_subswarm(state: SubSwarmState, ctx: RequestContext, subswarms: list[Sub
                 _traverse(state, leg, ctx)
             return True
 
-        candidates = viable_candidates(state, ctx)
+        candidates = viable_candidates(state, ctx, _joined_open_neighbours(state, ctx))
         if not candidates:
             return False
         _traverse(state, score_candidates(state, candidates, ctx)[0][1], ctx)

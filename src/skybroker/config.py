@@ -99,12 +99,14 @@ class EnergyModelConfig:
 
     base_power_w: float = field(default=100.0, metadata=POSITIVE)
     payload_power_coeff_w_per_kg: float = field(default=50.0, metadata=NON_NEGATIVE)
-    charge_rate_w: float = field(default=100.0, metadata=POSITIVE)
+    # a trickle charger delivers 1 W; far slower pads overflow a stop's charge time
+    charge_rate_w: float = field(default=100.0, metadata=rule("at least 1", lambda v: v >= 1))
     cooperative_margin: float = field(default=0.1, metadata=NON_NEGATIVE)
     non_partner_price_per_kwh: float = field(default=0.30, metadata=POSITIVE)  # at any other company's station
     # Time one round of queued outside drones holds the pads; sized to a full
     # single-drone refill at the default charge rate so queue priority matters.
-    exogenous_service_s: float = field(default=1800.0, metadata=NON_NEGATIVE)
+    # No round outlasts a day; far longer ones overflow the delivery time.
+    exogenous_service_s: float = field(default=1800.0, metadata=rule("in [0, 86400]", lambda v: 0 <= v <= 86400))
     queue_draw_max: int = field(default=4, metadata=NON_NEGATIVE)  # exogenous queue drawn uniformly from {0..max}
     # Read by nothing: the wind field draws directions only. The field stays
     # because manifest.json serialises the config.
@@ -160,8 +162,9 @@ class CompositionConfig:
     # because sub-swarm schedules differ by whole charging stops.
     arrival_window_s: float = field(default=1800.0, metadata=NON_NEGATIVE)
     # Kept small so charging prices (and hence partnership discounts) stay a
-    # visible share of the cost metric.
-    operating_cost_per_km: float = field(default=0.005, metadata=NON_NEGATIVE)
+    # visible share of the cost metric. Even a helicopter costs less than 1000
+    # a km to fly; far dearer kilometres overflow the cost.
+    operating_cost_per_km: float = field(default=0.005, metadata=rule("in [0, 1000]", lambda v: 0 <= v <= 1000))
     # Non-cooperative swarms passing their partner's station top up when any
     # drone is below this capacity fraction, placing charging stops at priority
     # stations instead of wherever the battery happens to run dry. Zero disables.

@@ -14,7 +14,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class ParseError(ValueError):
@@ -394,6 +394,61 @@ DISTRICT_SHARE = 0.6
 PADS_PER_STATION = (1, 4)  # inclusive range of a station's pad count
 
 
+# The ring search stops only once the k-th squared distance is below the
+# unsearched rings' by this margin: relative on squared distances and, times
+# area_m, absolute on the distance to the rings, it covers the rounding of a
+# point's cell near a cell edge and of the squared distances.
+_RING_MARGIN = 1e-9
+
+
+def _k_nearest(positions: Mapping[int, tuple[float, float]], k: int, area_m: float) -> dict[int, list[int]]:
+    """Each node's k nearest other nodes, nearest first: the k smallest
+    (squared distance, id) keys, for positions in the square [0, area_m]^2,
+    found by the cell list ``synthetic_network`` describes."""
+    if k == 0:
+        return {nid: [] for nid in positions}
+    side = max(1, math.isqrt(len(positions) // 2))
+    size = area_m / side
+
+    def cell(value: float) -> int:
+        return min(int(value / size), side - 1)
+
+    cells: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
+    for nid, (x, y) in positions.items():
+        cells.setdefault((cell(x), cell(y)), []).append((nid, x, y))
+
+    nearest = {}
+    for nid, (x, y) in positions.items():
+        cx, cy = cell(x), cell(y)
+        keys: list[tuple[float, int]] = []
+        for ring in range(side):
+            for gx in range(cx - ring, cx + ring + 1):
+                on_edge = gx in (cx - ring, cx + ring)
+                for gy in range(cy - ring, cy + ring + 1, 1 if on_edge else 2 * ring):
+                    for other, ox, oy in cells.get((gx, gy), ()):
+                        if other != nid:
+                            keys.append(((x - ox) ** 2 + (y - oy) ** 2, other))
+            # distance to the nearest edge of the searched square that has
+            # unsearched cells beyond it
+            gaps = [
+                gap
+                for gap, beyond in (
+                    (x - (cx - ring) * size, cx - ring > 0),
+                    ((cx + ring + 1) * size - x, cx + ring < side - 1),
+                    (y - (cy - ring) * size, cy - ring > 0),
+                    ((cy + ring + 1) * size - y, cy + ring < side - 1),
+                )
+                if beyond
+            ]
+            if not gaps:
+                break
+            reach = min(gaps) - _RING_MARGIN * area_m
+            if len(keys) >= k and reach > 0 and heapq.nsmallest(k, keys)[-1][0] < reach * reach * (1 - _RING_MARGIN):
+                break
+        nearest[nid] = [other for _, other in heapq.nsmallest(k, keys)]
+    return nearest
+
+
 def synthetic_network(
     seed: int,
     n_nodes: int,
@@ -401,7 +456,17 @@ def synthetic_network(
     area_m: float = 30000.0,
     k_nearest: int = 4,
 ) -> SkywayNetwork:
-    """Seeded random geometric network: k-nearest-neighbour edges, stitched connected."""
+    """Seeded random geometric network: k-nearest-neighbour edges, stitched connected.
+
+    A node's k nearest are the others with the k smallest (squared distance,
+    id) keys, so equal distances go to the smaller id. ``_k_nearest`` finds
+    them with a cell list (Bentley, Stanat and Williams, 1977): the nodes are
+    bucketed into square cells of about two nodes each, and each node searches
+    rings of cells outward until its k-th key is strictly below the squared
+    distance to the first unsearched ring, with a small margin for rounding.
+    No unsearched node can then beat or tie that key, so the edges are those
+    of a scan over every pair, in near-linear time. Each other component is
+    then stitched onto the first through its closest cross pair."""
     if k_nearest < 0:
         raise ValueError("k_nearest must be non-negative")
     rng = random.Random(seed)
@@ -431,21 +496,22 @@ def synthetic_network(
         return (xa - xb) ** 2 + (ya - yb) ** 2
 
     ids = sorted(positions)
-    edges = [
-        (nid, other)
-        for nid in ids
-        for _, other in heapq.nsmallest(k_nearest, ((d2(nid, other), other) for other in ids if other != nid))
-    ]
+    nearest = _k_nearest(positions, k_nearest, area_m)
+    edges = [(nid, other) for nid in ids for other in nearest[nid]]
     nodes = [SkywayNode(nid, positions[nid][0], positions[nid][1], owners[nid], pads[nid]) for nid in ids]
     network = SkywayNetwork(nodes, edges)
-    base, *rest = network.components()
-    if not rest:
-        return network
+    stitches = _stitches(network.components(), d2)
+    return SkywayNetwork(nodes, edges + stitches) if stitches else network
 
-    # stitch the other components one by one onto the first (the one holding
-    # the smallest id), each time through the closest cross pair
+
+def _stitches(components: list[set[int]], d2: Callable[[int, int], float]) -> list[tuple[int, int]]:
+    """The edges that stitch the other components one by one onto the first
+    (the one holding the smallest id), each time through the closest cross
+    pair by (squared distance, a, b). Grows the first component."""
+    base, *rest = components
+    edges = []
     while rest:
         _, a, b = min((d2(a, b), a, b) for a in base for comp in rest for b in comp)
         base |= rest.pop(next(i for i, comp in enumerate(rest) if b in comp))
         edges.append((a, b))
-    return SkywayNetwork(nodes, edges)
+    return edges

@@ -1,4 +1,5 @@
 import functools
+import heapq
 import random
 import runpy
 import time
@@ -171,6 +172,21 @@ def alive_by_full_dfs(network, visited, destination):
     return seen
 
 
+def brute_k_nearest(positions, k):
+    """Nearest-neighbour oracle: for each node, the k smallest (squared
+    distance, id) keys over every other node, as ids."""
+    ids = sorted(positions)
+
+    def d2(a, b):
+        (xa, ya), (xb, yb) = positions[a], positions[b]
+        return (xa - xb) ** 2 + (ya - yb) ** 2
+
+    return {
+        nid: [other for _, other in heapq.nsmallest(k, ((d2(nid, other), other) for other in ids if other != nid))]
+        for nid in ids
+    }
+
+
 def fresh_leg(state, a, b, ctx):
     """Leg physics of a -> b at the sub-swarm's current time, computed from
     scratch with a wind field that has never drawn before; charges no
@@ -210,19 +226,19 @@ def audited(viable_candidates, audit):
     kept."""
     alive_by_dfs = functools.lru_cache(maxsize=1024)(alive_by_full_dfs)
 
-    def checked(state, ctx):
-        legs = viable_candidates(state, ctx)
+    def checked(state, ctx, alive):
+        legs = viable_candidates(state, ctx, alive)
         got = [leg.node for leg in legs]
         visited, here = frozenset(state.path), state.current_node
-        alive = alive_by_dfs(ctx.network, visited, ctx.request.destination)
+        alive_by_oracle = alive_by_dfs(ctx.network, visited, ctx.request.destination)
         capacity = state.provider.swarm.battery_capacity
-        open_alive = [nbr for nbr, _ in ctx.network.neighbors(here) if nbr not in visited and nbr in alive]
+        open_alive = [nbr for nbr, _ in ctx.network.neighbors(here) if nbr not in visited and nbr in alive_by_oracle]
         expected = [
             nbr
             for nbr in open_alive
             if all(e <= capacity + composition._EPS for e in fresh_leg(state, here, nbr, ctx).energies)
         ]
-        wrongly_closed = (state.closed - visited) & alive
+        wrongly_closed = (state.closed - visited) & alive_by_oracle
         audit.checked += 1
         audit.stranded += not open_alive
         if got != expected or wrongly_closed:

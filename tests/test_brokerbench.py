@@ -40,6 +40,6 @@ def test_traced_smoke_child_reports_every_layer_metric(tmp_path, monkeypatch):
         "composition.evaluations": 1351,
         "energy.segment_energy_calls": 728,
         "energy.node_service_calls": 10,
-        "network.neighbor_queries": 280,
+        "network.neighbor_queries": 286,
     }
     assert {name: layers[name] for name in pinned} == pinned

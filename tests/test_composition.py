@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -13,6 +14,7 @@ from skybroker.composition import (
     _fits_direct,
     _launch,
     _split_subswarm,
+    _traverse,
     _tree_legs,
     compose,
     request_context,
@@ -216,9 +218,9 @@ class TestCommittedFlight:
             flown.append((state.delivery_time, leg, fresh_leg(state, state.current_node, leg.node, ctx)))
             traverse(state, leg, ctx)
 
-        def recorded_viable(state, ctx):
+        def recorded_viable(state, ctx, alive):
             greedy_steps.append(state.current_node)
-            return viable(state, ctx)
+            return viable(state, ctx, alive)
 
         monkeypatch.setattr(composition, "_traverse", recorded_traverse)
         monkeypatch.setattr(composition, "viable_candidates", recorded_viable)
@@ -244,7 +246,7 @@ class TestNodeValue:
         req = request(0, 3, packages=(1.0,))
         ctx = make_context(net, req, unit_config, seeds)
         state = _launch(provider, ctx)
-        candidates = viable_candidates(state, ctx)
+        candidates = viable_candidates(state, ctx, set())
         assert sorted(leg.node for leg in candidates) == [1, 2]
         values = {leg.node: value for value, leg in score_candidates(state, candidates, ctx)}
         assert values[2] > values[1]
@@ -264,7 +266,7 @@ class TestNodeValue:
         req = request(0, 4, weights={"delivery_time": 1.0})
         ctx = make_context(net, req, unit_energy_config(), seeds, no_progress)
         state = _launch(provider, ctx)
-        ranked = score_candidates(state, viable_candidates(state, ctx), ctx)
+        ranked = score_candidates(state, viable_candidates(state, ctx, set()), ctx)
         assert ranked[0][1].node == 1  # 360.6 m beats 400 m and 494.97 m
 
     def test_matches_independent_recomputation(self, seeds):
@@ -283,7 +285,7 @@ class TestNodeValue:
         })
         ctx = make_context(net, req, config, seeds, comp_cfg)
         state = _launch(provider, ctx)
-        candidates = viable_candidates(state, ctx)
+        candidates = viable_candidates(state, ctx, set())
         assert len(candidates) >= 4
         ranked = score_candidates(state, candidates, ctx)
 
@@ -566,8 +568,27 @@ def check_step(state, visited, current, extra_visited, network, ctx):
     state.closed |= visited
     alive = alive_by_full_dfs(network, visited, ctx.request.destination)
     expected = sorted(nbr for nbr, _ in network.neighbors(current) if nbr not in visited and nbr in alive)
-    assert [leg.node for leg in viable_candidates(state, ctx)] == expected
+    assert [leg.node for leg in viable_candidates(state, ctx, set())] == expected
     assert not (state.closed - visited) & alive
+
+
+@st.composite
+def flight_networks(draw):
+    """A random graph (often disconnected) and a destination, with a source
+    in the destination's component: a flight starts only from a node the
+    destination tree holds."""
+    n = draw(st.integers(min_value=3, max_value=40))
+    graph = nx.gnp_random_graph(
+        n, draw(st.floats(min_value=0.03, max_value=0.4)), seed=draw(st.integers(0, 2**32 - 1))
+    )
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    network = SkywayNetwork(
+        [SkywayNode(v, rng.uniform(0, 5000), rng.uniform(0, 5000), 1, 4) for v in graph.nodes], graph.edges
+    )
+    destination = draw(st.sampled_from(sorted(graph.nodes)))
+    sources = sorted(nx.node_connected_component(graph, destination) - {destination})
+    assume(sources)
+    return network, draw(st.sampled_from(sources)), destination
 
 
 class TestReachability:
@@ -607,6 +628,40 @@ class TestReachability:
             half_visited = set(visited)
             for current, extra_visited in half_steps:
                 check_step(half, half_visited, current, extra_visited, network, ctx)
+
+    @given(flight_networks(), st.integers(min_value=1, max_value=64), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_seeded_flight_steps_match_full_dfs(self, flight, budget, data):
+        """A flight that moves only to candidates, each drawn, and splits at a
+        drawn step into halves that move to two drawn candidates: at every
+        step the seeding walk's nodes are alive, and the seeded
+        viable_candidates gives the open neighbours the full DFS finds alive,
+        closing no alive node. The walk's budget is drawn too, so steps whose
+        walk runs out fall back to the searches."""
+        network, source, destination = flight
+        provider = simple_provider(n_drones=2, battery=1e9)  # every leg fits, so only reachability filters
+        ctx = make_context(network, request(source, destination, packages=(1.0, 1.0)))
+        flights = [_launch(provider, ctx)]
+        with mock.patch.object(composition, "_JOIN_BUDGET", budget):
+            for state in flights:
+                while state.current_node != destination:
+                    node, visited = state.current_node, set(state.path)
+                    alive = alive_by_full_dfs(network, visited, destination)
+                    seeded = composition._joined_open_neighbours(state, ctx)
+                    assert seeded <= alive
+                    candidates = [leg.node for leg in viable_candidates(state, ctx, seeded)]
+                    open_alive = [nbr for nbr, _ in network.neighbors(node) if nbr not in visited and nbr in alive]
+                    assert candidates == open_alive
+                    assert not (state.closed - visited) & alive
+                    assert candidates  # a flight is never stranded
+                    if len(flights) == 1 and len(candidates) >= 2 and data.draw(st.booleans()):
+                        first, second = data.draw(st.permutations(candidates))[:2]
+                        sibling = _split_subswarm(state)
+                        _traverse(sibling, composition._leg_info(sibling, node, second, ctx), ctx)
+                        flights.append(sibling)
+                    else:
+                        first = data.draw(st.sampled_from(candidates))
+                    _traverse(state, composition._leg_info(state, node, first, ctx), ctx)
 
 
 def recomputed_leg_info(state, a, b, ctx):

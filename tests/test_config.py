@@ -17,7 +17,9 @@ from skybroker.config import (
     unit_draw,
 )
 from skybroker.domain import Formation
-from skybroker.harness import ExperimentConfig
+from skybroker.harness import ExperimentConfig, run_experiment
+
+from conftest import WORKLOADS
 
 
 def formation_table(vee_first_sector):
@@ -224,6 +226,33 @@ class TestFieldRules:
             CompositionConfig(progress_weight=1.0)
         with pytest.raises(ConfigurationError, match=r"^experiment config k_values must be in \[0, 100\), got -1$"):
             ExperimentConfig(k_values=(50.0, -1))
+
+
+class TestPhysicalBounds:
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [("energy", "charge_rate_w", 1e-320), ("energy", "exogenous_service_s", 1e308),
+         ("composition", "operating_cost_per_km", 1e308)],
+    )
+    def test_values_that_overflow_a_request_are_refused_in_one_line(self, section, name, value):
+        """Each passed its old rule, then overflowed inside a request with an
+        error that named no field."""
+        with pytest.raises(ConfigurationError) as refused:
+            SECTIONS[section](**{name: value})
+        message = str(refused.value)
+        assert message.startswith(f"{section} config {name} must be ") and "\n" not in message
+
+    def test_the_bounds_themselves_run_to_finite_outputs(self):
+        cfg = ExperimentConfig(
+            seed=1,
+            **WORKLOADS["smoke"].config,
+            energy=EnergyModelConfig(charge_rate_w=1, exogenous_service_s=86400),
+            composition=CompositionConfig(operating_cost_per_km=1000),
+        )
+        rows = run_experiment(cfg).rows
+        assert rows
+        numbers = [v for row in rows for v in row.values() if isinstance(v, float)]
+        assert all(math.isfinite(v) for v in numbers)
 
 
 class TestConfigFile:

@@ -13,6 +13,7 @@ from skybroker.config import ConfigurationError
 from skybroker.harness import ExperimentConfig, run_experiment
 from skybroker.network import (
     ParseError,
+    _k_nearest,
     SkywayNetwork,
     SkywayNode,
     build_all_heatmaps,
@@ -25,7 +26,7 @@ from skybroker.network import (
     t_shortest_region_paths,
 )
 
-from conftest import network_to_streams, oracle_region_paths, region_grid, tree_path
+from conftest import brute_k_nearest, network_to_streams, oracle_region_paths, region_grid, tree_path
 
 
 def load(edges, coords, stations):
@@ -437,7 +438,32 @@ class TestShortestPaths:
         assert total == pytest.approx(dist[far])
 
 
+@st.composite
+def point_sets(draw):
+    """n points in the square [0, area_m]^2 and a k, which may reach n - 1 or
+    more: floats in an area of side 1 to 1e150, or integer-lattice points
+    whose cells span a whole number of lattice steps, so that ties fall on
+    the cell list's ring edges."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    k = draw(st.integers(min_value=0, max_value=8) | st.integers(min_value=n - 1, max_value=n + 1))
+    if draw(st.booleans()):
+        area_m = draw(st.floats(min_value=1.0, max_value=1e150))
+        coordinate = st.floats(min_value=0.0, max_value=area_m)
+    else:
+        cells_per_side = max(1, math.isqrt(n // 2))  # as the cell list sizes its grid
+        area_m = float(cells_per_side * draw(st.integers(min_value=1, max_value=4)))
+        coordinate = st.integers(min_value=0, max_value=int(area_m)).map(float)
+    positions = {nid: (draw(coordinate), draw(coordinate)) for nid in range(1, n + 1)}
+    return positions, k, area_m
+
+
 class TestSyntheticNetwork:
+    @given(point_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_cell_list_matches_brute_oracle(self, points):
+        positions, k, area_m = points
+        assert _k_nearest(positions, k, area_m) == brute_k_nearest(positions, k)
+
     def test_deterministic_and_connected(self):
         a = synthetic_network(5, 100)
         b = synthetic_network(5, 100)

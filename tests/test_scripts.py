@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -23,6 +24,19 @@ def test_reproduce_experiments_smoke(tmp_path, capsys):
     out = capsys.readouterr().out
     for section in ("pruning strategies", "k sweep", "vote count systems"):
         assert section in out
+
+
+def test_scale_ladder_smoke(tmp_path, capsys):
+    """One 30-node rung: the script prints its times and the sha256 of the
+    outputs it kept under --out."""
+    script = load_script("scale_ladder")
+    assert script.main(["--nodes", "30", "--requests", "3", "--out", str(tmp_path)]) == 0
+    header, line = capsys.readouterr().out.splitlines()
+    assert header == "city1000 config, 3 requests, seed 1"
+    assert line.split()[:3] == ["30", "nodes", "wall"]
+    for name in ("per_request.csv", "summary.csv", "manifest.json"):
+        digest = hashlib.sha256((tmp_path / "nodes_30" / name).read_bytes()).hexdigest()
+        assert f"{name} {digest}" in line
 
 
 def test_bench_pairs_alternates_the_first_side(tmp_path, monkeypatch, capsys):
