@@ -30,7 +30,7 @@ path checks capacity in flight, since its later legs fall in later wind slices.
 Loop-freedom: greedy moves (splits included) only go to nodes outside the
 sub-swarm's ``closed`` set, which holds every visited node, so they never
 revisit a node. The direct check and the committed flight share one lazy walk
-down the shortest-path tree, ``_tree_legs``, blind to ``closed``: the flight
+down the shortest-path tree, ``_tree_pairs``, blind to ``closed``: the flight
 may pass through nodes the swarm has already visited. Each sub-swarm path is
 thus a loop-free greedy prefix followed by a loop-free suffix along the tree.
 
@@ -60,22 +60,31 @@ next node toward the destination is an open neighbour that is still alive,
 and every open neighbour joined to that one through open nodes is alive
 too. The searches would have closed nothing, so the candidates and
 ``closed`` are the same either way. A walk that meets them all too late, or
-not at all, seeds nothing. Tests that stand a sub-swarm on an arbitrary node
-break that premise, so they pass ``set()`` and run every search.
+not at all, is followed by one search from the first neighbour. If that
+neighbour is alive, the search's explored nodes and every node the walk saw
+(each joined to it through open nodes) seed the step, and the searches from
+the other neighbours stop on meeting them. If it is dead, the search has
+closed its component, as the step's own search from it would have, and the
+step seeds nothing. Tests that stand a sub-swarm on an arbitrary node break
+that premise, so they pass ``set()`` and run every search.
 
 Evaluations: the execution-time QoS counts evaluation units, charged at three
-sites only: ``_leg_info``, one per drone for every leg looked at; ``_stop``,
+sites only: ``_leg_at``, one per drone for every leg looked at; ``_stop``,
 one per drone for every charging stop priced, flown (behind the drawn queue)
 or estimated (behind the expected queue); ``score_candidates``, one per
-candidate scored. The direct check and the committed flight share one lazy
-walk down the tree, so each looks at a leg only on reaching it: the check at
-the current time, up to and including the first leg some drone cannot afford,
-and the flight just before flying the leg, at the time the sub-swarm reaches
-it. Each sub-swarm counts its own units and the outcome sums them over the
-finished sub-swarms. Leg physics are memoised per sub-swarm
-(keyed on the leg and the wind time slice, and reset when a split slices the
-sub-swarm's slots), but a memo hit still charges its units, so the counts do
-not depend on the memo.
+candidate scored. ``_leg_at`` takes the wind time slice of the sub-swarm's
+current time, so a caller whose time stands still computes it once:
+``viable_candidates`` once per step, the direct check once per check; every
+other caller goes through ``_leg_info``, which computes it per leg. The
+direct check and the committed flight share one lazy walk down the tree, so
+each looks at a leg only on reaching it: the check at the current time, up to
+and including the first leg some drone cannot afford, and the flight just
+before flying the leg, at the time the sub-swarm reaches it. Each sub-swarm
+counts its own units and the outcome sums them over the finished sub-swarms.
+Leg physics are memoised per sub-swarm (keyed on the leg and the wind time
+slice, and reset when a split slices the sub-swarm's slots), one
+``segment_energy`` call per leg computed, but a memo hit still charges its
+units, so the counts do not depend on the memo.
 
 Every provider composed for one request reads the same ``RequestContext``:
 network, request, configs, destination tree, congestion seed and one
@@ -223,24 +232,27 @@ def _launch(provider: Provider, ctx: RequestContext) -> SubSwarmState:
     )
 
 
-def _leg_info(state: SubSwarmState, a: int, b: int, ctx: RequestContext) -> _Leg:
-    """Physics of flying a -> b at the sub-swarm's current time; charges one
-    evaluation per drone whether or not the leg comes from the memo."""
+def _leg_at(state: SubSwarmState, a: int, b: int, slice_: int, ctx: RequestContext) -> _Leg:
+    """Physics of flying a -> b in wind time slice slice_, which must be the
+    slice of the sub-swarm's current time; charges one evaluation per drone
+    whether or not the leg comes from the memo."""
     state.evaluations += len(state.loads)
-    key = (a, b, ctx.wind.time_slice(state.delivery_time))
+    key = (a, b, slice_)
     leg = state.legs.get(key)
     if leg is None:
         swarm = state.provider.swarm
         length = ctx.network.length(a, b)
         sector = relative_sector(ctx.wind.at(a, b, state.delivery_time), ctx.network.heading(a, b))
         formation = best_formation(sector, ctx.energy) if swarm.flexible else swarm.formation
-        energies = tuple(
-            segment_energy(load, swarm.speed, length, formation, sector, slot, ctx.energy)
-            for slot, load in enumerate(state.loads)
-        )
+        energies = segment_energy(state.loads, swarm.speed, length, formation, sector, ctx.energy)
         leg = _Leg(node=b, length=length, energies=energies)
         state.legs[key] = leg
     return leg
+
+
+def _leg_info(state: SubSwarmState, a: int, b: int, ctx: RequestContext) -> _Leg:
+    """Physics of flying a -> b at the sub-swarm's current time (``_leg_at``)."""
+    return _leg_at(state, a, b, ctx.wind.time_slice(state.delivery_time), ctx)
 
 
 def _leg_within_capacity(leg: _Leg, state: SubSwarmState) -> bool:
@@ -344,24 +356,28 @@ def _traverse(state: SubSwarmState, leg: _Leg, ctx: RequestContext) -> None:
         _charge(state, leg, ctx, None)
 
 
-def _tree_legs(state: SubSwarmState, ctx: RequestContext) -> Iterator[_Leg]:
-    """The legs down the destination tree from the current node, each looked
-    at only when the walk reaches it. ``fly`` fails a source the tree does not
-    hold, and every later node was a live candidate."""
+def _tree_pairs(state: SubSwarmState, ctx: RequestContext) -> Iterator[tuple[int, int]]:
+    """The legs down the destination tree from the current node, as node
+    pairs, each reached only when the walk gets there. ``fly`` fails a source
+    the tree does not hold, and every later node was a live candidate."""
     a, b = state.current_node, ctx.parent_to_dest[state.current_node]
     while b is not None:
-        yield _leg_info(state, a, b, ctx)
+        yield a, b
         a, b = b, ctx.parent_to_dest[b]
 
 
 def _fits_direct(state: SubSwarmState, ctx: RequestContext) -> bool:
     """Whether every drone can fly the rest of the tree path on its current
-    charge; the walk stops at the first leg some drone cannot afford."""
+    charge; the walk stops at the first leg some drone cannot afford. The
+    sub-swarm's time stands still during the check, so every leg is looked
+    at in one wind slice."""
+    slice_ = ctx.wind.time_slice(state.delivery_time)
     totals = [0.0] * len(state.loads)
-    for leg in _tree_legs(state, ctx):
-        for slot, e in enumerate(leg.energies):
+    limits = [held + _EPS for held in state.held]
+    for a, b in _tree_pairs(state, ctx):
+        for slot, e in enumerate(_leg_at(state, a, b, slice_, ctx).energies):
             totals[slot] += e
-            if totals[slot] > state.held[slot] + _EPS:
+            if totals[slot] > limits[slot]:
                 return False
     return True
 
@@ -394,9 +410,11 @@ def _reaches_destination(start: int, state: SubSwarmState, ctx: RequestContext, 
 
 
 def _joined_open_neighbours(state: SubSwarmState, ctx: RequestContext) -> set[int]:
-    """The current node's open neighbours if a breadth-first walk through open
-    nodes from the first of them meets all the others within _JOIN_BUDGET
-    nodes, else the empty set."""
+    """Open nodes known to be alive, for the current node of a flight: its
+    open neighbours if a breadth-first walk through open nodes from the first
+    of them meets all the others within _JOIN_BUDGET nodes. Else one search
+    from the first: if it is alive, the search's explored nodes and the
+    walk's; if not, the empty set (the search closed its component)."""
     wanted = {nbr for nbr, _length in ctx.network.neighbors(state.current_node) if nbr not in state.closed}
     if not wanted:
         return wanted
@@ -409,7 +427,12 @@ def _joined_open_neighbours(state: SubSwarmState, ctx: RequestContext) -> set[in
                 seen.add(nbr)
                 queue.append(nbr)
                 missing -= nbr in wanted
-    return set() if missing else wanted
+    if not missing:
+        return wanted
+    alive: set[int] = set()
+    if _reaches_destination(first, state, ctx, alive):
+        alive |= seen
+    return alive
 
 
 def viable_candidates(state: SubSwarmState, ctx: RequestContext, alive: set[int]) -> list[_Leg]:
@@ -417,11 +440,12 @@ def viable_candidates(state: SubSwarmState, ctx: RequestContext, alive: set[int]
     from which the destination remains reachable through unvisited nodes,
     given nodes already known to be alive in this step (see the module
     docstring)."""
+    here, slice_ = state.current_node, ctx.wind.time_slice(state.delivery_time)
     out = []
-    for nbr, _length in ctx.network.neighbors(state.current_node):
+    for nbr, _length in ctx.network.neighbors(here):
         if nbr in state.closed or not _reaches_destination(nbr, state, ctx, alive):
             continue
-        leg = _leg_info(state, state.current_node, nbr, ctx)
+        leg = _leg_at(state, here, nbr, slice_, ctx)
         if _leg_within_capacity(leg, state):
             out.append(leg)
     return out
@@ -546,7 +570,8 @@ def _run_subswarm(state: SubSwarmState, ctx: RequestContext, subswarms: list[Sub
                 continue
 
         if _fits_direct(state, ctx):
-            for leg in _tree_legs(state, ctx):
+            for a, b in _tree_pairs(state, ctx):
+                leg = _leg_info(state, a, b, ctx)
                 if not _leg_within_capacity(leg, state):
                     return False
                 _traverse(state, leg, ctx)

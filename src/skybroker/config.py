@@ -111,9 +111,15 @@ class EnergyModelConfig:
     # Read by nothing: the wind field draws directions only. The field stays
     # because manifest.json serialises the config.
     wind_max_speed: float = field(default=10.0, metadata=NON_NEGATIVE)
-    wind_slice_s: float = field(default=600.0, metadata=POSITIVE)
-    et_flexible_factor: float = field(default=1.5, metadata=POSITIVE)
-    et_dynamic_factor: float = field(default=1.3, metadata=POSITIVE)
+    # Wind holds its direction at least a second; far shorter slices overflow
+    # the slice index of a leg's time.
+    wind_slice_s: float = field(default=600.0, metadata=rule("at least 1", lambda v: v >= 1))
+    # Execution-time cost of an evaluation under each technique, relative to a
+    # plain one. No technique costs a thousand plain evaluations; far larger
+    # factors, times each other and the evaluation count, overflow the
+    # execution-time QoS.
+    et_flexible_factor: float = field(default=1.5, metadata=rule("in (0, 1000]", lambda v: 0 < v <= 1000))
+    et_dynamic_factor: float = field(default=1.3, metadata=rule("in (0, 1000]", lambda v: 0 < v <= 1000))
     formation_factors: Mapping[Formation, tuple[float, ...]] = field(
         default_factory=lambda: dict(DEFAULT_FORMATION_FACTORS)
     )

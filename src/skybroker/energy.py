@@ -65,26 +65,30 @@ def flight_power_w(payload_kg: float, config: EnergyModelConfig) -> float:
 
 
 def segment_energy(
-    payload_kg: float,
+    loads: Sequence[float],
     speed: float,
     segment_length_m: float,
     formation: Formation,
     wind_sector: int,
-    slot_index: int,
     config: EnergyModelConfig,
-) -> float:
-    """Energy in Wh one drone, carrying payload_kg at speed m/s, spends
-    traversing a segment.
+) -> tuple[float, ...]:
+    """Energy in Wh each drone of a swarm flying in formation at speed m/s
+    spends traversing a segment, one value per slot: the drone in slot j
+    carries loads[j] kg.
 
-    ``flight_power_w`` scaled by the formation factor for the relative wind
-    sector and the drone's slot position factor.
+    Per slot, ``flight_power_w`` times the flight seconds, scaled by the
+    formation factor for the relative wind sector times the slot's position
+    factor (``EnergyModelConfig.position_factor``: slots past the table take
+    its last entry).
     """
     if segment_length_m < 0:
         raise ValueError("segment length must be non-negative")
-    power_w = flight_power_w(payload_kg, config)
     seconds = segment_length_m / speed
-    factor = config.formation_factor(formation, wind_sector) * config.position_factor(slot_index)
-    return power_w * seconds * factor / 3600.0
+    formation_factor = config.formation_factor(formation, wind_sector)
+    return tuple(
+        flight_power_w(load, config) * seconds * (formation_factor * config.position_factor(slot)) / 3600.0
+        for slot, load in enumerate(loads)
+    )
 
 
 def best_formation(wind_sector: int, config: EnergyModelConfig) -> Formation:

@@ -14,7 +14,7 @@ import pytest
 from skybroker import composition, harness
 from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
 from skybroker.domain import QOS_METRICS, Formation, Partnership, Provider, Swarm, generate_scenario
-from skybroker.energy import WindField, best_formation, relative_sector, segment_energy
+from skybroker.energy import WindField, best_formation, flight_power_w, relative_sector
 from skybroker.harness import ExperimentConfig, ExperimentResult, build_network, run_experiment
 from skybroker.network import SkywayNetwork, SkywayNode, build_region_grid, shortest_path_tree
 from skybroker.pruning import filter_providers
@@ -187,17 +187,27 @@ def brute_k_nearest(positions, k):
     }
 
 
+def oracle_segment_energy(payload_kg, speed, segment_length_m, formation, wind_sector, slot_index, config):
+    """Energy oracle: the Wh one drone, carrying payload_kg at speed m/s in
+    slot slot_index of the formation, spends traversing a segment, by the
+    scalar per-drone formula."""
+    power_w = flight_power_w(payload_kg, config)
+    seconds = segment_length_m / speed
+    factor = config.formation_factor(formation, wind_sector) * config.position_factor(slot_index)
+    return power_w * seconds * factor / 3600.0
+
+
 def fresh_leg(state, a, b, ctx):
     """Leg physics of a -> b at the sub-swarm's current time, computed from
-    scratch with a wind field that has never drawn before; charges no
-    evaluation."""
+    scratch drone by drone with a wind field that has never drawn before;
+    charges no evaluation."""
     wind = WindField(ctx.wind.seed, ctx.wind.slice_s).at(a, b, state.delivery_time)
     length = ctx.network.length(a, b)
     sector = relative_sector(wind, ctx.network.heading(a, b))
     swarm = state.provider.swarm
     formation = best_formation(sector, ctx.energy) if swarm.flexible else swarm.formation
     energies = tuple(
-        segment_energy(load, swarm.speed, length, formation, sector, slot, ctx.energy)
+        oracle_segment_energy(load, swarm.speed, length, formation, sector, slot, ctx.energy)
         for slot, load in enumerate(state.loads)
     )
     return composition._Leg(node=b, length=length, energies=energies)

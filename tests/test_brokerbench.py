@@ -38,8 +38,10 @@ def test_traced_smoke_child_reports_every_layer_metric(tmp_path, monkeypatch):
 
     pinned = {
         "composition.evaluations": 1351,
-        "energy.segment_energy_calls": 728,
+        "energy.segment_energy_calls": 212,
         "energy.node_service_calls": 10,
         "network.neighbor_queries": 286,
     }
     assert {name: layers[name] for name in pinned} == pinned
+    # one energy call per leg computed, and each computed leg reads the wind once
+    assert layers["energy.segment_energy_calls"] == layers["energy.wind_at_calls"]

@@ -15,7 +15,7 @@ from skybroker.composition import (
     _launch,
     _split_subswarm,
     _traverse,
-    _tree_legs,
+    _tree_pairs,
     compose,
     request_context,
     score_candidates,
@@ -28,7 +28,6 @@ from skybroker.energy import (
     WindField,
     node_service_time,
     relative_sector,
-    segment_energy,
 )
 from skybroker.harness import ExperimentConfig
 from skybroker.network import SkywayNetwork, SkywayNode, dump_network, load_network_dump, synthetic_network
@@ -43,6 +42,7 @@ from conftest import (
     fresh_leg,
     line_network,
     make_context,
+    oracle_segment_energy,
     run_recorded,
     simple_provider,
     tree_path,
@@ -191,13 +191,13 @@ class TestCanReachDirectly:
             for a, b in zip(path, path[1:]):
                 sector = relative_sector(wind.at(a, b, 0.0), net.heading(a, b))
                 for i, load in enumerate(state.loads):
-                    totals[i] += segment_energy(
+                    totals[i] += oracle_segment_energy(
                         load, provider.swarm.speed, net.length(a, b), provider.swarm.formation, sector, i, config
                     )
                     if totals[i] > state.held[i] + 1e-9:
                         feasible = False
             assert _fits_direct(state, ctx) == feasible
-            assert [leg.node for leg in _tree_legs(state, ctx)] == tree_path(ctx.parent_to_dest, source)[1:]
+            assert [b for _a, b in _tree_pairs(state, ctx)] == tree_path(ctx.parent_to_dest, source)[1:]
             outcomes.add(feasible)
         assert outcomes == {True, False}
 
@@ -299,7 +299,7 @@ class TestNodeValue:
         for leg in candidates:
             length = net.length(hub, leg.node)
             sector = relative_sector(wind.at(hub, leg.node, 0.0), net.heading(hub, leg.node))
-            energy = segment_energy(state.loads[0], 15.0, length, provider.swarm.formation, sector, 0, config)
+            energy = oracle_segment_energy(state.loads[0], 15.0, length, provider.swarm.formation, sector, 0, config)
             rows.append((leg.node, length / 15.0, energy, 0.005 * length / 1000.0, remaining[leg.node]))
 
         def oriented(values):
@@ -476,11 +476,11 @@ class TestEvaluationSites:
         refactor that moves work from one site to another fails here by name.
         Together they are every evaluation the outcomes report."""
         units = dict.fromkeys(("legs", "stops", "candidates"), 0)
-        leg_info, stop, score = composition._leg_info, composition._stop, composition.score_candidates
+        leg_at, stop, score = composition._leg_at, composition._stop, composition.score_candidates
 
-        def counted_leg_info(state, *rest):
+        def counted_leg_at(state, *rest):
             units["legs"] += len(state.loads)
-            return leg_info(state, *rest)
+            return leg_at(state, *rest)
 
         def counted_stop(state, energies, *rest):
             units["stops"] += len(energies)
@@ -490,7 +490,7 @@ class TestEvaluationSites:
             units["candidates"] += len(candidates)
             return score(state, candidates, ctx)
 
-        monkeypatch.setattr(composition, "_leg_info", counted_leg_info)
+        monkeypatch.setattr(composition, "_leg_at", counted_leg_at)
         monkeypatch.setattr(composition, "_stop", counted_stop)
         monkeypatch.setattr(composition, "score_candidates", counted_score)
         _result, compositions, _audit = run_recorded(ExperimentConfig(seed=1, **WORKLOADS["smoke"].config))
@@ -636,8 +636,9 @@ class TestReachability:
         drawn step into halves that move to two drawn candidates: at every
         step the seeding walk's nodes are alive, and the seeded
         viable_candidates gives the open neighbours the full DFS finds alive,
-        closing no alive node. The walk's budget is drawn too, so steps whose
-        walk runs out fall back to the searches."""
+        closing no alive node. The walk's budget is drawn too, so many walks
+        fail; a failed walk still seeds the step, with the first open
+        neighbour, whenever that neighbour is alive."""
         network, source, destination = flight
         provider = simple_provider(n_drones=2, battery=1e9)  # every leg fits, so only reachability filters
         ctx = make_context(network, request(source, destination, packages=(1.0, 1.0)))
@@ -647,8 +648,10 @@ class TestReachability:
                 while state.current_node != destination:
                     node, visited = state.current_node, set(state.path)
                     alive = alive_by_full_dfs(network, visited, destination)
+                    first_open = min(nbr for nbr, _ in network.neighbors(node) if nbr not in state.closed)
                     seeded = composition._joined_open_neighbours(state, ctx)
                     assert seeded <= alive
+                    assert (first_open in seeded) == (first_open in alive)
                     candidates = [leg.node for leg in viable_candidates(state, ctx, seeded)]
                     open_alive = [nbr for nbr, _ in network.neighbors(node) if nbr not in visited and nbr in alive]
                     assert candidates == open_alive
@@ -664,9 +667,11 @@ class TestReachability:
                     _traverse(state, composition._leg_info(state, node, first, ctx), ctx)
 
 
-def recomputed_leg_info(state, a, b, ctx):
+def recomputed_leg_at(state, a, b, slice_, ctx):
     """The composer's leg physics without its memos, the request's shared wind
-    memo included: ``fresh_leg``, charging one evaluation per drone."""
+    memo included: ``fresh_leg``, charging one evaluation per drone. The
+    slice the composer passes must be the sub-swarm's current one."""
+    assert slice_ == ctx.wind.time_slice(state.delivery_time)
     state.evaluations += len(state.loads)
     return fresh_leg(state, a, b, ctx)
 
@@ -696,7 +701,7 @@ class TestMemoisedPhysics:
         sample = [c for seed in RECORDED_SEEDS for c in battery[seed].compositions]
         assert len(sample) == 1899
         assert any(len(out.paths) > 1 for _, _, out, _ in sample)
-        monkeypatch.setattr(composition, "_leg_info", recomputed_leg_info)
+        monkeypatch.setattr(composition, "_leg_at", recomputed_leg_at)
 
         def ledger(flown):
             return [(sub.held, sub.consumed, sub.purchased) for sub in flown]

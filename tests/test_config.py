@@ -75,13 +75,13 @@ class TestEnergyConfigValidation:
         "field, value, message",
         [
             ("wind_max_speed", -0.5, "energy config wind_max_speed must be non-negative, got -0.5"),
-            ("wind_slice_s", 0.0, "energy config wind_slice_s must be positive, got 0.0"),
-            ("wind_slice_s", -600.0, "energy config wind_slice_s must be positive, got -600.0"),
+            ("wind_slice_s", 0.0, "energy config wind_slice_s must be at least 1, got 0.0"),
+            ("wind_slice_s", -600.0, "energy config wind_slice_s must be at least 1, got -600.0"),
             ("non_partner_price_per_kwh", 0.0, "non_partner_price_per_kwh must be positive"),
             ("non_partner_price_per_kwh", -0.3, "non_partner_price_per_kwh must be positive"),
-            ("et_flexible_factor", 0.0, "energy config et_flexible_factor must be positive, got 0.0"),
-            ("et_flexible_factor", -1.0, "energy config et_flexible_factor must be positive, got -1.0"),
-            ("et_dynamic_factor", -1.3, "energy config et_dynamic_factor must be positive, got -1.3"),
+            ("et_flexible_factor", 0.0, r"energy config et_flexible_factor must be in \(0, 1000\], got 0.0"),
+            ("et_flexible_factor", -1.0, r"energy config et_flexible_factor must be in \(0, 1000\], got -1.0"),
+            ("et_dynamic_factor", -1.3, r"energy config et_dynamic_factor must be in \(0, 1000\], got -1.3"),
             ("position_factors", [math.nan, 1.0], "energy config position_factors must be a finite float, got nan"),
             ("position_factors", [1.0, math.inf], "energy config position_factors must be a finite float, got inf"),
             ("formation_factors", formation_table(math.nan), r"config formation_factors\[vee\] must be a finite float"),
@@ -232,7 +232,8 @@ class TestPhysicalBounds:
     @pytest.mark.parametrize(
         "section, name, value",
         [("energy", "charge_rate_w", 1e-320), ("energy", "exogenous_service_s", 1e308),
-         ("composition", "operating_cost_per_km", 1e308)],
+         ("composition", "operating_cost_per_km", 1e308), ("energy", "wind_slice_s", 5e-324),
+         ("energy", "et_flexible_factor", 1e308), ("energy", "et_dynamic_factor", 1e308)],
     )
     def test_values_that_overflow_a_request_are_refused_in_one_line(self, section, name, value):
         """Each passed its old rule, then overflowed inside a request with an
@@ -246,7 +247,9 @@ class TestPhysicalBounds:
         cfg = ExperimentConfig(
             seed=1,
             **WORKLOADS["smoke"].config,
-            energy=EnergyModelConfig(charge_rate_w=1, exogenous_service_s=86400),
+            energy=EnergyModelConfig(
+                charge_rate_w=1, exogenous_service_s=86400, wind_slice_s=1, et_flexible_factor=1000, et_dynamic_factor=1000
+            ),
             composition=CompositionConfig(operating_cost_per_km=1000),
         )
         rows = run_experiment(cfg).rows

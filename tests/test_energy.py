@@ -20,28 +20,27 @@ from skybroker.energy import (
 )
 from skybroker.network import SkywayNode
 
-from conftest import line_network, simple_provider, unit_energy_config
+from conftest import line_network, oracle_segment_energy, simple_provider, unit_energy_config
 
 FORMATIONS = tuple(Formation)
 
 
 class TestSegmentEnergy:
     def test_zero_length_zero_energy(self, unit_config):
-        assert segment_energy(0.0, 10.0, 0.0, Formation.VEE, 0, 0, unit_config) == 0.0
+        assert segment_energy((0.0, 1.0), 10.0, 0.0, Formation.VEE, 0, unit_config) == (0.0, 0.0)
 
     def test_heavier_payload_consumes_strictly_more(self, unit_config):
-        light = segment_energy(0.0, 10.0, 500, Formation.VEE, 0, 0, unit_config)
-        heavy = segment_energy(2.0, 10.0, 500, Formation.VEE, 0, 0, unit_config)
+        light, heavy = segment_energy((0.0, 2.0), 10.0, 500, Formation.VEE, 0, unit_config)
         assert heavy > light
 
     def test_hand_computed_value(self, unit_config):
         # 1000 m at 10 m/s with 1 kg payload: (100 + 50) W * 100 s = 15000 J
-        e = segment_energy(1.0, 10.0, 1000.0, Formation.VEE, 0, 0, unit_config)
+        (e,) = segment_energy((1.0,), 10.0, 1000.0, Formation.VEE, 0, unit_config)
         assert e == pytest.approx(15000.0 / 3600.0)
 
     def test_negative_length_rejected(self, unit_config):
         with pytest.raises(ValueError):
-            segment_energy(0.0, 10.0, -1.0, Formation.VEE, 0, 0, unit_config)
+            segment_energy((0.0,), 10.0, -1.0, Formation.VEE, 0, unit_config)
 
     @given(
         st.floats(min_value=0, max_value=3),
@@ -54,12 +53,33 @@ class TestSegmentEnergy:
         cfg = unit_energy_config()
         lo_p, hi_p = sorted((p1, p2))
         lo_l, hi_l = sorted((l1, l2))
-        assert segment_energy(lo_p, 10.0, hi_l, Formation.VEE, 0, 0, cfg) <= segment_energy(
-            hi_p, 10.0, hi_l, Formation.VEE, 0, 0, cfg
-        )
-        assert segment_energy(hi_p, 10.0, lo_l, Formation.VEE, 0, 0, cfg) <= segment_energy(
-            hi_p, 10.0, hi_l, Formation.VEE, 0, 0, cfg
-        )
+        light, heavy = segment_energy((lo_p, hi_p), 10.0, hi_l, Formation.VEE, 0, cfg)
+        assert light <= heavy
+        (short,) = segment_energy((hi_p,), 10.0, lo_l, Formation.VEE, 0, cfg)
+        assert short <= heavy
+
+    @given(
+        st.data(),
+        st.lists(st.floats(0.1, 3.0), min_size=1, max_size=5),
+        st.floats(1.0, 50.0),
+        st.floats(0.0, 20000.0),
+        st.sampled_from(FORMATIONS),
+        st.integers(0, 15),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_each_slot_matches_the_per_drone_oracle_bit_for_bit(
+        self, data, positions, speed, length, formation, sector
+    ):
+        """The per-leg energies are the per-drone formula's, slot by slot, to
+        the last bit, with more slots than the position-factor table has."""
+        loads = tuple(data.draw(st.lists(st.floats(0.0, 10.0), min_size=len(positions) + 1, max_size=12)))
+        cfg = EnergyModelConfig(position_factors=tuple(positions))
+        got = segment_energy(loads, speed, length, formation, sector, cfg)
+        want = [
+            oracle_segment_energy(load, speed, length, formation, sector, slot, cfg)
+            for slot, load in enumerate(loads)
+        ]
+        assert [e.hex() for e in got] == [e.hex() for e in want]
 
 
 class TestBestFormation:
