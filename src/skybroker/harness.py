@@ -94,9 +94,11 @@ class ExperimentConfig:
     coords_path: str | None = None
     stations_path: str | None = None
     charging_companies: int = field(default=5, metadata=POSITIVE)
-    # the synthetic builder squares coordinate differences, and 2 * area_m**2
-    # must stay finite
-    area_m: float = field(default=30000.0, metadata=rule("in (0, 1e150]", lambda v: 0 < v <= 1e150))
+    # A skyway area is at least a metre across: the synthetic builder divides
+    # area_m among its grid cells, which underflows to zero for far smaller
+    # areas. It squares coordinate differences, and 2 * area_m**2 must stay
+    # finite.
+    area_m: float = field(default=30000.0, metadata=rule("in [1, 1e150]", lambda v: 1 <= v <= 1e150))
     n_providers: int = field(default=20, metadata=POSITIVE)
     n_requests: int = field(default=50, metadata=POSITIVE)
     strategies: tuple[str, ...] = ("density",)

@@ -125,24 +125,6 @@ def borda(ballots: Sequence[Ballot]) -> ElectionResult:
     return ElectionResult(winner, tallies, ops)
 
 
-def pairwise_preferences(ballots: Sequence[Ballot]) -> dict[tuple[int, int], float]:
-    """Total ballot weight preferring a over b, for every ordered pair (a, b)."""
-    candidates = _candidates(ballots)
-    # each ballot's rank positions; weights are added in ballot order
-    ranks = [(ballot.weight, {c: i for i, c in enumerate(ballot.ranking)}) for ballot in ballots]
-    prefs: dict[tuple[int, int], float] = {}
-    for i, a in enumerate(candidates):
-        for b in candidates[i + 1 :]:
-            a_over_b = b_over_a = 0
-            for weight, pos in ranks:
-                if pos[a] < pos[b]:
-                    a_over_b += weight
-                else:
-                    b_over_a += weight
-            prefs[(a, b)], prefs[(b, a)] = a_over_b, b_over_a
-    return prefs
-
-
 def condorcet(ballots: Sequence[Ballot], rng_seed: int) -> ElectionResult:
     """Head-to-head election between every provider pair.
 
@@ -151,16 +133,23 @@ def condorcet(ballots: Sequence[Ballot], rng_seed: int) -> ElectionResult:
     seeded-random candidate among the tied top is recommended.
     """
     candidates = _candidates(ballots)
-    prefs = pairwise_preferences(ballots)
+    # each ballot's rank positions; a pair's weights are added in ballot order
+    ranks = [(ballot.weight, {c: i for i, c in enumerate(ballot.ranking)}) for ballot in ballots]
     ops = len(ballots) * (len(candidates) * (len(candidates) - 1)) // 2
     wins = {c: 0.0 for c in candidates}
     for i, a in enumerate(candidates):
         for b in candidates[i + 1 :]:
-            if prefs[(a, b)] > prefs[(b, a)]:
+            a_over_b = b_over_a = 0
+            for weight, pos in ranks:
+                if pos[a] < pos[b]:
+                    a_over_b += weight
+                else:
+                    b_over_a += weight
+            if a_over_b > b_over_a:
                 wins[a] += 1
-            elif prefs[(b, a)] > prefs[(a, b)]:
+            elif b_over_a > a_over_b:
                 wins[b] += 1
-    best = max(wins.values()) if wins else 0.0
+    best = max(wins.values())
     top = sorted(c for c in candidates if wins[c] == best)
     if len(top) == 1:
         return ElectionResult(top[0], wins, ops)

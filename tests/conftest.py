@@ -1,5 +1,6 @@
 import functools
 import heapq
+import itertools
 import random
 import runpy
 import time
@@ -337,17 +338,39 @@ def no_progress():
 # --- oracles shared by several test files -------------------------------------
 
 
-def random_election(rng, max_candidates=4):
-    """Four metric ballots over 1..u candidates, u drawn up to max_candidates."""
+def random_election(rng, max_candidates=4, weights=None):
+    """Four metric ballots over 1..u candidates, u drawn up to max_candidates,
+    each weight drawn from weights if given, else from 1/64..64/64."""
     u = rng.randint(1, max_candidates)
     candidates = list(range(1, u + 1))
     ballots = []
     for metric in QOS_METRICS:
         ranking = candidates[:]
         rng.shuffle(ranking)
-        weight = rng.randint(1, 64) / 64  # dyadic weights keep float sums exact
+        # dyadic weights keep float sums exact
+        weight = rng.choice(weights) if weights else rng.randint(1, 64) / 64
         ballots.append(Ballot(metric, weight, tuple(ranking)))
     return ballots
+
+
+def oracle_condorcet(ballots):
+    """Condorcet oracle: each candidate's pairwise wins and the sorted
+    candidates holding the most. Each side of a pair sums, from 0 in ballot
+    order, the weights of the ballots whose ranking.index puts it first; a
+    tied pair is a win for neither."""
+    candidates = sorted(ballots[0].ranking)
+    wins = {c: 0 for c in candidates}
+    for a, b in itertools.combinations(candidates, 2):
+        a_over_b = b_over_a = 0
+        for ballot in ballots:
+            if ballot.ranking.index(a) < ballot.ranking.index(b):
+                a_over_b += ballot.weight
+            else:
+                b_over_a += ballot.weight
+        if a_over_b != b_over_a:
+            wins[a if a_over_b > b_over_a else b] += 1
+    best = max(wins.values())
+    return wins, [c for c in candidates if wins[c] == best]
 
 
 def oracle_irv(ballots, rng_seed):

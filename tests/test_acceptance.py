@@ -23,7 +23,6 @@ from skybroker.recommend import (
     build_ballots,
     condorcet,
     instant_runoff,
-    pairwise_preferences,
     plurality,
     top_weight,
 )
@@ -36,6 +35,7 @@ from conftest import (
     check_flown,
     composable_requests,
     compose_flown,
+    oracle_condorcet,
     oracle_irv,
     oracle_region_paths,
     random_election,
@@ -227,19 +227,26 @@ def test_oracle_equivalence_borda():
     report("oracle-borda", True, "500 seeded elections match independent recomputation")
 
 
-def test_oracle_equivalence_condorcet_pairwise():
+def test_oracle_equivalence_condorcet():
+    """Wins, winner and paradox flag against the brute-force pairwise counts;
+    every other election draws its weights from two values, so pairs tie."""
     rng = random.Random(1003)
-    for _ in range(500):
-        ballots = random_election(rng)
-        prefs = pairwise_preferences(ballots)
-        candidates = sorted(ballots[0].ranking)
-        for i, a in enumerate(candidates):
-            for b in candidates[i + 1 :]:
-                wa = sum(x.weight for x in ballots if x.ranking.index(a) < x.ranking.index(b))
-                wb = sum(x.weight for x in ballots if x.ranking.index(b) < x.ranking.index(a))
-                assert prefs[(a, b)] == pytest.approx(wa)
-                assert prefs[(b, a)] == pytest.approx(wb)
-    report("oracle-condorcet", True, "500 seeded pairwise matrices match brute-force counts")
+    paradoxes = 0
+    for i in range(500):
+        ballots = random_election(rng, max_candidates=5, weights=(0.25, 0.5) if i % 2 else None)
+        seed = rng.randrange(2**32)
+        wins, top = oracle_condorcet(ballots)
+        result = condorcet(ballots, seed)
+        assert result.tallies == wins
+        assert result.paradox == (len(top) > 1)
+        assert result.winner == (top[0] if len(top) == 1 else random.Random(seed).choice(top))
+        paradoxes += result.paradox
+    report(
+        "oracle-condorcet",
+        True,
+        f"500 seeded elections with u <= 5, half with tied weights, match brute-force pairwise counts "
+        f"({paradoxes} paradoxes)",
+    )
 
 
 def test_oracle_equivalence_region_paths():

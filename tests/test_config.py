@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -256,6 +257,49 @@ class TestPhysicalBounds:
         assert rows
         numbers = [v for row in rows for v in row.values() if isinstance(v, float)]
         assert all(math.isfinite(v) for v in numbers)
+
+
+# Int fields that only size the run: the network's nodes, the providers, the
+# requests, the region paths searched and the companies whose district
+# anchors every node is scored against. At 10**6 they make the run long, not
+# wrong, so they are not tried there.
+SIZES = {"synthetic_nodes", "n_providers", "n_requests", "t_paths", "charging_companies"}
+
+
+def extreme_values(f):
+    """The extreme values to try for a ruled numeric field: the bounds its
+    rule's text names (0 for positive and non-negative), and 5e-324 and 1e308
+    for a float field. An int field tries each bound and the int above it, and
+    10**6 outside SIZES."""
+    text, _ = f.metadata["rule"]
+    bounds = [float(b) for b in re.findall(r"\d+(?:\.\d+)?(?:e[+-]?\d+)?", text)]
+    if not bounds and "positive" in text:
+        bounds = [0.0]
+    if type(f.default[0] if isinstance(f.default, tuple) else f.default) is int:
+        return [n for b in bounds for n in (int(b), int(b) + 1)] + ([] if f.name in SIZES else [10**6])
+    return [5e-324, 1e308, *bounds]
+
+
+class TestExtremeValues:
+    @pytest.mark.parametrize("section, f", list(numeric_fields()), ids=lambda v: getattr(v, "name", v))
+    def test_each_extreme_is_refused_in_one_line_or_runs_finite(self, section, f):
+        """The smoke config with the field at each of its extreme_values (every
+        entry, for a tuple field) is either refused when it is built, with a
+        one-line error naming the field, or runs to finite floats in every row."""
+        smoke = {"seed": 1, **WORKLOADS["smoke"].config}
+        for value in extreme_values(f):
+            given = (value,) * len(f.default) if isinstance(f.default, tuple) else value
+            try:
+                if section == "experiment":
+                    cfg = ExperimentConfig(**{**smoke, f.name: given})
+                else:
+                    cfg = ExperimentConfig(**smoke, **{section: SECTIONS[section](**{f.name: given})})
+            except ConfigurationError as refused:
+                message = str(refused)
+                assert message.startswith(f"{section} config ") and f.name in message and "\n" not in message, message
+                continue
+            numbers = [v for row in run_experiment(cfg).rows for v in row.values() if isinstance(v, float)]
+            assert all(math.isfinite(v) for v in numbers), (f.name, value)
 
 
 class TestConfigFile:

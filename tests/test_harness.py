@@ -497,14 +497,15 @@ class TestCli:
 
     def test_synth_network_zero_area_is_a_one_line_error(self, tmp_path, capsys):
         assert cli_main(["synth-network", "--nodes", "20", "--area", "0", "--out", str(tmp_path / "net.json")]) == 2
-        assert capsys.readouterr().err == "skybroker: error: experiment config area_m must be in (0, 1e150], got 0.0\n"
+        assert capsys.readouterr().err == "skybroker: error: experiment config area_m must be in [1, 1e150], got 0.0\n"
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["synth-network", "--nodes", "1"], "synthetic_nodes must be at least 2, got 1"),
             (["synth-network", "--nodes", "20", "--area", "nan"], "area_m must be a finite float, got nan"),
-            (["synth-network", "--nodes", "20", "--area", "1e308"], "area_m must be in (0, 1e150], got 1e+308"),
+            (["synth-network", "--nodes", "20", "--area", "1e308"], "area_m must be in [1, 1e150], got 1e+308"),
+            (["synth-network", "--nodes", "30", "--area", "5e-324"], "area_m must be in [1, 1e150], got 5e-324"),
             (["synth-network", "--nodes", "9", "--charging-companies", "0"], "charging_companies must be positive, got 0"),
             (["run", "--synthetic", "0"], "synthetic_nodes must be at least 2, got 0"),
             (["run", "--synthetic", "20", "--charging-companies", "0"], "charging_companies must be positive, got 0"),

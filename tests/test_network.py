@@ -500,7 +500,7 @@ class TestSyntheticNetwork:
         with pytest.raises(ValueError, match="k_nearest"):
             synthetic_network(1, 10, k_nearest=-1)
 
-    @pytest.mark.parametrize("area_m", [0.0, -5.0, math.nan, math.inf, 1e160])
+    @pytest.mark.parametrize("area_m", [0.0, -5.0, 5e-324, math.nan, math.inf, 1e160])
     def test_area_not_positive_and_finite_rejected(self, area_m):
         # the experiment config's rule keeps it from synthetic_network
         with pytest.raises(ConfigurationError, match="^experiment config area_m must be "):
