@@ -30,7 +30,7 @@ path checks capacity in flight, since its later legs fall in later wind slices.
 Loop-freedom: greedy moves (splits included) only go to nodes outside the
 sub-swarm's ``closed`` set, which holds every visited node, so they never
 revisit a node. The direct check and the committed flight share one lazy walk
-down the shortest-path tree, ``_tree_pairs``, blind to ``closed``: the flight
+down the shortest-path tree, ``_tree_legs``, blind to ``closed``: the flight
 may pass through nodes the swarm has already visited. Each sub-swarm path is
 thus a loop-free greedy prefix followed by a loop-free suffix along the tree.
 
@@ -72,19 +72,18 @@ Evaluations: the execution-time QoS counts evaluation units, charged at three
 sites only: ``_leg_at``, one per drone for every leg looked at; ``_stop``,
 one per drone for every charging stop priced, flown (behind the drawn queue)
 or estimated (behind the expected queue); ``score_candidates``, one per
-candidate scored. ``_leg_at`` takes the wind time slice of the sub-swarm's
-current time, so a caller whose time stands still computes it once:
-``viable_candidates`` once per step, the direct check once per check; every
-other caller goes through ``_leg_info``, which computes it per leg. The
-direct check and the committed flight share one lazy walk down the tree, so
-each looks at a leg only on reaching it: the check at the current time, up to
-and including the first leg some drone cannot afford, and the flight just
-before flying the leg, at the time the sub-swarm reaches it. Each sub-swarm
-counts its own units and the outcome sums them over the finished sub-swarms.
-Leg physics are memoised per sub-swarm (keyed on the leg and the wind time
-slice, and reset when a split slices the sub-swarm's slots), one
-``segment_energy`` call per leg computed, but a memo hit still charges its
-units, so the counts do not depend on the memo.
+candidate scored. ``_leg_at`` is the one way to a leg: it reads the wind in
+the time slice of the sub-swarm's current time, so a leg depends only on the
+slots, the leg and that slice. The direct check and the committed flight
+share one lazy walk down the tree, so each looks at a leg only on reaching it:
+the check at the current time, up to and including the first leg some drone
+cannot afford, and the flight just before flying the leg, at the time the
+sub-swarm reaches it. Each sub-swarm counts its own units and the outcome
+sums them over the finished sub-swarms. Leg physics are memoised per
+sub-swarm (keyed on the leg and the wind time slice, and reset when a split
+slices the sub-swarm's slots), one ``segment_energy`` call per leg computed,
+but a memo hit still charges its units, so the counts do not depend on the
+memo.
 
 Every provider composed for one request reads the same ``RequestContext``:
 network, request, configs, destination tree, congestion seed and one
@@ -232,27 +231,23 @@ def _launch(provider: Provider, ctx: RequestContext) -> SubSwarmState:
     )
 
 
-def _leg_at(state: SubSwarmState, a: int, b: int, slice_: int, ctx: RequestContext) -> _Leg:
-    """Physics of flying a -> b in wind time slice slice_, which must be the
-    slice of the sub-swarm's current time; charges one evaluation per drone
-    whether or not the leg comes from the memo."""
+def _leg_at(state: SubSwarmState, a: int, b: int, ctx: RequestContext) -> _Leg:
+    """Physics of flying a -> b at the sub-swarm's current time, in the wind
+    time slice that time falls in; charges one evaluation per drone whether or
+    not the leg comes from the memo."""
     state.evaluations += len(state.loads)
+    slice_ = ctx.wind.time_slice(state.delivery_time)
     key = (a, b, slice_)
     leg = state.legs.get(key)
     if leg is None:
         swarm = state.provider.swarm
         length = ctx.network.length(a, b)
-        sector = relative_sector(ctx.wind.at(a, b, state.delivery_time), ctx.network.heading(a, b))
+        sector = relative_sector(ctx.wind.at(a, b, slice_), ctx.network.heading(a, b))
         formation = best_formation(sector, ctx.energy) if swarm.flexible else swarm.formation
         energies = segment_energy(state.loads, swarm.speed, length, formation, sector, ctx.energy)
         leg = _Leg(node=b, length=length, energies=energies)
         state.legs[key] = leg
     return leg
-
-
-def _leg_info(state: SubSwarmState, a: int, b: int, ctx: RequestContext) -> _Leg:
-    """Physics of flying a -> b at the sub-swarm's current time (``_leg_at``)."""
-    return _leg_at(state, a, b, ctx.wind.time_slice(state.delivery_time), ctx)
 
 
 def _leg_within_capacity(leg: _Leg, state: SubSwarmState) -> bool:
@@ -356,13 +351,14 @@ def _traverse(state: SubSwarmState, leg: _Leg, ctx: RequestContext) -> None:
         _charge(state, leg, ctx, None)
 
 
-def _tree_pairs(state: SubSwarmState, ctx: RequestContext) -> Iterator[tuple[int, int]]:
-    """The legs down the destination tree from the current node, as node
-    pairs, each reached only when the walk gets there. ``fly`` fails a source
-    the tree does not hold, and every later node was a live candidate."""
+def _tree_legs(state: SubSwarmState, ctx: RequestContext) -> Iterator[_Leg]:
+    """The legs down the destination tree from the current node, each looked
+    at only when the walk reaches it, at the sub-swarm's time then. ``fly``
+    fails a source the tree does not hold, and every later node was a live
+    candidate."""
     a, b = state.current_node, ctx.parent_to_dest[state.current_node]
     while b is not None:
-        yield a, b
+        yield _leg_at(state, a, b, ctx)
         a, b = b, ctx.parent_to_dest[b]
 
 
@@ -371,11 +367,10 @@ def _fits_direct(state: SubSwarmState, ctx: RequestContext) -> bool:
     charge; the walk stops at the first leg some drone cannot afford. The
     sub-swarm's time stands still during the check, so every leg is looked
     at in one wind slice."""
-    slice_ = ctx.wind.time_slice(state.delivery_time)
     totals = [0.0] * len(state.loads)
     limits = [held + _EPS for held in state.held]
-    for a, b in _tree_pairs(state, ctx):
-        for slot, e in enumerate(_leg_at(state, a, b, slice_, ctx).energies):
+    for leg in _tree_legs(state, ctx):
+        for slot, e in enumerate(leg.energies):
             totals[slot] += e
             if totals[slot] > limits[slot]:
                 return False
@@ -440,12 +435,12 @@ def viable_candidates(state: SubSwarmState, ctx: RequestContext, alive: set[int]
     from which the destination remains reachable through unvisited nodes,
     given nodes already known to be alive in this step (see the module
     docstring)."""
-    here, slice_ = state.current_node, ctx.wind.time_slice(state.delivery_time)
+    here = state.current_node
     out = []
     for nbr, _length in ctx.network.neighbors(here):
         if nbr in state.closed or not _reaches_destination(nbr, state, ctx, alive):
             continue
-        leg = _leg_at(state, here, nbr, slice_, ctx)
+        leg = _leg_at(state, here, nbr, ctx)
         if _leg_within_capacity(leg, state):
             out.append(leg)
     return out
@@ -509,7 +504,6 @@ def score_candidates(
     dt_hat = normalize_lower_better(dt_col)
     ec_hat = normalize_lower_better(ec_col)
     cost_hat = normalize_lower_better(cost_col)
-    et_hat = [1.0] * len(candidates)  # the proxy tick is identical for every candidate
     rem_hat = normalize_lower_better(rem_col)
 
     weights = ctx.request.qos_weights
@@ -520,7 +514,7 @@ def score_candidates(
             weights["delivery_time"] * dt_hat[i]
             + weights["energy"] * ec_hat[i]
             + weights["cost"] * cost_hat[i]
-            + weights["execution_time"] * et_hat[i]
+            + weights["execution_time"]  # the same tick for every candidate normalises to 1.0
         )
         value = (1.0 - pw) * qos_value + pw * rem_hat[i]
         scored.append((value, leg))
@@ -564,14 +558,13 @@ def _run_subswarm(state: SubSwarmState, ctx: RequestContext, subswarms: list[Sub
             if len(candidates) >= 2:
                 ranked = score_candidates(state, candidates, ctx)
                 sibling = _split_subswarm(state)
-                _traverse(state, _leg_info(state, node, ranked[0][1].node, ctx), ctx)
-                _traverse(sibling, _leg_info(sibling, node, ranked[1][1].node, ctx), ctx)
+                _traverse(state, _leg_at(state, node, ranked[0][1].node, ctx), ctx)
+                _traverse(sibling, _leg_at(sibling, node, ranked[1][1].node, ctx), ctx)
                 subswarms.append(sibling)
                 continue
 
         if _fits_direct(state, ctx):
-            for a, b in _tree_pairs(state, ctx):
-                leg = _leg_info(state, a, b, ctx)
+            for leg in _tree_legs(state, ctx):
                 if not _leg_within_capacity(leg, state):
                     return False
                 _traverse(state, leg, ctx)

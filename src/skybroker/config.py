@@ -185,7 +185,8 @@ class ScenarioLimits:
     """Packages per request, drawn from 1 to max_packages, each of a weight
     drawn uniformly from [min_package_weight_kg, max_package_weight_kg]."""
 
-    max_packages: int = field(default=6, metadata=POSITIVE)
+    # a thousand parcels is freight, not one consumer's swarm delivery
+    max_packages: int = field(default=6, metadata=rule("in [1, 1000]", lambda v: 1 <= v <= 1000))
     max_package_weight_kg: float = field(default=2.0, metadata=POSITIVE)
     min_package_weight_kg: float = field(default=0.1, metadata=POSITIVE)
 

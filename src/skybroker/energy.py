@@ -22,9 +22,11 @@ class WindField:
 
     Only the direction shapes flight energy (through the relative wind sector),
     so no wind speed is drawn. ``slice_s`` is the slice length in seconds (the
-    energy config's ``wind_slice_s``). Draws are memoised per instance. The
-    composer makes one field per request, so the memo holds the segments that
-    request's compositions look at, and is dropped with the request.
+    energy config's ``wind_slice_s``). ``time_slice`` is the one place a time
+    becomes a slice index, and ``at`` reads a segment's direction in a slice.
+    Draws are memoised per instance. The composer makes one field per request,
+    so the memo holds the segments that request's compositions look at, and is
+    dropped with the request.
     """
 
     def __init__(self, seed: int, slice_s: float):
@@ -38,9 +40,10 @@ class WindField:
         """Index of the time slice the wind is constant over at elapsed_s."""
         return int(max(elapsed_s, 0.0) // self.slice_s)
 
-    def at(self, a: int, b: int, elapsed_s: float) -> float:
-        """Direction the air moves toward over segment a-b at elapsed_s, in radians."""
-        key = (min(a, b), max(a, b), self.time_slice(elapsed_s))
+    def at(self, a: int, b: int, slice_: int) -> float:
+        """Direction the air moves toward over segment a-b in time slice
+        slice_ (``time_slice``), in radians."""
+        key = (min(a, b), max(a, b), slice_)
         direction = self._memo.get(key)
         if direction is None:
             direction = self._memo[key] = unit_draw(self.seed, *key, 2) * TWO_PI

@@ -93,7 +93,9 @@ class ExperimentConfig:
     edges_path: str | None = None
     coords_path: str | None = None
     stations_path: str | None = None
-    charging_companies: int = field(default=5, metadata=POSITIVE)
+    # a city's charging stations are run by at most a thousand companies; the
+    # synthetic builder scores every district node against every company
+    charging_companies: int = field(default=5, metadata=rule("in [1, 1000]", lambda v: 1 <= v <= 1000))
     # A skyway area is at least a metre across: the synthetic builder divides
     # area_m among its grid cells, which underflows to zero for far smaller
     # areas. It squares coordinate differences, and 2 * area_m**2 must stay

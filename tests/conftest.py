@@ -202,7 +202,7 @@ def fresh_leg(state, a, b, ctx):
     """Leg physics of a -> b at the sub-swarm's current time, computed from
     scratch drone by drone with a wind field that has never drawn before;
     charges no evaluation."""
-    wind = WindField(ctx.wind.seed, ctx.wind.slice_s).at(a, b, state.delivery_time)
+    wind = WindField(ctx.wind.seed, ctx.wind.slice_s).at(a, b, ctx.wind.time_slice(state.delivery_time))
     length = ctx.network.length(a, b)
     sector = relative_sector(wind, ctx.network.heading(a, b))
     swarm = state.provider.swarm

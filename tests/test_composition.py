@@ -15,7 +15,7 @@ from skybroker.composition import (
     _launch,
     _split_subswarm,
     _traverse,
-    _tree_pairs,
+    _tree_legs,
     compose,
     request_context,
     score_candidates,
@@ -189,7 +189,7 @@ class TestCanReachDirectly:
             totals = [0.0] * len(state.loads)
             feasible = True
             for a, b in zip(path, path[1:]):
-                sector = relative_sector(wind.at(a, b, 0.0), net.heading(a, b))
+                sector = relative_sector(wind.at(a, b, 0), net.heading(a, b))
                 for i, load in enumerate(state.loads):
                     totals[i] += oracle_segment_energy(
                         load, provider.swarm.speed, net.length(a, b), provider.swarm.formation, sector, i, config
@@ -197,7 +197,7 @@ class TestCanReachDirectly:
                     if totals[i] > state.held[i] + 1e-9:
                         feasible = False
             assert _fits_direct(state, ctx) == feasible
-            assert [b for _a, b in _tree_pairs(state, ctx)] == tree_path(ctx.parent_to_dest, source)[1:]
+            assert [leg.node for leg in _tree_legs(state, ctx)] == tree_path(ctx.parent_to_dest, source)[1:]
             outcomes.add(feasible)
         assert outcomes == {True, False}
 
@@ -298,7 +298,7 @@ class TestNodeValue:
         rows = []
         for leg in candidates:
             length = net.length(hub, leg.node)
-            sector = relative_sector(wind.at(hub, leg.node, 0.0), net.heading(hub, leg.node))
+            sector = relative_sector(wind.at(hub, leg.node, 0), net.heading(hub, leg.node))
             energy = oracle_segment_energy(state.loads[0], 15.0, length, provider.swarm.formation, sector, 0, config)
             rows.append((leg.node, length / 15.0, energy, 0.005 * length / 1000.0, remaining[leg.node]))
 
@@ -419,11 +419,11 @@ class TestSplitNeverFoldsBack:
         the whole swarm's drone in slot j, which viable_candidates checked."""
         state, ctx = case
         legs = [(a, b) for a, b in ((0, 1), (0, 2), (1, 3), (2, 3)) for a, b in ((a, b), (b, a))]
-        whole = {ab: composition._leg_info(state, *ab, ctx).energies for ab in legs}
+        whole = {ab: composition._leg_at(state, *ab, ctx).energies for ab in legs}
         sibling = composition._split_subswarm(state)
         for half in (state, sibling):
             for ab in legs:
-                energies = composition._leg_info(half, *ab, ctx).energies
+                energies = composition._leg_at(half, *ab, ctx).energies
                 assert all(e <= w for e, w in zip(energies, whole[ab]))
 
 
@@ -660,18 +660,16 @@ class TestReachability:
                     if len(flights) == 1 and len(candidates) >= 2 and data.draw(st.booleans()):
                         first, second = data.draw(st.permutations(candidates))[:2]
                         sibling = _split_subswarm(state)
-                        _traverse(sibling, composition._leg_info(sibling, node, second, ctx), ctx)
+                        _traverse(sibling, composition._leg_at(sibling, node, second, ctx), ctx)
                         flights.append(sibling)
                     else:
                         first = data.draw(st.sampled_from(candidates))
-                    _traverse(state, composition._leg_info(state, node, first, ctx), ctx)
+                    _traverse(state, composition._leg_at(state, node, first, ctx), ctx)
 
 
-def recomputed_leg_at(state, a, b, slice_, ctx):
+def recomputed_leg_at(state, a, b, ctx):
     """The composer's leg physics without its memos, the request's shared wind
-    memo included: ``fresh_leg``, charging one evaluation per drone. The
-    slice the composer passes must be the sub-swarm's current one."""
-    assert slice_ == ctx.wind.time_slice(state.delivery_time)
+    memo included: ``fresh_leg``, charging one evaluation per drone."""
     state.evaluations += len(state.loads)
     return fresh_leg(state, a, b, ctx)
 
@@ -765,7 +763,7 @@ def first_legs(draw, cooperative, threshold, min_fill_legs=0.0):
         CompositionConfig(opportunistic_charge_threshold=draw(threshold)),
     )
     state = _launch(provider, ctx)
-    leg = composition._leg_info(state, 0, 1, ctx)
+    leg = composition._leg_at(state, 0, 1, ctx)
     capacity = provider.swarm.battery_capacity
     for slot, e in enumerate(leg.energies):
         assume(e <= capacity and min_fill_legs * e <= capacity)

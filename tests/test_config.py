@@ -260,10 +260,9 @@ class TestPhysicalBounds:
 
 
 # Int fields that only size the run: the network's nodes, the providers, the
-# requests, the region paths searched and the companies whose district
-# anchors every node is scored against. At 10**6 they make the run long, not
+# requests and the region paths searched. At 10**6 they make the run long, not
 # wrong, so they are not tried there.
-SIZES = {"synthetic_nodes", "n_providers", "n_requests", "t_paths", "charging_companies"}
+SIZES = {"synthetic_nodes", "n_providers", "n_requests", "t_paths"}
 
 
 def extreme_values(f):

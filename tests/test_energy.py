@@ -110,15 +110,15 @@ class TestBestFormation:
 class TestWindField:
     def test_deterministic_per_segment_and_slice(self):
         field = WindField(seed=7, slice_s=600.0)
-        a = field.at(3, 5, 100.0)
-        b = field.at(5, 3, 100.0)  # undirected
+        a = field.at(3, 5, 0)
+        b = field.at(5, 3, 0)  # undirected
         assert a == b
-        assert field.at(3, 5, 100.0) == a
+        assert field.at(3, 5, 0) == a
         assert 0 <= a < 2 * math.pi
 
     def test_piecewise_constant_in_time(self):
         field = WindField(seed=7, slice_s=600.0)
-        assert field.at(1, 2, 0.0) == field.at(1, 2, 599.0)
+        assert [field.time_slice(t) for t in (0.0, 599.0, 600.0)] == [0, 0, 1]
 
 
 def station(node_id=1, owner=1, pads=4):

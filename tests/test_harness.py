@@ -506,11 +506,21 @@ class TestCli:
             (["synth-network", "--nodes", "20", "--area", "nan"], "area_m must be a finite float, got nan"),
             (["synth-network", "--nodes", "20", "--area", "1e308"], "area_m must be in [1, 1e150], got 1e+308"),
             (["synth-network", "--nodes", "30", "--area", "5e-324"], "area_m must be in [1, 1e150], got 5e-324"),
-            (["synth-network", "--nodes", "9", "--charging-companies", "0"], "charging_companies must be positive, got 0"),
+            (
+                ["synth-network", "--nodes", "9", "--charging-companies", "0"],
+                "charging_companies must be in [1, 1000], got 0",
+            ),
             (["run", "--synthetic", "0"], "synthetic_nodes must be at least 2, got 0"),
-            (["run", "--synthetic", "20", "--charging-companies", "0"], "charging_companies must be positive, got 0"),
+            (
+                ["run", "--synthetic", "20", "--charging-companies", "0"],
+                "charging_companies must be in [1, 1000], got 0",
+            ),
             (["run", "--synthetic", "20", "--requests", "0"], "n_requests must be positive, got 0"),
             (["run"], "synthetic_nodes is None and no other network source given"),
+            (
+                ["run", "--synthetic", "30", "--charging-companies", "1001"],
+                "charging_companies must be in [1, 1000], got 1001",
+            ),
         ],
     )
     def test_bad_network_option_is_a_one_line_error(self, tmp_path, argv, message, capsys):
