@@ -17,6 +17,15 @@ def _comma_list(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
+def _number(item: str) -> float | str:
+    """item as a float; text that is not a number stays text, which the
+    config refuses in a one-line error naming its field."""
+    try:
+        return float(item)
+    except ValueError:
+        return item
+
+
 def _joined(values) -> str:
     return ",".join(map(str, values))
 
@@ -83,7 +92,7 @@ def _run_command(args: argparse.Namespace) -> int:
         n_providers=args.providers,
         n_requests=args.requests,
         strategies=tuple(_comma_list(args.pruning)),
-        k_values=tuple(float(k) for k in _comma_list(args.k)),
+        k_values=tuple(map(_number, _comma_list(args.k))),
         t_paths=args.t,
         voting_methods=tuple(_comma_list(args.voting)),
         grid_resolution=args.grid,

@@ -10,9 +10,16 @@ Each request that passes the filter runs in three stages:
 1. select the cohort of every (strategy, k) pair; pruning never reads a
    composition outcome;
 2. compose the union of the cohorts, each provider once, in filtered order;
-3. vote and score per cohort, reusing the union's outcomes: each cohort's
-   successes give one {provider_id: QosVector} table, which normalisation,
-   satisfaction, the ballots and the winner's row all read.
+3. vote and score each distinct successful cohort once, reusing the union's
+   outcomes: each cohort's successes give one {provider_id: QosVector} table,
+   which normalisation, satisfaction, the ballots and the winner's row all
+   read. Cohorts of different (strategy, k) pairs often keep the same
+   successes (``brute`` keeps every provider at every k), and those pairs
+   share one set of tables and elections, keyed on the table's ordered
+   provider ids. That is exact: the tables, ballots and elections are pure
+   functions of the table and the request's weights, and an election's seed
+   is mixed from the voting seed, the request id and the method alone. Each
+   pair still writes its own rows, with its own cohort size and proxy time.
 
 A request the filter leaves no provider for is rejected before stage 1. Only
 when no cohort member composes successfully are the remaining filtered
@@ -32,7 +39,10 @@ stage functions and its five elections, ``composition.segment_energy`` and
 ``node_service_time``, ``energy.unit_draw`` and ``WindField.at``, and
 ``SkywayNetwork.neighbors``. Call them through those names: a call that
 bypasses one, such as an election table built at import time, leaves the
-traced metrics empty.
+traced metrics empty. ``normalized_qos``, ``satisfaction``,
+``build_ballots`` and each election run once per distinct successful cohort
+of a request, not once per (strategy, k) pair, so ``recommend.elections``
+counts the distinct cohorts times the methods.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ import csv
 import hashlib
 import io
 import json
+import operator
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
@@ -265,19 +276,25 @@ def _process_request(
         rest = (p for p in filtered if p.provider_id not in members)
         return [], "served" if any(compose(p, ctx).success for p in rest) else "unserved"
 
-    # Stage 3: vote and score per cohort.
+    # Stage 3: vote and score each distinct successful cohort once (exact, as
+    # the module docstring says), and write every pair's rows.
     rows = []
+    votes = {}
     for strategy, k, cohort, scoring_ops in cohorts:
         cohort_outcomes = [outcomes[p.provider_id] for p in cohort]
         proxy = scoring_ops + total(o.evaluations for o in cohort_outcomes)
         cohort_pqos = {o.provider_id: o.pqos for o in cohort_outcomes if o.success}
         if not cohort_pqos:
             continue
-        nhat_table = normalized_qos(cohort_pqos)
-        sat_table = satisfaction(nhat_table, request.qos_weights)
-        ballots = build_ballots(cohort_pqos, request.qos_weights)
-        for method in cfg.voting_methods:
-            winner, ops, paradox = _run_method(method, ballots, request, seeds)
+        key = tuple(cohort_pqos)
+        if key not in votes:
+            nhat_table = normalized_qos(cohort_pqos)
+            sat_table = satisfaction(nhat_table, request.qos_weights)
+            ballots = build_ballots(cohort_pqos, request.qos_weights)
+            elected = [(method, *_run_method(method, ballots, request, seeds)) for method in cfg.voting_methods]
+            votes[key] = nhat_table, sat_table, elected
+        nhat_table, sat_table, elected = votes[key]
+        for method, winner, ops, paradox in elected:
             pqos = cohort_pqos[winner]
             row = {
                 "seed": cfg.seed,
@@ -418,11 +435,24 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def _render_csv(fieldnames: Sequence[str], rows: Sequence[Mapping]) -> str:
+    """A header of fieldnames, then each row's values in that order. A row
+    whose keys are not exactly fieldnames raises a ValueError naming the
+    missing and the extra keys."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buffer.getvalue()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(fieldnames)
+    # a row with as many keys as there are fields, all of them found, has no other key
+    try:
+        if all(len(row) == len(fieldnames) for row in rows):
+            writer.writerows(map(operator.itemgetter(*fieldnames), rows))
+            return buffer.getvalue()
+    except KeyError:
+        pass
+    fields = set(fieldnames)
+    keys = next(row.keys() for row in rows if row.keys() != fields)
+    raise ValueError(
+        f"CSV row keys differ from the fields: missing {sorted(fields - keys)}, extra {sorted(keys - fields)}"
+    )
 
 
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> None:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import random
@@ -28,6 +30,7 @@ from skybroker.network import (
     load_network_dump,
     synthetic_network,
 )
+from skybroker.pruning import STRATEGIES
 from skybroker.recommend import VOTING_METHODS
 
 from conftest import network_to_streams
@@ -202,6 +205,39 @@ class TestRunExperiment:
         assert any(row["wall_s"] > 0 for row in result.rows)
 
 
+def dict_writer_csv(fieldnames, rows):
+    """The CSV renderer before csv.writer, kept as the oracle."""
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+class TestRenderCsv:
+    def test_matches_dict_writer_on_the_battery(self, battery):
+        result = battery[1].result
+        for fieldnames, rows in ((harness.PER_REQUEST_FIELDS, result.rows), (harness.SUMMARY_FIELDS, result.summary)):
+            assert rows
+            assert harness._render_csv(fieldnames, rows) == dict_writer_csv(fieldnames, rows)
+
+    @pytest.mark.parametrize(
+        "drop, add, named",
+        [
+            ("seed", None, r"missing \['seed'\], extra \[\]$"),
+            (None, "winner", r"missing \[\], extra \['winner'\]$"),
+            ("seed", "winner", r"missing \['seed'\], extra \['winner'\]$"),
+        ],
+    )
+    def test_row_keys_other_than_the_fields_refused(self, drop, add, named):
+        good = dict.fromkeys(harness.SUMMARY_FIELDS, 1.5)
+        bad = {key: value for key, value in good.items() if key != drop}
+        if add is not None:
+            bad[add] = 2
+        with pytest.raises(ValueError, match=f"^CSV row keys differ from the fields: {named}"):
+            harness._render_csv(harness.SUMMARY_FIELDS, [good, bad, good])
+
+
 def eager_process_request(request, providers, network, grid, heatmaps, seeds, cfg):
     """The request pipeline before lazy composition, kept as the oracle: every
     filtered provider is composed before any cohort is selected."""
@@ -287,30 +323,50 @@ ORACLE_CONFIGS = [
     ExperimentConfig(
         seed=2, synthetic_nodes=100, n_requests=8, strategies=("density",), k_values=(30.0, 50.0, 70.0)
     ),
+    # brute keeps every filtered provider at every k, so its cohorts repeat
+    tiny_config(3, STRATEGIES, (30.0, 50.0, 70.0), voting_methods=VOTING_METHODS),
 ]
 
 
 class TestLazyComposition:
     def test_matches_eager_oracle_on_every_request(self, monkeypatch):
-        composed = []
-        real_compose = harness.compose
-        monkeypatch.setattr(
-            harness, "compose", lambda p, *rest: composed.append(p) or real_compose(p, *rest)
-        )
-        seen = {"unserved": 0, "served without rows": 0, "skipped a provider": 0}
+        # each log holds the first argument of every call: the provider
+        # composed, the cohort table balloted, the method elected
+        calls = {"compose": [], "build_ballots": [], "_run_method": []}
+        for name, log in calls.items():
+            real = getattr(harness, name)
+            monkeypatch.setattr(
+                harness, name, lambda first, *rest, real=real, log=log: log.append(first) or real(first, *rest)
+            )
+
+        def traced(process, request, args):
+            for log in calls.values():
+                log.clear()
+            return process(request, *args), {name: list(log) for name, log in calls.items()}
+
+        seen = {"unserved": 0, "served without rows": 0, "skipped a provider": 0, "shared a cohort": 0}
+        elections = rows_written = 0
         for cfg in ORACLE_CONFIGS:
             requests, args = pipeline_inputs(cfg)
             for request in requests:
-                composed.clear()
-                lazy = harness._process_request(request, *args)
-                lazy_calls = len(composed)
-                composed.clear()
-                assert lazy == eager_process_request(request, *args)
+                lazy, lazy_calls = traced(harness._process_request, request, args)
+                eager, eager_calls = traced(eager_process_request, request, args)
+                assert lazy == eager
                 rows, status = lazy
+                # the eager oracle ballots every (strategy, k) cohort with a
+                # success, the pipeline each distinct one once, in that order
+                cohorts = [tuple(pqos) for pqos in eager_calls["build_ballots"]]
+                distinct = list(dict.fromkeys(cohorts))
+                assert [tuple(pqos) for pqos in lazy_calls["build_ballots"]] == distinct
+                assert lazy_calls["_run_method"] == [*cfg.voting_methods] * len(distinct)
+                elections += len(lazy_calls["_run_method"])
+                rows_written += len(rows)
                 seen["unserved"] += status == "unserved"
                 seen["served without rows"] += status == "served" and not rows
-                seen["skipped a provider"] += lazy_calls < len(composed)
+                seen["skipped a provider"] += len(lazy_calls["compose"]) < len(eager_calls["compose"])
+                seen["shared a cohort"] += len(distinct) < len(cohorts)
         assert all(seen.values()), seen
+        assert elections < rows_written
 
     @pytest.fixture
     def fallback(self, monkeypatch):
@@ -417,7 +473,8 @@ class TestCli:
         "option, value, message",
         [
             ("--k", "100", "k_values must be in [0, 100)"),
-            ("--k", "abc", "'abc'"),
+            ("--k", "abc", "experiment config k_values must be a finite float, got 'abc'"),
+            ("--k", "50,abc", "experiment config k_values must be a finite float, got 'abc'"),
             ("--k", ",", "k_values must be non-empty"),
             ("--k", "50,50", "k_values must be non-empty and without duplicates"),
             ("--pruning", ",", "strategies must be non-empty"),
