@@ -18,10 +18,11 @@ and the median change (both relative to the parent's median), and a verdict:
 by more than the spread; `worse` when its median is worse by more than the
 metric's BENCHMARK.json bound; `unresolved` when the spread is wider than the
 bound and not every change run beats every parent run; else `within bound`.
-Then, per workload, each of brokerbench/tracer.py's DETERMINISTIC_COUNTERS
-whose traced values differ between the sides, with both values, or `counters:
-same` when none differ; and last every run that was not correct or failed
-requests. Run from anywhere inside a git checkout:
+Then, per workload, each deterministic figure whose traced values differ
+between the sides, with both values, or `counters: same` when none differ:
+brokerbench/tracer.py's DETERMINISTIC_COUNTERS and every other BENCHMARK.json
+per-layer metric counted in a count or ratio, outside trace.*. Last, every run
+that was not correct or failed requests. Run from anywhere inside a git checkout:
 
   python3 scripts/bench_pairs.py --parent HEAD --about "what changed" --out BENCH_17.json
 """
@@ -56,7 +57,14 @@ def deterministic_counters() -> tuple[str, ...]:
     raise SystemExit("brokerbench/tracer.py defines no DETERMINISTIC_COUNTERS")
 
 
-COUNTERS = deterministic_counters()
+# the per-layer counts and ratios depend only on the code and the inputs too;
+# trace.* describe the tracing itself
+DETERMINISTIC_FIGURES = tuple(
+    metric["name"]
+    for metric in BENCHMARK["per_layer"]
+    if metric["unit"] in ("count", "ratio") and not metric["name"].startswith("trace.")
+)
+COUNTERS = tuple(dict.fromkeys(deterministic_counters() + DETERMINISTIC_FIGURES))
 
 
 def export(revision: str, dest: Path) -> str:
@@ -119,7 +127,7 @@ def readings(runs: list[dict]) -> dict[tuple[str, str], dict[str, list[float]]]:
 
 
 def counter_report(runs: list[dict]) -> list[str]:
-    """Per workload, a line for each deterministic counter whose traced values
+    """Per workload, a line for each of COUNTERS whose traced values
     differ between the parent and the change (or that a side lacks), else one
     `counters: same` line."""
     traced = {(workload_of(run), run["commit"]): run["result"]["metrics"] for run in runs if run["pair"] == "traced"}

@@ -7,8 +7,9 @@ repeat runs.
 
 Each request that passes the filter runs in three stages:
 
-1. select the cohort of every (strategy, k) pair; pruning never reads a
-   composition outcome;
+1. score the filtered providers once per strategy, then cut the cohort of
+   every (strategy, k) pair from those scores, since only the cut reads k;
+   pruning never reads a composition outcome;
 2. compose the union of the cohorts, each provider once, in filtered order;
 3. vote and score each distinct successful cohort once, reusing the union's
    outcomes: each cohort's successes give one {provider_id: QosVector} table,
@@ -25,7 +26,8 @@ A request the filter leaves no provider for is rejected before stage 1. Only
 when no cohort member composes successfully are the remaining filtered
 providers composed, in filtered order, up to the first success: the request is
 then served with no rows, and unserved if none succeeds. A strategy's proxy
-time only counts its own cohort's evaluations plus its scoring work.
+time only counts its own cohort's evaluations plus its strategy's whole
+scoring work, at every k, as if each pair were a broker run of its own.
 
 Satisfaction expectations are derived from the cohort the broker actually
 composed and voted over (the pruned survivors), so a strategy is judged against
@@ -42,7 +44,11 @@ bypasses one, such as an election table built at import time, leaves the
 traced metrics empty. ``normalized_qos``, ``satisfaction``,
 ``build_ballots`` and each election run once per distinct successful cohort
 of a request, not once per (strategy, k) pair, so ``recommend.elections``
-counts the distinct cohorts times the methods.
+counts the distinct cohorts times the methods. ``select_cohort`` still runs
+once per pair and takes the filtered providers second, which the tracer's
+cohort counts read. ``strategy_scores`` is not a tracer span:
+``pruning.select_cohort_s`` times only the per-k cut, and the scoring's time
+falls in ``harness.request_self_s``.
 """
 
 from __future__ import annotations
@@ -79,7 +85,7 @@ from .network import (
     shortest_path_tree,
     synthetic_network,
 )
-from .pruning import STRATEGIES, filter_providers, select_cohort
+from .pruning import STRATEGIES, filter_providers, select_cohort, strategy_scores
 from .recommend import (
     VOTING_METHODS,
     borda,
@@ -118,9 +124,8 @@ class ExperimentConfig:
     k_values: tuple[float, ...] = field(default=(50.0,), metadata=rule("in [0, 100)", lambda k: 0 <= k < 100))
     t_paths: int = field(default=3, metadata=POSITIVE)
     voting_methods: tuple[str, ...] = ("irv",)
-    # the region path search nests one generator level per hop and each
-    # company's heatmap holds one float per cell, so larger grids overflow
-    # the stack or the memory
+    # each company's heatmap holds one float per cell, so larger grids
+    # exhaust the memory
     grid_resolution: int = field(default=8, metadata=rule("in [2, 256]", lambda v: 2 <= v <= 256))
     limits: ScenarioLimits = field(default_factory=ScenarioLimits)
     ranges: CapabilityRanges = field(default_factory=CapabilityRanges)
@@ -251,13 +256,13 @@ def _process_request(
     if not filtered:
         return [], "rejected"
 
-    # Stage 1: select every cohort. Pruning reads only the filtered providers,
-    # the request, the grid and the heatmaps, never a composition outcome.
-    cohorts = [
-        (strategy, k, *select_cohort(strategy, filtered, request, grid, heatmaps, cfg.t_paths, k))
-        for strategy in cfg.strategies
-        for k in cfg.k_values
-    ]
+    # Stage 1: score each strategy once, then cut every (strategy, k) cohort.
+    # Pruning reads only the filtered providers, the request, the grid and the
+    # heatmaps, never a composition outcome.
+    cohorts = []
+    for strategy in cfg.strategies:
+        scored = strategy_scores(strategy, filtered, request, grid, heatmaps, cfg.t_paths)
+        cohorts += [(strategy, k, *select_cohort(scored, filtered, k)) for k in cfg.k_values]
 
     # Stage 2: compose the union of the cohorts, in filtered order, over one
     # request context. The context's only mutable part is its wind field's memo

@@ -326,6 +326,8 @@ def t_shortest_region_paths(
 
     Cells are 8-connected and all hops count equally. Intended for small t; the
     enumeration deepens one hop level at a time and stops as soon as t paths exist.
+    Each level is a depth-first walk on an explicit stack of neighbour
+    iterators, one per cell on the path, so a long path needs no recursion.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -336,30 +338,29 @@ def t_shortest_region_paths(
         return [(source_cell,)]
 
     out: list[tuple[int, ...]] = []
-    max_hops = grid.cell_count - 1
-
-    def extend(path: list[int], visited: set[int], used: int, budget: int) -> Iterator[tuple[int, ...]]:
-        current = path[-1]
-        if current == dest_cell:
-            if used == budget:
-                yield tuple(path)
-            return
-        # the Chebyshev bound below keeps remaining >= 1 off the destination
-        remaining = budget - used
-        for nbr in grid.cell_neighbors(current):
-            if nbr in visited or grid.chebyshev(nbr, dest_cell) > remaining - 1:
+    for budget in range(grid.chebyshev(source_cell, dest_cell), grid.cell_count):
+        path, visited = [source_cell], {source_cell}
+        stack = [iter(grid.cell_neighbors(source_cell))]
+        while stack:
+            # step to the next neighbour that is unvisited and within reach of
+            # the destination in the hops left; the Chebyshev bound keeps one
+            # hop left whenever the walk stands off the destination
+            left = budget - len(path)
+            for nbr in stack[-1]:
+                if nbr not in visited and grid.chebyshev(nbr, dest_cell) <= left:
+                    break
+            else:
+                stack.pop()
+                visited.remove(path.pop())
                 continue
-            path.append(nbr)
-            visited.add(nbr)
-            yield from extend(path, visited, used + 1, budget)
-            visited.remove(nbr)
-            path.pop()
-
-    for budget in range(grid.chebyshev(source_cell, dest_cell), max_hops + 1):
-        for path in extend([source_cell], {source_cell}, 0, budget):
-            out.append(path)
-            if len(out) == t:
-                return out
+            if nbr != dest_cell:
+                path.append(nbr)
+                visited.add(nbr)
+                stack.append(iter(grid.cell_neighbors(nbr)))
+            elif left == 0:
+                out.append((*path, nbr))
+                if len(out) == t:
+                    return out
     return out
 
 

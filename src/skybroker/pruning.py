@@ -2,7 +2,9 @@
 
 Three pruning strategies are exposed: "brute" (no pruning), "capabilities"
 (min-max capability score) and "density" (partner pad density along the most
-likely region paths, scaled by partnership tier and capabilities).
+likely region paths, scaled by partnership tier and capabilities). A request
+scores the filtered providers once per strategy (``strategy_scores``) and cuts
+one cohort per pruning percentage k from those scores (``select_cohort``).
 """
 
 from __future__ import annotations
@@ -82,20 +84,21 @@ def prune(scores: Mapping[int, float], k_percent: float) -> set[int]:
     return set(removal_order[max(to_remove, 0):])
 
 
-def select_cohort(
+def strategy_scores(
     strategy: str,
     filtered: Sequence[Provider],
     request: DeliveryRequest,
     grid: RegionGrid,
     heatmaps: Mapping[int, Sequence[float]],
     t: int,
-    k_percent: float,
-) -> tuple[list[Provider], int]:
-    """Apply one pruning strategy; returns (surviving providers, scoring op count).
+) -> tuple[dict[int, float] | None, int]:
+    """Score the filtered providers once for a request; returns (scores by
+    provider id, or None for brute, which keeps everyone; scoring op count).
 
     Every strategy takes the same inputs: only density reads the region grid,
     the per-company heatmaps (``build_all_heatmaps``) and t, the number of
-    region paths it scores; brute keeps every provider whatever k_percent.
+    region paths it scores. No score reads a pruning percentage, so one call
+    serves every k of the request (``select_cohort``).
 
     The op count is the pruning runtime proxy, one op per cell read or score
     term: brute 0; capabilities 4 per provider, its four axes; density
@@ -106,18 +109,33 @@ def select_cohort(
     its tier multiplier and its partner's best sum.
     """
     if strategy == "brute":
-        return list(filtered), 0
+        return None, 0
     if strategy == "capabilities":
-        scores = capabilities_scores(filtered)
-        ops = 4 * len(filtered)
-    elif strategy == "density":
+        return capabilities_scores(filtered), 4 * len(filtered)
+    if strategy == "density":
         source_cell = grid.cell_of[request.source]
         dest_cell = grid.cell_of[request.destination]
         paths = t_shortest_region_paths(grid, source_cell, dest_cell, t)
         path_cells = total(len(p) for p in paths)
-        scores = density_scores(filtered, paths, heatmaps)
-        ops = path_cells * (1 + len(heatmaps)) + 6 * len(filtered)
-    else:
-        raise ValueError(f"unknown pruning strategy {strategy!r}")
+        return density_scores(filtered, paths, heatmaps), path_cells * (1 + len(heatmaps)) + 6 * len(filtered)
+    raise ValueError(f"unknown pruning strategy {strategy!r}")
+
+
+def select_cohort(
+    scored: tuple[Mapping[int, float] | None, int],
+    filtered: Sequence[Provider],
+    k_percent: float,
+) -> tuple[list[Provider], int]:
+    """Cut one cohort from a strategy's scores (``strategy_scores``); returns
+    (the survivors of ``prune`` in filtered order, scoring op count).
+
+    The op count is the whole scoring's, whatever k_percent: the paper prices
+    each (strategy, k) as one broker run that scores the providers and then
+    prunes, so every pair's proxy time charges the scoring even though the
+    harness scores a strategy once per request.
+    """
+    scores, ops = scored
+    if scores is None:
+        return list(filtered), ops
     survivors = prune(scores, k_percent)
     return [p for p in filtered if p.provider_id in survivors], ops

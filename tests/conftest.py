@@ -12,7 +12,7 @@ from unittest import mock
 import networkx as nx
 import pytest
 
-from skybroker import composition, harness
+from skybroker import composition, harness, pruning
 from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
 from skybroker.domain import QOS_METRICS, Formation, Partnership, Provider, Swarm, generate_scenario
 from skybroker.energy import WindField, best_formation, flight_power_w, relative_sector
@@ -290,6 +290,10 @@ STRATEGIES = ("brute", "capabilities", "density")
 RECORDED_SEEDS = (1, 2, 3)
 
 
+def battery_config(seed):
+    return ExperimentConfig(seed=seed, strategies=STRATEGIES, k_values=K_VALUES, voting_methods=METHODS)
+
+
 @dataclass
 class BatteryRun:
     config: ExperimentConfig
@@ -305,7 +309,7 @@ class Battery(dict):
     """seed -> BatteryRun, each seed run the first time a test reads it."""
 
     def __missing__(self, seed):
-        cfg = ExperimentConfig(seed=seed, strategies=STRATEGIES, k_values=K_VALUES, voting_methods=METHODS)
+        cfg = battery_config(seed)
         started = time.perf_counter()
         if seed in RECORDED_SEEDS:
             result, compositions, audit = run_recorded(cfg)
@@ -393,6 +397,59 @@ def oracle_irv(ballots, rng_seed):
         minimum = min(tally.values())
         tied = sorted(c for c in active if tally[c] == minimum)
         active.remove(tied[0] if len(tied) == 1 else rng.choice(tied))
+
+
+def recursive_region_paths(grid, source_cell, dest_cell, t):
+    """Region path oracle: ``t_shortest_region_paths`` as it was written
+    before its explicit stack, one nested generator per hop."""
+    if source_cell == dest_cell:
+        return [(source_cell,)]
+    out = []
+
+    def extend(path, visited, used, budget):
+        current = path[-1]
+        if current == dest_cell:
+            if used == budget:
+                yield tuple(path)
+            return
+        remaining = budget - used
+        for nbr in grid.cell_neighbors(current):
+            if nbr in visited or grid.chebyshev(nbr, dest_cell) > remaining - 1:
+                continue
+            path.append(nbr)
+            visited.add(nbr)
+            yield from extend(path, visited, used + 1, budget)
+            visited.remove(nbr)
+            path.pop()
+
+    for budget in range(grid.chebyshev(source_cell, dest_cell), grid.cell_count):
+        for path in extend([source_cell], {source_cell}, 0, budget):
+            out.append(path)
+            if len(out) == t:
+                return out
+    return out
+
+
+def oracle_select_cohort(strategy, filtered, request, grid, heatmaps, t, k_percent):
+    """Stage 1 oracle: one (strategy, k) cohort and its scoring op count, as
+    the harness selected it before scoring moved out of the per-k cut. It
+    scores the filtered providers afresh on every call, then prunes."""
+    if strategy == "brute":
+        return list(filtered), 0
+    if strategy == "capabilities":
+        scores = pruning.capabilities_scores(filtered)
+        ops = 4 * len(filtered)
+    elif strategy == "density":
+        source_cell = grid.cell_of[request.source]
+        dest_cell = grid.cell_of[request.destination]
+        paths = pruning.t_shortest_region_paths(grid, source_cell, dest_cell, t)
+        path_cells = sum(len(p) for p in paths)
+        scores = pruning.density_scores(filtered, paths, heatmaps)
+        ops = path_cells * (1 + len(heatmaps)) + 6 * len(filtered)
+    else:
+        raise ValueError(f"unknown pruning strategy {strategy!r}")
+    survivors = pruning.prune(scores, k_percent)
+    return [p for p in filtered if p.provider_id in survivors], ops
 
 
 def region_grid(resolution):

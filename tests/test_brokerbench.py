@@ -9,7 +9,9 @@ The same run pins the deterministic counters of the composer's work. The
 evaluation count is the paper's execution-time QoS, so a refactor that shifts
 it, or the leg, stop and search work behind it, fails here by name. It pins the
 election counters too, so a vote that bypasses the harness's election names,
-and is therefore counted as none, fails here.
+and is therefore counted as none, fails here. And it pins the tracer's view of
+pruning: a stage 1 that stops cutting each (strategy, k) cohort through
+``select_cohort``, or hands it other than the filtered providers, fails here.
 """
 
 import importlib
@@ -46,6 +48,9 @@ def test_traced_smoke_child_reports_every_layer_metric(tmp_path, monkeypatch):
         # smoke repeats no successful cohort, so each (strategy, k) cohort votes
         "recommend.elections": 24,
         "recommend.op_count": 64,
+        # one cut per (strategy, k) pair, each offered every filtered provider
+        "pruning.select_cohort_calls": 12,
+        "pruning.kept_ratio": 19 / 24,
     }
     assert {name: layers[name] for name in pinned} == pinned
     # one energy call per leg computed, and each computed leg reads the wind once

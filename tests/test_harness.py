@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import skybroker.harness as harness
+import skybroker.pruning as pruning
 from skybroker.cli import main as cli_main
 from skybroker.config import ConfigurationError, ScenarioLimits, Seeds
 from skybroker.domain import QOS_METRICS, generate_scenario
@@ -33,7 +34,7 @@ from skybroker.network import (
 from skybroker.pruning import STRATEGIES
 from skybroker.recommend import VOTING_METHODS
 
-from conftest import network_to_streams
+from conftest import network_to_streams, oracle_select_cohort
 
 
 def small_config(**overrides):
@@ -240,7 +241,8 @@ class TestRenderCsv:
 
 def eager_process_request(request, providers, network, grid, heatmaps, seeds, cfg):
     """The request pipeline before lazy composition, kept as the oracle: every
-    filtered provider is composed before any cohort is selected."""
+    filtered provider is composed before any cohort is selected, and each
+    (strategy, k) cohort is scored afresh."""
     filtered = harness.filter_providers(providers, request)
     if not filtered:
         return [], "rejected"
@@ -252,9 +254,7 @@ def eager_process_request(request, providers, network, grid, heatmaps, seeds, cf
     rows = []
     for strategy in cfg.strategies:
         for k in cfg.k_values:
-            cohort, scoring_ops = harness.select_cohort(
-                strategy, filtered, request, grid, heatmaps, cfg.t_paths, k
-            )
+            cohort, scoring_ops = oracle_select_cohort(strategy, filtered, request, grid, heatmaps, cfg.t_paths, k)
             cohort_outcomes = [outcomes[p.provider_id] for p in cohort]
             successes = [o for o in cohort_outcomes if o.success]
             proxy = scoring_ops + sum(o.evaluations for o in cohort_outcomes)
@@ -368,6 +368,27 @@ class TestLazyComposition:
         assert all(seen.values()), seen
         assert elections < rows_written
 
+    def test_scores_each_strategy_once_per_request(self, monkeypatch):
+        cfg = ORACLE_CONFIGS[-1]
+        assert cfg.strategies == STRATEGIES and cfg.k_values == (30.0, 50.0, 70.0)
+        requests, args = pipeline_inputs(cfg)
+        filtered = sum(bool(harness.filter_providers(args[0], request)) for request in requests)
+        # each log holds the first argument of every call
+        calls = {}
+        wrapped = ((harness, "strategy_scores"), (harness, "select_cohort"), (pruning, "t_shortest_region_paths"))
+        for module, name in wrapped:
+            log = calls[name] = []
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda first, *rest, real=real, log=log: log.append(first) or real(first, *rest)
+            )
+        for request in requests:
+            harness._process_request(request, *args)
+        assert filtered > 0
+        assert calls["strategy_scores"] == [*STRATEGIES] * filtered
+        assert len(calls["t_shortest_region_paths"]) == filtered
+        assert len(calls["select_cohort"]) == len(STRATEGIES) * len(cfg.k_values) * filtered
+
     @pytest.fixture
     def fallback(self, monkeypatch):
         """Runs one request where the only cohort is the first two filtered
@@ -375,7 +396,7 @@ class TestLazyComposition:
         requests, args = pipeline_inputs(small_config(strategies=("density",), n_requests=1))
         index = {p.provider_id: i for i, p in enumerate(args[0])}
         monkeypatch.setattr(harness, "filter_providers", lambda providers, request: list(providers))
-        monkeypatch.setattr(harness, "select_cohort", lambda strategy, filtered, *rest: (filtered[:2], 0))
+        monkeypatch.setattr(harness, "select_cohort", lambda scored, filtered, *rest: (filtered[:2], 0))
         calls, winners = [], set()
 
         def fake_compose(provider, *rest):

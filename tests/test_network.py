@@ -26,7 +26,9 @@ from skybroker.network import (
     t_shortest_region_paths,
 )
 
-from conftest import brute_k_nearest, network_to_streams, oracle_region_paths, region_grid, tree_path
+from conftest import (
+    brute_k_nearest, network_to_streams, oracle_region_paths, recursive_region_paths, region_grid, tree_path,
+)
 
 
 def load(edges, coords, stations):
@@ -406,6 +408,20 @@ class TestRegionPaths:
         paths = t_shortest_region_paths(grid, 1, 14, 12)
         hops = [len(p) for p in paths]
         assert hops == sorted(hops)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_explicit_stack_matches_recursive_oracle(self, data):
+        grid = region_grid(data.draw(st.integers(min_value=2, max_value=12)))
+        cell = st.integers(min_value=0, max_value=grid.cell_count - 1)
+        source, dest, t = data.draw(cell), data.draw(cell), data.draw(st.integers(min_value=1, max_value=6))
+        assert t_shortest_region_paths(grid, source, dest, t) == recursive_region_paths(grid, source, dest, t)
+
+    def test_paths_across_the_largest_grid(self):
+        # the largest grid the config allows, 255 hops a path
+        grid = region_grid(256)
+        paths = t_shortest_region_paths(grid, 0, 255, 3)
+        assert [len(p) for p in paths] == [256] * 3 and len(set(paths)) == 3
 
     def test_t_must_be_positive(self):
         grid = region_grid(3)

@@ -12,6 +12,7 @@ from skybroker.domain import (
     assign_packages,
     generate_scenario,
 )
+from skybroker.harness import build_network
 from skybroker.network import build_all_heatmaps, build_region_grid, synthetic_network, t_shortest_region_paths
 from skybroker.pruning import (
     capabilities_scores,
@@ -19,9 +20,10 @@ from skybroker.pruning import (
     filter_providers,
     prune,
     select_cohort,
+    strategy_scores,
 )
 
-from conftest import simple_provider
+from conftest import battery_config, oracle_select_cohort, simple_provider
 
 # up to 10 packages of up to 2.5 kg
 WIDE_LIMITS = ScenarioLimits(max_packages=10, max_package_weight_kg=2.5)
@@ -306,10 +308,11 @@ class TestSelectCohort:
         providers, _ = generate_scenario(11, net, 12, 1, limits, CapabilityRanges())
         req = request(source=nodes[0], destination=nodes[-1], packages=(1.0,))
         filtered = filter_providers(providers, req)
-        brute, ops0 = select_cohort("brute", filtered, req, grid, heatmaps, 3, 50.0)
+        brute, ops0 = select_cohort(strategy_scores("brute", filtered, req, grid, heatmaps, 3), filtered, 50.0)
         assert ops0 == 0
         for strategy in ("capabilities", "density"):
-            cohort, ops = select_cohort(strategy, filtered, req, grid, heatmaps, 3, 50.0)
+            scored = strategy_scores(strategy, filtered, req, grid, heatmaps, 3)
+            cohort, ops = select_cohort(scored, filtered, 50.0)
             assert {p.provider_id for p in cohort} <= {p.provider_id for p in brute}
             assert ops > 0
 
@@ -317,4 +320,29 @@ class TestSelectCohort:
         net, grid, heatmaps, nodes = scored_world
         p = simple_provider(1)
         with pytest.raises(ValueError, match="unknown pruning strategy"):
-            select_cohort("magic", [p], request(), grid, heatmaps, 3, 50.0)
+            strategy_scores("magic", [p], request(), grid, heatmaps, 3)
+
+    def test_score_once_cut_per_k_matches_the_oracle_on_battery_seed_1(self):
+        cfg = battery_config(1)
+        net = build_network(cfg)
+        grid = build_region_grid(net, cfg.grid_resolution)
+        heatmaps = build_all_heatmaps(net, grid)
+        providers, requests = generate_scenario(
+            cfg.seed, net, cfg.n_providers, cfg.n_requests, cfg.limits, cfg.ranges
+        )
+        cuts = pruned = 0
+        for req in requests:
+            filtered = filter_providers(providers, req)
+            if not filtered:
+                continue
+            for strategy in cfg.strategies:
+                scored = strategy_scores(strategy, filtered, req, grid, heatmaps, cfg.t_paths)
+                for k in cfg.k_values:
+                    cohort, ops = select_cohort(scored, filtered, k)
+                    expected, expected_ops = oracle_select_cohort(
+                        strategy, filtered, req, grid, heatmaps, cfg.t_paths, k
+                    )
+                    assert ([p.provider_id for p in cohort], ops) == ([p.provider_id for p in expected], expected_ops)
+                    cuts += 1
+                    pruned += len(cohort) < len(filtered)
+        assert cuts == 3 * 5 * len(requests) and pruned > cuts / 2

@@ -101,7 +101,17 @@ def traced_result(correct=True, failed=0, **counters):
 
 def test_bench_pairs_counters_are_those_of_the_tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS.parent / "brokerbench"))
-    assert load_script("bench_pairs").COUNTERS == importlib.import_module("tracer").DETERMINISTIC_COUNTERS
+    counters = load_script("bench_pairs").COUNTERS
+    tracer = importlib.import_module("tracer").DETERMINISTIC_COUNTERS
+    assert counters[: len(tracer)] == tracer and len(set(counters)) == len(counters)
+    # the rest are the benchmark's other per-layer counts and ratios
+    per_layer = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["per_layer"]
+    units = {metric["name"]: metric["unit"] for metric in per_layer}
+    deterministic = {
+        name for name, unit in units.items() if unit in ("count", "ratio") and not name.startswith("trace.")
+    }
+    assert set(counters[len(tracer) :]) <= deterministic <= set(counters)
+    assert {"pruning.select_cohort_calls", "pruning.kept_ratio"} <= set(counters) - set(tracer)
 
 
 def test_bench_pairs_reports_counters_that_differ_and_failed_runs():
