@@ -409,10 +409,9 @@ def _joined_open_neighbours(state: SubSwarmState, ctx: RequestContext) -> set[in
     open neighbours if a breadth-first walk through open nodes from the first
     of them meets all the others within _JOIN_BUDGET nodes. Else one search
     from the first: if it is alive, the search's explored nodes and the
-    walk's; if not, the empty set (the search closed its component)."""
+    walk's; if not, the empty set (the search closed its component). A
+    greedy step is never stranded, so there is always a first."""
     wanted = {nbr for nbr, _length in ctx.network.neighbors(state.current_node) if nbr not in state.closed}
-    if not wanted:
-        return wanted
     first = min(wanted)
     seen, queue = {first}, deque([first])
     missing = len(wanted) - 1

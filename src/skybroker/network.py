@@ -372,12 +372,12 @@ def shortest_path_tree(network: SkywayNetwork, root: int) -> tuple[dict[int, flo
     dist: dict[int, float] = {root: 0.0}
     parent: dict[int, int | None] = {root: None}
     heap: list[tuple[float, int]] = [(0.0, root)]
-    done: set[int] = set()
     while heap:
         d, v = heapq.heappop(heap)
-        if v in done:
+        # a node is pushed only on a strict improvement, so exactly one of
+        # its entries carries its final distance
+        if d > dist[v]:
             continue
-        done.add(v)
         for nbr, length in network.neighbors(v):
             nd = d + length
             if nbr not in dist or nd < dist[nbr]:
@@ -396,16 +396,18 @@ PADS_PER_STATION = (1, 4)  # inclusive range of a station's pad count
 
 
 # The ring search stops only once the k-th squared distance is below the
-# unsearched rings' by this margin: relative on squared distances and, times
-# area_m, absolute on the distance to the rings, it covers the rounding of a
-# point's cell near a cell edge and of the squared distances.
+# squared bound ring * size on the unsearched rings by this margin: relative on
+# squared distances and, times area_m, absolute on the bound, it covers the
+# rounding of a point's cell near a cell edge and of the squared distances.
 _RING_MARGIN = 1e-9
 
 
 def _k_nearest(positions: Mapping[int, tuple[float, float]], k: int, area_m: float) -> dict[int, list[int]]:
     """Each node's k nearest other nodes, nearest first: the k smallest
     (squared distance, id) keys, for positions in the square [0, area_m]^2,
-    found by the cell list ``synthetic_network`` describes."""
+    found by the cell list ``synthetic_network`` describes. The stop bound
+    ignores where a node sits in its cell, so every search reads ring 1:
+    cheap for the builder's uniform positions, dear for tightly clustered ones."""
     if k == 0:
         return {nid: [] for nid in positions}
     side = max(1, math.isqrt(len(positions) // 2))
@@ -429,21 +431,9 @@ def _k_nearest(positions: Mapping[int, tuple[float, float]], k: int, area_m: flo
                     for other, ox, oy in cells.get((gx, gy), ()):
                         if other != nid:
                             keys.append(((x - ox) ** 2 + (y - oy) ** 2, other))
-            # distance to the nearest edge of the searched square that has
-            # unsearched cells beyond it
-            gaps = [
-                gap
-                for gap, beyond in (
-                    (x - (cx - ring) * size, cx - ring > 0),
-                    ((cx + ring + 1) * size - x, cx + ring < side - 1),
-                    (y - (cy - ring) * size, cy - ring > 0),
-                    ((cy + ring + 1) * size - y, cy + ring < side - 1),
-                )
-                if beyond
-            ]
-            if not gaps:
-                break
-            reach = min(gaps) - _RING_MARGIN * area_m
+            # every unsearched node lies ring + 1 or more cells from the
+            # node's own cell, so more than ring * size away
+            reach = ring * size - _RING_MARGIN * area_m
             if len(keys) >= k and reach > 0 and heapq.nsmallest(k, keys)[-1][0] < reach * reach * (1 - _RING_MARGIN):
                 break
         nearest[nid] = [other for _, other in heapq.nsmallest(k, keys)]
@@ -463,11 +453,12 @@ def synthetic_network(
     id) keys, so equal distances go to the smaller id. ``_k_nearest`` finds
     them with a cell list (Bentley, Stanat and Williams, 1977): the nodes are
     bucketed into square cells of about two nodes each, and each node searches
-    rings of cells outward until its k-th key is strictly below the squared
-    distance to the first unsearched ring, with a small margin for rounding.
-    No unsearched node can then beat or tie that key, so the edges are those
-    of a scan over every pair, in near-linear time. Each other component is
-    then stitched onto the first through its closest cross pair."""
+    rings of cells outward. After ring r every unsearched node lies more than
+    r cell sides away, so the search stops once the k-th key is strictly
+    below the square of that bound, with a small margin for rounding. No
+    unsearched node can then beat or tie that key, so the edges are those of
+    a scan over every pair, in near-linear time. Each other component is then
+    stitched onto the first through its closest cross pair."""
     if k_nearest < 0:
         raise ValueError("k_nearest must be non-negative")
     rng = random.Random(seed)

@@ -1,9 +1,9 @@
 """Byte contract: fixed configs still write their pinned output bytes.
 
-Three benchmark configs take their configs and sha256 digests from
-brokerbench/workloads.py and brokerbench/expected.json; this test only reads
-them. The sweep config is the acceptance battery's, so the sweep digests are
-taken from the outputs of the battery's seed 1 run (the ``battery`` fixture of
+Every (workload, seed) pinned in brokerbench/expected.json is checked, with
+its config from brokerbench/workloads.py; this test only reads them. The sweep
+config is the acceptance battery's, so the sweep digests are taken from the
+outputs of the battery's run of the same seed (the ``battery`` fixture of
 conftest.py), once the two configs are checked to be equal. Four more configs
 are pinned in one table below: two pruned ones, one with rising position
 factors and one that charges at most stops. per_request.csv carries
@@ -30,20 +30,20 @@ from conftest import BENCH, WORKLOADS
 EXPECTED = json.loads((BENCH / "expected.json").read_text())
 
 
-@pytest.mark.parametrize("workload", ["smoke", "short_hop", "sweep"])
-def test_seed_one_outputs_match_pinned_digests(workload, tmp_path, request):
-    config = ExperimentConfig(seed=1, **WORKLOADS[workload].config)
+@pytest.mark.parametrize(
+    ("workload", "seed"), [(workload, int(seed)) for workload in sorted(EXPECTED) for seed in EXPECTED[workload]]
+)
+def test_benchmark_outputs_match_pinned_digests(workload, seed, tmp_path, request):
+    config = ExperimentConfig(seed=seed, **WORKLOADS[workload].config)
     if workload == "sweep":
-        run = request.getfixturevalue("battery")[1]
+        run = request.getfixturevalue("battery")[seed]
         assert run.config == config
         write_outputs(run.result, tmp_path)
     else:
         run_experiment(config, tmp_path)
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in EXPECTED[workload]["1"]
-    }
-    assert digests == EXPECTED[workload]["1"]
+    expected = EXPECTED[workload][str(seed)]
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
+    assert digests == expected
 
 
 def compensated_sum(iterable, /, start=0):

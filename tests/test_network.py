@@ -6,7 +6,7 @@ import warnings
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skybroker.config import ConfigurationError
@@ -476,6 +476,11 @@ def point_sets(draw):
 class TestSyntheticNetwork:
     @given(point_sets())
     @settings(max_examples=300, deadline=None)
+    # a stop one ring early, after ring r at (r + 1) cell sides, gives node 8
+    # node 5 (2 m away, its own cell) instead of node 2 (1 m, the next cell)
+    @example(
+        ({1: (3, 3), 2: (3, 0), 3: (0, 3), 4: (6, 1), 5: (0, 0), 6: (4, 4), 7: (1, 5), 8: (2, 0)}, 1, 6.0)
+    )
     def test_cell_list_matches_brute_oracle(self, points):
         positions, k, area_m = points
         assert _k_nearest(positions, k, area_m) == brute_k_nearest(positions, k)
@@ -511,6 +516,14 @@ class TestSyntheticNetwork:
         for seed, n, k in grid:
             digest.update(dump_network(synthetic_network(seed, n, k_nearest=k)).encode() + b"\n")
         assert digest.hexdigest() == "49ee1a9ad3092123a40fb0f421452a117978079dd5b3b528803c14832d5f43f4"
+
+    def test_builder_bytes_are_pinned_at_scale(self):
+        """One sha256 over the dumps of the default networks of 3,000 and
+        10,000 nodes, whose cell lists are 38 x 38 and 70 x 70 cells."""
+        digest = hashlib.sha256()
+        for n in (3000, 10000):
+            digest.update(dump_network(synthetic_network(1, n)).encode() + b"\n")
+        assert digest.hexdigest() == "8e56901fe8fe8f202ad0f9c3b141e7948d02e54301d9b1f6d396ca52ac682a0b"
 
     def test_negative_k_nearest_rejected(self):
         with pytest.raises(ValueError, match="k_nearest"):
