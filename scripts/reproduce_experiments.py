@@ -26,12 +26,13 @@ K_VALUES = (30.0, 40.0, 50.0, 60.0, 70.0)
 
 
 def main(argv=None) -> int:
+    defaults = ExperimentConfig()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=10, help="number of seeded scenarios")
     parser.add_argument("--out", type=Path, default=Path("results"))
-    parser.add_argument("--nodes", type=int, default=100)
-    parser.add_argument("--providers", type=int, default=20)
-    parser.add_argument("--requests", type=int, default=50)
+    parser.add_argument("--nodes", type=int, default=defaults.synthetic_nodes)
+    parser.add_argument("--providers", type=int, default=defaults.n_providers)
+    parser.add_argument("--requests", type=int, default=defaults.n_requests)
     args = parser.parse_args(argv)
 
     by_strategy = {s: [] for s in STRATEGIES}

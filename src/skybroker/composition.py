@@ -50,23 +50,23 @@ destination through unvisited nodes, whose next node is an open, alive
 neighbour at the next step. No candidates means every alive neighbour's leg
 exceeds some drone's full battery.
 
-A flight seeds each step's alive set: ``_joined_open_neighbours`` walks
-breadth-first through open nodes from the current node's first open
-neighbour, and if it meets all the others within 64 nodes, they are all
-alive from the start, so no search runs. This is exact because the current
-node was alive when the flight reached it (the source is in the tree, and
-every move goes to a live candidate, a split's two halves included): its
-next node toward the destination is an open neighbour that is still alive,
-and every open neighbour joined to that one through open nodes is alive
-too. The searches would have closed nothing, so the candidates and
-``closed`` are the same either way. A walk that meets them all too late, or
-not at all, is followed by one search from the first neighbour. If that
-neighbour is alive, the search's explored nodes and every node the walk saw
-(each joined to it through open nodes) seed the step, and the searches from
-the other neighbours stop on meeting them. If it is dead, the search has
-closed its component, as the step's own search from it would have, and the
-step seeds nothing. Tests that stand a sub-swarm on an arbitrary node break
-that premise, so they pass ``set()`` and run every search.
+Each greedy step of a flight seeds its alive set: ``viable_candidates``
+first calls ``_joined_open_neighbours``, which walks breadth-first through
+open nodes from the current node's first open neighbour. If the walk meets
+all the others within 64 nodes, they are all alive from the start, so no
+search runs. This is exact because the current node was alive when the
+flight reached it (the source is in the tree, and every move goes to a live
+candidate, a split's two halves included): its next node toward the
+destination is an open neighbour that is still alive, and every open
+neighbour joined to that one through open nodes is alive too. The searches
+would have closed nothing, so the candidates and ``closed`` are the same
+either way. A walk that meets them all too late, or not at all, is followed
+by one search from the first neighbour. If that neighbour is alive, the
+search's explored nodes and every node the walk saw (each joined to it
+through open nodes) seed the step, and the searches from the other
+neighbours stop on meeting them. If it is dead, the search has closed its
+component, as the step's own search from it would have, and the step seeds
+nothing.
 
 Evaluations: the execution-time QoS counts evaluation units, charged at three
 sites only: ``_leg_at``, one per drone for every leg looked at; ``_stop``,
@@ -105,6 +105,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .config import CompositionConfig, EnergyModelConfig, Seeds, mix64
 from .domain import DeliveryRequest, Provider, QosVector, assign_packages, normalize_lower_better, total
 from .energy import (
+    ENERGY_EPS_WH,
     NodeService,
     WindField,
     best_formation,
@@ -117,7 +118,6 @@ from .energy import (
 )
 from .network import SkywayNetwork
 
-_EPS = 1e-9
 # nodes the seeding walk of a greedy step may look at before the step falls
 # back to one search per open neighbour
 _JOIN_BUDGET = 64
@@ -252,12 +252,12 @@ def _leg_at(state: SubSwarmState, a: int, b: int, ctx: RequestContext) -> _Leg:
 
 def _leg_within_capacity(leg: _Leg, state: SubSwarmState) -> bool:
     capacity = state.provider.swarm.battery_capacity
-    return all(e <= capacity + _EPS for e in leg.energies)
+    return all(e <= capacity + ENERGY_EPS_WH for e in leg.energies)
 
 
 def _must_charge(energies: Iterable[float], leg: _Leg) -> bool:
     """Whether some drone, holding the given energies, cannot afford the leg."""
-    return any(p < e - _EPS for p, e in zip(energies, leg.energies))
+    return any(p < e - ENERGY_EPS_WH for p, e in zip(energies, leg.energies))
 
 
 def _tops_up(
@@ -368,7 +368,7 @@ def _fits_direct(state: SubSwarmState, ctx: RequestContext) -> bool:
     sub-swarm's time stands still during the check, so every leg is looked
     at in one wind slice."""
     totals = [0.0] * len(state.loads)
-    limits = [held + _EPS for held in state.held]
+    limits = [held + ENERGY_EPS_WH for held in state.held]
     for leg in _tree_legs(state, ctx):
         for slot, e in enumerate(leg.energies):
             totals[slot] += e
@@ -429,12 +429,13 @@ def _joined_open_neighbours(state: SubSwarmState, ctx: RequestContext) -> set[in
     return alive
 
 
-def viable_candidates(state: SubSwarmState, ctx: RequestContext, alive: set[int]) -> list[_Leg]:
+def viable_candidates(state: SubSwarmState, ctx: RequestContext) -> list[_Leg]:
     """Unvisited neighbours whose leg every drone can fly on a full battery and
-    from which the destination remains reachable through unvisited nodes,
-    given nodes already known to be alive in this step (see the module
-    docstring)."""
+    from which the destination remains reachable through unvisited nodes, for
+    the current node of a flight; the step's searches start from the alive
+    nodes ``_joined_open_neighbours`` seeds (see the module docstring)."""
     here = state.current_node
+    alive = _joined_open_neighbours(state, ctx)
     out = []
     for nbr, _length in ctx.network.neighbors(here):
         if nbr in state.closed or not _reaches_destination(nbr, state, ctx, alive):
@@ -553,7 +554,7 @@ def _run_subswarm(state: SubSwarmState, ctx: RequestContext, subswarms: list[Sub
             and len(subswarms) == 1  # a swarm splits at most once
             and ctx.network.node(node).pad_count < len(state.loads)
         ):
-            candidates = viable_candidates(state, ctx, _joined_open_neighbours(state, ctx))
+            candidates = viable_candidates(state, ctx)
             if len(candidates) >= 2:
                 ranked = score_candidates(state, candidates, ctx)
                 sibling = _split_subswarm(state)
@@ -569,7 +570,7 @@ def _run_subswarm(state: SubSwarmState, ctx: RequestContext, subswarms: list[Sub
                 _traverse(state, leg, ctx)
             return True
 
-        candidates = viable_candidates(state, ctx, _joined_open_neighbours(state, ctx))
+        candidates = viable_candidates(state, ctx)
         if not candidates:
             return False
         _traverse(state, score_candidates(state, candidates, ctx)[0][1], ctx)

@@ -15,6 +15,8 @@ from .domain import FORMATIONS, TIERS, Formation, Partnership, Swarm, total
 from .network import SkywayNode
 
 TWO_PI = 2.0 * math.pi
+# rounding tolerance in Wh when an energy is compared with a capacity or a charge
+ENERGY_EPS_WH = 1e-9
 
 
 class WindField:
@@ -144,9 +146,9 @@ def node_service_time(
         raise ValueError("one held and one target energy required per drone")
     deficits = []
     for held, target in zip(energies, target_energies):
-        if target > battery_capacity + 1e-9:
+        if target > battery_capacity + ENERGY_EPS_WH:
             raise ValueError(f"target energy {target} exceeds battery capacity {battery_capacity}")
-        if target < held - 1e-9:
+        if target < held - ENERGY_EPS_WH:
             raise ValueError("target energy below current energy")
         deficits.append(max(0.0, target - held))
 

@@ -211,12 +211,7 @@ def build_network(cfg: ExperimentConfig) -> SkywayNetwork:
     if cfg.network_path is not None:
         return load_network_dump(Path(cfg.network_path).read_text())
     if cfg.synthetic_nodes is not None:
-        return synthetic_network(
-            cfg.seed,
-            cfg.synthetic_nodes,
-            n_charging_providers=cfg.charging_companies,
-            area_m=cfg.area_m,
-        )
+        return synthetic_network(cfg.seed, cfg.synthetic_nodes, cfg.charging_companies, cfg.area_m)
     with open(cfg.edges_path) as edges, open(cfg.coords_path) as coords, open(cfg.stations_path) as stations:
         return load_network(edges, coords, stations)
 
@@ -401,7 +396,7 @@ def aggregate(rows: Sequence[Mapping]) -> tuple[list[dict], dict[str, float | No
         failed = total(r["cohort_size"] - r["cohort_successes"] for r in members)
         summary.append(
             {
-                "seed": members[0].get("seed", 0),
+                "seed": members[0]["seed"],
                 "strategy": strategy,
                 "method": method,
                 "k_percent": k,

@@ -393,6 +393,7 @@ def shortest_path_tree(network: SkywayNetwork, root: int) -> tuple[dict[int, flo
 # uniformly drawn one
 DISTRICT_SHARE = 0.6
 PADS_PER_STATION = (1, 4)  # inclusive range of a station's pad count
+K_NEAREST = 4  # nearest neighbours each node links to before stitching
 
 
 # The ring search stops only once the k-th squared distance is below the
@@ -440,17 +441,12 @@ def _k_nearest(positions: Mapping[int, tuple[float, float]], k: int, area_m: flo
     return nearest
 
 
-def synthetic_network(
-    seed: int,
-    n_nodes: int,
-    n_charging_providers: int = 5,
-    area_m: float = 30000.0,
-    k_nearest: int = 4,
-) -> SkywayNetwork:
-    """Seeded random geometric network: k-nearest-neighbour edges, stitched connected.
+def synthetic_network(seed: int, n_nodes: int, n_charging_providers: int, area_m: float) -> SkywayNetwork:
+    """Seeded random geometric network: each node linked to its K_NEAREST
+    nearest others, stitched connected.
 
-    A node's k nearest are the others with the k smallest (squared distance,
-    id) keys, so equal distances go to the smaller id. ``_k_nearest`` finds
+    A node's nearest are the others with the smallest (squared distance, id)
+    keys, so equal distances go to the smaller id. ``_k_nearest`` finds
     them with a cell list (Bentley, Stanat and Williams, 1977): the nodes are
     bucketed into square cells of about two nodes each, and each node searches
     rings of cells outward. After ring r every unsearched node lies more than
@@ -459,8 +455,6 @@ def synthetic_network(
     unsearched node can then beat or tie that key, so the edges are those of
     a scan over every pair, in near-linear time. Each other component is then
     stitched onto the first through its closest cross pair."""
-    if k_nearest < 0:
-        raise ValueError("k_nearest must be non-negative")
     rng = random.Random(seed)
     positions = {nid: (rng.uniform(0, area_m), rng.uniform(0, area_m)) for nid in range(1, n_nodes + 1)}
     # Charging companies concentrate in districts (soft Voronoi around seeded
@@ -488,7 +482,7 @@ def synthetic_network(
         return (xa - xb) ** 2 + (ya - yb) ** 2
 
     ids = sorted(positions)
-    nearest = _k_nearest(positions, k_nearest, area_m)
+    nearest = _k_nearest(positions, K_NEAREST, area_m)
     edges = [(nid, other) for nid in ids for other in nearest[nid]]
     nodes = [SkywayNode(nid, positions[nid][0], positions[nid][1], owners[nid], pads[nid]) for nid in ids]
     network = SkywayNetwork(nodes, edges)

@@ -15,9 +15,9 @@ import pytest
 from skybroker import composition, harness, pruning
 from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
 from skybroker.domain import QOS_METRICS, Formation, Partnership, Provider, Swarm, generate_scenario
-from skybroker.energy import WindField, best_formation, flight_power_w, relative_sector
+from skybroker.energy import ENERGY_EPS_WH, WindField, best_formation, flight_power_w, relative_sector
 from skybroker.harness import ExperimentConfig, ExperimentResult, build_network, run_experiment
-from skybroker.network import SkywayNetwork, SkywayNode, build_region_grid, shortest_path_tree
+from skybroker.network import SkywayNetwork, SkywayNode, build_region_grid, shortest_path_tree, synthetic_network
 from skybroker.pruning import filter_providers
 from skybroker.recommend import Ballot
 
@@ -35,6 +35,13 @@ def unit_energy_config(**overrides) -> EnergyModelConfig:
     )
     defaults.update(overrides)
     return EnergyModelConfig(**defaults)
+
+
+def default_network(seed, n_nodes):
+    """The synthetic network of n_nodes that the experiment config's default
+    charging companies and area give for seed."""
+    cfg = ExperimentConfig()
+    return synthetic_network(seed, n_nodes, cfg.charging_companies, cfg.area_m)
 
 
 def network_to_streams(network: SkywayNetwork) -> tuple[str, str, str]:
@@ -173,6 +180,19 @@ def alive_by_full_dfs(network, visited, destination):
     return seen
 
 
+def searched_open_neighbours(state, ctx):
+    """The current node's open neighbours, in adjacency order, from which
+    ``_reaches_destination`` finds the destination, the searches sharing one
+    alive set that starts empty: a step with no seed, so it holds on any node
+    a sub-swarm stands on. Dead components join the closed set as in a step."""
+    alive = set()
+    return [
+        nbr
+        for nbr, _ in ctx.network.neighbors(state.current_node)
+        if nbr not in state.closed and composition._reaches_destination(nbr, state, ctx, alive)
+    ]
+
+
 def brute_k_nearest(positions, k):
     """Nearest-neighbour oracle: for each node, the k smallest (squared
     distance, id) keys over every other node, as ids."""
@@ -237,8 +257,8 @@ def audited(viable_candidates, audit):
     kept."""
     alive_by_dfs = functools.lru_cache(maxsize=1024)(alive_by_full_dfs)
 
-    def checked(state, ctx, alive):
-        legs = viable_candidates(state, ctx, alive)
+    def checked(state, ctx):
+        legs = viable_candidates(state, ctx)
         got = [leg.node for leg in legs]
         visited, here = frozenset(state.path), state.current_node
         alive_by_oracle = alive_by_dfs(ctx.network, visited, ctx.request.destination)
@@ -247,7 +267,7 @@ def audited(viable_candidates, audit):
         expected = [
             nbr
             for nbr in open_alive
-            if all(e <= capacity + composition._EPS for e in fresh_leg(state, here, nbr, ctx).energies)
+            if all(e <= capacity + ENERGY_EPS_WH for e in fresh_leg(state, here, nbr, ctx).energies)
         ]
         wrongly_closed = (state.closed - visited) & alive_by_oracle
         audit.checked += 1
@@ -280,18 +300,19 @@ def run_recorded(cfg):
 
 # --- the acceptance battery ---------------------------------------------------
 
-# 10 seeded desk-scale scenarios, all three pruning strategies, the full k
-# sweep and all five recommendation methods
+# 10 seeded desk-scale scenarios of the benchmark's sweep config: all three
+# pruning strategies, the full k sweep and all five recommendation methods
 SEEDS = tuple(range(1, 11))
-K_VALUES = (30.0, 40.0, 50.0, 60.0, 70.0)
-METHODS = ("plurality", "irv", "borda", "condorcet", "topweight")
-STRATEGIES = ("brute", "capabilities", "density")
 # seeds whose compositions the battery keeps for the composer's own checks
 RECORDED_SEEDS = (1, 2, 3)
 
 
 def battery_config(seed):
-    return ExperimentConfig(seed=seed, strategies=STRATEGIES, k_values=K_VALUES, voting_methods=METHODS)
+    return ExperimentConfig(seed=seed, **WORKLOADS["sweep"].config)
+
+
+_SWEEP = battery_config(SEEDS[0])
+STRATEGIES, K_VALUES, METHODS = _SWEEP.strategies, _SWEEP.k_values, _SWEEP.voting_methods
 
 
 @dataclass

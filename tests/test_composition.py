@@ -30,7 +30,7 @@ from skybroker.energy import (
     relative_sector,
 )
 from skybroker.harness import ExperimentConfig
-from skybroker.network import SkywayNetwork, SkywayNode, dump_network, load_network_dump, synthetic_network
+from skybroker.network import SkywayNetwork, SkywayNode, dump_network, load_network_dump
 
 from conftest import (
     RECORDED_SEEDS,
@@ -39,11 +39,13 @@ from conftest import (
     check_flown,
     composable_requests,
     compose_flown,
+    default_network,
     fresh_leg,
     line_network,
     make_context,
     oracle_segment_energy,
     run_recorded,
+    searched_open_neighbours,
     simple_provider,
     tree_path,
     unit_energy_config,
@@ -168,7 +170,7 @@ class TestCanReachDirectly:
         rng = random.Random(12)
         outcomes = set()
         for case in range(100):
-            net = synthetic_network(1000 + case, 25)
+            net = default_network(1000 + case, 25)
             seeds = Seeds.from_master(rng.randrange(2**32))
             n_drones = rng.randint(1, 4)
             provider = simple_provider(
@@ -218,9 +220,9 @@ class TestCommittedFlight:
             flown.append((state.delivery_time, leg, fresh_leg(state, state.current_node, leg.node, ctx)))
             traverse(state, leg, ctx)
 
-        def recorded_viable(state, ctx, alive):
+        def recorded_viable(state, ctx):
             greedy_steps.append(state.current_node)
-            return viable(state, ctx, alive)
+            return viable(state, ctx)
 
         monkeypatch.setattr(composition, "_traverse", recorded_traverse)
         monkeypatch.setattr(composition, "viable_candidates", recorded_viable)
@@ -236,6 +238,34 @@ class TestCommittedFlight:
         checked = [fresh_leg(launched, leg.node - 1, leg.node, ctx) for _, leg, _ in flown]
         assert [leg.energies for _, leg, _ in flown] != [leg.energies for leg in checked]
 
+    def test_a_committed_leg_beyond_a_full_battery_ends_the_flight(self, monkeypatch):
+        """The direct check at the source looks at both legs in slice 0, where
+        seed 99's wind falls in the one cheap sector for both, and together
+        they fit the battery. The swarm reaches node 1 in slice 1, where leg
+        1 -> 2 falls in a dear sector and costs more than a full battery, so
+        the committed flight fails there without a greedy step."""
+        one_cheap_sector = (1.0,) + (10.0,) * 7
+        energy = unit_energy_config(formation_factors={f: one_cheap_sector for f in FORMATIONS}, wind_slice_s=60.0)
+        net = line_network([1000.0, 1000.0])  # 100 s a leg at 10 m/s
+        ctx = make_context(net, request(0, 2), energy, Seeds.from_master(99))
+        provider = simple_provider(battery=10.0, charging_provider=9)  # never tops up
+        launched = _launch(provider, ctx)
+        checked = [fresh_leg(launched, a, a + 1, ctx).energies[0] for a in (0, 1)]
+        assert sum(checked) <= provider.swarm.battery_capacity
+        launched.travel_s = 100.0
+        assert fresh_leg(launched, 1, 2, ctx).energies[0] > provider.swarm.battery_capacity
+
+        viable, greedy_steps = composition.viable_candidates, []
+
+        def recorded_viable(state, ctx):
+            greedy_steps.append(state.current_node)
+            return viable(state, ctx)
+
+        monkeypatch.setattr(composition, "viable_candidates", recorded_viable)
+        out = compose(provider, ctx)
+        assert greedy_steps == []
+        assert not out.success and out.paths == ((0, 1),)
+
 
 class TestNodeValue:
     def test_cheaper_station_wins_when_cost_weighted(self, unit_config, seeds):
@@ -246,7 +276,7 @@ class TestNodeValue:
         req = request(0, 3, packages=(1.0,))
         ctx = make_context(net, req, unit_config, seeds)
         state = _launch(provider, ctx)
-        candidates = viable_candidates(state, ctx, set())
+        candidates = viable_candidates(state, ctx)
         assert sorted(leg.node for leg in candidates) == [1, 2]
         values = {leg.node: value for value, leg in score_candidates(state, candidates, ctx)}
         assert values[2] > values[1]
@@ -266,7 +296,7 @@ class TestNodeValue:
         req = request(0, 4, weights={"delivery_time": 1.0})
         ctx = make_context(net, req, unit_energy_config(), seeds, no_progress)
         state = _launch(provider, ctx)
-        ranked = score_candidates(state, viable_candidates(state, ctx, set()), ctx)
+        ranked = score_candidates(state, viable_candidates(state, ctx), ctx)
         assert ranked[0][1].node == 1  # 360.6 m beats 400 m and 494.97 m
 
     def test_matches_independent_recomputation(self, seeds):
@@ -276,7 +306,7 @@ class TestNodeValue:
         # from public primitives and an independent shortest-path oracle
         config = EnergyModelConfig()
         comp_cfg = CompositionConfig()
-        net = synthetic_network(31, 60)
+        net = default_network(31, 60)
         hub = max(net.nodes, key=lambda v: len(net.neighbors(v)))
         dest = max(net.nodes, key=lambda v: math.hypot(net.node(v).x - net.node(hub).x, net.node(v).y - net.node(hub).y))
         provider = simple_provider(battery=10_000.0, charging_provider=99, speed=15)
@@ -285,7 +315,7 @@ class TestNodeValue:
         })
         ctx = make_context(net, req, config, seeds, comp_cfg)
         state = _launch(provider, ctx)
-        candidates = viable_candidates(state, ctx, set())
+        candidates = viable_candidates(state, ctx)
         assert len(candidates) >= 4
         ranked = score_candidates(state, candidates, ctx)
 
@@ -561,14 +591,16 @@ def reachability_walks(draw):
 
 def check_step(state, visited, current, extra_visited, network, ctx):
     """Stand state on current with extra_visited and current added to the
-    visited nodes: its candidates are the neighbours the full DFS finds alive,
-    and no node it closed without visiting is alive."""
+    visited nodes: the unseeded searches find alive exactly the open
+    neighbours the full DFS does, and no node they closed without a visit is
+    alive. A node drawn so is not one a flight reaches, so the step's seed
+    does not hold there."""
     state.path.append(current)
     visited |= extra_visited | {current}
     state.closed |= visited
     alive = alive_by_full_dfs(network, visited, ctx.request.destination)
     expected = sorted(nbr for nbr, _ in network.neighbors(current) if nbr not in visited and nbr in alive)
-    assert [leg.node for leg in viable_candidates(state, ctx, set())] == expected
+    assert searched_open_neighbours(state, ctx) == expected
     assert not (state.closed - visited) & alive
 
 
@@ -634,25 +666,34 @@ class TestReachability:
     def test_seeded_flight_steps_match_full_dfs(self, flight, budget, data):
         """A flight that moves only to candidates, each drawn, and splits at a
         drawn step into halves that move to two drawn candidates: at every
-        step the seeding walk's nodes are alive, and the seeded
-        viable_candidates gives the open neighbours the full DFS finds alive,
+        step the nodes viable_candidates seeds with are alive, and it gives
+        the open neighbours the full DFS finds alive,
         closing no alive node. The walk's budget is drawn too, so many walks
         fail; a failed walk still seeds the step, with the first open
         neighbour, whenever that neighbour is alive."""
         network, source, destination = flight
         provider = simple_provider(n_drones=2, battery=1e9)  # every leg fits, so only reachability filters
         ctx = make_context(network, request(source, destination, packages=(1.0, 1.0)))
-        flights = [_launch(provider, ctx)]
-        with mock.patch.object(composition, "_JOIN_BUDGET", budget):
+        flights, seeds, join = [_launch(provider, ctx)], [], composition._joined_open_neighbours
+
+        def recorded_join(state, ctx):
+            seeded = join(state, ctx)
+            seeds.append(set(seeded))  # the searches grow the set they are given
+            return seeded
+
+        with mock.patch.object(composition, "_JOIN_BUDGET", budget), mock.patch.object(
+            composition, "_joined_open_neighbours", recorded_join
+        ):
             for state in flights:
                 while state.current_node != destination:
                     node, visited = state.current_node, set(state.path)
                     alive = alive_by_full_dfs(network, visited, destination)
                     first_open = min(nbr for nbr, _ in network.neighbors(node) if nbr not in state.closed)
-                    seeded = composition._joined_open_neighbours(state, ctx)
+                    candidates = [leg.node for leg in viable_candidates(state, ctx)]
+                    [seeded] = seeds  # one seed per step
+                    seeds.clear()
                     assert seeded <= alive
                     assert (first_open in seeded) == (first_open in alive)
-                    candidates = [leg.node for leg in viable_candidates(state, ctx, seeded)]
                     open_alive = [nbr for nbr, _ in network.neighbors(node) if nbr not in visited and nbr in alive]
                     assert candidates == open_alive
                     assert not (state.closed - visited) & alive

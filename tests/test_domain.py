@@ -19,7 +19,8 @@ from skybroker.domain import (
     normalize_weights,
 )
 from skybroker.harness import ExperimentConfig
-from skybroker.network import synthetic_network
+
+from conftest import default_network
 
 # up to 10 packages of up to 2.5 kg
 WIDE_LIMITS = ScenarioLimits(max_packages=10, max_package_weight_kg=2.5)
@@ -143,7 +144,7 @@ class TestAssignPackages:
 
 
 # (dynamic, flexible, cooperative, formation, partner company, tier) of each provider
-# of generate_scenario(4, synthetic_network(2, 60), 40, 1, WIDE_LIMITS, CapabilityRanges())
+# of generate_scenario(4, default_network(2, 60), 40, 1, WIDE_LIMITS, CapabilityRanges())
 PINNED_FLEET = [
     (False, False, True, "COLUMN", 3, "platinum"),
     (False, True, True, "VEE", 3, "gold"),
@@ -190,14 +191,14 @@ PINNED_FLEET = [
 
 class TestGenerateScenario:
     def test_limits_respected(self):
-        net = synthetic_network(1, 50)
+        net = default_network(1, 50)
         _, requests = generate_scenario(3, net, 10, 40, WIDE_LIMITS, CapabilityRanges())
         for r in requests:
             assert len(r.packages) <= 10
             assert max(r.packages) <= 2.5
 
     def test_deterministic_byte_identical(self):
-        net = synthetic_network(1, 50)
+        net = default_network(1, 50)
         a = generate_scenario(9, net, 15, 20, WIDE_LIMITS, CapabilityRanges())
         b = generate_scenario(9, net, 15, 20, WIDE_LIMITS, CapabilityRanges())
         assert a == b
@@ -213,7 +214,7 @@ class TestGenerateScenario:
         """Techniques, formation and partnership of each generated provider are
         pinned, so a change in the order of the draws fails here and not only
         through the output digests."""
-        providers, _ = generate_scenario(4, synthetic_network(2, 60), 40, 1, WIDE_LIMITS, CapabilityRanges())
+        providers, _ = generate_scenario(4, default_network(2, 60), 40, 1, WIDE_LIMITS, CapabilityRanges())
         fleet = [
             (p.swarm.dynamic, p.swarm.flexible, p.swarm.cooperative, p.swarm.formation.name,
              p.partnership.charging_provider_id, p.partnership.tier)
@@ -222,13 +223,13 @@ class TestGenerateScenario:
         assert fleet == PINNED_FLEET
 
     def test_every_provider_has_one_partnership_with_known_company(self):
-        net = synthetic_network(2, 60)
+        net = default_network(2, 60)
         providers, _ = generate_scenario(4, net, 40, 1, WIDE_LIMITS, CapabilityRanges())
         for p in providers:
             assert p.partnership.charging_provider_id in net.charging_providers
 
     def test_tier_frequencies_roughly_uniform_over_seeds(self):
-        net = synthetic_network(2, 40)
+        net = default_network(2, 40)
         counts = collections.Counter()
         for seed in range(100):
             providers, _ = generate_scenario(seed, net, 40, 1, WIDE_LIMITS, CapabilityRanges())
@@ -238,7 +239,7 @@ class TestGenerateScenario:
             assert abs(counts[tier] / total - 1 / 3) < 0.05
 
     def test_capability_ranges_honoured(self):
-        net = synthetic_network(2, 40)
+        net = default_network(2, 40)
         ranges = CapabilityRanges(battery_wh=(10, 20), speed_mps=(5, 6), payload_kg=(2, 2.5), swarm_size=(2, 4))
         providers, _ = generate_scenario(0, net, 30, 1, WIDE_LIMITS, ranges)
         for p in providers:

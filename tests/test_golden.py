@@ -1,16 +1,16 @@
 """Byte contract: fixed configs still write their pinned output bytes.
 
 Every (workload, seed) pinned in brokerbench/expected.json is checked, with
-its config from brokerbench/workloads.py; this test only reads them. The sweep
-config is the acceptance battery's, so the sweep digests are taken from the
-outputs of the battery's run of the same seed (the ``battery`` fixture of
-conftest.py), once the two configs are checked to be equal. Four more configs
-are pinned in one table below: two pruned ones, one with rising position
-factors and one that charges at most stops. per_request.csv carries
-execution_time and proxy_time, so the digests also pin the evaluation cost
-model. sweep is the config that pins candidate scoring's charging estimates:
-pricing the estimated top-up at the drawn queue instead of the expected one
-leaves the smoke and short_hop bytes unchanged but not the sweep ones.
+its config from brokerbench/workloads.py; this test only reads them. The
+acceptance battery is built from the sweep config (``battery_config`` in
+conftest.py), so the sweep digests are taken from the outputs of the battery's
+run of the same seed. Four more configs are pinned in one table below: two
+pruned ones, one with rising position factors and one that charges at most
+stops. per_request.csv carries execution_time and proxy_time, so the digests
+also pin the evaluation cost model. sweep is the config that pins candidate
+scoring's charging estimates: pricing the estimated top-up at the drawn queue
+instead of the expected one leaves the smoke and short_hop bytes unchanged but
+not the sweep ones.
 """
 
 import builtins
@@ -34,13 +34,10 @@ EXPECTED = json.loads((BENCH / "expected.json").read_text())
     ("workload", "seed"), [(workload, int(seed)) for workload in sorted(EXPECTED) for seed in EXPECTED[workload]]
 )
 def test_benchmark_outputs_match_pinned_digests(workload, seed, tmp_path, request):
-    config = ExperimentConfig(seed=seed, **WORKLOADS[workload].config)
     if workload == "sweep":
-        run = request.getfixturevalue("battery")[seed]
-        assert run.config == config
-        write_outputs(run.result, tmp_path)
+        write_outputs(request.getfixturevalue("battery")[seed].result, tmp_path)
     else:
-        run_experiment(config, tmp_path)
+        run_experiment(ExperimentConfig(seed=seed, **WORKLOADS[workload].config), tmp_path)
     expected = EXPECTED[workload][str(seed)]
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
     assert digests == expected

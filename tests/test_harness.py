@@ -29,12 +29,11 @@ from skybroker.network import (
     build_region_grid,
     dump_network,
     load_network_dump,
-    synthetic_network,
 )
 from skybroker.pruning import STRATEGIES
 from skybroker.recommend import VOTING_METHODS
 
-from conftest import network_to_streams, oracle_select_cohort
+from conftest import default_network, network_to_streams, oracle_select_cohort
 
 
 def small_config(**overrides):
@@ -426,14 +425,14 @@ class TestLazyComposition:
 
 class TestBuildNetwork:
     def test_from_canonical_dump(self, tmp_path):
-        net = synthetic_network(3, 30)
+        net = default_network(3, 30)
         path = tmp_path / "net.json"
         path.write_text(dump_network(net))
         cfg = small_config(network_path=str(path), synthetic_nodes=None)
         assert dump_network(build_network(cfg)) == dump_network(net)
 
     def test_from_text_triple(self, tmp_path):
-        net = synthetic_network(3, 30)
+        net = default_network(3, 30)
         edges, coords, stations = network_to_streams(net)
         for name, blob in (("edges", edges), ("coords", coords), ("stations", stations)):
             (tmp_path / name).write_text(blob)
@@ -531,7 +530,7 @@ class TestCli:
 
     def test_two_network_sources_are_a_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "net.json"
-        path.write_text(dump_network(synthetic_network(1, 25)))
+        path.write_text(dump_network(default_network(1, 25)))
         assert cli_main(["run", "--network", str(path), "--synthetic", "60"]) == 2
         assert capsys.readouterr().err == (
             "skybroker: error: give one network source, got synthetic_nodes, network_path;"

@@ -22,12 +22,11 @@ from skybroker.network import (
     load_network,
     load_network_dump,
     shortest_path_tree,
-    synthetic_network,
     t_shortest_region_paths,
 )
 
 from conftest import (
-    brute_k_nearest, network_to_streams, oracle_region_paths, recursive_region_paths, region_grid, tree_path,
+    brute_k_nearest, default_network, network_to_streams, oracle_region_paths, recursive_region_paths, region_grid, tree_path,
 )
 
 
@@ -86,7 +85,7 @@ class TestLoadNetwork:
 
     def test_492_node_subnetwork_loads_connected(self):
         # mirrors ingesting an urban edge-list extract of 492 connected nodes
-        net = synthetic_network(42, 492)
+        net = default_network(42, 492)
         edges, coords, stations = network_to_streams(net)
         loaded = load(edges, coords, stations)
         assert loaded.n_nodes == 492
@@ -96,7 +95,7 @@ class TestLoadNetwork:
 
 class TestCanonicalDump:
     def test_round_trip_identical(self):
-        net = synthetic_network(7, 60)
+        net = default_network(7, 60)
         blob = dump_network(net)
         again = load_network_dump(blob)
         assert dump_network(again) == blob
@@ -223,7 +222,7 @@ class TestLoaderFuzz:
         """Integers spelled as integral floats load as the same network; an
         integer spelled as a bool, a string or a fraction, or a coordinate
         spelled as a bool or a string, is refused."""
-        net = synthetic_network(seed, 6)
+        net = default_network(seed, 6)
         payload = json.loads(dump_network(net))
         ints = [(n, i) for n in payload["nodes"] for i in (0, 3, 4)]
         ints += [(e, i) for e in payload["edges"] for i in (0, 1)]
@@ -291,7 +290,7 @@ class TestRegionGrid:
         assert grid.cell_of[3] == 2
 
     def test_membership_matches_rectangle_oracle(self):
-        net = synthetic_network(11, 100)
+        net = default_network(11, 100)
         g = 8
         grid = build_region_grid(net, g)
         xs = [n.x for n in net.nodes.values()]
@@ -311,7 +310,7 @@ class TestRegionGrid:
             assert grid.cell_of[nid] == expected
 
     def test_partition_every_node_exactly_one_cell(self):
-        net = synthetic_network(3, 80)
+        net = default_network(3, 80)
         grid = build_region_grid(net, 8)
         assert set(grid.cell_of) == set(net.nodes)
         assert all(0 <= c < grid.cell_count for c in grid.cell_of.values())
@@ -328,7 +327,7 @@ class TestHeatmaps:
         assert sum(heatmaps[8]) == 1.0
 
     def test_matches_one_pass_per_company(self):
-        net = synthetic_network(4, 90)
+        net = default_network(4, 90)
         grid = build_region_grid(net, 6)
         heatmaps = build_all_heatmaps(net, grid)
         assert list(heatmaps) == list(net.charging_providers)
@@ -340,7 +339,7 @@ class TestHeatmaps:
             assert hm == tuple(cells)
 
     def test_conservation_across_providers(self):
-        net = synthetic_network(5, 120)
+        net = default_network(5, 120)
         grid = build_region_grid(net, 8)
         heatmaps = build_all_heatmaps(net, grid)
         total_pads = sum(n.pad_count for n in net.nodes.values())
@@ -353,7 +352,7 @@ class TestHeatmaps:
             assert sum(hm[cell] for hm in heatmaps.values()) == direct
 
     def test_argmax_cell_matches_independent_count(self):
-        net = synthetic_network(9, 150)
+        net = default_network(9, 150)
         grid = build_region_grid(net, 8)
         heatmaps = build_all_heatmaps(net, grid)
         for cp in net.charging_providers:
@@ -370,7 +369,7 @@ class TestHeatmaps:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_heatmap_conservation_property(self, seed):
-        net = synthetic_network(seed, 30)
+        net = default_network(seed, 30)
         grid = build_region_grid(net, 4)
         heatmaps = build_all_heatmaps(net, grid)
         total_pads = sum(n.pad_count for n in net.nodes.values())
@@ -436,7 +435,7 @@ class TestRegionPaths:
 
 class TestShortestPaths:
     def test_tree_against_networkx(self):
-        net = synthetic_network(21, 60)
+        net = default_network(21, 60)
         graph = nx.Graph()
         for a, b in net.edges():
             graph.add_edge(a, b, weight=net.length(a, b))
@@ -486,16 +485,17 @@ class TestSyntheticNetwork:
         assert _k_nearest(positions, k, area_m) == brute_k_nearest(positions, k)
 
     def test_deterministic_and_connected(self):
-        a = synthetic_network(5, 100)
-        b = synthetic_network(5, 100)
+        a = default_network(5, 100)
+        b = default_network(5, 100)
         assert dump_network(a) == dump_network(b)
         assert len(a.components()) == 1
         assert set(a.charging_providers) <= set(range(1, 6))
 
-    def test_stitching_alone_builds_the_minimum_spanning_tree(self):
+    def test_stitching_alone_builds_the_minimum_spanning_tree(self, monkeypatch):
         # with no nearest-neighbour edges every node starts alone, and joining
         # the closest cross pair onto the first component is Prim's algorithm
-        net = synthetic_network(8, 30, k_nearest=0)
+        monkeypatch.setattr("skybroker.network.K_NEAREST", 0)
+        net = default_network(8, 30)
         complete = nx.Graph()
         for a in net.nodes:
             for b in net.nodes:
@@ -505,16 +505,17 @@ class TestSyntheticNetwork:
         mst = nx.minimum_spanning_tree(complete)
         assert net.edges() == sorted((min(e), max(e)) for e in mst.edges)
 
-    def test_builder_bytes_are_pinned_stitching_included(self):
-        """One sha256 over the dumps of a grid of synthetic networks. k_nearest
+    def test_builder_bytes_are_pinned_stitching_included(self, monkeypatch):
+        """One sha256 over the dumps of a grid of synthetic networks. K_NEAREST
         0 and 1 leave most grids disconnected, so the stitching is pinned too.
-        The cell-list nearest-neighbour search of ROADMAP item 2, and any other
-        rework of the builder, must keep this digest."""
+        The cell-list nearest-neighbour search, and any other rework of the
+        builder, must keep this digest."""
         grid = [(seed, n, k) for seed in (1, 2, 3) for n in (2, 10, 50, 100) for k in (0, 1, 2, 4)]
         grid += [(seed, 300, 4) for seed in (1, 2, 3)]
         digest = hashlib.sha256()
         for seed, n, k in grid:
-            digest.update(dump_network(synthetic_network(seed, n, k_nearest=k)).encode() + b"\n")
+            monkeypatch.setattr("skybroker.network.K_NEAREST", k)
+            digest.update(dump_network(default_network(seed, n)).encode() + b"\n")
         assert digest.hexdigest() == "49ee1a9ad3092123a40fb0f421452a117978079dd5b3b528803c14832d5f43f4"
 
     def test_builder_bytes_are_pinned_at_scale(self):
@@ -522,12 +523,8 @@ class TestSyntheticNetwork:
         10,000 nodes, whose cell lists are 38 x 38 and 70 x 70 cells."""
         digest = hashlib.sha256()
         for n in (3000, 10000):
-            digest.update(dump_network(synthetic_network(1, n)).encode() + b"\n")
+            digest.update(dump_network(default_network(1, n)).encode() + b"\n")
         assert digest.hexdigest() == "8e56901fe8fe8f202ad0f9c3b141e7948d02e54301d9b1f6d396ca52ac682a0b"
-
-    def test_negative_k_nearest_rejected(self):
-        with pytest.raises(ValueError, match="k_nearest"):
-            synthetic_network(1, 10, k_nearest=-1)
 
     @pytest.mark.parametrize("area_m", [0.0, -5.0, 5e-324, math.nan, math.inf, 1e160])
     def test_area_not_positive_and_finite_rejected(self, area_m):
@@ -542,7 +539,7 @@ class TestSyntheticNetwork:
         assert result.manifest["requests"] == {"served": 0, "rejected": 0, "unserved": 2}  # no swarm flies that far
 
     def test_segment_lengths_euclidean(self):
-        net = synthetic_network(3, 40)
+        net = default_network(3, 40)
         for a, b in net.edges():
             na, nb = net.node(a), net.node(b)
             assert net.length(a, b) == net.length(b, a) == pytest.approx(math.hypot(na.x - nb.x, na.y - nb.y))

@@ -13,7 +13,7 @@ from skybroker.domain import (
     generate_scenario,
 )
 from skybroker.harness import build_network
-from skybroker.network import build_all_heatmaps, build_region_grid, synthetic_network, t_shortest_region_paths
+from skybroker.network import build_all_heatmaps, build_region_grid, t_shortest_region_paths
 from skybroker.pruning import (
     capabilities_scores,
     density_scores,
@@ -23,7 +23,7 @@ from skybroker.pruning import (
     strategy_scores,
 )
 
-from conftest import battery_config, oracle_select_cohort, simple_provider
+from conftest import battery_config, default_network, oracle_select_cohort, simple_provider
 
 # up to 10 packages of up to 2.5 kg
 WIDE_LIMITS = ScenarioLimits(max_packages=10, max_package_weight_kg=2.5)
@@ -97,7 +97,7 @@ class TestCapabilitiesScore:
         assert capabilities_scores([p]) == {1: 1.0}
 
     def test_matches_independent_recomputation(self):
-        net = synthetic_network(3, 40)
+        net = default_network(3, 40)
         providers, _ = generate_scenario(7, net, 10, 1, WIDE_LIMITS, CapabilityRanges())
         axes = lambda p: (p.swarm.battery_capacity, p.swarm.speed, p.swarm.payload_capacity, float(p.swarm.size))
         columns = list(zip(*(axes(p) for p in providers)))
@@ -121,7 +121,7 @@ def score(provider, paths, heatmaps, cohort):
 
 @pytest.fixture
 def scored_world():
-    net = synthetic_network(5, 60)
+    net = default_network(5, 60)
     grid = build_region_grid(net, 8)
     heatmaps = build_all_heatmaps(net, grid)
     nodes = sorted(net.nodes)

@@ -6,6 +6,9 @@ A default lives in one place, the config dataclass field the pipeline reads:
 and ``ExperimentConfig``, which holds them, in ``harness.py``. Functions take
 their inputs explicitly, so a parameter default in ``src/`` is either on the
 list below or a second home for a value that can drift from the config's.
+A default is listed only where two callers in the pipeline pass different
+things, one of them nothing; a value only tests vary is a module constant
+that they set with ``monkeypatch``, as ``network.K_NEAREST`` is.
 
 Totals go through ``domain.total``, a left fold: from Python 3.12 the builtin
 ``sum()`` of floats is compensated and rounds differently, so one float total
@@ -26,12 +29,9 @@ ALLOWED_DEFAULTS = {
     ("main", "argv"),
     # callers write the outputs or only want the result
     ("run_experiment", "out_dir"),
-    # the opportunistic top-up draws the queue lazily unless given one
+    # the flight's top-up draws the queue lazily; the estimate passes the
+    # expected one
     ("_tops_up", "queue"),
-    # test networks vary these; k_nearest=0 forces stitching
-    ("synthetic_network", "n_charging_providers"),
-    ("synthetic_network", "area_m"),
-    ("synthetic_network", "k_nearest"),
 }
 
 
