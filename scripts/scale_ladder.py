@@ -5,9 +5,11 @@ For each rung (a node count) runs `run_experiment` once on the `city1000`
 config of brokerbench/workloads.py with that many synthetic nodes, then
 prints the rung's unscaled wall seconds (network build included), the part of
 them spent building the network and, within the build, stitching its
-components together, and the sha256 of per_request.csv, summary.csv and
-manifest.json. The hashes let two checkouts show that they wrote the same
-bytes. Run from the root of a checkout:
+components together, the number of `SkywayNetwork.neighbors` calls, and the
+sha256 of per_request.csv, summary.csv and manifest.json. The hashes let two
+checkouts show that they wrote the same bytes; the neighbour queries measure
+the search work in a number that does not depend on the machine. Run from the
+root of a checkout:
 
   PYTHONPATH=src python3 scripts/scale_ladder.py --nodes 300 1000 3000
   PYTHONPATH=src python3 scripts/scale_ladder.py --nodes 10000 --requests 5
@@ -45,19 +47,37 @@ def timed(function, spent: list[float]):
     return wrapper
 
 
+def counted(function, calls: list[int]):
+    """function, adding one to calls[0] for each call."""
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
 def rung(nodes: int, requests: int, seed: int, out_dir: Path) -> dict:
     """One run of the city1000 config on a network of the given size: its wall,
-    build and stitching seconds and the sha256 of each output file."""
+    build and stitching seconds, its neighbour queries and the sha256 of each
+    output file."""
     cfg = ExperimentConfig(**{**CITY.config, "synthetic_nodes": nodes, "n_requests": requests, "seed": seed})
-    build, stitch = [0.0], [0.0]
+    build, stitch, queries = [0.0], [0.0], [0]
     with mock.patch.object(harness, "build_network", timed(harness.build_network, build)), mock.patch.object(
         network, "_stitches", timed(network._stitches, stitch)
-    ):
+    ), mock.patch.object(network.SkywayNetwork, "neighbors", counted(network.SkywayNetwork.neighbors, queries)):
         started = time.perf_counter()
         run_experiment(cfg, out_dir=out_dir)
         wall = time.perf_counter() - started
     hashes = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in OUTPUTS}
-    return {"nodes": nodes, "wall_s": wall, "build_s": build[0], "stitch_s": stitch[0], **hashes}
+    return {
+        "nodes": nodes,
+        "wall_s": wall,
+        "build_s": build[0],
+        "stitch_s": stitch[0],
+        "queries": queries[0],
+        **hashes,
+    }
 
 
 def main(argv=None) -> int:
@@ -75,7 +95,8 @@ def main(argv=None) -> int:
             r = rung(nodes, args.requests, args.seed, root / f"nodes_{nodes}")
             print(
                 f"{nodes:>6} nodes  wall {r['wall_s']:7.2f} s  build {r['build_s']:6.2f} s  "
-                f"stitch {r['stitch_s']:6.3f} s  " + "  ".join(f"{name} {r[name]}" for name in OUTPUTS),
+                f"stitch {r['stitch_s']:6.3f} s  neighbour queries {r['queries']}  "
+                + "  ".join(f"{name} {r[name]}" for name in OUTPUTS),
                 flush=True,
             )
     return 0

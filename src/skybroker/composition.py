@@ -35,38 +35,28 @@ may pass through nodes the swarm has already visited. Each sub-swarm path is
 thus a loop-free greedy prefix followed by a loop-free suffix along the tree.
 
 Reachability: a neighbour is a candidate only if the destination can still be
-reached from it through unvisited nodes. Each neighbour is checked by a
-best-first search toward the destination (keyed on the shortest-path distance)
-that stops at the destination or at a node already proven alive in the same
-step; every node a successful search explores is alive for the rest of that
-step. A failed search has explored the neighbour's whole unvisited component
-(dead: the destination is out of its reach), which joins ``closed`` for good,
-because the visited nodes only grow; a split sibling inherits the set. Moves
-and searches read the one closed set. That skips no live node: a dead
-component never borders the component of a node that is not dead, so a search
+reached from it through unvisited nodes. ``_alive_open_neighbours`` decides
+this for all of the current node's open neighbours at once: one breadth-first
+walk through open nodes starts from each, the walks take one node each in
+turn, and two walks that meet merge. A walk that runs out of nodes has
+explored its whole open component. If that holds the destination, the walk is
+alive; if not, the component is dead (the destination is out of its reach)
+and joins ``closed`` for good, because the visited nodes only grow; a split
+sibling inherits the set. When every other walk has merged or run out, the
+last walk left is alive; if the destination's walk ran out first, the walks
+left are dead and run until they run out too. That is exact on any node a
+flight stands on: the source is in the tree, and every move goes to a live
+candidate (a split's two halves included), so the current node was alive when
+the flight reached it, and its next node toward the destination is an open
+neighbour that is still alive. Every live neighbour lies in the destination's
+open component, so their walks all merge into one, and every other walk is
+dead. Moves and walks read the one closed set. That skips no live node: a dead
+component never borders the component of a node that is not dead, so a walk
 from such a node would never have entered it. Nor is a greedy step stranded:
-the source is in the tree, and each move goes to a node with a route to the
-destination through unvisited nodes, whose next node is an open, alive
-neighbour at the next step. No candidates means every alive neighbour's leg
-exceeds some drone's full battery.
-
-Each greedy step of a flight seeds its alive set: ``viable_candidates``
-first calls ``_joined_open_neighbours``, which walks breadth-first through
-open nodes from the current node's first open neighbour. If the walk meets
-all the others within 64 nodes, they are all alive from the start, so no
-search runs. This is exact because the current node was alive when the
-flight reached it (the source is in the tree, and every move goes to a live
-candidate, a split's two halves included): its next node toward the
-destination is an open neighbour that is still alive, and every open
-neighbour joined to that one through open nodes is alive too. The searches
-would have closed nothing, so the candidates and ``closed`` are the same
-either way. A walk that meets them all too late, or not at all, is followed
-by one search from the first neighbour. If that neighbour is alive, the
-search's explored nodes and every node the walk saw (each joined to it
-through open nodes) seed the step, and the searches from the other
-neighbours stop on meeting them. If it is dead, the search has closed its
-component, as the step's own search from it would have, and the step seeds
-nothing.
+each move goes to a node with a route to the destination through unvisited
+nodes, whose next node is an open, alive neighbour at the next step. No
+candidates means every alive neighbour's leg exceeds some drone's full
+battery.
 
 Evaluations: the execution-time QoS counts evaluation units, charged at three
 sites only: ``_leg_at``, one per drone for every leg looked at; ``_stop``,
@@ -96,8 +86,6 @@ this module's ``segment_energy`` and ``node_service_time``: call them by name.
 
 from __future__ import annotations
 
-import heapq
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -117,11 +105,6 @@ from .energy import (
     segment_energy,
 )
 from .network import SkywayNetwork
-
-# nodes the seeding walk of a greedy step may look at before the step falls
-# back to one search per open neighbour
-_JOIN_BUDGET = 64
-
 
 @dataclass
 class SubSwarmState:
@@ -377,69 +360,59 @@ def _fits_direct(state: SubSwarmState, ctx: RequestContext) -> bool:
     return True
 
 
-def _reaches_destination(start: int, state: SubSwarmState, ctx: RequestContext, alive: set[int]) -> bool:
-    """Whether the destination is reachable from the unvisited node start
-    through unvisited nodes.
-
-    Best-first search keyed on the distance to the destination; it stops as
-    soon as it meets the destination or a node in alive. On success every
-    explored node joins alive; on failure the explored set is start's whole
-    unvisited component and joins the sub-swarm's closed set.
-    """
-    destination, dist = ctx.request.destination, ctx.dist_to_dest
-    if start == destination or start in alive:
-        return True
-    explored = {start}
-    frontier = [(dist.get(start, math.inf), start)]
-    while frontier:
-        _, node = heapq.heappop(frontier)
-        for nbr, _length in ctx.network.neighbors(node):
-            if nbr == destination or nbr in alive:
-                alive |= explored
-                return True
-            if nbr not in explored and nbr not in state.closed:
-                explored.add(nbr)
-                heapq.heappush(frontier, (dist.get(nbr, math.inf), nbr))
-    state.closed |= explored
-    return False
-
-
-def _joined_open_neighbours(state: SubSwarmState, ctx: RequestContext) -> set[int]:
-    """Open nodes known to be alive, for the current node of a flight: its
-    open neighbours if a breadth-first walk through open nodes from the first
-    of them meets all the others within _JOIN_BUDGET nodes. Else one search
-    from the first: if it is alive, the search's explored nodes and the
-    walk's; if not, the empty set (the search closed its component). A
-    greedy step is never stranded, so there is always a first."""
-    wanted = {nbr for nbr, _length in ctx.network.neighbors(state.current_node) if nbr not in state.closed}
-    first = min(wanted)
-    seen, queue = {first}, deque([first])
-    missing = len(wanted) - 1
-    while missing and queue and len(seen) < _JOIN_BUDGET:
+def _alive_open_neighbours(state: SubSwarmState, ctx: RequestContext) -> list[int]:
+    """The current node's open neighbours, in adjacency order, from which the
+    destination can be reached through open nodes, for the current node of a
+    flight; every dead component that borders the node joins ``closed``. One
+    breadth-first walk per open neighbour, in lockstep, merging where they
+    meet (see the module docstring)."""
+    closed, destination = state.closed, ctx.request.destination
+    starts = [nbr for nbr, _length in ctx.network.neighbors(state.current_node) if nbr not in closed]
+    # open node -> the (members, queue) walk that reached it
+    owner = {start: ({start}, deque([start])) for start in starts}
+    turns = deque(owner.values())
+    # walks neither merged nor run out, and how many of them may stay: the
+    # last one is alive, unless the destination's walk ran out first
+    walks, last = len(turns), 1
+    while walks > last:
+        walk = turns.popleft()
+        members, queue = walk
+        if not queue:
+            continue  # merged into another walk
         for nbr, _length in ctx.network.neighbors(queue.popleft()):
-            if nbr not in seen and nbr not in state.closed:
-                seen.add(nbr)
+            if nbr in closed:
+                continue
+            other = owner.get(nbr)
+            if other is None:
+                owner[nbr] = walk
+                members.add(nbr)
                 queue.append(nbr)
-                missing -= nbr in wanted
-    if not missing:
-        return wanted
-    alive: set[int] = set()
-    if _reaches_destination(first, state, ctx, alive):
-        alive |= seen
-    return alive
+            elif other is not walk:
+                other_members, other_queue = other
+                for node in other_members:
+                    owner[node] = walk
+                members |= other_members
+                queue.extend(other_queue)
+                other_queue.clear()
+                walks -= 1
+        if queue:
+            turns.append(walk)
+        else:
+            walks -= 1
+            if destination in members:
+                last = 0
+            else:
+                closed |= members
+    return [start for start in starts if start not in closed]
 
 
 def viable_candidates(state: SubSwarmState, ctx: RequestContext) -> list[_Leg]:
     """Unvisited neighbours whose leg every drone can fly on a full battery and
     from which the destination remains reachable through unvisited nodes, for
-    the current node of a flight; the step's searches start from the alive
-    nodes ``_joined_open_neighbours`` seeds (see the module docstring)."""
+    the current node of a flight (``_alive_open_neighbours``)."""
     here = state.current_node
-    alive = _joined_open_neighbours(state, ctx)
     out = []
-    for nbr, _length in ctx.network.neighbors(here):
-        if nbr in state.closed or not _reaches_destination(nbr, state, ctx, alive):
-            continue
+    for nbr in _alive_open_neighbours(state, ctx):
         leg = _leg_at(state, here, nbr, ctx)
         if _leg_within_capacity(leg, state):
             out.append(leg)

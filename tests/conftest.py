@@ -180,19 +180,6 @@ def alive_by_full_dfs(network, visited, destination):
     return seen
 
 
-def searched_open_neighbours(state, ctx):
-    """The current node's open neighbours, in adjacency order, from which
-    ``_reaches_destination`` finds the destination, the searches sharing one
-    alive set that starts empty: a step with no seed, so it holds on any node
-    a sub-swarm stands on. Dead components join the closed set as in a step."""
-    alive = set()
-    return [
-        nbr
-        for nbr, _ in ctx.network.neighbors(state.current_node)
-        if nbr not in state.closed and composition._reaches_destination(nbr, state, ctx, alive)
-    ]
-
-
 def brute_k_nearest(positions, k):
     """Nearest-neighbour oracle: for each node, the k smallest (squared
     distance, id) keys over every other node, as ids."""

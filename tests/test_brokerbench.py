@@ -44,7 +44,7 @@ def test_traced_smoke_child_reports_every_layer_metric(tmp_path, monkeypatch):
         "composition.evaluations": 1351,
         "energy.segment_energy_calls": 212,
         "energy.node_service_calls": 10,
-        "network.neighbor_queries": 286,
+        "network.neighbor_queries": 236,
         # smoke repeats no successful cohort, so each (strategy, k) cohort votes
         "recommend.elections": 24,
         "recommend.op_count": 64,

@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import math
 import random
-from unittest import mock
 
 import networkx as nx
 import pytest
@@ -45,7 +44,6 @@ from conftest import (
     make_context,
     oracle_segment_energy,
     run_recorded,
-    searched_open_neighbours,
     simple_provider,
     tree_path,
     unit_energy_config,
@@ -591,16 +589,18 @@ def reachability_walks(draw):
 
 def check_step(state, visited, current, extra_visited, network, ctx):
     """Stand state on current with extra_visited and current added to the
-    visited nodes: the unseeded searches find alive exactly the open
-    neighbours the full DFS does, and no node they closed without a visit is
-    alive. A node drawn so is not one a flight reaches, so the step's seed
-    does not hold there."""
+    visited nodes. Where the step meets the premise of a flight (the
+    destination is open and some open neighbour is alive), the walks find
+    alive exactly the open neighbours the full DFS does and close every other
+    neighbour. Either way, no node closed without a visit is alive."""
     state.path.append(current)
     visited |= extra_visited | {current}
     state.closed |= visited
     alive = alive_by_full_dfs(network, visited, ctx.request.destination)
-    expected = sorted(nbr for nbr, _ in network.neighbors(current) if nbr not in visited and nbr in alive)
-    assert searched_open_neighbours(state, ctx) == expected
+    expected = [nbr for nbr, _ in network.neighbors(current) if nbr not in visited and nbr in alive]
+    if expected and ctx.request.destination not in visited:
+        assert composition._alive_open_neighbours(state, ctx) == expected
+        assert {nbr for nbr, _ in network.neighbors(current)} - set(expected) <= state.closed
     assert not (state.closed - visited) & alive
 
 
@@ -661,51 +661,60 @@ class TestReachability:
             for current, extra_visited in half_steps:
                 check_step(half, half_visited, current, extra_visited, network, ctx)
 
-    @given(flight_networks(), st.integers(min_value=1, max_value=64), st.data())
+    @given(flight_networks(), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_seeded_flight_steps_match_full_dfs(self, flight, budget, data):
+    def test_flight_steps_match_full_dfs(self, flight, data):
         """A flight that moves only to candidates, each drawn, and splits at a
         drawn step into halves that move to two drawn candidates: at every
-        step the nodes viable_candidates seeds with are alive, and it gives
-        the open neighbours the full DFS finds alive,
-        closing no alive node. The walk's budget is drawn too, so many walks
-        fail; a failed walk still seeds the step, with the first open
-        neighbour, whenever that neighbour is alive."""
+        step viable_candidates gives the open neighbours the full DFS finds
+        alive, closing no alive node."""
         network, source, destination = flight
         provider = simple_provider(n_drones=2, battery=1e9)  # every leg fits, so only reachability filters
         ctx = make_context(network, request(source, destination, packages=(1.0, 1.0)))
-        flights, seeds, join = [_launch(provider, ctx)], [], composition._joined_open_neighbours
+        flights = [_launch(provider, ctx)]
+        for state in flights:
+            while state.current_node != destination:
+                node, visited = state.current_node, set(state.path)
+                alive = alive_by_full_dfs(network, visited, destination)
+                candidates = [leg.node for leg in viable_candidates(state, ctx)]
+                open_alive = [nbr for nbr, _ in network.neighbors(node) if nbr not in visited and nbr in alive]
+                assert candidates == open_alive
+                assert not (state.closed - visited) & alive
+                assert candidates  # a flight is never stranded
+                if len(flights) == 1 and len(candidates) >= 2 and data.draw(st.booleans()):
+                    first, second = data.draw(st.permutations(candidates))[:2]
+                    sibling = _split_subswarm(state)
+                    _traverse(sibling, composition._leg_at(sibling, node, second, ctx), ctx)
+                    flights.append(sibling)
+                else:
+                    first = data.draw(st.sampled_from(candidates))
+                _traverse(state, composition._leg_at(state, node, first, ctx), ctx)
 
-        def recorded_join(state, ctx):
-            seeded = join(state, ctx)
-            seeds.append(set(seeded))  # the searches grow the set they are given
-            return seeded
+    def test_the_destinations_walk_runs_out_first(self):
+        """From source 1, the walk from 2 explores {2, 3} and runs out holding
+        destination 3 while the walk from 4 still has nodes to take. The
+        remaining walk is dead, not alive: its component closes and the
+        destination's stays open."""
+        nodes = [SkywayNode(v, 1000.0 * v, 0.0, 1, 4) for v in range(1, 8)]
+        network = SkywayNetwork(nodes, [(1, 2), (2, 3), (1, 4), (4, 5), (5, 6), (6, 7)])
+        ctx = make_context(network, request(1, 3))
+        state = _launch(simple_provider(battery=1e9), ctx)
+        assert [leg.node for leg in viable_candidates(state, ctx)] == [2]
+        assert state.closed == {1, 4, 5, 6, 7}
 
-        with mock.patch.object(composition, "_JOIN_BUDGET", budget), mock.patch.object(
-            composition, "_joined_open_neighbours", recorded_join
-        ):
-            for state in flights:
-                while state.current_node != destination:
-                    node, visited = state.current_node, set(state.path)
-                    alive = alive_by_full_dfs(network, visited, destination)
-                    first_open = min(nbr for nbr, _ in network.neighbors(node) if nbr not in state.closed)
-                    candidates = [leg.node for leg in viable_candidates(state, ctx)]
-                    [seeded] = seeds  # one seed per step
-                    seeds.clear()
-                    assert seeded <= alive
-                    assert (first_open in seeded) == (first_open in alive)
-                    open_alive = [nbr for nbr, _ in network.neighbors(node) if nbr not in visited and nbr in alive]
-                    assert candidates == open_alive
-                    assert not (state.closed - visited) & alive
-                    assert candidates  # a flight is never stranded
-                    if len(flights) == 1 and len(candidates) >= 2 and data.draw(st.booleans()):
-                        first, second = data.draw(st.permutations(candidates))[:2]
-                        sibling = _split_subswarm(state)
-                        _traverse(sibling, composition._leg_at(sibling, node, second, ctx), ctx)
-                        flights.append(sibling)
-                    else:
-                        first = data.draw(st.sampled_from(candidates))
-                    _traverse(state, composition._leg_at(state, node, first, ctx), ctx)
+    def test_walks_merge_across_a_long_ring(self):
+        """On a ring of 72 nodes the source's two neighbours meet only around
+        the far side: both are alive, and nothing is closed."""
+        n = 72
+        nodes = [
+            SkywayNode(v, 5000.0 * math.cos(2 * math.pi * v / n), 5000.0 * math.sin(2 * math.pi * v / n), 1, 4)
+            for v in range(n)
+        ]
+        network = SkywayNetwork(nodes, [(v, (v + 1) % n) for v in range(n)])
+        ctx = make_context(network, request(0, n // 2 + 3))
+        state = _launch(simple_provider(battery=1e9), ctx)
+        assert [leg.node for leg in viable_candidates(state, ctx)] == [1, n - 1]
+        assert state.closed == {0}
 
 
 def recomputed_leg_at(state, a, b, ctx):

@@ -2,8 +2,11 @@ import hashlib
 import importlib.util
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+from skybroker.network import SkywayNetwork
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -27,13 +30,23 @@ def test_reproduce_experiments_smoke(tmp_path, capsys):
 
 
 def test_scale_ladder_smoke(tmp_path, capsys):
-    """One 30-node rung: the script prints its times and the sha256 of the
+    """One 30-node rung: the script prints its times, the neighbour queries a
+    second counter around the whole run also sees, and the sha256 of the
     outputs it kept under --out."""
     script = load_script("scale_ladder")
-    assert script.main(["--nodes", "30", "--requests", "3", "--out", str(tmp_path)]) == 0
+    neighbors, calls = SkywayNetwork.neighbors, []
+
+    def counting(network, node_id):
+        calls.append(node_id)
+        return neighbors(network, node_id)
+
+    with mock.patch.object(SkywayNetwork, "neighbors", counting):
+        assert script.main(["--nodes", "30", "--requests", "3", "--out", str(tmp_path)]) == 0
     header, line = capsys.readouterr().out.splitlines()
     assert header == "city1000 config, 3 requests, seed 1"
     assert line.split()[:3] == ["30", "nodes", "wall"]
+    assert calls
+    assert f"neighbour queries {len(calls)} " in line
     for name in ("per_request.csv", "summary.csv", "manifest.json"):
         digest = hashlib.sha256((tmp_path / "nodes_30" / name).read_bytes()).hexdigest()
         assert f"{name} {digest}" in line
