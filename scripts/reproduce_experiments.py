@@ -6,49 +6,46 @@ Runs, for each seed:
   2. k-percent sweep for density pruning (30..70, IRV)
   3. vote-count-system comparison (all five methods, density, k=50)
 
-All three share one experiment pass per seed; results land in per-seed
-directories plus a pooled summary printed to stdout.
+All three share one experiment pass per seed, on the config of the
+benchmark's `sweep` workload in brokerbench/workloads.py (the acceptance
+battery); results land in per-seed directories plus a pooled summary printed
+to stdout.
 
 Usage:
   python scripts/reproduce_experiments.py --seeds 10 --out results/
 """
 
 import argparse
+import runpy
 import statistics
 import sys
 from pathlib import Path
 
 from skybroker.harness import ExperimentConfig, run_experiment, spearman
-from skybroker.pruning import STRATEGIES
-from skybroker.recommend import VOTING_METHODS
 
-K_VALUES = (30.0, 40.0, 50.0, 60.0, 70.0)
+ROOT = Path(__file__).resolve().parents[1]
+SWEEP = runpy.run_path(str(ROOT / "brokerbench" / "workloads.py"))["WORKLOADS"]["sweep"].config
+STRATEGIES, K_VALUES, VOTING_METHODS = SWEEP["strategies"], SWEEP["k_values"], SWEEP["voting_methods"]
 
 
 def main(argv=None) -> int:
-    defaults = ExperimentConfig()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=10, help="number of seeded scenarios")
     parser.add_argument("--out", type=Path, default=Path("results"))
-    parser.add_argument("--nodes", type=int, default=defaults.synthetic_nodes)
-    parser.add_argument("--providers", type=int, default=defaults.n_providers)
-    parser.add_argument("--requests", type=int, default=defaults.n_requests)
+    parser.add_argument("--nodes", type=int, default=SWEEP["synthetic_nodes"])
+    parser.add_argument("--providers", type=int, default=SWEEP["n_providers"])
+    parser.add_argument("--requests", type=int, default=SWEEP["n_requests"])
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     by_strategy = {s: [] for s in STRATEGIES}
     by_method = {m: [] for m in VOTING_METHODS}
     by_k = {k: {"satisfaction": [], "proxy": []} for k in K_VALUES}
 
+    config = {**SWEEP, "synthetic_nodes": args.nodes, "n_providers": args.providers, "n_requests": args.requests}
     for seed in range(1, args.seeds + 1):
-        cfg = ExperimentConfig(
-            seed=seed,
-            synthetic_nodes=args.nodes,
-            n_providers=args.providers,
-            n_requests=args.requests,
-            strategies=STRATEGIES,
-            k_values=K_VALUES,
-            voting_methods=VOTING_METHODS,
-        )
+        cfg = ExperimentConfig(**config, seed=seed)
         result = run_experiment(cfg, out_dir=args.out / f"seed_{seed:02d}")
         table = {(e["strategy"], e["method"], e["k_percent"]): e for e in result.summary}
         for s in STRATEGIES:

@@ -29,8 +29,8 @@ path checks capacity in flight, since its later legs fall in later wind slices.
 
 Loop-freedom: greedy moves (splits included) only go to nodes outside the
 sub-swarm's ``closed`` set, which holds every visited node, so they never
-revisit a node. The direct check and the committed flight share one lazy walk
-down the shortest-path tree, ``_tree_legs``, blind to ``closed``: the flight
+revisit a node. Once the direct check passes, the greedy loop ends and a
+second loop flies down the shortest-path tree, blind to ``closed``: the flight
 may pass through nodes the swarm has already visited. Each sub-swarm path is
 thus a loop-free greedy prefix followed by a loop-free suffix along the tree.
 
@@ -65,10 +65,10 @@ or estimated (behind the expected queue); ``score_candidates``, one per
 candidate scored. ``_leg_at`` is the one way to a leg: it reads the wind in
 the time slice of the sub-swarm's current time, so a leg depends only on the
 slots, the leg and that slice. The direct check and the committed flight
-share one lazy walk down the tree, so each looks at a leg only on reaching it:
-the check at the current time, up to and including the first leg some drone
-cannot afford, and the flight just before flying the leg, at the time the
-sub-swarm reaches it. Each sub-swarm counts its own units and the outcome
+each walk down the tree and look at a leg only on reaching it: the check at
+the current time, up to and including the first leg some drone cannot
+afford, and the flight just before flying the leg, at the time the sub-swarm
+reaches it. Each sub-swarm counts its own units and the outcome
 sums them over the finished sub-swarms. Leg physics are memoised per
 sub-swarm (keyed on the leg and the wind time slice, and reset when a split
 slices the sub-swarm's slots), one ``segment_energy`` call per leg computed,
@@ -88,7 +88,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .config import CompositionConfig, EnergyModelConfig, Seeds, mix64
 from .domain import DeliveryRequest, Provider, QosVector, assign_packages, normalize_lower_better, total
@@ -334,17 +334,6 @@ def _traverse(state: SubSwarmState, leg: _Leg, ctx: RequestContext) -> None:
         _charge(state, leg, ctx, None)
 
 
-def _tree_legs(state: SubSwarmState, ctx: RequestContext) -> Iterator[_Leg]:
-    """The legs down the destination tree from the current node, each looked
-    at only when the walk reaches it, at the sub-swarm's time then. ``fly``
-    fails a source the tree does not hold, and every later node was a live
-    candidate."""
-    a, b = state.current_node, ctx.parent_to_dest[state.current_node]
-    while b is not None:
-        yield _leg_at(state, a, b, ctx)
-        a, b = b, ctx.parent_to_dest[b]
-
-
 def _fits_direct(state: SubSwarmState, ctx: RequestContext) -> bool:
     """Whether every drone can fly the rest of the tree path on its current
     charge; the walk stops at the first leg some drone cannot afford. The
@@ -352,11 +341,13 @@ def _fits_direct(state: SubSwarmState, ctx: RequestContext) -> bool:
     at in one wind slice."""
     totals = [0.0] * len(state.loads)
     limits = [held + ENERGY_EPS_WH for held in state.held]
-    for leg in _tree_legs(state, ctx):
-        for slot, e in enumerate(leg.energies):
+    a, b = state.current_node, ctx.parent_to_dest[state.current_node]
+    while b is not None:
+        for slot, e in enumerate(_leg_at(state, a, b, ctx).energies):
             totals[slot] += e
             if totals[slot] > limits[slot]:
                 return False
+        a, b = b, ctx.parent_to_dest[b]
     return True
 
 
@@ -519,7 +510,9 @@ def _split_subswarm(state: SubSwarmState) -> SubSwarmState:
 
 
 def _run_subswarm(state: SubSwarmState, ctx: RequestContext, subswarms: list[SubSwarmState]) -> bool:
-    """Fly on from a node the tree holds; returns whether the sub-swarm arrived."""
+    """Fly on from a node the tree holds (``fly`` checks the source, and every
+    later node was a live candidate): greedily until the rest of the tree path
+    fits the current charge, then down the tree; returns whether it arrived."""
     while state.current_node != ctx.request.destination:
         node = state.current_node
         if (
@@ -537,16 +530,18 @@ def _run_subswarm(state: SubSwarmState, ctx: RequestContext, subswarms: list[Sub
                 continue
 
         if _fits_direct(state, ctx):
-            for leg in _tree_legs(state, ctx):
-                if not _leg_within_capacity(leg, state):
-                    return False
-                _traverse(state, leg, ctx)
-            return True
-
+            break
         candidates = viable_candidates(state, ctx)
         if not candidates:
             return False
         _traverse(state, score_candidates(state, candidates, ctx)[0][1], ctx)
+
+    while state.current_node != ctx.request.destination:
+        node = state.current_node
+        leg = _leg_at(state, node, ctx.parent_to_dest[node], ctx)
+        if not _leg_within_capacity(leg, state):
+            return False
+        _traverse(state, leg, ctx)
     return True
 
 

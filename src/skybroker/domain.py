@@ -70,12 +70,10 @@ class Swarm:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("swarm must contain at least one drone")
-        if self.battery_capacity <= 0:
-            raise ValueError("battery_capacity must be positive")
-        if self.payload_capacity <= 0:
-            raise ValueError("payload_capacity must be positive")
-        if self.speed <= 0:
-            raise ValueError("speed must be positive")
+        for name in ("battery_capacity", "payload_capacity", "speed"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -115,18 +113,22 @@ def total(values: Iterable[float]) -> float:
 def normalize_weights(raw: Mapping[str, float]) -> dict[str, float]:
     """Normalize preference weights over the four QoS metrics to sum to one.
 
-    Missing metrics count as zero. Inputs already summing to one (within 1e-12)
-    are returned unchanged, which makes normalization exactly idempotent.
+    Missing metrics count as zero; each weight, and their sum, must be finite.
+    Inputs already summing to one (within 1e-12) are returned unchanged, which
+    makes normalization exactly idempotent.
     """
     unknown = set(raw) - set(QOS_METRICS)
     if unknown:
         raise ValueError(f"unknown QoS metrics: {sorted(unknown)}")
     values = {m: float(raw.get(m, 0.0)) for m in QOS_METRICS}
-    if any(v < 0 for v in values.values()):
-        raise ValueError("QoS weights must be non-negative")
+    for m, v in values.items():
+        if not 0 <= v < math.inf:
+            raise ValueError(f"QoS weight {m} must be finite and non-negative, got {v}")
     weight = total(values.values())
     if weight <= 0:
         raise ValueError("at least one QoS weight must be positive")
+    if weight == math.inf:
+        raise ValueError(f"QoS weights {list(values.values())} sum past the largest float")
     if abs(weight - 1.0) <= 1e-12:
         return values
     return {m: v / weight for m, v in values.items()}
@@ -157,8 +159,9 @@ class DeliveryRequest:
             raise ValueError("source and destination must differ")
         if not self.packages:
             raise ValueError("request must carry at least one package")
-        if any(w <= 0 for w in self.packages):
-            raise ValueError("package weights must be positive")
+        for w in self.packages:
+            if not 0 < w < math.inf:
+                raise ValueError(f"package weight {w} must be positive and finite")
         object.__setattr__(self, "packages", tuple(float(w) for w in self.packages))
         object.__setattr__(self, "qos_weights", normalize_weights(self.qos_weights))
 

@@ -14,7 +14,6 @@ from skybroker.composition import (
     _launch,
     _split_subswarm,
     _traverse,
-    _tree_legs,
     compose,
     request_context,
     score_candidates,
@@ -197,7 +196,7 @@ class TestCanReachDirectly:
                     if totals[i] > state.held[i] + 1e-9:
                         feasible = False
             assert _fits_direct(state, ctx) == feasible
-            assert [leg.node for leg in _tree_legs(state, ctx)] == tree_path(ctx.parent_to_dest, source)[1:]
+            assert tree_path(ctx.parent_to_dest, source) == path
             outcomes.add(feasible)
         assert outcomes == {True, False}
 
@@ -263,6 +262,28 @@ class TestCommittedFlight:
         out = compose(provider, ctx)
         assert greedy_steps == []
         assert not out.success and out.paths == ((0, 1),)
+
+    def test_a_committed_flight_passes_a_congested_node_without_splitting(self, unit_config, monkeypatch):
+        """Node 1 has one pad for two drones, and two ways on to node 3. The
+        direct check passes at the source, so the swarm flies through node 1
+        down the tree and never looks for a split there."""
+        pads = {1: 1}
+        coords = [(0.0, 0.0), (1000.0, 0.0), (2000.0, 0.0), (3000.0, 0.0), (2000.0, 900.0)]
+        nodes = [SkywayNode(i, x, y, 1, pads.get(i, 4)) for i, (x, y) in enumerate(coords)]
+        net = SkywayNetwork(nodes, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 3)])
+        ctx = make_context(net, request(0, 3, packages=(1.0, 1.0)), unit_config)
+        provider = simple_provider(n_drones=2, battery=1e6, dynamic=True)
+
+        viable, greedy_steps = composition.viable_candidates, []
+
+        def recorded_viable(state, ctx):
+            greedy_steps.append(state.current_node)
+            return viable(state, ctx)
+
+        monkeypatch.setattr(composition, "viable_candidates", recorded_viable)
+        out = compose(provider, ctx)
+        assert greedy_steps == []
+        assert out.success and out.paths == ((0, 1, 2, 3),)
 
 
 class TestNodeValue:

@@ -1,8 +1,9 @@
 import collections
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skybroker.config import CapabilityRanges, ConfigurationError, EnergyModelConfig, ScenarioLimits
@@ -49,15 +50,33 @@ class TestNormalizeWeights:
         with pytest.raises(ValueError, match="unknown"):
             normalize_weights({"latency": 1.0})
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"delivery_time": math.nan, "energy": 1.0}, "^QoS weight delivery_time must be finite and non-negative, got nan$"),
+            ({"energy": 1.0, "cost": math.inf}, "^QoS weight cost must be finite and non-negative, got inf$"),
+            ({"energy": 1e308, "cost": 1e308}, r"^QoS weights \[0\.0, 1e\+308, 1e\+308, 0\.0\] sum past the largest float$"),
+        ],
+    )
+    def test_non_finite_refused(self, raw, message):
+        with pytest.raises(ValueError, match=message):
+            normalize_weights(raw)
+
     @given(
         st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=4, max_size=4),
     )
+    # execution_time is the raw argmax, but it and cost round to one weight
+    @example([1.0, 360.5, 999.9999999999999, 1000.0])
     @settings(max_examples=200, deadline=None)
-    def test_sum_one_and_argmax_preserved(self, values):
+    def test_sum_one_and_order_preserved(self, values):
+        """Dividing by a positive total keeps every pair's order, but not
+        strictly: two close weights may round to the same one."""
         raw = dict(zip(QOS_METRICS, values))
         out = normalize_weights(raw)
         assert abs(sum(out.values()) - 1.0) <= 1e-12
-        assert max(QOS_METRICS, key=raw.get) == max(QOS_METRICS, key=out.get)
+        for a, b in itertools.permutations(QOS_METRICS, 2):
+            if raw[a] <= raw[b]:
+                assert out[a] <= out[b]
         # idempotent
         assert normalize_weights(out) == out
 
@@ -93,6 +112,14 @@ class TestDomainInvariants:
         with pytest.raises(ValueError, match="payload_capacity"):
             make_swarm(payload_capacity=-1.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("battery_capacity", math.nan), ("speed", math.nan), ("payload_capacity", math.inf), ("speed", math.inf)],
+    )
+    def test_swarm_non_finite_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+            make_swarm(**{name: value})
+
     def test_tier_price_ordering(self):
         assert (
             TIERS["platinum"].price_per_kwh
@@ -123,6 +150,11 @@ class TestDomainInvariants:
             DeliveryRequest(1, 1, 2, (0.0,), {"cost": 1.0})
         r = DeliveryRequest(1, 1, 2, (1.5,), {"cost": 2.0, "energy": 2.0})
         assert sum(r.qos_weights.values()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_request_non_finite_package_refused(self, weight):
+        with pytest.raises(ValueError, match=f"^package weight {weight} must be positive and finite$"):
+            DeliveryRequest(1, 1, 2, (1.0, weight), {"cost": 1.0})
 
     def test_qos_vector_validation(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,15 @@ def test_reproduce_experiments_smoke(tmp_path, capsys):
         assert section in out
 
 
+def test_reproduce_experiments_refuses_zero_seeds(tmp_path, capsys):
+    script = load_script("reproduce_experiments")
+    with pytest.raises(SystemExit) as exit_:
+        script.main(["--seeds", "0", "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith("error: --seeds must be at least 1, got 0")
+    assert not any(tmp_path.iterdir())
+
+
 def test_scale_ladder_smoke(tmp_path, capsys):
     """One 30-node rung: the script prints its times, the neighbour queries a
     second counter around the whole run also sees, and the sha256 of the
