@@ -5,11 +5,12 @@ For each rung (a node count) runs `run_experiment` once on the `city1000`
 config of brokerbench/workloads.py with that many synthetic nodes, then
 prints the rung's unscaled wall seconds (network build included), the part of
 them spent building the network and, within the build, stitching its
-components together, the number of `SkywayNetwork.neighbors` calls, and the
+components together, the number of `SkywayNetwork.neighbors` calls, the
+number of legs the composer computed (its `segment_energy` calls), and the
 sha256 of per_request.csv, summary.csv and manifest.json. The hashes let two
-checkouts show that they wrote the same bytes; the neighbour queries measure
-the search work in a number that does not depend on the machine. Run from the
-root of a checkout:
+checkouts show that they wrote the same bytes; the neighbour queries and the
+legs computed measure the search and the physics work in numbers that do not
+depend on the machine. Run from the root of a checkout:
 
   PYTHONPATH=src python3 scripts/scale_ladder.py --nodes 300 1000 3000
   PYTHONPATH=src python3 scripts/scale_ladder.py --nodes 10000 --requests 5
@@ -26,7 +27,7 @@ import time
 from pathlib import Path
 from unittest import mock
 
-from skybroker import harness, network
+from skybroker import composition, harness, network
 from skybroker.harness import ExperimentConfig, run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,13 +60,15 @@ def counted(function, calls: list[int]):
 
 def rung(nodes: int, requests: int, seed: int, out_dir: Path) -> dict:
     """One run of the city1000 config on a network of the given size: its wall,
-    build and stitching seconds, its neighbour queries and the sha256 of each
-    output file."""
+    build and stitching seconds, its neighbour queries, the legs it computed
+    and the sha256 of each output file."""
     cfg = ExperimentConfig(**{**CITY.config, "synthetic_nodes": nodes, "n_requests": requests, "seed": seed})
-    build, stitch, queries = [0.0], [0.0], [0]
+    build, stitch, queries, legs = [0.0], [0.0], [0], [0]
     with mock.patch.object(harness, "build_network", timed(harness.build_network, build)), mock.patch.object(
         network, "_stitches", timed(network._stitches, stitch)
-    ), mock.patch.object(network.SkywayNetwork, "neighbors", counted(network.SkywayNetwork.neighbors, queries)):
+    ), mock.patch.object(
+        network.SkywayNetwork, "neighbors", counted(network.SkywayNetwork.neighbors, queries)
+    ), mock.patch.object(composition, "segment_energy", counted(composition.segment_energy, legs)):
         started = time.perf_counter()
         run_experiment(cfg, out_dir=out_dir)
         wall = time.perf_counter() - started
@@ -76,6 +79,7 @@ def rung(nodes: int, requests: int, seed: int, out_dir: Path) -> dict:
         "build_s": build[0],
         "stitch_s": stitch[0],
         "queries": queries[0],
+        "legs": legs[0],
         **hashes,
     }
 
@@ -95,7 +99,7 @@ def main(argv=None) -> int:
             r = rung(nodes, args.requests, args.seed, root / f"nodes_{nodes}")
             print(
                 f"{nodes:>6} nodes  wall {r['wall_s']:7.2f} s  build {r['build_s']:6.2f} s  "
-                f"stitch {r['stitch_s']:6.3f} s  neighbour queries {r['queries']}  "
+                f"stitch {r['stitch_s']:6.3f} s  neighbour queries {r['queries']}  legs computed {r['legs']}  "
                 + "  ".join(f"{name} {r[name]}" for name in OUTPUTS),
                 flush=True,
             )

@@ -22,8 +22,12 @@ per dispatched drone in four vectors: ``loads`` (never increasing along the
 slots), and the energy each drone ``held``, ``consumed`` and ``purchased``.
 No output reads ``purchased``; it is kept because it closes the energy ledger
 (held = capacity - consumed + purchased) that the conservation tests check.
-A split slices all four vectors and never folds back: each half's drone in
-slot j is no heavier than the whole swarm's, so both halves can fly the legs
+Two tables, worked out at launch, give the leg physics: ``power_w``, the power
+each slot's drone draws, and ``factors``, each slot's formation and position
+factor per relative wind sector. A split slices the four vectors and the two
+tables (a slot's factor depends on its index alone, so each half keeps a
+prefix of every row) and never folds back: each half's drone in slot j is no
+heavier than the whole swarm's, so both halves can fly the legs
 ``viable_candidates`` checked for the whole swarm. Only the committed direct
 path checks capacity in flight, since its later legs fall in later wind slices.
 
@@ -58,22 +62,27 @@ nodes, whose next node is an open, alive neighbour at the next step. No
 candidates means every alive neighbour's leg exceeds some drone's full
 battery.
 
-Evaluations: the execution-time QoS counts evaluation units, charged at three
-sites only: ``_leg_at``, one per drone for every leg looked at; ``_stop``,
-one per drone for every charging stop priced, flown (behind the drawn queue)
-or estimated (behind the expected queue); ``score_candidates``, one per
-candidate scored. ``_leg_at`` is the one way to a leg: it reads the wind in
-the time slice of the sub-swarm's current time, so a leg depends only on the
-slots, the leg and that slice. The direct check and the committed flight
-each walk down the tree and look at a leg only on reaching it: the check at
-the current time, up to and including the first leg some drone cannot
-afford, and the flight just before flying the leg, at the time the sub-swarm
-reaches it. Each sub-swarm counts its own units and the outcome
-sums them over the finished sub-swarms. Leg physics are memoised per
-sub-swarm (keyed on the leg and the wind time slice, and reset when a split
-slices the sub-swarm's slots), one ``segment_energy`` call per leg computed,
-but a memo hit still charges its units, so the counts do not depend on the
-memo.
+Evaluations: the execution-time QoS counts evaluation units, charged to three
+counters of each sub-swarm: ``leg_units``, one per drone for every leg looked
+at; ``stop_units``, one per drone for every charging stop ``_stop`` prices,
+flown (behind the drawn queue) or estimated (behind the expected queue);
+``score_units``, one per candidate ``score_candidates`` scores. The outcome
+sums the three, as ints, over the finished sub-swarms. A leg is read in the
+wind time slice of the sub-swarm's current time, so it depends only on the
+slots, the leg and that slice. The direct check and ``viable_candidates``
+work out that slice once per call, since the sub-swarm's time stands still
+while they look; the committed flight and a split's two moves work it out per
+leg, in ``_leg_at``, because the time moves between their legs. The direct
+check and the committed flight each walk down the tree and look at a leg only
+on reaching it: the check at the current time, up to and including the first
+leg some drone cannot afford, and the flight just before flying the leg, at
+the time the sub-swarm reaches it. Leg physics are memoised per sub-swarm in
+``legs``, keyed on the leg and the wind time slice, and reset when a split
+slices the sub-swarm's slots. Each site reads the memo itself; only a miss
+calls ``_compute_leg``, which makes one ``segment_energy`` call from the
+sub-swarm's per-slot ``power_w`` and per-sector ``factors`` tables (sliced
+with the slots at a split). A memo hit still charges its units, so the
+counts do not depend on the memo.
 
 Every provider composed for one request reads the same ``RequestContext``:
 network, request, configs, destination tree, congestion seed and one
@@ -82,6 +91,8 @@ holds pure functions of (seed, segment, time slice), so the order in which
 providers compose changes no outcome. All other mutable state lives on the
 provider's own sub-swarms. The benchmark's tracer counts calls by replacing
 this module's ``segment_energy`` and ``node_service_time``: call them by name.
+Its ``segment_energy`` count is the legs computed, not the legs looked at, and
+it reads the evaluations from the outcomes.
 """
 
 from __future__ import annotations
@@ -96,13 +107,13 @@ from .energy import (
     ENERGY_EPS_WH,
     NodeService,
     WindField,
-    best_formation,
     execution_time_proxy,
     flight_power_w,
     node_service_time,
     queue_length,
     relative_sector,
     segment_energy,
+    slot_factors,
 )
 from .network import SkywayNetwork
 
@@ -114,6 +125,10 @@ class SubSwarmState:
 
     provider: Provider  # shared with a split sibling
     loads: tuple[float, ...]
+    # per slot, the power its drone draws (``flight_power_w`` of its load)
+    power_w: tuple[float, ...]
+    # per relative wind sector, each slot's factor (``slot_factors``)
+    factors: tuple[tuple[float, ...], ...]
     held: list[float]
     consumed: list[float]
     purchased: list[float]
@@ -125,10 +140,18 @@ class SubSwarmState:
     charge_s: float = 0.0
     wait_s: float = 0.0
     cost: float = 0.0
-    evaluations: int = 0
+    # evaluation units charged at each of the three sites (see the module
+    # docstring): legs looked at, stops priced, candidates scored
+    leg_units: int = 0
+    stop_units: int = 0
+    score_units: int = 0
     # leg physics for the current slots, keyed on (a, b, wind time slice);
     # slicing the slots must reset it
     legs: dict[tuple[int, int, int], _Leg] = field(default_factory=dict)
+
+    @property
+    def evaluations(self) -> int:
+        return self.leg_units + self.stop_units + self.score_units
 
     @property
     def delivery_time(self) -> float:
@@ -206,6 +229,8 @@ def _launch(provider: Provider, ctx: RequestContext) -> SubSwarmState:
     return SubSwarmState(
         provider=provider,
         loads=loads,
+        power_w=tuple(flight_power_w(load, ctx.energy) for load in loads),
+        factors=slot_factors(provider.swarm, n, ctx.energy),
         held=[provider.swarm.battery_capacity] * n,
         consumed=[0.0] * n,
         purchased=[0.0] * n,
@@ -214,23 +239,24 @@ def _launch(provider: Provider, ctx: RequestContext) -> SubSwarmState:
     )
 
 
+def _compute_leg(state: SubSwarmState, a: int, b: int, slice_: int, ctx: RequestContext) -> _Leg:
+    """Physics of flying a -> b in wind time slice slice_, stored in the
+    sub-swarm's memo; the one place a leg is computed. Charges nothing: each
+    caller charges the legs it looks at, memo hits included."""
+    length = ctx.network.length(a, b)
+    sector = relative_sector(ctx.wind.at(a, b, slice_), ctx.network.heading(a, b))
+    energies = segment_energy(state.power_w, state.provider.swarm.speed, length, state.factors[sector])
+    leg = state.legs[(a, b, slice_)] = _Leg(node=b, length=length, energies=energies)
+    return leg
+
+
 def _leg_at(state: SubSwarmState, a: int, b: int, ctx: RequestContext) -> _Leg:
     """Physics of flying a -> b at the sub-swarm's current time, in the wind
     time slice that time falls in; charges one evaluation per drone whether or
     not the leg comes from the memo."""
-    state.evaluations += len(state.loads)
+    state.leg_units += len(state.loads)
     slice_ = ctx.wind.time_slice(state.delivery_time)
-    key = (a, b, slice_)
-    leg = state.legs.get(key)
-    if leg is None:
-        swarm = state.provider.swarm
-        length = ctx.network.length(a, b)
-        sector = relative_sector(ctx.wind.at(a, b, slice_), ctx.network.heading(a, b))
-        formation = best_formation(sector, ctx.energy) if swarm.flexible else swarm.formation
-        energies = segment_energy(state.loads, swarm.speed, length, formation, sector, ctx.energy)
-        leg = _Leg(node=b, length=length, energies=energies)
-        state.legs[key] = leg
-    return leg
+    return state.legs.get((a, b, slice_)) or _compute_leg(state, a, b, slice_, ctx)
 
 
 def _leg_within_capacity(leg: _Leg, state: SubSwarmState) -> bool:
@@ -290,13 +316,13 @@ def _stop(
     arrival estimate), plus margin, capped at capacity; they stop roughly as
     rarely as everyone else but never carry a full tank across the finish line.
     """
-    state.evaluations += len(energies)
+    state.stop_units += len(energies)
     swarm, config = state.provider.swarm, ctx.energy
     if swarm.cooperative:
         targets = []
-        for load, held, need in zip(state.loads, energies, leg.energies):
+        for power_w, held, need in zip(state.power_w, energies, leg.energies):
             if remaining_m is not None:
-                need = max(need, flight_power_w(load, config) * (remaining_m / swarm.speed) / 3600.0)
+                need = max(need, power_w * (remaining_m / swarm.speed) / 3600.0)
             targets.append(max(held, min(swarm.battery_capacity, need * (1.0 + config.cooperative_margin))))
     else:
         targets = [swarm.battery_capacity] * len(energies)
@@ -338,16 +364,22 @@ def _fits_direct(state: SubSwarmState, ctx: RequestContext) -> bool:
     """Whether every drone can fly the rest of the tree path on its current
     charge; the walk stops at the first leg some drone cannot afford. The
     sub-swarm's time stands still during the check, so every leg is looked
-    at in one wind slice."""
+    at in one wind slice, worked out once."""
+    slice_, legs, parent = ctx.wind.time_slice(state.delivery_time), state.legs, ctx.parent_to_dest
     totals = [0.0] * len(state.loads)
     limits = [held + ENERGY_EPS_WH for held in state.held]
-    a, b = state.current_node, ctx.parent_to_dest[state.current_node]
+    looked = 0
+    a, b = state.current_node, parent[state.current_node]
     while b is not None:
-        for slot, e in enumerate(_leg_at(state, a, b, ctx).energies):
+        looked += 1
+        leg = legs.get((a, b, slice_)) or _compute_leg(state, a, b, slice_, ctx)
+        for slot, e in enumerate(leg.energies):
             totals[slot] += e
             if totals[slot] > limits[slot]:
+                state.leg_units += len(totals) * looked
                 return False
-        a, b = b, ctx.parent_to_dest[b]
+        a, b = b, parent[b]
+    state.leg_units += len(totals) * looked
     return True
 
 
@@ -401,10 +433,12 @@ def viable_candidates(state: SubSwarmState, ctx: RequestContext) -> list[_Leg]:
     """Unvisited neighbours whose leg every drone can fly on a full battery and
     from which the destination remains reachable through unvisited nodes, for
     the current node of a flight (``_alive_open_neighbours``)."""
-    here = state.current_node
+    here, slice_, legs = state.current_node, ctx.wind.time_slice(state.delivery_time), state.legs
+    alive = _alive_open_neighbours(state, ctx)
+    state.leg_units += len(state.loads) * len(alive)
     out = []
-    for nbr in _alive_open_neighbours(state, ctx):
-        leg = _leg_at(state, here, nbr, ctx)
+    for nbr in alive:
+        leg = legs.get((here, nbr, slice_)) or _compute_leg(state, here, nbr, slice_, ctx)
         if _leg_within_capacity(leg, state):
             out.append(leg)
     return out
@@ -463,7 +497,7 @@ def score_candidates(
             depart.cost + arrive.cost + ctx.comp.operating_cost_per_km * leg.length / 1000.0
         )
         rem_col.append(ctx.dist_to_dest[leg.node])
-    state.evaluations += len(candidates)
+    state.score_units += len(candidates)
 
     dt_hat = normalize_lower_better(dt_col)
     ec_hat = normalize_lower_better(ec_col)
@@ -493,6 +527,8 @@ def _split_subswarm(state: SubSwarmState) -> SubSwarmState:
     sibling = SubSwarmState(
         provider=state.provider,
         loads=state.loads[half:],
+        power_w=state.power_w[half:],
+        factors=tuple(row[: len(state.loads) - half] for row in state.factors),  # slot indices restart at 0
         held=state.held[half:],
         consumed=state.consumed[half:],
         purchased=state.purchased[half:],
@@ -504,6 +540,7 @@ def _split_subswarm(state: SubSwarmState) -> SubSwarmState:
         cost=0.0,  # shared history cost stays with the first sub-swarm
     )
     state.loads, state.held = state.loads[:half], state.held[:half]
+    state.power_w, state.factors = state.power_w[:half], tuple(row[:half] for row in state.factors)
     state.consumed, state.purchased = state.consumed[:half], state.purchased[:half]
     state.legs = {}
     return sibling

@@ -70,30 +70,38 @@ def flight_power_w(payload_kg: float, config: EnergyModelConfig) -> float:
 
 
 def segment_energy(
-    loads: Sequence[float],
+    power_w: Sequence[float],
     speed: float,
     segment_length_m: float,
-    formation: Formation,
-    wind_sector: int,
-    config: EnergyModelConfig,
+    factors: Sequence[float],
 ) -> tuple[float, ...]:
-    """Energy in Wh each drone of a swarm flying in formation at speed m/s
-    spends traversing a segment, one value per slot: the drone in slot j
-    carries loads[j] kg.
+    """Energy in Wh each drone of a swarm flying at speed m/s spends traversing
+    a segment, one value per slot: the drone in slot j draws power_w[j]
+    (``flight_power_w`` of its load) and flies at factors[j] (its row of
+    ``slot_factors`` for the relative wind sector).
 
-    Per slot, ``flight_power_w`` times the flight seconds, scaled by the
-    formation factor for the relative wind sector times the slot's position
-    factor (``EnergyModelConfig.position_factor``: slots past the table take
-    its last entry).
+    Per slot, the power times the flight seconds, scaled by the factor.
     """
     if segment_length_m < 0:
         raise ValueError("segment length must be non-negative")
     seconds = segment_length_m / speed
-    formation_factor = config.formation_factor(formation, wind_sector)
-    return tuple(
-        flight_power_w(load, config) * seconds * (formation_factor * config.position_factor(slot)) / 3600.0
-        for slot, load in enumerate(loads)
-    )
+    return tuple(p * seconds * f / 3600.0 for p, f in zip(power_w, factors))
+
+
+def slot_factors(swarm: Swarm, n_slots: int, config: EnergyModelConfig) -> tuple[tuple[float, ...], ...]:
+    """Per relative wind sector, each of n_slots slots' formation factor times
+    its position factor (``EnergyModelConfig.position_factor``: slots past the
+    table take its last entry). The formation is the swarm's own, or the
+    sector's ``best_formation`` if the swarm is flexible. A slot's factor
+    depends only on its index, so the table of the first m slots is that of an
+    m-slot swarm."""
+    positions = [config.position_factor(slot) for slot in range(n_slots)]
+    table = []
+    for sector in range(WIND_SECTORS):
+        formation = best_formation(sector, config) if swarm.flexible else swarm.formation
+        factor = config.formation_factor(formation, sector)
+        table.append(tuple(factor * position for position in positions))
+    return tuple(table)
 
 
 def best_formation(wind_sector: int, config: EnergyModelConfig) -> Formation:

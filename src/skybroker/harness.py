@@ -37,7 +37,8 @@ otherwise it is 0.0.
 
 The benchmark's tracer (``brokerbench/tracer.py``) times and counts a run by
 replacing module attributes by name: this module's ``_process_request``, its
-stage functions and its five elections, ``composition.segment_energy`` and
+stage functions and its five elections, ``composition.segment_energy`` (one
+call per leg the composer computes; a memo hit makes none) and
 ``node_service_time``, ``energy.unit_draw`` and ``WindField.at``, and
 ``SkywayNetwork.neighbors``. Call them through those names: a call that
 bypasses one, such as an election table built at import time, leaves the

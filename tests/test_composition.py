@@ -200,6 +200,27 @@ class TestCanReachDirectly:
             outcomes.add(feasible)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("battery, fits, legs_looked", [(1000.0, True, 6), (10.0, False, 3)])
+    def test_one_wind_slice_per_check(self, unit_config, monkeypatch, battery, fits, legs_looked):
+        """On a line of six 4.17 Wh legs, the check works out the wind slice
+        once, whether it walks every leg or stops at the third, the first
+        that two 10 Wh drones cannot afford; it charges one unit per drone
+        for each leg it looked at."""
+        net = line_network([1000.0] * 6)
+        ctx = make_context(net, request(0, 6, packages=(1.0, 1.0)), unit_config)
+        state = _launch(simple_provider(n_drones=2, battery=battery), ctx)
+        time_slice, slices = ctx.wind.time_slice, []
+
+        def counted(elapsed_s):
+            slices.append(elapsed_s)
+            return time_slice(elapsed_s)
+
+        monkeypatch.setattr(ctx.wind, "time_slice", counted)
+        assert _fits_direct(state, ctx) is fits
+        assert slices == [0.0]
+        assert state.leg_units == 2 * legs_looked
+        assert len(state.legs) == legs_looked
+
 
 class TestCommittedFlight:
     def test_each_leg_is_looked_at_when_the_swarm_reaches_it(self, monkeypatch):
@@ -519,30 +540,19 @@ class TestCompositionInvariants:
 
 
 class TestEvaluationSites:
-    def test_units_per_charge_site_on_smoke(self, monkeypatch):
+    def test_units_per_charge_site_on_smoke(self):
         """The units each of the three charge sites the composer's docstring
-        names adds on the smoke workload (seed 1), pinned per site, so a
-        refactor that moves work from one site to another fails here by name.
-        Together they are every evaluation the outcomes report."""
-        units = dict.fromkeys(("legs", "stops", "candidates"), 0)
-        leg_at, stop, score = composition._leg_at, composition._stop, composition.score_candidates
-
-        def counted_leg_at(state, *rest):
-            units["legs"] += len(state.loads)
-            return leg_at(state, *rest)
-
-        def counted_stop(state, energies, *rest):
-            units["stops"] += len(energies)
-            return stop(state, energies, *rest)
-
-        def counted_score(state, candidates, ctx):
-            units["candidates"] += len(candidates)
-            return score(state, candidates, ctx)
-
-        monkeypatch.setattr(composition, "_leg_at", counted_leg_at)
-        monkeypatch.setattr(composition, "_stop", counted_stop)
-        monkeypatch.setattr(composition, "score_candidates", counted_score)
+        names adds on the smoke workload (seed 1), read from the finished
+        sub-swarms' counters and pinned per site, so a refactor that moves
+        work from one site to another fails here by name. Together they are
+        every evaluation the outcomes report."""
         _result, compositions, _audit = run_recorded(ExperimentConfig(seed=1, **WORKLOADS["smoke"].config))
+        finished = [sub for _, _, _, flown in compositions for sub in flown]
+        units = {
+            "legs": sum(sub.leg_units for sub in finished),
+            "stops": sum(sub.stop_units for sub in finished),
+            "candidates": sum(sub.score_units for sub in finished),
+        }
         assert units == {"legs": 1243, "stops": 50, "candidates": 58}
         assert sum(units.values()) == sum(out.evaluations for _, _, out, _ in compositions)
 
@@ -738,13 +748,6 @@ class TestReachability:
         assert state.closed == {0}
 
 
-def recomputed_leg_at(state, a, b, ctx):
-    """The composer's leg physics without its memos, the request's shared wind
-    memo included: ``fresh_leg``, charging one evaluation per drone."""
-    state.evaluations += len(state.loads)
-    return fresh_leg(state, a, b, ctx)
-
-
 class TestSharedContext:
     def test_composition_order_changes_no_outcome(self, battery):
         """The context's wind memo holds pure draws, so a request's providers
@@ -766,19 +769,32 @@ class TestMemoisedPhysics:
     def test_memos_change_no_outcome(self, battery, monkeypatch):
         """Every composition of the acceptance battery's seeds 1-3, composed
         again without the memos, gets the outcome and energy ledger the
-        battery recorded."""
+        battery recorded. The leg function is replaced by ``fresh_leg``, which
+        stores nothing and ignores the request's shared wind memo, so every
+        look-up recomputes its leg: one call per leg looked at, whose slot
+        counts add up to the units the sub-swarms charged for legs."""
         sample = [c for seed in RECORDED_SEEDS for c in battery[seed].compositions]
         assert len(sample) == 1899
         assert any(len(out.paths) > 1 for _, _, out, _ in sample)
-        monkeypatch.setattr(composition, "_leg_at", recomputed_leg_at)
+        looked = []
+
+        def recomputed_leg(state, a, b, slice_, ctx):
+            assert slice_ == ctx.wind.time_slice(state.delivery_time)
+            looked.append(len(state.loads))
+            return fresh_leg(state, a, b, ctx)
+
+        monkeypatch.setattr(composition, "_compute_leg", recomputed_leg)
 
         def ledger(flown):
             return [(sub.held, sub.consumed, sub.purchased) for sub in flown]
 
+        leg_units = 0
         for provider, ctx, want, want_flown in sample:
             got, got_flown = compose_flown(provider, ctx)
             assert got == want
             assert ledger(got_flown) == ledger(want_flown)
+            leg_units += sum(sub.leg_units for sub in got_flown)
+        assert sum(looked) == leg_units
 
 
 class TestNodeServiceReadsOnly:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from types import SimpleNamespace
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skybroker.composition import _stop
+from skybroker.composition import _launch, _split_subswarm, _stop
 from skybroker.config import EnergyModelConfig
-from skybroker.domain import TIERS, Formation, Partnership
+from skybroker.domain import TIERS, DeliveryRequest, Formation, Partnership
 from skybroker.energy import (
     WindField,
     best_formation,
     execution_time_proxy,
+    flight_power_w,
     node_service_time,
     queue_length,
     relative_sector,
@@ -20,27 +22,38 @@ from skybroker.energy import (
 )
 from skybroker.network import SkywayNode
 
-from conftest import line_network, oracle_segment_energy, simple_provider, unit_energy_config
+from conftest import line_network, make_context, oracle_segment_energy, simple_provider, unit_energy_config
 
 FORMATIONS = tuple(Formation)
 
 
+def powers(loads, config):
+    return tuple(flight_power_w(load, config) for load in loads)
+
+
+def one_leg_request(packages):
+    """A request for the packages from node 0 to node 1, weighing every QoS
+    metric alike."""
+    weights = dict.fromkeys(("delivery_time", "energy", "cost", "execution_time"), 1.0)
+    return DeliveryRequest(request_id=1, source=0, destination=1, packages=packages, qos_weights=weights)
+
+
 class TestSegmentEnergy:
     def test_zero_length_zero_energy(self, unit_config):
-        assert segment_energy((0.0, 1.0), 10.0, 0.0, Formation.VEE, 0, unit_config) == (0.0, 0.0)
+        assert segment_energy(powers((0.0, 1.0), unit_config), 10.0, 0.0, (1.0, 1.0)) == (0.0, 0.0)
 
     def test_heavier_payload_consumes_strictly_more(self, unit_config):
-        light, heavy = segment_energy((0.0, 2.0), 10.0, 500, Formation.VEE, 0, unit_config)
+        light, heavy = segment_energy(powers((0.0, 2.0), unit_config), 10.0, 500, (1.0, 1.0))
         assert heavy > light
 
     def test_hand_computed_value(self, unit_config):
         # 1000 m at 10 m/s with 1 kg payload: (100 + 50) W * 100 s = 15000 J
-        (e,) = segment_energy((1.0,), 10.0, 1000.0, Formation.VEE, 0, unit_config)
+        (e,) = segment_energy(powers((1.0,), unit_config), 10.0, 1000.0, (1.0,))
         assert e == pytest.approx(15000.0 / 3600.0)
 
     def test_negative_length_rejected(self, unit_config):
         with pytest.raises(ValueError):
-            segment_energy((0.0,), 10.0, -1.0, Formation.VEE, 0, unit_config)
+            segment_energy(powers((0.0,), unit_config), 10.0, -1.0, (1.0,))
 
     @given(
         st.floats(min_value=0, max_value=3),
@@ -53,33 +66,47 @@ class TestSegmentEnergy:
         cfg = unit_energy_config()
         lo_p, hi_p = sorted((p1, p2))
         lo_l, hi_l = sorted((l1, l2))
-        light, heavy = segment_energy((lo_p, hi_p), 10.0, hi_l, Formation.VEE, 0, cfg)
+        light, heavy = segment_energy(powers((lo_p, hi_p), cfg), 10.0, hi_l, (1.0, 1.0))
         assert light <= heavy
-        (short,) = segment_energy((hi_p,), 10.0, lo_l, Formation.VEE, 0, cfg)
+        (short,) = segment_energy(powers((hi_p,), cfg), 10.0, lo_l, (1.0,))
         assert short <= heavy
 
     @given(
         st.data(),
+        st.integers(1, 12),
+        st.booleans(),
+        st.sampled_from(FORMATIONS),
         st.lists(st.floats(0.1, 3.0), min_size=1, max_size=5),
         st.floats(1.0, 50.0),
         st.floats(0.0, 20000.0),
-        st.sampled_from(FORMATIONS),
-        st.integers(0, 15),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_each_slot_matches_the_per_drone_oracle_bit_for_bit(
-        self, data, positions, speed, length, formation, sector
+        self, data, n, flexible, formation, positions, speed, length
     ):
-        """The per-leg energies are the per-drone formula's, slot by slot, to
-        the last bit, with more slots than the position-factor table has."""
-        loads = tuple(data.draw(st.lists(st.floats(0.0, 10.0), min_size=len(positions) + 1, max_size=12)))
-        cfg = EnergyModelConfig(position_factors=tuple(positions))
-        got = segment_energy(loads, speed, length, formation, sector, cfg)
-        want = [
-            oracle_segment_energy(load, speed, length, formation, sector, slot, cfg)
-            for slot, load in enumerate(loads)
-        ]
-        assert [e.hex() for e in got] == [e.hex() for e in want]
+        """The energies a sub-swarm's power and factor tables give, in every
+        wind sector, are the per-drone formula's, slot by slot, to the last
+        bit, for fixed and flexible formations, with more slots than the
+        position-factor table has, and for both halves of a split, whose
+        tables are sliced from the whole swarm's."""
+        table = {f: tuple(data.draw(st.lists(st.floats(0.5, 1.5), min_size=8, max_size=8))) for f in FORMATIONS}
+        config = EnergyModelConfig(formation_factors=table, position_factors=tuple(positions))
+        packages = tuple(data.draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n)))
+        provider = simple_provider(n_drones=n, speed=speed, flexible=flexible, formation=formation)
+        state = _launch(provider, make_context(line_network([1000.0]), one_leg_request(packages), config))
+        sub_swarms = [dataclasses.replace(state)]
+        if n >= 2:
+            sibling = _split_subswarm(state)
+            sub_swarms += [state, sibling]
+        for sub in sub_swarms:
+            for sector in range(8):
+                shape = best_formation(sector, config) if flexible else formation
+                got = segment_energy(sub.power_w, speed, length, sub.factors[sector])
+                want = [
+                    oracle_segment_energy(load, speed, length, shape, sector, slot, config)
+                    for slot, load in enumerate(sub.loads)
+                ]
+                assert [e.hex() for e in got] == [e.hex() for e in want]
 
 
 class TestBestFormation:
@@ -222,7 +249,7 @@ def cooperative_target(need, config, battery=50.0):
     """The charge target of one empty drone of a cooperative swarm whose next
     leg needs `need` Wh."""
     state = SimpleNamespace(
-        provider=simple_provider(battery=battery, cooperative=True), loads=(0.0,), evaluations=0
+        provider=simple_provider(battery=battery, cooperative=True), power_w=powers((0.0,), config), stop_units=0
     )
     leg = SimpleNamespace(energies=(need,))
     ctx = SimpleNamespace(energy=config, network=line_network([1000.0]))
@@ -241,6 +268,21 @@ class TestCooperativeTarget:
     def test_zero_margin_exact_need(self):
         cfg = unit_energy_config(cooperative_margin=0.0)
         assert cooperative_target(10.0, cfg) == 10.0
+
+    def test_remaining_route_need_is_the_flight_power_over_the_route(self):
+        """A launched swarm's target for the route ahead is each loaded
+        drone's ``flight_power_w`` times the flight seconds, plus margin,
+        to the last bit."""
+        config = EnergyModelConfig()
+        provider = simple_provider(n_drones=3, cooperative=True)
+        ctx = make_context(line_network([1000.0]), one_leg_request((2.5, 1.0, 0.2)), config)
+        state = _launch(provider, ctx)
+        leg = SimpleNamespace(energies=(0.0,) * 3)
+        targets, _service = _stop(state, [0.0] * 3, 0, leg, ctx, 2000.0, 0)
+        assert targets == [
+            flight_power_w(load, config) * (2000.0 / provider.swarm.speed) / 3600.0 * (1.0 + config.cooperative_margin)
+            for load in (2.5, 1.0, 0.2)
+        ]
 
 
 class TestExecutionProxy:

@@ -6,6 +6,7 @@ from unittest import mock
 
 import pytest
 
+from skybroker import composition
 from skybroker.network import SkywayNetwork
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -39,23 +40,31 @@ def test_reproduce_experiments_refuses_zero_seeds(tmp_path, capsys):
 
 
 def test_scale_ladder_smoke(tmp_path, capsys):
-    """One 30-node rung: the script prints its times, the neighbour queries a
-    second counter around the whole run also sees, and the sha256 of the
-    outputs it kept under --out."""
+    """One 30-node rung: the script prints its times, the neighbour queries and
+    the legs computed that second counters around the whole run also see, and
+    the sha256 of the outputs it kept under --out."""
     script = load_script("scale_ladder")
     neighbors, calls = SkywayNetwork.neighbors, []
+    segment_energy, legs = composition.segment_energy, []
 
     def counting(network, node_id):
         calls.append(node_id)
         return neighbors(network, node_id)
 
-    with mock.patch.object(SkywayNetwork, "neighbors", counting):
+    def counting_legs(*args):
+        legs.append(args)
+        return segment_energy(*args)
+
+    with mock.patch.object(SkywayNetwork, "neighbors", counting), mock.patch.object(
+        composition, "segment_energy", counting_legs
+    ):
         assert script.main(["--nodes", "30", "--requests", "3", "--out", str(tmp_path)]) == 0
     header, line = capsys.readouterr().out.splitlines()
     assert header == "city1000 config, 3 requests, seed 1"
     assert line.split()[:3] == ["30", "nodes", "wall"]
-    assert calls
+    assert calls and legs
     assert f"neighbour queries {len(calls)} " in line
+    assert f"legs computed {len(legs)} " in line
     for name in ("per_request.csv", "summary.csv", "manifest.json"):
         digest = hashlib.sha256((tmp_path / "nodes_30" / name).read_bytes()).hexdigest()
         assert f"{name} {digest}" in line
