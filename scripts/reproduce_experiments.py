@@ -21,6 +21,7 @@ import statistics
 import sys
 from pathlib import Path
 
+from skybroker.config import ConfigurationError
 from skybroker.harness import ExperimentConfig, run_experiment, spearman
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,15 +39,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error(f"--seeds must be at least 1, got {args.seeds}")
+    config = {**SWEEP, "synthetic_nodes": args.nodes, "n_providers": args.providers, "n_requests": args.requests}
+    try:
+        configs = [ExperimentConfig(**config, seed=seed) for seed in range(1, args.seeds + 1)]
+    except ConfigurationError as exc:
+        parser.error(str(exc))
 
     by_strategy = {s: [] for s in STRATEGIES}
     by_method = {m: [] for m in VOTING_METHODS}
     by_k = {k: {"satisfaction": [], "proxy": []} for k in K_VALUES}
 
-    config = {**SWEEP, "synthetic_nodes": args.nodes, "n_providers": args.providers, "n_requests": args.requests}
-    for seed in range(1, args.seeds + 1):
-        cfg = ExperimentConfig(**config, seed=seed)
-        result = run_experiment(cfg, out_dir=args.out / f"seed_{seed:02d}")
+    for cfg in configs:
+        result = run_experiment(cfg, out_dir=args.out / f"seed_{cfg.seed:02d}")
         table = {(e["strategy"], e["method"], e["k_percent"]): e for e in result.summary}
         for s in STRATEGIES:
             by_strategy[s].append(table[(s, "irv", 50.0)]["mean_satisfaction"])
@@ -55,7 +59,7 @@ def main(argv=None) -> int:
         for k in K_VALUES:
             by_k[k]["satisfaction"].append(table[("density", "irv", k)]["mean_satisfaction"])
             by_k[k]["proxy"].append(table[("density", "irv", k)]["mean_proxy_time"])
-        print(f"seed {seed}: done ({result.manifest['requests']})")
+        print(f"seed {cfg.seed}: done ({result.manifest['requests']})")
 
     print("\npruning strategies (IRV, k=50), mean satisfaction over seeds:")
     for s in STRATEGIES:

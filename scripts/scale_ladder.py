@@ -28,6 +28,7 @@ from pathlib import Path
 from unittest import mock
 
 from skybroker import composition, harness, network
+from skybroker.config import ConfigurationError
 from skybroker.harness import ExperimentConfig, run_experiment
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,11 +59,10 @@ def counted(function, calls: list[int]):
     return wrapper
 
 
-def rung(nodes: int, requests: int, seed: int, out_dir: Path) -> dict:
-    """One run of the city1000 config on a network of the given size: its wall,
-    build and stitching seconds, its neighbour queries, the legs it computed
-    and the sha256 of each output file."""
-    cfg = ExperimentConfig(**{**CITY.config, "synthetic_nodes": nodes, "n_requests": requests, "seed": seed})
+def rung(cfg: ExperimentConfig, out_dir: Path) -> dict:
+    """One run of a city1000 config on a network of its size: the wall, build
+    and stitching seconds, the neighbour queries, the legs computed and the
+    sha256 of each output file."""
     build, stitch, queries, legs = [0.0], [0.0], [0], [0]
     with mock.patch.object(harness, "build_network", timed(harness.build_network, build)), mock.patch.object(
         network, "_stitches", timed(network._stitches, stitch)
@@ -74,7 +74,7 @@ def rung(nodes: int, requests: int, seed: int, out_dir: Path) -> dict:
         wall = time.perf_counter() - started
     hashes = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in OUTPUTS}
     return {
-        "nodes": nodes,
+        "nodes": cfg.synthetic_nodes,
         "wall_s": wall,
         "build_s": build[0],
         "stitch_s": stitch[0],
@@ -91,14 +91,19 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=CITY.seeds[0])
     parser.add_argument("--out", type=Path, help="keep each rung's outputs under OUT/nodes_<n>")
     args = parser.parse_args(argv)
+    run = {"n_requests": args.requests, "seed": args.seed}
+    try:
+        configs = [ExperimentConfig(**{**CITY.config, **run, "synthetic_nodes": nodes}) for nodes in args.nodes]
+    except ConfigurationError as exc:
+        parser.error(str(exc))
 
     with tempfile.TemporaryDirectory() as scratch:
         root = args.out or Path(scratch)
         print(f"city1000 config, {args.requests} requests, seed {args.seed}")
-        for nodes in args.nodes:
-            r = rung(nodes, args.requests, args.seed, root / f"nodes_{nodes}")
+        for cfg in configs:
+            r = rung(cfg, root / f"nodes_{cfg.synthetic_nodes}")
             print(
-                f"{nodes:>6} nodes  wall {r['wall_s']:7.2f} s  build {r['build_s']:6.2f} s  "
+                f"{r['nodes']:>6} nodes  wall {r['wall_s']:7.2f} s  build {r['build_s']:6.2f} s  "
                 f"stitch {r['stitch_s']:6.3f} s  neighbour queries {r['queries']}  legs computed {r['legs']}  "
                 + "  ".join(f"{name} {r[name]}" for name in OUTPUTS),
                 flush=True,

@@ -14,7 +14,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class ParseError(ValueError):
@@ -402,27 +402,32 @@ K_NEAREST = 4  # nearest neighbours each node links to before stitching
 # rounding of a point's cell near a cell edge and of the squared distances.
 _RING_MARGIN = 1e-9
 
+_Positions = Mapping[int, tuple[float, float]]  # node id -> (x, y)
 
-def _k_nearest(positions: Mapping[int, tuple[float, float]], k: int, area_m: float) -> dict[int, list[int]]:
-    """Each node's k nearest other nodes, nearest first: the k smallest
-    (squared distance, id) keys, for positions in the square [0, area_m]^2,
-    found by the cell list ``synthetic_network`` describes. The stop bound
-    ignores where a node sits in its cell, so every search reads ring 1:
-    cheap for the builder's uniform positions, dear for tightly clustered ones."""
+
+def _k_nearest(queries: _Positions, targets: _Positions, k: int, area_m: float) -> dict[int, list[tuple[float, int]]]:
+    """Each query's k nearest targets other than itself, nearest first: the
+    k smallest (squared distance, id) keys, for positions in the square
+    [0, area_m]^2, found by the cell list ``synthetic_network`` describes,
+    built over the targets. The stop bound holds for any query point in the
+    square, a target or not, since it rests only on the query's own cell.
+    It ignores where the query sits in that cell, so every search reads
+    ring 1: cheap for the builder's uniform positions, dear for tightly
+    clustered ones."""
     if k == 0:
-        return {nid: [] for nid in positions}
-    side = max(1, math.isqrt(len(positions) // 2))
+        return {nid: [] for nid in queries}
+    side = max(1, math.isqrt(len(targets) // 2))
     size = area_m / side
 
     def cell(value: float) -> int:
         return min(int(value / size), side - 1)
 
     cells: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
-    for nid, (x, y) in positions.items():
+    for nid, (x, y) in targets.items():
         cells.setdefault((cell(x), cell(y)), []).append((nid, x, y))
 
     nearest = {}
-    for nid, (x, y) in positions.items():
+    for nid, (x, y) in queries.items():
         cx, cy = cell(x), cell(y)
         keys: list[tuple[float, int]] = []
         for ring in range(side):
@@ -432,12 +437,12 @@ def _k_nearest(positions: Mapping[int, tuple[float, float]], k: int, area_m: flo
                     for other, ox, oy in cells.get((gx, gy), ()):
                         if other != nid:
                             keys.append(((x - ox) ** 2 + (y - oy) ** 2, other))
-            # every unsearched node lies ring + 1 or more cells from the
-            # node's own cell, so more than ring * size away
+            # every unsearched target lies ring + 1 or more cells from the
+            # query's own cell, so more than ring * size away
             reach = ring * size - _RING_MARGIN * area_m
             if len(keys) >= k and reach > 0 and heapq.nsmallest(k, keys)[-1][0] < reach * reach * (1 - _RING_MARGIN):
                 break
-        nearest[nid] = [other for _, other in heapq.nsmallest(k, keys)]
+        nearest[nid] = heapq.nsmallest(k, keys)
     return nearest
 
 
@@ -453,8 +458,11 @@ def synthetic_network(seed: int, n_nodes: int, n_charging_providers: int, area_m
     r cell sides away, so the search stops once the k-th key is strictly
     below the square of that bound, with a small margin for rounding. No
     unsearched node can then beat or tie that key, so the edges are those of
-    a scan over every pair, in near-linear time. Each other component is then
-    stitched onto the first through its closest cross pair."""
+    a scan over every pair, in near-linear time. The bound rests only on the
+    searching point's own cell, so it holds as well for a point that is not
+    one of the bucketed targets. Each other component is then stitched onto
+    the first through its closest cross pair, which the cell list built over
+    the first component finds as the least of the outside nodes' nearest."""
     rng = random.Random(seed)
     positions = {nid: (rng.uniform(0, area_m), rng.uniform(0, area_m)) for nid in range(1, n_nodes + 1)}
     # Charging companies concentrate in districts (soft Voronoi around seeded
@@ -477,27 +485,31 @@ def synthetic_network(seed: int, n_nodes: int, n_charging_providers: int, area_m
             owners[nid] = rng.randint(1, n_charging_providers)
     pads = {nid: rng.randint(*PADS_PER_STATION) for nid in positions}
 
-    def d2(a: int, b: int) -> float:
-        (xa, ya), (xb, yb) = positions[a], positions[b]
-        return (xa - xb) ** 2 + (ya - yb) ** 2
-
-    ids = sorted(positions)
-    nearest = _k_nearest(positions, K_NEAREST, area_m)
-    edges = [(nid, other) for nid in ids for other in nearest[nid]]
-    nodes = [SkywayNode(nid, positions[nid][0], positions[nid][1], owners[nid], pads[nid]) for nid in ids]
+    # the (squared distance, id) keys live only as long as this list is
+    # being built, which keeps them out of the builder's peak memory
+    edges = [
+        (nid, other) for nid, keys in _k_nearest(positions, positions, K_NEAREST, area_m).items() for _, other in keys
+    ]
+    nodes = [SkywayNode(nid, x, y, owners[nid], pads[nid]) for nid, (x, y) in positions.items()]
     network = SkywayNetwork(nodes, edges)
-    stitches = _stitches(network.components(), d2)
+    stitches = _stitches(network.components(), positions, area_m)
     return SkywayNetwork(nodes, edges + stitches) if stitches else network
 
 
-def _stitches(components: list[set[int]], d2: Callable[[int, int], float]) -> list[tuple[int, int]]:
+def _stitches(components: list[set[int]], positions: _Positions, area_m: float) -> list[tuple[int, int]]:
     """The edges that stitch the other components one by one onto the first
     (the one holding the smallest id), each time through the closest cross
-    pair by (squared distance, a, b). Grows the first component."""
+    pair (a, b), a in the first, by (squared distance, a, b). Grows the first
+    component. Each join asks the cell list, built over the first component,
+    for each outside node's nearest node in it: the closest pair is the least
+    of those nodes' own nearest, and the stop rule holds for queries that are
+    not targets."""
     base, *rest = components
     edges = []
     while rest:
-        _, a, b = min((d2(a, b), a, b) for a in base for comp in rest for b in comp)
+        outside = {b: positions[b] for comp in rest for b in comp}
+        nearest = _k_nearest(outside, {a: positions[a] for a in base}, 1, area_m)
+        _, a, b = min((*nearest[b][0], b) for b in outside)
         base |= rest.pop(next(i for i, comp in enumerate(rest) if b in comp))
         edges.append((a, b))
     return edges

@@ -180,19 +180,34 @@ def alive_by_full_dfs(network, visited, destination):
     return seen
 
 
-def brute_k_nearest(positions, k):
-    """Nearest-neighbour oracle: for each node, the k smallest (squared
-    distance, id) keys over every other node, as ids."""
-    ids = sorted(positions)
+def brute_k_nearest(queries, targets, k):
+    """Nearest-neighbour oracle: for each query, the k smallest (squared
+    distance, id) keys over every target other than itself."""
+
+    def d2(a, b):
+        (xa, ya), (xb, yb) = queries[a], targets[b]
+        return (xa - xb) ** 2 + (ya - yb) ** 2
+
+    return {nid: heapq.nsmallest(k, ((d2(nid, other), other) for other in targets if other != nid)) for nid in queries}
+
+
+def brute_stitches(components, positions):
+    """Stitching oracle: the edges that stitch the other components one by one
+    onto the first, each time through the closest cross pair (a, b), a in the
+    first, by (squared distance, a, b) over every cross pair. Grows the first
+    component."""
 
     def d2(a, b):
         (xa, ya), (xb, yb) = positions[a], positions[b]
         return (xa - xb) ** 2 + (ya - yb) ** 2
 
-    return {
-        nid: [other for _, other in heapq.nsmallest(k, ((d2(nid, other), other) for other in ids if other != nid))]
-        for nid in ids
-    }
+    base, *rest = components
+    edges = []
+    while rest:
+        _, a, b = min((d2(a, b), a, b) for a in base for comp in rest for b in comp)
+        base |= rest.pop(next(i for i, comp in enumerate(rest) if b in comp))
+        edges.append((a, b))
+    return edges
 
 
 def oracle_segment_energy(payload_kg, speed, segment_length_m, formation, wind_sector, slot_index, config):

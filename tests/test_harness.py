@@ -489,6 +489,12 @@ class TestCli:
             assert column in header
         assert "mean sat" in capsys.readouterr().out
 
+    def test_summary_prints_k_as_configured(self, capsys):
+        argv = ["run", "--synthetic", "20", "--providers", "3", "--requests", "2"]
+        assert cli_main([*argv, "--pruning", "density", "--k", "30,30.4", "--voting", "irv"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines() if line.startswith("density")]
+        assert [row[2] for row in rows] == ["30", "30.4"]
+
     @pytest.mark.parametrize(
         "option, value, message",
         [

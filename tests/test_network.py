@@ -14,6 +14,7 @@ from skybroker.harness import ExperimentConfig, run_experiment
 from skybroker.network import (
     ParseError,
     _k_nearest,
+    _stitches,
     SkywayNetwork,
     SkywayNode,
     build_all_heatmaps,
@@ -26,7 +27,8 @@ from skybroker.network import (
 )
 
 from conftest import (
-    brute_k_nearest, default_network, network_to_streams, oracle_region_paths, recursive_region_paths, region_grid, tree_path,
+    brute_k_nearest, brute_stitches, default_network, network_to_streams, oracle_region_paths, recursive_region_paths,
+    region_grid, tree_path,
 )
 
 
@@ -455,34 +457,77 @@ class TestShortestPaths:
 
 @st.composite
 def point_sets(draw):
-    """n points in the square [0, area_m]^2 and a k, which may reach n - 1 or
-    more: floats in an area of side 1 to 1e150, or integer-lattice points
-    whose cells span a whole number of lattice steps, so that ties fall on
-    the cell list's ring edges."""
+    """Query and target points in the square [0, area_m]^2 and a k, which may
+    reach the target count or more. The queries are the targets themselves,
+    or other points whose ids interleave with the targets'. Coordinates are
+    floats in an area of side 1 to 1e150, or integer-lattice points whose
+    cells span a whole number of lattice steps, so that ties fall on the cell
+    list's ring edges."""
     n = draw(st.integers(min_value=2, max_value=60))
+    n_apart = draw(st.just(0) | st.integers(min_value=1, max_value=10))
     k = draw(st.integers(min_value=0, max_value=8) | st.integers(min_value=n - 1, max_value=n + 1))
     if draw(st.booleans()):
         area_m = draw(st.floats(min_value=1.0, max_value=1e150))
         coordinate = st.floats(min_value=0.0, max_value=area_m)
     else:
-        cells_per_side = max(1, math.isqrt(n // 2))  # as the cell list sizes its grid
+        cells_per_side = max(1, math.isqrt(n // 2))  # as the cell list sizes its grid over the targets
         area_m = float(cells_per_side * draw(st.integers(min_value=1, max_value=4)))
         coordinate = st.integers(min_value=0, max_value=int(area_m)).map(float)
-    positions = {nid: (draw(coordinate), draw(coordinate)) for nid in range(1, n + 1)}
-    return positions, k, area_m
+    ids = draw(st.permutations(range(1, n + n_apart + 1)))
+    positions = {nid: (draw(coordinate), draw(coordinate)) for nid in ids}
+    targets = {nid: positions[nid] for nid in ids[:n]}
+    queries = {nid: positions[nid] for nid in ids[n:]} if n_apart else targets
+    return queries, targets, k, area_m
+
+
+@st.composite
+def cut_point_sets(draw):
+    """The points ``point_sets`` draws, queries and targets alike, cut into up
+    to 6 components ordered by their smallest id, as
+    ``SkywayNetwork.components`` orders them, with the area."""
+    queries, targets, _, area_m = draw(point_sets())
+    positions = {**targets, **queries}
+    ids = sorted(positions)
+    labels = draw(st.lists(st.integers(min_value=0, max_value=5), min_size=len(ids), max_size=len(ids)))
+    components = [{nid for nid, own in zip(ids, labels) if own == label} for label in dict.fromkeys(labels)]
+    return components, positions, area_m
+
+
+# a stop one ring early, after ring r at (r + 1) cell sides, gives node 8
+# node 5 (2 m away, its own cell) instead of node 2 (1 m, the next cell)
+RING_EDGE_POINTS = {1: (3, 3), 2: (3, 0), 3: (0, 3), 4: (6, 1), 5: (0, 0), 6: (4, 4), 7: (1, 5), 8: (2, 0)}
 
 
 class TestSyntheticNetwork:
     @given(point_sets())
     @settings(max_examples=300, deadline=None)
-    # a stop one ring early, after ring r at (r + 1) cell sides, gives node 8
-    # node 5 (2 m away, its own cell) instead of node 2 (1 m, the next cell)
-    @example(
-        ({1: (3, 3), 2: (3, 0), 3: (0, 3), 4: (6, 1), 5: (0, 0), 6: (4, 4), 7: (1, 5), 8: (2, 0)}, 1, 6.0)
-    )
+    @example((RING_EDGE_POINTS, RING_EDGE_POINTS, 1, 6.0))
     def test_cell_list_matches_brute_oracle(self, points):
-        positions, k, area_m = points
-        assert _k_nearest(positions, k, area_m) == brute_k_nearest(positions, k)
+        queries, targets, k, area_m = points
+        assert _k_nearest(queries, targets, k, area_m) == brute_k_nearest(queries, targets, k)
+
+    @given(cut_point_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_stitching_matches_brute_oracle(self, cut):
+        components, positions, area_m = cut
+        expected = brute_stitches([set(comp) for comp in components], positions)
+        assert _stitches(components, positions, area_m) == expected
+
+    @pytest.mark.parametrize("seed, n, k, joins", [(1, 30, 4, 0), (3, 30, 4, 1), (1, 30, 1, 11)])
+    def test_one_cell_list_search_per_join(self, seed, n, k, joins, monkeypatch):
+        # the nearest-neighbour edges take one search, and each stitch one
+        # more; a connected network makes no other
+        searches = []
+
+        def counting(queries, targets, k, area_m):
+            searches.append(k)
+            return _k_nearest(queries, targets, k, area_m)
+
+        monkeypatch.setattr("skybroker.network.K_NEAREST", k)
+        monkeypatch.setattr("skybroker.network._k_nearest", counting)
+        net = default_network(seed, n)
+        assert searches == [k] + [1] * joins
+        assert len(net.components()) == 1
 
     def test_deterministic_and_connected(self):
         a = default_network(5, 100)

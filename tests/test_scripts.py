@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from skybroker import composition
+from skybroker import composition, network
 from skybroker.network import SkywayNetwork
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -39,29 +39,65 @@ def test_reproduce_experiments_refuses_zero_seeds(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_reproduce_experiments_refuses_a_bad_config_before_any_run(tmp_path, capsys):
+    script = load_script("reproduce_experiments")
+    with pytest.raises(SystemExit) as exit_:
+        script.main(["--seeds", "2", "--nodes", "1", "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines()[-1].endswith("error: experiment config synthetic_nodes must be at least 2, got 1")
+    assert not out and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the 30-node rung would run first if configs were built rung by rung
+        (["--nodes", "30", "1"], "experiment config synthetic_nodes must be at least 2, got 1"),
+        (["--nodes", "30", "--requests", "0"], "experiment config n_requests must be positive, got 0"),
+    ],
+)
+def test_scale_ladder_refuses_a_bad_config_before_any_rung(tmp_path, capsys, argv, message):
+    script = load_script("scale_ladder")
+    with pytest.raises(SystemExit) as exit_:
+        script.main([*argv, "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines()[-1].endswith(f"error: {message}")
+    assert not out and not any(tmp_path.iterdir())
+
+
 def test_scale_ladder_smoke(tmp_path, capsys):
     """One 30-node rung: the script prints its times, the neighbour queries and
     the legs computed that second counters around the whole run also see, and
-    the sha256 of the outputs it kept under --out."""
+    the sha256 of the outputs it kept under --out. Seed 3's network has two
+    components, so the stitch timer wraps one join, one cell-list search
+    beside the nearest-neighbour one."""
     script = load_script("scale_ladder")
     neighbors, calls = SkywayNetwork.neighbors, []
     segment_energy, legs = composition.segment_energy, []
+    k_nearest, searches = network._k_nearest, []
 
-    def counting(network, node_id):
+    def counting(net, node_id):
         calls.append(node_id)
-        return neighbors(network, node_id)
+        return neighbors(net, node_id)
 
     def counting_legs(*args):
         legs.append(args)
         return segment_energy(*args)
 
+    def counting_searches(queries, targets, k, area_m):
+        searches.append(k)
+        return k_nearest(queries, targets, k, area_m)
+
     with mock.patch.object(SkywayNetwork, "neighbors", counting), mock.patch.object(
         composition, "segment_energy", counting_legs
-    ):
-        assert script.main(["--nodes", "30", "--requests", "3", "--out", str(tmp_path)]) == 0
+    ), mock.patch.object(network, "_k_nearest", counting_searches):
+        assert script.main(["--nodes", "30", "--requests", "3", "--seed", "3", "--out", str(tmp_path)]) == 0
     header, line = capsys.readouterr().out.splitlines()
-    assert header == "city1000 config, 3 requests, seed 1"
+    assert header == "city1000 config, 3 requests, seed 3"
     assert line.split()[:3] == ["30", "nodes", "wall"]
+    assert searches == [network.K_NEAREST, 1]
     assert calls and legs
     assert f"neighbour queries {len(calls)} " in line
     assert f"legs computed {len(legs)} " in line
