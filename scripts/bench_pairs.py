@@ -6,25 +6,32 @@ BENCHMARK.json and each of PAIRS pairs, runs `python3 brokerbench/run.py
 --workload W --seconds S --trace 0`, S being BENCHMARK.json's run length, once
 in the export (the parent) and once in the working tree (the change). The
 parent runs first in odd pairs and the change in even ones, so neither side
-always runs on a warmer or cooler machine. One `--trace 1` run per side and
-workload follows, for the per-layer metrics and deterministic counters.
+always runs on a warmer or cooler machine. With --held-out WORKLOAD:SEEDS,
+HELD_OUT_PAIRS more alternated pairs of WORKLOAD follow, run with
+`--workload-seeds SEEDS`: experiment seeds the change was not written against,
+on which a claimed gain must hold too. One `--trace 1` run per side and
+workload comes last, for the per-layer metrics and deterministic counters.
 
 Writes a BENCH_<n>.json of the form {"about", "parent", "machine", "runs"},
 each run {"commit", "pair", "command", "result"} with `result` the last line
-brokerbench/run.py printed. Then prints, per workload and end-to-end metric,
-each side's median, the pairs the change won, the parent's quartile spread
-and the median change (both relative to the parent's median), and a verdict:
+brokerbench/run.py printed; a held-out pair is "held-out N". Then prints, per
+workload and end-to-end metric, each side's median, the pairs the change won,
+the parent's quartile spread and the median change (both relative to the
+parent's median), and a verdict:
 `gain` when the change won at least 9/10 of the pairs and its median is better
 by more than the spread; `worse` when its median is worse by more than the
 metric's BENCHMARK.json bound; `unresolved` when the spread is wider than the
 bound and not every change run beats every parent run; else `within bound`.
-Then, per workload, each deterministic figure whose traced values differ
-between the sides, with both values, or `counters: same` when none differ:
-brokerbench/tracer.py's DETERMINISTIC_COUNTERS and every other BENCHMARK.json
-per-layer metric counted in a count or ratio, outside trace.*. Last, every run
-that was not correct or failed requests. Run from anywhere inside a git checkout:
+The held-out pairs get rows of their own, labelled WORKLOAD:SEEDS, after the
+main ones and out of their medians. Then, per workload, each deterministic
+figure whose traced values differ between the sides, with both values, or
+`counters: same` when none differ: brokerbench/tracer.py's
+DETERMINISTIC_COUNTERS and every other BENCHMARK.json per-layer metric counted
+in a count or ratio, outside trace.*. Last, every run that was not correct or
+failed requests. Run from anywhere inside a git checkout:
 
-  python3 scripts/bench_pairs.py --parent HEAD --about "what changed" --out BENCH_17.json
+  python3 scripts/bench_pairs.py --parent HEAD --about "what changed" --out BENCH_17.json \
+      --held-out city1000:2,4
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ SECONDS = BENCHMARK["run_seconds"]
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
 PAIRS = 10  # the fewest pairs a claimed gain may rest on
+HELD_OUT_PAIRS = 3
 
 
 def deterministic_counters() -> tuple[str, ...]:
@@ -89,40 +97,67 @@ def run_bench(root: Path, args: list[str]) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def measure(roots: dict[str, Path]) -> list[dict]:
-    """Every run, untraced pairs first: parent then change in odd pairs,
-    change then parent in even ones; then one traced run per side."""
-    plan = []
-    for workload in WORKLOADS:
-        for pair in range(1, PAIRS + 1):
-            sides = ("parent", "change") if pair % 2 else ("change", "parent")
-            plan += [(side, pair, workload, 0) for side in sides]
-    plan += [(side, "traced", workload, 1) for workload in WORKLOADS for side in ("parent", "change")]
+def held_out_arg(text: str) -> tuple[str, str]:
+    """--held-out's WORKLOAD:SEEDS, as in city1000:2,4."""
+    workload, _, seeds = text.partition(":")
+    if workload not in WORKLOADS or not all(seed.isdigit() for seed in seeds.split(",")):
+        known = ", ".join(WORKLOADS)
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEEDS, WORKLOAD one of {known}, got {text!r}")
+    return workload, seeds
+
+
+def plan(held_out: tuple[str, str] | None) -> list[tuple[str, int | str, list[str]]]:
+    """Every run as (side, pair, brokerbench/run.py arguments): each
+    workload's untraced pairs, then the held-out pairs, parent then change in
+    odd pairs and change then parent in even ones; then one traced run per
+    side and workload."""
+    seconds = ["--seconds", f"{SECONDS:g}"]
+    pairs = [(pair, pair, ["--workload", workload, *seconds]) for workload in WORKLOADS for pair in range(1, PAIRS + 1)]
+    if held_out:
+        workload, seeds = held_out
+        pairs += [
+            (f"held-out {pair}", pair, ["--workload", workload, "--workload-seeds", seeds, *seconds])
+            for pair in range(1, HELD_OUT_PAIRS + 1)
+        ]
     runs = []
-    for side, pair, workload, trace in plan:
-        args = ["--workload", workload, "--seconds", f"{SECONDS:g}", "--trace", str(trace)]
-        print(f"{side} {pair}: {workload}", file=sys.stderr)
+    for label, pair, args in pairs:
+        sides = ("parent", "change") if pair % 2 else ("change", "parent")
+        runs += [(side, label, [*args, "--trace", "0"]) for side in sides]
+    traced = [["--workload", workload, *seconds, "--trace", "1"] for workload in WORKLOADS]
+    return runs + [(side, "traced", args) for args in traced for side in ("parent", "change")]
+
+
+def measure(roots: dict[str, Path], held_out: tuple[str, str] | None) -> list[dict]:
+    """Every run of the plan, in its order."""
+    runs = []
+    for side, pair, args in plan(held_out):
+        print(f"{side} {pair}: {' '.join(args)}", file=sys.stderr)
         result = run_bench(roots[side], args)
         command = " ".join(["python3", "brokerbench/run.py", *args])
         runs.append({"commit": side, "pair": pair, "command": command, "result": result})
     return runs
 
 
-def workload_of(run: dict) -> str:
+def row_of(run: dict) -> str:
+    """The run's workload, with :SEEDS if it ran on --workload-seeds."""
     words = run["command"].split()
-    return words[words.index("--workload") + 1]
+    row = words[words.index("--workload") + 1]
+    if "--workload-seeds" in words:
+        row += ":" + words[words.index("--workload-seeds") + 1]
+    return row
 
 
 def readings(runs: list[dict]) -> dict[tuple[str, str], dict[str, list[float]]]:
-    """(workload, metric) -> side -> the untraced runs' values of an
-    end-to-end metric, in pair order, so parent[i] and change[i] are a pair."""
+    """(row, metric) -> side -> the untraced runs' values of an end-to-end
+    metric, in pair order, so parent[i] and change[i] are a pair. A held-out
+    pair's row is its WORKLOAD:SEEDS, apart from the workload's own."""
     values: dict[tuple[str, str], dict[str, list[float]]] = {}
     for run in runs:
         if run["pair"] == "traced":
             continue
         for metric, reading in run["result"]["metrics"].items():
             if metric in END_TO_END:
-                values.setdefault((workload_of(run), metric), {}).setdefault(run["commit"], []).append(reading["value"])
+                values.setdefault((row_of(run), metric), {}).setdefault(run["commit"], []).append(reading["value"])
     return values
 
 
@@ -130,7 +165,7 @@ def counter_report(runs: list[dict]) -> list[str]:
     """Per workload, a line for each of COUNTERS whose traced values
     differ between the parent and the change (or that a side lacks), else one
     `counters: same` line."""
-    traced = {(workload_of(run), run["commit"]): run["result"]["metrics"] for run in runs if run["pair"] == "traced"}
+    traced = {(row_of(run), run["commit"]): run["result"]["metrics"] for run in runs if run["pair"] == "traced"}
     lines = []
     for workload in dict.fromkeys(workload for workload, _ in traced):
         differ = []
@@ -149,7 +184,7 @@ def failures(runs: list[dict]) -> list[str]:
         result = run["result"]
         if not result["correct"] or result["failed"]:
             lines.append(
-                f"{workload_of(run):<10} {run['commit']} pair {run['pair']}: correct {result['correct']}, "
+                f"{row_of(run):<10} {run['commit']} pair {run['pair']}: correct {result['correct']}, "
                 f"failed {result['failed']} of {result['attempted']}"
             )
     return lines
@@ -181,21 +216,27 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", default="HEAD", help="revision the working tree is compared with")
     parser.add_argument("--about", required=True, help="what the change is, for the file's about field")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument(
+        "--held-out",
+        type=held_out_arg,
+        metavar="WORKLOAD:SEEDS",
+        help=f"also run {HELD_OUT_PAIRS} pairs of WORKLOAD on these experiment seeds, reported on rows of their own",
+    )
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
         sha = export(args.parent, Path(work) / "parent")
         roots = {"parent": Path(work) / "parent", "change": ROOT}
-        runs = measure(roots)
+        runs = measure(roots, args.held_out)
     machine = f"{os.cpu_count()}-CPU {platform.machine()}, {platform.python_implementation()} {platform.python_version()}"
     record = {"about": args.about, "parent": sha, "machine": machine, "runs": runs}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 
-    for (workload, metric), sides in readings(runs).items():
+    for (row, metric), sides in readings(runs).items():
         parent, change = sides["parent"], sides["change"]
         won, spread, delta, verdict = compare(parent, change, END_TO_END[metric]["better"], END_TO_END[metric]["bound"])
         print(
-            f"{workload:<10} {metric:<15} parent {statistics.median(parent):10.4g}  "
+            f"{row:<10} {metric:<15} parent {statistics.median(parent):10.4g}  "
             f"change {statistics.median(change):10.4g}  ({delta:+.1%})  won {won}/{len(parent)}  "
             f"spread {spread:.1%}  {verdict}"
         )

@@ -30,6 +30,9 @@ prefix of every row) and never folds back: each half's drone in slot j is no
 heavier than the whole swarm's, so both halves can fly the legs
 ``viable_candidates`` checked for the whole swarm. Only the committed direct
 path checks capacity in flight, since its later legs fall in later wind slices.
+The per-slot checks (``_leg_within_capacity``, ``_must_charge`` and the
+threshold test of ``_tops_up``) are plain loops that stop at the first
+deciding slot, with the answers ``all`` and ``any`` give, NaN included.
 
 Loop-freedom: greedy moves (splits included) only go to nodes outside the
 sub-swarm's ``closed`` set, which holds every visited node, so they never
@@ -99,12 +102,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import CompositionConfig, EnergyModelConfig, Seeds, mix64
 from .domain import DeliveryRequest, Provider, QosVector, assign_packages, normalize_lower_better, total
 from .energy import (
     ENERGY_EPS_WH,
+    NO_SERVICE,
     NodeService,
     WindField,
     execution_time_proxy,
@@ -202,8 +206,7 @@ def request_context(
     )
 
 
-@dataclass(frozen=True)
-class _Leg:
+class _Leg(NamedTuple):
     node: int
     length: float
     energies: tuple[float, ...]
@@ -246,7 +249,7 @@ def _compute_leg(state: SubSwarmState, a: int, b: int, slice_: int, ctx: Request
     length = ctx.network.length(a, b)
     sector = relative_sector(ctx.wind.at(a, b, slice_), ctx.network.heading(a, b))
     energies = segment_energy(state.power_w, state.provider.swarm.speed, length, state.factors[sector])
-    leg = state.legs[(a, b, slice_)] = _Leg(node=b, length=length, energies=energies)
+    leg = state.legs[(a, b, slice_)] = _Leg(b, length, energies)
     return leg
 
 
@@ -260,13 +263,19 @@ def _leg_at(state: SubSwarmState, a: int, b: int, ctx: RequestContext) -> _Leg:
 
 
 def _leg_within_capacity(leg: _Leg, state: SubSwarmState) -> bool:
-    capacity = state.provider.swarm.battery_capacity
-    return all(e <= capacity + ENERGY_EPS_WH for e in leg.energies)
+    limit = state.provider.swarm.battery_capacity + ENERGY_EPS_WH
+    for e in leg.energies:
+        if not e <= limit:  # a NaN energy fails too
+            return False
+    return True
 
 
 def _must_charge(energies: Iterable[float], leg: _Leg) -> bool:
     """Whether some drone, holding the given energies, cannot afford the leg."""
-    return any(p < e - ENERGY_EPS_WH for p, e in zip(energies, leg.energies))
+    for p, e in zip(energies, leg.energies):
+        if p < e - ENERGY_EPS_WH:
+            return True
+    return False
 
 
 def _tops_up(
@@ -286,13 +295,14 @@ def _tops_up(
     threshold = ctx.comp.opportunistic_charge_threshold
     swarm, partnership = state.provider.swarm, state.provider.partnership
     owner = ctx.network.node(node_id).station_owner
-    if not (
-        not swarm.cooperative
-        and node_id != ctx.request.destination
-        and owner == partnership.charging_provider_id
-        and any(p < threshold * swarm.battery_capacity for p in energies)
-    ):
+    if swarm.cooperative or node_id == ctx.request.destination or owner != partnership.charging_provider_id:
         return False
+    floor = threshold * swarm.battery_capacity
+    for p in energies:
+        if p < floor:
+            break
+    else:
+        return False  # no drone is below the threshold
     if queue is None:
         queue = queue_length(ctx.congestion_seed, node_id, ctx.energy)
     return partnership.queue_ahead(queue, owner) == 0
@@ -448,7 +458,7 @@ def _estimate_departure_service(state: SubSwarmState, leg: _Leg, ctx: RequestCon
     """The charge flying the leg forces at the current node, as ``_traverse``
     would pay it but behind the expected queue length, not the drawn one."""
     if not _must_charge(state.held, leg):
-        return NodeService(0.0, 0.0, 0.0, 0.0)
+        return NO_SERVICE
     remaining_m = ctx.dist_to_dest[state.current_node]
     return _stop(state, state.held, state.current_node, leg, ctx, remaining_m, ctx.energy.queue_draw_max // 2)[1]
 
@@ -465,11 +475,11 @@ def _estimate_arrival_service(state: SubSwarmState, leg: _Leg, ctx: RequestConte
     never charges.
     """
     if leg.node == ctx.request.destination:
-        return NodeService(0.0, 0.0, 0.0, 0.0)
+        return NO_SERVICE
     post = [max(0.0, p - e) for p, e in zip(state.held, leg.energies)]
     expected_q = ctx.energy.queue_draw_max // 2
     if not (_must_charge(post, leg) or _tops_up(state, post, leg.node, ctx, expected_q)):
-        return NodeService(0.0, 0.0, 0.0, 0.0)
+        return NO_SERVICE
     _targets, service = _stop(state, post, leg.node, leg, ctx, None, expected_q)
     return NodeService(0.0, service.wait_s, service.energy_wh, service.cost)
 

@@ -62,10 +62,12 @@ def mix64(*parts: int) -> int:
 
     Used everywhere a platform-independent deterministic draw is derived from a
     seed plus identifiers, so results never depend on Python's hash randomization.
+    Each part is added whole (``int`` truncates a float): the mask after the
+    add reduces it mod 2**64, negative and wide parts included.
     """
     x = 0x9E3779B97F4A7C15
     for p in parts:
-        x = (x + (int(p) & _MASK64)) & _MASK64
+        x = (x + int(p)) & _MASK64
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
         x ^= x >> 31

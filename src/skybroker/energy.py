@@ -45,7 +45,7 @@ class WindField:
     def at(self, a: int, b: int, slice_: int) -> float:
         """Direction the air moves toward over segment a-b in time slice
         slice_ (``time_slice``), in radians."""
-        key = (min(a, b), max(a, b), slice_)
+        key = (a, b, slice_) if a < b else (b, a, slice_)
         direction = self._memo.get(key)
         if direction is None:
             direction = self._memo[key] = unit_draw(self.seed, *key, 2) * TWO_PI
@@ -85,7 +85,7 @@ def segment_energy(
     if segment_length_m < 0:
         raise ValueError("segment length must be non-negative")
     seconds = segment_length_m / speed
-    return tuple(p * seconds * f / 3600.0 for p, f in zip(power_w, factors))
+    return tuple([p * seconds * f / 3600.0 for p, f in zip(power_w, factors)])
 
 
 def slot_factors(swarm: Swarm, n_slots: int, config: EnergyModelConfig) -> tuple[tuple[float, ...], ...]:
@@ -127,6 +127,10 @@ class NodeService(NamedTuple):
     cost: float
 
 
+# a stop that charges nothing
+NO_SERVICE = NodeService(0.0, 0.0, 0.0, 0.0)
+
+
 def node_service_time(
     battery_capacity: float,
     energies: Sequence[float],
@@ -162,7 +166,7 @@ def node_service_time(
 
     charging = [d for d in deficits if d > 1e-12]
     if not charging:
-        return NodeService(0.0, 0.0, 0.0, 0.0)
+        return NO_SERVICE
 
     ahead = partnership.queue_ahead(queue, node.station_owner)
     exogenous_wait = math.ceil(ahead / node.pad_count) * config.exogenous_service_s

@@ -15,7 +15,7 @@ import pytest
 from skybroker import composition, harness, pruning
 from skybroker.config import CompositionConfig, EnergyModelConfig, Seeds
 from skybroker.domain import QOS_METRICS, Formation, Partnership, Provider, Swarm, generate_scenario
-from skybroker.energy import ENERGY_EPS_WH, WindField, best_formation, flight_power_w, relative_sector
+from skybroker.energy import ENERGY_EPS_WH, WindField, best_formation, flight_power_w, queue_length, relative_sector
 from skybroker.harness import ExperimentConfig, ExperimentResult, build_network, run_experiment
 from skybroker.network import SkywayNetwork, SkywayNode, build_region_grid, shortest_path_tree, synthetic_network
 from skybroker.pruning import filter_providers
@@ -208,6 +208,50 @@ def brute_stitches(components, positions):
         base |= rest.pop(next(i for i, comp in enumerate(rest) if b in comp))
         edges.append((a, b))
     return edges
+
+
+MASK64 = (1 << 64) - 1
+
+
+def reference_mix64(*parts):
+    """Mixer oracle: splitmix64 steps that reduce each part mod 2**64 before
+    adding it, where ``mix64`` leaves that to the mask after the add."""
+    x = 0x9E3779B97F4A7C15
+    for p in parts:
+        x = (x + (int(p) & MASK64)) & MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+        x ^= x >> 31
+    return x
+
+
+def oracle_leg_within_capacity(leg, state):
+    """Capacity oracle: every drone can fly the leg on a full battery."""
+    capacity = state.provider.swarm.battery_capacity
+    return all(e <= capacity + ENERGY_EPS_WH for e in leg.energies)
+
+
+def oracle_must_charge(energies, leg):
+    """Charge oracle: some drone, holding the given energies, cannot afford the leg."""
+    return any(p < e - ENERGY_EPS_WH for p, e in zip(energies, leg.energies))
+
+
+def oracle_tops_up(state, energies, node_id, ctx, queue):
+    """Top-up oracle: ``composition._tops_up`` as one condition, with the
+    threshold test an ``any`` over the drones."""
+    threshold = ctx.comp.opportunistic_charge_threshold
+    swarm, partnership = state.provider.swarm, state.provider.partnership
+    owner = ctx.network.node(node_id).station_owner
+    if not (
+        not swarm.cooperative
+        and node_id != ctx.request.destination
+        and owner == partnership.charging_provider_id
+        and any(p < threshold * swarm.battery_capacity for p in energies)
+    ):
+        return False
+    if queue is None:
+        queue = queue_length(ctx.congestion_seed, node_id, ctx.energy)
+    return partnership.queue_ahead(queue, owner) == 0
 
 
 def oracle_segment_energy(payload_kg, speed, segment_length_m, formation, wind_sector, slot_index, config):

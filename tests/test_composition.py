@@ -2,10 +2,11 @@ import dataclasses
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from skybroker import composition
@@ -22,6 +23,7 @@ from skybroker.composition import (
 from skybroker.config import CompositionConfig, EnergyModelConfig, ScenarioLimits, Seeds
 from skybroker.domain import FORMATIONS, DeliveryRequest, Partnership
 from skybroker.energy import (
+    ENERGY_EPS_WH,
     NodeService,
     WindField,
     node_service_time,
@@ -41,7 +43,10 @@ from conftest import (
     fresh_leg,
     line_network,
     make_context,
+    oracle_leg_within_capacity,
+    oracle_must_charge,
     oracle_segment_energy,
+    oracle_tops_up,
     run_recorded,
     simple_provider,
     tree_path,
@@ -884,3 +889,96 @@ class TestEstimatesMatchExecutor:
             assert estimate.energy_wh == pytest.approx(sum(state.purchased))
             operating = ctx.comp.operating_cost_per_km * leg.length / 1000.0
             assert estimate.cost == pytest.approx(state.cost - operating)
+
+
+def near(edge):
+    """A float at the edge, one float step either side of it, NaN, or any float."""
+    steps = [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf), math.nan]
+    return st.one_of(st.sampled_from(steps), st.floats())
+
+
+@st.composite
+def held_and_leg(draw):
+    """0-12 slots, each a leg energy and a held energy near that energy less
+    ENERGY_EPS_WH, where a drone starts having to charge."""
+    slots = []
+    for _ in range(draw(st.integers(0, 12))):
+        e = draw(st.one_of(st.floats(0.0, 100.0), st.just(math.nan)))
+        slots.append((draw(near(e - ENERGY_EPS_WH)), e))
+    return slots
+
+
+def top_up_case(capacity, threshold, cooperative, tier, owners, queue_draw_max, seed, energies, node_id, queue):
+    """A sub-swarm about to arrive at node_id of the line 0-1-2 (destination
+    2, stations owned by owners, the partner being 2) holding the energies,
+    with the queue given or, if None, left to the draw: _tops_up's arguments."""
+    provider = simple_provider(battery=capacity, cooperative=cooperative, charging_provider=2, tier=tier)
+    ctx = make_context(
+        line_network([500.0, 500.0], owners=owners),
+        request(0, 2),
+        EnergyModelConfig(queue_draw_max=queue_draw_max),
+        Seeds.from_master(seed),
+        CompositionConfig(opportunistic_charge_threshold=threshold),
+    )
+    return _launch(provider, ctx), energies, node_id, ctx, queue
+
+
+@st.composite
+def top_up_cases(draw):
+    """top_up_case with 0-12 energies near the top-up threshold."""
+    capacity, threshold = draw(st.floats(1.0, 100.0)), draw(st.floats(0.0, 1.0))
+    return top_up_case(
+        capacity,
+        threshold,
+        draw(st.booleans()),
+        draw(st.sampled_from(["platinum", "gold", "silver"])),
+        draw(st.lists(st.sampled_from([1, 2]), min_size=3, max_size=3)),
+        draw(st.integers(0, 4)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.lists(near(threshold * capacity), max_size=12)),
+        draw(st.integers(0, 2)),
+        draw(st.one_of(st.none(), st.integers(0, 4))),
+    )
+
+
+class TestSlotChecks:
+    """The per-slot checks are loops that stop at the first deciding slot; on
+    every input, at the float edges and NaN included, they answer as the
+    any/all forms they replaced."""
+
+    @given(st.floats(1.0, 100.0), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_capacity_check_matches_its_oracle(self, capacity, data):
+        energies = data.draw(st.lists(near(capacity + ENERGY_EPS_WH), max_size=12))
+        state = SimpleNamespace(provider=simple_provider(battery=capacity))
+        leg = composition._Leg(1, 500.0, tuple(energies))
+        assert composition._leg_within_capacity(leg, state) == oracle_leg_within_capacity(leg, state)
+
+    @given(held_and_leg())
+    @settings(max_examples=300, deadline=None)
+    def test_charge_check_matches_its_oracle(self, slots):
+        held = [p for p, _ in slots]
+        leg = composition._Leg(1, 500.0, tuple(e for _, e in slots))
+        assert composition._must_charge(held, leg) == oracle_must_charge(held, leg)
+
+    @given(top_up_cases())
+    # a platinum partner skips the queue, so only the threshold decides: a
+    # drone at it stays, one a float step below tops up
+    @example(top_up_case(10.0, 0.5, False, "platinum", [2, 2, 1], 0, 0, [6.0, 5.0], 1, 3))
+    @example(top_up_case(10.0, 0.5, False, "platinum", [2, 2, 1], 0, 0, [6.0, math.nextafter(5.0, 0.0)], 1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_top_up_check_matches_its_oracle(self, case):
+        state, energies, node_id, ctx, queue = case
+        got = composition._tops_up(state, energies, node_id, ctx, queue)
+        assert got == oracle_tops_up(state, energies, node_id, ctx, queue)
+
+    def test_a_leg_is_an_immutable_record_and_never_falsy(self):
+        """A memo hit must never read as a miss: ``legs.get(key) or
+        _compute_leg(...)`` relies on every leg being truthy, even one of no
+        slots."""
+        leg = composition._Leg(3, 120.0, (1.0, 2.0))
+        with pytest.raises(AttributeError):
+            leg.node = 4
+        assert leg == composition._Leg(node=3, length=120.0, energies=(1.0, 2.0))
+        assert leg != composition._Leg(3, 120.0, (1.0, 2.5))
+        assert composition._Leg(0, 0.0, ())

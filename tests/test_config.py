@@ -4,6 +4,8 @@ import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skybroker.config import (
     DEFAULT_FORMATION_FACTORS,
@@ -20,7 +22,7 @@ from skybroker.config import (
 from skybroker.domain import Formation
 from skybroker.harness import ExperimentConfig, run_experiment
 
-from conftest import WORKLOADS
+from conftest import WORKLOADS, reference_mix64
 
 
 def formation_table(vee_first_sector):
@@ -37,6 +39,22 @@ class TestMix64:
         assert mix64(0) == 16294208416658607535
         assert mix64(1, 2, 3) == 17106668304135283436
         assert mix64(2**63, 17) == mix64(2**63, 17)
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-(2**80), 2**80), st.booleans(), st.floats(-(2.0**80), 2.0**80)),
+            max_size=6,
+        )
+    )
+    @example([-1])
+    @example([2**64 + 5, -(2**70)])
+    @example([2.75, -2.75, True])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_that_masks_each_part(self, parts):
+        """Adding a part whole and masking the sum gives the value of masking
+        the part first, for negative and wide ints, bools and truncated floats."""
+        assert mix64(*parts) == reference_mix64(*parts)
+        assert unit_draw(*parts) == reference_mix64(*parts) / float(1 << 64)
 
     def test_unit_draw_range(self):
         draws = [unit_draw(5, i) for i in range(1000)]

@@ -157,6 +157,60 @@ def test_bench_pairs_alternates_the_first_side(tmp_path, monkeypatch, capsys):
     assert printed[2:] == ["sweep      counters: same", "short_hop  counters: same"]
 
 
+def test_bench_pairs_runs_held_out_pairs_on_rows_of_their_own(tmp_path, monkeypatch, capsys):
+    """--held-out city1000:2,4 adds three alternated pairs of city1000 on
+    seeds 2 and 4 after the main pairs and before the traced runs, recorded
+    as pairs "held-out N"; they print as a row of their own after the main
+    rows and do not move the main medians."""
+    script = load_script("bench_pairs")
+    calls = []
+
+    def fake_run(root, args):
+        side = "change" if root == script.ROOT else "parent"
+        calls.append((side, " ".join(args)))
+        if args[-1] == "1":
+            return traced_result()
+        held_out = "--workload-seeds" in args
+        value = {"parent": 20.0 if held_out else 10.0, "change": 30.0 if held_out else 11.0}[side]
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"requests_per_s": {"value": value}}}
+
+    monkeypatch.setattr(script, "export", lambda revision, dest: "f" * 40)
+    monkeypatch.setattr(script, "run_bench", fake_run)
+    monkeypatch.setattr(script, "PAIRS", 2)
+    monkeypatch.setattr(script, "SECONDS", 1)
+    monkeypatch.setattr(script, "WORKLOADS", ["sweep", "city1000"])
+    out = tmp_path / "bench.json"
+    argv = ["--about", "a test", "--out", str(out), "--held-out", "city1000:2,4"]
+    assert script.main(argv) == 0
+
+    held_out = "--workload city1000 --workload-seeds 2,4 --seconds 1 --trace 0"
+    assert calls[8:14] == [
+        ("parent", held_out), ("change", held_out), ("change", held_out), ("parent", held_out),
+        ("parent", held_out), ("change", held_out),
+    ]
+    main = [f"--workload {workload} --seconds 1 --trace 0" for workload in ("sweep", "city1000") for _ in range(4)]
+    assert [args for _, args in calls[:8]] == main
+    assert [args.split()[-1] for _, args in calls[14:]] == ["1"] * 4
+    runs = json.loads(out.read_text())["runs"]
+    assert [run["pair"] for run in runs[8:14]] == [f"held-out {pair}" for pair in (1, 2, 3) for _ in range(2)]
+    assert runs[8]["command"] == f"python3 brokerbench/run.py {held_out}"
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed] == ["sweep", "city1000", "city1000:2,4", "sweep", "city1000"]
+    assert "(+10.0%)  won 2/2" in printed[1]
+    assert "parent         20  change         30  (+50.0%)  won 3/3" in printed[2]
+
+
+@pytest.mark.parametrize("held_out", ["nosuch:2", "city1000", "city1000:", "city1000:2,x"])
+def test_bench_pairs_refuses_a_bad_held_out_before_any_run(tmp_path, monkeypatch, capsys, held_out):
+    script = load_script("bench_pairs")
+    monkeypatch.setattr(script, "export", mock.Mock(side_effect=AssertionError("no export expected")))
+    with pytest.raises(SystemExit) as exit_:
+        script.main(["--about", "a test", "--out", str(tmp_path / "bench.json"), "--held-out", held_out])
+    assert exit_.value.code == 2
+    assert "expected WORKLOAD:SEEDS" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def traced_result(correct=True, failed=0, **counters):
     """A traced run's result line: every deterministic counter 7, but for the
     given ones (with dots written as underscores)."""
