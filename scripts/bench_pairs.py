@@ -6,11 +6,11 @@ BENCHMARK.json and each of PAIRS pairs, runs `python3 brokerbench/run.py
 --workload W --seconds S --trace 0`, S being BENCHMARK.json's run length, once
 in the export (the parent) and once in the working tree (the change). The
 parent runs first in odd pairs and the change in even ones, so neither side
-always runs on a warmer or cooler machine. With --held-out WORKLOAD:SEEDS,
-HELD_OUT_PAIRS more alternated pairs of WORKLOAD follow, run with
-`--workload-seeds SEEDS`: experiment seeds the change was not written against,
-on which a claimed gain must hold too. One `--trace 1` run per side and
-workload comes last, for the per-layer metrics and deterministic counters.
+always runs on a warmer or cooler machine. HELD_OUT_PAIRS more alternated
+pairs of HELD_OUT's workload follow, run with `--workload-seeds` HELD_OUT's
+seeds: experiment seeds no change is written against, on which a claimed gain
+must hold too. One `--trace 1` run per side and workload comes last, for the
+per-layer metrics and deterministic counters.
 
 Writes a BENCH_<n>.json of the form {"about", "parent", "machine", "runs"},
 each run {"commit", "pair", "command", "result"} with `result` the last line
@@ -23,15 +23,15 @@ by more than the spread; `worse` when its median is worse by more than the
 metric's BENCHMARK.json bound; `unresolved` when the spread is wider than the
 bound and not every change run beats every parent run; else `within bound`.
 The held-out pairs get rows of their own, labelled WORKLOAD:SEEDS, after the
-main ones and out of their medians. Then, per workload, each deterministic
+main ones and out of their medians, with the label `held-out` in place of a
+verdict: a few pairs are a check, not a claim. Then, per workload, each deterministic
 figure whose traced values differ between the sides, with both values, or
 `counters: same` when none differ: brokerbench/tracer.py's
 DETERMINISTIC_COUNTERS and every other BENCHMARK.json per-layer metric counted
 in a count or ratio, outside trace.*. Last, every run that was not correct or
 failed requests. Run from anywhere inside a git checkout:
 
-  python3 scripts/bench_pairs.py --parent HEAD --about "what changed" --out BENCH_17.json \
-      --held-out city1000:2,4
+  python3 scripts/bench_pairs.py --parent HEAD --about "what changed" --out BENCH_17.json
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ SECONDS = BENCHMARK["run_seconds"]
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
 PAIRS = 10  # the fewest pairs a claimed gain may rest on
+HELD_OUT = ("city1000", "2,4")  # (workload, --workload-seeds) of the held-out pairs
 HELD_OUT_PAIRS = 3
 
 
@@ -97,28 +98,18 @@ def run_bench(root: Path, args: list[str]) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def held_out_arg(text: str) -> tuple[str, str]:
-    """--held-out's WORKLOAD:SEEDS, as in city1000:2,4."""
-    workload, _, seeds = text.partition(":")
-    if workload not in WORKLOADS or not all(seed.isdigit() for seed in seeds.split(",")):
-        known = ", ".join(WORKLOADS)
-        raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEEDS, WORKLOAD one of {known}, got {text!r}")
-    return workload, seeds
-
-
-def plan(held_out: tuple[str, str] | None) -> list[tuple[str, int | str, list[str]]]:
+def plan() -> list[tuple[str, int | str, list[str]]]:
     """Every run as (side, pair, brokerbench/run.py arguments): each
     workload's untraced pairs, then the held-out pairs, parent then change in
     odd pairs and change then parent in even ones; then one traced run per
     side and workload."""
     seconds = ["--seconds", f"{SECONDS:g}"]
     pairs = [(pair, pair, ["--workload", workload, *seconds]) for workload in WORKLOADS for pair in range(1, PAIRS + 1)]
-    if held_out:
-        workload, seeds = held_out
-        pairs += [
-            (f"held-out {pair}", pair, ["--workload", workload, "--workload-seeds", seeds, *seconds])
-            for pair in range(1, HELD_OUT_PAIRS + 1)
-        ]
+    workload, seeds = HELD_OUT
+    pairs += [
+        (f"held-out {pair}", pair, ["--workload", workload, "--workload-seeds", seeds, *seconds])
+        for pair in range(1, HELD_OUT_PAIRS + 1)
+    ]
     runs = []
     for label, pair, args in pairs:
         sides = ("parent", "change") if pair % 2 else ("change", "parent")
@@ -127,10 +118,10 @@ def plan(held_out: tuple[str, str] | None) -> list[tuple[str, int | str, list[st
     return runs + [(side, "traced", args) for args in traced for side in ("parent", "change")]
 
 
-def measure(roots: dict[str, Path], held_out: tuple[str, str] | None) -> list[dict]:
+def measure(roots: dict[str, Path]) -> list[dict]:
     """Every run of the plan, in its order."""
     runs = []
-    for side, pair, args in plan(held_out):
+    for side, pair, args in plan():
         print(f"{side} {pair}: {' '.join(args)}", file=sys.stderr)
         result = run_bench(roots[side], args)
         command = " ".join(["python3", "brokerbench/run.py", *args])
@@ -216,18 +207,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", default="HEAD", help="revision the working tree is compared with")
     parser.add_argument("--about", required=True, help="what the change is, for the file's about field")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument(
-        "--held-out",
-        type=held_out_arg,
-        metavar="WORKLOAD:SEEDS",
-        help=f"also run {HELD_OUT_PAIRS} pairs of WORKLOAD on these experiment seeds, reported on rows of their own",
-    )
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
         sha = export(args.parent, Path(work) / "parent")
         roots = {"parent": Path(work) / "parent", "change": ROOT}
-        runs = measure(roots, args.held_out)
+        runs = measure(roots)
     machine = f"{os.cpu_count()}-CPU {platform.machine()}, {platform.python_implementation()} {platform.python_version()}"
     record = {"about": args.about, "parent": sha, "machine": machine, "runs": runs}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
@@ -235,6 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     for (row, metric), sides in readings(runs).items():
         parent, change = sides["parent"], sides["change"]
         won, spread, delta, verdict = compare(parent, change, END_TO_END[metric]["better"], END_TO_END[metric]["bound"])
+        if ":" in row:
+            verdict = "held-out"
         print(
             f"{row:<10} {metric:<15} parent {statistics.median(parent):10.4g}  "
             f"change {statistics.median(change):10.4g}  ({delta:+.1%})  won {won}/{len(parent)}  "

@@ -128,6 +128,7 @@ def test_bench_pairs_alternates_the_first_side(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(script, "export", fake_export)
     monkeypatch.setattr(script, "run_bench", fake_run)
     monkeypatch.setattr(script, "PAIRS", 3)
+    monkeypatch.setattr(script, "HELD_OUT_PAIRS", 0)  # the held-out pairs have a test of their own
     monkeypatch.setattr(script, "SECONDS", 1)
     monkeypatch.setattr(script, "WORKLOADS", ["sweep", "short_hop"])
     out = tmp_path / "bench.json"
@@ -158,10 +159,11 @@ def test_bench_pairs_alternates_the_first_side(tmp_path, monkeypatch, capsys):
 
 
 def test_bench_pairs_runs_held_out_pairs_on_rows_of_their_own(tmp_path, monkeypatch, capsys):
-    """--held-out city1000:2,4 adds three alternated pairs of city1000 on
-    seeds 2 and 4 after the main pairs and before the traced runs, recorded
-    as pairs "held-out N"; they print as a row of their own after the main
-    rows and do not move the main medians."""
+    """Three alternated pairs of city1000 on seeds 2 and 4 follow the main
+    pairs and come before the traced runs, recorded as pairs "held-out N";
+    they print as a row of their own after the main rows, labelled
+    `held-out` rather than given a verdict, and do not move the main
+    medians."""
     script = load_script("bench_pairs")
     calls = []
 
@@ -180,8 +182,7 @@ def test_bench_pairs_runs_held_out_pairs_on_rows_of_their_own(tmp_path, monkeypa
     monkeypatch.setattr(script, "SECONDS", 1)
     monkeypatch.setattr(script, "WORKLOADS", ["sweep", "city1000"])
     out = tmp_path / "bench.json"
-    argv = ["--about", "a test", "--out", str(out), "--held-out", "city1000:2,4"]
-    assert script.main(argv) == 0
+    assert script.main(["--about", "a test", "--out", str(out)]) == 0
 
     held_out = "--workload city1000 --workload-seeds 2,4 --seconds 1 --trace 0"
     assert calls[8:14] == [
@@ -196,19 +197,9 @@ def test_bench_pairs_runs_held_out_pairs_on_rows_of_their_own(tmp_path, monkeypa
     assert runs[8]["command"] == f"python3 brokerbench/run.py {held_out}"
     printed = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in printed] == ["sweep", "city1000", "city1000:2,4", "sweep", "city1000"]
-    assert "(+10.0%)  won 2/2" in printed[1]
+    assert printed[1].endswith("(+10.0%)  won 2/2  spread 0.0%  gain")
     assert "parent         20  change         30  (+50.0%)  won 3/3" in printed[2]
-
-
-@pytest.mark.parametrize("held_out", ["nosuch:2", "city1000", "city1000:", "city1000:2,x"])
-def test_bench_pairs_refuses_a_bad_held_out_before_any_run(tmp_path, monkeypatch, capsys, held_out):
-    script = load_script("bench_pairs")
-    monkeypatch.setattr(script, "export", mock.Mock(side_effect=AssertionError("no export expected")))
-    with pytest.raises(SystemExit) as exit_:
-        script.main(["--about", "a test", "--out", str(tmp_path / "bench.json"), "--held-out", held_out])
-    assert exit_.value.code == 2
-    assert "expected WORKLOAD:SEEDS" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    assert printed[2].endswith("  held-out") and "gain" not in printed[2]
 
 
 def traced_result(correct=True, failed=0, **counters):
