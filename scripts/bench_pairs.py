@@ -26,10 +26,10 @@ The held-out pairs get rows of their own, labelled WORKLOAD:SEEDS, after the
 main ones and out of their medians, with the label `held-out` in place of a
 verdict: a few pairs are a check, not a claim. Then, per workload, each deterministic
 figure whose traced values differ between the sides, with both values, or
-`counters: same` when none differ: brokerbench/tracer.py's
-DETERMINISTIC_COUNTERS and every other BENCHMARK.json per-layer metric counted
-in a count or ratio, outside trace.*. Last, every run that was not correct or
-failed requests. Run from anywhere inside a git checkout:
+`counters: same` when none differ: every BENCHMARK.json per-layer metric
+counted in a count or ratio, outside trace.*, which takes in all of
+brokerbench/tracer.py's DETERMINISTIC_COUNTERS. Last, every run that was not
+correct or failed requests. Run from anywhere inside a git checkout:
 
   python3 scripts/bench_pairs.py --parent HEAD --about "what changed" --out BENCH_17.json
 """
@@ -37,7 +37,6 @@ failed requests. Run from anywhere inside a git checkout:
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import os
 import platform
@@ -57,23 +56,13 @@ HELD_OUT = ("city1000", "2,4")  # (workload, --workload-seeds) of the held-out p
 HELD_OUT_PAIRS = 3
 
 
-def deterministic_counters() -> tuple[str, ...]:
-    """DETERMINISTIC_COUNTERS of brokerbench/tracer.py, read from its source:
-    importing it needs the benchmark's own modules on the path."""
-    for node in ast.parse((ROOT / "brokerbench" / "tracer.py").read_text()).body:
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["DETERMINISTIC_COUNTERS"]:
-            return ast.literal_eval(node.value)
-    raise SystemExit("brokerbench/tracer.py defines no DETERMINISTIC_COUNTERS")
-
-
-# the per-layer counts and ratios depend only on the code and the inputs too;
+# the per-layer counts and ratios depend only on the code and the inputs;
 # trace.* describe the tracing itself
-DETERMINISTIC_FIGURES = tuple(
+COUNTERS = tuple(
     metric["name"]
     for metric in BENCHMARK["per_layer"]
     if metric["unit"] in ("count", "ratio") and not metric["name"].startswith("trace.")
 )
-COUNTERS = tuple(dict.fromkeys(deterministic_counters() + DETERMINISTIC_FIGURES))
 
 
 def export(revision: str, dest: Path) -> str:

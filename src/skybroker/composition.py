@@ -15,11 +15,11 @@ time window.
 
 Capacity: the swarm is one spec (battery, payload, speed, formation,
 techniques) times its size, read from the provider wherever it is needed. Each
-drone carries one package, heaviest first (``assign_packages`` refuses more
-packages than drones and any package over the payload capacity), and only
-loaded drones fly, each starting on a full battery. A sub-swarm holds one slot
-per dispatched drone in four vectors: ``loads`` (never increasing along the
-slots), and the energy each drone ``held``, ``consumed`` and ``purchased``.
+drone carries one package, heaviest first (``assign_packages``, on a swarm
+``filter_providers`` kept), and only loaded drones fly, each starting on a
+full battery. A sub-swarm holds one slot per dispatched drone in four
+vectors: ``loads`` (never increasing along the slots), and the energy each
+drone ``held``, ``consumed`` and ``purchased``.
 No output reads ``purchased``; it is kept because it closes the energy ledger
 (held = capacity - consumed + purchased) that the conservation tests check.
 Two tables, worked out at launch, give the leg physics: ``power_w``, the power
@@ -189,10 +189,7 @@ def request_context(
     dest_tree: tuple[Mapping[int, float], Mapping[int, int | None]],
 ) -> RequestContext:
     """The context of one request, given the shortest-path tree toward its
-    destination (``shortest_path_tree``)."""
-    for endpoint in (request.source, request.destination):
-        if endpoint not in network.nodes:
-            raise ValueError(f"request endpoint {endpoint} is not a network node")
+    destination (``shortest_path_tree``), whose endpoints are network nodes."""
     dist, parent = dest_tree
     return RequestContext(
         network=network,
@@ -337,7 +334,7 @@ def _stop(
     else:
         targets = [swarm.battery_capacity] * len(energies)
     node, partnership = ctx.network.node(node_id), state.provider.partnership
-    return targets, node_service_time(swarm.battery_capacity, energies, node, targets, partnership, queue, config)
+    return targets, node_service_time(energies, node, targets, partnership, queue, config)
 
 
 def _charge(state: SubSwarmState, leg: _Leg, ctx: RequestContext, remaining_m: float | None) -> None:

@@ -148,11 +148,9 @@ class EnergyModelConfig:
             raise ConfigurationError("energy config position_factors must be non-empty")
 
     def formation_factor(self, formation: Formation, wind_sector: int) -> float:
-        return self.formation_factors[formation][wind_sector % WIND_SECTORS]
+        return self.formation_factors[formation][wind_sector]
 
     def position_factor(self, slot_index: int) -> float:
-        if slot_index < 0:
-            raise ValueError("slot_index must be non-negative")
         seq = self.position_factors
         return seq[min(slot_index, len(seq) - 1)]
 

@@ -188,15 +188,9 @@ class QosVector:
 def assign_packages(swarm: Swarm, packages: Sequence[float]) -> tuple[float, ...]:
     """The loads of the drones dispatched for one package per drone: drone i
     carries the i-th heaviest package, so loads never increase along the swarm.
-    More packages than drones, or a package over the payload capacity, raise
-    ValueError: the same rule by which filter_providers rules such providers
-    out before composition."""
-    if len(packages) > swarm.size:
-        raise ValueError(f"{len(packages)} packages need one drone each, the swarm has {swarm.size}")
-    loads = sorted(map(float, packages), reverse=True)
-    if loads and loads[0] > swarm.payload_capacity:
-        raise ValueError(f"a {loads[0]} kg package exceeds payload_capacity {swarm.payload_capacity} kg")
-    return tuple(loads)
+    The swarm has a drone for each package and carries the heaviest:
+    ``filter_providers`` rules out every other provider before composition."""
+    return tuple(sorted(map(float, packages), reverse=True))
 
 
 def generate_scenario(

@@ -32,8 +32,6 @@ class WindField:
     """
 
     def __init__(self, seed: int, slice_s: float):
-        if slice_s <= 0:
-            raise ValueError("slice_s must be positive")
         self.seed = seed
         self.slice_s = slice_s
         self._memo: dict[tuple[int, int, int], float] = {}
@@ -82,8 +80,6 @@ def segment_energy(
 
     Per slot, the power times the flight seconds, scaled by the factor.
     """
-    if segment_length_m < 0:
-        raise ValueError("segment length must be non-negative")
     seconds = segment_length_m / speed
     return tuple([p * seconds * f / 3600.0 for p, f in zip(power_w, factors)])
 
@@ -132,7 +128,6 @@ NO_SERVICE = NodeService(0.0, 0.0, 0.0, 0.0)
 
 
 def node_service_time(
-    battery_capacity: float,
     energies: Sequence[float],
     node: SkywayNode,
     target_energies: Sequence[float],
@@ -141,7 +136,8 @@ def node_service_time(
     config: EnergyModelConfig,
 ) -> NodeService:
     """Simulate one charging stop of the swarm at a node, each drone charging
-    from the energy it holds to its target, at most battery_capacity.
+    from the energy it holds to its target (``_stop``'s: one per drone, in
+    [held, battery capacity]).
 
     Drones with a positive deficit occupy pads in batches of pad_count, in
     listed order. Each batch takes (max deficit in batch) / charge_rate. The
@@ -154,17 +150,7 @@ def node_service_time(
     the drawn ``queue_length``, and planners pass the expected length instead
     of peeking at the draw.
     """
-    if len(energies) != len(target_energies):
-        raise ValueError("one held and one target energy required per drone")
-    deficits = []
-    for held, target in zip(energies, target_energies):
-        if target > battery_capacity + ENERGY_EPS_WH:
-            raise ValueError(f"target energy {target} exceeds battery capacity {battery_capacity}")
-        if target < held - ENERGY_EPS_WH:
-            raise ValueError("target energy below current energy")
-        deficits.append(max(0.0, target - held))
-
-    charging = [d for d in deficits if d > 1e-12]
+    charging = [d for held, target in zip(energies, target_energies) if (d := target - held) > 1e-12]
     if not charging:
         return NO_SERVICE
 
@@ -189,8 +175,6 @@ def node_service_time(
 
 def execution_time_proxy(evaluations: int, swarm: Swarm, config: EnergyModelConfig) -> float:
     """Deterministic execution-time proxy: evaluation count times technique factors."""
-    if evaluations < 0:
-        raise ValueError("evaluations must be non-negative")
     factor = 1.0
     if swarm.flexible:
         factor *= config.et_flexible_factor

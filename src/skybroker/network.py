@@ -328,12 +328,9 @@ def t_shortest_region_paths(
     enumeration deepens one hop level at a time and stops as soon as t paths exist.
     Each level is a depth-first walk on an explicit stack of neighbour
     iterators, one per cell on the path, so a long path needs no recursion.
+    t is at least 1 (the t_paths rule) and both cells are ``RegionGrid.cell_of``
+    entries, so in the grid.
     """
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    for cell in (source_cell, dest_cell):
-        if not 0 <= cell < grid.cell_count:
-            raise ValueError(f"cell {cell} outside the {grid.resolution}x{grid.resolution} grid")
     if source_cell == dest_cell:
         return [(source_cell,)]
 
@@ -461,8 +458,8 @@ def synthetic_network(seed: int, n_nodes: int, n_charging_providers: int, area_m
     a scan over every pair, in near-linear time. The bound rests only on the
     searching point's own cell, so it holds as well for a point that is not
     one of the bucketed targets. Each other component is then stitched onto
-    the first through its closest cross pair, which the cell list built over
-    the first component finds as the least of the outside nodes' nearest."""
+    the first through its closest cross pair, the least of the outside nodes'
+    nearest in the first component, which ``_stitches`` keeps across joins."""
     rng = random.Random(seed)
     positions = {nid: (rng.uniform(0, area_m), rng.uniform(0, area_m)) for nid in range(1, n_nodes + 1)}
     # Charging companies concentrate in districts (soft Voronoi around seeded
@@ -499,17 +496,22 @@ def synthetic_network(seed: int, n_nodes: int, n_charging_providers: int, area_m
 def _stitches(components: list[set[int]], positions: _Positions, area_m: float) -> list[tuple[int, int]]:
     """The edges that stitch the other components one by one onto the first
     (the one holding the smallest id), each time through the closest cross
-    pair (a, b), a in the first, by (squared distance, a, b). Grows the first
-    component. Each join asks the cell list, built over the first component,
-    for each outside node's nearest node in it: the closest pair is the least
-    of those nodes' own nearest, and the stop rule holds for queries that are
-    not targets."""
-    base, *rest = components
+    pair (a, b), a in the first, by (squared distance, a, b): the least of
+    the outside nodes' nearest in the first, kept as (squared distance, id)
+    keys. A join asks a cell list over the component it joined (the first
+    join, over the first) for each outside node's nearest there and keeps the
+    lesser key: a union's nearest is the nearer of its parts'. The stop rule
+    holds for queries that are not targets."""
+    joined, *rest = components
+    outside = {b: positions[b] for comp in rest for b in comp}
+    nearest: dict[int, tuple[float, int]] = {}
     edges = []
     while rest:
-        outside = {b: positions[b] for comp in rest for b in comp}
-        nearest = _k_nearest(outside, {a: positions[a] for a in base}, 1, area_m)
-        _, a, b = min((*nearest[b][0], b) for b in outside)
-        base |= rest.pop(next(i for i, comp in enumerate(rest) if b in comp))
+        for b, (key,) in _k_nearest(outside, {a: positions[a] for a in joined}, 1, area_m).items():
+            nearest[b] = min(nearest.get(b, key), key)
+        _, a, b = min((*key, b) for b, key in nearest.items())
+        joined = rest.pop(next(i for i, comp in enumerate(rest) if b in comp))
+        for node in joined:
+            del outside[node], nearest[node]
         edges.append((a, b))
     return edges

@@ -72,16 +72,15 @@ def density_scores(
 
 def prune(scores: Mapping[int, float], k_percent: float) -> set[int]:
     """Ids surviving the drop of the floor(m * k / 100) lowest-scoring
-    providers, never all of them.
+    providers, never all of them, from non-empty scores (the harness rejects a
+    request nobody can carry) with k_percent in [0, 100) (the k_values rule).
 
     Score ties at the cut are broken by provider id, lower id survives.
     """
-    if not 0 <= k_percent < 100:
-        raise ValueError("k_percent must be in [0, 100)")
     m = len(scores)
     to_remove = min(math.floor(m * k_percent / 100.0), m - 1)
     removal_order = sorted(scores, key=lambda pid: (scores[pid], -pid))
-    return set(removal_order[max(to_remove, 0):])
+    return set(removal_order[to_remove:])
 
 
 def strategy_scores(
@@ -94,6 +93,7 @@ def strategy_scores(
 ) -> tuple[dict[int, float] | None, int]:
     """Score the filtered providers once for a request; returns (scores by
     provider id, or None for brute, which keeps everyone; scoring op count).
+    The strategy is one of STRATEGIES, which ``ExperimentConfig`` checks.
 
     Every strategy takes the same inputs: only density reads the region grid,
     the per-company heatmaps (``build_all_heatmaps``) and t, the number of
@@ -112,13 +112,11 @@ def strategy_scores(
         return None, 0
     if strategy == "capabilities":
         return capabilities_scores(filtered), 4 * len(filtered)
-    if strategy == "density":
-        source_cell = grid.cell_of[request.source]
-        dest_cell = grid.cell_of[request.destination]
-        paths = t_shortest_region_paths(grid, source_cell, dest_cell, t)
-        path_cells = total(len(p) for p in paths)
-        return density_scores(filtered, paths, heatmaps), path_cells * (1 + len(heatmaps)) + 6 * len(filtered)
-    raise ValueError(f"unknown pruning strategy {strategy!r}")
+    source_cell = grid.cell_of[request.source]
+    dest_cell = grid.cell_of[request.destination]
+    paths = t_shortest_region_paths(grid, source_cell, dest_cell, t)
+    path_cells = total(len(p) for p in paths)
+    return density_scores(filtered, paths, heatmaps), path_cells * (1 + len(heatmaps)) + 6 * len(filtered)
 
 
 def select_cohort(

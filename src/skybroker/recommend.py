@@ -23,17 +23,12 @@ from .domain import QOS_METRICS, QosVector, normalize_lower_better, total
 
 @dataclass(frozen=True)
 class Ballot:
-    """One QoS metric's strict ranking of providers, best first."""
+    """One QoS metric's strict ranking of providers, best first. The ballots
+    of one election rank the same providers (``build_ballots``)."""
 
     voter: str  # QoS metric id
     weight: float
     ranking: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError("ballot weight must be non-negative")
-        if len(set(self.ranking)) != len(self.ranking) or not self.ranking:
-            raise ValueError("ranking must be a non-empty permutation of the candidates")
 
 
 @dataclass(frozen=True)
@@ -44,21 +39,14 @@ class ElectionResult:
     paradox: bool = False
 
 
-def _candidates(ballots: Sequence[Ballot]) -> list[int]:
-    candidates = set(ballots[0].ranking)
-    for ballot in ballots[1:]:
-        if set(ballot.ranking) != candidates:
-            raise ValueError("all ballots must rank the same candidate set")
-    return sorted(candidates)
-
-
 def build_ballots(
     pqos: Mapping[int, QosVector],
     qos_weights: Mapping[str, float],
 ) -> list[Ballot]:
     """One ballot per QoS metric over the cohort's {provider_id: QosVector}
     table of successful compositions, ascending raw pQoS, ties by provider id.
-    An empty table means empty rankings, which Ballot refuses."""
+    The table is non-empty (the harness votes only on cohorts with a success)
+    and the weights non-negative (``normalize_weights``), as elections assume."""
     return [
         Ballot(
             voter=metric,
@@ -71,7 +59,7 @@ def build_ballots(
 
 def plurality(ballots: Sequence[Ballot]) -> ElectionResult:
     """Each metric votes its full weight for its top choice; most weight wins."""
-    candidates = _candidates(ballots)
+    candidates = sorted(ballots[0].ranking)
     tallies = {c: 0.0 for c in candidates}
     for ballot in ballots:
         tallies[ballot.ranking[0]] += ballot.weight
@@ -89,7 +77,7 @@ def instant_runoff(ballots: Sequence[Ballot], rng_seed: int) -> ElectionResult:
     random.Random(rng_seed).choice(sorted(tied)); the same protocol is part of
     the function's contract so independent implementations can match it.
     """
-    candidates = _candidates(ballots)
+    candidates = sorted(ballots[0].ranking)
     rng = random.Random(rng_seed)
     active = set(candidates)
     total_weight = total(b.weight for b in ballots)
@@ -113,7 +101,7 @@ def instant_runoff(ballots: Sequence[Ballot], rng_seed: int) -> ElectionResult:
 
 def borda(ballots: Sequence[Ballot]) -> ElectionResult:
     """Weighted Borda count: with u candidates, rank r earns u - r + 1 points."""
-    candidates = _candidates(ballots)
+    candidates = sorted(ballots[0].ranking)
     u = len(candidates)
     tallies = {c: 0.0 for c in candidates}
     ops = 0
@@ -132,7 +120,7 @@ def condorcet(ballots: Sequence[Ballot], rng_seed: int) -> ElectionResult:
     unique maximum exists (a cycle or tie), the paradox flag is set and a
     seeded-random candidate among the tied top is recommended.
     """
-    candidates = _candidates(ballots)
+    candidates = sorted(ballots[0].ranking)
     # each ballot's rank positions; a pair's weights are added in ballot order
     ranks = [(ballot.weight, {c: i for i, c in enumerate(ballot.ranking)}) for ballot in ballots]
     ops = len(ballots) * (len(candidates) * (len(candidates) - 1)) // 2
@@ -172,9 +160,8 @@ def normalized_qos(cohort: Mapping[int, QosVector]) -> dict[int, dict[str, float
     """Min-max normalize each metric over the cohort, oriented higher-is-better.
 
     A metric with no spread (at most 1e-12) normalizes to 1 for everyone.
+    The cohort is non-empty: the harness skips cohorts with no success.
     """
-    if not cohort:
-        raise ValueError("cohort must be non-empty")
     columns = [normalize_lower_better([q.get(m) for q in cohort.values()]) for m in QOS_METRICS]
     return {pid: dict(zip(QOS_METRICS, row)) for pid, row in zip(cohort, zip(*columns))}
 

@@ -16,7 +16,6 @@ from skybroker.composition import (
     _split_subswarm,
     _traverse,
     compose,
-    request_context,
     score_candidates,
     viable_candidates,
 )
@@ -110,23 +109,6 @@ class TestComposeBasics:
         assert not out.success
         assert out.paths == ((0,),)
         assert out.evaluations == sub.evaluations == 0
-
-    def test_unknown_endpoint_rejected(self, unit_config, seeds):
-        net = line_network([500.0])
-        with pytest.raises(ValueError, match="endpoint"):
-            request_context(net, request(0, 99), unit_config, CompositionConfig(), seeds, ({}, {}))
-
-    def test_more_packages_than_drones_rejected(self, unit_config, seeds):
-        net = line_network([500.0])
-        provider = simple_provider(n_drones=2)
-        with pytest.raises(ValueError, match="3 packages need one drone each, the swarm has 2"):
-            compose(provider, make_context(net, request(0, 1, packages=(1.0, 1.0, 1.0)), unit_config, seeds))
-
-    def test_package_over_payload_capacity_rejected(self, unit_config, seeds):
-        net = line_network([500.0])
-        provider = simple_provider(n_drones=2, payload_cap=2.0)
-        with pytest.raises(ValueError, match="payload_capacity"):
-            compose(provider, make_context(net, request(0, 1, packages=(1.0, 2.5)), unit_config, seeds))
 
     def test_deterministic_outcomes(self, seeds):
         cfg = ExperimentConfig(
@@ -820,7 +802,7 @@ class TestNodeServiceReadsOnly:
         targets = [p + fill * (capacity - p) for p, (_, fill) in zip(energies, fills)]
         before = (list(energies), list(targets))
         node_service_time(
-            capacity, energies, SkywayNode(7, 0.0, 0.0, 1, pads), targets,
+            energies, SkywayNode(7, 0.0, 0.0, 1, pads), targets,
             Partnership(partner, tier), queue, EnergyModelConfig(),
         )
         assert (energies, targets) == before

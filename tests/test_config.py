@@ -154,8 +154,6 @@ class TestEnergyConfigValidation:
         assert cfg.position_factor(0) == 1.2
         assert cfg.position_factor(2) == 0.9
         assert cfg.position_factor(99) == 0.9
-        with pytest.raises(ValueError):
-            cfg.position_factor(-1)
 
     def test_default_table_gives_every_formation_a_best_sector(self):
         cfg = EnergyModelConfig()

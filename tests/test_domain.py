@@ -170,10 +170,6 @@ class TestAssignPackages:
     def test_one_package_per_drone_when_feasible(self):
         assert assign_packages(make_swarm(size=5), [1.0, 1.5]) == (1.5, 1.0)
 
-    def test_more_packages_than_drones_rejected(self):
-        with pytest.raises(ValueError, match="3 packages need one drone each, the swarm has 2"):
-            assign_packages(make_swarm(size=2), [1.0, 1.0, 1.0])
-
 
 # (dynamic, flexible, cooperative, formation, partner company, tier) of each provider
 # of generate_scenario(4, default_network(2, 60), 40, 1, WIDE_LIMITS, CapabilityRanges())
@@ -228,6 +224,7 @@ class TestGenerateScenario:
         for r in requests:
             assert len(r.packages) <= 10
             assert max(r.packages) <= 2.5
+            assert r.source in net.nodes and r.destination in net.nodes  # request_context trusts this
 
     def test_deterministic_byte_identical(self):
         net = default_network(1, 50)

@@ -51,10 +51,6 @@ class TestSegmentEnergy:
         (e,) = segment_energy(powers((1.0,), unit_config), 10.0, 1000.0, (1.0,))
         assert e == pytest.approx(15000.0 / 3600.0)
 
-    def test_negative_length_rejected(self, unit_config):
-        with pytest.raises(ValueError):
-            segment_energy(powers((0.0,), unit_config), 10.0, -1.0, (1.0,))
-
     @given(
         st.floats(min_value=0, max_value=3),
         st.floats(min_value=0, max_value=3),
@@ -159,7 +155,7 @@ ELSEWHERE = Partnership(99, "gold")
 class TestNodeService:
     def test_parallel_charging_no_wait(self, unit_config):
         held = [40.0] * 4
-        svc = node_service_time(50.0, held, station(pads=4), [50] * 4, ELSEWHERE, 0, unit_config)
+        svc = node_service_time(held, station(pads=4), [50] * 4, ELSEWHERE, 0, unit_config)
         assert svc.wait_s == 0.0
         assert svc.charge_s == pytest.approx(3600 * 10 / 100)
         assert svc.energy_wh == pytest.approx(40.0)
@@ -168,7 +164,7 @@ class TestNodeService:
         # 4 drones, 2 pads, equal 10 Wh deficits: two batches of 360 s, so the
         # swarm spends 720 s at the node, half of it waiting
         held = [40.0] * 4
-        svc = node_service_time(50.0, held, station(pads=2), [50] * 4, ELSEWHERE, 0, unit_config)
+        svc = node_service_time(held, station(pads=2), [50] * 4, ELSEWHERE, 0, unit_config)
         assert svc.charge_s == pytest.approx(360.0)
         assert svc.wait_s == pytest.approx(360.0)
 
@@ -176,7 +172,7 @@ class TestNodeService:
         held = [40.0]
         partnership = Partnership(1, "platinum")
         svc = node_service_time(
-            50.0, held, station(owner=1, pads=1), [50], partnership, 7, unit_config
+            held, station(owner=1, pads=1), [50], partnership, 7, unit_config
         )
         assert svc.wait_s == 0.0
 
@@ -184,7 +180,7 @@ class TestNodeService:
         held = [40.0]
         gold = Partnership(1, "gold")
         svc = node_service_time(
-            50.0, held, station(owner=1, pads=1), [50], gold, 7, unit_config
+            held, station(owner=1, pads=1), [50], gold, 7, unit_config
         )
         assert svc.wait_s == pytest.approx(2 * unit_config.exogenous_service_s)
 
@@ -192,7 +188,7 @@ class TestNodeService:
         held = [40.0]
         gold = Partnership(1, "gold")
         svc = node_service_time(
-            50.0, held, station(owner=2, pads=1), [50], gold, 3, unit_config
+            held, station(owner=2, pads=1), [50], gold, 3, unit_config
         )
         assert svc.wait_s == pytest.approx(3 * unit_config.exogenous_service_s)
         assert svc.cost == pytest.approx(10 / 1000 * unit_config.non_partner_price_per_kwh)
@@ -200,32 +196,24 @@ class TestNodeService:
     def test_partner_price_at_partner_station(self, unit_config):
         held = [40.0]
         gold = Partnership(1, "gold")
-        svc = node_service_time(50.0, held, station(owner=1), [50], gold, 0, unit_config)
+        svc = node_service_time(held, station(owner=1), [50], gold, 0, unit_config)
         assert svc.cost == pytest.approx(10 / 1000 * TIERS["gold"].price_per_kwh)
-
-    def test_target_above_capacity_rejected(self, unit_config):
-        with pytest.raises(ValueError, match="capacity"):
-            node_service_time(50.0, [50.0], station(), [51], ELSEWHERE, 0, unit_config)
-
-    def test_target_below_current_rejected(self, unit_config):
-        with pytest.raises(ValueError, match="below"):
-            node_service_time(50.0, [40.0], station(), [30], ELSEWHERE, 0, unit_config)
 
     def test_no_deficit_no_service(self):
         cfg = unit_energy_config(queue_draw_max=4)
         held = [50.0]
-        svc = node_service_time(50.0, held, station(pads=1), [50], ELSEWHERE, 0, cfg)
+        svc = node_service_time(held, station(pads=1), [50], ELSEWHERE, 0, cfg)
         assert svc == (0.0, 0.0, 0.0, 0.0)
 
     def test_zero_cost_when_nothing_purchased(self, unit_config):
         held = [50.0]
-        svc = node_service_time(50.0, held, station(), [50], ELSEWHERE, 0, unit_config)
+        svc = node_service_time(held, station(), [50], ELSEWHERE, 0, unit_config)
         assert svc.cost == 0.0
 
     @pytest.mark.parametrize("pads", [1, 2, 3, 4, 8])
     def test_queue_conservation_energy_invariant_of_pads(self, pads, unit_config):
         held = [30.0 + i for i in range(5)]
-        svc = node_service_time(50.0, held, station(pads=pads), [50] * 5, ELSEWHERE, 0, unit_config)
+        svc = node_service_time(held, station(pads=pads), [50] * 5, ELSEWHERE, 0, unit_config)
         # pad count changes wall clock, never the energy purchased; total pad
         # occupancy is the purchased energy over the charge rate
         assert svc.energy_wh == pytest.approx(sum(50 - (30 + i) for i in range(5)))
@@ -234,7 +222,7 @@ class TestNodeService:
 
     def test_enough_pads_and_empty_queue_no_wait(self, unit_config):
         held = [20.0 + i for i in range(3)]
-        svc = node_service_time(50.0, held, station(pads=3), [50] * 3, ELSEWHERE, 0, unit_config)
+        svc = node_service_time(held, station(pads=3), [50] * 3, ELSEWHERE, 0, unit_config)
         assert svc.wait_s == 0.0
 
     def test_queue_length_deterministic_within_bounds(self):
@@ -285,6 +273,37 @@ class TestCooperativeTarget:
         ]
 
 
+@st.composite
+def stops(draw):
+    """_stop's arguments for a launched swarm of 1-12 slots, cooperative or
+    not, at node 0 of a one-leg line: energies held in [0, capacity], leg
+    energies up to 2 x capacity, and remaining_m None or drawn."""
+    n, capacity = draw(st.integers(1, 12)), draw(st.floats(1.0, 100.0))
+    provider = simple_provider(n_drones=n, battery=capacity, cooperative=draw(st.booleans()))
+    packages = tuple(draw(st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n)))
+    config = EnergyModelConfig(cooperative_margin=draw(st.floats(0.0, 1.0)))
+    ctx = make_context(line_network([1000.0]), one_leg_request(packages), config)
+    held = draw(st.lists(st.floats(0.0, capacity), min_size=n, max_size=n))
+    leg = SimpleNamespace(energies=tuple(draw(st.lists(st.floats(0.0, 2 * capacity), min_size=n, max_size=n))))
+    remaining_m = draw(st.one_of(st.none(), st.floats(0.0, 1e6)))
+    return _launch(provider, ctx), held, leg, ctx, remaining_m
+
+
+class TestStopTargets:
+    """``_stop`` is the one caller of ``node_service_time``, which trusts it
+    for one target per drone, each between the held energy and the battery
+    capacity."""
+
+    @given(stops())
+    @settings(max_examples=200, deadline=None)
+    def test_one_target_per_slot_between_held_and_capacity(self, case):
+        state, held, leg, ctx, remaining_m = case
+        targets, _service = _stop(state, held, 0, leg, ctx, remaining_m, 0)
+        capacity = state.provider.swarm.battery_capacity
+        assert len(targets) == len(held)
+        assert all(h <= target <= capacity for h, target in zip(held, targets))
+
+
 class TestExecutionProxy:
     STATIC_FIXED = simple_provider().swarm
 
@@ -297,7 +316,3 @@ class TestExecutionProxy:
     def test_dynamic_flexible_factors(self):
         swarm = simple_provider(dynamic=True, flexible=True).swarm
         assert execution_time_proxy(100, swarm, EnergyModelConfig()) == pytest.approx(195.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            execution_time_proxy(-1, self.STATIC_FIXED, EnergyModelConfig())

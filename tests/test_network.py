@@ -424,16 +424,6 @@ class TestRegionPaths:
         paths = t_shortest_region_paths(grid, 0, 255, 3)
         assert [len(p) for p in paths] == [256] * 3 and len(set(paths)) == 3
 
-    def test_t_must_be_positive(self):
-        grid = region_grid(3)
-        with pytest.raises(ValueError):
-            t_shortest_region_paths(grid, 0, 1, 0)
-
-    def test_cell_outside_grid_rejected(self):
-        grid = region_grid(3)
-        with pytest.raises(ValueError):
-            t_shortest_region_paths(grid, 0, 99, 1)
-
 
 class TestShortestPaths:
     def test_tree_against_networkx(self):

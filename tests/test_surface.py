@@ -1,4 +1,4 @@
-"""The library's public surface: where defaults live, and how totals add.
+"""The library's public surface: where defaults and checks live, and how totals add.
 
 A default lives in one place, the config dataclass field the pipeline reads:
 ``EnergyModelConfig``, ``CompositionConfig``, ``ScenarioLimits`` and
@@ -9,6 +9,13 @@ list below or a second home for a value that can drift from the config's.
 A default is listed only where two callers in the pipeline pass different
 things, one of them nothing; a value only tests vary is a module constant
 that they set with ``monkeypatch``, as ``network.K_NEAREST`` is.
+
+A precondition is checked once, where its value enters the program: by a
+config's field rules, a loader, the network model, a domain constructor or
+scenario generation, or the CSV writer. A stage module (pruning, composition,
+energy, recommendation) trusts its inputs and states in its docstring which
+of those owners guarantees them, and its tests test the owner, not a second
+check.
 
 Totals go through ``domain.total``, a left fold: from Python 3.12 the builtin
 ``sum()`` of floats is compensated and rounds differently, so one float total
