@@ -20,8 +20,9 @@ from skybroker.domain import (
     normalize_weights,
 )
 from skybroker.harness import ExperimentConfig
+from skybroker.pruning import filter_providers
 
-from conftest import default_network
+from conftest import default_network, simple_provider
 
 # up to 10 packages of up to 2.5 kg
 WIDE_LIMITS = ScenarioLimits(max_packages=10, max_package_weight_kg=2.5)
@@ -169,6 +170,21 @@ class TestAssignPackages:
 
     def test_one_package_per_drone_when_feasible(self):
         assert assign_packages(make_swarm(size=5), [1.0, 1.5]) == (1.5, 1.0)
+
+    @given(st.integers(1, 8), st.floats(0.5, 3.0), st.lists(st.floats(0.1, 3.0), min_size=1, max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_the_filter_keeps_exactly_the_providers_that_carry_their_loads(self, size, payload, packages):
+        """compose only gets filtered providers, so assign_packages trusts
+        filter_providers' carry rule: one drone per package, none loaded past
+        its payload capacity."""
+        provider = simple_provider(n_drones=size, payload_cap=payload)
+        req = DeliveryRequest(
+            request_id=1, source=1, destination=2, packages=tuple(packages), qos_weights={"delivery_time": 1.0}
+        )
+        loads = assign_packages(provider.swarm, req.packages)
+        assert sorted(loads) == sorted(packages) and list(loads) == sorted(loads, reverse=True)
+        carried = len(loads) <= size and max(loads) <= payload
+        assert bool(filter_providers([provider], req)) == carried
 
 
 # (dynamic, flexible, cooperative, formation, partner company, tier) of each provider

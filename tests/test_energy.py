@@ -4,11 +4,11 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skybroker.composition import _launch, _split_subswarm, _stop
-from skybroker.config import EnergyModelConfig
+from skybroker.config import DEFAULT_POSITION_FACTORS, WIND_SECTORS, EnergyModelConfig
 from skybroker.domain import TIERS, DeliveryRequest, Formation, Partnership
 from skybroker.energy import (
     WindField,
@@ -19,6 +19,7 @@ from skybroker.energy import (
     queue_length,
     relative_sector,
     segment_energy,
+    slot_factors,
 )
 from skybroker.network import SkywayNode
 
@@ -128,6 +129,33 @@ class TestBestFormation:
     def test_relative_sector_orientation(self):
         assert relative_sector(0.0, 0.0) == 0  # tailwind
         assert relative_sector(math.pi, 0.0) == 4  # headwind
+
+
+class TestSlotFactors:
+    """``slot_factors`` is the one caller of ``formation_factor`` and
+    ``position_factor``; it asks for every wind sector and for slots 0 to
+    n_slots - 1, and the composer reads its table at ``relative_sector``."""
+
+    @pytest.mark.parametrize("n_slots", [1, len(DEFAULT_POSITION_FACTORS), len(DEFAULT_POSITION_FACTORS) + 3])
+    def test_one_factor_per_sector_and_slot(self, n_slots):
+        cfg = EnergyModelConfig()
+        positions = [cfg.position_factors[min(slot, len(cfg.position_factors) - 1)] for slot in range(n_slots)]
+        fixed = slot_factors(simple_provider(formation=Formation.DIAMOND).swarm, n_slots, cfg)
+        flexible = slot_factors(simple_provider(flexible=True).swarm, n_slots, cfg)
+        assert len(fixed) == len(flexible) == WIND_SECTORS
+        for sector in range(WIND_SECTORS):
+            best = min(cfg.formation_factors[f][sector] for f in FORMATIONS)
+            assert fixed[sector] == tuple(cfg.formation_factors[Formation.DIAMOND][sector] * p for p in positions)
+            assert flexible[sector] == tuple(best * p for p in positions)
+
+    @given(st.floats(0.0, 2 * math.pi), st.floats(-math.pi, math.pi))
+    @example(math.nextafter(2 * math.pi, 0.0), 0.0)
+    @example(0.0, math.nextafter(0.0, 1.0))
+    @example(math.pi, -math.pi)
+    @settings(max_examples=300, deadline=None)
+    def test_relative_sector_indexes_the_table(self, wind_direction, heading):
+        """Wind directions are draws in [0, 2 pi) and headings atan2's [-pi, pi]."""
+        assert 0 <= relative_sector(wind_direction, heading) < WIND_SECTORS
 
 
 class TestWindField:

@@ -423,6 +423,49 @@ class TestLazyComposition:
         assert fallback(2, 5) == ([], "served", [0, 1, 2])
 
 
+class TestStageInputs:
+    """The stage modules trust their one caller: compose only gets providers
+    that carry the request, and only cohorts with a success are normalized
+    and balloted."""
+
+    @pytest.fixture
+    def traced(self, monkeypatch):
+        """Runs every request of the oracle configs; returns, per request, the
+        request, its providers and the first argument of every traced call."""
+        calls = {"compose": [], "normalized_qos": [], "build_ballots": []}
+        for name, log in calls.items():
+            real = getattr(harness, name)
+            monkeypatch.setattr(
+                harness, name, lambda first, *rest, real=real, log=log: log.append(first) or real(first, *rest)
+            )
+        runs = []
+        for cfg in ORACLE_CONFIGS:
+            requests, args = pipeline_inputs(cfg)
+            for request in requests:
+                for log in calls.values():
+                    log.clear()
+                harness._process_request(request, *args)
+                runs.append((request, args[0], {name: list(log) for name, log in calls.items()}))
+        return runs
+
+    def test_compose_gets_only_providers_that_carry_the_request(self, traced):
+        composed = refused = 0
+        for request, providers, calls in traced:
+            count, heaviest = len(request.packages), max(request.packages)
+            carriers = {
+                p.provider_id for p in providers if p.swarm.size >= count and p.swarm.payload_capacity >= heaviest
+            }
+            assert {p.provider_id for p in calls["compose"]} <= carriers
+            composed += len(calls["compose"])
+            refused += len(providers) - len(carriers)
+        assert composed and refused
+
+    def test_only_cohorts_with_a_success_are_normalized_and_balloted(self, traced):
+        tables = [table for _request, _providers, calls in traced for table in calls["normalized_qos"]]
+        assert tables and all(tables)
+        assert [table for _request, _providers, calls in traced for table in calls["build_ballots"]] == tables
+
+
 class TestBuildNetwork:
     def test_from_canonical_dump(self, tmp_path):
         net = default_network(3, 30)

@@ -85,6 +85,11 @@ class TestLoadNetwork:
         with pytest.raises(ParseError, match="length must be positive and finite"):
             load("1 2\n", "1 -1e308 0\n2 1e308 0\n", "1 1 2\n2 1 3\n")
 
+    def test_zero_length_segment_rejected(self):
+        # the network model's length rule is what segment_energy trusts
+        with pytest.raises(ParseError, match=r"segment \(1, 2\): length must be positive and finite"):
+            load("1 2\n", "1 5 5\n2 5 5\n", "1 1 2\n2 1 3\n")
+
     def test_492_node_subnetwork_loads_connected(self):
         # mirrors ingesting an urban edge-list extract of 492 connected nodes
         net = default_network(42, 492)
@@ -443,6 +448,13 @@ class TestShortestPaths:
         assert path[0] == far and path[-1] == root
         total = sum(net.length(a, b) for a, b in zip(path, path[1:]))
         assert total == pytest.approx(dist[far])
+
+    def test_unknown_root_fails(self):
+        """The harness builds the destination tree before the request
+        context, so an endpoint off the network fails here."""
+        net = default_network(21, 20)
+        with pytest.raises(KeyError):
+            shortest_path_tree(net, max(net.nodes) + 1)
 
 
 @st.composite

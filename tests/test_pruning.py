@@ -14,6 +14,7 @@ from skybroker.domain import (
 from skybroker.harness import build_network
 from skybroker.network import build_all_heatmaps, build_region_grid, t_shortest_region_paths
 from skybroker.pruning import (
+    STRATEGIES,
     capabilities_scores,
     density_scores,
     filter_providers,
@@ -302,6 +303,25 @@ class TestSelectCohort:
             cohort, ops = select_cohort(scored, filtered, 50.0)
             assert {p.provider_id for p in cohort} <= {p.provider_id for p in brute}
             assert ops > 0
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_each_strategy_scores_with_its_own_scorer(self, strategy, scored_world):
+        """Density is strategy_scores' last branch, so a strategy without a
+        branch of its own would score as density; every name ExperimentConfig
+        accepts must reach its own scorer."""
+        net, grid, heatmaps, nodes = scored_world
+        providers, _ = generate_scenario(11, net, 12, 1, WIDE_LIMITS, CapabilityRanges())
+        req = request(source=nodes[0], destination=nodes[-1])
+        filtered = filter_providers(providers, req)
+        paths = t_shortest_region_paths(grid, grid.cell_of[req.source], grid.cell_of[req.destination], 3)
+        own = {
+            "brute": None,
+            "capabilities": capabilities_scores(filtered),
+            "density": density_scores(filtered, paths, heatmaps),
+        }
+        scored, _ops = strategy_scores(strategy, filtered, req, grid, heatmaps, 3)
+        assert scored == own[strategy]
+        assert [name for name, scores in own.items() if scores == scored] == [strategy]
 
     def test_score_once_cut_per_k_matches_the_oracle_on_battery_seed_1(self):
         cfg = battery_config(1)

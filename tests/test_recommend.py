@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from skybroker.domain import QOS_METRICS, QosVector, normalize_weights
 from skybroker.recommend import (
+    VOTING_METHODS,
     Ballot,
     borda,
     build_ballots,
@@ -66,6 +67,32 @@ class TestBuildBallots:
         assert [b.voter for b in ballots] == list(QOS_METRICS)
         assert all(sorted(b.ranking) == sorted(table) for b in ballots)
         assert all(b.weight == weights[b.voter] >= 0 for b in ballots)
+
+    @pytest.mark.parametrize("method", VOTING_METHODS)
+    @given(
+        st.dictionaries(
+            st.integers(1, 50),
+            st.tuples(*[st.floats(0.0, 1e6)] * 4),
+            min_size=1,
+            max_size=8,
+        ),
+        st.tuples(*[st.floats(0.0, 10.0)] * 4).filter(any),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_every_election_over_the_ballots_elects_a_provider_of_the_table(self, method, rows, raw, seed):
+        """The elections trust build_ballots' ballots, which Ballot no longer
+        checks: over them each method names one of the table's providers."""
+        table = {pid: QosVector(*metrics) for pid, metrics in rows.items()}
+        ballots = build_ballots(table, normalize_weights(dict(zip(QOS_METRICS, raw))))
+        elect = {
+            "plurality": lambda: plurality(ballots).winner,
+            "irv": lambda: instant_runoff(ballots, seed).winner,
+            "borda": lambda: borda(ballots).winner,
+            "condorcet": lambda: condorcet(ballots, seed).winner,
+            "topweight": lambda: top_weight(ballots),
+        }
+        assert elect[method]() in table
 
     def test_raw_value_ties_break_by_provider_id(self):
         table = qos_table((2, 1, 1, 1, 1), (1, 1, 2, 2, 2))
