@@ -127,7 +127,7 @@ def _synth_command(args: argparse.Namespace) -> int:
     )
     network = build_network(cfg)
     args.out.write_text(dump_network(network) + "\n")
-    print(f"wrote {args.out} ({network.n_nodes} nodes, {len(network.edges())} segments)")
+    print(f"wrote {args.out} ({len(network.nodes)} nodes, {len(network.edges())} segments)")
     return 0
 
 

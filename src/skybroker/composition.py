@@ -224,7 +224,7 @@ def _launch(provider: Provider, ctx: RequestContext) -> SubSwarmState:
     """The provider's initial sub-swarm at the request source: one drone per
     package, each on a full battery (drones without a package would fly
     empty, so only the loaded ones are dispatched)."""
-    loads = assign_packages(provider.swarm, ctx.request.packages)
+    loads = assign_packages(ctx.request.packages)
     n = len(loads)
     return SubSwarmState(
         provider=provider,
@@ -291,7 +291,7 @@ def _tops_up(
     are never negative."""
     threshold = ctx.comp.opportunistic_charge_threshold
     swarm, partnership = state.provider.swarm, state.provider.partnership
-    owner = ctx.network.node(node_id).station_owner
+    owner = ctx.network.nodes[node_id].station_owner
     if swarm.cooperative or node_id == ctx.request.destination or owner != partnership.charging_provider_id:
         return False
     floor = threshold * swarm.battery_capacity
@@ -333,7 +333,7 @@ def _stop(
             targets.append(max(held, min(swarm.battery_capacity, need * (1.0 + config.cooperative_margin))))
     else:
         targets = [swarm.battery_capacity] * len(energies)
-    node, partnership = ctx.network.node(node_id), state.provider.partnership
+    node, partnership = ctx.network.nodes[node_id], state.provider.partnership
     return targets, node_service_time(energies, node, targets, partnership, queue, config)
 
 
@@ -461,15 +461,10 @@ def _estimate_departure_service(state: SubSwarmState, leg: _Leg, ctx: RequestCon
 
 
 def _estimate_arrival_service(state: SubSwarmState, leg: _Leg, ctx: RequestContext) -> NodeService:
-    """Expected charging overhead at the candidate node.
-
-    A stop is predicted there when the onward leg (approximated by the incoming
-    one) would be unaffordable, or when the swarm would top up there. The
-    estimate prices only what actually differs between stations, the queue
-    wait (at the expected queue length) and the energy price; charging time
-    itself is excluded because the total energy a route buys, and hence the
-    time on pads, barely depends on where the stops fall. The destination
-    never charges.
+    """The stop predicted at the candidate node, as ``_stop`` prices it behind
+    the expected queue length: when the onward leg (approximated by the
+    incoming one) would be unaffordable, or when the swarm would top up there.
+    The destination never charges. The scorer counts its wait and cost only.
     """
     if leg.node == ctx.request.destination:
         return NO_SERVICE
@@ -477,8 +472,7 @@ def _estimate_arrival_service(state: SubSwarmState, leg: _Leg, ctx: RequestConte
     expected_q = ctx.energy.queue_draw_max // 2
     if not (_must_charge(post, leg) or _tops_up(state, post, leg.node, ctx, expected_q)):
         return NO_SERVICE
-    _targets, service = _stop(state, post, leg.node, leg, ctx, None, expected_q)
-    return NodeService(0.0, service.wait_s, service.energy_wh, service.cost)
+    return _stop(state, post, leg.node, leg, ctx, None, expected_q)[1]
 
 
 def score_candidates(
@@ -486,19 +480,21 @@ def score_candidates(
 ) -> list[tuple[float, _Leg]]:
     """Weighted incremental QoS value per candidate, best first.
 
-    For each candidate the perceived deltas are: delivery time (travel plus the
-    departure charge this move forces plus the estimated charge at the candidate),
-    flight energy, cost (operating cost plus charging cost) and a constant
-    execution-time tick. Deltas are min-max normalized across the candidate set,
-    oriented so higher is better, weighted by the consumer preferences, and a
-    normalized remaining-distance criterion is mixed in with progress_weight.
+    For each candidate the perceived deltas are: delivery time (travel, the
+    departure stop this move forces, and the wait of the estimated stop at the
+    candidate, whose charge time is left out because the time on pads a route
+    buys barely depends on where its stops fall), flight energy, cost
+    (operating cost plus charging cost) and a constant execution-time tick.
+    Deltas are min-max normalized across the candidate set, oriented so higher
+    is better, weighted by the consumer preferences, and a normalized
+    remaining-distance criterion is mixed in with progress_weight.
     """
     dt_col, ec_col, cost_col, rem_col = [], [], [], []
     for leg in candidates:
         depart = _estimate_departure_service(state, leg, ctx)
         arrive = _estimate_arrival_service(state, leg, ctx)
         travel = leg.length / state.provider.swarm.speed
-        dt_col.append(depart.charge_s + depart.wait_s + travel + arrive.charge_s + arrive.wait_s)
+        dt_col.append(depart.charge_s + depart.wait_s + travel + arrive.wait_s)
         ec_col.append(total(leg.energies))
         cost_col.append(
             depart.cost + arrive.cost + ctx.comp.operating_cost_per_km * leg.length / 1000.0
@@ -562,7 +558,7 @@ def _run_subswarm(state: SubSwarmState, ctx: RequestContext, subswarms: list[Sub
         if (
             state.provider.swarm.dynamic
             and len(subswarms) == 1  # a swarm splits at most once
-            and ctx.network.node(node).pad_count < len(state.loads)
+            and ctx.network.nodes[node].pad_count < len(state.loads)
         ):
             candidates = viable_candidates(state, ctx)
             if len(candidates) >= 2:

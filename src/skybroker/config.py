@@ -147,9 +147,6 @@ class EnergyModelConfig:
         if not self.position_factors:
             raise ConfigurationError("energy config position_factors must be non-empty")
 
-    def formation_factor(self, formation: Formation, wind_sector: int) -> float:
-        return self.formation_factors[formation][wind_sector]
-
     def position_factor(self, slot_index: int) -> float:
         seq = self.position_factors
         return seq[min(slot_index, len(seq) - 1)]

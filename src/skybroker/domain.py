@@ -181,16 +181,13 @@ class QosVector:
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"QoS component {metric} must be finite and non-negative")
 
-    def get(self, metric: str) -> float:
-        return float(getattr(self, metric))
 
-
-def assign_packages(swarm: Swarm, packages: Sequence[float]) -> tuple[float, ...]:
-    """The loads of the drones dispatched for one package per drone: drone i
-    carries the i-th heaviest package, so loads never increase along the swarm.
-    The swarm has a drone for each package and carries the heaviest:
-    ``filter_providers`` rules out every other provider before composition."""
-    return tuple(sorted(map(float, packages), reverse=True))
+def assign_packages(packages: Sequence[float]) -> tuple[float, ...]:
+    """The loads of the drones dispatched for a ``DeliveryRequest``'s float
+    packages, one per drone: drone i carries the i-th heaviest, so loads never
+    increase along the swarm, which has a drone for each package and carries
+    the heaviest (``filter_providers`` rules out every other provider)."""
+    return tuple(sorted(packages, reverse=True))
 
 
 def generate_scenario(
@@ -202,8 +199,8 @@ def generate_scenario(
     ranges: CapabilityRanges,
 ) -> tuple[tuple[Provider, ...], tuple[DeliveryRequest, ...]]:
     """Synthesize a provider fleet and request batch, deterministic for a fixed seed."""
-    if network.n_nodes < 2:
-        raise ValueError(f"a request needs two distinct nodes, the network has {network.n_nodes}")
+    if len(network.nodes) < 2:
+        raise ValueError(f"a request needs two distinct nodes, the network has {len(network.nodes)}")
     rng = random.Random(seed)
     charging_ids = network.charging_providers
     node_ids = sorted(network.nodes)

@@ -37,8 +37,9 @@ class WindField:
         self._memo: dict[tuple[int, int, int], float] = {}
 
     def time_slice(self, elapsed_s: float) -> int:
-        """Index of the time slice the wind is constant over at elapsed_s."""
-        return int(max(elapsed_s, 0.0) // self.slice_s)
+        """Index of the time slice the wind is constant over at elapsed_s, a
+        sub-swarm's delivery time: a sum of non-negative terms from +0.0."""
+        return int(elapsed_s // self.slice_s)
 
     def at(self, a: int, b: int, slice_: int) -> float:
         """Direction the air moves toward over segment a-b in time slice
@@ -95,7 +96,7 @@ def slot_factors(swarm: Swarm, n_slots: int, config: EnergyModelConfig) -> tuple
     table = []
     for sector in range(WIND_SECTORS):
         formation = best_formation(sector, config) if swarm.flexible else swarm.formation
-        factor = config.formation_factor(formation, sector)
+        factor = config.formation_factors[formation][sector]
         table.append(tuple(factor * position for position in positions))
     return tuple(table)
 
@@ -103,9 +104,9 @@ def slot_factors(swarm: Swarm, n_slots: int, config: EnergyModelConfig) -> tuple
 def best_formation(wind_sector: int, config: EnergyModelConfig) -> Formation:
     """Formation with the smallest factor for this wind sector; ties keep enum order."""
     best = FORMATIONS[0]
-    best_factor = config.formation_factor(best, wind_sector)
+    best_factor = config.formation_factors[best][wind_sector]
     for formation in FORMATIONS[1:]:
-        factor = config.formation_factor(formation, wind_sector)
+        factor = config.formation_factors[formation][wind_sector]
         if factor < best_factor:
             best, best_factor = formation, factor
     return best

@@ -346,7 +346,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         "seed": cfg.seed,
         "config_hash": config_hash(cfg),
         "config": asdict(cfg),
-        "network_nodes": network.n_nodes,
+        "network_nodes": len(network.nodes),
         "requests": dict(outcomes),
         "rows": len(rows),
     }

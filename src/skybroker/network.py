@@ -40,7 +40,8 @@ class SkywayNetwork:
     """Undirected geometric graph of charging-station rooftops and line-of-sight segments.
 
     Edges are node pairs; each segment's length is the Euclidean distance
-    between its end nodes, and a pair given twice is one segment.
+    between its end nodes, and a pair given twice is one segment. Neither
+    coordinate spans more than the largest float: the grid's box is finite.
     """
 
     def __init__(self, nodes: Iterable[SkywayNode], edges: Iterable[tuple[int, int]]):
@@ -71,17 +72,14 @@ class SkywayNetwork:
                 raise ValueError(f"segment ({a}, {b}): length must be positive and finite")
             adjacency[a].append((b, length))
             adjacency[b].append((a, length))
+        for axis in ("x", "y"):
+            values = [getattr(node, axis) for node in self.nodes.values()]
+            if max(values) - min(values) == math.inf:
+                raise ValueError(f"network {axis} coordinates span more than the largest float")
         self._adjacency = {nid: tuple(nbrs) for nid, nbrs in adjacency.items()}
         self.charging_providers: tuple[int, ...] = tuple(
             sorted({n.station_owner for n in self.nodes.values()})
         )
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    def node(self, node_id: int) -> SkywayNode:
-        return self.nodes[node_id]
 
     def neighbors(self, node_id: int) -> tuple[tuple[int, float], ...]:
         return self._adjacency[node_id]
@@ -198,7 +196,7 @@ def _largest_component(network: SkywayNetwork) -> SkywayNetwork:
     keep = max(comps, key=lambda c: (len(c), -min(c)))
     warnings.warn(
         f"network is disconnected; keeping the largest component "
-        f"({len(keep)} of {network.n_nodes} nodes)",
+        f"({len(keep)} of {len(network.nodes)} nodes)",
         stacklevel=3,
     )
     return SkywayNetwork(
@@ -443,7 +441,7 @@ def _k_nearest(queries: _Positions, targets: _Positions, k: int, area_m: float) 
     return nearest
 
 
-def synthetic_network(seed: int, n_nodes: int, n_charging_providers: int, area_m: float) -> SkywayNetwork:
+def synthetic_network(seed: int, node_count: int, n_charging_providers: int, area_m: float) -> SkywayNetwork:
     """Seeded random geometric network: each node linked to its K_NEAREST
     nearest others, stitched connected.
 
@@ -461,7 +459,7 @@ def synthetic_network(seed: int, n_nodes: int, n_charging_providers: int, area_m
     the first through its closest cross pair, the least of the outside nodes'
     nearest in the first component, which ``_stitches`` keeps across joins."""
     rng = random.Random(seed)
-    positions = {nid: (rng.uniform(0, area_m), rng.uniform(0, area_m)) for nid in range(1, n_nodes + 1)}
+    positions = {nid: (rng.uniform(0, area_m), rng.uniform(0, area_m)) for nid in range(1, node_count + 1)}
     # Charging companies concentrate in districts (soft Voronoi around seeded
     # anchors) but keep scattered background presence elsewhere, mirroring how
     # real operators cover a city.

@@ -51,7 +51,7 @@ def build_ballots(
         Ballot(
             voter=metric,
             weight=qos_weights[metric],
-            ranking=tuple(sorted(pqos, key=lambda pid: (pqos[pid].get(metric), pid))),
+            ranking=tuple(sorted(pqos, key=lambda pid: (getattr(pqos[pid], metric), pid))),
         )
         for metric in QOS_METRICS
     ]
@@ -162,7 +162,7 @@ def normalized_qos(cohort: Mapping[int, QosVector]) -> dict[int, dict[str, float
     A metric with no spread (at most 1e-12) normalizes to 1 for everyone.
     The cohort is non-empty: the harness skips cohorts with no success.
     """
-    columns = [normalize_lower_better([q.get(m) for q in cohort.values()]) for m in QOS_METRICS]
+    columns = [normalize_lower_better([getattr(q, m) for q in cohort.values()]) for m in QOS_METRICS]
     return {pid: dict(zip(QOS_METRICS, row)) for pid, row in zip(cohort, zip(*columns))}
 
 

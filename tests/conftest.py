@@ -241,7 +241,7 @@ def oracle_tops_up(state, energies, node_id, ctx, queue):
     threshold test an ``any`` over the drones."""
     threshold = ctx.comp.opportunistic_charge_threshold
     swarm, partnership = state.provider.swarm, state.provider.partnership
-    owner = ctx.network.node(node_id).station_owner
+    owner = ctx.network.nodes[node_id].station_owner
     if not (
         not swarm.cooperative
         and node_id != ctx.request.destination
@@ -260,7 +260,7 @@ def oracle_segment_energy(payload_kg, speed, segment_length_m, formation, wind_s
     scalar per-drone formula."""
     power_w = flight_power_w(payload_kg, config)
     seconds = segment_length_m / speed
-    factor = config.formation_factor(formation, wind_sector) * config.position_factor(slot_index)
+    factor = config.formation_factors[formation][wind_sector] * config.position_factor(slot_index)
     return power_w * seconds * factor / 3600.0
 
 

@@ -23,7 +23,7 @@ from skybroker.config import CompositionConfig, EnergyModelConfig, ScenarioLimit
 from skybroker.domain import FORMATIONS, DeliveryRequest, Partnership
 from skybroker.energy import (
     ENERGY_EPS_WH,
-    NodeService,
+    NO_SERVICE,
     WindField,
     node_service_time,
     relative_sector,
@@ -335,7 +335,7 @@ class TestNodeValue:
         comp_cfg = CompositionConfig()
         net = default_network(31, 60)
         hub = max(net.nodes, key=lambda v: len(net.neighbors(v)))
-        dest = max(net.nodes, key=lambda v: math.hypot(net.node(v).x - net.node(hub).x, net.node(v).y - net.node(hub).y))
+        dest = max(net.nodes, key=lambda v: math.hypot(net.nodes[v].x - net.nodes[hub].x, net.nodes[v].y - net.nodes[hub].y))
         provider = simple_provider(battery=10_000.0, charging_provider=99, speed=15)
         req = request(hub, dest, packages=(1.0,), weights={
             "delivery_time": 0.4, "energy": 0.3, "cost": 0.2, "execution_time": 0.1,
@@ -500,7 +500,7 @@ class TestCompositionInvariants:
     def test_paths_terminate_and_reach_destination_on_success(self):
         for provider, ctx, out in self._batch(15):
             for path in out.paths:
-                assert len(path) <= 2 * ctx.network.n_nodes
+                assert len(path) <= 2 * len(ctx.network.nodes)
                 assert path[0] == ctx.request.source
             if out.success:
                 assert all(path[-1] == ctx.request.destination for path in out.paths)
@@ -865,8 +865,9 @@ class TestEstimatesMatchExecutor:
         estimate = composition._estimate_arrival_service(state, leg, ctx)
         composition._traverse(state, leg, ctx)
         topped_up = any(p > 0 for p in state.purchased)
-        assert (estimate != NodeService(0.0, 0.0, 0.0, 0.0)) == topped_up
+        assert (estimate != NO_SERVICE) == topped_up
         if topped_up:
+            assert estimate.charge_s == state.charge_s
             assert estimate.wait_s == state.wait_s
             assert estimate.energy_wh == pytest.approx(sum(state.purchased))
             operating = ctx.comp.operating_cost_per_km * leg.length / 1000.0

@@ -159,7 +159,7 @@ class TestEnergyConfigValidation:
         cfg = EnergyModelConfig()
         winners = set()
         for sector in range(8):
-            best = min(Formation, key=lambda f: (cfg.formation_factor(f, sector), list(Formation).index(f)))
+            best = min(Formation, key=lambda f: (cfg.formation_factors[f][sector], list(Formation).index(f)))
             winners.add(best)
         assert winners == set(Formation)
 
@@ -333,7 +333,7 @@ class TestConfigFile:
         )
         energy, composition = load_config_file(path)
         assert energy.charge_rate_w == 200.0
-        assert energy.formation_factor(Formation.COLUMN, 4) == 1.0
+        assert energy.formation_factors[Formation.COLUMN][4] == 1.0
         assert composition.progress_weight == 0.4
 
     def test_unknown_keys_rejected(self, tmp_path):

@@ -166,10 +166,10 @@ class TestDomainInvariants:
 
 class TestAssignPackages:
     def test_heaviest_first_onto_least_loaded(self):
-        assert assign_packages(make_swarm(size=3), [1.0, 3.0, 2.0]) == (3.0, 2.0, 1.0)
+        assert assign_packages([1.0, 3.0, 2.0]) == (3.0, 2.0, 1.0)
 
     def test_one_package_per_drone_when_feasible(self):
-        assert assign_packages(make_swarm(size=5), [1.0, 1.5]) == (1.5, 1.0)
+        assert assign_packages([1.0, 1.5]) == (1.5, 1.0)
 
     @given(st.integers(1, 8), st.floats(0.5, 3.0), st.lists(st.floats(0.1, 3.0), min_size=1, max_size=10))
     @settings(max_examples=200, deadline=None)
@@ -181,7 +181,7 @@ class TestAssignPackages:
         req = DeliveryRequest(
             request_id=1, source=1, destination=2, packages=tuple(packages), qos_weights={"delivery_time": 1.0}
         )
-        loads = assign_packages(provider.swarm, req.packages)
+        loads = assign_packages(req.packages)
         assert sorted(loads) == sorted(packages) and list(loads) == sorted(loads, reverse=True)
         carried = len(loads) <= size and max(loads) <= payload
         assert bool(filter_providers([provider], req)) == carried

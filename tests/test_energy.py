@@ -132,8 +132,8 @@ class TestBestFormation:
 
 
 class TestSlotFactors:
-    """``slot_factors`` is the one caller of ``formation_factor`` and
-    ``position_factor``; it asks for every wind sector and for slots 0 to
+    """``slot_factors`` is the one caller of ``position_factor`` and reads the
+    formation table directly; it asks for every wind sector and for slots 0 to
     n_slots - 1, and the composer reads its table at ``relative_sector``."""
 
     @pytest.mark.parametrize("n_slots", [1, len(DEFAULT_POSITION_FACTORS), len(DEFAULT_POSITION_FACTORS) + 3])

@@ -619,7 +619,7 @@ class TestCli:
         rc = cli_main(["synth-network", "--nodes", "25", "--seed", "9", "--out", str(out)])
         assert rc == 0
         net = load_network_dump(out.read_text())
-        assert net.n_nodes == 25
+        assert len(net.nodes) == 25
 
     def test_synth_network_zero_area_is_a_one_line_error(self, tmp_path, capsys):
         assert cli_main(["synth-network", "--nodes", "20", "--area", "0", "--out", str(tmp_path / "net.json")]) == 2

@@ -39,7 +39,7 @@ def load(edges, coords, stations):
 class TestLoadNetwork:
     def test_minimal_two_node_segment(self):
         net = load("1 2\n", "1 0 0\n2 100 0\n", "1 1 2\n2 1 3\n")
-        assert net.n_nodes == 2
+        assert len(net.nodes) == 2
         assert net.edges() == [(1, 2)]
         assert net.length(1, 2) == pytest.approx(100.0)
 
@@ -95,7 +95,7 @@ class TestLoadNetwork:
         net = default_network(42, 492)
         edges, coords, stations = network_to_streams(net)
         loaded = load(edges, coords, stations)
-        assert loaded.n_nodes == 492
+        assert len(loaded.nodes) == 492
         assert len(loaded.components()) == 1
         assert dump_network(loaded) == dump_network(net)
 
@@ -323,6 +323,47 @@ class TestRegionGrid:
         assert all(0 <= c < grid.cell_count for c in grid.cell_of.values())
 
 
+def wide_line(step, axis="x"):
+    """41 nodes on one axis at (i - 20) * step, chained by segments, as dump
+    records: [id, x, y, owner, pads] and [a, b]."""
+    nodes = [[i, (i - 20) * step, 0.0, 1, 1] if axis == "x" else [i, 0.0, (i - 20) * step, 1, 1] for i in range(41)]
+    return nodes, [[i, i + 1] for i in range(40)]
+
+
+class TestBoundingBox:
+    """Coordinates are finite and every segment is, yet a bounding box wider
+    than the largest float would give the region grid an infinite span."""
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_model_refuses_a_box_wider_than_the_largest_float(self, axis):
+        nodes, edges = wide_line(5e306, axis)
+        with pytest.raises(ValueError, match=f"^network {axis} coordinates span more than the largest float$"):
+            SkywayNetwork([SkywayNode(*n) for n in nodes], edges)
+
+    def test_dump_loader_refuses_it(self):
+        nodes, edges = wide_line(5e306)
+        with pytest.raises(
+            ParseError, match="^malformed network dump: network x coordinates span more than the largest float$"
+        ):
+            load_network_dump(json.dumps({"nodes": nodes, "edges": edges}))
+
+    def test_text_loader_refuses_it(self):
+        nodes, edges = wide_line(5e306)
+        coords = "".join(f"{i} {x!r} {y!r}\n" for i, x, y, _, _ in nodes)
+        stations = "".join(f"{i} 1 1\n" for i, *_ in nodes)
+        with pytest.raises(ParseError, match="^network x coordinates span more than the largest float$"):
+            load("".join(f"{a} {b}\n" for a, b in edges), coords, stations)
+
+    @pytest.mark.parametrize("resolution", [2, 8, 256])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_a_box_just_inside_the_limit_gets_a_grid(self, axis, resolution):
+        nodes, edges = wide_line(4e306, axis)  # [-8e307, 8e307]
+        net = SkywayNetwork([SkywayNode(*n) for n in nodes], edges)
+        grid = build_region_grid(net, resolution)
+        assert set(grid.cell_of) == set(net.nodes)
+        assert all(0 <= c < resolution * resolution for c in grid.cell_of.values())
+
+
 class TestHeatmaps:
     def test_single_station_single_cell(self):
         nodes = [SkywayNode(1, 0, 0, 7, 3), SkywayNode(2, 100, 100, 8, 1)]
@@ -547,7 +588,7 @@ class TestSyntheticNetwork:
         for a in net.nodes:
             for b in net.nodes:
                 if a < b:
-                    na, nb = net.node(a), net.node(b)
+                    na, nb = net.nodes[a], net.nodes[b]
                     complete.add_edge(a, b, weight=math.hypot(na.x - nb.x, na.y - nb.y))
         mst = nx.minimum_spanning_tree(complete)
         assert net.edges() == sorted((min(e), max(e)) for e in mst.edges)
@@ -588,5 +629,5 @@ class TestSyntheticNetwork:
     def test_segment_lengths_euclidean(self):
         net = default_network(3, 40)
         for a, b in net.edges():
-            na, nb = net.node(a), net.node(b)
+            na, nb = net.nodes[a], net.nodes[b]
             assert net.length(a, b) == net.length(b, a) == pytest.approx(math.hypot(na.x - nb.x, na.y - nb.y))

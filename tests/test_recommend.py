@@ -110,7 +110,7 @@ class TestBuildBallots:
             )
             ballots = build_ballots(table, EQUAL_WEIGHTS)
             for b in ballots:
-                expected = tuple(sorted(table, key=lambda pid: (table[pid].get(b.voter), pid)))
+                expected = tuple(sorted(table, key=lambda pid: (getattr(table[pid], b.voter), pid)))
                 assert b.ranking == expected
 
 
@@ -288,7 +288,7 @@ class TestTopWeight:
             raw = {m: rng.uniform(0.05, 1) for m in QOS_METRICS}
             weights = normalize_weights(raw)
             metric = max(QOS_METRICS, key=lambda m: weights[m])
-            expected = min(table, key=lambda pid: (table[pid].get(metric), pid))
+            expected = min(table, key=lambda pid: (getattr(table[pid], metric), pid))
             assert top_weight(build_ballots(table, weights)) == expected
 
 

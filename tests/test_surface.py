@@ -17,6 +17,10 @@ energy, recommendation) trusts its inputs and states in its docstring which
 of those owners guarantees them, and its tests test the owner, not a second
 check.
 
+A function reads every parameter it takes: a parameter no body reads is an
+input callers must still build and pass for nothing. Only a lambda may
+ignore its argument, as a field rule that holds for every value does.
+
 Totals go through ``domain.total``, a left fold: from Python 3.12 the builtin
 ``sum()`` of floats is compensated and rounds differently, so one float total
 through it changes the output bytes with the interpreter.
@@ -69,6 +73,37 @@ def test_only_allowlisted_parameter_defaults():
 def test_scan_sees_every_kind_of_default():
     source = "def f(a, b=1, *, c=2, d): pass\nclass K:\n    def g(self, e=None): pass\ng = lambda h=0: h\n"
     assert defaulted_parameters(source) == {("f", "b"), ("f", "c"), ("g", "e"), ("<lambda>", "h")}
+
+
+def unread_parameters(source: str) -> set[tuple[str, str]]:
+    """(function, parameter) for every parameter of a def in source, other
+    than self, that its body never names."""
+    pairs = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + [args.vararg] + args.kwonlyargs + [args.kwarg]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        pairs |= {(node.name, a.arg) for a in params if a is not None and a.arg != "self" and a.arg not in read}
+    return pairs
+
+
+def test_every_parameter_is_read():
+    found = set()
+    for path in sorted(Path(skybroker.__file__).parent.glob("*.py")):
+        found |= unread_parameters(path.read_text())
+    assert found == set()
+
+
+def test_scan_sees_every_kind_of_parameter():
+    source = (
+        "def f(a, /, b, *c, d, **e):\n    return a + c\n"
+        "class K:\n    def g(self, h=1):\n        return self\n"
+        "k = lambda i: 0\n"
+        "def n(o, p):\n    def inner(q):\n        return o + q\n    return inner\n"
+    )
+    assert unread_parameters(source) == {("f", "b"), ("f", "d"), ("f", "e"), ("g", "h"), ("n", "p")}
 
 
 def sum_references(source: str) -> list[int]:
