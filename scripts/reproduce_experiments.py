@@ -51,14 +51,14 @@ def main(argv=None) -> int:
 
     for cfg in configs:
         result = run_experiment(cfg, out_dir=args.out / f"seed_{cfg.seed:02d}")
-        table = {(e["strategy"], e["method"], e["k_percent"]): e for e in result.summary}
+        table = {(e.strategy, e.method, e.k_percent): e for e in result.summary}
         for s in STRATEGIES:
-            by_strategy[s].append(table[(s, "irv", 50.0)]["mean_satisfaction"])
+            by_strategy[s].append(table[(s, "irv", 50.0)].mean_satisfaction)
         for m in VOTING_METHODS:
-            by_method[m].append(table[("density", m, 50.0)]["mean_satisfaction"])
+            by_method[m].append(table[("density", m, 50.0)].mean_satisfaction)
         for k in K_VALUES:
-            by_k[k]["satisfaction"].append(table[("density", "irv", k)]["mean_satisfaction"])
-            by_k[k]["proxy"].append(table[("density", "irv", k)]["mean_proxy_time"])
+            by_k[k]["satisfaction"].append(table[("density", "irv", k)].mean_satisfaction)
+            by_k[k]["proxy"].append(table[("density", "irv", k)].mean_proxy_time)
         print(f"seed {cfg.seed}: done ({result.manifest['requests']})")
 
     print("\npruning strategies (IRV, k=50), mean satisfaction over seeds:")

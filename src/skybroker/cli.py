@@ -109,9 +109,9 @@ def _run_command(args: argparse.Namespace) -> int:
     print(header)
     for entry in result.summary:
         print(
-            f"{entry['strategy']:<14}{entry['method']:<12}{entry['k_percent']:>6g}  "
-            f"{entry['mean_satisfaction']:>10.4f}  {entry['mean_proxy_time']:>12.1f}  "
-            f"{entry['failure_rate']:>9.3f}"
+            f"{entry.strategy:<14}{entry.method:<12}{entry.k_percent:>6g}  "
+            f"{entry.mean_satisfaction:>10.4f}  {entry.mean_proxy_time:>12.1f}  "
+            f"{entry.failure_rate:>9.3f}"
         )
     for name, value in result.trends.items():
         shown = "null" if value is None else f"{value:.3f}"

@@ -250,8 +250,12 @@ def _factor_row(value: object, name: str) -> tuple[float, ...]:
 
 
 def load_config_file(path: str | Path) -> tuple[EnergyModelConfig, CompositionConfig]:
-    """Load overrides from a JSON file with optional "energy"/"composition" sections."""
-    data = json.loads(Path(path).read_text())
+    """Load overrides from a JSON file with optional "energy"/"composition"
+    sections. A file that is not UTF-8 JSON is refused in one line naming it."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise ConfigurationError(f"config file {path} is not UTF-8 JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a JSON object")
     unknown = set(data) - {"energy", "composition"}

@@ -3,7 +3,10 @@
 Reproduces the paper-style experiments at desk scale: pruning-strategy
 comparison, k-percent sweep and vote-count-system comparison. Every run is a
 pure function of its config, and the emitted CSV bytes are identical across
-repeat runs.
+repeat runs. The results are records: a ``Row`` for each winner of a (request,
+strategy, k, method) and a ``SummaryRow`` for each (strategy, method, k)'s
+means. A record type's fields are its CSV's columns, in order, and a record
+can carry no other.
 
 Each request that passes the filter runs in three stages:
 
@@ -58,12 +61,12 @@ import csv
 import hashlib
 import io
 import json
-import operator
 import statistics
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .composition import compose, request_context
 from .config import (
@@ -162,46 +165,52 @@ class ExperimentConfig:
                 raise ConfigurationError(f"unknown voting method {method!r}")
 
 
-PER_REQUEST_FIELDS = [
-    "seed",
-    "request_id",
-    "strategy",
-    "k_percent",
-    "method",
-    "winner",
-    "cohort_size",
-    "cohort_successes",
-    "delivery_time",
-    "energy",
-    "cost",
-    "execution_time",
-    "satisfaction",
-    *[f"nhat_{m}" for m in QOS_METRICS],
-    *[f"w_{m}" for m in QOS_METRICS],
-    "proxy_time",
-    "recommend_ops",
-    "paradox",
-    "wall_s",
-]
+Row = namedtuple(
+    "Row",
+    [
+        "seed",
+        "request_id",
+        "strategy",
+        "k_percent",
+        "method",
+        "winner",
+        "cohort_size",
+        "cohort_successes",
+        "delivery_time",
+        "energy",
+        "cost",
+        "execution_time",
+        "satisfaction",
+        *[f"nhat_{m}" for m in QOS_METRICS],
+        *[f"w_{m}" for m in QOS_METRICS],
+        "proxy_time",
+        "recommend_ops",
+        "paradox",
+        "wall_s",
+    ],
+)
 
-SUMMARY_FIELDS = [
-    "seed",
-    "strategy",
-    "method",
-    "k_percent",
-    "requests_served",
-    "mean_satisfaction",
-    "std_satisfaction",
-    "mean_proxy_time",
-    "mean_recommend_ops",
-    "failure_rate",
-]
+SummaryRow = namedtuple(
+    "SummaryRow",
+    [
+        "seed",
+        "strategy",
+        "method",
+        "k_percent",
+        "requests_served",
+        "mean_satisfaction",
+        "std_satisfaction",
+        "mean_proxy_time",
+        "mean_recommend_ops",
+        "failure_rate",
+    ],
+)
 
 
 @dataclass
 class ExperimentResult:
-    rows: list[dict]
-    summary: list[dict]
+    rows: list[Row]
+    summary: list[SummaryRow]
     trends: dict[str, float | None]
     manifest: dict
 
@@ -245,7 +254,7 @@ def _process_request(
     heatmaps,
     seeds: Seeds,
     cfg: ExperimentConfig,
-) -> tuple[list[dict], str]:
+) -> tuple[list[Row], str]:
     filtered = filter_providers(providers, request)
     if not filtered:
         return [], "rejected"
@@ -295,29 +304,15 @@ def _process_request(
         nhat_table, sat_table, elected = votes[key]
         for method, winner, ops, paradox in elected:
             pqos = cohort_pqos[winner]
-            row = {
-                "seed": cfg.seed,
-                "request_id": request.request_id,
-                "strategy": strategy,
-                "k_percent": k,
-                "method": method,
-                "winner": winner,
-                "cohort_size": len(cohort_outcomes),
-                "cohort_successes": len(cohort_pqos),
-                "delivery_time": pqos.delivery_time,
-                "energy": pqos.energy,
-                "cost": pqos.cost,
-                "execution_time": pqos.execution_time,
-                "satisfaction": sat_table[winner],
-                "proxy_time": proxy,
-                "recommend_ops": ops,
-                "paradox": int(paradox),
-                "wall_s": wall_s,
-            }
-            for m in QOS_METRICS:
-                row[f"nhat_{m}"] = nhat_table[winner][m]
-                row[f"w_{m}"] = request.qos_weights[m]
-            rows.append(row)
+            rows.append(
+                Row(
+                    cfg.seed, request.request_id, strategy, k, method, winner, len(cohort_outcomes), len(cohort_pqos),
+                    pqos.delivery_time, pqos.energy, pqos.cost, pqos.execution_time, sat_table[winner],
+                    *[nhat_table[winner][m] for m in QOS_METRICS],
+                    *[request.qos_weights[m] for m in QOS_METRICS],
+                    proxy, ops, int(paradox), wall_s,
+                )
+            )
     return rows, "served"
 
 
@@ -331,7 +326,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     )
     seeds = Seeds.from_master(cfg.seed)
 
-    rows: list[dict] = []
+    rows: list[Row] = []
     outcomes = {"served": 0, "rejected": 0, "unserved": 0}
     for request in requests:
         request_rows, status = _process_request(
@@ -339,7 +334,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         )
         outcomes[status] += 1
         rows.extend(request_rows)
-    rows.sort(key=lambda r: (r["request_id"], r["strategy"], r["k_percent"], r["method"]))
+    rows.sort(key=lambda r: (r.request_id, r.strategy, r.k_percent, r.method))
 
     summary, trends = aggregate(rows)
     manifest = {
@@ -381,48 +376,43 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
         return None
 
 
-def aggregate(rows: Sequence[Mapping]) -> tuple[list[dict], dict[str, float | None]]:
-    """(summary, trends): mean/stddev per (strategy, method, k) plus
-    satisfaction/runtime trends vs k. A run writes at most one row per
-    (request, strategy, k, method), so a group's rows are its requests."""
-    groups: dict[tuple, list[Mapping]] = {}
+def aggregate(rows: Sequence[Row]) -> tuple[list[SummaryRow], dict[str, float | None]]:
+    """(summary, trends): a SummaryRow of mean/stddev per (strategy, method,
+    k) of the Row records, plus satisfaction/runtime trends vs k. A run writes
+    at most one row per (request, strategy, k, method), so a group's rows are
+    its requests."""
+    groups: dict[tuple, list[Row]] = {}
     for row in rows:
-        groups.setdefault((row["strategy"], row["method"], row["k_percent"]), []).append(row)
+        groups.setdefault((row.strategy, row.method, row.k_percent), []).append(row)
 
     summary = []
     for (strategy, method, k), members in sorted(groups.items()):
-        sats = [r["satisfaction"] for r in members]
-        proxies = [r["proxy_time"] for r in members]
-        composed = total(r["cohort_size"] for r in members)
-        failed = total(r["cohort_size"] - r["cohort_successes"] for r in members)
+        sats = [r.satisfaction for r in members]
+        composed = total(r.cohort_size for r in members)
+        failed = total(r.cohort_size - r.cohort_successes for r in members)
         summary.append(
-            {
-                "seed": members[0]["seed"],
-                "strategy": strategy,
-                "method": method,
-                "k_percent": k,
-                "requests_served": len(members),
-                "mean_satisfaction": statistics.fmean(sats),
-                "std_satisfaction": statistics.pstdev(sats),
-                "mean_proxy_time": statistics.fmean(proxies),
-                "mean_recommend_ops": statistics.fmean([r["recommend_ops"] for r in members]),
-                "failure_rate": failed / composed if composed else 0.0,
-            }
+            SummaryRow(
+                members[0].seed, strategy, method, k, len(members),
+                statistics.fmean(sats), statistics.pstdev(sats),
+                statistics.fmean([r.proxy_time for r in members]),
+                statistics.fmean([r.recommend_ops for r in members]),
+                failed / composed if composed else 0.0,
+            )
         )
 
     trends: dict[str, float | None] = {}
-    by_pair: dict[tuple, dict[float, dict]] = {}
+    by_pair: dict[tuple, dict[float, SummaryRow]] = {}
     for entry in summary:
-        by_pair.setdefault((entry["strategy"], entry["method"]), {})[entry["k_percent"]] = entry
+        by_pair.setdefault((entry.strategy, entry.method), {})[entry.k_percent] = entry
     for (strategy, method), per_k in sorted(by_pair.items()):
         if len(per_k) < 2:
             continue
         ks = sorted(per_k)
         trends[f"{strategy}/{method}/satisfaction_vs_k"] = spearman(
-            ks, [per_k[k]["mean_satisfaction"] for k in ks]
+            ks, [per_k[k].mean_satisfaction for k in ks]
         )
         trends[f"{strategy}/{method}/proxy_time_vs_k"] = spearman(
-            ks, [per_k[k]["mean_proxy_time"] for k in ks]
+            ks, [per_k[k].mean_proxy_time for k in ks]
         )
     return summary, trends
 
@@ -433,32 +423,20 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _render_csv(fieldnames: Sequence[str], rows: Sequence[Mapping]) -> str:
-    """A header of fieldnames, then each row's values in that order. A row
-    whose keys are not exactly fieldnames raises a ValueError naming the
-    missing and the extra keys."""
+def _render_csv(record_type: type, rows: Sequence[tuple]) -> str:
+    """A header of record_type's fields, then each row's values in that order."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(fieldnames)
-    # a row with as many keys as there are fields, all of them found, has no other key
-    try:
-        if all(len(row) == len(fieldnames) for row in rows):
-            writer.writerows(map(operator.itemgetter(*fieldnames), rows))
-            return buffer.getvalue()
-    except KeyError:
-        pass
-    fields = set(fieldnames)
-    keys = next(row.keys() for row in rows if row.keys() != fields)
-    raise ValueError(
-        f"CSV row keys differ from the fields: missing {sorted(fields - keys)}, extra {sorted(keys - fields)}"
-    )
+    writer.writerow(record_type._fields)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "per_request.csv").write_text(_render_csv(PER_REQUEST_FIELDS, result.rows))
-    (out / "summary.csv").write_text(_render_csv(SUMMARY_FIELDS, result.summary))
+    (out / "per_request.csv").write_text(_render_csv(Row, result.rows))
+    (out / "summary.csv").write_text(_render_csv(SummaryRow, result.summary))
     (out / "manifest.json").write_text(
         json.dumps(result.manifest, indent=2, sort_keys=True) + "\n"
     )

@@ -49,7 +49,7 @@ def report(name, passed, detail):
 
 
 def summary_lookup(result):
-    return {(e["strategy"], e["method"], e["k_percent"]): e for e in result.summary}
+    return {(e.strategy, e.method, e.k_percent): e for e in result.summary}
 
 
 def test_pruning_strategy_ordering(battery):
@@ -63,7 +63,7 @@ def test_pruning_strategy_ordering(battery):
         run = battery[seed]
         slowest = max(slowest, run.wall_s)
         table = summary_lookup(run.result)
-        per_seed = {s: table[(s, "irv", 50.0)]["mean_satisfaction"] for s in STRATEGIES}
+        per_seed = {s: table[(s, "irv", 50.0)].mean_satisfaction for s in STRATEGIES}
         for s in STRATEGIES:
             means[s].append(per_seed[s])
         if per_seed["density"] >= per_seed["capabilities"]:
@@ -89,11 +89,11 @@ def test_pruning_runtime_proxy(battery):
         totals = {"brute": 0.0, "density": 0.0}
         seen = set()
         for row in battery[seed].result.rows:
-            key = (row["request_id"], row["strategy"])
-            if row["k_percent"] != 50.0 or row["strategy"] not in totals or key in seen:
+            key = (row.request_id, row.strategy)
+            if row.k_percent != 50.0 or row.strategy not in totals or key in seen:
                 continue
             seen.add(key)
-            totals[row["strategy"]] += row["proxy_time"]
+            totals[row.strategy] += row.proxy_time
         worst = max(worst, totals["density"] / totals["brute"])
     report(
         "pruning-runtime-proxy",
@@ -110,8 +110,8 @@ def test_k_sweep_monotonicity(battery):
     for seed in SEEDS:
         table = summary_lookup(battery[seed].result)
         for k in K_VALUES:
-            sat[k].append(table[("density", "irv", k)]["mean_satisfaction"])
-            proxy[k].append(table[("density", "irv", k)]["mean_proxy_time"])
+            sat[k].append(table[("density", "irv", k)].mean_satisfaction)
+            proxy[k].append(table[("density", "irv", k)].mean_proxy_time)
     mean_sat = [statistics.fmean(sat[k]) for k in K_VALUES]
     mean_proxy = [statistics.fmean(proxy[k]) for k in K_VALUES]
     rho_sat = spearman(list(K_VALUES), mean_sat)
@@ -134,7 +134,7 @@ def test_voting_comparison(battery):
     borda_best = 0
     for seed in SEEDS:
         table = summary_lookup(battery[seed].result)
-        means = {m: table[("density", m, 50.0)]["mean_satisfaction"] for m in METHODS}
+        means = {m: table[("density", m, 50.0)].mean_satisfaction for m in METHODS}
         for m in ranked:
             if means[m] >= means["topweight"]:
                 beats[m] += 1
@@ -155,14 +155,14 @@ def test_condorcet_operation_cost(battery):
     for seed in SEEDS:
         by_request = {}
         for row in battery[seed].result.rows:
-            if row["strategy"] == "density" and row["k_percent"] == 50.0:
-                by_request.setdefault(row["request_id"], {})[row["method"]] = row
+            if row.strategy == "density" and row.k_percent == 50.0:
+                by_request.setdefault(row.request_id, {})[row.method] = row
         for rows in by_request.values():
-            if len(rows) < len(METHODS) or rows["condorcet"]["cohort_successes"] < 4:
+            if len(rows) < len(METHODS) or rows["condorcet"].cohort_successes < 4:
                 continue
             checked += 1
-            cond = rows["condorcet"]["recommend_ops"]
-            assert all(cond > rows[m]["recommend_ops"] for m in ("plurality", "irv", "borda"))
+            cond = rows["condorcet"].recommend_ops
+            assert all(cond > rows[m].recommend_ops for m in ("plurality", "irv", "borda"))
     report(
         "condorcet-operation-cost",
         checked > 100,

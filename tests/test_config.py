@@ -271,7 +271,7 @@ class TestPhysicalBounds:
         )
         rows = run_experiment(cfg).rows
         assert rows
-        numbers = [v for row in rows for v in row.values() if isinstance(v, float)]
+        numbers = [v for row in rows for v in row if isinstance(v, float)]
         assert all(math.isfinite(v) for v in numbers)
 
 
@@ -313,7 +313,7 @@ class TestExtremeValues:
                 message = str(refused)
                 assert message.startswith(f"{section} config ") and f.name in message and "\n" not in message, message
                 continue
-            numbers = [v for row in run_experiment(cfg).rows for v in row.values() if isinstance(v, float)]
+            numbers = [v for row in run_experiment(cfg).rows for v in row if isinstance(v, float)]
             assert all(math.isfinite(v) for v in numbers), (f.name, value)
 
 
@@ -335,6 +335,13 @@ class TestConfigFile:
         assert energy.charge_rate_w == 200.0
         assert energy.formation_factors[Formation.COLUMN][4] == 1.0
         assert composition.progress_weight == 0.4
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"energy"', "null"])
+    def test_a_file_that_is_not_a_json_object_refused(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="^config file must hold a JSON object$"):
+            load_config_file(path)
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -16,6 +16,8 @@ from skybroker.config import ConfigurationError, ScenarioLimits, Seeds
 from skybroker.domain import QOS_METRICS, generate_scenario
 from skybroker.harness import (
     ExperimentConfig,
+    Row,
+    SummaryRow,
     aggregate,
     build_network,
     config_hash,
@@ -75,17 +77,17 @@ def exact_spearman(xs, ys):
 
 class TestAggregate:
     def test_single_row_mean_is_value_std_zero(self):
-        row = {
-            "seed": 1, "request_id": 1, "strategy": "brute", "method": "irv",
-            "k_percent": 50.0, "satisfaction": 0.25, "proxy_time": 100,
-            "recommend_ops": 4, "cohort_size": 3, "cohort_successes": 3,
-        }
+        row = Row._make([None] * len(Row._fields))._replace(
+            seed=1, request_id=1, strategy="brute", method="irv",
+            k_percent=50.0, satisfaction=0.25, proxy_time=100,
+            recommend_ops=4, cohort_size=3, cohort_successes=3,
+        )
         summary, _trends = aggregate([row])
         assert len(summary) == 1
         entry = summary[0]
-        assert entry["mean_satisfaction"] == 0.25
-        assert entry["std_satisfaction"] == 0.0
-        assert entry["failure_rate"] == 0.0
+        assert entry.mean_satisfaction == 0.25
+        assert entry.std_satisfaction == 0.0
+        assert entry.failure_rate == 0.0
 
     def test_constant_column_correlation_reported_null(self):
         assert spearman([1, 1, 1], [2, 3, 4]) is None
@@ -105,16 +107,16 @@ class TestAggregate:
                 assert got == pytest.approx(expected, abs=1e-12)
 
     def test_means_match_independent_recomputation(self, small_result):
-        summary = {(e["strategy"], e["method"], e["k_percent"]): e for e in small_result.summary}
+        summary = {(e.strategy, e.method, e.k_percent): e for e in small_result.summary}
         groups = {}
         for row in small_result.rows:
-            groups.setdefault((row["strategy"], row["method"], row["k_percent"]), []).append(row)
+            groups.setdefault((row.strategy, row.method, row.k_percent), []).append(row)
         for key, members in groups.items():
-            assert summary[key]["mean_satisfaction"] == pytest.approx(
-                statistics.fmean(r["satisfaction"] for r in members)
+            assert summary[key].mean_satisfaction == pytest.approx(
+                statistics.fmean(r.satisfaction for r in members)
             )
-            assert summary[key]["mean_proxy_time"] == pytest.approx(
-                statistics.fmean(r["proxy_time"] for r in members)
+            assert summary[key].mean_proxy_time == pytest.approx(
+                statistics.fmean(r.proxy_time for r in members)
             )
 
     def test_trends_computed_across_k(self):
@@ -130,7 +132,7 @@ class TestAggregate:
         """aggregate counts a group's rows as its served requests, which holds
         because a run writes at most one row per (request, strategy, k, method)."""
         for result in (small_result, battery[1].result):
-            keys = [(r["request_id"], r["strategy"], r["k_percent"], r["method"]) for r in result.rows]
+            keys = [(r.request_id, r.strategy, r.k_percent, r.method) for r in result.rows]
             assert len(set(keys)) == len(keys)
 
 
@@ -138,27 +140,27 @@ class TestRunExperiment:
     def test_row_schema_and_sanity(self, small_result):
         assert small_result.rows
         for row in small_result.rows:
-            assert row["strategy"] in ("brute", "density")
-            assert row["method"] in ("irv", "borda")
-            assert 1 <= row["cohort_successes"] <= row["cohort_size"]
-            assert row["proxy_time"] > 0
-            assert row["recommend_ops"] >= 1
-            assert row["paradox"] in (0, 1)
+            assert row.strategy in ("brute", "density")
+            assert row.method in ("irv", "borda")
+            assert 1 <= row.cohort_successes <= row.cohort_size
+            assert row.proxy_time > 0
+            assert row.recommend_ops >= 1
+            assert row.paradox in (0, 1)
 
     def test_satisfaction_recomputes_from_logged_values(self, small_result):
         for row in small_result.rows:
             recomputed = statistics.fmean(
-                row[f"w_{m}"] * (row[f"nhat_{m}"] - row[f"w_{m}"]) for m in QOS_METRICS
+                getattr(row, f"w_{m}") * (getattr(row, f"nhat_{m}") - getattr(row, f"w_{m}")) for m in QOS_METRICS
             )
-            assert row["satisfaction"] == pytest.approx(recomputed, abs=1e-12)
+            assert row.satisfaction == pytest.approx(recomputed, abs=1e-12)
 
     def test_brute_cohort_is_never_smaller(self, small_result):
         by_request = {}
         for row in small_result.rows:
-            by_request.setdefault(row["request_id"], {})[row["strategy"]] = row
+            by_request.setdefault(row.request_id, {})[row.strategy] = row
         for rows in by_request.values():
             if {"brute", "density"} <= set(rows):
-                assert rows["brute"]["cohort_size"] >= rows["density"]["cohort_size"]
+                assert rows["brute"].cohort_size >= rows["density"].cohort_size
 
     def test_identical_output_bytes_across_runs(self, tmp_path):
         cfg = small_config()
@@ -202,7 +204,7 @@ class TestRunExperiment:
 
     def test_wallclock_mode_fills_column(self):
         result = run_experiment(small_config(n_requests=2, measure_wallclock=True))
-        assert any(row["wall_s"] > 0 for row in result.rows)
+        assert any(row.wall_s > 0 for row in result.rows)
 
 
 def dict_writer_csv(fieldnames, rows):
@@ -215,27 +217,20 @@ def dict_writer_csv(fieldnames, rows):
 
 
 class TestRenderCsv:
+    def test_a_run_with_no_rows_writes_both_headers(self, tmp_path):
+        # no swarm flies across the largest area, so every request is unserved
+        cfg = ExperimentConfig(area_m=1e150, synthetic_nodes=20, n_providers=3, n_requests=2)
+        assert run_experiment(cfg, out_dir=tmp_path).rows == []
+        for name, record_type in (("per_request.csv", Row), ("summary.csv", SummaryRow)):
+            assert (tmp_path / name).read_text() == ",".join(record_type._fields) + "\n"
+
     def test_matches_dict_writer_on_the_battery(self, battery):
         result = battery[1].result
-        for fieldnames, rows in ((harness.PER_REQUEST_FIELDS, result.rows), (harness.SUMMARY_FIELDS, result.summary)):
+        for record_type, rows in ((Row, result.rows), (SummaryRow, result.summary)):
             assert rows
-            assert harness._render_csv(fieldnames, rows) == dict_writer_csv(fieldnames, rows)
-
-    @pytest.mark.parametrize(
-        "drop, add, named",
-        [
-            ("seed", None, r"missing \['seed'\], extra \[\]$"),
-            (None, "winner", r"missing \[\], extra \['winner'\]$"),
-            ("seed", "winner", r"missing \['seed'\], extra \['winner'\]$"),
-        ],
-    )
-    def test_row_keys_other_than_the_fields_refused(self, drop, add, named):
-        good = dict.fromkeys(harness.SUMMARY_FIELDS, 1.5)
-        bad = {key: value for key, value in good.items() if key != drop}
-        if add is not None:
-            bad[add] = 2
-        with pytest.raises(ValueError, match=f"^CSV row keys differ from the fields: {named}"):
-            harness._render_csv(harness.SUMMARY_FIELDS, [good, bad, good])
+            assert harness._render_csv(record_type, rows) == dict_writer_csv(
+                record_type._fields, [row._asdict() for row in rows]
+            )
 
 
 def eager_process_request(request, providers, network, grid, heatmaps, seeds, cfg):
@@ -266,29 +261,17 @@ def eager_process_request(request, providers, network, grid, heatmaps, seeds, cf
             for method in cfg.voting_methods:
                 winner, ops, paradox = harness._run_method(method, ballots, request, seeds)
                 pqos = outcomes[winner].pqos
-                row = {
-                    "seed": cfg.seed,
-                    "request_id": request.request_id,
-                    "strategy": strategy,
-                    "k_percent": k,
-                    "method": method,
-                    "winner": winner,
-                    "cohort_size": len(cohort_outcomes),
-                    "cohort_successes": len(successes),
-                    "delivery_time": pqos.delivery_time,
-                    "energy": pqos.energy,
-                    "cost": pqos.cost,
-                    "execution_time": pqos.execution_time,
-                    "satisfaction": sat_table[winner],
-                    "proxy_time": proxy,
-                    "recommend_ops": ops,
-                    "paradox": int(paradox),
-                    "wall_s": 0.0,
-                }
-                for m in QOS_METRICS:
-                    row[f"nhat_{m}"] = nhat_table[winner][m]
-                    row[f"w_{m}"] = request.qos_weights[m]
-                rows.append(row)
+                rows.append(
+                    Row(
+                        cfg.seed, request.request_id, strategy, k, method, winner,
+                        len(cohort_outcomes), len(successes),
+                        pqos.delivery_time, pqos.energy, pqos.cost, pqos.execution_time,
+                        sat_table[winner],
+                        *[nhat_table[winner][m] for m in QOS_METRICS],
+                        *[request.qos_weights[m] for m in QOS_METRICS],
+                        proxy, ops, int(paradox), 0.0,
+                    )
+                )
     return rows, "served"
 
 
@@ -603,6 +586,19 @@ class TestCli:
         assert cli_main(["run", "--synthetic", "20", "--config", str(cfg_file)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("skybroker: error: ") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"energy": {"charge_rate_w": 200.0,}}', b'{"energy": {}}\xff'],
+        ids=["trailing_comma", "not_utf8"],
+    )
+    def test_undecodable_config_file_is_a_one_line_error_naming_it(self, tmp_path, content, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_bytes(content)
+        assert cli_main(["run", "--synthetic", "20", "--requests", "2", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"skybroker: error: config file {cfg_file} is not UTF-8 JSON: ")
         assert err.count("\n") == 1
 
     def test_unknown_formation_in_config_is_a_one_line_error(self, tmp_path, capsys):

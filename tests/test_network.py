@@ -55,6 +55,26 @@ class TestLoadNetwork:
         with pytest.raises(ParseError, match="node 2 has no station record"):
             load("1 2\n", "1 0 0\n2 100 0\n", "1 1 2\n")
 
+    def test_blank_and_comment_lines_skipped_but_counted(self):
+        plain = load("1 2\n", "1 0 0\n2 100 0\n", "1 1 2\n2 1 3\n")
+        commented = load("# a b\n\n1 2\n", "\n# id x y\n1 0 0\n   \n2 100 0\n", "1 1 2\n# id owner pads\n2 1 3\n\n")
+        assert dump_network(commented) == dump_network(plain)
+        with pytest.raises(ParseError, match=r"^coords line 4: expected 3 fields, got 2: '2 100'$"):
+            load("1 2\n", "# id x y\n\n1 0 0\n2 100\n", "1 1 2\n2 1 3\n")
+
+    @pytest.mark.parametrize(
+        "coords, stations, message",
+        [
+            ("1 0 0\n2 100 0\n1 5 5\n", "1 1 2\n2 1 3\n", "coords line 3: duplicate node 1"),
+            ("1 0 0\n2 100 0\n", "1 1 2\n2 1 3\n7 1 1\n", "stations line 3: node 7 has no coordinates"),
+            ("1 0 0\n2 100 0\n", "1 1 2\n2 1 3\n1 2 2\n", "stations line 3: duplicate station record for node 1"),
+        ],
+        ids=["duplicate_coords", "station_without_coords", "duplicate_station"],
+    )
+    def test_bad_node_record_refused_naming_its_line(self, coords, stations, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            load("1 2\n", coords, stations)
+
     def test_empty_input_rejected(self):
         with pytest.raises(ParseError, match="empty"):
             load("", "", "")

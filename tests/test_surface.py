@@ -12,10 +12,9 @@ that they set with ``monkeypatch``, as ``network.K_NEAREST`` is.
 
 A precondition is checked once, where its value enters the program: by a
 config's field rules, a loader, the network model, a domain constructor or
-scenario generation, or the CSV writer. A stage module (pruning, composition,
-energy, recommendation) trusts its inputs and states in its docstring which
-of those owners guarantees them, and its tests test the owner, not a second
-check.
+scenario generation. A stage module (pruning, composition, energy,
+recommendation) trusts its inputs and states in its docstring which of those
+owners guarantees them, and its tests test the owner, not a second check.
 
 A function reads every parameter it takes: a parameter no body reads is an
 input callers must still build and pass for nothing. Only a lambda may
