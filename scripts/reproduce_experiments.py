@@ -44,6 +44,10 @@ def main(argv=None) -> int:
         configs = [ExperimentConfig(**config, seed=seed) for seed in range(1, args.seeds + 1)]
     except ConfigurationError as exc:
         parser.error(str(exc))
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"cannot create --out directory {args.out}: {exc.strerror}")
 
     by_strategy = {s: [] for s in STRATEGIES}
     by_method = {m: [] for m in VOTING_METHODS}

@@ -96,6 +96,11 @@ def main(argv=None) -> int:
         configs = [ExperimentConfig(**{**CITY.config, **run, "synthetic_nodes": nodes}) for nodes in args.nodes]
     except ConfigurationError as exc:
         parser.error(str(exc))
+    if args.out:
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"cannot create --out directory {args.out}: {exc.strerror}")
 
     with tempfile.TemporaryDirectory() as scratch:
         root = args.out or Path(scratch)

@@ -249,12 +249,21 @@ def _factor_row(value: object, name: str) -> tuple[float, ...]:
     raise _malformed(name, f"must be a JSON array of numbers, got {value!r}")
 
 
+def read_input(path: str | Path, what: str, form: str) -> str:
+    """The input file at path as UTF-8 text, whatever the locale; other bytes are refused in one line naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{what} {path} is not UTF-8 {form}: {exc}") from None
+
+
 def load_config_file(path: str | Path) -> tuple[EnergyModelConfig, CompositionConfig]:
     """Load overrides from a JSON file with optional "energy"/"composition"
-    sections. A file that is not UTF-8 JSON is refused in one line naming it."""
+    sections. A file that is not UTF-8 JSON, or nests too deep, is refused in one line naming it."""
+    text = read_input(path, "config file", "JSON")
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"config file {path} is not UTF-8 JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a JSON object")

@@ -71,7 +71,7 @@ from typing import Sequence
 from .composition import compose, request_context
 from .config import (
     POSITIVE, CapabilityRanges, CompositionConfig, ConfigurationError, EnergyModelConfig, ScenarioLimits, Seeds,
-    check_fields, mix64, rule,
+    check_fields, mix64, read_input, rule,
 )
 from .domain import (
     QOS_METRICS,
@@ -219,11 +219,12 @@ def build_network(cfg: ExperimentConfig) -> SkywayNetwork:
     """The network of the one source cfg gives: a synthetic network, a dump,
     or the edge list, coords and stations files."""
     if cfg.network_path is not None:
-        return load_network_dump(Path(cfg.network_path).read_text())
+        return load_network_dump(read_input(cfg.network_path, "network dump", "JSON"))
     if cfg.synthetic_nodes is not None:
         return synthetic_network(cfg.seed, cfg.synthetic_nodes, cfg.charging_companies, cfg.area_m)
-    with open(cfg.edges_path) as edges, open(cfg.coords_path) as coords, open(cfg.stations_path) as stations:
-        return load_network(edges, coords, stations)
+    # "\n" splits the text as a file iterator would; str.splitlines breaks at more
+    files = {"edge list": cfg.edges_path, "coords file": cfg.coords_path, "stations file": cfg.stations_path}
+    return load_network(*(read_input(path, what, "text").split("\n") for what, path in files.items()))
 
 
 def _run_method(

@@ -34,6 +34,10 @@ class SkywayNode:
             raise ValueError(f"node {self.node_id}: coordinates must be finite")
         if self.pad_count < 1:
             raise ValueError(f"node {self.node_id}: pad_count must be at least 1")
+        # the heatmaps sum pad counts as floats, exact up to 2**53; no rooftop
+        # holds a million pads
+        if self.pad_count > 1_000_000:
+            raise ValueError(f"node {self.node_id}: pad_count must be at most 1000000")
 
 
 class SkywayNetwork:
@@ -245,7 +249,7 @@ def load_network_dump(text: str) -> SkywayNetwork:
             for i, x, y, o, p in payload["nodes"]
         ]
         network = SkywayNetwork(nodes, [(_integral(a), _integral(b)) for a, b in payload["edges"]])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ParseError(f"malformed network dump: {exc}") from None
     return _largest_component(network)
 

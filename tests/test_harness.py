@@ -5,6 +5,7 @@ import math
 import random
 import statistics
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -470,6 +471,15 @@ class TestBuildNetwork:
         )
         assert dump_network(build_network(cfg)) == dump_network(net)
 
+    def test_text_files_are_numbered_as_a_file_iterator_numbers_them(self, tmp_path):
+        # a form feed and a line separator end no line; CRLF ends one
+        (tmp_path / "coords").write_bytes("# id\x0cx \u2028 y\r\n1 0 0\r\n2 100\n".encode())
+        (tmp_path / "stations").write_text("1 1 2\n2 1 3\n")
+        (tmp_path / "edges").write_text("1 2\n")
+        files = {f"{name}_path": str(tmp_path / name) for name in ("edges", "coords", "stations")}
+        with pytest.raises(ValueError, match=r"^coords line 3: expected 3 fields, got 2: '2 100'$"):
+            build_network(small_config(synthetic_nodes=None, **files))
+
     def test_triple_must_be_complete(self, tmp_path):
         for given in (["edges_path"], ["coords_path", "stations_path"]):
             files = {name: str(tmp_path / name) for name in given}
@@ -600,6 +610,65 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"skybroker: error: config file {cfg_file} is not UTF-8 JSON: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "source, name, content, message",
+        [
+            ("dump", "net.json", b'{"nodes": []}\xff', "network dump {} is not UTF-8 JSON: 'utf-8' codec can't decode"),
+            (
+                "files",
+                "coords.txt",
+                b"1 0 0\n2 1000 0\xff\n3 0 1000\n",
+                "coords file {} is not UTF-8 text: 'utf-8' codec can't decode",
+            ),
+            ("config", "cfg.json", b"[" * 100000, "config file {} is not UTF-8 JSON: maximum recursion depth exceeded"),
+            ("dump", "net.json", b"[" * 100000, "malformed network dump: maximum recursion depth exceeded"),
+            (
+                "files",
+                "stations.txt",
+                b"1 1 2\n2 1 2\n3 2 1" + b"0" * 400 + b"\n",
+                "node 3: pad_count must be at most 1000000",
+            ),
+            (
+                "dump",
+                "net.json",
+                b'{"nodes": [[1, 0, 0, 1, 1' + b"0" * 400 + b'], [2, 5, 5, 1, 1]], "edges": [[1, 2]]}',
+                "malformed network dump: node 1: pad_count must be at most 1000000",
+            ),
+        ],
+        ids=["dump_not_utf8", "coords_not_utf8", "deep_config", "deep_dump", "stations_pads", "dump_pads"],
+    )
+    def test_bad_input_file_is_a_one_line_error(self, tmp_path, source, name, content, message, capsys):
+        files = {"edges.txt": b"1 2\n2 3\n1 3\n", "coords.txt": b"1 0 0\n2 1000 0\n3 0 1000\n"}
+        files |= {"stations.txt": b"1 1 2\n2 1 2\n3 2 2\n", name: content}
+        for file, data in files.items():
+            (tmp_path / file).write_bytes(data)
+        argv = {
+            "dump": ["--network", str(tmp_path / name)],
+            "files": [arg for f in ("edges", "coords", "stations") for arg in (f"--{f}", str(tmp_path / f"{f}.txt"))],
+            "config": ["--synthetic", "20", "--config", str(tmp_path / name)],
+        }[source]
+        assert cli_main(["run", "--requests", "2", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"skybroker: error: {message.format(tmp_path / name)}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["dump", "files"])
+    def test_dotted_paths_write_the_manifest_of_the_equal_config(self, tmp_path, source, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        net = default_network(2, 30)
+        Path("net.json").write_text(dump_network(net))
+        for name, blob in zip(("edges", "coords", "stations"), network_to_streams(net)):
+            Path(f"{name}.txt").write_text(blob)
+        if source == "dump":
+            argv, paths = ["--network", "./net.json"], {"network_path": "net.json"}
+        else:
+            argv = ["--edges", "./edges.txt", "--coords", ".//coords.txt", "--stations", "stations.txt"]
+            paths = {f"{name}_path": f"{name}.txt" for name in ("edges", "coords", "stations")}
+        assert cli_main(["run", "--requests", "3", "--k", "30,50", *argv, "--out", "cli"]) == 0
+        cfg = ExperimentConfig(synthetic_nodes=None, n_requests=3, k_values=(30.0, 50.0), **paths)
+        run_experiment(cfg, out_dir="direct")
+        assert Path("cli/manifest.json").read_bytes() == Path("direct/manifest.json").read_bytes()
 
     def test_unknown_formation_in_config_is_a_one_line_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

@@ -101,6 +101,13 @@ class TestLoadNetwork:
         with pytest.raises(ParseError, match="node 2: pad_count"):
             load("1 2\n", "1 0 0\n2 100 0\n", "1 1 2\n2 1 0\n")
 
+    @pytest.mark.parametrize("pads", ["1000001", "1" + "0" * 400])
+    def test_pad_count_beyond_a_million_rejected(self, pads):
+        # the heatmaps sum pad counts as floats; a 401-digit count overflowed them
+        with pytest.raises(ParseError, match="^node 2: pad_count must be at most 1000000$"):
+            load("1 2\n", "1 0 0\n2 100 0\n", f"1 1 2\n2 1 {pads}\n")
+        assert load("1 2\n", "1 0 0\n2 100 0\n", "1 1 2\n2 1 1000000\n").nodes[2].pad_count == 10**6
+
     def test_overflowing_segment_rejected(self):
         with pytest.raises(ParseError, match="length must be positive and finite"):
             load("1 2\n", "1 -1e308 0\n2 1e308 0\n", "1 1 2\n2 1 3\n")
@@ -153,6 +160,8 @@ class TestCanonicalDump:
             ([], "at least one node"),
             ([[1, float("nan"), 0, 1, 1]], "finite"),
             ([[1, 0, 0, 1, 0]], "pad_count"),
+            ([[1, 0, 0, 1, 10**400]], "^malformed network dump: node 1: pad_count must be at most 1000000$"),
+            ([[1, 0, 0, 1, 1e300]], "^malformed network dump: node 1: pad_count must be at most 1000000$"),
             ([[True, 0, 0, 1, 1]], "expected an integer, got True"),
             ([[1.5, 0, 0, 1, 1]], "expected an integer, got 1.5"),
             ([["1", 0, 0, 1, 1]], "expected an integer, got '1'"),
@@ -170,6 +179,10 @@ class TestCanonicalDump:
         nodes = [[1, 0, 0, 1, 1], [2, 30, 40, 1, 1]]
         with pytest.raises(ParseError, match=f"expected an integer, got {bad}"):
             load_network_dump(json.dumps({"nodes": nodes, "edges": edges}))
+
+    def test_nesting_deeper_than_the_parser_recurses_refused(self):
+        with pytest.raises(ParseError, match="^malformed network dump: maximum recursion depth exceeded"):
+            load_network_dump("[" * 100000)
 
     def test_integral_floats_load_as_ints(self):
         net = load_network_dump('{"nodes": [[1.0, 0, 0, 1, 1], [2, 30, 40, 1.0, 2.0]], "edges": [[2.0, 1]]}')

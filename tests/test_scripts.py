@@ -67,6 +67,19 @@ def test_scale_ladder_refuses_a_bad_config_before_any_rung(tmp_path, capsys, arg
     assert not out and not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("name", ["reproduce_experiments", "scale_ladder"])
+def test_script_refuses_an_out_that_is_a_file_before_any_run(tmp_path, capsys, name):
+    script = load_script(name)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    with pytest.raises(SystemExit) as exit_:
+        script.main(["--nodes", "30", "--requests", "1", "--out", str(afile)])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines()[-1].endswith(f"error: cannot create --out directory {afile}: File exists")
+    assert not out
+
+
 def test_scale_ladder_smoke(tmp_path, capsys):
     """One 30-node rung: the script prints its times, the neighbour queries and
     the legs computed that second counters around the whole run also see, and

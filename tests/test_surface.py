@@ -8,7 +8,9 @@ their inputs explicitly, so a parameter default in ``src/`` is either on the
 list below or a second home for a value that can drift from the config's.
 A default is listed only where two callers in the pipeline pass different
 things, one of them nothing; a value only tests vary is a module constant
-that they set with ``monkeypatch``, as ``network.K_NEAREST`` is.
+that they set with ``monkeypatch``, as ``network.K_NEAREST`` is. A command
+line option is named, by its dest, as the config field it sets, and one not
+given leaves the field's default in place.
 
 A precondition is checked once, where its value enters the program: by a
 config's field rules, a loader, the network model, a domain constructor or
@@ -25,14 +27,16 @@ Totals go through ``domain.total``, a left fold: from Python 3.12 the builtin
 through it changes the output bytes with the interpreter.
 """
 
+import argparse
 import ast
+import dataclasses
 from pathlib import Path
 from types import SimpleNamespace
 
 import skybroker
 from skybroker import cli
 from skybroker.config import ScenarioLimits
-from skybroker.harness import ExperimentConfig
+from skybroker.harness import ExperimentConfig, build_network
 
 ALLOWED_DEFAULTS = {
     # callers give argv or let argparse read sys.argv
@@ -141,4 +145,20 @@ def test_cli_run_defaults_are_the_experiment_defaults(monkeypatch):
 
     monkeypatch.setattr(cli, "run_experiment", fake_run)
     assert cli.main(["run", "--synthetic", "12"]) == 0
+    assert built == [ExperimentConfig(synthetic_nodes=12)]
+
+
+def test_every_run_option_is_named_as_the_config_field_it_sets():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for name in ("run", "synth-network"):
+        dests = {a.dest for a in commands[name]._actions if a.option_strings and a.dest != "help"}
+        assert "out" in dests and dests - {"out", "config"} <= fields, name
+
+
+def test_cli_synth_network_defaults_are_the_experiment_defaults(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_network", lambda cfg: built.append(cfg) or build_network(cfg))
+    assert cli.main(["synth-network", "--nodes", "12", "--out", str(tmp_path / "net.json")]) == 0
     assert built == [ExperimentConfig(synthetic_nodes=12)]
