@@ -132,9 +132,12 @@ class EnergyModelConfig:
         table = self.formation_factors
         if not isinstance(table, Mapping):
             raise ConfigurationError(f"energy config formation_factors must be a mapping of formations, got {table!r}")
-        unknown = [key for key in table if key not in FORMATIONS]
-        if unknown:
-            raise ConfigurationError(f"energy config formation_factors has keys that are not formations: {unknown!r}")
+        for key in table:
+            if key not in FORMATIONS:
+                raise ConfigurationError(
+                    f"energy config formation_factors[{key}] is not a formation; "
+                    f"expected one of {', '.join(f.value for f in FORMATIONS)}"
+                )
         missing = [f.value for f in FORMATIONS if f not in table]
         if missing:
             raise ConfigurationError(f"energy config formation_factors missing formations: {missing}")
@@ -144,6 +147,8 @@ class EnergyModelConfig:
             check_entries(name, row, float, POSITIVE)
             if len(row) != WIND_SECTORS:
                 raise ConfigurationError(f"{name} must cover {WIND_SECTORS} wind sectors")
+        # a file's "vee" and Python's Formation.VEE hash alike; keep the enum whichever came
+        object.__setattr__(self, "formation_factors", {f: table[f] for f in FORMATIONS})
         if not self.position_factors:
             raise ConfigurationError("energy config position_factors must be non-empty")
 
@@ -234,19 +239,12 @@ def _section_kwargs(cls: type, data: object, section: str) -> dict:
     return dict(data)
 
 
-def _malformed(name: str, problem: str) -> ConfigurationError:
-    return ConfigurationError(f"energy config {name} {problem}")
-
-
-def _factor_row(value: object, name: str) -> tuple[float, ...]:
-    """One factor table row of a config file: a JSON array of numbers, as floats.
-    Bools, strings and numbers too large for a float are refused."""
-    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
-        try:
-            return tuple(float(v) for v in value)
-        except OverflowError:
-            pass
-    raise _malformed(name, f"must be a JSON array of numbers, got {value!r}")
+def _floats(value: object) -> object:
+    """A config file's JSON array of finite numbers as a tuple of floats; any
+    other value as it is, for the field rules to refuse."""
+    if isinstance(value, list) and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in value):
+        return tuple(float(v) for v in value)
+    return value
 
 
 def read_input(path: str | Path, what: str, form: str) -> str:
@@ -258,8 +256,9 @@ def read_input(path: str | Path, what: str, form: str) -> str:
 
 
 def load_config_file(path: str | Path) -> tuple[EnergyModelConfig, CompositionConfig]:
-    """Load overrides from a JSON file with optional "energy"/"composition"
-    sections. A file that is not UTF-8 JSON, or nests too deep, is refused in one line naming it."""
+    """The configs built from a JSON file's optional "energy"/"composition" sections of constructor arguments,
+    factor table arrays as tuples of floats. It refuses only a file that is not UTF-8 JSON (naming it) or not an
+    object, and a section that is unknown, not an object or holds an unknown key; field rules check each value."""
     text = read_input(path, "config file", "JSON")
     try:
         data = json.loads(text)
@@ -271,19 +270,10 @@ def load_config_file(path: str | Path) -> tuple[EnergyModelConfig, CompositionCo
     if unknown:
         raise ConfigurationError(f"unknown config sections: {sorted(unknown)}")
     kwargs = _section_kwargs(EnergyModelConfig, data.get("energy", {}), "energy")
-    if "formation_factors" in kwargs:
-        table = kwargs["formation_factors"]
-        if not isinstance(table, dict):
-            raise _malformed("formation_factors", f"must be a JSON object of formation names to arrays, got {table!r}")
-        names = [f.value for f in FORMATIONS]
-        for name in table:
-            if name not in names:
-                raise _malformed(f"formation_factors[{name}]", f"is not a formation; expected one of {', '.join(names)}")
-        kwargs["formation_factors"] = {
-            Formation(name): _factor_row(row, f"formation_factors[{name}]") for name, row in table.items()
-        }
     if "position_factors" in kwargs:
-        kwargs["position_factors"] = _factor_row(kwargs["position_factors"], "position_factors")
+        kwargs["position_factors"] = _floats(kwargs["position_factors"])
+    if isinstance(kwargs.get("formation_factors"), dict):
+        kwargs["formation_factors"] = {name: _floats(row) for name, row in kwargs["formation_factors"].items()}
     energy = EnergyModelConfig(**kwargs)
     composition = CompositionConfig(**_section_kwargs(CompositionConfig, data.get("composition", {}), "composition"))
     return energy, composition

@@ -81,6 +81,7 @@ from .domain import (
     total,
 )
 from .network import (
+    ParseError,
     SkywayNetwork,
     build_all_heatmaps,
     build_region_grid,
@@ -219,7 +220,10 @@ def build_network(cfg: ExperimentConfig) -> SkywayNetwork:
     """The network of the one source cfg gives: a synthetic network, a dump,
     or the edge list, coords and stations files."""
     if cfg.network_path is not None:
-        return load_network_dump(read_input(cfg.network_path, "network dump", "JSON"))
+        try:
+            return load_network_dump(read_input(cfg.network_path, "network dump", "JSON"))
+        except ParseError as exc:
+            raise ParseError(f"{cfg.network_path}: {exc}") from None
     if cfg.synthetic_nodes is not None:
         return synthetic_network(cfg.seed, cfg.synthetic_nodes, cfg.charging_companies, cfg.area_m)
     # "\n" splits the text as a file iterator would; str.splitlines breaks at more
@@ -319,6 +323,8 @@ def _process_request(
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
     """Run the full pipeline for every request; optionally write the CSV contract."""
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)  # an unusable out_dir fails before any request runs
     network = build_network(cfg)
     grid = build_region_grid(network, cfg.grid_resolution)
     heatmaps = build_all_heatmaps(network, grid)
@@ -368,9 +374,7 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
-    """Spearman rank correlation; None when undefined (constant input)."""
-    if len(xs) != len(ys) or len(xs) < 2:
-        return None
+    """Spearman rank correlation; None when undefined (constant input, unequal lengths, under two points)."""
     try:
         return statistics.correlation(_average_ranks(xs), _average_ranks(ys))
     except statistics.StatisticsError:
@@ -435,7 +439,6 @@ def _render_csv(record_type: type, rows: Sequence[tuple]) -> str:
 
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "per_request.csv").write_text(_render_csv(Row, result.rows))
     (out / "summary.csv").write_text(_render_csv(SummaryRow, result.summary))
     (out / "manifest.json").write_text(

@@ -136,7 +136,8 @@ class TestEnergyConfigValidation:
             (3, "energy config formation_factors must be a mapping of formations, got 3"),
             (
                 {**DEFAULT_FORMATION_FACTORS, "bogus": "x"},
-                "energy config formation_factors has keys that are not formations: ['bogus']",
+                "energy config formation_factors[bogus] is not a formation; "
+                "expected one of vee, diamond, front, echelon, column",
             ),
         ],
         ids=["not_a_mapping", "unknown_key"],
@@ -396,3 +397,84 @@ class TestConfigFile:
         assert energy.position_factors == (1.0, 0.9)
         assert energy.formation_factors[Formation.VEE] == (1.0,) * 8
         assert all(type(v) is float for v in energy.position_factors + energy.formation_factors[Formation.VEE])
+
+
+def ones_table(**rows):
+    """A formation table of ones keyed by name, with the named rows replaced."""
+    return {**formation_table(1.0), **rows}
+
+
+class TestBothDoors:
+    """A config file and a constructor call in Python meet the same field rules."""
+
+    @pytest.mark.parametrize(
+        "energy",
+        [
+            {"position_factors": "1234"},
+            {"position_factors": {"a": 1}},
+            {"position_factors": [True, 1, 1, 1, 1]},
+            {"position_factors": ["1.0"]},
+            {"position_factors": [[1.0]]},
+            {"position_factors": []},
+            {"position_factors": [math.nan, 1.0]},
+            {"position_factors": [1.0, math.inf]},
+            {"formation_factors": 3},
+            {"formation_factors": [[1.0] * 8] * 5},
+            {"formation_factors": {"bogus": [1.0] * 8}},
+            {"formation_factors": {**DEFAULT_FORMATION_FACTORS, "bogus": "x"}},
+            {"formation_factors": {name: row for name, row in ones_table().items() if name != "column"}},
+            {"formation_factors": ones_table(vee=[1.0] * 7)},
+            {"formation_factors": ones_table(vee=[1.0] * 7 + [False])},
+            {"formation_factors": ones_table(vee=[True] * 8)},
+            {"formation_factors": ones_table(vee=[10**400] + [1.0] * 7)},
+            # a file's whole numbers become floats, so the zero is given as one
+            {"formation_factors": ones_table(vee=[0.0] + [1.0] * 7)},
+            {"formation_factors": ones_table(vee=1.0)},
+            {"formation_factors": ones_table(column="11111111")},
+            {"formation_factors": formation_table(math.nan)},
+            {"formation_factors": formation_table(math.inf)},
+        ],
+        ids=[
+            "digit_string",
+            "object",
+            "bool_entry",
+            "numeric_string_entry",
+            "nested_array",
+            "empty",
+            "nan",
+            "inf",
+            "scalar_table",
+            "formation_array",
+            "unknown_formation",
+            "unknown_key",
+            "missing_formation",
+            "short_row",
+            "formation_bool_entry",
+            "bool_row",
+            "beyond_float",
+            "zero",
+            "scalar_row",
+            "formation_string_row",
+            "formation_nan",
+            "formation_inf",
+        ],
+    )
+    def test_a_file_and_a_constructor_call_refuse_a_value_in_the_same_line(self, tmp_path, energy):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"energy": energy}))
+        with pytest.raises(ConfigurationError) as from_file:
+            load_config_file(path)
+        with pytest.raises(ConfigurationError) as from_call:
+            EnergyModelConfig(**energy)
+        assert str(from_file.value) == str(from_call.value)
+        assert "\n" not in str(from_file.value)
+
+    def test_the_formation_table_is_keyed_by_formation_whichever_door(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"energy": {"formation_factors": ones_table()}}))
+        from_file, _ = load_config_file(path)
+        by_formation = EnergyModelConfig(formation_factors={f: (1.0,) * 8 for f in Formation})
+        by_name = EnergyModelConfig(formation_factors={name: (1.0,) * 8 for name in ones_table()})
+        for energy in (from_file, by_formation, by_name):
+            assert [type(key) for key in energy.formation_factors] == [Formation] * len(Formation)
+            assert energy == from_file

@@ -93,6 +93,7 @@ class TestAggregate:
     def test_constant_column_correlation_reported_null(self):
         assert spearman([1, 1, 1], [2, 3, 4]) is None
         assert spearman([50.0], [1.0]) is None
+        assert spearman([1, 2], [1, 2, 3]) is None
 
     def test_spearman_matches_exact_oracle_on_tied_inputs(self):
         rng = random.Random(11)
@@ -585,7 +586,7 @@ class TestCli:
             ({"energy": {"charge_rate_w": "fast"}}, "energy config charge_rate_w must be a finite float, got 'fast'"),
             ({"energy": {"charge_rate_w": float("nan")}}, "charge_rate_w must be a finite float, got nan"),
             ({"energy": {"queue_draw_max": 2.5}}, "energy config queue_draw_max must be a finite int"),
-            ({"energy": {"formation_factors": 3}}, "energy config formation_factors must be a JSON object"),
+            ({"energy": {"formation_factors": 3}}, "energy config formation_factors must be a mapping of formations, got 3"),
             ({"energy": {"position_factors": [float("nan"), 1.0]}}, "position_factors must be a finite float, got nan"),
             ({"composition": 3}, "composition config must be a JSON object"),
         ],
@@ -622,7 +623,7 @@ class TestCli:
                 "coords file {} is not UTF-8 text: 'utf-8' codec can't decode",
             ),
             ("config", "cfg.json", b"[" * 100000, "config file {} is not UTF-8 JSON: maximum recursion depth exceeded"),
-            ("dump", "net.json", b"[" * 100000, "malformed network dump: maximum recursion depth exceeded"),
+            ("dump", "net.json", b"[" * 100000, "{}: malformed network dump: maximum recursion depth exceeded"),
             (
                 "files",
                 "stations.txt",
@@ -633,7 +634,7 @@ class TestCli:
                 "dump",
                 "net.json",
                 b'{"nodes": [[1, 0, 0, 1, 1' + b"0" * 400 + b'], [2, 5, 5, 1, 1]], "edges": [[1, 2]]}',
-                "malformed network dump: node 1: pad_count must be at most 1000000",
+                "{}: malformed network dump: node 1: pad_count must be at most 1000000",
             ),
         ],
         ids=["dump_not_utf8", "coords_not_utf8", "deep_config", "deep_dump", "stations_pads", "dump_pads"],
@@ -669,6 +670,15 @@ class TestCli:
         cfg = ExperimentConfig(synthetic_nodes=None, n_requests=3, k_values=(30.0, 50.0), **paths)
         run_experiment(cfg, out_dir="direct")
         assert Path("cli/manifest.json").read_bytes() == Path("direct/manifest.json").read_bytes()
+
+    def test_an_out_path_that_is_a_file_is_refused_before_any_request(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "_process_request", lambda *args: pytest.fail("a request ran"))
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert cli_main(["run", "--synthetic", "100", "--requests", "20", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("skybroker: error: ") and str(out) in err
+        assert err.count("\n") == 1
 
     def test_unknown_formation_in_config_is_a_one_line_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
