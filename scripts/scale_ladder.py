@@ -6,11 +6,14 @@ config of brokerbench/workloads.py with that many synthetic nodes, then
 prints the rung's unscaled wall seconds (network build included), the part of
 them spent building the network and, within the build, stitching its
 components together, the number of `SkywayNetwork.neighbors` calls, the
-number of legs the composer computed (its `segment_energy` calls), and the
-sha256 of per_request.csv, summary.csv and manifest.json. The hashes let two
-checkouts show that they wrote the same bytes; the neighbour queries and the
-legs computed measure the search and the physics work in numbers that do not
-depend on the machine. Run from the root of a checkout:
+number of legs the composer computed (its `segment_energy` calls), the peak
+resident memory in MB (the process's `ru_maxrss` high-water mark after the
+rung, so a rung never shows less than the rungs before it, and it includes
+this script's own imports), and the sha256 of per_request.csv, summary.csv and
+manifest.json. The hashes let two checkouts show that they wrote the same
+bytes; the neighbour queries and the legs computed measure the search and the
+physics work in numbers that do not depend on the machine. Run from the root
+of a checkout:
 
   PYTHONPATH=src python3 scripts/scale_ladder.py --nodes 300 1000 3000
   PYTHONPATH=src python3 scripts/scale_ladder.py --nodes 10000 --requests 5
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import resource
 import runpy
 import sys
 import tempfile
@@ -61,8 +65,8 @@ def counted(function, calls: list[int]):
 
 def rung(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """One run of a city1000 config on a network of its size: the wall, build
-    and stitching seconds, the neighbour queries, the legs computed and the
-    sha256 of each output file."""
+    and stitching seconds, the neighbour queries, the legs computed, the
+    process's peak resident MB so far and the sha256 of each output file."""
     build, stitch, queries, legs = [0.0], [0.0], [0], [0]
     with mock.patch.object(harness, "build_network", timed(harness.build_network, build)), mock.patch.object(
         network, "_stitches", timed(network._stitches, stitch)
@@ -72,6 +76,7 @@ def rung(cfg: ExperimentConfig, out_dir: Path) -> dict:
         started = time.perf_counter()
         run_experiment(cfg, out_dir=out_dir)
         wall = time.perf_counter() - started
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux counts KiB
     hashes = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in OUTPUTS}
     return {
         "nodes": cfg.synthetic_nodes,
@@ -80,6 +85,7 @@ def rung(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "stitch_s": stitch[0],
         "queries": queries[0],
         "legs": legs[0],
+        "peak_rss_mb": peak_rss_mb,
         **hashes,
     }
 
@@ -110,6 +116,7 @@ def main(argv=None) -> int:
             print(
                 f"{r['nodes']:>6} nodes  wall {r['wall_s']:7.2f} s  build {r['build_s']:6.2f} s  "
                 f"stitch {r['stitch_s']:6.3f} s  neighbour queries {r['queries']}  legs computed {r['legs']}  "
+                f"peak rss {r['peak_rss_mb']:.1f} MB  "
                 + "  ".join(f"{name} {r[name]}" for name in OUTPUTS),
                 flush=True,
             )

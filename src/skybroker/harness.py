@@ -58,8 +58,6 @@ falls in ``harness.request_self_s``.
 from __future__ import annotations
 
 import csv
-import hashlib
-import io
 import json
 import statistics
 import time
@@ -67,6 +65,14 @@ from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
+
+try:  # CPython's built-in SHA-256: hashlib would load OpenSSL, for one digest per run
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .composition import compose, request_context
 from .config import (
@@ -425,22 +431,26 @@ def aggregate(rows: Sequence[Row]) -> tuple[list[SummaryRow], dict[str, float | 
 def config_hash(cfg: ExperimentConfig) -> str:
     # json writes the str-enum formation keys as their values and tuples as lists
     canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
-def _render_csv(record_type: type, rows: Sequence[tuple]) -> str:
-    """A header of record_type's fields, then each row's values in that order."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(record_type._fields)
-    writer.writerows(rows)
-    return buffer.getvalue()
+def _write_csv(path: Path, record_type: type, rows: Sequence[tuple]) -> None:
+    """Stream a header of record_type's fields, then each row's values in that
+    order, into path. The file opens as Path.write_text opens it, with the same
+    encoding and newline translation, so the bytes are those of writing the
+    whole text at once."""
+    with path.open("w") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(record_type._fields)
+        writer.writerows(rows)
 
 
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> None:
+    """Write per_request.csv and summary.csv, each streamed row by row into
+    its file with no whole-file string in memory, then manifest.json."""
     out = Path(out_dir)
-    (out / "per_request.csv").write_text(_render_csv(Row, result.rows))
-    (out / "summary.csv").write_text(_render_csv(SummaryRow, result.summary))
+    _write_csv(out / "per_request.csv", Row, result.rows)
+    _write_csv(out / "summary.csv", SummaryRow, result.summary)
     (out / "manifest.json").write_text(
         json.dumps(result.manifest, indent=2, sort_keys=True) + "\n"
     )

@@ -153,21 +153,26 @@ def load_network(
 
     Disconnected inputs keep the largest connected component with a warning.
     """
+    # each node's values, and the coords and stations lines that gave them
     positions: dict[int, tuple[float, float]] = {}
+    coords_line: dict[int, int] = {}
     for line_no, (nid, x, y) in _records(coords, "coords", (int, float, float)):
         if nid in positions:
             raise ParseError(f"coords line {line_no}: duplicate node {nid}")
         positions[nid] = (x, y)
+        coords_line[nid] = line_no
     if not positions:
         raise ParseError("empty network: no coordinates given")
 
     station_info: dict[int, tuple[int, int]] = {}
+    stations_line: dict[int, int] = {}
     for line_no, (nid, owner, pads) in _records(stations, "stations", (int, int, int)):
         if nid not in positions:
             raise ParseError(f"stations line {line_no}: node {nid} has no coordinates")
         if nid in station_info:
             raise ParseError(f"stations line {line_no}: duplicate station record for node {nid}")
         station_info[nid] = (owner, pads)
+        stations_line[nid] = line_no
     missing = sorted(set(positions) - set(station_info))
     if missing:
         raise ParseError(f"node {missing[0]} has no station record")
@@ -181,10 +186,19 @@ def load_network(
             raise ParseError(f"edge list line {line_no}: self-loop on node {a}")
         edges.append((a, b))
 
-    # the model rejects non-finite coordinates, pad counts below 1 and
-    # segments of zero or overflowing length
+    # SkywayNode refuses non-finite coordinates and pad counts out of range,
+    # naming the one it refuses, which says whose line gave it
+    nodes = []
+    for nid in sorted(positions):
+        try:
+            nodes.append(SkywayNode(nid, *positions[nid], *station_info[nid]))
+        except ValueError as exc:
+            where = (
+                f"coords line {coords_line[nid]}" if "coordinates" in str(exc) else f"stations line {stations_line[nid]}"
+            )
+            raise ParseError(f"{where}: {exc}") from None
+    # the network refuses segments of zero or overflowing length
     try:
-        nodes = [SkywayNode(nid, *positions[nid], *station_info[nid]) for nid in sorted(positions)]
         network = SkywayNetwork(nodes, edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -1,9 +1,15 @@
 import csv
+import hashlib
+import importlib.util
 import io
 import json
 import math
+import os
 import random
 import statistics
+import subprocess
+import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,7 +42,7 @@ from skybroker.network import (
 from skybroker.pruning import STRATEGIES
 from skybroker.recommend import VOTING_METHODS
 
-from conftest import default_network, network_to_streams, oracle_select_cohort
+from conftest import BENCH, WORKLOADS, default_network, network_to_streams, oracle_select_cohort
 
 
 def small_config(**overrides):
@@ -177,6 +183,36 @@ class TestRunExperiment:
         assert manifest["config_hash"] == config_hash(small_config())
         assert manifest["requests"]["served"] + manifest["requests"]["rejected"] + manifest["requests"]["unserved"] == 6
 
+    @pytest.mark.parametrize("workload", [None, *WORKLOADS])
+    def test_config_hash_is_the_hashlib_sha256_of_the_canonical_json(self, workload):
+        cfg = ExperimentConfig() if workload is None else ExperimentConfig(seed=7, **WORKLOADS[workload].config)
+        canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
+        assert config_hash(cfg) == hashlib.sha256(canonical.encode()).hexdigest()
+
+    @pytest.mark.skipif(
+        not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+        reason="this interpreter has no built-in SHA-256 module",
+    )
+    def test_a_run_does_not_load_openssl(self, tmp_path):
+        """hashlib loads OpenSSL's libcrypto, megabytes of resident memory for
+        the one digest of a run."""
+        script = "\n".join([
+            "import runpy, sys",
+            "import skybroker.cli",
+            "from skybroker.harness import ExperimentConfig, run_experiment",
+            f"smoke = runpy.run_path({str(BENCH / 'workloads.py')!r})['WORKLOADS']['smoke']",
+            "run_experiment(ExperimentConfig(seed=smoke.seeds[0], **smoke.config), out_dir=sys.argv[1])",
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))",
+        ])
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+        assert (tmp_path / "manifest.json").is_file()
+
     def test_unknown_strategy_rejected_at_config_time(self):
         with pytest.raises(ValueError, match="strategy"):
             small_config(strategies=("telepathy",))
@@ -226,13 +262,19 @@ class TestRenderCsv:
         for name, record_type in (("per_request.csv", Row), ("summary.csv", SummaryRow)):
             assert (tmp_path / name).read_text() == ",".join(record_type._fields) + "\n"
 
-    def test_matches_dict_writer_on_the_battery(self, battery):
+    def test_matches_dict_writer_on_the_battery(self, battery, tmp_path):
+        """The streamed files hold the bytes of the oracle's whole text written
+        at once, as the outputs were before streaming."""
         result = battery[1].result
-        for record_type, rows in ((Row, result.rows), (SummaryRow, result.summary)):
+        harness.write_outputs(result, tmp_path)
+        oracle = tmp_path / "oracle.csv"
+        for name, record_type, rows in (
+            ("per_request.csv", Row, result.rows),
+            ("summary.csv", SummaryRow, result.summary),
+        ):
             assert rows
-            assert harness._render_csv(record_type, rows) == dict_writer_csv(
-                record_type._fields, [row._asdict() for row in rows]
-            )
+            oracle.write_text(dict_writer_csv(record_type._fields, [row._asdict() for row in rows]))
+            assert (tmp_path / name).read_bytes() == oracle.read_bytes()
 
 
 def eager_process_request(request, providers, network, grid, heatmaps, seeds, cfg):
@@ -628,7 +670,13 @@ class TestCli:
                 "files",
                 "stations.txt",
                 b"1 1 2\n2 1 2\n3 2 1" + b"0" * 400 + b"\n",
-                "node 3: pad_count must be at most 1000000",
+                "stations line 3: node 3: pad_count must be at most 1000000",
+            ),
+            (
+                "files",
+                "coords.txt",
+                b"1 0 0\n2 nan 0\n3 0 1000\n",
+                "coords line 2: node 2: coordinates must be finite",
             ),
             (
                 "dump",
@@ -637,7 +685,9 @@ class TestCli:
                 "{}: malformed network dump: node 1: pad_count must be at most 1000000",
             ),
         ],
-        ids=["dump_not_utf8", "coords_not_utf8", "deep_config", "deep_dump", "stations_pads", "dump_pads"],
+        ids=[
+            "dump_not_utf8", "coords_not_utf8", "deep_config", "deep_dump", "stations_pads", "coords_nan", "dump_pads",
+        ],
     )
     def test_bad_input_file_is_a_one_line_error(self, tmp_path, source, name, content, message, capsys):
         files = {"edges.txt": b"1 2\n2 3\n1 3\n", "coords.txt": b"1 0 0\n2 1000 0\n3 0 1000\n"}

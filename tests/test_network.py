@@ -94,17 +94,17 @@ class TestLoadNetwork:
 
     @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
     def test_non_finite_coordinate_rejected(self, x):
-        with pytest.raises(ParseError, match="node 2: coordinates must be finite"):
+        with pytest.raises(ParseError, match="^coords line 2: node 2: coordinates must be finite$"):
             load("", f"1 0 0\n2 {x} 0\n", "1 1 2\n2 1 3\n")
 
     def test_zero_pads_rejected(self):
-        with pytest.raises(ParseError, match="node 2: pad_count"):
+        with pytest.raises(ParseError, match="^stations line 2: node 2: pad_count must be at least 1$"):
             load("1 2\n", "1 0 0\n2 100 0\n", "1 1 2\n2 1 0\n")
 
     @pytest.mark.parametrize("pads", ["1000001", "1" + "0" * 400])
     def test_pad_count_beyond_a_million_rejected(self, pads):
         # the heatmaps sum pad counts as floats; a 401-digit count overflowed them
-        with pytest.raises(ParseError, match="^node 2: pad_count must be at most 1000000$"):
+        with pytest.raises(ParseError, match="^stations line 2: node 2: pad_count must be at most 1000000$"):
             load("1 2\n", "1 0 0\n2 100 0\n", f"1 1 2\n2 1 {pads}\n")
         assert load("1 2\n", "1 0 0\n2 100 0\n", "1 1 2\n2 1 1000000\n").nodes[2].pad_count == 10**6
 

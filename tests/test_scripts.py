@@ -82,8 +82,9 @@ def test_script_refuses_an_out_that_is_a_file_before_any_run(tmp_path, capsys, n
 
 def test_scale_ladder_smoke(tmp_path, capsys):
     """One 30-node rung: the script prints its times, the neighbour queries and
-    the legs computed that second counters around the whole run also see, and
-    the sha256 of the outputs it kept under --out. Seed 3's network has two
+    the legs computed that second counters around the whole run also see, a
+    positive peak resident memory, and the sha256 of the outputs it kept under
+    --out. Seed 3's network has two
     components, so the stitch timer wraps one join, one cell-list search
     beside the nearest-neighbour one."""
     script = load_script("scale_ladder")
@@ -114,6 +115,7 @@ def test_scale_ladder_smoke(tmp_path, capsys):
     assert calls and legs
     assert f"neighbour queries {len(calls)} " in line
     assert f"legs computed {len(legs)} " in line
+    assert float(line.split("peak rss ")[1].split()[0]) > 0
     for name in ("per_request.csv", "summary.csv", "manifest.json"):
         digest = hashlib.sha256((tmp_path / "nodes_30" / name).read_bytes()).hexdigest()
         assert f"{name} {digest}" in line
