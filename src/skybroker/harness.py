@@ -57,7 +57,6 @@ falls in ``harness.request_self_s``.
 
 from __future__ import annotations
 
-import csv
 import json
 import statistics
 import time
@@ -434,20 +433,41 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return sha256(canonical.encode()).hexdigest()
 
 
+class _CellText(dict):
+    """The text of each distinct cell value, formatted on first use. The key
+    is (type, value), so 1, 1.0 and True never share an entry. A zero is
+    never stored: 0.0 == -0.0, but their texts differ."""
+
+    def __missing__(self, key):
+        value = key[1]
+        text = str(value)
+        if value:
+            self[key] = text
+        return text
+
+
 def _write_csv(path: Path, record_type: type, rows: Sequence[tuple]) -> None:
     """Stream a header of record_type's fields, then each row's values in that
-    order, into path. The file opens as Path.write_text opens it, with the same
-    encoding and newline translation, so the bytes are those of writing the
-    whole text at once."""
+    order, into path, one line per row joined from memoised cell text. No
+    cell needs quoting: the only strings are the names of ``STRATEGIES`` and
+    ``VOTING_METHODS`` and the fields, and a number's text holds no comma,
+    quote or line break. The file opens as Path.write_text opens it, with the
+    same encoding and newline translation, so the bytes are those of writing
+    the whole text at once."""
+    cell = _CellText().__getitem__
     with path.open("w") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(record_type._fields)
-        writer.writerows(rows)
+        f.write(",".join(record_type._fields) + "\n")
+        f.writelines(",".join(map(cell, zip(map(type, row), row))) + "\n" for row in rows)
 
 
 def write_outputs(result: ExperimentResult, out_dir: str | Path) -> None:
     """Write per_request.csv and summary.csv, each streamed row by row into
-    its file with no whole-file string in memory, then manifest.json."""
+    its file with no whole-file string in memory, then manifest.json.
+
+    The CSV text is that of csv.writer with a newline as line terminator:
+    csv.writer writes each value as str() gives it (repr for a float, the same
+    text) and quotes only a cell holding a comma, a quote or a line break,
+    which no cell here holds."""
     out = Path(out_dir)
     _write_csv(out / "per_request.csv", Row, result.rows)
     _write_csv(out / "summary.csv", SummaryRow, result.summary)

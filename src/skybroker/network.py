@@ -177,14 +177,15 @@ def load_network(
     if missing:
         raise ParseError(f"node {missing[0]} has no station record")
 
-    edges: list[tuple[int, int]] = []
+    # each segment as its sorted pair, and the first edge-list line giving it
+    edge_line: dict[tuple[int, int], int] = {}
     for line_no, (a, b) in _records(edge_list, "edge list", (int, int)):
         for end in (a, b):
             if end not in positions:
                 raise ParseError(f"edge list line {line_no}: node {end} has no coordinates")
         if a == b:
             raise ParseError(f"edge list line {line_no}: self-loop on node {a}")
-        edges.append((a, b))
+        edge_line.setdefault((min(a, b), max(a, b)), line_no)
 
     # SkywayNode refuses non-finite coordinates and pad counts out of range,
     # naming the one it refuses, which says whose line gave it
@@ -197,11 +198,13 @@ def load_network(
                 f"coords line {coords_line[nid]}" if "coordinates" in str(exc) else f"stations line {stations_line[nid]}"
             )
             raise ParseError(f"{where}: {exc}") from None
-    # the network refuses segments of zero or overflowing length
+    # the network refuses segments of zero or overflowing length, naming the
+    # sorted pair, which says whose line gave it
     try:
-        network = SkywayNetwork(nodes, edges)
+        network = SkywayNetwork(nodes, edge_line)
     except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        lines = [n for pair, n in edge_line.items() if str(exc).startswith(f"segment {pair}:")]
+        raise ParseError(f"edge list line {lines[0]}: {exc}" if lines else str(exc)) from None
     return _largest_component(network)
 
 

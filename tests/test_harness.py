@@ -276,6 +276,34 @@ class TestRenderCsv:
             oracle.write_text(dict_writer_csv(record_type._fields, [row._asdict() for row in rows]))
             assert (tmp_path / name).read_bytes() == oracle.read_bytes()
 
+    def test_matches_csv_writer_on_values_the_memo_could_confuse(self, tmp_path):
+        """Zeros of both signs and equal values of different types each keep
+        their own text, as do the floats with unusual reprs."""
+        specials = [math.nan, math.inf, -math.inf, 5e-324, 1e16, 10**30, 0.1 + 0.2, -1.5e-7, 7]
+        zeros = [0.0, -0.0, 0.0, -0.0, 0.0]
+        typed = [1, 1.0, True, 0, False]
+        rows, summary = [], []
+        for i in range(5):
+            cycled = [specials[(i + j) % len(specials)] for j in range(len(Row._fields))]
+            strategy, method = STRATEGIES[i % len(STRATEGIES)], VOTING_METHODS[i]
+            rows.append(Row(3, i, strategy, typed[i], method, 1.0, *cycled[6:-2], typed[i], zeros[i]))
+            summary.append(SummaryRow(zeros[i], strategy, method, typed[i], *cycled[4:10]))
+        harness.write_outputs(harness.ExperimentResult(rows, summary, {}, {}), tmp_path)
+        oracle = tmp_path / "oracle.csv"
+        for name, record_type, records in (("per_request.csv", Row, rows), ("summary.csv", SummaryRow, summary)):
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows([record_type._fields, *records])
+            oracle.write_text(buffer.getvalue())
+            assert (tmp_path / name).read_bytes() == oracle.read_bytes()
+
+    def test_names_and_fields_are_written_bare(self):
+        """The writer joins cells unquoted, which holds only while csv.writer
+        would quote none of the strings a CSV can hold."""
+        for names in (STRATEGIES, VOTING_METHODS, Row._fields, SummaryRow._fields):
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerow(names)
+            assert buffer.getvalue() == ",".join(names) + "\n"
+
 
 def eager_process_request(request, providers, network, grid, heatmaps, seeds, cfg):
     """The request pipeline before lazy composition, kept as the oracle: every
@@ -679,6 +707,12 @@ class TestCli:
                 "coords line 2: node 2: coordinates must be finite",
             ),
             (
+                "files",
+                "coords.txt",
+                b"1 0 0\n2 0 0\n3 0 1000\n",
+                "edge list line 1: segment (1, 2): length must be positive and finite",
+            ),
+            (
                 "dump",
                 "net.json",
                 b'{"nodes": [[1, 0, 0, 1, 1' + b"0" * 400 + b'], [2, 5, 5, 1, 1]], "edges": [[1, 2]]}',
@@ -686,7 +720,8 @@ class TestCli:
             ),
         ],
         ids=[
-            "dump_not_utf8", "coords_not_utf8", "deep_config", "deep_dump", "stations_pads", "coords_nan", "dump_pads",
+            "dump_not_utf8", "coords_not_utf8", "deep_config", "deep_dump", "stations_pads", "coords_nan",
+            "zero_length_segment", "dump_pads",
         ],
     )
     def test_bad_input_file_is_a_one_line_error(self, tmp_path, source, name, content, message, capsys):

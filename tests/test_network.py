@@ -108,14 +108,20 @@ class TestLoadNetwork:
             load("1 2\n", "1 0 0\n2 100 0\n", f"1 1 2\n2 1 {pads}\n")
         assert load("1 2\n", "1 0 0\n2 100 0\n", "1 1 2\n2 1 1000000\n").nodes[2].pad_count == 10**6
 
+    SEGMENT_REFUSED = r"^edge list line 1: segment \(1, 2\): length must be positive and finite$"
+
     def test_overflowing_segment_rejected(self):
-        with pytest.raises(ParseError, match="length must be positive and finite"):
+        with pytest.raises(ParseError, match=self.SEGMENT_REFUSED):
             load("1 2\n", "1 -1e308 0\n2 1e308 0\n", "1 1 2\n2 1 3\n")
 
     def test_zero_length_segment_rejected(self):
         # the network model's length rule is what segment_energy trusts
-        with pytest.raises(ParseError, match=r"segment \(1, 2\): length must be positive and finite"):
+        with pytest.raises(ParseError, match=self.SEGMENT_REFUSED):
             load("1 2\n", "1 5 5\n2 5 5\n", "1 1 2\n2 1 3\n")
+
+    def test_segment_refusal_names_the_first_line_giving_the_pair(self):
+        with pytest.raises(ParseError, match=r"^edge list line 3: segment \(1, 2\): length must be positive"):
+            load("# first\n\n2 1\n1 2\n", "1 5 5\n2 5 5\n", "1 1 2\n2 1 3\n")
 
     def test_492_node_subnetwork_loads_connected(self):
         # mirrors ingesting an urban edge-list extract of 492 connected nodes
