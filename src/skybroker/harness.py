@@ -22,8 +22,9 @@ Each request that passes the filter runs in three stages:
    share one set of tables and elections, keyed on the table's ordered
    provider ids. That is exact: the tables, ballots and elections are pure
    functions of the table and the request's weights, and an election's seed
-   is mixed from the voting seed, the request id and the method alone. Each
-   pair still writes its own rows, with its own cohort size and proxy time.
+   is mixed from the voting seed, the request id and the method's position
+   in ``VOTING_METHODS``. Each pair still writes its own rows, with its own
+   cohort size and proxy time.
 
 A request the filter leaves no provider for is rejected before stage 1. Only
 when no cohort member composes successfully are the remaining filtered

@@ -150,6 +150,9 @@ def top_weight(ballots: Sequence[Ballot]) -> int:
     return max(ballots, key=lambda b: b.weight).ranking[0]
 
 
+# The order seeds the elections: a method's position here is its index in
+# harness._METHOD_SEED_INDEX. Reordering it moves every seeded tie-break (IRV,
+# and a Condorcet paradox), and with them the output bytes.
 VOTING_METHODS = ("plurality", "irv", "borda", "condorcet", "topweight")
 
 
